@@ -134,6 +134,11 @@ def _template_matrix_cx() -> np.ndarray:
     )
 
 
+#: Weyl decomposition of the bare-CNOT template: the same for every 1-CNOT
+#: match, so it is computed once at import.
+_CX_TEMPLATE = weyl_decompose(_template_matrix_cx())
+
+
 def _template_matrix_2cx(a: float, b: float) -> np.ndarray:
     cx = _template_matrix_cx()
     return cx @ np.kron(_ry(-2 * b), _rz(2 * a)) @ cx
@@ -171,17 +176,17 @@ def _two_cnot_parameters(coordinates) -> list[tuple[float, float]]:
 
 def _compose_with_template(
     target: WeylDecomposition,
-    template_matrix: np.ndarray,
+    template: WeylDecomposition,
     emit_template,
     coord_tol: float = 1e-6,
 ):
     """Express the target through a template of the same canonical class.
 
     ``U = e^{i(pu - pv)} (K1u K1v^+) V (K2v^+ K2u)`` where ``V`` is the
-    template and both decompositions share the canonical coordinates.
-    Returns ``None`` when the classes do not match.
+    template (given by its Weyl decomposition) and both decompositions
+    share the canonical coordinates.  Returns ``None`` when the classes do
+    not match.
     """
-    template = weyl_decompose(template_matrix)
     mismatch = max(
         abs(x - y) for x, y in zip(target.coordinates, template.coordinates)
     )
@@ -223,13 +228,12 @@ def _attempt(unitary: np.ndarray, cnots: int):
             return None
     target = weyl_decompose(unitary)
     if cnots == 1:
-        cx = _template_matrix_cx()
         return _compose_with_template(
-            target, cx, lambda builder: builder.add_cx(1, 0)
+            target, _CX_TEMPLATE, lambda builder: builder.add_cx(1, 0)
         )
     if cnots == 2:
         for a, b in _two_cnot_parameters(target.coordinates):
-            matrix = _template_matrix_2cx(a, b)
+            template = weyl_decompose(_template_matrix_2cx(a, b))
 
             def emit(builder: _CircuitBuilder, a=a, b=b) -> None:
                 builder.add_cx(1, 0)
@@ -237,7 +241,7 @@ def _attempt(unitary: np.ndarray, cnots: int):
                 builder.add_1q(0, _rz(2 * a))
                 builder.add_cx(1, 0)
 
-            candidate = _compose_with_template(target, matrix, emit)
+            candidate = _compose_with_template(target, template, emit)
             if candidate is not None:
                 return candidate
         return None

@@ -16,6 +16,11 @@ derived data every pass otherwise recomputes from scratch:
   same adjacency map) share one computation when they see the same circuit.
 * **DAG views** -- keyed by the fingerprint plus operation identity; the
   keyed circuit is kept alive so identity keys stay valid.
+* **two-qubit syntheses** -- keyed by a block unitary's exact bytes: its
+  minimal CNOT count and, once ``ConsolidateBlocks`` has synthesized it,
+  the replacement circuit (or the failure).  Repeat unitaries from the
+  fixed-point loop and from repeated blocks cost one synthesis.  Like DAG
+  views this family stays local: it is never part of a snapshot.
 
 Caches are invalidated implicitly: a rewritten circuit has a different
 fingerprint, so stale entries are simply never hit again.  The cache is
@@ -86,6 +91,9 @@ def library_fingerprint() -> str:
 #: set, low enough that a cache shared across many runs stays bounded.
 _MAX_MATRICES = 4096
 _MAX_CIRCUIT_VIEWS = 512
+#: a synthesis entry holds a replacement circuit (~5 KB); one Table II
+#: compile has well under 100 distinct block unitaries
+_MAX_SYNTHESES = 1024
 
 
 def rewrite_counter(property_set) -> Counter:
@@ -166,6 +174,23 @@ def _structural_fingerprint(circuit: "QuantumCircuit", with_identity: bool = Fal
     return (circuit.num_qubits, circuit.num_clbits, body)
 
 
+class SynthesisMemo:
+    """One block unitary's synthesis record.
+
+    ``budget`` is :func:`~repro.linalg.weyl.num_cnots_required` of the
+    unitary -- a lower bound on the CNOT count of any re-synthesis.  Once
+    ``synthesized`` is set, ``replacement`` holds the synthesized circuit,
+    or ``None`` if synthesis failed.  Replacements are shared read-only.
+    """
+
+    __slots__ = ("budget", "synthesized", "replacement")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.synthesized = False
+        self.replacement: "QuantumCircuit | None" = None
+
+
 class AnalysisCache:
     """Memoized analysis results shared by the passes of a pipeline run."""
 
@@ -180,6 +205,7 @@ class AnalysisCache:
         self._adjacency: dict = {}
         self._wire_indices: dict = {}
         self._dags: dict = {}
+        self._syntheses: dict = {}
         #: keys already shared through import/export -- the delta baseline
         self._shared: dict[str, set] = {
             "matrices": set(),
@@ -329,6 +355,24 @@ class AnalysisCache:
         dag = circuit_to_dag(circuit)
         _bounded_insert(self._dags, key, (circuit, dag), _MAX_CIRCUIT_VIEWS)
         return dag
+
+    # -- two-qubit syntheses -----------------------------------------------
+
+    def synthesis(self, unitary: np.ndarray) -> SynthesisMemo:
+        """The memo record of a 4x4 block unitary, created on first sight.
+
+        The budget uses the same tolerance ``synthesize_two_qubit_unitary``
+        applies by default, so it equals the CNOT count synthesis starts
+        from.
+        """
+        key = unitary.tobytes()
+        memo = self._syntheses.get(key)
+        if memo is None:
+            from repro.linalg.weyl import num_cnots_required
+
+            memo = SynthesisMemo(num_cnots_required(unitary, atol=1e-7))
+            _bounded_insert(self._syntheses, key, memo, _MAX_SYNTHESES)
+        return memo
 
     # -- warm-start snapshots ----------------------------------------------
     #

@@ -10,14 +10,32 @@ This is the pass the paper contrasts RPO against: it must preserve the
 block's *unitary*, so it can never exploit known input states the way
 QBO/QPO do.
 
-The pass runs in two phases: a linear scan collects every block of the
-circuit (recording the flush order), then **all** block unitaries are
-computed in one batched reduction (:func:`repro.linalg.batch.
-two_qubit_chain_unitaries` -- per-gate matrices stacked, 1q gates embedded
-via the batched kron, chains identity-padded and chain-multiplied with
-log-depth pairwise matmuls) before any synthesis happens.  ``batched=False``
-falls back to the original per-block Python accumulation; the two paths are
-held to identical outputs by the parity tests.
+The pass runs in four steps:
+
+1. **collect** -- a linear scan records every block of the circuit and the
+   order blocks and pass-through gates flush in;
+2. **batched matrices** -- all block unitaries are computed in one batched
+   reduction (:func:`repro.linalg.batch.two_qubit_chain_unitaries` --
+   per-gate matrices stacked, 1q gates embedded via the batched kron,
+   chains identity-padded and chain-multiplied with log-depth pairwise
+   matmuls).  ``batched=False`` falls back to the original per-block
+   Python accumulation; the two paths are held to identical outputs by the
+   parity tests;
+3. **prescan / memo** -- each block unitary's minimal CNOT count (the
+   ``budget`` synthesis itself starts from, and a lower bound on the
+   replacement's CNOT count and size) is looked up in the run's
+   :class:`~repro.transpiler.cache.AnalysisCache`.  A block whose budget
+   already exceeds its CX cost, or ties it without holding more gates than
+   the budget, cannot be improved and is emitted unchanged;
+4. **synthesize** -- the remaining blocks are re-synthesized, at most once
+   per distinct unitary per cache: the memo keeps the replacement (or the
+   failure) for repeats from the fixed-point loop or within a circuit.
+
+Steps 3 and 4 skip only rewrites the pass would have rejected, so the output
+is bit-identical to synthesizing every block; the oracle parity tests hold
+it to that.  ``AnalysisCache.stats`` counts ``synth_prescan_skips``,
+``synth_memo_hits``, ``synth_attempts``, ``synth_failures`` and
+``synth_kept``.
 """
 
 from __future__ import annotations
@@ -26,7 +44,10 @@ import numpy as np
 
 from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
-from repro.linalg.two_qubit_synthesis import synthesize_two_qubit_unitary
+from repro.linalg.two_qubit_synthesis import (
+    TwoQubitSynthesisError,
+    synthesize_two_qubit_unitary,
+)
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
@@ -215,7 +236,9 @@ class ConsolidateBlocks(TransformationPass):
             if kind == "raw":
                 output.append(payload, qubits, clbits)
             else:
-                self._emit_block(payload, output, unitaries.get(id(payload)), rewrites)
+                self._emit_block(
+                    payload, output, unitaries.get(id(payload)), rewrites, cache
+                )
         return output
 
     def _emit_block(
@@ -224,13 +247,13 @@ class ConsolidateBlocks(TransformationPass):
         output: QuantumCircuit,
         unitary: np.ndarray | None,
         rewrites,
+        cache: AnalysisCache,
     ) -> None:
         if unitary is None:  # below the 2q-count threshold: not consolidated
             self._emit_original(block, output)
             return
-        try:
-            replacement = synthesize_two_qubit_unitary(unitary)
-        except Exception:
+        replacement = self._replacement(block, unitary, cache)
+        if replacement is None:
             self._emit_original(block, output)
             return
         new_2q = replacement.num_nonlocal_gates()
@@ -242,10 +265,40 @@ class ConsolidateBlocks(TransformationPass):
             self._emit_original(block, output)
             return
         rewrites[self.name] += 1
+        cache.stats["synth_kept"] += 1
         output.global_phase += replacement.global_phase
         for inner in replacement.data:
             mapped = tuple(block.pair[q] for q in inner.qubits)
             output.append(inner.operation, mapped)
+
+    def _replacement(
+        self, block: _Block, unitary: np.ndarray, cache: AnalysisCache
+    ) -> QuantumCircuit | None:
+        """The block's re-synthesis, or ``None`` when it provably cannot be
+        kept (prescan) or synthesis failed.
+
+        A replacement never has fewer CNOTs than the budget, nor fewer
+        gates, so a budget above ``cx_cost`` -- or equal to it on a block
+        of at most ``budget`` gates -- is a rewrite ``_emit_block`` would
+        reject.  ``force`` bypasses the prescan.
+        """
+        memo = cache.synthesis(unitary)
+        cannot_win = memo.budget > block.cx_cost or (
+            memo.budget == block.cx_cost and len(block.instructions) <= memo.budget
+        )
+        if cannot_win and not self.force:
+            cache.stats["synth_prescan_skips"] += 1
+            return None
+        if memo.synthesized:
+            cache.stats["synth_memo_hits"] += 1
+            return memo.replacement
+        cache.stats["synth_attempts"] += 1
+        try:
+            memo.replacement = synthesize_two_qubit_unitary(unitary)
+        except (TwoQubitSynthesisError, np.linalg.LinAlgError, ValueError):
+            cache.stats["synth_failures"] += 1
+        memo.synthesized = True
+        return memo.replacement
 
     @staticmethod
     def _emit_original(block: _Block, output: QuantumCircuit) -> None:

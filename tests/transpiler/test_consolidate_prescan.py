@@ -1,0 +1,398 @@
+"""``ConsolidateBlocks``' CNOT-bound prescan and synthesis memo.
+
+The shipped pass skips synthesis for blocks whose minimal CNOT count shows
+the rewrite cannot be kept, and synthesizes each distinct block unitary at
+most once per :class:`AnalysisCache`.  Both must be invisible in the
+output: every circuit is compared bit for bit (exact ``float.hex`` of every
+parameter and of the global phase) against :class:`OracleConsolidateBlocks`,
+which synthesizes every candidate block -- the pass as it was before the
+prescan and memo.
+"""
+
+import numpy as np
+import pytest
+
+import repro.transpiler.passes.consolidate as consolidate
+import repro.transpiler.preset as preset
+from repro.algorithms import grover_circuit, quantum_phase_estimation
+from repro.circuit import QuantumCircuit
+from repro.linalg.random import random_su2, random_unitary
+from repro.linalg.two_qubit_synthesis import synthesize_two_qubit_unitary
+from repro.linalg.weyl import canonical_gate, num_cnots_required
+from repro.transpiler import transpile
+from repro.transpiler.cache import AnalysisCache
+from repro.transpiler.passes import ConsolidateBlocks
+from repro.transpiler.passmanager import PassManager, PropertySet
+
+from tests.helpers import assert_unitarily_equal
+
+
+class OracleConsolidateBlocks(ConsolidateBlocks):
+    """Synthesizes every candidate block; keeps the rewrite only when it
+    wins (or ``force``).  No prescan, no memo."""
+
+    def _emit_block(self, block, output, unitary, rewrites, cache):
+        if unitary is None:
+            self._emit_original(block, output)
+            return
+        try:
+            replacement = synthesize_two_qubit_unitary(unitary)
+        except Exception:
+            self._emit_original(block, output)
+            return
+        new_2q = replacement.num_nonlocal_gates()
+        better = new_2q < block.cx_cost or (
+            new_2q == block.cx_cost
+            and replacement.size() < len(block.instructions)
+        )
+        if not (better or self.force):
+            self._emit_original(block, output)
+            return
+        rewrites[self.name] += 1
+        output.global_phase += replacement.global_phase
+        for inner in replacement.data:
+            output.append(inner.operation, tuple(block.pair[q] for q in inner.qubits))
+
+
+def exact_form(circuit: QuantumCircuit) -> list:
+    """Every gate with its parameters as exact float hex strings."""
+
+    def exact(value):
+        return float(value).hex() if isinstance(value, (int, float)) else repr(value)
+
+    return [exact(circuit.global_phase)] + [
+        (
+            instruction.operation.name,
+            instruction.qubits,
+            instruction.clbits,
+            [exact(param) for param in instruction.operation.params],
+        )
+        for instruction in circuit.data
+    ]
+
+
+def consolidate_both(circuit: QuantumCircuit, force: bool = False):
+    """(shipped output, oracle output, shipped pass' cache stats)."""
+    props = PropertySet()
+    shipped = ConsolidateBlocks(force=force).run(circuit, props)
+    oracle = OracleConsolidateBlocks(force=force).run(circuit, PropertySet())
+    return shipped, oracle, AnalysisCache.ensure(props).stats
+
+
+def assert_matches_oracle(circuit: QuantumCircuit, force: bool = False):
+    shipped, oracle, stats = consolidate_both(circuit, force)
+    assert exact_form(shipped) == exact_form(oracle)
+    return shipped, stats
+
+
+def random_block_circuit(seed: int, num_qubits: int, depth: int = 60) -> QuantumCircuit:
+    """Random gates over 2q gates of every CX cost, plus fences."""
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits, num_qubits)
+    for _ in range(depth):
+        roll = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        if roll < 0.25:
+            circuit.u3(*(float(x) for x in rng.uniform(-np.pi, np.pi, 3)), qubit)
+        elif roll < 0.40:
+            getattr(circuit, str(rng.choice(["h", "s", "t", "x", "sx"])))(qubit)
+        elif roll < 0.45:
+            circuit.u1(float(rng.uniform(-np.pi, np.pi)), qubit)
+        elif roll < 0.92:
+            a, b = (int(q) for q in rng.choice(num_qubits, size=2, replace=False))
+            name = str(rng.choice(["cx", "cx", "cz", "cy", "ch", "cp", "swap", "iswap", "unitary"]))
+            if name == "cp":
+                circuit.cp(float(rng.uniform(-np.pi, np.pi)), a, b)
+            elif name == "unitary":
+                circuit.unitary(random_unitary(4, rng), [a, b])
+            else:
+                getattr(circuit, name)(a, b)
+        elif roll < 0.96:
+            circuit.barrier()
+        else:
+            circuit.measure(qubit, qubit)
+    return circuit
+
+
+def local_pair(rng) -> np.ndarray:
+    return np.kron(random_su2(rng), random_su2(rng))
+
+
+def unitary_of_class(cnots: int, rng) -> np.ndarray:
+    """A random two-qubit unitary needing exactly ``cnots`` CNOTs."""
+    if cnots == 0:
+        return local_pair(rng)
+    if cnots == 3:
+        return random_unitary(4, rng)
+    if cnots == 1:
+        core = canonical_gate(np.pi / 4, 0.0, 0.0)
+    else:
+        a, b = rng.uniform(0.1, np.pi / 4 - 0.1, 2)
+        core = canonical_gate(max(a, b), min(a, b), 0.0)
+    return local_pair(rng) @ core @ local_pair(rng)
+
+
+def append_block(circuit: QuantumCircuit, matrix: np.ndarray) -> None:
+    """Append cx + u3 gates realising ``matrix`` on qubits (0, 1)."""
+    for instruction in synthesize_two_qubit_unitary(matrix).data:
+        circuit.append(instruction.operation, instruction.qubits)
+
+
+def candidate_unitaries(circuit: QuantumCircuit) -> list[np.ndarray]:
+    """Unitaries of the blocks ``ConsolidateBlocks`` would consider."""
+    pass_ = ConsolidateBlocks()
+    blocks = [
+        payload
+        for kind, payload, _, _ in pass_.collect(circuit)
+        if kind == "block" and payload.num_2q >= 2
+    ]
+    return list(pass_._block_matrices(blocks, AnalysisCache()).values())
+
+
+class TestPrescanBound:
+    """The invariant the prescan rests on: no re-synthesis has fewer CNOTs
+    (hence fewer gates) than ``num_cnots_required``."""
+
+    @pytest.mark.parametrize("cnots", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_synthesis_never_beats_the_budget(self, cnots, seed):
+        unitary = unitary_of_class(cnots, np.random.default_rng([seed, cnots]))
+        budget = num_cnots_required(unitary, atol=1e-7)
+        assert budget == cnots
+        replacement = synthesize_two_qubit_unitary(unitary)
+        assert replacement.num_nonlocal_gates() >= budget
+        assert replacement.size() >= budget
+
+    def test_budget_matches_the_cache_family(self):
+        rng = np.random.default_rng(7)
+        cache = AnalysisCache()
+        for cnots in range(4):
+            unitary = unitary_of_class(cnots, rng)
+            assert cache.synthesis(unitary).budget == num_cnots_required(unitary, atol=1e-7)
+
+
+class TestOracleParity:
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_circuits(self, num_qubits, seed):
+        assert_matches_oracle(random_block_circuit(seed, num_qubits))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forced_resynthesis_bypasses_prescan(self, seed):
+        _, stats = assert_matches_oracle(random_block_circuit(seed, 3), force=True)
+        assert stats["synth_prescan_skips"] == 0
+
+    @pytest.mark.parametrize("cnots", [0, 1, 2, 3])
+    def test_blocks_of_every_cnot_class(self, cnots):
+        rng = np.random.default_rng(cnots)
+        circuit = QuantumCircuit(2)
+        # a minimal block of the class, then the same unitary with a
+        # cancelling cx pair appended
+        matrix = unitary_of_class(cnots, rng)
+        append_block(circuit, matrix)
+        circuit.barrier()
+        append_block(circuit, matrix)
+        circuit.cx(0, 1)
+        circuit.cx(0, 1)
+        unitaries = candidate_unitaries(circuit)
+        assert {num_cnots_required(u, atol=1e-7) for u in unitaries} == {cnots}
+        shipped, _ = assert_matches_oracle(circuit)
+        assert_unitarily_equal(circuit, shipped)
+
+    @pytest.mark.parametrize("gate", ["swap", "ch"])
+    def test_cx_cost_above_two_qubit_count(self, gate):
+        circuit = QuantumCircuit(3)
+        getattr(circuit, gate)(0, 1)
+        circuit.cx(0, 1)
+        circuit.barrier()
+        getattr(circuit, gate)(1, 2)
+        circuit.h(2)
+        getattr(circuit, gate)(1, 2)
+        circuit.barrier()
+        getattr(circuit, gate)(0, 2)
+        circuit.cx(2, 0)
+        circuit.t(0)
+        circuit.cz(0, 2)
+        shipped, stats = assert_matches_oracle(circuit)
+        assert stats["synth_attempts"] > 0
+        assert_unitarily_equal(circuit, shipped)
+
+    def test_equal_cx_count_ties(self):
+        circuit = QuantumCircuit(2)
+        # budget == cx_cost == len: skipped without synthesis
+        circuit.cx(0, 1)
+        circuit.cx(1, 0)
+        circuit.barrier()
+        # budget == cx_cost < len: synthesized, kept only if smaller
+        circuit.cx(0, 1)
+        circuit.u1(0.3, 1)
+        circuit.cx(0, 1)
+        circuit.barrier()
+        # budget == cx_cost, many redundant 1q gates: the rewrite is kept
+        rng = np.random.default_rng(5)
+
+        def scramble():
+            for wire in (0, 1, 0, 1):
+                circuit.u3(*(float(x) for x in rng.uniform(-np.pi, np.pi, 3)), wire)
+
+        scramble()
+        circuit.cx(0, 1)
+        scramble()
+        circuit.cx(0, 1)
+        scramble()
+        unitaries = candidate_unitaries(circuit)
+        assert [num_cnots_required(u, atol=1e-7) for u in unitaries] == [2, 2, 2]
+        shipped, stats = assert_matches_oracle(circuit)
+        assert stats["synth_prescan_skips"] == 1
+        assert stats["synth_attempts"] == 2
+        assert stats["synth_kept"] == 1
+        assert_unitarily_equal(circuit, shipped)
+
+    def test_repeated_identical_blocks(self):
+        circuit = QuantumCircuit(3)
+        # t on the control commutes through: each block is one cx + t
+        for pair in [(0, 1), (1, 2), (0, 1), (0, 2), (0, 1)]:
+            circuit.cx(*pair)
+            circuit.t(pair[0])
+            circuit.cx(*pair)
+            circuit.cx(*pair)
+            circuit.barrier()
+        shipped, stats = assert_matches_oracle(circuit)
+        assert stats["synth_attempts"] == 1
+        assert stats["synth_memo_hits"] == 4
+        assert stats["synth_kept"] == 5
+
+    @pytest.mark.parametrize("pipeline", ["level3", "rpo"])
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            quantum_phase_estimation(3),
+            grover_circuit(4, design="noancilla"),
+            random_block_circuit(11, 5, depth=80),
+        ],
+        ids=["qpe4", "grover4", "random5"],
+    )
+    def test_presets(self, pipeline, circuit, monkeypatch):
+        shipped = transpile(circuit, target="melbourne", pipeline=pipeline, seed=1)
+        monkeypatch.setattr(preset, "ConsolidateBlocks", OracleConsolidateBlocks)
+        oracle = transpile(circuit, target="melbourne", pipeline=pipeline, seed=1)
+        assert exact_form(shipped) == exact_form(oracle)
+
+
+class TestSynthesisMemo:
+    @pytest.fixture
+    def synth_calls(self, monkeypatch):
+        calls = []
+
+        def counting(unitary):
+            calls.append(unitary)
+            return synthesize_two_qubit_unitary(unitary)
+
+        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting)
+        return calls
+
+    @staticmethod
+    def zz_blocks(k: int) -> QuantumCircuit:
+        """``k`` identical cx-u1-cx blocks: synthesized, never kept."""
+        circuit = QuantumCircuit(2)
+        for _ in range(k):
+            circuit.cx(0, 1)
+            circuit.u1(0.7, 1)
+            circuit.cx(0, 1)
+            circuit.barrier()
+        return circuit
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_identical_blocks_synthesize_once(self, k, synth_calls):
+        props = PropertySet()
+        out = ConsolidateBlocks().run(self.zz_blocks(k), props)
+        assert len(synth_calls) == 1
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_memo_hits"] == k - 1
+        assert stats["synth_kept"] == 0
+        assert exact_form(out) == exact_form(self.zz_blocks(k))
+
+    def test_second_fixed_point_iteration_makes_no_calls(self, synth_calls, monkeypatch):
+        per_invocation = []
+        transform = ConsolidateBlocks.transform
+
+        def recording(self, circuit, property_set):
+            before = len(synth_calls)
+            result = transform(self, circuit, property_set)
+            per_invocation.append(len(synth_calls) - before)
+            return result
+
+        monkeypatch.setattr(ConsolidateBlocks, "transform", recording)
+        manager = PassManager()
+        manager.append(
+            preset.optimization_loop(preset.IBM_BASIS, commutative=True, consolidate=True)
+        )
+        manager.run(self.zz_blocks(3))
+        assert per_invocation == [1, 0]
+
+    def test_failures_are_typed_and_counted(self, monkeypatch):
+        from repro.linalg.two_qubit_synthesis import TwoQubitSynthesisError
+
+        def failing(unitary):
+            raise TwoQubitSynthesisError("no candidate")
+
+        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", failing)
+        circuit = self.zz_blocks(3)
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        assert exact_form(out) == exact_form(circuit)
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_failures"] == 1
+        assert stats["synth_memo_hits"] == 2
+
+    def test_unexpected_errors_propagate(self, monkeypatch):
+        def broken(unitary):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", broken)
+        with pytest.raises(KeyError):
+            ConsolidateBlocks().run(self.zz_blocks(1), PropertySet())
+
+    def test_memo_is_not_snapshotted(self):
+        cache = AnalysisCache()
+        props = PropertySet({AnalysisCache.PROPERTY_KEY: cache})
+        ConsolidateBlocks().run(self.zz_blocks(2), props)
+        assert cache._syntheses
+        assert "syntheses" not in AnalysisCache._SNAPSHOT_FAMILIES
+        assert set(cache.export_snapshot()) == {"version", *AnalysisCache._SNAPSHOT_FAMILIES}
+
+    def test_shared_cache_under_threads(self):
+        """Runs sharing one cache (as a batch or a service does) may race
+        on a memo entry; the worst case is a duplicate synthesis, never a
+        different circuit."""
+        import sys
+        import threading
+
+        circuits = [random_block_circuit(seed, 3) for seed in range(4)]
+        expected = [
+            exact_form(OracleConsolidateBlocks().run(circuit, PropertySet()))
+            for circuit in circuits
+        ]
+        cache = AnalysisCache()
+        mismatches = []
+
+        def work(offset):
+            for index in range(8):
+                k = (index + offset) % len(circuits)
+                props = PropertySet({AnalysisCache.PROPERTY_KEY: cache})
+                out = ConsolidateBlocks().run(circuits[k], props)
+                if exact_form(out) != expected[k]:
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
