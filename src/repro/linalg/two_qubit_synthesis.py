@@ -17,9 +17,15 @@ invariants, then
 
   where ``(x)`` has the CNOT-control qubit as its left factor.
 
-Every produced circuit is verified against the target matrix (including
-global phase); on a verification miss the routine escalates the CNOT count,
-so the output is always exact even at degenerate class boundaries.
+Synthesis runs in two steps.  :func:`plan_two_qubit_unitary` records one
+candidate as a :class:`SynthesisPlan` -- the emitted ``u3``/``cx`` gate
+tuples and the global phase, no circuit object -- so a caller such as
+``ConsolidateBlocks`` can read a candidate's size cheaply.
+:func:`synthesize_two_qubit_unitary` multiplies each plan's own gate
+matrices out and checks the product against the target (including global
+phase); on a miss it escalates the CNOT count, so the output is always
+exact even at degenerate class boundaries.  Only the plan that passes is
+built into a circuit.
 
 Endianness: inputs are little-endian circuit matrices on qubits ``(0, 1)``;
 the left Kronecker factor therefore acts on qubit 1.
@@ -29,12 +35,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.euler import u3_params_from_unitary
+from repro.linalg.euler import u3_matrix, u3_params_from_unitary
 from repro.linalg.kron import decompose_kron
 from repro.linalg.state_prep import two_qubit_state_prep_factors
 from repro.linalg.weyl import WeylDecomposition, num_cnots_required, weyl_decompose
 
 __all__ = [
+    "SynthesisPlan",
+    "plan_two_qubit_unitary",
     "synthesize_two_qubit_unitary",
     "two_qubit_state_prep_circuit",
     "TwoQubitSynthesisError",
@@ -64,8 +72,97 @@ def _rz(phi: float) -> np.ndarray:
     return np.diag([np.exp(-1j * phi / 2), np.exp(1j * phi / 2)]).astype(complex)
 
 
-class _CircuitBuilder:
-    """Accumulates a two-qubit circuit, merging adjacent one-qubit gates.
+class SynthesisPlan:
+    """A two-qubit circuit as emitted gate tuples, before any circuit object.
+
+    ``gates`` lists ``("u3", qubit, theta, phi, lam)`` and
+    ``("cx", control, target)`` in time order; ``global_phase`` is the phase
+    the built circuit carries.  :meth:`matrix` multiplies the gates out
+    directly and :meth:`circuit` builds the :class:`QuantumCircuit`, so a
+    caller can inspect a plan's size and check it before paying for either.
+    """
+
+    __slots__ = ("gates", "global_phase")
+
+    def __init__(self, gates: list[tuple], global_phase: float):
+        self.gates = gates
+        self.global_phase = global_phase
+
+    @property
+    def size(self) -> int:
+        """Gate count of the built circuit."""
+        return len(self.gates)
+
+    def matrix(self) -> np.ndarray:
+        """Little-endian 4x4 unitary of the plan, global phase included.
+
+        Same gate matrices, embedding and product order as
+        ``self.circuit().to_matrix()``, without building the circuit.
+        """
+        matrix = np.eye(4, dtype=complex)
+        for gate in self.gates:
+            if gate[0] == "cx":
+                matrix = _CX_LITTLE_ENDIAN[gate[1:]] @ matrix
+                continue
+            embedded = np.zeros((4, 4), dtype=complex)
+            block = u3_matrix(*gate[2:])
+            for rows in _WIRE_BLOCKS[gate[1]]:
+                embedded[rows, rows] = block
+            matrix = embedded @ matrix
+        return matrix * np.exp(1j * self.global_phase)
+
+    def circuit(self):
+        """The plan as a two-qubit :class:`QuantumCircuit`."""
+        from repro.circuit.quantumcircuit import QuantumCircuit
+
+        circuit = QuantumCircuit(2)
+        for gate in self.gates:
+            if gate[0] == "cx":
+                circuit.cx(gate[1], gate[2])
+            else:
+                circuit.u3(gate[2], gate[3], gate[4], gate[1])
+        circuit.global_phase = self.global_phase
+        return circuit
+
+
+#: Little-endian CX on qubits ``(control, target)``.
+_CX_LITTLE_ENDIAN = {
+    (0, 1): np.array(
+        [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
+    ),
+    (1, 0): np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+}
+
+#: Where a one-qubit gate on each wire sits in the 4x4 matrix: one 2x2
+#: block per value of the other wire.
+_WIRE_BLOCKS = {0: (slice(0, 2), slice(2, 4)), 1: (slice(0, 3, 2), slice(1, 4, 2))}
+
+#: ``np.allclose(m, I, atol=1e-12)`` spelled out: ``atol + rtol * |I_ij|``
+#: with numpy's default ``rtol = 1e-5``.
+_DIAGONAL_TOL = 1e-12 + 1e-5
+_OFF_DIAGONAL_TOL = 1e-12
+
+
+def _near_identity(matrix: np.ndarray) -> bool:
+    """``np.allclose(matrix, I, atol=1e-12)`` for a 2x2 matrix, on the four
+    entries of ``|matrix - I|`` (NaN fails).
+
+    The distances come from numpy's own complex ``abs``, as in
+    ``np.allclose``: ``math.hypot`` differs from it in the last bit.
+    """
+    (d00, d01), (d10, d11) = np.abs(matrix - _ID).tolist()
+    return (
+        d00 <= _DIAGONAL_TOL
+        and d11 <= _DIAGONAL_TOL
+        and d01 <= _OFF_DIAGONAL_TOL
+        and d10 <= _OFF_DIAGONAL_TOL
+    )
+
+
+class _PlanBuilder:
+    """Records a two-qubit plan, merging adjacent one-qubit gates.
 
     Pending one-qubit matrices are fused and flushed as single ``u3`` gates
     whenever a CNOT arrives, keeping the emitted one-qubit gate count at most
@@ -73,37 +170,36 @@ class _CircuitBuilder:
     """
 
     def __init__(self):
-        from repro.circuit.quantumcircuit import QuantumCircuit
-
-        self.circuit = QuantumCircuit(2)
-        self._pending = [_ID.copy(), _ID.copy()]
+        self.gates: list[tuple] = []
+        self.global_phase = 0.0
+        self._pending = [_ID, _ID]
 
     def add_1q(self, qubit: int, matrix: np.ndarray) -> None:
         self._pending[qubit] = matrix @ self._pending[qubit]
 
     def _flush(self, qubit: int) -> None:
         matrix = self._pending[qubit]
-        if np.allclose(matrix, _ID, atol=1e-12):
+        if _near_identity(matrix):
             return
         theta, phi, lam, gamma = u3_params_from_unitary(matrix)
-        self.circuit.global_phase += gamma
+        self.global_phase += gamma
         if abs(theta) > 1e-12 or abs(phi + lam) > 1e-12:
-            self.circuit.u3(theta, phi, lam, qubit)
-        self._pending[qubit] = _ID.copy()
+            self.gates.append(("u3", qubit, theta, phi, lam))
+        self._pending[qubit] = _ID
 
     def add_cx(self, control: int, target: int) -> None:
         self._flush(0)
         self._flush(1)
-        self.circuit.cx(control, target)
+        self.gates.append(("cx", control, target))
 
-    def finish(self, global_phase: float = 0.0):
+    def finish(self, global_phase: float = 0.0) -> SynthesisPlan:
         self._flush(0)
         self._flush(1)
-        self.circuit.global_phase += global_phase
-        return self.circuit
+        self.global_phase += global_phase
+        return SynthesisPlan(self.gates, self.global_phase)
 
 
-def _canonical_circuit(builder: _CircuitBuilder, a: float, b: float, c: float) -> None:
+def _canonical_circuit(builder: _PlanBuilder, a: float, b: float, c: float) -> None:
     """Append the exact 3-CNOT realisation of ``CAN(a, b, c)``.
 
     In the verified identity the left Kronecker factor is the CNOT control;
@@ -119,28 +215,22 @@ def _canonical_circuit(builder: _CircuitBuilder, a: float, b: float, c: float) -
     builder.add_cx(1, 0)
 
 
-def _emit_product(unitary: np.ndarray):
+def _emit_product(unitary: np.ndarray) -> SynthesisPlan:
     phase, left, right = decompose_kron(unitary)
-    builder = _CircuitBuilder()
+    builder = _PlanBuilder()
     builder.add_1q(1, left)
     builder.add_1q(0, right)
     return builder.finish(float(np.angle(phase)))
 
 
-def _template_matrix_cx() -> np.ndarray:
-    # CX with control = left factor (qubit 1 little-endian)
-    return np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-
-
-#: Weyl decomposition of the bare-CNOT template: the same for every 1-CNOT
-#: match, so it is computed once at import.
-_CX_TEMPLATE = weyl_decompose(_template_matrix_cx())
+#: Weyl decomposition of the bare-CNOT template (control = left factor,
+#: qubit 1 little-endian): the same for every 1-CNOT match, so it is
+#: computed once at import.
+_CX_TEMPLATE = weyl_decompose(_CX_LITTLE_ENDIAN[1, 0])
 
 
 def _template_matrix_2cx(a: float, b: float) -> np.ndarray:
-    cx = _template_matrix_cx()
+    cx = _CX_LITTLE_ENDIAN[1, 0]
     return cx @ np.kron(_ry(-2 * b), _rz(2 * a)) @ cx
 
 
@@ -179,7 +269,7 @@ def _compose_with_template(
     template: WeylDecomposition,
     emit_template,
     coord_tol: float = 1e-6,
-):
+) -> SynthesisPlan | None:
     """Express the target through a template of the same canonical class.
 
     ``U = e^{i(pu - pv)} (K1u K1v^+) V (K2v^+ K2u)`` where ``V`` is the
@@ -192,7 +282,7 @@ def _compose_with_template(
     )
     if mismatch > coord_tol:
         return None
-    builder = _CircuitBuilder()
+    builder = _PlanBuilder()
     builder.add_1q(1, template.K2l.conj().T @ target.K2l)
     builder.add_1q(0, template.K2r.conj().T @ target.K2r)
     emit_template(builder)
@@ -204,7 +294,9 @@ def _compose_with_template(
 def synthesize_two_qubit_unitary(unitary: np.ndarray, atol: float = 1e-7):
     """Synthesise ``unitary`` into a circuit with the minimal CNOT count.
 
-    The result reproduces the target exactly, including global phase.
+    The result reproduces the target exactly, including global phase: each
+    candidate plan is multiplied out and checked against the target, and
+    only the plan that passes is built into a circuit.
     """
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (4, 4):
@@ -212,15 +304,21 @@ def synthesize_two_qubit_unitary(unitary: np.ndarray, atol: float = 1e-7):
 
     budget = num_cnots_required(unitary, atol=atol)
     for cnots in range(budget, 4):
-        candidate = _attempt(unitary, cnots)
-        if candidate is None:
+        plan = plan_two_qubit_unitary(unitary, cnots)
+        if plan is None:
             continue
-        if np.allclose(candidate.to_matrix(), unitary, atol=max(atol, 1e-7)):
-            return candidate
+        if np.allclose(plan.matrix(), unitary, atol=max(atol, 1e-7)):
+            return plan.circuit()
     raise TwoQubitSynthesisError("exhausted all CNOT budgets")
 
 
-def _attempt(unitary: np.ndarray, cnots: int):
+def plan_two_qubit_unitary(unitary: np.ndarray, cnots: int) -> SynthesisPlan | None:
+    """The candidate realisation of ``unitary`` with exactly ``cnots`` CNOTs.
+
+    Returns ``None`` when the template does not match.  The plan is not
+    checked against the target: :func:`synthesize_two_qubit_unitary` does
+    that, and escalates ``cnots`` on a miss.
+    """
     if cnots == 0:
         try:
             return _emit_product(unitary)
@@ -235,7 +333,7 @@ def _attempt(unitary: np.ndarray, cnots: int):
         for a, b in _two_cnot_parameters(target.coordinates):
             template = weyl_decompose(_template_matrix_2cx(a, b))
 
-            def emit(builder: _CircuitBuilder, a=a, b=b) -> None:
+            def emit(builder: _PlanBuilder, a=a, b=b) -> None:
                 builder.add_cx(1, 0)
                 builder.add_1q(1, _ry(-2 * b))
                 builder.add_1q(0, _rz(2 * a))
@@ -246,7 +344,7 @@ def _attempt(unitary: np.ndarray, cnots: int):
                 return candidate
         return None
     # generic 3-CNOT path through the exact canonical identity
-    builder = _CircuitBuilder()
+    builder = _PlanBuilder()
     builder.add_1q(1, target.K2l)
     builder.add_1q(0, target.K2r)
     _canonical_circuit(builder, target.a, target.b, target.c)
@@ -270,17 +368,18 @@ def two_qubit_state_prep_circuit(statevector: np.ndarray):
         raise ValueError("statevector is not normalised")
 
     ry_angle, left, right, needs_cnot = two_qubit_state_prep_factors(statevector)
-    builder = _CircuitBuilder()
+    builder = _PlanBuilder()
     builder.add_1q(1, _ry(ry_angle))
     if needs_cnot:
         builder.add_cx(1, 0)
     builder.add_1q(1, left)
     builder.add_1q(0, right)
-    circuit = builder.finish()
+    plan = builder.finish()
 
-    produced = circuit.to_matrix()[:, 0]
+    produced = plan.matrix()[:, 0]
     overlap = np.vdot(produced, statevector)
     if abs(abs(overlap) - 1.0) > 1e-7:
         raise TwoQubitSynthesisError("state preparation synthesis failed")
+    circuit = plan.circuit()
     circuit.global_phase += float(np.angle(overlap))
     return circuit

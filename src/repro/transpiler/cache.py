@@ -178,15 +178,19 @@ class SynthesisMemo:
     """One block unitary's synthesis record.
 
     ``budget`` is :func:`~repro.linalg.weyl.num_cnots_required` of the
-    unitary -- a lower bound on the CNOT count of any re-synthesis.  Once
+    unitary -- a lower bound on the CNOT count of any re-synthesis.
+    ``plan_size`` is ``None`` until the budget plan has been made, then the
+    plan's gate count (``math.inf`` when no plan matches).  Once
     ``synthesized`` is set, ``replacement`` holds the synthesized circuit,
-    or ``None`` if synthesis failed.  Replacements are shared read-only.
+    or ``None`` if planning or synthesis failed.  Replacements are shared
+    read-only.
     """
 
-    __slots__ = ("budget", "synthesized", "replacement")
+    __slots__ = ("budget", "plan_size", "synthesized", "replacement")
 
     def __init__(self, budget: int):
         self.budget = budget
+        self.plan_size: "int | float | None" = None
         self.synthesized = False
         self.replacement: "QuantumCircuit | None" = None
 

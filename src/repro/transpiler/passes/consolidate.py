@@ -10,7 +10,7 @@ This is the pass the paper contrasts RPO against: it must preserve the
 block's *unitary*, so it can never exploit known input states the way
 QBO/QPO do.
 
-The pass runs in four steps:
+The pass runs in five steps:
 
 1. **collect** -- a linear scan records every block of the circuit and the
    order blocks and pass-through gates flush in;
@@ -27,18 +27,29 @@ The pass runs in four steps:
    :class:`~repro.transpiler.cache.AnalysisCache`.  A block whose budget
    already exceeds its CX cost, or ties it without holding more gates than
    the budget, cannot be improved and is emitted unchanged;
-4. **synthesize** -- the remaining blocks are re-synthesized, at most once
-   per distinct unitary per cache: the memo keeps the replacement (or the
-   failure) for repeats from the fixed-point loop or within a circuit.
+4. **plan and decide** -- on any other CX-count tie only the budget-CNOT
+   candidate can win, so the pass makes just that candidate's plan
+   (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitary`: gate
+   tuples, no circuit, no check) and rejects the tie when there is no plan
+   or it is not smaller than the block;
+5. **build and verify** -- tie winners and blocks whose budget is below
+   their CX cost are re-synthesized by
+   :func:`~repro.linalg.two_qubit_synthesis.synthesize_two_qubit_unitary`,
+   which multiplies its plan out, checks it against the block unitary and
+   only then builds the circuit.
 
-Steps 3 and 4 skip only rewrites the pass would have rejected, so the output
-is bit-identical to synthesizing every block; the oracle parity tests hold
-it to that.  ``AnalysisCache.stats`` counts ``synth_prescan_skips``,
-``synth_memo_hits``, ``synth_attempts``, ``synth_failures`` and
-``synth_kept``.
+Every decision is memoized per distinct unitary per cache -- the plan size,
+then the replacement or the failure -- for repeats from the fixed-point
+loop or within a circuit.  Steps 3 to 5 skip only rewrites the pass would
+have rejected, so the output is bit-identical to synthesizing every block;
+the oracle parity tests hold it to that.  ``AnalysisCache.stats`` counts
+``synth_prescan_skips``, ``synth_tie_rejects``, ``synth_memo_hits``,
+``synth_attempts``, ``synth_failures`` and ``synth_kept``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,6 +57,7 @@ from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.linalg.two_qubit_synthesis import (
     TwoQubitSynthesisError,
+    plan_two_qubit_unitary,
     synthesize_two_qubit_unitary,
 )
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
@@ -54,6 +66,9 @@ from repro.transpiler.passmanager import PropertySet, TransformationPass
 __all__ = ["ConsolidateBlocks"]
 
 _BLOCK_MIN_2Q = 2  # only consolidate blocks with at least this many 2q gates
+
+#: typed synthesis failures: counted and memoized; anything else propagates
+_SYNTHESIS_ERRORS = (TwoQubitSynthesisError, np.linalg.LinAlgError, ValueError)
 
 
 #: CX-equivalent cost of two-qubit gates when they are later unrolled to
@@ -275,27 +290,44 @@ class ConsolidateBlocks(TransformationPass):
         self, block: _Block, unitary: np.ndarray, cache: AnalysisCache
     ) -> QuantumCircuit | None:
         """The block's re-synthesis, or ``None`` when it provably cannot be
-        kept (prescan) or synthesis failed.
+        kept or synthesis failed.
 
         A replacement never has fewer CNOTs than the budget, nor fewer
         gates, so a budget above ``cx_cost`` -- or equal to it on a block
         of at most ``budget`` gates -- is a rewrite ``_emit_block`` would
-        reject.  ``force`` bypasses the prescan.
+        reject (prescan).  On any other CX-count tie only the budget plan
+        can win: synthesis either returns it or escalates to more CNOTs
+        than ``cx_cost``.  So a tie whose budget plan is missing or not
+        smaller than the block is rejected without building or checking a
+        circuit.  ``force`` bypasses both rules.
         """
         memo = cache.synthesis(unitary)
-        cannot_win = memo.budget > block.cx_cost or (
-            memo.budget == block.cx_cost and len(block.instructions) <= memo.budget
-        )
+        size = len(block.instructions)
+        tie = memo.budget == block.cx_cost
+        cannot_win = memo.budget > block.cx_cost or (tie and size <= memo.budget)
         if cannot_win and not self.force:
             cache.stats["synth_prescan_skips"] += 1
             return None
         if memo.synthesized:
             cache.stats["synth_memo_hits"] += 1
             return memo.replacement
+        if tie and not self.force:
+            fresh = memo.plan_size is None
+            if fresh:
+                try:
+                    plan = plan_two_qubit_unitary(unitary, memo.budget)
+                except _SYNTHESIS_ERRORS:
+                    cache.stats["synth_failures"] += 1
+                    memo.synthesized = True
+                    return None
+                memo.plan_size = math.inf if plan is None else plan.size
+            if memo.plan_size >= size:
+                cache.stats["synth_tie_rejects" if fresh else "synth_memo_hits"] += 1
+                return None
         cache.stats["synth_attempts"] += 1
         try:
             memo.replacement = synthesize_two_qubit_unitary(unitary)
-        except (TwoQubitSynthesisError, np.linalg.LinAlgError, ValueError):
+        except _SYNTHESIS_ERRORS:
             cache.stats["synth_failures"] += 1
         memo.synthesized = True
         return memo.replacement

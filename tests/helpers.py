@@ -75,6 +75,24 @@ def assert_unitarily_equal(a: QuantumCircuit, b: QuantumCircuit, atol=1e-7):
     )
 
 
+def exact_form(circuit: QuantumCircuit) -> list:
+    """Every gate with its parameters -- and the global phase -- as exact
+    ``float.hex`` strings, for bit-for-bit circuit comparisons."""
+
+    def exact(value):
+        return float(value).hex() if isinstance(value, (int, float)) else repr(value)
+
+    return [exact(circuit.global_phase)] + [
+        (
+            instruction.operation.name,
+            instruction.qubits,
+            instruction.clbits,
+            [exact(param) for param in instruction.operation.params],
+        )
+        for instruction in circuit.data
+    ]
+
+
 def random_circuit(
     num_qubits: int,
     num_gates: int,

@@ -1,8 +1,9 @@
-"""``ConsolidateBlocks``' CNOT-bound prescan and synthesis memo.
+"""``ConsolidateBlocks``' CNOT-bound prescan, tie plans and synthesis memo.
 
 The shipped pass skips synthesis for blocks whose minimal CNOT count shows
-the rewrite cannot be kept, and synthesizes each distinct block unitary at
-most once per :class:`AnalysisCache`.  Both must be invisible in the
+the rewrite cannot be kept, settles CX-count ties from the budget plan
+alone, and plans and synthesizes each distinct block unitary at most once
+per :class:`AnalysisCache`.  All of it must be invisible in the
 output: every circuit is compared bit for bit (exact ``float.hex`` of every
 parameter and of the global phase) against :class:`OracleConsolidateBlocks`,
 which synthesizes every candidate block -- the pass as it was before the
@@ -17,14 +18,18 @@ import repro.transpiler.preset as preset
 from repro.algorithms import grover_circuit, quantum_phase_estimation
 from repro.circuit import QuantumCircuit
 from repro.linalg.random import random_su2, random_unitary
-from repro.linalg.two_qubit_synthesis import synthesize_two_qubit_unitary
+from repro.linalg.two_qubit_synthesis import (
+    TwoQubitSynthesisError,
+    plan_two_qubit_unitary,
+    synthesize_two_qubit_unitary,
+)
 from repro.linalg.weyl import canonical_gate, num_cnots_required
 from repro.transpiler import transpile
 from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passes import ConsolidateBlocks
 from repro.transpiler.passmanager import PassManager, PropertySet
 
-from tests.helpers import assert_unitarily_equal
+from tests.helpers import assert_unitarily_equal, exact_form
 
 
 class OracleConsolidateBlocks(ConsolidateBlocks):
@@ -52,23 +57,6 @@ class OracleConsolidateBlocks(ConsolidateBlocks):
         output.global_phase += replacement.global_phase
         for inner in replacement.data:
             output.append(inner.operation, tuple(block.pair[q] for q in inner.qubits))
-
-
-def exact_form(circuit: QuantumCircuit) -> list:
-    """Every gate with its parameters as exact float hex strings."""
-
-    def exact(value):
-        return float(value).hex() if isinstance(value, (int, float)) else repr(value)
-
-    return [exact(circuit.global_phase)] + [
-        (
-            instruction.operation.name,
-            instruction.qubits,
-            instruction.clbits,
-            [exact(param) for param in instruction.operation.params],
-        )
-        for instruction in circuit.data
-    ]
 
 
 def consolidate_both(circuit: QuantumCircuit, force: bool = False):
@@ -223,12 +211,13 @@ class TestOracleParity:
         circuit.cx(0, 1)
         circuit.cx(1, 0)
         circuit.barrier()
-        # budget == cx_cost < len: synthesized, kept only if smaller
+        # budget == cx_cost < len: planned, rejected (the plan is no smaller)
         circuit.cx(0, 1)
         circuit.u1(0.3, 1)
         circuit.cx(0, 1)
         circuit.barrier()
-        # budget == cx_cost, many redundant 1q gates: the rewrite is kept
+        # budget == cx_cost, many redundant 1q gates: planned, synthesized,
+        # and the rewrite is kept
         rng = np.random.default_rng(5)
 
         def scramble():
@@ -244,9 +233,51 @@ class TestOracleParity:
         assert [num_cnots_required(u, atol=1e-7) for u in unitaries] == [2, 2, 2]
         shipped, stats = assert_matches_oracle(circuit)
         assert stats["synth_prescan_skips"] == 1
-        assert stats["synth_attempts"] == 2
+        assert stats["synth_tie_rejects"] == 1
+        assert stats["synth_attempts"] == 1
         assert stats["synth_kept"] == 1
         assert_unitarily_equal(circuit, shipped)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_wins(self, seed):
+        """A tie block whose budget plan is smaller is synthesized and kept."""
+        rng = np.random.default_rng(seed)
+        circuit = QuantumCircuit(2)
+
+        def scramble():
+            for wire in (0, 1, 0, 1):
+                circuit.u3(*(float(x) for x in rng.uniform(-np.pi, np.pi, 3)), wire)
+
+        scramble()
+        circuit.cx(0, 1)
+        scramble()
+        circuit.cz(1, 0)
+        scramble()
+        [unitary] = candidate_unitaries(circuit)
+        assert num_cnots_required(unitary, atol=1e-7) == 2
+        shipped, stats = assert_matches_oracle(circuit)
+        assert stats["synth_tie_rejects"] == 0
+        assert stats["synth_attempts"] == 1
+        assert stats["synth_kept"] == 1
+        assert shipped.size() < circuit.size()
+        assert_unitarily_equal(circuit, shipped)
+
+    @pytest.mark.parametrize("angle", [0.3, 1.1, -2.0])
+    def test_tie_loses(self, angle):
+        """A tie block no larger than its budget plan is rejected from the
+        plan alone: nothing is synthesized."""
+        circuit = QuantumCircuit(2)
+        circuit.h(1)
+        circuit.cx(0, 1)
+        circuit.rz(angle, 1)
+        circuit.cx(0, 1)
+        [unitary] = candidate_unitaries(circuit)
+        assert num_cnots_required(unitary, atol=1e-7) == 2
+        shipped, stats = assert_matches_oracle(circuit)
+        assert stats["synth_tie_rejects"] == 1
+        assert stats["synth_attempts"] == 0
+        assert stats["synth_kept"] == 0
+        assert exact_form(shipped) == exact_form(circuit)
 
     def test_repeated_identical_blocks(self):
         circuit = QuantumCircuit(3)
@@ -281,19 +312,26 @@ class TestOracleParity:
 
 class TestSynthesisMemo:
     @pytest.fixture
-    def synth_calls(self, monkeypatch):
-        calls = []
+    def calls(self, monkeypatch):
+        """Unitaries the pass hands to each step: ``plan`` (CX-count ties)
+        and ``synth`` (everything it may keep)."""
+        calls = {"plan": [], "synth": []}
 
-        def counting(unitary):
-            calls.append(unitary)
+        def counting_plan(unitary, cnots):
+            calls["plan"].append(unitary)
+            return plan_two_qubit_unitary(unitary, cnots)
+
+        def counting_synth(unitary):
+            calls["synth"].append(unitary)
             return synthesize_two_qubit_unitary(unitary)
 
-        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting)
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitary", counting_plan)
+        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting_synth)
         return calls
 
     @staticmethod
     def zz_blocks(k: int) -> QuantumCircuit:
-        """``k`` identical cx-u1-cx blocks: synthesized, never kept."""
+        """``k`` identical cx-u1-cx blocks: CX-count ties, planned, never kept."""
         circuit = QuantumCircuit(2)
         for _ in range(k):
             circuit.cx(0, 1)
@@ -302,24 +340,50 @@ class TestSynthesisMemo:
             circuit.barrier()
         return circuit
 
+    @staticmethod
+    def redundant_blocks(k: int) -> QuantumCircuit:
+        """``k`` identical cx-t-cx-cx blocks (one CNOT's worth, three
+        spent): synthesized and kept."""
+        circuit = QuantumCircuit(2)
+        for _ in range(k):
+            circuit.cx(0, 1)
+            circuit.t(0)
+            circuit.cx(0, 1)
+            circuit.cx(0, 1)
+            circuit.barrier()
+        return circuit
+
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_identical_blocks_synthesize_once(self, k, synth_calls):
+    def test_identical_tie_blocks_plan_once(self, k, calls):
         props = PropertySet()
         out = ConsolidateBlocks().run(self.zz_blocks(k), props)
-        assert len(synth_calls) == 1
+        assert (len(calls["plan"]), len(calls["synth"])) == (1, 0)
         stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_tie_rejects"] == 1
         assert stats["synth_memo_hits"] == k - 1
         assert stats["synth_kept"] == 0
         assert exact_form(out) == exact_form(self.zz_blocks(k))
 
-    def test_second_fixed_point_iteration_makes_no_calls(self, synth_calls, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_identical_blocks_synthesize_once(self, k, calls):
+        props = PropertySet()
+        circuit = self.redundant_blocks(k)
+        out = ConsolidateBlocks().run(circuit, props)
+        assert (len(calls["plan"]), len(calls["synth"])) == (0, 1)
+        oracle = OracleConsolidateBlocks().run(circuit, PropertySet())
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_memo_hits"] == k - 1
+        assert stats["synth_kept"] == k
+        assert exact_form(out) == exact_form(oracle)
+
+    def test_second_fixed_point_iteration_makes_no_calls(self, calls, monkeypatch):
         per_invocation = []
         transform = ConsolidateBlocks.transform
 
         def recording(self, circuit, property_set):
-            before = len(synth_calls)
+            before = len(calls["plan"]) + len(calls["synth"])
             result = transform(self, circuit, property_set)
-            per_invocation.append(len(synth_calls) - before)
+            per_invocation.append(len(calls["plan"]) + len(calls["synth"]) - before)
             return result
 
         monkeypatch.setattr(ConsolidateBlocks, "transform", recording)
@@ -330,28 +394,38 @@ class TestSynthesisMemo:
         manager.run(self.zz_blocks(3))
         assert per_invocation == [1, 0]
 
-    def test_failures_are_typed_and_counted(self, monkeypatch):
-        from repro.linalg.two_qubit_synthesis import TwoQubitSynthesisError
+    #: (step the pass calls, blocks that reach it)
+    STEPS = [("plan_two_qubit_unitary", "zz_blocks"), ("synthesize_two_qubit_unitary", "redundant_blocks")]
 
-        def failing(unitary):
-            raise TwoQubitSynthesisError("no candidate")
+    @pytest.mark.parametrize("step, blocks", STEPS)
+    @pytest.mark.parametrize(
+        "error",
+        [TwoQubitSynthesisError("no candidate"), np.linalg.LinAlgError("svd"), ValueError("shape")],
+        ids=["synthesis", "linalg", "value"],
+    )
+    def test_failures_are_typed_and_counted(self, step, blocks, error, monkeypatch):
+        def failing(*args):
+            raise error
 
-        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", failing)
-        circuit = self.zz_blocks(3)
+        monkeypatch.setattr(consolidate, step, failing)
+        circuit = getattr(self, blocks)(3)
         props = PropertySet()
         out = ConsolidateBlocks().run(circuit, props)
         assert exact_form(out) == exact_form(circuit)
         stats = AnalysisCache.ensure(props).stats
         assert stats["synth_failures"] == 1
         assert stats["synth_memo_hits"] == 2
+        assert stats["synth_tie_rejects"] == 0
+        assert stats["synth_kept"] == 0
 
-    def test_unexpected_errors_propagate(self, monkeypatch):
-        def broken(unitary):
+    @pytest.mark.parametrize("step, blocks", STEPS)
+    def test_unexpected_errors_propagate(self, step, blocks, monkeypatch):
+        def broken(*args):
             raise KeyError("bug")
 
-        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", broken)
+        monkeypatch.setattr(consolidate, step, broken)
         with pytest.raises(KeyError):
-            ConsolidateBlocks().run(self.zz_blocks(1), PropertySet())
+            ConsolidateBlocks().run(getattr(self, blocks)(1), PropertySet())
 
     def test_memo_is_not_snapshotted(self):
         cache = AnalysisCache()
