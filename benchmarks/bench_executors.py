@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Executor and service shoot-out on a batch of Table II circuits.
 
-Three measurements, each an acceptance check for one layer of the
+Two measurements, each an acceptance check for one layer of the
 execution stack:
 
 1. **Executor comparison** -- transpiles one batch (32+ circuits by
@@ -12,11 +12,8 @@ execution stack:
 2. **Service vs per-call pool** -- replays the batch for several rounds
    through (a) a fresh ``transpile(executor="process")`` pool per round
    and (b) one persistent :class:`~repro.transpiler.CompileService`.  The
-   service pays pool start-up and worker warm-start once, so it must win
-   on total wall-clock; ``--assert-service-speedup`` gates CI on it.
-3. **Snapshot warm-start** -- persists the service cache to disk, then
-   compares a cold run against a cold-process-warm-started-from-disk run:
-   the warm-started one must show the higher cache hit-rate.
+   service pays pool start-up once, so it must win on total wall-clock;
+   ``--assert-service-speedup`` gates CI on it.
 
 All executors must produce gate-identical circuits; the script always
 verifies that, whatever else it measures.  A heterogeneous two-target
@@ -28,7 +25,6 @@ Usage::
     python benchmarks/bench_executors.py [--quick] [--assert-speedup]
                                          [--assert-service-speedup]
                                          [--rounds N]
-                                         [--snapshot-path PATH]
                                          [--metrics-json PATH]
 """
 
@@ -37,7 +33,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -99,10 +94,10 @@ def measure_service_vs_per_call(
 ):
     """Total wall-clock of ``rounds`` batches: per-call pools vs one service.
 
-    Both contenders keep one warm :class:`AnalysisCache` across rounds, so
-    the only difference is the pool lifetime -- per-call pays
-    ``ProcessPoolExecutor`` start-up and worker warm-start every round,
-    the service pays it once.
+    Per-call pays ``ProcessPoolExecutor`` start-up every round, and its
+    fresh workers start with empty analysis caches; the service pays
+    start-up once, its workers' caches stay warm, and its result cache
+    serves the repeated rounds.
     """
 
     def per_call() -> float:
@@ -127,40 +122,6 @@ def measure_service_vs_per_call(
         return time.perf_counter() - start
 
     return {"process_per_call": per_call(), "service": service()}
-
-
-def measure_snapshot_warm_start(circuits, seeds, target, pipeline, snapshot_path):
-    """Cold run vs cold-run-warm-started-from-disk; returns both hit rates."""
-
-    def hit_rate(cache: AnalysisCache) -> float:
-        requests = cache.matrix_requests
-        return 1.0 - cache.matrix_constructions / requests if requests else 0.0
-
-    # the cold service gets no snapshot_path: a file left over from an
-    # earlier run must not warm the cold baseline (it would erase the
-    # very hit-rate gap this measurement demonstrates)
-    cold_cache = AnalysisCache()
-    with CompileService(
-        pipeline=pipeline, target=target, analysis_cache=cold_cache
-    ) as service:
-        service.map([circuit.copy() for circuit in circuits], seeds=seeds)
-        service.save_snapshot(snapshot_path)
-
-    warm_cache = AnalysisCache()
-    reborn = CompileService(
-        pipeline=pipeline,
-        target=target,
-        analysis_cache=warm_cache,
-        snapshot_path=snapshot_path,
-    )
-    entries_loaded = reborn.stats()["snapshot_entries_loaded"]
-    reborn.map([circuit.copy() for circuit in circuits], seeds=seeds)
-    reborn.shutdown(save=False)
-    return {
-        "cold_hit_rate": hit_rate(cold_cache),
-        "warm_hit_rate": hit_rate(warm_cache),
-        "snapshot_entries_loaded": entries_loaded,
-    }
 
 
 def measure_heterogeneous(circuits, seeds, pipeline):
@@ -209,14 +170,7 @@ def main(argv=None):
         "--assert-service-speedup",
         action="store_true",
         help="fail unless the persistent service beats per-call process "
-        "pools over --rounds batches, and unless the disk-snapshot "
-        "warm-start raises the cache hit-rate",
-    )
-    parser.add_argument(
-        "--snapshot-path",
-        metavar="PATH",
-        help="persist the service cache snapshot here (default: a temp file "
-        "deleted afterwards); CI uploads it as an artifact",
+        "pools over --rounds batches",
     )
     parser.add_argument(
         "--metrics-json",
@@ -265,13 +219,13 @@ def main(argv=None):
                 f"{wall:.2f}s",
                 f"{len(circuits) / wall:.1f}/s",
                 f"{sum(r.time for r in results):.2f}s",
-                len(cache._matrices),
+                f"{reports[executor]['cache']['matrix_hit_rate']:.1%}",
             ]
         )
 
     print_table(
         "Executor comparison",
-        ["executor", "wall", "throughput", "cpu-time", "cache entries"],
+        ["executor", "wall", "throughput", "cpu-time", "matrix hit rate"],
         rows,
     )
 
@@ -308,29 +262,6 @@ def main(argv=None):
         ],
     )
 
-    # -- disk snapshot warm-start ------------------------------------------
-    snapshot_path = args.snapshot_path
-    temp_snapshot = None
-    if snapshot_path is None:
-        fd, temp_snapshot = tempfile.mkstemp(suffix=".snap")
-        os.close(fd)
-        snapshot_path = temp_snapshot
-    try:
-        warm_start = measure_snapshot_warm_start(
-            circuits, seeds, target, args.pipeline, snapshot_path
-        )
-    finally:
-        if temp_snapshot is not None:
-            os.unlink(temp_snapshot)
-        else:
-            print(f"cache snapshot persisted to {snapshot_path}")
-    print(
-        f"snapshot warm-start: cold hit-rate "
-        f"{warm_start['cold_hit_rate']:.1%} -> warm "
-        f"{warm_start['warm_hit_rate']:.1%} "
-        f"({warm_start['snapshot_entries_loaded']} entries restored from disk)"
-    )
-
     # -- heterogeneous two-target batch ------------------------------------
     hetero = measure_heterogeneous(circuits, seeds, args.pipeline)
     print_table(
@@ -359,7 +290,6 @@ def main(argv=None):
                 "cpu_count": os.cpu_count(),
                 "rounds": args.rounds,
                 "wall_times": wall_times,
-                "snapshot_warm_start": warm_start,
                 "heterogeneous": hetero,
                 "reports": reports,
             },
@@ -367,12 +297,6 @@ def main(argv=None):
         print(f"metrics written to {args.metrics_json}")
 
     if args.assert_service_speedup:
-        if warm_start["warm_hit_rate"] <= warm_start["cold_hit_rate"]:
-            raise SystemExit(
-                f"disk-snapshot warm-start did not raise the cache hit-rate "
-                f"(cold {warm_start['cold_hit_rate']:.1%}, warm "
-                f"{warm_start['warm_hit_rate']:.1%})"
-            )
         if wall_times["service"] >= wall_times["process_per_call"]:
             raise SystemExit(
                 f"persistent service ({wall_times['service']:.2f}s) did not "

@@ -12,8 +12,7 @@ against ``benchmarks/baseline_quick.json`` and exits non-zero when either
 With ``--executors REPORT.json`` (the report written by
 ``bench_executors.py --metrics-json``) the gate additionally checks
 **service-mode throughput**: the persistent ``CompileService`` must not
-fall behind per-call process pools by more than ``--service-tolerance``,
-and the disk-snapshot warm-start must raise the cache hit-rate.
+fall behind per-call process pools by more than ``--service-tolerance``.
 
 With ``--server REPORT.json`` (the report written by
 ``bench_server.py --metrics-json``) the gate checks the **networked
@@ -70,12 +69,11 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "baseline_quick.json"
 
 
 def check_service_throughput(report: dict, tolerance: float) -> list[str]:
-    """Service-mode gates over a ``bench_executors.py`` metrics report.
+    """Service-mode gate over a ``bench_executors.py`` metrics report.
 
-    * the persistent service's total wall must be <= per-call process
-      pools' wall * (1 + tolerance) -- i.e. service throughput must be at
-      least per-call throughput, modulo timing noise;
-    * the snapshot warm-start hit-rate must exceed the cold hit-rate.
+    The persistent service's total wall must be <= per-call process
+    pools' wall * (1 + tolerance) -- i.e. service throughput must be at
+    least per-call throughput, modulo timing noise.
     """
     failures: list[str] = []
     walls = report.get("wall_times", {})
@@ -90,16 +88,6 @@ def check_service_throughput(report: dict, tolerance: float) -> list[str]:
         failures.append(
             f"service wall {service:.2f}s exceeds per-call process pools "
             f"{per_call:.2f}s by more than {tolerance:.0%}"
-        )
-    warm = report.get("snapshot_warm_start", {})
-    cold_rate = warm.get("cold_hit_rate")
-    warm_rate = warm.get("warm_hit_rate")
-    if cold_rate is None or warm_rate is None:
-        failures.append("executors report lacks snapshot warm-start hit rates")
-    elif warm_rate <= cold_rate:
-        failures.append(
-            f"snapshot warm-start did not raise the cache hit-rate "
-            f"(cold {cold_rate:.1%}, warm {warm_rate:.1%})"
         )
     return failures
 
@@ -299,7 +287,7 @@ def main(argv=None):
         "--executors",
         metavar="PATH",
         help="bench_executors.py metrics report; enables the service-mode "
-        "throughput and snapshot warm-start gates",
+        "throughput gate",
     )
     parser.add_argument(
         "--service-tolerance",

@@ -19,11 +19,12 @@ Transpile API
 
     compiled = transpile(circuit, backend=backend, pipeline="rpo", seed=0)
 
-    # batches fan out across a pluggable executor and share one
-    # AnalysisCache, so repeated workloads skip most matrix constructions.
-    # executor="auto" (default) picks serial/thread/process by batch size,
-    # circuit width and host cores; "process" warm-starts workers from the
-    # cache's snapshot and merges their deltas back.
+    # batches fan out across a pluggable executor; serial and thread
+    # batches share one AnalysisCache, so repeated workloads skip most
+    # matrix constructions.  executor="auto" (default) picks
+    # serial/thread/process by batch size, circuit width and host cores;
+    # "process" workers each keep their own cache and report its hit/miss
+    # counts back.
     compiled_batch = transpile(
         [circuit_a, circuit_b, circuit_c],
         backend=backend,
@@ -58,17 +59,18 @@ Targets and the compile service
 -------------------------------
 
 A ``Target`` names the hardware (basis + coupling + calibration) as one
-hashable object, and a ``CompileService`` keeps a worker pool and cache
-warm across many batches -- the serving path::
+hashable object, and a ``CompileService`` keeps a worker pool and its
+caches warm across many batches -- the serving path::
 
     from repro import CompileService, Target
 
-    with CompileService(pipeline="rpo", snapshot_path="cache.snap") as svc:
+    with CompileService(pipeline="rpo", snapshot_path="results.snap") as svc:
         # one batch may mix targets; results carry their target
         results = svc.map(circuits, targets=[Target.preset("melbourne"),
                                              Target.preset("linear:8"), ...])
-    # __exit__ persists the cache snapshot; the next service run (even in
-    # a fresh process) boots warm from cache.snap
+    # __exit__ persists the compiled-result cache; the next service run
+    # (even in a fresh process) serves repeats of these jobs from
+    # results.snap without compiling them
 """
 
 from repro import transpile
@@ -142,9 +144,10 @@ def main():
         f"matrix cache hit rate {report['cache']['matrix_hit_rate']:.0%}"
     )
 
-    # the serving path: a CompileService keeps one pool and cache warm
-    # across submissions, and compiles for explicit Targets -- here the
-    # same circuit lands on melbourne and on a 15-qubit line in one batch
+    # the serving path: a CompileService keeps one pool (each worker with
+    # a warm analysis cache) and one compiled-result cache across
+    # submissions, and compiles for explicit Targets -- here the same
+    # circuit lands on melbourne and on a 15-qubit line in one batch
     from repro import CompileService, Target
 
     with CompileService(pipeline="rpo") as service:
@@ -163,7 +166,8 @@ def main():
         stats = service.stats()
     print(
         f"service: {stats['completed']} jobs, "
-        f"{stats['cache_requests']} cache requests, "
+        f"{stats['result_cache_hits']} result-cache hits, "
+        f"{stats['cache_requests']} matrix requests in the workers, "
         f"{stats['cache_constructions']} constructions"
     )
 

@@ -31,9 +31,9 @@ def main():
         )
 
     # a parameter sweep is a natural serving workload: a CompileService
-    # keeps one worker pool and analysis cache warm across the whole
-    # sweep (and across sweeps -- VQE recompiles every iteration), so
-    # candidate N+1 reuses everything candidate N computed
+    # keeps one worker pool warm across the whole sweep (and across
+    # sweeps -- VQE recompiles every iteration), and each worker's
+    # analysis cache reuses what its earlier candidates computed
     from repro import CompileService
 
     with CompileService(pipeline="rpo", target=backend.target()) as service:

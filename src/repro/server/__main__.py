@@ -3,13 +3,13 @@
 Example: a warm-restarting RPO compile shard on port 8642::
 
     python -m repro.server --port 8642 --pipeline rpo \
-        --snapshot-path /var/lib/repro/cache.snap --autosave-interval 60
+        --snapshot-path /var/lib/repro/results.snap --autosave-interval 60
 
 Point clients at it with ``RemoteCompileService("http://host:8642")`` or
 ``transpile(..., executor="remote", endpoint="http://host:8642")``; check
 ``GET /healthz`` for liveness and ``GET /metrics`` for wire + service
 counters.  SIGINT/SIGTERM (and ``POST /shutdown``) drain the pool and
-persist the cache snapshot before exiting.
+persist the result-cache snapshot before exiting.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--snapshot-path",
         default=None,
-        help="disk-backed AnalysisCache snapshot (loaded at boot, saved at "
+        help="result-cache snapshot file (loaded at boot, saved at "
         "shutdown and by --autosave-interval)",
     )
     parser.add_argument(
@@ -70,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="seconds between background snapshot autosaves (0 = shutdown-only)",
-    )
-    parser.add_argument(
-        "--harvest-interval",
-        type=float,
-        default=0.0,
-        help="min seconds between worker cache-delta exports (0 = every chunk)",
     )
     parser.add_argument(
         "--no-result-cache",
@@ -119,7 +113,6 @@ def main(argv=None) -> int:
         optimization_level=args.optimization_level,
         target=args.target,
         snapshot_path=args.snapshot_path,
-        harvest_interval=args.harvest_interval,
         autosave_interval=args.autosave_interval,
         result_cache=result_cache,
     )

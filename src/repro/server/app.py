@@ -3,8 +3,8 @@
 :class:`CompileServer` binds a :class:`~http.server.ThreadingHTTPServer`
 (stdlib only -- no new dependencies) around a persistent
 :class:`~repro.transpiler.service.CompileService`, so one long-lived pool
-plus one warm :class:`~repro.transpiler.cache.AnalysisCache` serve every
-client on the network.  Routes:
+(each worker with its own warm analysis memo) plus one compiled-result
+cache serve every client on the network.  Routes:
 
 * ``POST /compile`` -- one chunked job envelope in
   (:func:`repro.server.protocol.encode_jobs` frame), one result envelope
@@ -26,7 +26,7 @@ client on the network.  Routes:
   jobs, and each result entry its ``"cached"`` disposition
   (protocol version 2).
 * ``POST /shutdown`` -- graceful remote stop: drains the pool, persists
-  the cache snapshot, exits ``serve_forever``.  For operational use
+  the result-cache snapshot, exits ``serve_forever``.  For operational use
   behind a trusted network only, like every other route (the server
   deliberately binds loopback by default and speaks no auth).
 
@@ -381,7 +381,6 @@ class CompileServer:
             },
             "service": self.service.stats(),
             "cache": {
-                "snapshot_skipped": self.service.cache.snapshot_skipped,
                 "stats": {
                     k: v
                     for k, v in self.service.cache.stats.items()

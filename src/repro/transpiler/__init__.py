@@ -8,8 +8,9 @@ Layers, bottom to top:
   invalidate; the manager skips analyses whose results are still valid and
   returns structured per-pass metrics in a :class:`TranspileResult`.
 * :mod:`repro.transpiler.cache` -- the per-run :class:`AnalysisCache`
-  (memoized gate matrices, adjacency maps, DAG views) every pass shares;
-  share one cache across runs to amortise work over repeated workloads.
+  (memoized gate matrices, adjacency maps, DAG views, two-qubit
+  syntheses) every pass shares; a plain in-process memo, shared across
+  runs to amortise work over repeated workloads.
 * :mod:`repro.transpiler.target` -- the :class:`Target` abstraction: basis
   gates + coupling map + calibration data as one hashable, picklable value
   (named presets included), consumed by every pass-manager factory and
@@ -20,11 +21,12 @@ Layers, bottom to top:
   :mod:`repro.rpo` and reuses this infrastructure, including the shared
   :func:`~repro.transpiler.preset.layout_stage` builder.
 * :mod:`repro.transpiler.service` -- the long-lived :class:`CompileService`:
-  a persistent worker pool with an async submission queue, chunked job
-  envelopes for large batches, periodic worker cache-delta harvesting and
-  disk-backed cache snapshots (shutdown-time and periodic autosave), so
-  warm-start survives process restarts.  :mod:`repro.server` puts this
-  behind an HTTP wire for multi-machine sharding.
+  a persistent worker pool (one long-lived analysis memo per worker) with
+  an async submission queue, chunked job envelopes for large batches, a
+  compiled-result cache and its disk snapshot (shutdown-time and
+  periodic autosave), so cached answers survive process restarts.
+  :mod:`repro.server` puts this behind an HTTP wire for multi-machine
+  sharding.
 * :mod:`repro.transpiler.frontend` -- the batched :func:`transpile` entry
   point routing every pipeline (presets, RPO, Hoare); a thin wrapper over
   a short-lived service (or a caller-owned persistent one via

@@ -19,8 +19,7 @@ derived data every pass otherwise recomputes from scratch:
 * **two-qubit syntheses** -- keyed by a block unitary's exact bytes: its
   minimal CNOT count and, once ``ConsolidateBlocks`` has synthesized it,
   the replacement circuit (or the failure).  Repeat unitaries from the
-  fixed-point loop and from repeated blocks cost one synthesis.  Like DAG
-  views this family stays local: it is never part of a snapshot.
+  fixed-point loop and from repeated blocks cost one synthesis.
 
 Caches are invalidated implicitly: a rewritten circuit has a different
 fingerprint, so stale entries are simply never hit again.  The cache is
@@ -35,33 +34,14 @@ concurrent runs, so they go into the per-run property set instead (see
 pass to attach rewrite counts to its metrics.
 
 Entry counts are bounded (FIFO eviction) so a cache shared by a long-lived
-service cannot grow without limit.
-
-Caches also cross process boundaries: :meth:`AnalysisCache.export_snapshot`
-produces a picklable warm-start snapshot of the value-keyed families
-(matrices, adjacency, wire indices -- DAG views are identity-keyed and stay
-local), and :meth:`AnalysisCache.import_snapshot` merges one in.  The
-:class:`~repro.transpiler.service.CompileService` warm-starts every worker
-from the parent's snapshot and harvests worker deltas (entries plus
-hit/miss stats accrued since the last export) back with job results.
-
-Snapshots also persist across process *restarts*: :meth:`AnalysisCache.save`
-writes the snapshot to disk stamped with a library fingerprint, and
-:meth:`AnalysisCache.load` / :meth:`AnalysisCache.load_snapshot` restore it.
-Restoring is deliberately forgiving -- a snapshot written by a different
-library version (or a corrupt/missing file) is a no-op rather than an
-error, so a service can always boot from whatever snapshot it finds.  The
-rejection is *observable*, though: a :class:`RuntimeWarning` names both
-fingerprints, :attr:`AnalysisCache.snapshot_skipped` records the reason,
-and ``stats["snapshot_rejected"]`` counts occurrences, so an operator can
-tell why warm-start did not kick in.
+service cannot grow without limit.  The cache is a plain in-process memo:
+every entry is a pure function of its key, so nothing in it needs to
+outlive the process -- each pool worker of a
+:class:`~repro.transpiler.service.CompileService` keeps its own.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import warnings
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -72,20 +52,8 @@ from repro.circuit.instruction import ControlledGate, Instruction
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuit.quantumcircuit import QuantumCircuit
 
-__all__ = ["AnalysisCache", "library_fingerprint", "rewrite_counter"]
+__all__ = ["AnalysisCache", "rewrite_counter"]
 
-
-def library_fingerprint() -> str:
-    """Version stamp written into persisted snapshots.
-
-    Combines the package version with the snapshot wire-format version:
-    a snapshot written by any other combination is silently ignored on
-    import, because cached matrices/analyses may not match what the
-    current code would compute.
-    """
-    import repro
-
-    return f"repro-{repro.__version__}/snapshot-{AnalysisCache.SNAPSHOT_VERSION}"
 
 #: FIFO caps per cache family -- far above any single pipeline's working
 #: set, low enough that a cache shared across many runs stays bounded.
@@ -201,28 +169,13 @@ class AnalysisCache:
     #: Key under which the pass manager stores the cache in the property set.
     PROPERTY_KEY = "analysis_cache"
 
-    #: Version tag of the warm-start snapshot wire format.
-    SNAPSHOT_VERSION = 1
-
     def __init__(self):
         self._matrices: dict = {}
         self._adjacency: dict = {}
         self._wire_indices: dict = {}
         self._dags: dict = {}
         self._syntheses: dict = {}
-        #: keys already shared through import/export -- the delta baseline
-        self._shared: dict[str, set] = {
-            "matrices": set(),
-            "adjacency": set(),
-            "wire_indices": set(),
-        }
         self.stats: Counter = Counter()
-        #: stats totals as of the last delta export (for incremental stats)
-        self._stats_exported: Counter = Counter()
-        #: why the most recent snapshot import was rejected (``None`` when
-        #: nothing was rejected) -- surfaced by ``CompileService.stats()``
-        #: so operators can tell why warm-start did not kick in
-        self.snapshot_skipped: str | None = None
 
     @classmethod
     def ensure(cls, property_set) -> "AnalysisCache":
@@ -377,163 +330,6 @@ class AnalysisCache:
             memo = SynthesisMemo(num_cnots_required(unitary, atol=1e-7))
             _bounded_insert(self._syntheses, key, memo, _MAX_SYNTHESES)
         return memo
-
-    # -- warm-start snapshots ----------------------------------------------
-    #
-    # The process-pool executor ships these across process boundaries: the
-    # parent exports its warm cache once at pool init, every worker imports
-    # it, and workers ship back deltas (entries they computed that the
-    # parent has not seen) for merging.  Only value-keyed families travel:
-    # matrices, adjacency and wire indices are keyed by gate parameters or
-    # structural fingerprints, both stable across processes.  DAG views are
-    # keyed by operation *identity* (``id()``), which is meaningless in
-    # another process, so they never leave home.
-
-    _SNAPSHOT_FAMILIES = ("matrices", "adjacency", "wire_indices")
-
-    def _family_table(self, family: str) -> dict:
-        return getattr(self, f"_{family}")
-
-    def export_snapshot(self, delta_only: bool = False) -> dict:
-        """A picklable warm-start snapshot of every portable cache family.
-
-        With ``delta_only`` the snapshot contains only entries added since
-        the last :meth:`import_snapshot` / :meth:`export_snapshot` call, and
-        those entries are marked shared -- repeated delta exports from a
-        long-lived worker stay incremental.  Delta snapshots also carry the
-        ``stats`` accrued since the previous export, so a parent merging
-        worker deltas sees the workers' hit/miss counts, not just their
-        cache entries.
-        """
-        snapshot: dict = {"version": self.SNAPSHOT_VERSION}
-        for family in self._SNAPSHOT_FAMILIES:
-            table = self._family_table(family)
-            shared = self._shared[family]
-            if delta_only:
-                entries = {k: v for k, v in table.items() if k not in shared}
-            else:
-                entries = dict(table)
-            shared.update(entries)
-            snapshot[family] = entries
-        if delta_only:
-            snapshot["stats"] = dict(self.stats - self._stats_exported)
-            self._stats_exported = Counter(self.stats)
-        return snapshot
-
-    def import_snapshot(self, snapshot: dict) -> int:
-        """Merge a snapshot from another cache; returns entries adopted.
-
-        Existing entries win (they may already be referenced by callers);
-        imported entries count as shared, so a later delta export does not
-        echo them back to their origin.  Imports respect the same FIFO
-        bounds as organic inserts.
-
-        A snapshot written by a different snapshot format or library
-        version (the ``"library"`` stamp :meth:`save` adds) is a
-        **non-fatal no-op**: the method returns 0, counts the rejection in
-        ``stats["snapshot_rejected"]``, records the reason in
-        :attr:`snapshot_skipped` and emits a :class:`RuntimeWarning`
-        naming both fingerprints.  Persisted snapshots outliving the code
-        that wrote them is the normal case for a long-lived service, not
-        an error -- but an operator debugging a cold warm-start needs to
-        see which version wrote the snapshot being ignored.
-        """
-        if not isinstance(snapshot, dict):
-            return self._reject_snapshot(
-                f"not a snapshot mapping (got {type(snapshot).__name__})"
-            )
-        if snapshot.get("version") != self.SNAPSHOT_VERSION:
-            return self._reject_snapshot(
-                f"snapshot format version {snapshot.get('version')!r} != "
-                f"this build's {self.SNAPSHOT_VERSION!r}"
-            )
-        stamp = snapshot.get("library")
-        if stamp is not None and stamp != library_fingerprint():
-            return self._reject_snapshot(
-                f"snapshot written by {stamp!r}, this build is "
-                f"{library_fingerprint()!r}"
-            )
-        limits = {
-            "matrices": _MAX_MATRICES,
-            "adjacency": _MAX_CIRCUIT_VIEWS,
-            "wire_indices": _MAX_CIRCUIT_VIEWS,
-        }
-        adopted = 0
-        self.stats.update(snapshot.get("stats", {}))
-        for family in self._SNAPSHOT_FAMILIES:
-            table = self._family_table(family)
-            shared = self._shared[family]
-            for key, value in snapshot.get(family, {}).items():
-                shared.add(key)
-                if key in table:
-                    continue
-                if family == "matrices" and value.flags.writeable:
-                    value.setflags(write=False)  # pickling re-enables writes
-                _bounded_insert(table, key, value, limits[family])
-                adopted += 1
-        self.stats["snapshot_imports"] += 1
-        self.stats["snapshot_entries_adopted"] += adopted
-        return adopted
-
-    def _reject_snapshot(self, reason: str) -> int:
-        """Record + warn about an unusable snapshot; always returns 0."""
-        self.stats["snapshot_rejected"] += 1
-        self.snapshot_skipped = reason
-        warnings.warn(
-            f"ignoring analysis-cache snapshot: {reason}; starting cold",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return 0
-
-    # -- disk persistence --------------------------------------------------
-
-    def save(self, path) -> None:
-        """Persist a full warm-start snapshot to ``path``.
-
-        The snapshot is stamped with :func:`library_fingerprint`, so a
-        later :meth:`load` by a different library version quietly starts
-        cold instead of adopting possibly-stale entries.  Written
-        atomically (tmp file + rename) so a crash mid-save never leaves a
-        truncated snapshot behind.
-        """
-        snapshot = self.export_snapshot()
-        snapshot["library"] = library_fingerprint()
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        with open(tmp_path, "wb") as handle:
-            pickle.dump(snapshot, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_path, path)
-
-    def load_snapshot(self, path) -> int:
-        """Merge a persisted snapshot from disk; returns entries adopted.
-
-        Missing files, unreadable or malformed pickles (including ones
-        referencing renamed modules from other library versions) and
-        version-mismatched snapshots are all non-fatal no-ops (returning
-        0), mirroring :meth:`import_snapshot`'s tolerance -- a service
-        must always be able to boot, cold at worst, from whatever it
-        finds.  A *missing* file is the expected first boot and stays
-        quiet; anything present-but-unusable warns and sets
-        :attr:`snapshot_skipped` so the cold start is explainable.
-        """
-        try:
-            with open(path, "rb") as handle:
-                snapshot = pickle.load(handle)
-        except FileNotFoundError:
-            return 0
-        except Exception as exc:
-            return self._reject_snapshot(
-                f"could not read snapshot {str(path)!r} "
-                f"({type(exc).__name__}: {exc})"
-            )
-        return self.import_snapshot(snapshot)
-
-    @classmethod
-    def load(cls, path) -> "AnalysisCache":
-        """A fresh cache warm-started from a persisted snapshot (if valid)."""
-        cache = cls()
-        cache.load_snapshot(path)
-        return cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

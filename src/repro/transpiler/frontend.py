@@ -23,13 +23,14 @@ Architecture:
   ``"process"``/``"service"``, or ``"auto"`` which decides by batch size,
   circuit width and host cores).  Pass ``service=`` to reuse a caller-owned
   *persistent* service instead -- no per-call pool spin-up, and the
-  service's warm cache and disk snapshots apply (see
-  :mod:`repro.transpiler.service`).
-* **Shared analysis cache** -- all jobs of a batch share one
-  :class:`~repro.transpiler.cache.AnalysisCache` (pass your own to share
-  across calls); worker deltas are harvested back across process
-  boundaries, so repeated workloads skip most matrix constructions and
-  circuit analyses whichever executor ran them.
+  service's warm worker caches, result cache and result snapshots apply
+  (see :mod:`repro.transpiler.service`).
+* **Shared analysis cache** -- the jobs of a serial or thread batch share
+  one :class:`~repro.transpiler.cache.AnalysisCache` (pass your own to
+  share across calls), so repeated workloads skip most matrix
+  constructions and circuit analyses.  Process workers each keep their
+  own in-process memo; only their hit/miss counts reach the shared
+  cache's ``stats``.
 * **Results** -- by default the transpiled circuit(s) come back in input
   order; ``full_result=True`` returns
   :class:`~repro.transpiler.passmanager.TranspileResult` objects carrying
@@ -204,9 +205,9 @@ def transpile(
         max_workers: pool width for the pooled backends (default:
             CPU-bounded).
         analysis_cache: a shared :class:`AnalysisCache`; defaults to one
-            fresh cache shared by the whole batch.  Worker deltas are
-            harvested back into it, so the cache stays shared across
-            calls whichever executor ran them.
+            fresh cache shared by the whole batch.  Serial and thread
+            jobs run against it; process workers keep their own memo
+            and add only their hit/miss counts to its ``stats``.
         full_result: return :class:`TranspileResult` objects (circuit +
             properties + per-pass metrics) instead of bare circuits.
         service: a caller-owned, persistent

@@ -48,9 +48,8 @@ Operational properties, matching the rest of the codebase's caches:
   ``stats()`` returns a JSON-ready dict the service and the compile
   server's ``/metrics`` expose verbatim.
 * **versioned snapshots** -- :meth:`save` / :meth:`load_snapshot` persist
-  the cache alongside the existing :class:`AnalysisCache` snapshots,
-  stamped with the same library fingerprint and rejected (observably,
-  never fatally) when written by a different build.
+  the cache across restarts, stamped with :func:`library_fingerprint` and
+  rejected (observably, never fatally) when written by a different build.
 """
 
 from __future__ import annotations
@@ -74,10 +73,30 @@ from repro.circuit.serialization import (
 )
 from repro.utils.angles import normalize_angle
 
-__all__ = ["ResultCache", "RESULT_SNAPSHOT_VERSION", "job_fingerprint"]
+__all__ = [
+    "ResultCache",
+    "RESULT_SNAPSHOT_VERSION",
+    "job_fingerprint",
+    "library_fingerprint",
+]
 
-#: Version tag of the persisted result-snapshot wire format.
-RESULT_SNAPSHOT_VERSION = 1
+#: Version tag of the persisted result-snapshot wire format.  Version 1
+#: files sat beside an analysis-cache snapshot; any file found at a
+#: service's ``snapshot_path`` from that era is rejected, not adopted.
+RESULT_SNAPSHOT_VERSION = 2
+
+
+def library_fingerprint() -> str:
+    """Version stamp written into persisted result snapshots.
+
+    Combines the package version with the snapshot wire-format version:
+    a snapshot written by any other combination is rejected on import,
+    because cached results may not match what the current code would
+    compile.
+    """
+    import repro
+
+    return f"repro-{repro.__version__}/snapshot-{RESULT_SNAPSHOT_VERSION}"
 
 #: Scales tried when attributing an output angle to one input angle.
 #: Discrete on purpose: two observation samples determine an arbitrary
@@ -489,7 +508,8 @@ class ResultCache:
         self._lock = threading.RLock()
         self._stats: Counter = Counter()
         #: why the most recent snapshot load was rejected (``None`` when
-        #: nothing was rejected), mirroring ``AnalysisCache.snapshot_skipped``
+        #: nothing was rejected), so an operator can tell why a restart
+        #: came up cold
         self.snapshot_skipped: str | None = None
 
     # -- addressing ---------------------------------------------------------
@@ -738,8 +758,6 @@ class ResultCache:
 
     def export_snapshot(self) -> dict:
         """A picklable snapshot of every live entry (stats excluded)."""
-        from repro.transpiler.cache import library_fingerprint
-
         now = time.time()
         with self._lock:
             entries = [
@@ -769,14 +787,13 @@ class ResultCache:
     def import_snapshot(self, snapshot: dict) -> int:
         """Merge a snapshot; returns entries adopted (0 on rejection).
 
-        Mirrors :meth:`AnalysisCache.import_snapshot`'s tolerance: wrong
-        shape, wrong format version or a foreign library fingerprint are
-        observable no-ops (``snapshot_skipped``, a :class:`RuntimeWarning`
-        and the ``snapshot_rejected`` counter), never errors.  Existing
-        entries win; expired entries are dropped on the way in.
+        Wrong shape, wrong format version or a foreign library
+        fingerprint are observable no-ops (``snapshot_skipped``, a
+        :class:`RuntimeWarning` naming the reason and the
+        ``snapshot_rejected`` counter), never errors: a service must always
+        be able to boot, cold at worst.  Existing entries win; expired
+        entries are dropped on the way in.
         """
-        from repro.transpiler.cache import library_fingerprint
-
         if not isinstance(snapshot, dict):
             return self._reject(
                 f"not a result snapshot mapping (got {type(snapshot).__name__})"
@@ -831,7 +848,8 @@ class ResultCache:
         return 0
 
     def save(self, path) -> None:
-        """Persist atomically (tmp + rename), like every other snapshot."""
+        """Persist atomically (tmp + rename), so a crash mid-save -- or a
+        reader racing an autosave -- never sees a truncated snapshot."""
         snapshot = self.export_snapshot()
         tmp_path = f"{path}.tmp.{os.getpid()}"
         with open(tmp_path, "wb") as handle:
@@ -839,7 +857,12 @@ class ResultCache:
         os.replace(tmp_path, path)
 
     def load_snapshot(self, path) -> int:
-        """Merge a persisted snapshot; missing/corrupt files are no-ops."""
+        """Merge a persisted snapshot; returns entries adopted.
+
+        A missing file is the expected first boot and stays quiet; an
+        unreadable, malformed or foreign one is rejected through
+        :meth:`import_snapshot`'s warning path and adopts nothing.
+        """
         try:
             with open(path, "rb") as handle:
                 snapshot = pickle.load(handle)

@@ -3,33 +3,29 @@
 :class:`CompileService` is the execution engine behind
 :func:`repro.transpiler.frontend.transpile` and the entry point for
 serving-shaped workloads.  Where ``transpile(executor="process")``
-historically spun a fresh process pool per call -- paying pool start-up,
-worker warm-start and interpreter imports every time --, a service owns
-its pool for its whole lifetime and amortizes those costs across every
-batch submitted to it:
+historically spun a fresh process pool per call -- paying pool start-up
+and interpreter imports every time --, a service owns its pool for its
+whole lifetime and amortizes those costs across every batch submitted to
+it:
 
 * **persistent pool** -- worker processes (or threads) are created once,
-  lazily on first submission, warm-started from the service cache's
-  snapshot, and reused until :meth:`CompileService.shutdown`;
+  lazily on first submission, and reused until
+  :meth:`CompileService.shutdown`.  Each worker process keeps its own
+  long-lived :class:`~repro.transpiler.cache.AnalysisCache`, a plain
+  in-process memo that warms with every job the worker compiles; only
+  its hit/miss ``stats`` travel back (with each chunk's results), so the
+  service cache's counters cover every worker;
 * **async submission queue** -- :meth:`CompileService.submit` returns a
   :class:`concurrent.futures.Future` immediately; :meth:`CompileService.map`
   is the batch convenience that preserves input order.  Work from many
   callers interleaves on one pool;
-* **periodic worker cache-delta harvesting** -- workers attach their
-  :class:`~repro.transpiler.cache.AnalysisCache` delta (new entries + stats)
-  to results, throttled by ``harvest_interval`` seconds (0 = every job),
-  and the service merges the deltas into its parent cache as results
-  complete, so the cache keeps warming whichever worker compiled what.
-  Harvested entries are also rebroadcast to the next pool-width's worth
-  of jobs (best effort), so one worker's discoveries reach the *other*
-  live workers, not just the parent;
-* **disk-backed snapshots** -- give the service a ``snapshot_path`` and it
-  boots by importing whatever valid snapshot it finds there
-  (:meth:`AnalysisCache.load_snapshot`) and persists the warmed cache on
-  shutdown (:meth:`AnalysisCache.save`), so warm-start survives process
-  restarts; snapshots are fingerprint-versioned, and one written by a
-  different library version is skipped with a warning naming both
-  fingerprints (``stats()["snapshot_skipped"]`` carries the reason);
+* **compiled-result cache** -- every cacheable job is looked up in a
+  :class:`~repro.transpiler.result_cache.ResultCache` before it reaches
+  the pool; give the service a ``snapshot_path`` and that cache is
+  restored from the file at construction and persisted there on
+  shutdown.  Snapshots are fingerprint-versioned: a file written by a
+  different library version (or by an older snapshot format) is skipped
+  with a :class:`RuntimeWarning` and the service starts cold;
 * **per-job targets** -- every submission carries its own
   :class:`~repro.transpiler.target.Target`, so one service (and one batch)
   compiles circuits for many different devices; job envelopes ship compact
@@ -50,23 +46,23 @@ instead of paying it per circuit.  Each job inside a chunk still gets its
 own future and its own error, so one bad circuit never poisons its
 chunk-mates.
 
-Services can also keep their warm cache **crash-safe**: pass
+Services can also keep their result cache **crash-safe**: pass
 ``autosave_interval=N`` (seconds) together with ``snapshot_path`` and a
-daemon timer periodically harvests worker-held deltas
-(:meth:`CompileService.harvest_now`) and persists the cache snapshot
-atomically (write-then-rename), instead of only at shutdown.  The
-HTTP compile server (:mod:`repro.server`) relies on this for warm
-restarts after a crash.
+daemon timer periodically persists the snapshot atomically
+(write-then-rename), instead of only at shutdown.  A failed autosave is
+counted (``stats()["autosave_failures"]``, with the last reason) and the
+timer keeps re-arming.  The HTTP compile server (:mod:`repro.server`)
+relies on this for warm restarts after a crash.
 
 Typical lifecycle::
 
     from repro.transpiler import CompileService, Target
 
-    with CompileService(pipeline="rpo", snapshot_path="cache.snap") as service:
+    with CompileService(pipeline="rpo", snapshot_path="results.snap") as service:
         futures = [service.submit(c, target="melbourne") for c in circuits]
         results = [f.result() for f in futures]
-        # ... more batches; the pool and cache stay warm ...
-    # __exit__ drains the pool and persists the cache snapshot
+        # ... more batches; the pool and caches stay warm ...
+    # __exit__ drains the pool and persists the result-cache snapshot
 """
 
 from __future__ import annotations
@@ -76,6 +72,7 @@ import os
 import pickle
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Sequence
 
@@ -126,10 +123,9 @@ TARGET_PROPERTY = "target"
 #: Absent on freshly-compiled results.
 CACHE_PROPERTY = "result_cache"
 
-#: FIFO caps: rebroadcast buffer entries per cache family, and rebuilt
-#: Target objects memoized per worker -- bounded like every other cache
-#: in the codebase, so a long-lived service cannot grow without limit.
-_RESYNC_MAX_PER_FAMILY = 256
+#: FIFO cap on rebuilt Target objects memoized per worker -- bounded like
+#: every other cache in the codebase, so a long-lived service cannot grow
+#: without limit.
 _WORKER_TARGET_MEMO_MAX = 64
 
 #: Upper bound on jobs per chunked envelope -- large enough to amortize
@@ -155,71 +151,25 @@ def _mp_context():
 # ---------------------------------------------------------------------------
 # worker side
 #
-# Workers are initialized once per pool with the parent cache's warm-start
-# snapshot and the harvest interval; each job then ships a compact circuit
-# payload, a compact target payload and the per-job pipeline settings.
-# Results come back as payloads plus (periodically) the worker cache's
-# delta since its last export.
+# Each worker process owns one long-lived AnalysisCache and a memo of
+# rebuilt targets; each job ships a compact circuit payload, a compact
+# target payload and the per-job pipeline settings.  Results come back as
+# payloads plus the worker cache's stats increment since its last chunk.
 # ---------------------------------------------------------------------------
 
 _WORKER_STATE: dict | None = None
 
 
-def _service_worker_init(
-    snapshot: dict | None, harvest_interval: float, flush_barrier=None
-) -> None:
+def _service_worker_init() -> None:
     global _WORKER_STATE
-    cache = AnalysisCache()
-    if snapshot is not None:
-        cache.import_snapshot(snapshot)
-    _WORKER_STATE = {
-        "cache": cache,
-        "harvest_interval": harvest_interval,
-        "last_harvest": time.monotonic(),
-        "targets": {},
-        "flush_barrier": flush_barrier,
-    }
-
-
-def _service_flush(barrier_timeout: float = 2.0):
-    """On-demand harvest: export this worker's unshipped cache delta.
-
-    The barrier makes every worker hold its flush until all of them have
-    picked one up, so the pool cannot hand several flush tasks to one
-    worker while another keeps its delta; if distribution is uneven
-    anyway (a worker mid-job), the barrier times out and each flush still
-    exports what its worker holds -- best effort.  A timed-out barrier is
-    left broken by the stdlib; it is reset here so the *next* flush round
-    (live harvests repeat; shutdown always runs one) coordinates again.
-
-    Returns ``(worker pid, delta)`` so the parent can tell *which* worker
-    each flush drained -- :meth:`CompileService._flush_worker_deltas`
-    retries until every distinct worker has answered, instead of trusting
-    the pool to hand one flush task to each worker.
-    """
-    state = _WORKER_STATE
-    if state is None:
-        return None
-    barrier = state.get("flush_barrier")
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=barrier_timeout)
-        except threading.BrokenBarrierError:
-            try:
-                barrier.reset()
-            except Exception:
-                pass
-        except Exception:
-            pass
-    state["last_harvest"] = time.monotonic()
-    return os.getpid(), state["cache"].export_snapshot(delta_only=True)
+    _WORKER_STATE = {"cache": AnalysisCache(), "stats_sent": Counter(), "targets": {}}
 
 
 def _sanitize_properties(properties: PropertySet) -> dict:
     """A picklable copy of a run's property set.
 
-    The shared cache is stripped (it travels separately as a delta); any
-    other unpicklable value is dropped and recorded under
+    The analysis cache is stripped (it stays with the process that owns
+    it); any other unpicklable value is dropped and recorded under
     ``"_dropped_properties"`` so callers can tell the set is partial.
     """
     sanitized: dict = {}
@@ -283,24 +233,19 @@ def _picklable_exception(exc: BaseException) -> BaseException:
     return exc
 
 
-def _service_chunk(task: tuple) -> tuple:
+def _service_chunk(jobs: tuple) -> tuple:
     """Process-pool entry point: a chunk of job payloads in, per-job
-    outcomes + (at most) one cache delta out.
+    outcomes + the worker cache's stats increment out.
 
     Each job's outcome is ``("ok", result_payloads)`` or
     ``("error", exception)`` -- a failing job only fails itself, never its
-    chunk-mates.  The harvest-throttle check runs once per chunk, so a
-    chunk of N cheap jobs ships at most one delta, which is the point of
-    chunking.
+    chunk-mates.  The stats increment is a plain :class:`Counter` of the
+    cache's hit/miss counts accrued since the worker's previous chunk;
+    cache entries never leave the worker.
     """
-    jobs, sync = task
     state = _WORKER_STATE
     assert state is not None, "service worker was not initialized"
     cache = state["cache"]
-    if sync is not None:
-        # entries other workers discovered, rebroadcast by the parent;
-        # existing entries win, so re-imports are cheap no-ops
-        cache.import_snapshot(sync)
     outcomes = []
     for circuit_payload, target_payload, settings in jobs:
         try:
@@ -321,12 +266,9 @@ def _service_chunk(task: tuple) -> tuple:
             )
         except Exception as exc:  # noqa: BLE001 - relayed to the caller
             outcomes.append(("error", _picklable_exception(exc)))
-    delta = None
-    now = time.monotonic()
-    if now - state["last_harvest"] >= state["harvest_interval"]:
-        delta = cache.export_snapshot(delta_only=True)
-        state["last_harvest"] = now
-    return outcomes, delta
+    increment = cache.stats - state["stats_sent"]
+    state["stats_sent"] = Counter(cache.stats)
+    return outcomes, increment
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +293,6 @@ class CompileService:
         result_cache: ResultCache | None | bool = None,
         validate: str | None = None,
         snapshot_path=None,
-        harvest_interval: float = 0.0,
         autosave_interval: float = 0.0,
         options: CompileOptions | None = None,
     ):
@@ -363,8 +304,9 @@ class CompileService:
                 override them (``"preset"`` / level 1 when left unset);
                 ``target`` accepts a :class:`Target` or a preset name
                 (``"melbourne"``, ``"linear:5"``, ...).
-            analysis_cache: the parent cache the service warms and
-                harvests into; defaults to a fresh one.
+            analysis_cache: the cache serial/thread jobs run against and
+                whose ``stats`` also count process workers' hits and
+                misses; defaults to a fresh one.
             result_cache: the content-addressed compiled-result cache
                 consulted before any job reaches the pool
                 (:class:`~repro.transpiler.result_cache.ResultCache`).
@@ -372,16 +314,13 @@ class CompileService:
                 caches answers out of the box; pass ``False`` to disable
                 result caching entirely, or share one cache object across
                 services.
-            snapshot_path: disk location for cache persistence -- imported
-                (if present and version-compatible) at construction,
-                written back on :meth:`shutdown`.  The result cache
-                persists alongside at ``<snapshot_path>.results``.
-            harvest_interval: minimum seconds between a worker's cache
-                delta exports; 0 harvests with every job.
-            autosave_interval: seconds between periodic background cache
-                snapshot saves to ``snapshot_path`` (a daemon timer; each
-                save harvests worker deltas first and writes atomically).
-                0 (the default) keeps the historical shutdown-only flush.
+            snapshot_path: the result cache's snapshot file -- loaded (if
+                present and version-compatible) at construction, written
+                back on :meth:`shutdown`.
+            autosave_interval: seconds between periodic background saves
+                of the result-cache snapshot to ``snapshot_path`` (a daemon
+                timer; each save writes atomically).  0 (the default)
+                saves at shutdown only.
             options: a :class:`~repro.transpiler.options.CompileOptions`
                 consolidating the compile knobs; individual keyword
                 arguments above are legacy spellings coerced into it
@@ -416,7 +355,6 @@ class CompileService:
         self.options = opts
         self.mode = mode
         self.max_workers = opts.max_workers
-        self.harvest_interval = float(harvest_interval)
         self.snapshot_path = snapshot_path
         self.cache = (
             opts.analysis_cache if opts.analysis_cache is not None else AnalysisCache()
@@ -450,31 +388,18 @@ class CompileService:
         self._submitted = 0
         self._completed = 0
         self._failed = 0
-        self._harvests = 0
-        self._syncs_sent = 0
         self._chunks = 0
         self._autosaves = 0
+        self._autosave_failures = 0
+        self._autosave_error: str | None = None
         self._autosave_timer: threading.Timer | None = None
-        #: harvested worker entries waiting to be rebroadcast to the next
-        #: ``_resync_remaining`` jobs, so one worker's discoveries reach
-        #: the other live workers too (best effort -- under skewed task
-        #: distribution some workers may be resynced twice, some not at
-        #: all; correctness never depends on it)
-        self._resync_buffer: dict | None = None
-        self._resync_remaining = 0
         self._cache_hits = 0
         self._cache_template_hits = 0
-        self._snapshot_entries_loaded = 0
         self._result_entries_loaded = 0
-        self._result_snapshot_path = (
-            f"{snapshot_path}.results" if snapshot_path is not None else None
-        )
-        if snapshot_path is not None:
-            self._snapshot_entries_loaded = self.cache.load_snapshot(snapshot_path)
-            if self.result_cache is not None:
-                self._result_entries_loaded = self.result_cache.load_snapshot(
-                    self._result_snapshot_path
-                )
+        if snapshot_path is not None and self.result_cache is not None:
+            self._result_entries_loaded = self.result_cache.load_snapshot(
+                snapshot_path
+            )
         self.autosave_interval = float(autosave_interval)
         if snapshot_path is not None and self.autosave_interval > 0:
             self._schedule_autosave()
@@ -494,24 +419,10 @@ class CompileService:
                 workers = default_workers(None, self.max_workers)
                 self._pool_workers = workers
                 if self.mode == "process":
-                    context = _mp_context()
-                    # the barrier coordinates the shutdown-time delta
-                    # flush; without throttling every job already ships
-                    # its delta, so there is nothing left to flush
-                    barrier = (
-                        context.Barrier(workers)
-                        if self.harvest_interval > 0
-                        else None
-                    )
                     self._pool = ProcessPoolExecutor(
                         max_workers=workers,
-                        mp_context=context,
+                        mp_context=_mp_context(),
                         initializer=_service_worker_init,
-                        initargs=(
-                            self.cache.export_snapshot(),
-                            self.harvest_interval,
-                            barrier,
-                        ),
                     )
                 else:
                     self._pool = ThreadPoolExecutor(max_workers=workers)
@@ -610,24 +521,6 @@ class CompileService:
                 outer.set_result(result)
         return outer
 
-    def _take_sync(self) -> dict | None:
-        """Pop one rebroadcast snapshot for the next outgoing task, if due."""
-        with self._lock:
-            if self._resync_remaining <= 0 or self._resync_buffer is None:
-                return None
-            # inner dicts copied too: the pool's feeder thread pickles the
-            # task concurrently with _finish_chunk updating the buffer
-            sync = {
-                family: dict(entries)
-                for family, entries in self._resync_buffer.items()
-            }
-            sync["version"] = AnalysisCache.SNAPSHOT_VERSION
-            self._resync_remaining -= 1
-            self._syncs_sent += 1
-            if self._resync_remaining == 0:
-                self._resync_buffer = None
-            return sync
-
     def _cache_meta(self, circuit_payload, target_payload, settings):
         """The result-cache address of one job, or ``None`` if uncacheable.
 
@@ -692,8 +585,8 @@ class CompileService:
         pool task; returns one future per job.
 
         This is the chunked job envelope: per-task costs -- pickling the
-        envelope, pool dispatch, the sync snapshot, the harvest check --
-        are paid once per chunk rather than once per circuit, which is
+        envelope, pool dispatch, the stats increment -- are paid once per
+        chunk rather than once per circuit, which is
         what lets huge batches of cheap circuits keep the pool busy
         instead of the feeder thread.
 
@@ -742,9 +635,8 @@ class CompileService:
         with self._lock:
             self._submitted += len(payload_jobs)
             self._chunks += 1
-        task = (tuple(payload_jobs), self._take_sync())
         outers = [Future() for _ in payload_jobs]
-        inner = self._submit_to_pool(_service_chunk, task)
+        inner = self._submit_to_pool(_service_chunk, tuple(payload_jobs))
         inner.add_done_callback(
             lambda f, outers=outers, targets=targets, metas=metas: (
                 self._finish_chunk(outers, targets, metas, f)
@@ -962,24 +854,6 @@ class CompileService:
             self._completed += 1
         outer.set_result(result)
 
-    def _merge_delta(self, delta: dict) -> None:
-        """Adopt a worker's cache delta and queue it for rebroadcast."""
-        with self._lock:
-            if self.cache.import_snapshot(delta) > 0:
-                # queue the new entries for rebroadcast so the *other*
-                # workers see them too
-                if self._resync_buffer is None:
-                    self._resync_buffer = {}
-                for family in AnalysisCache._SNAPSHOT_FAMILIES:
-                    entries = delta.get(family)
-                    if entries:
-                        table = self._resync_buffer.setdefault(family, {})
-                        table.update(entries)
-                        while len(table) > _RESYNC_MAX_PER_FAMILY:
-                            table.pop(next(iter(table)))
-                self._resync_remaining = max(1, self._pool_workers)
-            self._harvests += 1
-
     def _finish_chunk(
         self,
         outers: list[Future],
@@ -989,15 +863,15 @@ class CompileService:
     ) -> None:
         """Scatter one chunk task's outcomes onto its per-job futures."""
         try:
-            outcomes, delta = inner.result()
+            outcomes, cache_stats = inner.result()
         except BaseException as exc:  # noqa: BLE001 - relayed to the caller
             # the chunk itself died (pool torn down, envelope unpicklable):
             # every job of the chunk shares that fate
             for outer in outers:
                 self._fail_future(outer, exc)
             return
-        if delta is not None:
-            self._merge_delta(delta)
+        with self._lock:
+            self.cache.stats.update(cache_stats)
         if len(outcomes) != len(outers):  # never expected; fail loudly, not hang
             error = TranspilerError(
                 f"chunk returned {len(outcomes)} outcomes for {len(outers)} jobs"
@@ -1041,40 +915,19 @@ class CompileService:
     # -- lifecycle ---------------------------------------------------------
 
     def save_snapshot(self, path=None) -> str | None:
-        """Persist the service cache to ``path`` (default: ``snapshot_path``).
+        """Persist the result cache to ``path`` (default: ``snapshot_path``).
 
         The write is atomic (tmp file + rename, see
-        :meth:`AnalysisCache.save`), so a crash mid-save -- or a reader
+        :meth:`ResultCache.save`), so a crash mid-save -- or a reader
         racing the autosave timer -- never sees a truncated snapshot.
+        Returns the path written, or ``None`` when there is no path or no
+        result cache.
         """
         path = path if path is not None else self.snapshot_path
-        if path is None:
+        if path is None or self.result_cache is None:
             return None
-        self.cache.save(path)
-        if self.result_cache is not None:
-            self.result_cache.save(f"{path}.results")
+        self.result_cache.save(path)
         return str(path)
-
-    def harvest_now(self) -> int:
-        """Best-effort flush of worker-held cache deltas, pool kept alive.
-
-        Unlike the shutdown flush this leaves the pool serving; it exists
-        so periodic snapshot saves (and a compile server's ``/metrics``)
-        can see worker discoveries that throttled harvesting
-        (``harvest_interval > 0``) is still holding worker-side.  Returns
-        the number of deltas merged.  A no-op outside throttled process
-        mode, where every job (or chunk) already ships its delta.
-        """
-        with self._lock:
-            pool = self._pool
-            workers = self._pool_workers
-        if pool is None or self.mode != "process" or self.harvest_interval <= 0:
-            return 0
-        before = self._harvests
-        # short barrier wait: a live pool may be mid-chunk, and an
-        # autosave tick must not idle the other workers for long
-        self._flush_worker_deltas(pool, workers, barrier_timeout=0.25)
-        return self._harvests - before
 
     # -- periodic background autosave --------------------------------------
 
@@ -1085,99 +938,45 @@ class CompileService:
         timer.start()
 
     def _autosave_tick(self) -> None:
-        """One autosave: harvest stragglers, persist, re-arm the timer."""
+        """One autosave: persist, then re-arm the timer.
+
+        A failed save (disk full, unwritable path, ...) is counted in
+        ``stats()["autosave_failures"]`` with its reason in
+        ``stats()["autosave_error"]``; serving is unaffected and the next
+        tick retries.
+        """
         with self._lock:
             if self._shutdown:
                 return
         try:
-            self.harvest_now()
             self.save_snapshot()
+        except Exception as exc:  # noqa: BLE001 - counted, next tick retries
+            with self._lock:
+                self._autosave_failures += 1
+                self._autosave_error = f"{type(exc).__name__}: {exc}"
+        else:
             with self._lock:
                 self._autosaves += 1
-        except Exception:  # noqa: BLE001 - autosave is best-effort
-            pass  # a failed save must not kill the timer; next tick retries
         finally:
             with self._lock:
                 if not self._shutdown:
                     self._schedule_autosave()
 
-    def _flush_worker_deltas(
-        self, pool, workers: int, barrier_timeout: float = 2.0
-    ) -> None:
-        """Best-effort harvest of deltas still held by workers.
-
-        Only needed under throttled harvesting (``harvest_interval > 0``):
-        jobs finished since each worker's last export have their cache
-        entries sitting worker-side, and a snapshot save would otherwise
-        miss them.  ``barrier_timeout`` bounds how long a flush task may
-        idle a worker waiting for its peers -- shutdown affords the full
-        wait, live harvests (autosave ticks) pass a short one.
-
-        Flush results carry the responding worker's pid, and rounds
-        retry until every distinct worker answered (or a round makes no
-        progress): the pool does not promise one flush task per worker,
-        and under uneven pickup -- one worker grabbing two flushes while
-        another finishes a job -- a single round can silently drop the
-        busy worker's delta.  That is exactly the ``map()`` +
-        immediate ``shutdown()`` hazard: the final batch's entries sit
-        with a worker that never sees a flush task, and the snapshot
-        saved at shutdown misses them.
-        """
-        flushed: set[int] = set()
-        for round_index in range(3):
-            remaining = workers - len(flushed)
-            if remaining <= 0:
-                return
-            # first round gets the caller's barrier budget; retry rounds
-            # submit fewer tasks than the barrier has parties, so waiting
-            # on it would only stall -- use a token timeout instead
-            timeout = barrier_timeout if round_index == 0 else 0.25
-            try:
-                futures = [
-                    pool.submit(_service_flush, timeout) for _ in range(remaining)
-                ]
-            except RuntimeError:  # pool already torn down elsewhere
-                return
-            progress = False
-            for future in futures:
-                try:
-                    outcome = future.result(timeout=10.0)
-                except Exception:
-                    continue  # flush is best-effort; shutdown must not fail
-                if outcome is None:
-                    continue
-                pid, delta = outcome
-                fresh = pid not in flushed
-                flushed.add(pid)
-                progress = progress or fresh
-                if delta and fresh:
-                    with self._lock:
-                        self.cache.import_snapshot(delta)
-                        self._harvests += 1
-            if not progress:
-                return  # stuck worker (mid-job > timeout); stay best-effort
-
     def shutdown(self, wait: bool = True, save: bool = True) -> None:
-        """Drain the pool and (by default) persist the cache snapshot.
+        """Drain the pool and (by default) persist the result-cache snapshot.
 
-        Under throttled harvesting, worker cache deltas not yet shipped
-        are flushed (best-effort) before the pool drains, so the
-        persisted snapshot reflects the workers' discoveries.  Idempotent;
-        after shutdown, further submissions raise
+        Idempotent; after shutdown, further submissions raise
         :class:`~repro.transpiler.exceptions.TranspilerError`.
         """
         with self._lock:
             already = self._shutdown
             self._shutdown = True
             pool, self._pool = self._pool, None
-            workers = self._pool_workers
             timer, self._autosave_timer = self._autosave_timer, None
         if timer is not None:
             timer.cancel()
             timer.join(timeout=5.0)  # cancel() wakes it; exit is immediate
         if pool is not None:
-            if not already and self.mode == "process" and self.harvest_interval > 0:
-                self._flush_worker_deltas(pool, workers)
             pool.shutdown(wait=wait)
         if save and not already:
             self.save_snapshot()
@@ -1196,13 +995,10 @@ class CompileService:
             "submitted": self._submitted,
             "completed": self._completed,
             "failed": self._failed,
-            "harvests": self._harvests,
-            "syncs_sent": self._syncs_sent,
             "chunks": self._chunks,
             "autosaves": self._autosaves,
-            "snapshot_entries_loaded": self._snapshot_entries_loaded,
-            "snapshot_skipped": self.cache.snapshot_skipped,
-            "cache_matrices": len(self.cache._matrices),
+            "autosave_failures": self._autosave_failures,
+            "autosave_error": self._autosave_error,
             "cache_requests": self.cache.matrix_requests,
             "cache_constructions": self.cache.matrix_constructions,
             "result_cache_hits": self._cache_hits,

@@ -236,6 +236,19 @@ class TestIntrospection:
         assert stats["service"]["completed"] >= 1
         assert stats["client"]["requests"] >= 1
 
+    def test_metrics_cache_section_reports_counters_only(self, remote):
+        remote.map(
+            [quantum_phase_estimation(3)],
+            targets="melbourne",
+            seeds=[0],
+            pipeline="rpo",
+        )
+        stats = remote.stats()
+        assert set(stats["cache"]) == {"stats"}
+        assert stats["cache"]["stats"]["matrix_misses"] > 0
+        assert "snapshot_skipped" not in stats["service"]
+        assert stats["service"]["autosave_failures"] == 0
+
 
 class TestShardRouter:
     def test_targets_stick_to_their_shard(self):
@@ -341,8 +354,9 @@ class TestShardRouter:
 
 class TestServerLifecycle:
     def test_server_snapshot_autosave_warm_restart(self, tmp_path):
-        """The crash-safe loop: a server autosaves its cache, dies without
-        a clean shutdown, and its successor boots warm from the autosave."""
+        """The crash-safe loop: a server autosaves its result cache, dies
+        without a clean shutdown, and its successor boots warm from the
+        autosave and serves the same job from it."""
         import os
         import time
 
@@ -372,7 +386,16 @@ class TestServerLifecycle:
         with CompileServer(
             mode="serial", pipeline="rpo", snapshot_path=str(path)
         ) as reborn:
-            assert reborn.service.stats()["snapshot_entries_loaded"] > 0
+            assert reborn.service.stats()["result_entries_loaded"] > 0
+            reborn.start()
+            with RemoteCompileService(reborn.endpoint) as client:
+                client.map(
+                    [quantum_phase_estimation(3)],
+                    targets="melbourne",
+                    seeds=[0],
+                    pipeline="rpo",
+                )
+            assert reborn.service.stats()["result_cache_hits"] == 1
 
     def test_shutdown_route_stops_server(self):
         srv = CompileServer(mode="serial", pipeline="rpo")
@@ -391,6 +414,18 @@ class TestServerLifecycle:
         srv.shutdown()
         with pytest.raises(TranspilerError, match="shut down"):
             srv.service.submit(QuantumCircuit(1))
+
+    def test_cli_snapshot_flags_and_no_harvest_interval(self, capsys):
+        from repro.server.__main__ import build_parser
+
+        args = build_parser().parse_args(
+            ["--snapshot-path", "results.snap", "--autosave-interval", "30"]
+        )
+        assert args.snapshot_path == "results.snap"
+        assert args.autosave_interval == 30.0
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--harvest-interval", "1"])
+        assert "--harvest-interval" in capsys.readouterr().err
 
     def test_server_rejects_service_plus_kwargs(self):
         from repro.transpiler import CompileService

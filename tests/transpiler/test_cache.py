@@ -141,189 +141,62 @@ class TestCircuitViews:
         assert cache.stats["dag_misses"] == 1
 
 
-class TestWarmStartSnapshots:
-    def _warm_cache(self):
+class TestInProcessMemo:
+    """The cache is a plain in-process memo: bounded, read-only entries,
+    and nothing shared between two cache objects."""
+
+    def test_cached_matrices_are_read_only(self):
         cache = AnalysisCache()
-        cache.matrix(U3Gate(0.1, 0.2, 0.3))
-        cache.matrix(U1Gate(0.5))
-        circuit = QuantumCircuit(2)
-        circuit.cx(0, 1)
-        circuit.swap(0, 1)
-        cache.same_pair_adjacency(circuit)
-        cache.wire_indices(circuit)
-        cache.dag(circuit)
-        return cache
-
-    def test_export_import_round_trip(self):
-        import pickle
-
-        source = self._warm_cache()
-        snapshot = pickle.loads(pickle.dumps(source.export_snapshot()))
-        target = AnalysisCache()
-        adopted = target.import_snapshot(snapshot)
-        assert adopted == len(source._matrices) + 2  # + adjacency + wires
-        assert set(target._matrices) == set(source._matrices)
-        assert set(target._adjacency) == set(source._adjacency)
-        assert set(target._wire_indices) == set(source._wire_indices)
-        # identity-keyed DAG views never travel
-        assert not target._dags
-
-    def test_imported_matrices_hit_and_stay_immutable(self):
-        source = self._warm_cache()
-        target = AnalysisCache()
-        target.import_snapshot(source.export_snapshot())
-        matrix = target.matrix(U3Gate(0.1, 0.2, 0.3))
-        assert target.stats["matrix_hits"] == 1
-        assert target.stats["matrix_misses"] == 0
+        matrix = cache.matrix(U3Gate(0.1, 0.2, 0.3))
         assert not matrix.flags.writeable
-        assert np.allclose(matrix, U3Gate(0.1, 0.2, 0.3).to_matrix())
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
+        assert np.allclose(cache.matrix(U3Gate(0.1, 0.2, 0.3)), matrix)
 
-    def test_delta_export_is_incremental(self):
+    def test_bulk_lookup_resolves_repeats_locally(self):
         cache = AnalysisCache()
-        cache.import_snapshot(self._warm_cache().export_snapshot())
-        first_delta = cache.export_snapshot(delta_only=True)
-        assert not first_delta["matrices"]  # imported entries are not echoed
+        gates = [U3Gate(0.1, 0.2, 0.3), U3Gate(0.1, 0.2, 0.3), U1Gate(0.5), XGate()]
+        out = cache.matrices(gates)
+        assert out[0] is out[1]
+        assert cache.stats["matrix_misses"] == 2
+        assert cache.stats["matrix_hits"] == 1
+        assert cache.stats["matrix_table"] == 1
+        for gate, matrix in zip(gates, out):
+            assert np.allclose(matrix, gate.to_matrix())
 
-        cache.matrix(U3Gate(0.7, 0.8, 0.9))
-        second_delta = cache.export_snapshot(delta_only=True)
-        assert len(second_delta["matrices"]) == 1
-        assert second_delta["stats"].get("matrix_misses") == 1
-
-        third_delta = cache.export_snapshot(delta_only=True)
-        assert not third_delta["matrices"]  # already exported
-        assert not third_delta["stats"].get("matrix_misses")
-
-    def test_import_merges_stats(self):
-        target = AnalysisCache()
-        cache = AnalysisCache()
-        cache.matrix(U1Gate(0.5))
-        delta = cache.export_snapshot(delta_only=True)
-        target.import_snapshot(delta)
-        assert target.stats["matrix_misses"] == 1
-
-    def test_existing_entries_win_on_import(self):
-        target = AnalysisCache()
-        local = target.matrix(U1Gate(0.5))
-        source = AnalysisCache()
-        source.matrix(U1Gate(0.5))
-        target.import_snapshot(source.export_snapshot())
-        assert target.matrix(U1Gate(0.5)) is local
-
-    def test_format_version_mismatch_warns_and_skips(self):
-        cache = AnalysisCache()
-        with pytest.warns(RuntimeWarning, match="format version"):
-            assert cache.import_snapshot({"version": 99}) == 0
-        assert not cache._matrices
-        assert cache.stats["snapshot_rejected"] == 1
-        assert "99" in cache.snapshot_skipped
-
-    def test_library_version_mismatch_warns_with_both_fingerprints(self):
-        """Regression test: a snapshot written by a different library
-        version must be ignored without raising -- but the rejection must
-        be observable (warning naming both fingerprints + skipped flag),
-        so operators can tell why warm-start did not kick in."""
-        from repro.transpiler.cache import library_fingerprint
-
-        source = self._warm_cache()
-        snapshot = source.export_snapshot()
-        snapshot["library"] = "repro-0.0.0-from-the-future/snapshot-1"
-        cache = AnalysisCache()
-        assert cache.snapshot_skipped is None
-        with pytest.warns(RuntimeWarning) as caught:
-            assert cache.import_snapshot(snapshot) == 0
-        message = str(caught[0].message)
-        assert "repro-0.0.0-from-the-future/snapshot-1" in message
-        assert library_fingerprint() in message
-        assert not cache._matrices
-        assert cache.stats["snapshot_rejected"] == 1
-        assert "repro-0.0.0-from-the-future" in cache.snapshot_skipped
-
-    def test_matching_library_stamp_is_accepted(self):
-        from repro.transpiler.cache import library_fingerprint
-
-        snapshot = self._warm_cache().export_snapshot()
-        snapshot["library"] = library_fingerprint()
-        cache = AnalysisCache()
-        assert cache.import_snapshot(snapshot) > 0
-
-    def test_garbage_snapshot_is_nonfatal_noop(self):
-        cache = AnalysisCache()
-        with pytest.warns(RuntimeWarning):
-            assert cache.import_snapshot("not a snapshot") == 0
-        with pytest.warns(RuntimeWarning):
-            assert cache.import_snapshot({}) == 0
-
-
-class TestDiskSnapshots:
-    def _warm_cache(self):
-        cache = AnalysisCache()
-        cache.matrix(U3Gate(0.1, 0.2, 0.3))
-        cache.matrix(U1Gate(0.5))
-        circuit = QuantumCircuit(2)
-        circuit.cx(0, 1)
-        cache.same_pair_adjacency(circuit)
-        return cache
-
-    def test_save_load_round_trip(self, tmp_path):
-        source = self._warm_cache()
-        path = tmp_path / "cache.snap"
-        source.save(path)
-        loaded = AnalysisCache.load(path)
-        assert set(loaded._matrices) == set(source._matrices)
-        assert set(loaded._adjacency) == set(source._adjacency)
-        # warm-started entries hit immediately
-        loaded.matrix(U3Gate(0.1, 0.2, 0.3))
-        assert loaded.stats["matrix_hits"] == 1
-
-    def test_load_missing_file_is_silent(self, tmp_path):
-        """First boot: no snapshot file yet is expected, not warn-worthy."""
-        import warnings as warnings_module
+    def test_matrix_table_is_bounded_fifo(self):
+        from repro.transpiler.cache import _MAX_MATRICES
 
         cache = AnalysisCache()
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            assert cache.load_snapshot(tmp_path / "nope.snap") == 0
-        assert not cache._matrices
-        assert cache.snapshot_skipped is None
+        for i in range(_MAX_MATRICES + 5):
+            cache.matrix(U1Gate(float(i)))
+        assert len(cache._matrices) == _MAX_MATRICES
+        # the oldest entries went first
+        cache.matrix(U1Gate(0.0))
+        assert cache.stats["matrix_misses"] == _MAX_MATRICES + 6
 
-    def test_load_corrupt_file_warns(self, tmp_path):
-        path = tmp_path / "corrupt.snap"
-        path.write_bytes(b"this is not a pickle")
+    def test_synthesis_memo_keyed_by_unitary_bytes(self):
+        from repro.gates import SwapGate
+
         cache = AnalysisCache()
-        with pytest.warns(RuntimeWarning, match="could not read"):
-            assert cache.load_snapshot(path) == 0
-        assert cache.snapshot_skipped is not None
+        cx = CXGate().to_matrix()
+        memo = cache.synthesis(cx)
+        assert memo.budget == 1
+        assert not memo.synthesized
+        assert cache.synthesis(cx.copy()) is memo
+        assert cache.synthesis(np.eye(4, dtype=complex)).budget == 0
+        assert cache.synthesis(SwapGate().to_matrix()).budget == 3
+        assert len(cache._syntheses) == 3
 
-    def test_load_other_library_version_warns(self, tmp_path):
-        """Regression test for the persisted flavour of the version
-        tolerance: a disk snapshot from another library version must leave
-        the cache cold without raising, and say so."""
-        import pickle
-
-        source = self._warm_cache()
-        path = tmp_path / "cache.snap"
-        source.save(path)
-        with open(path, "rb") as handle:
-            snapshot = pickle.load(handle)
-        snapshot["library"] = "repro-9.9.9/snapshot-1"
-        with open(path, "wb") as handle:
-            pickle.dump(snapshot, handle)
-        with pytest.warns(RuntimeWarning, match="repro-9.9.9"):
-            loaded = AnalysisCache.load(path)
-        assert not loaded._matrices
-        assert loaded.stats["snapshot_rejected"] == 1
-
-    def test_save_stamps_library_fingerprint(self, tmp_path):
-        import pickle
-
-        from repro.transpiler.cache import library_fingerprint
-
-        path = tmp_path / "cache.snap"
-        self._warm_cache().save(path)
-        with open(path, "rb") as handle:
-            snapshot = pickle.load(handle)
-        assert snapshot["library"] == library_fingerprint()
-        assert snapshot["version"] == AnalysisCache.SNAPSHOT_VERSION
+    def test_caches_share_no_entries(self):
+        first = AnalysisCache()
+        first.matrix(U3Gate(0.1, 0.2, 0.3))
+        first.synthesis(CXGate().to_matrix())
+        second = AnalysisCache()
+        assert not second._matrices and not second._syntheses
+        second.matrix(U3Gate(0.1, 0.2, 0.3))
+        assert second.stats["matrix_misses"] == 1
+        assert second.stats["matrix_hits"] == 0
 
 
 def _table2_workloads():

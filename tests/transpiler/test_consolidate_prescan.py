@@ -427,14 +427,6 @@ class TestSynthesisMemo:
         with pytest.raises(KeyError):
             ConsolidateBlocks().run(getattr(self, blocks)(1), PropertySet())
 
-    def test_memo_is_not_snapshotted(self):
-        cache = AnalysisCache()
-        props = PropertySet({AnalysisCache.PROPERTY_KEY: cache})
-        ConsolidateBlocks().run(self.zz_blocks(2), props)
-        assert cache._syntheses
-        assert "syntheses" not in AnalysisCache._SNAPSHOT_FAMILIES
-        assert set(cache.export_snapshot()) == {"version", *AnalysisCache._SNAPSHOT_FAMILIES}
-
     def test_shared_cache_under_threads(self):
         """Runs sharing one cache (as a batch or a service does) may race
         on a memo entry; the worst case is a duplicate synthesis, never a

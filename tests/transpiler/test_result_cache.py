@@ -343,6 +343,168 @@ class TestSnapshots:
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
         assert len(fresh) == 0
 
+    def test_missing_file_is_silent(self, tmp_path):
+        """First boot: no snapshot file yet is expected, not warn-worthy."""
+        cache = ResultCache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.load_snapshot(tmp_path / "nope.snap") == 0
+        assert cache.snapshot_skipped is None
+
+    def test_corrupt_file_warns(self, tmp_path):
+        path = tmp_path / "corrupt.snap"
+        path.write_bytes(b"this is not a pickle")
+        cache = ResultCache()
+        with pytest.warns(RuntimeWarning, match="could not read"):
+            assert cache.load_snapshot(path) == 0
+        assert cache.snapshot_skipped is not None
+
+    def test_foreign_library_stamp_warns_with_both_fingerprints(
+        self, tmp_path, target
+    ):
+        import pickle
+
+        from repro.transpiler.result_cache import library_fingerprint
+
+        cache = ResultCache()
+        with CompileService(
+            mode="serial", pipeline="level1", result_cache=cache
+        ) as service:
+            service.submit(_ansatz(_random_params(0)), target=target).result()
+        path = tmp_path / "results.snap"
+        cache.save(path)
+        with open(path, "rb") as handle:
+            snapshot = pickle.load(handle)
+        assert snapshot["library"] == library_fingerprint()
+        snapshot["library"] = "repro-9.9.9/snapshot-2"
+        with open(path, "wb") as handle:
+            pickle.dump(snapshot, handle)
+        fresh = ResultCache()
+        with pytest.warns(RuntimeWarning) as caught:
+            assert fresh.load_snapshot(path) == 0
+        message = str(caught[0].message)
+        assert "repro-9.9.9/snapshot-2" in message
+        assert library_fingerprint() in message
+        assert "repro-9.9.9" in fresh.snapshot_skipped
+        assert len(fresh) == 0
+
+    def test_analysis_cache_snapshot_at_path_boots_service_cold(
+        self, tmp_path, target
+    ):
+        """A file written to ``snapshot_path`` by the analysis-cache
+        persistence of earlier releases (format 1: matrix, adjacency and
+        wire-index tables) is rejected loudly, and the service still
+        serves."""
+        import pickle
+
+        import repro
+
+        path = tmp_path / "service.snap"
+        old = {
+            "version": 1,
+            "library": f"repro-{repro.__version__}/snapshot-1",
+            "matrices": {("u1", 1, (0.5,)): np.eye(2, dtype=complex)},
+            "adjacency": {},
+            "wire_indices": {},
+        }
+        with open(path, "wb") as handle:
+            pickle.dump(old, handle)
+        with pytest.warns(RuntimeWarning, match="format version 1"):
+            service = CompileService(
+                mode="serial", pipeline="level1", snapshot_path=path
+            )
+        try:
+            assert service.stats()["result_entries_loaded"] == 0
+            assert service.result_cache.snapshot_skipped is not None
+            circuit = _ansatz(_random_params(3))
+            served = service.submit(circuit, target=target).result()
+            with CompileService(
+                mode="serial", pipeline="level1", result_cache=False
+            ) as reference:
+                fresh = reference.submit(circuit, target=target).result()
+            assert circuit_to_payload(served.circuit) == circuit_to_payload(
+                fresh.circuit
+            )
+        finally:
+            service.shutdown(save=False)
+
+    def test_save_stamps_library_fingerprint_and_format_version(
+        self, tmp_path, target
+    ):
+        import pickle
+
+        from repro.transpiler.result_cache import (
+            RESULT_SNAPSHOT_VERSION,
+            library_fingerprint,
+        )
+
+        cache = ResultCache()
+        cache.store(*_job(_ansatz(_random_params(5)), target), ("stand-in", {}, {}, 0.0, {}))
+        path = tmp_path / "results.snap"
+        cache.save(path)
+        with open(path, "rb") as handle:
+            snapshot = pickle.load(handle)
+        assert snapshot["version"] == RESULT_SNAPSHOT_VERSION == 2
+        assert snapshot["library"] == library_fingerprint()
+        assert library_fingerprint().endswith(f"/snapshot-{RESULT_SNAPSHOT_VERSION}")
+        assert len(snapshot["entries"]) == 1
+
+    def test_garbage_snapshot_is_nonfatal_noop(self):
+        cache = ResultCache()
+        with pytest.warns(RuntimeWarning, match="not a result snapshot mapping"):
+            assert cache.import_snapshot("not a snapshot") == 0
+        with pytest.warns(RuntimeWarning, match="format version None"):
+            assert cache.import_snapshot({}) == 0
+        assert cache._stats["snapshot_rejected"] == 2
+        assert len(cache) == 0
+
+    def test_pickled_non_mapping_file_warns(self, tmp_path):
+        import pickle
+
+        path = tmp_path / "list.snap"
+        with open(path, "wb") as handle:
+            pickle.dump(["not", "a", "snapshot"], handle)
+        cache = ResultCache()
+        with pytest.warns(RuntimeWarning, match="got list"):
+            assert cache.load_snapshot(path) == 0
+        assert "list" in cache.snapshot_skipped
+
+    def test_version_1_result_snapshot_is_rejected(self, target):
+        """Result snapshots of the previous format (written beside an
+        analysis-cache snapshot) are not adopted."""
+        cache = ResultCache()
+        cache.store(*_job(_ansatz(_random_params(6)), target), ("stand-in", {}, {}, 0.0, {}))
+        snapshot = cache.export_snapshot()
+        snapshot["version"] = 1
+        fresh = ResultCache()
+        with pytest.warns(RuntimeWarning, match="format version 1"):
+            assert fresh.import_snapshot(snapshot) == 0
+        assert len(fresh) == 0
+
+    def test_existing_entries_win_on_load(self, target):
+        job = _job(_ansatz(_random_params(7)), target)
+        source = ResultCache()
+        source.store(*job, (("from-snapshot", "c"), [], [], 0.0, {}))
+        local = ResultCache()
+        local.store(*job, (("local", "c"), [], [], 0.0, {}))
+        assert local.import_snapshot(source.export_snapshot()) == 0
+        served, kind = local.lookup(*job)
+        assert kind == "hit"
+        assert served[0][0] == "local"
+
+    def test_expired_entries_are_dropped_on_load(self, target):
+        job = _job(_ansatz(_random_params(8)), target)
+        source = ResultCache()
+        source.store(*job, ("stand-in", {}, {}, 0.0, {}))
+        snapshot = source.export_snapshot()
+        snapshot["entries"] = [
+            (digest, result, time.time() - 1.0)
+            for digest, result, _ in snapshot["entries"]
+        ]
+        fresh = ResultCache()
+        assert fresh.import_snapshot(snapshot) == 0
+        assert fresh.lookup(*job) is None
+
 
 class TestPeerLookup:
     def test_fingerprint_round_trip(self, target):

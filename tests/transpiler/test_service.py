@@ -1,9 +1,9 @@
 """Tests for the long-lived ``CompileService``.
 
 Covers the lifecycle contract (lazy pool, async submit, graceful
-shutdown), output parity with plain ``transpile()``, worker cache-delta
-harvesting, disk-backed snapshot persistence (the warm-start-survives-
-restart acceptance check) and heterogeneous per-job targets.
+shutdown), output parity with plain ``transpile()``, heterogeneous
+per-job targets, periodic autosave (and its counted failures) and the
+result cache with its disk snapshot.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ from repro.circuit import QuantumCircuit
 from repro.transpiler import (
     AnalysisCache,
     CompileService,
+    ResultCache,
     Target,
     TranspilerError,
     transpile,
@@ -220,81 +221,6 @@ class TestParity:
         assert result.metrics and result.loops
         assert result.analysis_cache is service.cache
 
-
-class TestCacheHarvesting:
-    def test_worker_deltas_land_in_parent_cache(self, melbourne):
-        cache = AnalysisCache()
-        with CompileService(
-            mode="process", pipeline="rpo", analysis_cache=cache, max_workers=2
-        ) as service:
-            service.map(
-                [quantum_phase_estimation(3) for _ in range(3)],
-                targets=melbourne.target(),
-                seeds=[0, 1, 2],
-            )
-        assert len(cache._matrices) > 0
-        assert cache.stats.get("matrix_misses", 0) > 0  # shipped worker stats
-        assert service.stats()["harvests"] > 0
-
-    def test_harvest_interval_throttles_deltas(self, melbourne):
-        # an hour-long interval means no job ever ships a delta
-        with CompileService(
-            mode="process",
-            pipeline="level1",
-            max_workers=2,
-            harvest_interval=3600.0,
-        ) as service:
-            service.map(
-                [quantum_phase_estimation(3) for _ in range(3)],
-                targets=melbourne.target(),
-                seeds=[0, 1, 2],
-            )
-            assert service.stats()["harvests"] == 0
-
-    def test_harvested_entries_rebroadcast_to_workers(self, melbourne):
-        """One worker's discoveries must reach the other live workers: a
-        second batch's jobs carry the entries harvested from the first.
-        Result caching is off so the repeat batch actually reaches the
-        pool instead of being served from the compiled-result cache."""
-        with CompileService(
-            mode="process", pipeline="rpo", max_workers=2, result_cache=False
-        ) as service:
-            service.map(
-                [quantum_phase_estimation(3) for _ in range(2)],
-                targets=melbourne.target(),
-                seeds=[0, 1],
-            )
-            assert service.stats()["syncs_sent"] == 0  # nothing harvested yet
-            results = service.map(
-                [quantum_phase_estimation(3) for _ in range(2)],
-                targets=melbourne.target(),
-                seeds=[0, 1],
-            )
-            assert service.stats()["syncs_sent"] > 0
-        assert all(result.circuit.count_ops() for result in results)
-
-    def test_shutdown_flushes_throttled_deltas(self, melbourne):
-        """Regression test: with a long harvest interval, worker deltas
-        must still reach the parent cache at shutdown (else a persisted
-        snapshot would be cold)."""
-        cache = AnalysisCache()
-        service = CompileService(
-            mode="process",
-            pipeline="level1",
-            analysis_cache=cache,
-            max_workers=2,
-            harvest_interval=3600.0,
-        )
-        service.map(
-            [quantum_phase_estimation(3) for _ in range(3)],
-            targets=melbourne.target(),
-            seeds=[0, 1, 2],
-        )
-        assert service.stats()["harvests"] == 0  # throttle held them back
-        service.shutdown()
-        assert service.stats()["harvests"] > 0
-        assert len(cache._matrices) > 0
-
     def test_heterogeneous_targets_through_process_pool(self, melbourne):
         targets = [melbourne.target(), Target.preset("linear:8")]
         batch = [quantum_phase_estimation(3), quantum_phase_estimation(3)]
@@ -304,6 +230,124 @@ class TestCacheHarvesting:
         # each output respects its own device size
         assert results[0].circuit.num_qubits == 15
         assert results[1].circuit.num_qubits == 8
+
+
+class TestWorkerCaches:
+    """Each process worker keeps its own analysis cache; only hit/miss
+    stats increments travel back to the service."""
+
+    _SETTINGS = {
+        "pipeline": "rpo",
+        "optimization_level": 1,
+        "seed": 0,
+        "initial_layout": None,
+    }
+
+    def _chunk(self, melbourne):
+        from repro.circuit.serialization import circuit_to_payload
+
+        job = (
+            circuit_to_payload(quantum_phase_estimation(3)),
+            melbourne.target().to_payload(),
+            self._SETTINGS,
+        )
+        return (job,)
+
+    def test_chunk_returns_plain_counter_increment(self, melbourne, monkeypatch):
+        from collections import Counter
+
+        import repro.transpiler.service as service_module
+
+        monkeypatch.setattr(service_module, "_WORKER_STATE", None)
+        service_module._service_worker_init()
+        outcomes, increment = service_module._service_chunk(self._chunk(melbourne))
+        assert [status for status, _ in outcomes] == ["ok"]
+        assert type(increment) is Counter
+        assert increment["matrix_misses"] > 0
+        assert all(isinstance(value, int) for value in increment.values())
+
+    def test_repeat_chunk_increment_counts_only_new_requests(
+        self, melbourne, monkeypatch
+    ):
+        import repro.transpiler.service as service_module
+
+        monkeypatch.setattr(service_module, "_WORKER_STATE", None)
+        service_module._service_worker_init()
+        _, first = service_module._service_chunk(self._chunk(melbourne))
+        _, second = service_module._service_chunk(self._chunk(melbourne))
+        # the worker's memo answers the repeat: no new constructions
+        assert second["matrix_misses"] == 0
+        assert second["matrix_hits"] > 0
+        worker_cache = service_module._WORKER_STATE["cache"]
+        assert first + second == +worker_cache.stats
+
+    def test_parent_cache_holds_no_worker_entries(self, melbourne):
+        cache = AnalysisCache()
+        with CompileService(
+            mode="process", pipeline="rpo", analysis_cache=cache, max_workers=2
+        ) as service:
+            service.map(
+                [quantum_phase_estimation(3) for _ in range(3)],
+                targets=melbourne.target(),
+                seeds=[0, 1, 2],
+            )
+            stats = service.stats()
+        assert not cache._matrices and not cache._syntheses
+        assert cache.stats["matrix_misses"] > 0
+        assert stats["cache_requests"] == cache.matrix_requests > 0
+
+    def test_worker_cache_warms_across_batches(self, melbourne):
+        """A worker's cache outlives its jobs: a repeat batch (result
+        cache off, so it reaches the pool) constructs fewer matrices."""
+        cache = AnalysisCache()
+        batch = [quantum_phase_estimation(3), ry_ansatz(4, depth=2, seed=11)]
+        with CompileService(
+            mode="process",
+            pipeline="rpo",
+            analysis_cache=cache,
+            max_workers=1,
+            result_cache=False,
+        ) as service:
+            service.map(batch, targets=melbourne.target(), seeds=[0, 1])
+            cold = cache.matrix_constructions
+            service.map(batch, targets=melbourne.target(), seeds=[0, 1])
+            warm = cache.matrix_constructions - cold
+        assert cold > 0
+        assert warm < cold
+
+    def test_thread_jobs_share_the_service_cache(self, melbourne):
+        cache = AnalysisCache()
+        with CompileService(
+            mode="thread", pipeline="rpo", analysis_cache=cache, max_workers=2
+        ) as service:
+            service.map(
+                [quantum_phase_estimation(3) for _ in range(2)],
+                targets=melbourne.target(),
+                seeds=[0, 1],
+            )
+        assert cache._matrices
+        assert cache.stats["matrix_hits"] > 0
+
+
+class TestStatsSurface:
+    def test_stats_report_no_cache_shipping_counters(self):
+        with CompileService(mode="serial") as service:
+            stats = service.stats()
+        for removed in (
+            "harvests",
+            "syncs_sent",
+            "snapshot_entries_loaded",
+            "snapshot_skipped",
+            "cache_matrices",
+        ):
+            assert removed not in stats
+        assert stats["autosave_failures"] == 0
+        assert stats["autosave_error"] is None
+        assert stats["result_entries_loaded"] == 0
+
+    def test_harvest_interval_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            CompileService(mode="serial", harvest_interval=1.0)
 
 
 class TestChunkedDispatch:
@@ -449,7 +493,7 @@ class TestAutosave:
         assert os.path.exists(path)
         assert service.stats()["autosaves"] >= 1
         # the autosaved snapshot is already warm (not just an empty stamp)
-        assert AnalysisCache.load(path)._matrices
+        assert ResultCache().load_snapshot(path) > 0
         service.shutdown(save=False)
 
     def test_autosave_timer_stops_at_shutdown(self, tmp_path):
@@ -467,144 +511,83 @@ class TestAutosave:
         assert service._autosave_timer is None
         service.shutdown()
 
-    def test_harvest_now_flushes_throttled_worker_deltas(self, melbourne):
-        """The remote-safe harvest: worker-held deltas reach the parent
-        cache while the pool keeps serving (no shutdown required)."""
-        cache = AnalysisCache()
-        with CompileService(
-            mode="process",
+    def test_failed_autosave_is_counted_and_serving_continues(
+        self, tmp_path, melbourne
+    ):
+        import time
+
+        path = tmp_path / "no-such-dir" / "autosave.snap"
+        service = CompileService(
+            mode="serial",
             pipeline="level1",
-            analysis_cache=cache,
-            max_workers=2,
-            harvest_interval=3600.0,
-        ) as service:
-            service.map(
-                [quantum_phase_estimation(3) for _ in range(3)],
-                targets=melbourne.target(),
-                seeds=[0, 1, 2],
-            )
-            assert service.stats()["harvests"] == 0
-            assert service.harvest_now() > 0
-            assert len(cache._matrices) > 0
-            # pool still serves after the live harvest
+            snapshot_path=path,
+            autosave_interval=0.05,
+        )
+        try:
+            deadline = time.time() + 10
+            while (
+                service.stats()["autosave_failures"] < 2 and time.time() < deadline
+            ):
+                time.sleep(0.05)
+            stats = service.stats()
+            assert stats["autosave_failures"] >= 2  # the timer kept re-arming
+            assert stats["autosaves"] == 0
+            assert "FileNotFoundError" in stats["autosave_error"]
             result = service.submit(
-                quantum_phase_estimation(3), target=melbourne.target(), seed=3
+                quantum_phase_estimation(3), target=melbourne.target(), seed=0
             ).result()
             assert result.circuit.count_ops()
+        finally:
+            service.shutdown(save=False)
 
-    def test_harvest_now_is_noop_when_unthrottled(self, melbourne):
-        with CompileService(mode="serial", pipeline="level1") as service:
+    def test_autosave_recovers_once_path_is_writable(self, tmp_path, melbourne):
+        import time
+
+        directory = tmp_path / "late-dir"
+        path = directory / "autosave.snap"
+        service = CompileService(
+            mode="serial",
+            pipeline="level1",
+            snapshot_path=path,
+            autosave_interval=0.05,
+        )
+        try:
             service.map(
                 [quantum_phase_estimation(3)], targets=melbourne.target(), seeds=[0]
             )
-            assert service.harvest_now() == 0
-
-
-class TestSnapshotPersistence:
-    """Disk-backed snapshots: warm-start must survive a 'restart'."""
-
-    def _batch(self):
-        return [quantum_phase_estimation(3), ry_ansatz(4, depth=2, seed=11)]
-
-    def test_shutdown_persists_and_boot_restores(self, tmp_path, melbourne):
-        path = tmp_path / "service.snap"
-        with CompileService(
-            mode="serial", pipeline="rpo", snapshot_path=path
-        ) as service:
-            service.map(self._batch(), targets=melbourne.target(), seeds=[0, 1])
-            warmed_entries = len(service.cache._matrices)
-            assert warmed_entries > 0
-        assert path.exists()
-
-        # "restart": a brand-new service process boots from the snapshot
-        reborn = CompileService(mode="serial", pipeline="rpo", snapshot_path=path)
-        assert reborn.stats()["snapshot_entries_loaded"] > 0
-        assert len(reborn.cache._matrices) == warmed_entries
-        reborn.shutdown(save=False)
-
-    def test_warm_started_run_beats_cold_hit_rate(self, tmp_path, melbourne):
-        """The acceptance check: a cold process warm-started from a disk
-        snapshot shows a higher cache hit-rate than a truly cold run."""
-        path = tmp_path / "warm.snap"
-        batch = self._batch()
-        target = melbourne.target()
-
-        # result caching off: the point here is the *analysis* cache
-        # snapshot, so the warm run's jobs must actually compile instead
-        # of being served whole from the result snapshot
-        cold_cache = AnalysisCache()
-        with CompileService(
-            mode="serial",
-            pipeline="rpo",
-            analysis_cache=cold_cache,
-            result_cache=False,
-            snapshot_path=path,
-        ) as service:
-            service.map([c.copy() for c in batch], targets=target, seeds=[0, 1])
-        cold_rate = 1.0 - cold_cache.matrix_constructions / cold_cache.matrix_requests
-
-        warm_cache = AnalysisCache()
-        warm = CompileService(
-            mode="serial",
-            pipeline="rpo",
-            analysis_cache=warm_cache,
-            result_cache=False,
-            snapshot_path=path,
-        )
-        assert warm.stats()["snapshot_entries_loaded"] > 0
-        warm.map([c.copy() for c in batch], targets=target, seeds=[0, 1])
-        warm.shutdown(save=False)
-        warm_rate = 1.0 - warm_cache.matrix_constructions / warm_cache.matrix_requests
-        assert warm_rate > cold_rate
-
-    def test_missing_snapshot_is_cold_boot(self, tmp_path):
-        service = CompileService(mode="serial", snapshot_path=tmp_path / "absent.snap")
-        assert service.stats()["snapshot_entries_loaded"] == 0
-        service.shutdown(save=False)
-
-    def test_save_snapshot_explicit_path(self, tmp_path, melbourne):
-        with CompileService(mode="serial", pipeline="level1") as service:
-            service.map(self._batch(), targets=melbourne.target(), seeds=[0, 1])
-            written = service.save_snapshot(tmp_path / "explicit.snap")
-        assert written is not None
-        assert AnalysisCache.load(written)._matrices
-
-    def test_save_snapshot_without_path_is_noop(self):
-        service = CompileService(mode="serial")
-        assert service.save_snapshot() is None
-        service.shutdown()
-
-
-class TestShutdownFlush:
-    """Regression: ``map()`` followed by an immediate ``shutdown()`` must
-    not drop the final batch's worker cache deltas.
-
-    Under throttled harvesting (``harvest_interval > 0``) the last jobs'
-    analysis entries sit worker-side; the shutdown-time flush rounds have
-    to reach *every* worker (pid-deduplicated, retried) before the pool
-    closes, or the persisted snapshot silently misses them.
-    """
-
-    def test_map_then_immediate_shutdown_persists_worker_deltas(
-        self, tmp_path, melbourne
-    ):
-        path = tmp_path / "flush.snap"
-        batch = [ry_ansatz(3, depth=2, seed=s) for s in range(6)]
-        service = CompileService(
-            mode="process",
-            pipeline="level1",
-            max_workers=2,
-            snapshot_path=path,
-            harvest_interval=3600.0,  # nothing ships until the flush
-        )
-        service.map(batch, targets=melbourne.target(), seeds=list(range(6)))
-        service.shutdown()  # immediately: the flush must do the harvest
-
-        reborn = CompileService(mode="serial", snapshot_path=path)
-        try:
-            assert reborn.stats()["snapshot_entries_loaded"] > 0
+            deadline = time.time() + 10
+            while service.stats()["autosave_failures"] < 1 and time.time() < deadline:
+                time.sleep(0.05)
+            assert service.stats()["autosave_failures"] >= 1
+            directory.mkdir()
+            while service.stats()["autosaves"] < 1 and time.time() < deadline:
+                time.sleep(0.05)
+            assert service.stats()["autosaves"] >= 1
+            assert ResultCache().load_snapshot(path) == 1
         finally:
-            reborn.shutdown(save=False)
+            service.shutdown(save=False)
+
+    def test_autosave_writes_only_the_snapshot_file(self, tmp_path, melbourne):
+        import time
+
+        path = tmp_path / "autosave.snap"
+        service = CompileService(
+            mode="serial",
+            pipeline="level1",
+            snapshot_path=path,
+            autosave_interval=0.05,
+        )
+        try:
+            service.map(
+                [quantum_phase_estimation(3)], targets=melbourne.target(), seeds=[0]
+            )
+            deadline = time.time() + 10
+            while service.stats()["autosaves"] < 1 and time.time() < deadline:
+                time.sleep(0.05)
+            assert service.stats()["autosaves"] >= 1
+        finally:
+            service.shutdown(save=False)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["autosave.snap"]
 
 
 class TestServiceResultCache:
@@ -704,7 +687,8 @@ class TestServiceResultCache:
             mode="serial", pipeline="level1", snapshot_path=path
         ) as service:
             service.map(batch, targets=melbourne.target(), seeds=[0] * 4)
-        assert (tmp_path / "svc.snap.results").exists()
+        assert path.exists()
+        assert not (tmp_path / "svc.snap.results").exists()
 
         reborn = CompileService(mode="serial", pipeline="level1", snapshot_path=path)
         try:
@@ -713,3 +697,78 @@ class TestServiceResultCache:
             assert reborn.stats()["result_cache_hits"] == 4
         finally:
             reborn.shutdown(save=False)
+
+    def test_missing_snapshot_is_cold_boot(self, tmp_path):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            service = CompileService(
+                mode="serial", snapshot_path=tmp_path / "absent.snap"
+            )
+        assert service.stats()["result_entries_loaded"] == 0
+        service.shutdown(save=False)
+
+    def test_save_snapshot_explicit_path(self, tmp_path, melbourne):
+        with CompileService(mode="serial", pipeline="level1") as service:
+            service.map(self._batch(2), targets=melbourne.target(), seeds=[0, 0])
+            written = service.save_snapshot(tmp_path / "explicit.snap")
+        assert written is not None
+        assert ResultCache().load_snapshot(written) == 2
+
+    def test_save_snapshot_without_path_is_noop(self):
+        service = CompileService(mode="serial")
+        assert service.save_snapshot() is None
+        service.shutdown()
+
+    def test_warm_restart_serves_bit_identical_results(self, tmp_path, melbourne):
+        path = tmp_path / "svc.snap"
+        batch = self._batch(2)
+        with CompileService(
+            mode="serial", pipeline="level1", snapshot_path=path
+        ) as service:
+            first = service.map(batch, targets=melbourne.target(), seeds=[0, 0])
+        with CompileService(
+            mode="serial", pipeline="level1", snapshot_path=path
+        ) as reborn:
+            served = reborn.map(batch, targets=melbourne.target(), seeds=[0, 0])
+            assert reborn.stats()["result_cache_hits"] == 2
+        for a, b in zip(first, served):
+            assert a.circuit.global_phase == b.circuit.global_phase
+            assert len(a.circuit.data) == len(b.circuit.data)
+            for inst_a, inst_b in zip(a.circuit.data, b.circuit.data):
+                assert inst_a.operation.name == inst_b.operation.name
+                assert inst_a.qubits == inst_b.qubits
+                assert list(inst_a.operation.params) == list(inst_b.operation.params)
+
+    def test_shutdown_without_save_writes_nothing(self, tmp_path, melbourne):
+        path = tmp_path / "svc.snap"
+        service = CompileService(mode="serial", pipeline="level1", snapshot_path=path)
+        service.map(self._batch(1), targets=melbourne.target(), seeds=[0])
+        service.shutdown(save=False)
+        assert not path.exists()
+
+    def test_snapshot_path_without_result_cache_writes_nothing(
+        self, tmp_path, melbourne
+    ):
+        path = tmp_path / "svc.snap"
+        with CompileService(
+            mode="serial", pipeline="level1", snapshot_path=path, result_cache=False
+        ) as service:
+            service.map(self._batch(1), targets=melbourne.target(), seeds=[0])
+            assert service.save_snapshot() is None
+        assert not path.exists()
+
+    def test_process_map_then_immediate_shutdown_persists_results(
+        self, tmp_path, melbourne
+    ):
+        """Results answered by pool workers are stored in the parent's
+        result cache as they arrive, so an immediate shutdown persists
+        the whole batch."""
+        path = tmp_path / "svc.snap"
+        service = CompileService(
+            mode="process", pipeline="level1", max_workers=2, snapshot_path=path
+        )
+        service.map(self._batch(4), targets=melbourne.target(), seeds=[0] * 4)
+        service.shutdown()
+        assert ResultCache().load_snapshot(path) == 4
