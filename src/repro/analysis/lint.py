@@ -30,6 +30,11 @@ Rule catalog (every rule is individually selectable and suppressible):
 * **LCK001** -- locked module state: module-level mutable containers in
   the service/cache/result-cache/backend/server layers may only be
   mutated inside a ``with <lock>:`` block naming a lock.
+* **CIR001** -- checked circuit records: outside
+  ``repro/circuit/quantumcircuit.py`` no code builds a
+  ``CircuitInstruction(...)`` or calls ``<x>.data.append/extend/insert``;
+  every record enters a circuit through ``QuantumCircuit.append``, which
+  checks its wires.
 
 Suppress a finding on one line with ``# repro-lint: ignore[RULE]``
 (comma-separate several rule ids); skip a whole file with
@@ -605,12 +610,72 @@ class LockedModuleState(Rule):
         return None
 
 
+# --------------------------------------------------------------------------
+# CIR001 -- circuit records enter only through QuantumCircuit.append
+# --------------------------------------------------------------------------
+
+_CIR_HOME = "repro/circuit/quantumcircuit.py"
+
+_CIR_DATA_MUTATORS = frozenset({"append", "extend", "insert"})
+
+
+class CheckedCircuitRecords(Rule):
+    id = "CIR001"
+    description = (
+        "outside repro/circuit/quantumcircuit.py, no CircuitInstruction(...) "
+        "and no <x>.data.append/extend/insert(...); use QuantumCircuit.append"
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return not path.endswith(_CIR_HOME)
+
+    def check(self, tree: ast.Module, path: str) -> list[Finding]:
+        findings: list[Finding] = []
+        for node in ast.walk(tree):
+            culprit = self._unchecked(node)
+            if culprit is not None:
+                findings.append(
+                    Finding(
+                        path,
+                        node.lineno,
+                        self.id,
+                        f"{culprit} adds a circuit record without "
+                        "QuantumCircuit.append's wire checks; call "
+                        "circuit.append(operation, qubits, clbits) instead",
+                    )
+                )
+        return findings
+
+    @staticmethod
+    def _unchecked(node: ast.AST) -> str | None:
+        """The offending expression: a record constructor call, or any
+        reference (called or aliased) to a ``.data`` mutator."""
+        if isinstance(node, ast.Call):
+            dotted = _dotted(node.func)
+            if dotted is not None:
+                parts = dotted.split(".")
+                if parts[-1] == "CircuitInstruction" or parts[-2:] == [
+                    "CircuitInstruction",
+                    "_make",
+                ]:
+                    return f"{dotted}()"
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _CIR_DATA_MUTATORS
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "data"
+        ):
+            return _dotted(node) or f"<expr>.data.{node.attr}"
+        return None
+
+
 RULES: tuple[Rule, ...] = (
     BackendResidency(),
     PassMetadata(),
     PickleBoundary(),
     DeterministicKeys(),
     LockedModuleState(),
+    CheckedCircuitRecords(),
 )
 
 

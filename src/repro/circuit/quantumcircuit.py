@@ -29,6 +29,11 @@ class CircuitInstruction(NamedTuple):
     clbits: tuple[int, ...] = ()
 
 
+#: builds a ``CircuitInstruction`` from a 3-tuple, skipping the NamedTuple
+#: ``__new__`` wrapper (``append`` has already checked the fields)
+_new_instruction = tuple.__new__
+
+
 class QuantumCircuit:
     """A quantum program as an ordered list of operations.
 
@@ -115,19 +120,47 @@ class QuantumCircuit:
         qubits: Sequence[int],
         clbits: Sequence[int] = (),
     ) -> "QuantumCircuit":
-        """Append ``operation`` to the given wires.  Returns ``self``."""
-        qubits = tuple(int(q) for q in qubits)
-        clbits = tuple(int(c) for c in clbits)
-        if operation.num_qubits != len(qubits):
+        """Append ``operation`` to the given wires.  Returns ``self``.
+
+        Every record passes the same checks, in this order, whatever its
+        width; the first that fails raises:
+
+        * each qubit and clbit is coerced with ``int()`` (``TypeError`` or
+          ``ValueError`` from ``int`` itself);
+        * the qubit count, then the clbit count, must match the
+          operation's (``ValueError``);
+        * each qubit must lie in ``0..num_qubits-1`` (``IndexError``);
+        * no qubit may repeat (``ValueError``);
+        * each clbit must lie in ``0..num_clbits-1`` (``IndexError``).
+        """
+        qubits = tuple(map(int, qubits))
+        if type(clbits) is not tuple or clbits:  # () needs no coercion
+            clbits = tuple(map(int, clbits))
+        width = len(qubits)
+        if operation.num_qubits != width:
             raise ValueError(
-                f"{operation.name} expects {operation.num_qubits} qubits, got {len(qubits)}"
+                f"{operation.name} expects {operation.num_qubits} qubits, got {width}"
             )
         if operation.num_clbits != len(clbits):
             raise ValueError(
                 f"{operation.name} expects {operation.num_clbits} clbits, got {len(clbits)}"
             )
-        self._check_wires(qubits, clbits)
-        self.data.append(CircuitInstruction(operation, qubits, clbits))
+        # inline tests for the common widths; _check_wires raises the exact
+        # error whenever one of them fails, and handles every other width
+        num_qubits = self._num_qubits
+        if width == 1:
+            valid = 0 <= qubits[0] < num_qubits
+        elif width == 2:
+            a, b = qubits
+            valid = 0 <= a < num_qubits and 0 <= b < num_qubits and a != b
+        else:
+            valid = False
+        if valid and clbits:
+            num_clbits = self._num_clbits
+            valid = all(0 <= clbit < num_clbits for clbit in clbits)
+        if not valid:
+            self._check_wires(qubits, clbits)
+        self.data.append(_new_instruction(CircuitInstruction, (operation, qubits, clbits)))
         return self
 
     # -- one-qubit gates -------------------------------------------------

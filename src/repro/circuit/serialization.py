@@ -382,15 +382,19 @@ def payload_rebind(payload: tuple, params) -> tuple:
 
 
 def circuit_from_payload(payload: tuple) -> QuantumCircuit:
-    """Rebuild the :class:`QuantumCircuit` a payload describes."""
-    from repro.circuit.quantumcircuit import CircuitInstruction
+    """Rebuild the :class:`QuantumCircuit` a payload describes.
 
+    Every record goes through :meth:`QuantumCircuit.append`, so a malformed
+    payload (a wire out of range, a repeated qubit, a wire count that does
+    not match the operation) raises ``append``'s own typed error here, at
+    decode time.
+    """
     version, name, num_qubits, num_clbits, phase, table, data = payload
     if version != PAYLOAD_VERSION:
         raise ValueError(f"unsupported circuit payload version {version}")
     operations = [_build_operation(spec) for spec in table]
     circuit = QuantumCircuit(num_qubits, num_clbits, name=name, global_phase=phase)
-    append = circuit.data.append
+    append = circuit.append
     for index, qubits, clbits in data:
-        append(CircuitInstruction(operations[index], tuple(qubits), tuple(clbits)))
+        append(operations[index], qubits, clbits)
     return circuit

@@ -79,8 +79,14 @@ class CouplingMap:
         return self.graph.has_edge(a, b)
 
     def distance(self, a: int, b: int) -> int:
-        """Shortest-path distance between two physical qubits."""
-        return int(self.distance_matrix[a, b])
+        """Shortest-path distance between two physical qubits.
+
+        Raises :class:`TranspilerError` when no path joins them.
+        """
+        length = self.distance_matrix[a, b]
+        if np.isinf(length):
+            raise TranspilerError(f"physical qubits {a} and {b} are not connected")
+        return int(length)
 
     @property
     def distance_matrix(self) -> np.ndarray:

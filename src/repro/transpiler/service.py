@@ -707,9 +707,20 @@ class CompileService:
             return futures
         futures = []
         for (circuit_payload, _, merged), target in zip(prepared, targets):
+            try:
+                circuit = circuit_from_payload(circuit_payload)
+            except (IndexError, TypeError, ValueError) as exc:
+                # a malformed payload fails only its own job, as in a chunk
+                failed: Future = Future()
+                failed.set_exception(exc)
+                with self._lock:
+                    self._submitted += 1
+                    self._failed += 1
+                futures.append(failed)
+                continue
             futures.append(
                 self.submit(
-                    circuit_from_payload(circuit_payload),
+                    circuit,
                     target=target,
                     pipeline=merged["pipeline"],
                     optimization_level=merged["optimization_level"],

@@ -349,6 +349,76 @@ class TestLCK001:
         assert rule_ids(src, SERVICE_PATH) == []
 
 
+class TestCIR001:
+    def test_direct_record_construction_flagged(self):
+        src = """
+        from repro.circuit.quantumcircuit import CircuitInstruction
+        def decode(circuit, op, qubits):
+            return CircuitInstruction(op, qubits, ())
+        """
+        found = findings(src, PASSES_PATH)
+        assert [f.rule for f in found] == ["CIR001"]
+        assert "CircuitInstruction()" in found[0].message
+
+    def test_qualified_and_make_constructions_flagged(self):
+        src = """
+        import repro.circuit.quantumcircuit as qc
+        def decode(op):
+            a = qc.CircuitInstruction(op, (0,))
+            b = qc.CircuitInstruction._make((op, (0,), ()))
+            return a, b
+        """
+        assert rule_ids(src, PASSES_PATH) == ["CIR001", "CIR001"]
+
+    def test_data_mutators_flagged(self):
+        src = """
+        def splice(circuit, other, record):
+            circuit.data.append(record)
+            circuit.data.extend(other.data)
+            self_out = circuit
+            self_out.data.insert(0, record)
+            append = circuit.data.append
+            append(record)
+        """
+        # the alias on line 7 is flagged where the mutator is taken
+        assert [f.line for f in findings(src, PASSES_PATH)] == [3, 4, 6, 7]
+
+    def test_call_result_data_flagged(self):
+        src = """
+        def splice(make, record):
+            make().data.append(record)
+        """
+        found = findings(src, PASSES_PATH)
+        assert [f.rule for f in found] == ["CIR001"]
+        assert "<expr>.data.append" in found[0].message
+
+    def test_checked_paths_clean(self):
+        src = """
+        def build(circuit, op, records, data):
+            circuit.append(op, (0, 1))
+            records.append(op)
+            data.append(op)
+            list(circuit.data).append(op)
+            return circuit.data[0], len(circuit.data)
+        """
+        assert rule_ids(src, PASSES_PATH) == []
+
+    def test_quantumcircuit_module_exempt(self):
+        src = """
+        class QuantumCircuit:
+            def append(self, op, qubits, clbits=()):
+                self.data.append(CircuitInstruction(op, qubits, clbits))
+        """
+        assert rule_ids(src, "src/repro/circuit/quantumcircuit.py") == []
+        assert rule_ids(src, "src/repro/circuit/serialization.py") == ["CIR001", "CIR001"]
+
+    def test_src_tree_is_clean(self):
+        from pathlib import Path
+
+        src_root = Path(__file__).resolve().parents[2] / "src"
+        assert lint.lint_paths([str(src_root)], select={"CIR001"}) == []
+
+
 class TestDriver:
     def test_skip_file_pragma(self):
         src = """\
@@ -404,7 +474,7 @@ class TestDriver:
     def test_cli_list_rules(self, capsys):
         assert lint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RES001", "PAS001", "PCK001", "DET001", "LCK001"):
+        for rule_id in ("RES001", "PAS001", "PCK001", "DET001", "LCK001", "CIR001"):
             assert rule_id in out
 
     def test_syntax_error_reported_not_raised(self, tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.circuit import ClassicalRegister, QuantumCircuit, QuantumRegister
-from repro.gates import CXGate, XGate
+from repro.circuit.instruction import Instruction
+from repro.circuit.quantumcircuit import CircuitInstruction
+from repro.gates import Barrier, CCXGate, CXGate, MCXGate, Measure, XGate
 
 
 class TestConstruction:
@@ -56,6 +58,94 @@ class TestAppend:
     def test_builder_returns_self(self):
         circuit = QuantumCircuit(1)
         assert circuit.x(0) is circuit
+
+    #: (operation, qubits, clbits, exception type, message), on a circuit
+    #: with 3 qubits and 2 clbits; the first failing check must raise
+    FAILURES = [
+        (XGate, (3,), (), IndexError, "qubit 3 out of range (0..2)"),
+        (XGate, (-1,), (), IndexError, "qubit -1 out of range (0..2)"),
+        (CXGate, (0, 5), (), IndexError, "qubit 5 out of range (0..2)"),
+        (CXGate, (7, 5), (), IndexError, "qubit 7 out of range (0..2)"),
+        (CXGate, (-2, 1), (), IndexError, "qubit -2 out of range (0..2)"),
+        (CCXGate, (0, 1, 3), (), IndexError, "qubit 3 out of range (0..2)"),
+        (CXGate, (1, 1), (), ValueError, "duplicate qubit arguments (1, 1)"),
+        (CCXGate, (0, 2, 0), (), ValueError, "duplicate qubit arguments (0, 2, 0)"),
+        (CCXGate, (1, 1, 4), (), IndexError, "qubit 4 out of range (0..2)"),
+        (Measure, (0,), (2,), IndexError, "clbit 2 out of range (0..1)"),
+        (Measure, (0,), (-1,), IndexError, "clbit -1 out of range (0..1)"),
+        (Measure, (5,), (5,), IndexError, "qubit 5 out of range (0..2)"),
+        (CXGate, (0,), (), ValueError, "cx expects 2 qubits, got 1"),
+        (XGate, (0, 1), (), ValueError, "x expects 1 qubits, got 2"),
+        (CXGate, (9,), (), ValueError, "cx expects 2 qubits, got 1"),
+        (Measure, (0,), (), ValueError, "measure expects 1 clbits, got 0"),
+        (Measure, (0, 1), (), ValueError, "measure expects 1 qubits, got 2"),
+        (XGate, (0,), (0,), ValueError, "x expects 0 clbits, got 1"),
+        (XGate, ("a",), (), ValueError, "invalid literal for int() with base 10: 'a'"),
+        (CXGate, ("a",), (), ValueError, "invalid literal for int() with base 10: 'a'"),
+        (Measure, (9,), ("c",), ValueError, "invalid literal for int() with base 10: 'c'"),
+    ]
+
+    @pytest.mark.parametrize("gate, qubits, clbits, error, message", FAILURES)
+    def test_failure_type_and_message(self, gate, qubits, clbits, error, message):
+        circuit = QuantumCircuit(3, 2)
+        with pytest.raises(error) as caught:
+            circuit.append(gate(), qubits, clbits)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert circuit.data == []
+
+    def test_none_qubit_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            QuantumCircuit(2).append(XGate(), (None,))
+
+    def test_empty_circuit_ranges(self):
+        with pytest.raises(IndexError, match=r"^qubit 0 out of range \(0\.\.-1\)$"):
+            QuantumCircuit(0).append(XGate(), (0,))
+        with pytest.raises(IndexError, match=r"^clbit 0 out of range \(0\.\.-1\)$"):
+            QuantumCircuit(1).append(Measure(), (0,), (0,))
+
+    @pytest.mark.parametrize(
+        "qubits",
+        [
+            (0, 2),
+            [0, 2],
+            np.array([0, 2]),
+            [np.int64(0), np.int32(2)],
+            (q for q in (0, 2)),
+            range(0, 3, 2),
+        ],
+        ids=["tuple", "list", "ndarray", "numpy-ints", "generator", "range"],
+    )
+    def test_wire_coercion(self, qubits):
+        circuit = QuantumCircuit(3, 2)
+        gate = CXGate()
+        measure = Measure()
+        circuit.append(gate, qubits)
+        circuit.append(measure, [np.int64(1)], np.array([1]))
+        assert circuit.data == [
+            CircuitInstruction(gate, (0, 2), ()),
+            CircuitInstruction(measure, (1,), (1,)),
+        ]
+        for instruction in circuit.data:
+            assert type(instruction) is CircuitInstruction
+            assert instruction.operation is instruction[0]
+            assert all(type(w) is int for w in instruction.qubits + instruction.clbits)
+
+    def test_zero_and_wide_operations(self):
+        circuit = QuantumCircuit(4, 1)
+        marker = Instruction("marker", 0, 0)
+        circuit.append(marker, ())
+        circuit.append(CCXGate(), (3, 0, 1))
+        circuit.append(MCXGate(3), [2, 1, 0, 3])
+        circuit.append(Barrier(4), range(4))
+        circuit.append(Instruction("tick", 0, 1), (), (0,))
+        assert [(i.operation.name, i.qubits, i.clbits) for i in circuit.data] == [
+            ("marker", (), ()),
+            ("ccx", (3, 0, 1), ()),
+            ("mcx", (2, 1, 0, 3), ()),
+            ("barrier", (0, 1, 2, 3), ()),
+            ("tick", (), (0,)),
+        ]
 
 
 class TestMetrics:

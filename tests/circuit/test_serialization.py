@@ -152,6 +152,44 @@ class TestPayloadRoundTrip:
             circuit_from_payload(bad)
 
 
+class TestMalformedPayloads:
+    """Decoding checks every record the way ``QuantumCircuit.append`` does."""
+
+    def _payload(self, records):
+        circuit = QuantumCircuit(2, 1)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.measure(1, 0)
+        version, name, nq, nc, phase, table, data = circuit_to_payload(circuit)
+        assert [entry[0] for entry in table] == ["HGate", "CXGate", "Measure"]
+        return (version, name, nq, nc, phase, table, data[:1] + tuple(records))
+
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            ((1, (0, 5), ()), IndexError, "qubit 5 out of range (0..1)"),
+            ((0, (-1,), ()), IndexError, "qubit -1 out of range (0..1)"),
+            ((1, (1, 1), ()), ValueError, "duplicate qubit arguments (1, 1)"),
+            ((2, (0,), (3,)), IndexError, "clbit 3 out of range (0..0)"),
+            ((1, (0,), ()), ValueError, "cx expects 2 qubits, got 1"),
+            ((2, (0,), ()), ValueError, "measure expects 1 clbits, got 0"),
+        ],
+    )
+    def test_decoding_raises_appends_error(self, record, error, message):
+        with pytest.raises(error) as caught:
+            circuit_from_payload(self._payload([record]))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_well_formed_records_still_decode(self):
+        circuit = circuit_from_payload(self._payload([(1, [1, 0], []), (2, (0,), (0,))]))
+        assert [(i.operation.name, i.qubits, i.clbits) for i in circuit.data] == [
+            ("h", (0,), ()),
+            ("cx", (1, 0), ()),
+            ("measure", (0,), (0,)),
+        ]
+
+
 class TestDefinitionStripping:
     def test_rebuildable_definition_dropped_from_pickle(self):
         gate = MCXGate(2)

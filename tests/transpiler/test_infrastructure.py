@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.transpiler.passes.routing as routing
 from repro.circuit import QuantumCircuit
 from repro.transpiler import CouplingMap, Layout, PassManager, TranspilerError
 from repro.transpiler.passmanager import (
@@ -60,6 +61,12 @@ class TestCouplingMap:
     def test_shortest_path(self):
         cmap = CouplingMap.line(5)
         assert cmap.shortest_path(0, 3) == [0, 1, 2, 3]
+
+    def test_distance_across_components_is_typed(self):
+        cmap = CouplingMap([(0, 1), (2, 3)])
+        assert cmap.distance(2, 3) == 1
+        with pytest.raises(TranspilerError, match="physical qubits 1 and 2 are not connected"):
+            cmap.distance(1, 2)
 
 
 class TestLayout:
@@ -199,6 +206,52 @@ class TestRouting:
         circuit.ccx(0, 1, 2)
         with pytest.raises(TranspilerError):
             self._route(circuit, cmap)
+
+    @pytest.mark.parametrize("wide_first", [False, True])
+    def test_rejects_wide_gates_wherever_they_sit(self, wide_first):
+        # an uncoupled cx used to end the pre-scan before it reached the ccx
+        cmap = CouplingMap.line(4)
+        circuit = QuantumCircuit(4)
+        if wide_first:
+            circuit.ccx(0, 1, 3)
+        circuit.cx(0, 3)
+        if not wide_first:
+            circuit.ccx(0, 1, 3)
+        with pytest.raises(TranspilerError, match="cannot route 3-qubit gate 'ccx'"):
+            StochasticSwap(cmap, trials=2).run(circuit, PropertySet())
+
+    def test_wide_directive_is_routed(self):
+        cmap = CouplingMap.line(4)
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 3)
+        circuit.barrier(0, 1, 3)
+        props = PropertySet()
+        routed = StochasticSwap(cmap, trials=2).run(circuit, props)
+        assert routed.data[-1].operation.name == "barrier"
+        assert routed.data[-1].qubits == tuple(props["final_permutation"][q] for q in (0, 1, 3))
+
+    def test_disconnected_map_raises_before_swapping(self, monkeypatch):
+        cmap = CouplingMap([(0, 1), (1, 2), (3, 4)], 5)
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 2)
+        circuit.cz(1, 4)
+        chosen = []
+        monkeypatch.setattr(routing, "_choose_swap", lambda *args: chosen.append(args))
+        with pytest.raises(TranspilerError, match="'cz' on physical qubits 1 and 4"):
+            StochasticSwap(cmap, trials=3).run(circuit, PropertySet())
+        assert chosen == []
+
+    def test_disconnected_map_routes_within_components(self):
+        cmap = CouplingMap([(0, 1), (1, 2), (3, 4)], 5)
+        circuit = QuantumCircuit(5)
+        circuit.cx(0, 2)
+        circuit.cx(3, 4)
+        props = PropertySet()
+        routed = StochasticSwap(cmap, trials=3).run(circuit, props)
+        assert props["routing_swaps"] == 1
+        check = PropertySet()
+        CheckMap(cmap).run(routed, check)
+        assert check["is_swap_mapped"]
 
     def test_no_swaps_when_already_mapped(self):
         cmap = CouplingMap.line(3)

@@ -469,6 +469,40 @@ class TestChunkedDispatch:
         with CompileService(mode="serial") as service:
             assert service.submit_payloads([]) == []
 
+    @pytest.mark.parametrize("mode", ["process", "serial"])
+    def test_malformed_payload_fails_alone(self, melbourne, mode):
+        """Decoding is the server's ingress check: a payload naming a qubit
+        the circuit does not have fails its own job with append's error,
+        and the rest of the batch compiles."""
+        from repro.circuit.serialization import circuit_to_payload
+
+        target = melbourne.target()
+        settings = {
+            "pipeline": "level1",
+            "optimization_level": None,
+            "seed": 0,
+            "initial_layout": None,
+        }
+        circuits = [ry_ansatz(3, depth=1, seed=s) for s in range(16)]
+        payloads = [circuit_to_payload(c) for c in circuits]
+        version, name, nq, nc, phase, table, data = payloads[1]
+        index, _, clbits = data[0]
+        bad_data = ((index, (5,), clbits),) + data[1:]
+        payloads[1] = (version, name, nq, nc, phase, table, bad_data)
+        jobs = [(payload, target.to_payload(), settings) for payload in payloads]
+        with CompileService(mode=mode, max_workers=2, result_cache=False) as service:
+            futures = service.submit_payloads(jobs)
+            with pytest.raises(IndexError, match=r"qubit 5 out of range \(0\.\.2\)"):
+                futures[1].result()
+            for future in futures[:1] + futures[2:]:
+                assert future.result().circuit.count_ops()
+            stats = service.stats()
+        if mode == "process":
+            # jobs 0 and 1 shared one pool task
+            assert stats["chunks"] <= len(jobs) // 2
+        assert stats["failed"] == 1
+        assert stats["completed"] == len(jobs) - 1
+
 
 class TestAutosave:
     def test_periodic_autosave_writes_snapshot_before_shutdown(
