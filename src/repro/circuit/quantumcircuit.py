@@ -511,18 +511,21 @@ class QuantumCircuit:
     def depth(self) -> int:
         """Circuit depth counting all non-directive operations."""
         levels = [0] * (self._num_qubits + self._num_clbits)
-        depth = 0
-        for instruction in self.data:
-            if instruction.operation.is_directive:
+        for operation, qubits, clbits in self.data:
+            if operation.is_directive:
                 continue
-            wires = list(instruction.qubits) + [
-                self._num_qubits + c for c in instruction.clbits
-            ]
-            level = 1 + max(levels[w] for w in wires)
-            for wire in wires:
-                levels[wire] = level
-            depth = max(depth, level)
-        return depth
+            if clbits or not 0 < len(qubits) < 3:
+                wires = (*qubits, *(self._num_qubits + c for c in clbits))
+                level = 1 + max(levels[w] for w in wires)
+                for wire in wires:
+                    levels[wire] = level
+            elif len(qubits) == 1:
+                levels[qubits[0]] += 1
+            else:
+                a, b = qubits
+                level = 1 + (levels[a] if levels[a] > levels[b] else levels[b])
+                levels[a] = levels[b] = level
+        return max(levels, default=0)
 
     # ------------------------------------------------------------------
     # numerics

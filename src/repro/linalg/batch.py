@@ -20,7 +20,7 @@ Python dispatch; this module instead operates on **stacked operands** --
   one-qubit Euler extraction matching
   :func:`repro.linalg.euler.u3_params_from_unitary` elementwise;
 * :func:`weyl_coordinates_batch` -- canonical-gate coordinates of a stack
-  of two-qubit unitaries;
+  of two-qubit unitaries (host NumPy: the Weyl kernel's coordinate stage);
 * :func:`is_unitary_batch` / :func:`is_identity_up_to_phase_batch` --
   vectorized predicates mirroring :mod:`repro.linalg.predicates`;
 * :func:`u3_matrix_batch` / :func:`apply_1q_batch` -- vectorized ``u3``
@@ -464,45 +464,25 @@ def monomial_permutations_batch(stack, tol: float = 1e-10):
 def weyl_coordinates_batch(stack) -> np.ndarray:
     """Canonical-gate coordinates ``(a, b, c)`` of stacked 4x4 unitaries.
 
-    Mirrors :func:`repro.linalg.weyl.weyl_coordinates` elementwise -- the
-    eigenphases of the magic-basis Gram matrix, branch-snapped, sorted
-    descending and determinant-normalized -- but computes every Gram
-    matrix with stacked matmuls and every spectrum through one batched
-    ``eigvals`` call.  Returns an ``(N, 3)`` array.
+    The coordinate stage of the Weyl kernel
+    (:func:`repro.linalg.weyl.canonical_forms`), which runs on host NumPy
+    like all two-qubit synthesis: elementwise bit-identical to
+    :func:`repro.linalg.weyl.weyl_coordinates`.  Returns an ``(N, 3)``
+    array; a matrix the kernel rejects raises its error.
     """
-    from repro.linalg.weyl import _MAGIC_DAG, MAGIC_BASIS
+    from repro.linalg.weyl import canonical_forms
 
-    backend = get_backend()
-    xp = backend.xp
-    unitaries = backend.asarray(_as_stack(stack), dtype=complex)
+    unitaries = _as_stack(stack)
     if unitaries.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 operands, got shape {unitaries.shape}")
-    det = xp.linalg.det(unitaries)
-    if bool(xp.any(xp.abs(xp.abs(det) - 1.0) > 1e-6)):
-        raise ValueError("stack contains a non-unitary matrix (|det| != 1)")
-    special = unitaries * xp.exp(-1j * xp.angle(det) / 4)[..., None, None]
-    magic = xp.asarray(_MAGIC_DAG) @ special @ xp.asarray(MAGIC_BASIS)
-    gram = xp.matmul(xp.swapaxes(magic, -1, -2), magic)
-    try:
-        eigvals = xp.linalg.eigvals(gram)
-    except AttributeError:  # pragma: no cover - CuPy lacks general eigvals
-        eigvals = np.linalg.eigvals(backend.to_numpy(gram))
-        xp = np
-    eigvals = eigvals / xp.abs(eigvals)
-    theta = xp.angle(eigvals) / 2
-    # same branch snap as the scalar path: fold theta just below -pi/2 up
-    theta = xp.where(theta < -np.pi / 2 + 1e-8, theta + np.pi, theta)
-    theta = -xp.sort(-theta, axis=-1)  # descending
-    # det(D) normalization: the eigenphase sum is a multiple of pi; absorb
-    # it into the last (smallest) phase, exactly like the scalar routine
-    k = xp.rint(theta.sum(axis=-1) / np.pi)
-    theta = xp.concatenate(
-        [theta[..., :3], (theta[..., 3] - k * np.pi)[..., None]], axis=-1
-    )
-    a = (theta[..., 0] + theta[..., 1] - theta[..., 2] - theta[..., 3]) / 4
-    b = (-theta[..., 0] + theta[..., 1] - theta[..., 2] + theta[..., 3]) / 4
-    c = (theta[..., 0] - theta[..., 1] - theta[..., 2] + theta[..., 3]) / 4
-    return get_backend().to_numpy(xp.stack([a, b, c], axis=-1))
+    forms = canonical_forms(unitaries.reshape(-1, 4, 4))
+    for form in forms:
+        if isinstance(form, ValueError):
+            raise ValueError(f"stack contains a non-unitary matrix: {form}")
+        if isinstance(form, Exception):
+            raise form
+    coordinates = np.array([form.coordinates for form in forms], dtype=float)
+    return coordinates.reshape(unitaries.shape[:-2] + (3,))
 
 
 # -- batched predicates ------------------------------------------------------

@@ -38,11 +38,21 @@ import numpy as np
 from repro.linalg.euler import u3_matrix, u3_params_from_unitary
 from repro.linalg.kron import decompose_kron
 from repro.linalg.state_prep import two_qubit_state_prep_factors
-from repro.linalg.weyl import WeylDecomposition, num_cnots_required, weyl_decompose
+from repro.linalg.weyl import (
+    CanonicalForm,
+    WeylDecomposition,
+    canonical_forms,
+    num_cnots_required,
+    weyl_decompose,
+    weyl_factors,
+)
 
 __all__ = [
+    "SYNTHESIS_ERRORS",
     "SynthesisPlan",
+    "plan_size_floor",
     "plan_two_qubit_unitary",
+    "plan_two_qubit_unitaries",
     "synthesize_two_qubit_unitary",
     "two_qubit_state_prep_circuit",
     "TwoQubitSynthesisError",
@@ -56,6 +66,10 @@ _ID = np.eye(2, dtype=complex)
 
 class TwoQubitSynthesisError(RuntimeError):
     """Raised when no candidate circuit reproduces the target matrix."""
+
+
+#: the typed failures of planning and synthesis (anything else is a bug)
+SYNTHESIS_ERRORS = (TwoQubitSynthesisError, np.linalg.LinAlgError, ValueError)
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -229,9 +243,22 @@ def _emit_product(unitary: np.ndarray) -> SynthesisPlan:
 _CX_TEMPLATE = weyl_decompose(_CX_LITTLE_ENDIAN[1, 0])
 
 
-def _template_matrix_2cx(a: float, b: float) -> np.ndarray:
+def _template_matrices_2cx(pairs: list[tuple[float, float]]) -> np.ndarray:
+    """``CX . (Ry(-2b) (x) Rz(2a)) . CX`` for every ``(a, b)``, stacked;
+    entry for entry the ``_ry``/``_rz`` matrices and ``np.kron``."""
+    a, b = np.array(pairs, dtype=float).T
+    half = -2 * b / 2
+    ry = np.zeros((len(pairs), 2, 2), dtype=complex)
+    ry[:, 0, 0] = ry[:, 1, 1] = np.cos(half)
+    ry[:, 1, 0] = np.sin(half)
+    ry[:, 0, 1] = -ry[:, 1, 0].real
+    phi = 2 * a
+    rz = np.zeros((len(pairs), 2, 2), dtype=complex)
+    rz[:, 0, 0] = np.exp(-1j * phi / 2)
+    rz[:, 1, 1] = np.exp(1j * phi / 2)
+    kron = (ry[:, :, None, :, None] * rz[:, None, :, None, :]).reshape(len(pairs), 4, 4)
     cx = _CX_LITTLE_ENDIAN[1, 0]
-    return cx @ np.kron(_ry(-2 * b), _rz(2 * a)) @ cx
+    return cx @ kron @ cx
 
 
 def _two_cnot_parameters(coordinates) -> list[tuple[float, float]]:
@@ -264,24 +291,24 @@ def _two_cnot_parameters(coordinates) -> list[tuple[float, float]]:
     return candidates
 
 
+def _same_class(target, template, coord_tol: float = 1e-6) -> bool:
+    """Whether two decompositions (or canonical forms) share canonical
+    coordinates."""
+    mismatch = max(
+        abs(x - y) for x, y in zip(target.coordinates, template.coordinates)
+    )
+    return mismatch <= coord_tol
+
+
 def _compose_with_template(
-    target: WeylDecomposition,
-    template: WeylDecomposition,
-    emit_template,
-    coord_tol: float = 1e-6,
-) -> SynthesisPlan | None:
+    target: WeylDecomposition, template: WeylDecomposition, emit_template
+) -> SynthesisPlan:
     """Express the target through a template of the same canonical class.
 
     ``U = e^{i(pu - pv)} (K1u K1v^+) V (K2v^+ K2u)`` where ``V`` is the
     template (given by its Weyl decomposition) and both decompositions
-    share the canonical coordinates.  Returns ``None`` when the classes do
-    not match.
+    share the canonical coordinates (:func:`_same_class`).
     """
-    mismatch = max(
-        abs(x - y) for x, y in zip(target.coordinates, template.coordinates)
-    )
-    if mismatch > coord_tol:
-        return None
     builder = _PlanBuilder()
     builder.add_1q(1, template.K2l.conj().T @ target.K2l)
     builder.add_1q(0, template.K2r.conj().T @ target.K2r)
@@ -289,6 +316,46 @@ def _compose_with_template(
     builder.add_1q(1, target.K1l @ template.K1l.conj().T)
     builder.add_1q(0, target.K1r @ template.K1r.conj().T)
     return builder.finish(target.phase - template.phase)
+
+
+def _emit_cx(builder: _PlanBuilder) -> None:
+    builder.add_cx(1, 0)
+
+
+def _emit_2cx(a: float, b: float):
+    def emit(builder: _PlanBuilder) -> None:
+        builder.add_cx(1, 0)
+        builder.add_1q(1, _ry(-2 * b))
+        builder.add_1q(0, _rz(2 * a))
+        builder.add_cx(1, 0)
+
+    return emit
+
+
+def _emit_canonical(target: WeylDecomposition) -> SynthesisPlan:
+    """The generic 3-CNOT plan through the exact canonical identity."""
+    builder = _PlanBuilder()
+    builder.add_1q(1, target.K2l)
+    builder.add_1q(0, target.K2r)
+    _canonical_circuit(builder, target.a, target.b, target.c)
+    builder.add_1q(1, target.K1l)
+    builder.add_1q(0, target.K1r)
+    return builder.finish(target.phase)
+
+
+#: fewest gates a plan with this many CNOTs can hold.  A 3-CNOT plan always
+#: emits its three CNOTs plus ``Rx(2b) S``, ``H Rz(-2c) S`` and ``H`` from
+#: the canonical identity, none of which is ever a global phase.  A 2-CNOT
+#: plan has at least one non-trivial gate between its CNOTs: with none,
+#: its unitary would be local (0-CNOT class).
+_PLAN_SIZE_FLOOR = {2: 3, 3: 6}
+
+
+def plan_size_floor(cnots: int) -> int:
+    """A lower bound on ``plan_two_qubit_unitary(u, cnots).size`` that holds
+    for every ``u`` whose minimal CNOT count is ``cnots`` (2 or 3: the only
+    counts a CX-count tie of a block with two or more CNOTs can have)."""
+    return _PLAN_SIZE_FLOOR[cnots]
 
 
 def synthesize_two_qubit_unitary(unitary: np.ndarray, atol: float = 1e-7):
@@ -317,40 +384,89 @@ def plan_two_qubit_unitary(unitary: np.ndarray, cnots: int) -> SynthesisPlan | N
 
     Returns ``None`` when the template does not match.  The plan is not
     checked against the target: :func:`synthesize_two_qubit_unitary` does
-    that, and escalates ``cnots`` on a miss.
+    that, and escalates ``cnots`` on a miss.  This is
+    :func:`plan_two_qubit_unitaries` on one item, raising its error.
     """
-    if cnots == 0:
-        try:
-            return _emit_product(unitary)
-        except ValueError:
-            return None
-    target = weyl_decompose(unitary)
-    if cnots == 1:
-        return _compose_with_template(
-            target, _CX_TEMPLATE, lambda builder: builder.add_cx(1, 0)
-        )
-    if cnots == 2:
-        for a, b in _two_cnot_parameters(target.coordinates):
-            template = weyl_decompose(_template_matrix_2cx(a, b))
+    [plan] = plan_two_qubit_unitaries([unitary], [cnots])
+    if isinstance(plan, Exception):
+        raise plan
+    return plan
 
-            def emit(builder: _PlanBuilder, a=a, b=b) -> None:
-                builder.add_cx(1, 0)
-                builder.add_1q(1, _ry(-2 * b))
-                builder.add_1q(0, _rz(2 * a))
-                builder.add_cx(1, 0)
 
-            candidate = _compose_with_template(target, template, emit)
-            if candidate is not None:
-                return candidate
-        return None
-    # generic 3-CNOT path through the exact canonical identity
-    builder = _PlanBuilder()
-    builder.add_1q(1, target.K2l)
-    builder.add_1q(0, target.K2r)
-    _canonical_circuit(builder, target.a, target.b, target.c)
-    builder.add_1q(1, target.K1l)
-    builder.add_1q(0, target.K1r)
-    return builder.finish(target.phase)
+def plan_two_qubit_unitaries(unitaries, cnots) -> list:
+    """:func:`plan_two_qubit_unitary` of every ``(unitaries[i], cnots[i])``
+    in one pass over the stacked Weyl kernel.
+
+    Each item is a :class:`SynthesisPlan`, ``None`` (no template matches),
+    or the typed error (one of :data:`SYNTHESIS_ERRORS`) that item alone
+    raised; one failing item never sinks the others.  Template matching
+    is coordinates first: every candidate template gets only its canonical
+    coordinates, and only a target whose template matches (and that
+    template) pays for the local factors.
+    """
+    plans: list = [None] * len(unitaries)
+    weyl_items = []
+    for index, (unitary, count) in enumerate(zip(unitaries, cnots)):
+        if count == 0:
+            try:
+                plans[index] = _emit_product(unitary)
+            except ValueError:
+                pass  # not a tensor product: no 0-CNOT plan
+            except np.linalg.LinAlgError as error:
+                plans[index] = error
+        else:
+            weyl_items.append(index)
+    if not weyl_items:
+        return plans
+    targets = canonical_forms(np.array([unitaries[index] for index in weyl_items]))
+
+    # coordinates first: which template (if any) each target matches
+    matches: dict = {}  # index -> (target, template, emit)
+    searches = []  # (index, target form, [(a, b)])
+    for index, target in zip(weyl_items, targets):
+        if isinstance(target, Exception):
+            plans[index] = target
+        elif cnots[index] == 1:
+            if _same_class(target, _CX_TEMPLATE):
+                matches[index] = (target, _CX_TEMPLATE, _emit_cx)
+        elif cnots[index] == 2:
+            searches.append((index, target, _two_cnot_parameters(target.coordinates)))
+        else:
+            matches[index] = (target, None, None)
+    candidates = [pair for _, _, pairs in searches for pair in pairs]
+    if candidates:
+        forms = iter(canonical_forms(_template_matrices_2cx(candidates)))
+        for index, target, pairs in searches:
+            for a, b in pairs:
+                template = next(forms)
+                if index in matches or isinstance(plans[index], Exception):
+                    continue  # settled by an earlier candidate
+                if isinstance(template, Exception):
+                    plans[index] = template
+                elif _same_class(target, template):
+                    matches[index] = (target, template, _emit_2cx(a, b))
+
+    # factors only for matched targets and the templates they matched
+    pending = [
+        form
+        for target, template, _ in matches.values()
+        for form in (target, template)
+        if isinstance(form, CanonicalForm)
+    ]
+    factored = iter(weyl_factors(pending))
+    for index, (target, template, emit) in matches.items():
+        target = next(factored)
+        if isinstance(template, CanonicalForm):
+            template = next(factored)
+        if isinstance(target, Exception):
+            plans[index] = target
+        elif isinstance(template, Exception):
+            plans[index] = template
+        elif template is None:
+            plans[index] = _emit_canonical(target)
+        else:
+            plans[index] = _compose_with_template(target, template, emit)
+    return plans
 
 
 def two_qubit_state_prep_circuit(statevector: np.ndarray):

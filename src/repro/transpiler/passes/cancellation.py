@@ -20,7 +20,13 @@ _SELF_INVERSE_SYMMETRIC = {"cz", "swap"}
 _DIAGONAL_1Q = {"u1", "z", "s", "sdg", "t", "tdg", "rz"}
 
 
-def _emit_surviving(circuit: QuantumCircuit, survivors: list) -> QuantumCircuit:
+def _emit_surviving(
+    circuit: QuantumCircuit, survivors: list, cancelled: int
+) -> QuantumCircuit:
+    """The circuit of the surviving instructions; ``circuit`` itself when
+    nothing was cancelled, so the pass manager sees it unchanged at once."""
+    if not cancelled:
+        return circuit
     output = circuit.copy_empty_like()
     for item in survivors:
         if item is not None:
@@ -39,6 +45,7 @@ class CXCancellation(TransformationPass):
         rewrites = rewrite_counter(property_set)
         survivors: list[CircuitInstruction | None] = []
         last_on_wire: dict[int, int] = {}  # qubit -> index into survivors
+        cancelled_pairs = 0
 
         for instruction in circuit.data:
             operation = instruction.operation
@@ -56,12 +63,14 @@ class CXCancellation(TransformationPass):
                         for qubit in qubits:
                             del last_on_wire[qubit]
                         cancelled = True
-                        rewrites[self.name] += 1
+                        cancelled_pairs += 1
             if not cancelled:
                 survivors.append(instruction)
                 for qubit in qubits:
                     last_on_wire[qubit] = len(survivors) - 1
-        return _emit_surviving(circuit, survivors)
+        if cancelled_pairs:
+            rewrites[self.name] += cancelled_pairs
+        return _emit_surviving(circuit, survivors, cancelled_pairs)
 
     @staticmethod
     def _is_inverse_pair(a: CircuitInstruction, b: CircuitInstruction) -> bool:
@@ -95,6 +104,7 @@ class CommutativeCancellation(TransformationPass):
         wire_ops = cache.wire_indices(circuit)
 
         open_cx: dict[tuple[int, int], int] = {}  # (c, t) -> index of candidate
+        cancelled_pairs = 0
         for index, instruction in enumerate(survivors):
             if instruction is None:
                 continue
@@ -112,12 +122,14 @@ class CommutativeCancellation(TransformationPass):
                 ):
                     survivors[earlier] = None
                     survivors[index] = None
-                    rewrites[self.name] += 1
+                    cancelled_pairs += 1
                     continue
             # a cx also threatens candidates on overlapping wires
             self._invalidate(open_cx, instruction, survivors, skip_key=key)
             open_cx[key] = index
-        return _emit_surviving(circuit, survivors)
+        if cancelled_pairs:
+            rewrites[self.name] += cancelled_pairs
+        return _emit_surviving(circuit, survivors, cancelled_pairs)
 
     @staticmethod
     def _invalidate(open_cx, instruction, survivors, skip_key=None):

@@ -21,29 +21,38 @@ The pass runs in five steps:
    matmuls).  ``batched=False`` falls back to the original per-block
    Python accumulation; the two paths are held to identical outputs by the
    parity tests;
-3. **prescan / memo** -- each block unitary's minimal CNOT count (the
-   ``budget`` synthesis itself starts from, and a lower bound on the
-   replacement's CNOT count and size) is looked up in the run's
+3. **decide** -- each block unitary's minimal CNOT count (the ``budget``
+   synthesis itself starts from, and a lower bound on the replacement's
+   CNOT count and size) is looked up in the run's
    :class:`~repro.transpiler.cache.AnalysisCache`.  A block whose budget
    already exceeds its CX cost, or ties it without holding more gates than
-   the budget, cannot be improved and is emitted unchanged;
-4. **plan and decide** -- on any other CX-count tie only the budget-CNOT
-   candidate can win, so the pass makes just that candidate's plan
-   (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitary`: gate
-   tuples, no circuit, no check) and rejects the tie when there is no plan
-   or it is not smaller than the block;
-5. **build and verify** -- tie winners and blocks whose budget is below
-   their CX cost are re-synthesized by
+   the budget, cannot be improved and is emitted unchanged (prescan).  On
+   any other CX-count tie only the budget-CNOT candidate can win, and no
+   budget plan is smaller than the structural floor
+   (:func:`~repro.linalg.two_qubit_synthesis.plan_size_floor`: 3 gates for
+   2 CNOTs, 6 for 3), so a tie no larger than the floor is rejected with no
+   linear algebra (floor reject);
+4. **price** -- the budget plans of all remaining fresh ties of the run are
+   made in one bulk call
+   (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
+   gate tuples, no circuit, no check) over the stacked Weyl kernel, and a
+   tie is rejected when there is no plan or it is not smaller than the
+   block;
+5. **emit, building and verifying only what is kept** -- in event order;
+   tie winners and blocks whose budget is below their CX cost are
+   re-synthesized by
    :func:`~repro.linalg.two_qubit_synthesis.synthesize_two_qubit_unitary`,
    which multiplies its plan out, checks it against the block unitary and
    only then builds the circuit.
 
 Every decision is memoized per distinct unitary per cache -- the plan size,
 then the replacement or the failure -- for repeats from the fixed-point
-loop or within a circuit.  Steps 3 to 5 skip only rewrites the pass would
-have rejected, so the output is bit-identical to synthesizing every block;
-the oracle parity tests hold it to that.  ``AnalysisCache.stats`` counts
-``synth_prescan_skips``, ``synth_tie_rejects``, ``synth_memo_hits``,
+loop or within a circuit; a floor reject writes nothing, so a larger block
+of the same unitary is still priced.  Steps 3 to 5 skip only rewrites the
+pass would have rejected, so the output is bit-identical to synthesizing
+every block; the oracle parity tests hold it to that.
+``AnalysisCache.stats`` counts ``synth_prescan_skips``,
+``synth_floor_rejects``, ``synth_tie_rejects``, ``synth_memo_hits``,
 ``synth_attempts``, ``synth_failures`` and ``synth_kept``.
 """
 
@@ -56,19 +65,17 @@ import numpy as np
 from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.linalg.two_qubit_synthesis import (
-    TwoQubitSynthesisError,
-    plan_two_qubit_unitary,
+    SYNTHESIS_ERRORS,
+    plan_size_floor,
+    plan_two_qubit_unitaries,
     synthesize_two_qubit_unitary,
 )
-from repro.transpiler.cache import AnalysisCache, rewrite_counter
+from repro.transpiler.cache import AnalysisCache, SynthesisMemo, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["ConsolidateBlocks"]
 
 _BLOCK_MIN_2Q = 2  # only consolidate blocks with at least this many 2q gates
-
-#: typed synthesis failures: counted and memoized; anything else propagates
-_SYNTHESIS_ERRORS = (TwoQubitSynthesisError, np.linalg.LinAlgError, ValueError)
 
 
 #: CX-equivalent cost of two-qubit gates when they are later unrolled to
@@ -85,6 +92,10 @@ class _Block:
         self.instructions: list[CircuitInstruction] = []
         self.num_2q = 0
         self.cx_cost = 0
+        self.memo: SynthesisMemo | None = None
+        #: on the first block of a run that needs its unitary's budget plan:
+        #: the plan's size (``math.inf``: no plan) or the typed error
+        self.price: int | float | Exception | None = None
 
     def add(self, instruction: CircuitInstruction) -> None:
         self.instructions.append(instruction)
@@ -245,6 +256,7 @@ class ConsolidateBlocks(TransformationPass):
             and (event[1].num_2q >= _BLOCK_MIN_2Q or self.force)
         ]
         unitaries = self._block_matrices(candidates, cache)
+        self._price_ties(candidates, unitaries, cache)
 
         output = circuit.copy_empty_like()
         for kind, payload, qubits, clbits in events:
@@ -255,6 +267,49 @@ class ConsolidateBlocks(TransformationPass):
                     payload, output, unitaries.get(id(payload)), rewrites, cache
                 )
         return output
+
+    def _fresh_tie(self, block: _Block) -> bool:
+        """Whether ``block`` is a CX-count tie above the plan-size floor
+        whose budget plan is neither memoized nor made moot by a memoized
+        synthesis -- the ties a run must price."""
+        memo = block.memo
+        return (
+            not self.force
+            and memo.budget == block.cx_cost
+            and not memo.synthesized
+            and memo.plan_size is None
+            and len(block.instructions) > plan_size_floor(memo.budget)
+        )
+
+    def _price_ties(
+        self, blocks: list[_Block], unitaries: dict[int, np.ndarray], cache: AnalysisCache
+    ) -> None:
+        """Decide and price: look up every block's memo, then make the
+        budget plans of all fresh ties in one bulk call.
+
+        Only the first block of each unitary is priced; in event order it
+        is also the first to read the price, so later blocks find it in the
+        memo exactly as if the plans had been made one by one.
+        """
+        fresh: dict[int, _Block] = {}
+        for block in blocks:
+            block.memo = cache.synthesis(unitaries[id(block)])
+            if self._fresh_tie(block):
+                fresh.setdefault(id(block.memo), block)
+        if not fresh:
+            return
+        priced = list(fresh.values())
+        plans = plan_two_qubit_unitaries(
+            [unitaries[id(block)] for block in priced],
+            [block.memo.budget for block in priced],
+        )
+        for block, plan in zip(priced, plans):
+            if plan is None:
+                block.price = math.inf
+            elif isinstance(plan, Exception):
+                block.price = plan
+            else:
+                block.price = plan.size
 
     def _emit_block(
         self,
@@ -297,11 +352,14 @@ class ConsolidateBlocks(TransformationPass):
         of at most ``budget`` gates -- is a rewrite ``_emit_block`` would
         reject (prescan).  On any other CX-count tie only the budget plan
         can win: synthesis either returns it or escalates to more CNOTs
-        than ``cx_cost``.  So a tie whose budget plan is missing or not
-        smaller than the block is rejected without building or checking a
-        circuit.  ``force`` bypasses both rules.
+        than ``cx_cost``.  So a tie is rejected without building or
+        checking a circuit when the block is no larger than the plan-size
+        floor (floor reject; the memo is left alone, since a larger block
+        of the same unitary must still be priced), or when its budget plan
+        -- priced in bulk by ``_price_ties`` -- is missing or not smaller
+        than the block.  ``force`` bypasses all three rules.
         """
-        memo = cache.synthesis(unitary)
+        memo = block.memo
         size = len(block.instructions)
         tie = memo.budget == block.cx_cost
         cannot_win = memo.budget > block.cx_cost or (tie and size <= memo.budget)
@@ -314,20 +372,21 @@ class ConsolidateBlocks(TransformationPass):
         if tie and not self.force:
             fresh = memo.plan_size is None
             if fresh:
-                try:
-                    plan = plan_two_qubit_unitary(unitary, memo.budget)
-                except _SYNTHESIS_ERRORS:
+                if size <= plan_size_floor(memo.budget):
+                    cache.stats["synth_floor_rejects"] += 1
+                    return None
+                if isinstance(block.price, Exception):
                     cache.stats["synth_failures"] += 1
                     memo.synthesized = True
                     return None
-                memo.plan_size = math.inf if plan is None else plan.size
+                memo.plan_size = block.price
             if memo.plan_size >= size:
                 cache.stats["synth_tie_rejects" if fresh else "synth_memo_hits"] += 1
                 return None
         cache.stats["synth_attempts"] += 1
         try:
             memo.replacement = synthesize_two_qubit_unitary(unitary)
-        except _SYNTHESIS_ERRORS:
+        except SYNTHESIS_ERRORS:
             cache.stats["synth_failures"] += 1
         memo.synthesized = True
         return memo.replacement

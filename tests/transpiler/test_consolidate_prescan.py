@@ -20,7 +20,7 @@ from repro.circuit import QuantumCircuit
 from repro.linalg.random import random_su2, random_unitary
 from repro.linalg.two_qubit_synthesis import (
     TwoQubitSynthesisError,
-    plan_two_qubit_unitary,
+    plan_two_qubit_unitaries,
     synthesize_two_qubit_unitary,
 )
 from repro.linalg.weyl import canonical_gate, num_cnots_required
@@ -211,10 +211,12 @@ class TestOracleParity:
         circuit.cx(0, 1)
         circuit.cx(1, 0)
         circuit.barrier()
-        # budget == cx_cost < len: planned, rejected (the plan is no smaller)
+        # budget == cx_cost < len, above the plan-size floor: planned,
+        # rejected (the plan is no smaller)
         circuit.cx(0, 1)
         circuit.u1(0.3, 1)
         circuit.cx(0, 1)
+        circuit.u1(0.3, 1)
         circuit.barrier()
         # budget == cx_cost, many redundant 1q gates: planned, synthesized,
         # and the rewrite is kept
@@ -271,6 +273,7 @@ class TestOracleParity:
         circuit.cx(0, 1)
         circuit.rz(angle, 1)
         circuit.cx(0, 1)
+        circuit.rz(angle, 1)
         [unitary] = candidate_unitaries(circuit)
         assert num_cnots_required(unitary, atol=1e-7) == 2
         shipped, stats = assert_matches_oracle(circuit)
@@ -317,21 +320,35 @@ class TestSynthesisMemo:
         and ``synth`` (everything it may keep)."""
         calls = {"plan": [], "synth": []}
 
-        def counting_plan(unitary, cnots):
-            calls["plan"].append(unitary)
-            return plan_two_qubit_unitary(unitary, cnots)
+        def counting_plan(unitaries, cnots):
+            calls["plan"].extend(unitaries)
+            return plan_two_qubit_unitaries(unitaries, cnots)
 
         def counting_synth(unitary):
             calls["synth"].append(unitary)
             return synthesize_two_qubit_unitary(unitary)
 
-        monkeypatch.setattr(consolidate, "plan_two_qubit_unitary", counting_plan)
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", counting_plan)
         monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting_synth)
         return calls
 
     @staticmethod
     def zz_blocks(k: int) -> QuantumCircuit:
-        """``k`` identical cx-u1-cx blocks: CX-count ties, planned, never kept."""
+        """``k`` identical cx-u1-cx-u1 blocks: CX-count ties above the
+        plan-size floor (4 gates, plan size 7), planned, never kept."""
+        circuit = QuantumCircuit(2)
+        for _ in range(k):
+            circuit.cx(0, 1)
+            circuit.u1(0.7, 1)
+            circuit.cx(0, 1)
+            circuit.u1(0.7, 1)
+            circuit.barrier()
+        return circuit
+
+    @staticmethod
+    def floor_blocks(k: int) -> QuantumCircuit:
+        """``k`` identical cx-u1-cx blocks: CX-count ties at the plan-size
+        floor (3 gates), rejected with no plan."""
         circuit = QuantumCircuit(2)
         for _ in range(k):
             circuit.cx(0, 1)
@@ -394,8 +411,89 @@ class TestSynthesisMemo:
         manager.run(self.zz_blocks(3))
         assert per_invocation == [1, 0]
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_floor_rejects_ties_without_a_plan(self, k, calls):
+        """A tie no larger than the plan-size floor (3 gates for 2 CNOTs)
+        is rejected with no plan and no synthesis, every time."""
+        props = PropertySet()
+        circuit = self.floor_blocks(k)
+        out = ConsolidateBlocks().run(circuit, props)
+        assert (len(calls["plan"]), len(calls["synth"])) == (0, 0)
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_floor_rejects"] == k
+        assert stats["synth_tie_rejects"] == 0
+        assert stats["synth_memo_hits"] == 0
+        assert stats["synth_kept"] == 0
+        assert exact_form(out) == exact_form(circuit)
+        oracle = OracleConsolidateBlocks().run(circuit, PropertySet())
+        assert exact_form(out) == exact_form(oracle)
+
+    def test_floor_leaves_the_memo_to_larger_blocks(self, calls):
+        """A floor reject writes no plan size: a later, larger block of the
+        same unitary is still priced -- and here wins, as its 3-gate plan
+        drops the idle ``id``."""
+        circuit = self.floor_blocks(1)
+        circuit.cx(0, 1)
+        circuit.u1(0.7, 1)
+        circuit.id(0)
+        circuit.cx(0, 1)
+        small, large = candidate_unitaries(circuit)
+        assert small.tobytes() == large.tobytes()
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        cache = AnalysisCache.ensure(props)
+        assert (len(calls["plan"]), len(calls["synth"])) == (1, 1)
+        assert cache.stats["synth_floor_rejects"] == 1
+        assert cache.stats["synth_kept"] == 1
+        assert cache.synthesis(small).plan_size == 3
+        oracle = OracleConsolidateBlocks().run(circuit, PropertySet())
+        assert exact_form(out) == exact_form(oracle)
+        assert out.size() == circuit.size() - 1
+
+    def test_ties_of_a_run_are_priced_in_one_call(self, monkeypatch):
+        batches = []
+
+        def recording(unitaries, cnots):
+            batches.append(len(unitaries))
+            return plan_two_qubit_unitaries(unitaries, cnots)
+
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", recording)
+        circuit = QuantumCircuit(2)
+        for angle in (0.3, 0.7, 1.1):
+            circuit.cx(0, 1)
+            circuit.u1(angle, 1)
+            circuit.cx(0, 1)
+            circuit.u1(angle, 1)
+            circuit.barrier()
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        assert batches == [3]
+        assert AnalysisCache.ensure(props).stats["synth_tie_rejects"] == 3
+        assert exact_form(out) == exact_form(circuit)
+
+    def test_one_failing_tie_fails_alone(self, monkeypatch):
+        """The first tie of the bulk call turns non-unitary: it alone is a
+        counted failure, and the other tie is still priced and rejected."""
+
+        def first_broken(unitaries, cnots):
+            return plan_two_qubit_unitaries([1.1 * unitaries[0], *unitaries[1:]], cnots)
+
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", first_broken)
+        circuit = self.zz_blocks(1)
+        circuit.cx(0, 1)
+        circuit.u1(0.3, 1)
+        circuit.cx(0, 1)
+        circuit.u1(0.3, 1)
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_failures"] == 1
+        assert stats["synth_tie_rejects"] == 1
+        assert stats["synth_kept"] == 0
+        assert exact_form(out) == exact_form(circuit)
+
     #: (step the pass calls, blocks that reach it)
-    STEPS = [("plan_two_qubit_unitary", "zz_blocks"), ("synthesize_two_qubit_unitary", "redundant_blocks")]
+    STEPS = [("plan_two_qubit_unitaries", "zz_blocks"), ("synthesize_two_qubit_unitary", "redundant_blocks")]
 
     @pytest.mark.parametrize("step, blocks", STEPS)
     @pytest.mark.parametrize(
@@ -405,6 +503,8 @@ class TestSynthesisMemo:
     )
     def test_failures_are_typed_and_counted(self, step, blocks, error, monkeypatch):
         def failing(*args):
+            if step == "plan_two_qubit_unitaries":
+                return [error for _ in args[0]]  # the bulk step fails per item
             raise error
 
         monkeypatch.setattr(consolidate, step, failing)
@@ -462,3 +562,45 @@ class TestSynthesisMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert mismatches == []
+
+
+class TestTableIIContract:
+    """One pass of the seed-1 Table II set (the ``table2-cold`` workload of
+    ``e2e_bench``) makes exactly the syntheses it made before ties were
+    priced in bulk, and keeps the same rewrites, so the benchmark's
+    ``linalg.synth_*`` layers stay comparable across the change."""
+
+    def test_syntheses_and_kept_rewrites_are_unchanged(self, monkeypatch):
+        import os
+        from collections import Counter
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        monkeypatch.syspath_prepend(os.path.join(root, "e2e_bench"))
+        from workloads import TARGET, table2_jobs
+
+        calls = []
+
+        def counting(unitary):
+            calls.append(unitary)
+            return synthesize_two_qubit_unitary(unitary)
+
+        monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting)
+        stats = Counter()
+        for job in table2_jobs(1):
+            cache = AnalysisCache()
+            transpile(
+                job.circuit.copy(),
+                target=TARGET,
+                pipeline=job.pipeline,
+                seed=job.seed,
+                executor="serial",
+                analysis_cache=cache,
+            )
+            stats.update(cache.stats)
+        assert len(calls) == 202
+        assert stats["synth_attempts"] == 202
+        assert stats["synth_kept"] == 451
+        assert stats["synth_failures"] == 0
+        # every one of the 908 tie plans the pass used to make was rejected;
+        # the floor now rejects the 198 smallest of them (and their repeats)
+        assert stats["synth_floor_rejects"] >= 198

@@ -1,6 +1,7 @@
 """Tests for the standard transpiler passes."""
 
 import numpy as np
+import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.transpiler.passmanager import PropertySet
@@ -193,6 +194,78 @@ class TestCancellation:
         circuit.cx(0, 1)
         out = run_pass(CommutativeCancellation(), circuit)
         assert out.count_ops()["cx"] == 2
+
+
+class TestNoOpPassesReturnTheirInput:
+    """A cancellation pass that cancels nothing returns its input object,
+    so the pass manager's structural check short-circuits on ``is``; one
+    that cancels returns a new circuit and counts its rewrites."""
+
+    @staticmethod
+    def nothing_to_cancel() -> QuantumCircuit:
+        circuit = QuantumCircuit(3, 1)
+        circuit.cx(0, 1)
+        circuit.h(1)
+        circuit.cx(0, 1)
+        circuit.cx(1, 0)
+        circuit.barrier()
+        circuit.swap(1, 2)
+        circuit.measure(2, 0)
+        return circuit
+
+    @pytest.mark.parametrize("pass_type", [CXCancellation, CommutativeCancellation])
+    def test_no_rewrite_returns_the_input(self, pass_type):
+        circuit = self.nothing_to_cancel()
+        props = PropertySet()
+        out = pass_type().run(circuit, props)
+        assert out is circuit
+        assert pass_type.__name__ not in props.get("rewrite_counts", {})
+
+    @pytest.mark.parametrize("pass_type", [CXCancellation, CommutativeCancellation])
+    def test_a_rewrite_returns_a_new_circuit(self, pass_type):
+        circuit = self.nothing_to_cancel()
+        circuit.cx(0, 2)
+        circuit.cx(0, 2)
+        before = list(circuit.data)
+        props = PropertySet()
+        out = pass_type().run(circuit, props)
+        assert out is not circuit
+        assert circuit.data == before
+        assert out.size() == circuit.size() - 2
+        assert props["rewrite_counts"][pass_type.__name__] == 1
+
+    def test_pipeline_metrics_of_a_no_op_pass(self):
+        from repro.transpiler.passmanager import PassManager
+
+        circuit = self.nothing_to_cancel()
+        result = PassManager([CXCancellation()]).run_with_result(circuit)
+        assert result.circuit is circuit
+        [metrics] = result.metrics
+        assert (metrics.size_before, metrics.size_after) == (circuit.size(),) * 2
+        assert (metrics.depth_before, metrics.depth_after) == (circuit.depth(),) * 2
+        assert metrics.rewrites == 0
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"pipeline": "level3", "target": "melbourne"},
+            {"pipeline": "rpo", "target": "melbourne"},
+            {"pipeline": "hoare", "target": "melbourne"},
+            {"optimization_level": 0},
+            {"optimization_level": 1},
+            {"optimization_level": 3, "basis_gates": ["u3", "cx"]},
+        ],
+        ids=["level3", "rpo", "hoare", "o0", "o1", "o3-basis"],
+    )
+    def test_transpile_never_returns_the_callers_circuit(self, options):
+        from repro.transpiler import transpile
+
+        empty = QuantumCircuit(2)
+        in_basis = QuantumCircuit(2)
+        in_basis.u3(0.1, 0.2, 0.3, 0)
+        in_basis.cx(0, 1)
+        for circuit in (empty, in_basis, self.nothing_to_cancel()):
+            assert transpile(circuit, **options) is not circuit
 
 
 class TestConsolidate:
