@@ -1,25 +1,13 @@
 #!/usr/bin/env python3
-"""Backend-resident simulation + vectorized analysis-core benchmark.
+"""Backend-resident simulation benchmark.
 
-Measures the two lanes of the backend-resident work against the paths
-they replaced, on the quick QV/Grover workload set:
-
-* **statevector** -- wide-circuit simulation throughput: the fused
-  backend-resident evolve loop (matrices staged once per program, state
-  on the active array backend, one ``asnumpy()`` at the boundary) vs the
-  naive per-gate host loop (one ``operation.to_matrix()`` + host matmul
-  per instruction).  This is the speedup ``check_regression.py --sim``
-  gates (default floor 2x).
-* **trackers** -- stacked-array basis/pure trackers driving a brickwork
-  trace through the bulk ``apply_1q_gates`` kernels vs the per-gate
-  scalar automata, with parity flags (basis: bit-identical; pure: within
-  ``1e-12``).
-* **hoare** -- the vectorized support transformers vs the per-pattern
-  set loops over the full workload circuits, with an output-identity
-  parity flag.
-* **passes** -- QBO/QPO run under scalar and vectorized trackers must
-  emit byte-for-byte identical circuits (``REPRO_SCALAR_TRACKERS`` is
-  flipped between runs).
+Measures wide-circuit statevector throughput on the quick QV/Grover
+workload set: the fused backend-resident evolve loop (matrices staged
+once per program, state on the active array backend, one ``asnumpy()`` at
+the boundary) vs the naive per-gate host loop (one ``operation.to_matrix()``
++ host matmul per instruction).  ``check_regression.py --sim`` gates the
+speedup (default floor 2x) and the largest amplitude difference between
+the two (1e-10).
 
 Usage::
 
@@ -32,24 +20,15 @@ lane device-resident (see README "Numeric kernels & array backends").
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import time
 
 import numpy as np
 
 from repro.algorithms import grover_circuit, quantum_volume_circuit
 from repro.linalg.backend import backend_name
-from repro.rpo.basis_tracker import BasisStateTracker
-from repro.rpo.hoare import HoareOptimizer
-from repro.rpo.pure_tracker import PureStateTracker
-from repro.rpo.qbo import QBOPass
-from repro.rpo.qpo import QPOPass
-from repro.rpo.vectorization import SCALAR_ENV_VAR
 from repro.simulators import StatevectorSimulator
 from repro.simulators.statevector import apply_gate_to_state
 from repro.transpiler import write_metrics_json
-from repro.transpiler.passmanager import PropertySet
 
 
 def workloads(quick: bool):
@@ -75,26 +54,6 @@ def best_of(repeats: int, func) -> float:
         func()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def describe(circuit):
-    """Hashable full description of a circuit (for output-identity checks)."""
-    return (
-        circuit.global_phase,
-        tuple(
-            (
-                instruction.operation.name,
-                tuple(
-                    float(p)
-                    for p in instruction.operation.params
-                    if isinstance(p, (int, float))
-                ),
-                instruction.qubits,
-                instruction.clbits,
-            )
-            for instruction in circuit.data
-        ),
-    )
 
 
 # -- statevector throughput --------------------------------------------------
@@ -144,152 +103,6 @@ def bench_statevector(circuits, repeats: int) -> dict:
     }
 
 
-# -- tracker throughput ------------------------------------------------------
-
-#: 1q Cliffords keep the basis automaton inside its six states, so the
-#: basis lane measures sustained transitions instead of a TOP fixpoint.
-_CLIFFORD_1Q = {
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def brickwork_trace(num_qubits: int, rounds: int, matrices, seed: int):
-    """``rounds`` layers of one gate per qubit, drawn from ``matrices``."""
-    rng = np.random.default_rng(seed)
-    pool = np.stack(matrices)
-    qubits = np.arange(num_qubits)
-    return [pool[rng.integers(0, len(pool), size=num_qubits)] for _ in range(rounds)], qubits
-
-
-def bench_tracker(make_tracker, layers, qubits, repeats: int, compare) -> dict:
-    def run(vectorized: bool):
-        tracker = make_tracker(vectorized)
-        for stack in layers:
-            tracker.apply_1q_gates(qubits, stack)
-        return tracker
-
-    scalar_time = best_of(repeats, lambda: run(False))
-    vectorized_time = best_of(repeats, lambda: run(True))
-    parity, max_error = compare(run(False), run(True))
-    return {
-        "gates": len(layers) * len(qubits),
-        "scalar_s": scalar_time,
-        "vectorized_s": vectorized_time,
-        "speedup": scalar_time / vectorized_time if vectorized_time > 0 else float("inf"),
-        "parity": parity,
-        "max_error": max_error,
-    }
-
-
-def bench_trackers(quick: bool, repeats: int) -> dict:
-    num_qubits = 24 if quick else 64
-    rounds = 150 if quick else 400
-    clifford_layers, qubits = brickwork_trace(
-        num_qubits, rounds, list(_CLIFFORD_1Q.values()), seed=3
-    )
-
-    def compare_basis(scalar, vectorized):
-        identical = bool(
-            np.array_equal(scalar.axes, vectorized.axes)
-            and np.array_equal(scalar.signs, vectorized.signs)
-        )
-        return identical, 0.0
-
-    basis = bench_tracker(
-        lambda v: BasisStateTracker(num_qubits, vectorized=v),
-        clifford_layers, qubits, repeats, compare_basis,
-    )
-
-    rng = np.random.default_rng(7)
-    from repro.linalg.euler import u3_matrix
-
-    u3_pool = [
-        u3_matrix(*angles) for angles in rng.uniform(0.0, 2 * math.pi, size=(16, 3))
-    ]
-    u3_layers, qubits = brickwork_trace(num_qubits, rounds, u3_pool, seed=9)
-
-    def compare_pure(scalar, vectorized):
-        error = float(np.max(np.abs(scalar.tuples - vectorized.tuples)))
-        same_known = bool(np.array_equal(scalar.known, vectorized.known))
-        return same_known and error <= 1e-12, error
-
-    pure = bench_tracker(
-        lambda v: PureStateTracker(num_qubits, vectorized=v),
-        u3_layers, qubits, repeats, compare_pure,
-    )
-    return {"basis": basis, "pure": pure}
-
-
-# -- Hoare + pass parity -----------------------------------------------------
-
-
-def bench_hoare(named, repeats: int) -> dict:
-    # a generous support cap puts real weight on the pattern transformers
-    # (the default 64-pattern cap collapses to TOP before the stacked
-    # kernels can matter); both arms run under the same cap
-    max_support = 1 << 14
-
-    def run(circuits, vectorized: bool):
-        outputs = []
-        for circuit in circuits:
-            optimizer = HoareOptimizer(max_support=max_support, vectorized=vectorized)
-            outputs.append(optimizer.transform(circuit, PropertySet()))
-        return outputs
-
-    # time the permutation-transformer-heavy Grover circuits; QV is
-    # widening-dominated, which runs the same set loops in both arms
-    timed = [circuit for name, circuit in named if name.startswith("grover")]
-    scalar_time = best_of(repeats, lambda: run(timed, False))
-    vectorized_time = best_of(repeats, lambda: run(timed, True))
-    everything = [circuit for _, circuit in named]
-    parity = all(
-        describe(s) == describe(v)
-        for s, v in zip(run(everything, False), run(everything, True))
-    )
-    return {
-        "circuits": len(timed),
-        "parity_circuits": len(everything),
-        "scalar_s": scalar_time,
-        "vectorized_s": vectorized_time,
-        "speedup": scalar_time / vectorized_time if vectorized_time > 0 else float("inf"),
-        "parity": bool(parity),
-    }
-
-
-def check_pass_parity(circuits) -> dict:
-    """QBO/QPO outputs must not depend on the tracker implementation."""
-
-    def run_all():
-        outputs = []
-        for circuit in circuits:
-            qbo = QBOPass().transform(circuit, PropertySet())
-            qpo = QPOPass().transform(circuit, PropertySet())
-            outputs.append((describe(qbo), describe(qpo)))
-        return outputs
-
-    saved = os.environ.get(SCALAR_ENV_VAR)
-    try:
-        os.environ[SCALAR_ENV_VAR] = "1"
-        scalar = run_all()
-        os.environ.pop(SCALAR_ENV_VAR, None)
-        vectorized = run_all()
-    finally:
-        if saved is None:
-            os.environ.pop(SCALAR_ENV_VAR, None)
-        else:
-            os.environ[SCALAR_ENV_VAR] = saved
-    qbo_identical = all(s[0] == v[0] for s, v in zip(scalar, vectorized))
-    qpo_identical = all(s[1] == v[1] for s, v in zip(scalar, vectorized))
-    return {
-        "qbo_identical": bool(qbo_identical),
-        "qpo_identical": bool(qpo_identical),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small sizes (CI)")
@@ -298,45 +111,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     named = list(workloads(args.quick))
-    circuits = [circuit for _, circuit in named]
-    sim_circuits = [strip_measurements(circuit) for circuit in circuits]
-
+    sim_circuits = [strip_measurements(circuit) for _, circuit in named]
     statevector = bench_statevector(sim_circuits, args.repeats)
-    trackers = bench_trackers(args.quick, args.repeats)
-    hoare = bench_hoare(named, args.repeats)
-    passes = check_pass_parity(circuits)
 
     report = {
         "workloads": [name for name, _ in named],
         "backend": backend_name(),
-        "sim": {
-            "statevector": statevector,
-            "trackers": trackers,
-            "hoare": hoare,
-            "passes": passes,
-        },
+        "sim": {"statevector": statevector},
     }
 
     print(f"array backend: {report['backend']}")
-    print(f"{'stage':<16} {'work':>10} {'baseline':>10} {'new':>10} {'speedup':>8}  parity")
-    rows = [
-        ("statevector", statevector, "naive_s", "resident_s",
-         f"err<={statevector['max_error']:.1e}"),
-        ("tracker:basis", trackers["basis"], "scalar_s", "vectorized_s",
-         str(trackers["basis"]["parity"])),
-        ("tracker:pure", trackers["pure"], "scalar_s", "vectorized_s",
-         f"{trackers['pure']['parity']} (err<={trackers['pure']['max_error']:.1e})"),
-        ("hoare", hoare, "scalar_s", "vectorized_s", str(hoare["parity"])),
-    ]
-    for stage, entry, base_key, new_key, parity in rows:
-        work = entry.get("gates", entry.get("circuits"))
-        print(
-            f"{stage:<16} {work:>10} {entry[base_key]:>9.4f}s "
-            f"{entry[new_key]:>9.4f}s {entry['speedup']:>7.2f}x  {parity}"
-        )
     print(
-        f"pass outputs tracker-independent: qbo={passes['qbo_identical']} "
-        f"qpo={passes['qpo_identical']}"
+        f"statevector: {statevector['gates']} gates, "
+        f"naive {statevector['naive_s']:.4f}s, "
+        f"resident {statevector['resident_s']:.4f}s, "
+        f"{statevector['speedup']:.2f}x (err<={statevector['max_error']:.1e})"
     )
 
     if args.metrics_json:

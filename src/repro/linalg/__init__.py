@@ -44,17 +44,12 @@ from repro.linalg.backend import backend_name, get_backend, set_backend
 from repro.linalg.batch import (
     chain_products,
     embed_1q_in_2q,
-    euler_zyz_angles_batch,
-    is_identity_up_to_phase_batch,
     fold_matmul,
-    is_unitary_batch,
-    kron_batch,
     permute_2q,
     reduce_matmul,
     stack_chains,
     two_qubit_chain_unitaries,
     u3_params_batch,
-    weyl_coordinates_batch,
 )
 
 __all__ = [
@@ -84,15 +79,10 @@ __all__ = [
     "set_backend",
     "chain_products",
     "embed_1q_in_2q",
-    "euler_zyz_angles_batch",
-    "is_identity_up_to_phase_batch",
     "fold_matmul",
-    "is_unitary_batch",
-    "kron_batch",
     "permute_2q",
     "reduce_matmul",
     "stack_chains",
     "two_qubit_chain_unitaries",
     "u3_params_batch",
-    "weyl_coordinates_batch",
 ]

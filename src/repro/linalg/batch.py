@@ -3,8 +3,8 @@
 The transpiler's hot paths all reduce to the same shape of work: many
 *independent* chains of 2x2 / 4x4 matrix algebra (block accumulation in
 ``ConsolidateBlocks``, run merging in ``Optimize1qGates``, per-gate
-embedding in the simulators' fusion pre-step, Weyl/Euler extraction during
-synthesis).  Doing that one matrix at a time leaves almost all the time in
+embedding in the simulators' fusion pre-step, Euler extraction of merged
+runs).  Doing that one matrix at a time leaves almost all the time in
 Python dispatch; this module instead operates on **stacked operands** --
 ``(N, d, d)`` arrays -- so a whole batch moves through one vectorized call:
 
@@ -13,24 +13,18 @@ Python dispatch; this module instead operates on **stacked operands** --
   :func:`fold_matmul` as the bit-exact sequential variant;
 * :func:`stack_chains` / :func:`chain_products` -- identity-pad ragged
   chains into one ``(B, L, d, d)`` block and reduce every chain at once;
-* :func:`kron_batch`, :func:`embed_1q_in_2q`, :func:`permute_2q`,
+* :func:`embed_1q_in_2q`, :func:`permute_2q`,
   :func:`two_qubit_chain_unitaries` -- batched embedding of mixed 1q/2q
   gate chains into stacked 4x4 block unitaries;
-* :func:`u3_params_batch` / :func:`euler_zyz_angles_batch` -- vectorized
-  one-qubit Euler extraction matching
+* :func:`u3_params_batch` -- stacked one-qubit Euler extraction matching
   :func:`repro.linalg.euler.u3_params_from_unitary` elementwise;
-* :func:`weyl_coordinates_batch` -- canonical-gate coordinates of a stack
-  of two-qubit unitaries (host NumPy: the Weyl kernel's coordinate stage);
-* :func:`is_unitary_batch` / :func:`is_identity_up_to_phase_batch` --
-  vectorized predicates mirroring :mod:`repro.linalg.predicates`;
-* :func:`u3_matrix_batch` / :func:`apply_1q_batch` -- vectorized ``u3``
-  construction and Bloch-tuple gate merging (the pure-state tracker's
-  transition, :meth:`repro.rpo.pure_tracker.PureStateTracker.apply_1q_gate`);
 * :func:`bloch_rotation_batch` / :func:`basis_axes_batch` -- stacked
   SO(3) Bloch rotations and signed-axis classification (the basis-state
-  tracker's transition, :func:`repro.rpo.states.transition`);
-* :func:`monomial_permutations_batch` -- generalized-permutation
-  detection for the Hoare optimizer's support transformers.
+  tracker's transition, :func:`repro.rpo.states.transition`).
+
+Every kernel here has a production caller: ``ConsolidateBlocks``,
+``Optimize1qGates``, QPO, the simulators' fusion pre-step or the
+basis-state tracker.
 
 Inputs are host (NumPy) arrays; the arithmetic dispatches through the
 pluggable array backend (:mod:`repro.linalg.backend` -- NumPy by default,
@@ -51,20 +45,12 @@ __all__ = [
     "fold_matmul",
     "stack_chains",
     "chain_products",
-    "kron_batch",
     "embed_1q_in_2q",
     "permute_2q",
     "two_qubit_chain_unitaries",
     "u3_params_batch",
-    "euler_zyz_angles_batch",
-    "weyl_coordinates_batch",
-    "is_unitary_batch",
-    "is_identity_up_to_phase_batch",
-    "u3_matrix_batch",
-    "apply_1q_batch",
     "bloch_rotation_batch",
     "basis_axes_batch",
-    "monomial_permutations_batch",
 ]
 
 _SWAP = np.array(
@@ -125,8 +111,8 @@ def fold_matmul(stack) -> np.ndarray:
     order -- ``acc = stack[t] @ acc`` -- which makes the result **bitwise
     identical** to a scalar one-matrix-at-a-time accumulation (batched
     ``matmul`` computes each element's product exactly like the scalar
-    call).  The batched transpiler passes use this so their outputs are
-    indistinguishable from the serial reference paths; prefer
+    call).  The transpiler passes use this so their outputs are
+    indistinguishable from a per-gate accumulation; prefer
     :func:`reduce_matmul` when log-depth matters more than the last ulp.
     """
     backend = get_backend()
@@ -176,20 +162,6 @@ def chain_products(
 
 
 # -- batched embedding -------------------------------------------------------
-
-
-def kron_batch(a, b) -> np.ndarray:
-    """Elementwise Kronecker product of two stacks: ``out[i] = kron(a[i], b[i])``."""
-    a = _as_stack(a)
-    b = _as_stack(b)
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"batch shapes differ: {a.shape[:-2]} vs {b.shape[:-2]}")
-    p = a.shape[-1]
-    q = b.shape[-1]
-    # broadcast multiply (the same arithmetic np.kron does, so results are
-    # bitwise identical to per-matrix np.kron calls)
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(a.shape[:-2] + (p * q, p * q))
 
 
 def embed_1q_in_2q(stack, wires) -> np.ndarray:
@@ -316,18 +288,6 @@ def u3_params_batch(stack) -> np.ndarray:
     return backend.to_numpy(out)
 
 
-def euler_zyz_angles_batch(stack) -> np.ndarray:
-    """Vectorized :func:`repro.linalg.euler.euler_zyz_angles`.
-
-    Output rows are ``(theta, phi, lam, alpha)`` with
-    ``alpha = gamma + (phi + lam) / 2``.
-    """
-    params = u3_params_batch(stack)
-    out = params.copy()
-    out[..., 3] = params[..., 3] + (params[..., 1] + params[..., 2]) / 2
-    return out
-
-
 # -- batched RPO tracker kernels ---------------------------------------------
 
 _PAULI_STACK = np.array(
@@ -338,52 +298,6 @@ _PAULI_STACK = np.array(
     ],
     dtype=complex,
 )
-
-
-def u3_matrix_batch(params) -> np.ndarray:
-    """Vectorized :func:`repro.linalg.euler.u3_matrix`.
-
-    Input: ``(..., 3)`` rows of ``(theta, phi, lam)``.  Output:
-    ``(..., 2, 2)`` unitaries matching the scalar constructor elementwise
-    (same ``cos/sin/exp`` arithmetic, entries within 1 ulp).
-    """
-    backend = get_backend()
-    xp = backend.xp
-    angles = backend.asarray(np.asarray(params, dtype=float))
-    if angles.ndim < 2 or angles.shape[-1] != 3:
-        raise ValueError(f"expected (..., 3) angle rows, got shape {angles.shape}")
-    theta = angles[..., 0]
-    phi = angles[..., 1]
-    lam = angles[..., 2]
-    cos = xp.cos(theta / 2.0)
-    sin = xp.sin(theta / 2.0)
-    out = xp.empty(angles.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = cos
-    out[..., 0, 1] = -xp.exp(1j * lam) * sin
-    out[..., 1, 0] = xp.exp(1j * phi) * sin
-    out[..., 1, 1] = xp.exp(1j * (phi + lam)) * cos
-    return backend.to_numpy(out)
-
-
-def apply_1q_batch(matrices, params) -> np.ndarray:
-    """Merged Bloch tuples after one-qubit gates: the stacked form of
-    :meth:`repro.rpo.pure_tracker.PureStateTracker.apply_1q_gate`.
-
-    ``params`` is a ``(..., 2)`` stack of ``(theta, phi)`` pure-state
-    tuples; ``matrices`` is a single ``(2, 2)`` gate (broadcast over the
-    stack) or a matching ``(..., 2, 2)`` stack.  Each tuple is merged as
-    ``u3_params(matrix @ u3(theta, phi, 0))`` -- the scalar tracker's
-    arithmetic verbatim (stacked matmul is elementwise bit-identical to
-    the per-matrix product; extraction matches the scalar branch
-    structure) -- and the new ``(..., 2)`` tuples are returned.
-    """
-    tuples = np.asarray(params, dtype=float)
-    if tuples.ndim < 2 or tuples.shape[-1] != 2:
-        raise ValueError(f"expected (..., 2) Bloch tuples, got shape {tuples.shape}")
-    full = np.concatenate([tuples, np.zeros(tuples.shape[:-1] + (1,))], axis=-1)
-    prepared = u3_matrix_batch(full)
-    merged = u3_params_batch(np.asarray(matrices, dtype=complex) @ prepared)
-    return merged[..., :2]
 
 
 def bloch_rotation_batch(stack) -> np.ndarray:
@@ -439,89 +353,3 @@ def basis_axes_batch(vectors, atol: float = 1e-8, rtol: float = 1e-5):
     sign = np.where(dominant >= 0, 1, -1)
     known = (np.abs(dominant - sign) <= atol + rtol) & rest_ok
     return np.where(known, axis, -1), np.where(known, sign, 0)
-
-
-def monomial_permutations_batch(stack, tol: float = 1e-10):
-    """Column->row permutations of stacked generalized-permutation matrices.
-
-    The vectorized form of the Hoare optimizer's monomial test: matrix
-    ``i`` is a generalized permutation when every column holds exactly one
-    entry with ``|entry| > tol``.  Returns ``(permutations, valid)`` --
-    an ``(N, d)`` integer array mapping column -> row (rows of invalid
-    matrices are filled with ``-1``) and an ``(N,)`` boolean mask.
-    """
-    magnitude = np.abs(_as_stack(stack))
-    counts = (magnitude > tol).sum(axis=-2)
-    valid = (counts == 1).all(axis=-1)
-    # argmax per column: with exactly one entry above tol it IS that entry
-    permutation = magnitude.argmax(axis=-2)
-    return np.where(valid[..., None], permutation, -1), valid
-
-
-# -- batched Weyl coordinates ------------------------------------------------
-
-
-def weyl_coordinates_batch(stack) -> np.ndarray:
-    """Canonical-gate coordinates ``(a, b, c)`` of stacked 4x4 unitaries.
-
-    The coordinate stage of the Weyl kernel
-    (:func:`repro.linalg.weyl.canonical_forms`), which runs on host NumPy
-    like all two-qubit synthesis: elementwise bit-identical to
-    :func:`repro.linalg.weyl.weyl_coordinates`.  Returns an ``(N, 3)``
-    array; a matrix the kernel rejects raises its error.
-    """
-    from repro.linalg.weyl import canonical_forms
-
-    unitaries = _as_stack(stack)
-    if unitaries.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 operands, got shape {unitaries.shape}")
-    forms = canonical_forms(unitaries.reshape(-1, 4, 4))
-    for form in forms:
-        if isinstance(form, ValueError):
-            raise ValueError(f"stack contains a non-unitary matrix: {form}")
-        if isinstance(form, Exception):
-            raise form
-    coordinates = np.array([form.coordinates for form in forms], dtype=float)
-    return coordinates.reshape(unitaries.shape[:-2] + (3,))
-
-
-# -- batched predicates ------------------------------------------------------
-
-
-def is_unitary_batch(stack, atol: float = 1e-8, rtol: float = 1e-5) -> np.ndarray:
-    """Elementwise :func:`repro.linalg.predicates.is_unitary` over a stack.
-
-    Returns an ``(N,)`` boolean array; tolerance semantics match
-    ``np.allclose(m @ m^H, I, atol=atol)`` (including its ``rtol`` term).
-    """
-    backend = get_backend()
-    xp = backend.xp
-    matrices = backend.asarray(_as_stack(stack), dtype=complex)
-    dim = matrices.shape[-1]
-    product = xp.matmul(matrices, xp.conj(xp.swapaxes(matrices, -1, -2)))
-    eye = xp.eye(dim, dtype=complex)
-    close = xp.abs(product - eye) <= atol + rtol * xp.abs(eye)
-    return backend.to_numpy(close.all(axis=(-1, -2)))
-
-
-def is_identity_up_to_phase_batch(
-    stack, atol: float = 1e-8, rtol: float = 1e-5
-) -> np.ndarray:
-    """Elementwise :func:`repro.linalg.predicates.is_identity_up_to_phase`.
-
-    Uses the same pivot convention as the scalar predicate against the
-    identity (pivot entry ``(0, 0)``): estimate the phase from ``m[0, 0]``
-    and compare ``m`` against ``z * I``.
-    """
-    backend = get_backend()
-    xp = backend.xp
-    matrices = backend.asarray(_as_stack(stack), dtype=complex)
-    dim = matrices.shape[-1]
-    pivot = matrices[..., 0, 0]
-    unit_phase = xp.abs(xp.abs(pivot) - 1.0) <= atol * 10
-    safe = xp.where(xp.abs(pivot) < 1e-300, 1.0, pivot)
-    scaled = xp.eye(dim, dtype=complex) * safe[..., None, None]
-    close = (xp.abs(matrices - scaled) <= atol + rtol * xp.abs(scaled)).all(
-        axis=(-1, -2)
-    )
-    return backend.to_numpy(xp.logical_and(unit_phase, close))

@@ -16,9 +16,9 @@ Transitions run through the stacked kernels
 (:func:`repro.linalg.batch.bloch_rotation_batch` /
 :func:`~repro.linalg.batch.basis_axes_batch`); because a basis vector is a
 signed coordinate axis, the rotated vector is a *column pick* of the SO(3)
-rotation -- bit-identical to the scalar ``rotation @ e_axis`` (the zero
-terms add exactly).  ``vectorized=False`` (or ``REPRO_SCALAR_TRACKERS=1``)
-keeps the original one-call-at-a-time scalar path as a parity reference.
+rotation -- bit-identical to Fig. 5's transition table
+(:func:`repro.rpo.states.transition`, ``rotation @ e_axis``: the zero
+terms add exactly), which the tests hold it to.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ from repro.rpo.states import (
     TOP,
     BasisState,
     basis_state_of_bloch_tuple,
-    transition,
 )
-from repro.rpo.vectorization import vectorized_default
 
 __all__ = ["BasisStateTracker"]
 
@@ -41,12 +39,11 @@ __all__ = ["BasisStateTracker"]
 class BasisStateTracker:
     """Per-qubit basis-state automaton (Fig. 5), stored as stacked arrays."""
 
-    def __init__(self, num_qubits: int, vectorized: bool | None = None):
+    def __init__(self, num_qubits: int):
         # quantum registers power up in the ground state (Sec. VI-A):
         # axis 2 (+Z) with sign +1 is exactly BasisState.ZERO's encoding
         self.axes = np.full(num_qubits, 2, dtype=np.int8)
         self.signs = np.ones(num_qubits, dtype=np.int8)
-        self.vectorized = vectorized_default() if vectorized is None else vectorized
 
     @property
     def states(self) -> list[BasisState]:
@@ -77,46 +74,15 @@ class BasisStateTracker:
     # ------------------------------------------------------------------
 
     def apply_1q_gate(self, qubit: int, matrix: np.ndarray) -> None:
-        if not self.vectorized:
-            self.set_state(qubit, transition(self.state(qubit), matrix))
-            return
         if self.axes[qubit] < 0:
             return  # TOP is absorbing
         rotation = bloch_rotation_batch(np.asarray(matrix, dtype=complex)[None])[0]
         # basis vectors are signed coordinate axes: R @ (sign * e_axis) is
-        # a column pick, bit-identical to the scalar matmul
+        # a column pick, bit-identical to the matmul in states.transition
         rotated = int(self.signs[qubit]) * rotation[:, int(self.axes[qubit])]
         axis, sign = basis_axes_batch(rotated[None])
         self.axes[qubit] = axis[0]
         self.signs[qubit] = sign[0]
-
-    def apply_1q_gates(self, qubits, matrices) -> None:
-        """Apply one gate per qubit, all transitions in one stacked kernel.
-
-        ``matrices`` is an ``(N, 2, 2)`` stack aligned with ``qubits``;
-        qubits already at ``TOP`` stay there.  Equivalent to calling
-        :meth:`apply_1q_gate` pairwise (the batched kernels are
-        bit-identical to the scalar loop), in one
-        :func:`~repro.linalg.batch.bloch_rotation_batch` call.
-        """
-        qubits = np.asarray(qubits, dtype=np.intp)
-        stack = np.asarray(matrices, dtype=complex)
-        if not self.vectorized:
-            for qubit, matrix in zip(qubits, stack):
-                self.apply_1q_gate(int(qubit), matrix)
-            return
-        if qubits.size == 0:
-            return
-        known = self.axes[qubits] >= 0
-        if not known.any():
-            return
-        active = qubits[known]
-        rotations = bloch_rotation_batch(stack[known])
-        columns = rotations[np.arange(len(active)), :, self.axes[active].astype(np.intp)]
-        rotated = self.signs[active].astype(float)[:, None] * columns
-        axis, sign = basis_axes_batch(rotated)
-        self.axes[active] = axis.astype(np.int8)
-        self.signs[active] = sign.astype(np.int8)
 
     def apply_reset(self, qubit: int) -> None:
         self.axes[qubit] = 2
@@ -141,7 +107,7 @@ class BasisStateTracker:
         self.signs[a], self.signs[b] = self.signs[b], self.signs[a]
 
     def copy(self) -> "BasisStateTracker":
-        clone = BasisStateTracker(len(self.axes), vectorized=self.vectorized)
+        clone = BasisStateTracker(len(self.axes))
         clone.axes = self.axes.copy()
         clone.signs = self.signs.copy()
         return clone

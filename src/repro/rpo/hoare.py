@@ -24,17 +24,13 @@ exactly why it misses the boolean-to-phase oracle rewrite that QBO performs
 (paper Sec. VIII-A) -- and the cluster/set machinery makes it measurably
 slower than the automaton-based QBO, reproducing the paper's timing gap.
 
-The support transformers run **vectorized** by default: each cluster's
-pattern set round-trips through an ``int64`` array so the per-pattern bit
-fiddling happens as a handful of NumPy ops instead of a Python loop, and
-the monomial test classifies every distinct matrix of the circuit in one
-:func:`repro.linalg.batch.monomial_permutations_batch` call during a
-prescan.  Sets smaller than :data:`_VECTOR_MIN_PATTERNS` stay on the
-per-pattern loops even in vectorized mode (NumPy's fixed per-call cost
-dominates tiny sets).  ``vectorized=False`` (or
-``REPRO_SCALAR_TRACKERS=1``) keeps the original per-pattern loops
-throughout, which stay in-tree as the parity reference -- both paths
-compute identical supports (integer bit arithmetic is exact).
+The support transformers pick their representation from the support's
+size: a set of at least :data:`_VECTOR_MIN_PATTERNS` patterns round-trips
+through an ``int64`` array so the per-pattern bit fiddling happens as a
+handful of NumPy ops, while smaller sets stay on per-pattern Python loops,
+where NumPy's fixed per-call cost would dominate.  Both compute identical
+supports (integer bit arithmetic is exact), which the tests check by
+moving the cutover to either extreme.
 """
 
 from __future__ import annotations
@@ -45,29 +41,15 @@ import numpy as np
 
 from repro.circuit.instruction import ControlledGate
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.linalg.batch import monomial_permutations_batch
-from repro.rpo.vectorization import vectorized_default
-from repro.transpiler.cache import AnalysisCache, _matrix_key
+from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["HoareOptimizer"]
 
 _DIAGONAL_1Q = {"u1", "z", "s", "sdg", "t", "tdg", "rz"}
 
-#: Gate names the support transformers handle without materialising a
-#: matrix -- the monomial prescan skips these.
-_NAMED_SUPPORT = frozenset(
-    {
-        "mcx", "ccx", "cx", "x",
-        "mcz", "ccz", "cz", "z", "mcu1", "cp", "u1", "s", "sdg", "t", "tdg", "rz",
-        "swap", "swapz", "cswap", "mcx_vchain",
-    }
-)
-
-
 #: Below this many patterns the per-pattern Python loops beat the array
-#: round-trip (measured crossover ~16-32); the vectorized transformers
-#: delegate smaller sets to the scalar reference loops.
+#: round-trip (measured crossover ~16-32), so smaller sets stay on them.
 _VECTOR_MIN_PATTERNS = 32
 
 
@@ -125,15 +107,9 @@ class HoareOptimizer(TransformationPass):
     # removes gates provably acting trivially from the all-zeros state
     equivalence = "state"
 
-    def __init__(
-        self,
-        max_support: int = 64,
-        max_cluster: int = 16,
-        vectorized: bool | None = None,
-    ):
+    def __init__(self, max_support: int = 64, max_cluster: int = 16):
         self.max_support = max_support
         self.max_cluster = max_cluster
-        self.vectorized = vectorized_default() if vectorized is None else vectorized
         # per-run state on a thread-local: concurrent runs of one pass
         # instance must not interleave
         self._run_state = threading.local()
@@ -157,47 +133,12 @@ class HoareOptimizer(TransformationPass):
         self._run_state.cluster_of = {
             q: _Cluster((q,), {0}) for q in range(circuit.num_qubits)
         }
-        self._run_state.monomial_memo = (
-            self._prescan_monomials(circuit) if self.vectorized else {}
-        )
         output = circuit.copy_empty_like()
         for instruction in circuit.data:
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits, output
             )
         return output
-
-    def _prescan_monomials(self, circuit: QuantumCircuit) -> dict:
-        """Bulk-classify the monomial structure of every matrix-path gate.
-
-        One :func:`monomial_permutations_batch` call per operand dimension
-        replaces the per-gate column loop.  The memo is keyed by matrix
-        identity and keeps a reference to each keyed matrix so ids cannot
-        be recycled; only value-keyable gates join (the analysis cache
-        hands those back as one shared array per distinct gate, so the
-        lookup at process time hits).  Everything else -- ad-hoc
-        ``UnitaryGate`` matrices, gates synthesised by rule recursion --
-        misses the memo and classifies through the early-exit column loop.
-        """
-        by_dim: dict[int, dict[int, np.ndarray]] = {}
-        for instruction in circuit.data:
-            operation = instruction.operation
-            if (
-                not operation.is_gate()
-                or operation.num_qubits > 3
-                or operation.name in _NAMED_SUPPORT
-                or _matrix_key(operation) is None
-            ):
-                continue
-            matrix = self._cache.matrix(operation)
-            by_dim.setdefault(matrix.shape[0], {})[id(matrix)] = matrix
-        memo: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-        for gates in by_dim.values():
-            matrices = list(gates.values())
-            permutations, valid = monomial_permutations_batch(np.stack(matrices))
-            for matrix, permutation, ok in zip(matrices, permutations, valid):
-                memo[id(matrix)] = (matrix, permutation if ok else None)
-        return memo
 
     # ------------------------------------------------------------------
 
@@ -301,7 +242,7 @@ class HoareOptimizer(TransformationPass):
         controls = qubits[: operation.num_ctrl_qubits]
         if operation.ctrl_state != (1 << operation.num_ctrl_qubits) - 1:
             return False  # open controls: leave to the generic path
-        from repro.gates import MCU1Gate, U1Gate, ZGate
+        from repro.gates import MCU1Gate, ZGate
 
         if len(controls) == 1:
             self._process(ZGate(), (controls[0],), (), output)
@@ -315,7 +256,7 @@ class HoareOptimizer(TransformationPass):
 
     def _use_kernel(self, support) -> bool:
         """Route this support through the stacked kernels?"""
-        return self.vectorized and len(support) >= _VECTOR_MIN_PATTERNS
+        return len(support) >= _VECTOR_MIN_PATTERNS
 
     def _constant_bit(self, qubit: int) -> int | None:
         cluster = self._cluster_of[qubit]
@@ -362,7 +303,7 @@ class HoareOptimizer(TransformationPass):
             or len(merged_qubits) > self.max_cluster
         ):
             support = None
-        elif self.vectorized and _product_size(clusters) >= _VECTOR_MIN_PATTERNS:
+        elif _product_size(clusters) >= _VECTOR_MIN_PATTERNS:
             # cross-product of the member supports as one broadcast | per
             # cluster (np.unique dedupes exactly like the set build)
             patterns = np.zeros(1, dtype=np.int64)
@@ -402,8 +343,8 @@ class HoareOptimizer(TransformationPass):
         cluster = self._merge(qubits)
         if cluster.support is None:
             return
-        # widening stays on the set loops even in vectorized mode: on the
-        # common already-saturated support the per-qubit union is a cheap
+        # widening stays on the set loops at every size: on the common
+        # already-saturated support the per-qubit union is a cheap
         # incremental no-op, which a materialize-all-then-dedupe kernel
         # can never beat
         support = cluster.support
@@ -535,17 +476,10 @@ class HoareOptimizer(TransformationPass):
             return
         self._widen(qubits)
 
-    def _monomial_permutation(self, matrix: np.ndarray):
+    @staticmethod
+    def _monomial_permutation(matrix: np.ndarray):
         """If each column has a single nonzero entry, return the column->row
         permutation (a generalized permutation acts exactly on supports)."""
-        if self.vectorized:
-            memo = getattr(self._run_state, "monomial_memo", None)
-            if memo is not None:
-                hit = memo.get(id(matrix))
-                if hit is not None:
-                    return hit[1]
-            # memo miss (unstable matrix identity): the early-exit column
-            # loop below beats a one-matrix kernel call
         dim = matrix.shape[0]
         permutation = np.full(dim, -1, dtype=int)
         for column in range(dim):

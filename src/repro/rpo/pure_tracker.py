@@ -8,12 +8,9 @@ gate merging, exactly as the paper describes: applying ``u3(t, p, l)`` to
 trailing ``lambda`` parameter discarded (it acts trivially on ``|0>``).
 
 State is stored **stacked**: ``(theta, phi)`` for every qubit lives in one
-``(N, 2)`` float array (plus a known-mask), and the gate-merge transition
-runs through :func:`repro.linalg.batch.apply_1q_batch` -- the scalar
-arithmetic on stacked operands, angles within ``1e-12`` of the scalar
-path (same matmul, same extraction branch structure).
-``vectorized=False`` (or ``REPRO_SCALAR_TRACKERS=1``) keeps the original
-per-call scalar path as the parity reference.
+``(N, 2)`` float array (plus a known-mask).  The tracker sees one gate at a
+time, so the gate-merge transition is one 2x2 matmul and one scalar Euler
+extraction (:func:`repro.linalg.euler.u3_params_from_unitary`).
 """
 
 from __future__ import annotations
@@ -22,10 +19,8 @@ import math
 
 import numpy as np
 
-from repro.linalg.batch import apply_1q_batch
 from repro.linalg.euler import u3_matrix, u3_params_from_unitary
 from repro.rpo.states import BasisState, basis_state_of_bloch_tuple
-from repro.rpo.vectorization import vectorized_default
 
 __all__ = ["PureStateTracker"]
 
@@ -35,10 +30,9 @@ PureState = tuple[float, float]
 class PureStateTracker:
     """Per-qubit ``(theta, phi)`` pure-state automaton (Fig. 6), stacked."""
 
-    def __init__(self, num_qubits: int, vectorized: bool | None = None):
+    def __init__(self, num_qubits: int):
         self.tuples = np.zeros((num_qubits, 2), dtype=float)
         self.known = np.ones(num_qubits, dtype=bool)
-        self.vectorized = vectorized_default() if vectorized is None else vectorized
 
     @property
     def states(self) -> list[PureState | None]:
@@ -101,37 +95,10 @@ class PureStateTracker:
     def apply_1q_gate(self, qubit: int, matrix: np.ndarray) -> None:
         if not self.known[qubit]:
             return
-        if not self.vectorized:
-            theta0, phi0 = self.tuples[qubit]
-            prepared = matrix @ u3_matrix(float(theta0), float(phi0), 0.0)
-            theta, phi, _lam, _gamma = u3_params_from_unitary(prepared)
-            self.tuples[qubit] = (theta, phi)
-            return
-        self.tuples[qubit] = apply_1q_batch(
-            np.asarray(matrix, dtype=complex), self.tuples[qubit][None]
-        )[0]
-
-    def apply_1q_gates(self, qubits, matrices) -> None:
-        """Apply one gate per qubit, all merges in one stacked kernel.
-
-        ``matrices`` is an ``(N, 2, 2)`` stack aligned with ``qubits``;
-        unknown qubits stay unknown.  Equivalent to pairwise
-        :meth:`apply_1q_gate` calls (angles within ``1e-12``), in one
-        :func:`~repro.linalg.batch.apply_1q_batch` call.
-        """
-        qubits = np.asarray(qubits, dtype=np.intp)
-        stack = np.asarray(matrices, dtype=complex)
-        if not self.vectorized:
-            for qubit, matrix in zip(qubits, stack):
-                self.apply_1q_gate(int(qubit), matrix)
-            return
-        if qubits.size == 0:
-            return
-        mask = self.known[qubits]
-        if not mask.any():
-            return
-        active = qubits[mask]
-        self.tuples[active] = apply_1q_batch(stack[mask], self.tuples[active])
+        theta0, phi0 = self.tuples[qubit]
+        prepared = matrix @ u3_matrix(float(theta0), float(phi0), 0.0)
+        theta, phi, _lam, _gamma = u3_params_from_unitary(prepared)
+        self.tuples[qubit] = (theta, phi)
 
     def apply_reset(self, qubit: int) -> None:
         self.known[qubit] = True
@@ -154,7 +121,7 @@ class PureStateTracker:
         self.known[[a, b]] = self.known[[b, a]]
 
     def copy(self) -> "PureStateTracker":
-        clone = PureStateTracker(len(self.known), vectorized=self.vectorized)
+        clone = PureStateTracker(len(self.known))
         clone.tuples = self.tuples.copy()
         clone.known = self.known.copy()
         return clone

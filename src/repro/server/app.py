@@ -78,6 +78,10 @@ CACHE_HITS_HEADER = "X-Repro-Cache-Hits"
 #: Request bodies above this are refused before reading (HTTP 413).
 MAX_REQUEST_BYTES = 256 * 1024 * 1024
 
+#: Seconds between the serve loop's checks for a stop request: a stop
+#: waits out at most one interval (socketserver's default is 0.5 s).
+POLL_INTERVAL = 0.05
+
 
 class _CompileHTTPServer(ThreadingHTTPServer):
     daemon_threads = True  # in-flight handlers never block interpreter exit
@@ -230,18 +234,30 @@ class CompileServer:
 
     def start(self) -> "CompileServer":
         """Serve on a daemon thread; returns self for chaining."""
-        if self._thread is None:
-            self._serving = True
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever, daemon=True
-            )
-            self._thread.start()
+        with self._lock:
+            if self._thread is None and not self._shutdown:
+                self._serving = True
+                self._thread = threading.Thread(
+                    target=self._httpd.serve_forever,
+                    args=(POLL_INTERVAL,),
+                    daemon=True,
+                )
+                self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``python -m repro.server`` path)."""
-        self._serving = True
-        self._httpd.serve_forever()
+        """Serve on the calling thread (the ``python -m repro.server`` path).
+
+        Returns at once if :meth:`shutdown` came first: the listening
+        socket is already closed then, and serving it would fail.
+        """
+        # under the lock, so shutdown() either sees the loop coming and
+        # stops it, or closed the socket and is seen here
+        with self._lock:
+            if self._shutdown:
+                return
+            self._serving = True
+        self._httpd.serve_forever(POLL_INTERVAL)
 
     def shutdown(self) -> None:
         """Stop serving; shut down (and snapshot) an owned service.

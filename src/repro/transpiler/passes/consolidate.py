@@ -16,11 +16,10 @@ The pass runs in five steps:
    order blocks and pass-through gates flush in;
 2. **batched matrices** -- all block unitaries are computed in one batched
    reduction (:func:`repro.linalg.batch.two_qubit_chain_unitaries` --
-   per-gate matrices stacked, 1q gates embedded via the batched kron,
-   chains identity-padded and chain-multiplied with log-depth pairwise
-   matmuls).  ``batched=False`` falls back to the original per-block
-   Python accumulation; the two paths are held to identical outputs by the
-   parity tests;
+   per-gate matrices stacked, 1q gates embedded on stacked operands,
+   chains identity-padded and chain-multiplied in time order, bit-identical
+   to a per-block ``embed_gate`` + matmul accumulation, which the tests
+   keep as the oracle);
 3. **decide** -- each block unitary's minimal CNOT count (the ``budget``
    synthesis itself starts from, and a lower bound on the replacement's
    CNOT count and size) is looked up in the run's
@@ -108,21 +107,6 @@ class _Block:
         wire_of = {self.pair[0]: 0, self.pair[1]: 1}
         return tuple(wire_of[q] for q in instruction.qubits)
 
-    def matrix(self, cache: AnalysisCache) -> np.ndarray:
-        """4x4 unitary with local wire 0 = pair[0], wire 1 = pair[1].
-
-        Serial reference path (one ``embed_gate`` + matmul per gate); the
-        batched pass computes the same product for every block at once via
-        :func:`two_qubit_chain_unitaries`.
-        """
-        from repro.circuit.matrix_utils import embed_gate
-
-        matrix = np.eye(4, dtype=complex)
-        for instruction in self.instructions:
-            local = self.local_wires(instruction)
-            matrix = embed_gate(cache.matrix(instruction.operation), local, 2) @ matrix
-        return matrix
-
 
 class ConsolidateBlocks(TransformationPass):
     """Collect and re-synthesise two-qubit blocks (Collect2qBlocks +
@@ -132,12 +116,10 @@ class ConsolidateBlocks(TransformationPass):
     preserves = ("is_swap_mapped",)
     invalidates = ()
 
-    def __init__(self, force: bool = False, batched: bool = True):
+    def __init__(self, force: bool = False):
         # ``force`` re-synthesises even when the CNOT count does not drop
         # (useful in tests); the preset pipelines keep the default.
-        # ``batched=False`` restores the per-block matrix accumulation.
         self.force = force
-        self.batched = batched
 
     def collect(
         self, circuit: QuantumCircuit
@@ -219,15 +201,12 @@ class ConsolidateBlocks(TransformationPass):
     def _block_matrices(
         self, blocks: list[_Block], cache: AnalysisCache
     ) -> dict[int, np.ndarray]:
-        """4x4 unitaries of every block, keyed by ``id(block)``.
-
-        Batched path: one bulk cache lookup gathers every gate matrix,
-        then every block reduces in a single stacked-operand call.
+        """4x4 unitaries of every block, keyed by ``id(block)``: one bulk
+        cache lookup gathers every gate matrix, then every block reduces in
+        a single stacked-operand call.
         """
         if not blocks:
             return {}
-        if not self.batched:
-            return {id(block): block.matrix(cache) for block in blocks}
         all_instructions = [
             instruction for block in blocks for instruction in block.instructions
         ]

@@ -8,16 +8,16 @@ gates, and again inside the fixed-point loop.
 Annotations act as fences: merging a gate across an ``ANNOT`` would move it
 relative to the point where the programmer's promise holds.
 
-The default implementation is batched: one scan collects every run of the
-circuit, all run products are computed in a single stacked reduction
-(:func:`repro.linalg.batch.chain_products`) and the Euler angles of every
-merged run come from one vectorized extraction
-(:func:`repro.linalg.batch.u3_params_batch`).  ``batched=False`` restores
-the original one-matmul-per-gate accumulation.  The run products are
-bit-identical between the two paths (sequential batched fold); the emitted
-angles may differ in the last ulp because vectorized ``arctan2`` rounds
-differently from libm's, so the parity tests pin structure exactly and
-angles to 1e-12.
+One scan collects every run of the circuit, all run products are computed
+in a single stacked reduction (:func:`repro.linalg.batch.chain_products`)
+and the Euler angles of every merged run come from one stacked extraction
+(:func:`repro.linalg.batch.u3_params_batch`).  The run products are
+bit-identical to a one-matmul-per-gate fold (sequential batched fold); the
+emitted angles may differ from the scalar
+:func:`repro.linalg.euler.u3_params_from_unitary` in the last ulp because
+NumPy's array ``arctan2`` rounds differently from libm's, so the tests
+hold the pass to the scalar fold with structure exact and angles within
+1e-12.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.linalg.batch import chain_products, u3_params_batch
-from repro.linalg.euler import u3_params_from_unitary
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 from repro.utils.angles import normalize_angle
@@ -45,19 +44,7 @@ class Optimize1qGates(TransformationPass):
     preserves = ("is_swap_mapped",)
     invalidates = ()
 
-    def __init__(self, batched: bool = True):
-        self.batched = batched
-
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        if self.batched:
-            return self._transform_batched(circuit, property_set)
-        return self._transform_serial(circuit, property_set)
-
-    # -- batched path ------------------------------------------------------
-
-    def _transform_batched(
-        self, circuit: QuantumCircuit, property_set: PropertySet
-    ) -> QuantumCircuit:
         cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
 
@@ -118,56 +105,6 @@ class Optimize1qGates(TransformationPass):
             theta, phi, lam, gamma = (float(value) for value in params[payload])
             self._emit_params(theta, phi, lam, gamma, run_qubit, output)
         return output
-
-    # -- serial reference path ---------------------------------------------
-
-    def _transform_serial(
-        self, circuit: QuantumCircuit, property_set: PropertySet
-    ) -> QuantumCircuit:
-        cache = AnalysisCache.ensure(property_set)
-        rewrites = rewrite_counter(property_set)
-        output = circuit.copy_empty_like()
-        pending: dict[int, tuple[np.ndarray, int]] = {}  # matrix, run length
-
-        def flush(qubit: int) -> None:
-            entry = pending.pop(qubit, None)
-            if entry is None:
-                return
-            matrix, run_length = entry
-            if run_length > 1:
-                rewrites[self.name] += 1
-            self._emit(matrix, qubit, output)
-
-        for instruction in circuit.data:
-            operation = instruction.operation
-            is_mergeable = (
-                operation.is_gate()
-                and operation.num_qubits == 1
-                and not operation.is_directive
-            )
-            if is_mergeable:
-                qubit = instruction.qubits[0]
-                current = pending.get(qubit)
-                matrix = cache.matrix(operation)
-                pending[qubit] = (
-                    (matrix, 1)
-                    if current is None
-                    else (matrix @ current[0], current[1] + 1)
-                )
-                continue
-            for qubit in instruction.qubits:
-                flush(qubit)
-            output.append(operation, instruction.qubits, instruction.clbits)
-        for qubit in sorted(pending):
-            flush(qubit)
-        return output
-
-    # -- shared emission ---------------------------------------------------
-
-    @classmethod
-    def _emit(cls, matrix: np.ndarray, qubit: int, output: QuantumCircuit) -> None:
-        theta, phi, lam, gamma = u3_params_from_unitary(matrix)
-        cls._emit_params(theta, phi, lam, gamma, qubit, output)
 
     @staticmethod
     def _emit_params(

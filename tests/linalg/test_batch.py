@@ -22,29 +22,19 @@ from repro.linalg.backend import (
     set_backend,
 )
 from repro.linalg.batch import (
-    apply_1q_batch,
     basis_axes_batch,
     bloch_rotation_batch,
     chain_products,
     embed_1q_in_2q,
-    euler_zyz_angles_batch,
     fold_matmul,
-    is_identity_up_to_phase_batch,
-    is_unitary_batch,
-    kron_batch,
-    monomial_permutations_batch,
     permute_2q,
     reduce_matmul,
     stack_chains,
     two_qubit_chain_unitaries,
-    u3_matrix_batch,
     u3_params_batch,
-    weyl_coordinates_batch,
 )
-from repro.linalg.euler import euler_zyz_angles, u3_matrix, u3_params_from_unitary
-from repro.linalg.predicates import is_identity_up_to_phase, is_unitary
+from repro.linalg.euler import u3_matrix, u3_params_from_unitary
 from repro.linalg.random import random_unitary
-from repro.linalg.weyl import weyl_coordinates
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -127,15 +117,6 @@ class TestChainedProducts:
 class TestBatchedEmbedding:
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, count=st.integers(1, 8))
-    def test_kron_batch(self, seed, count):
-        a = su_stack(2, count, seed)
-        b = su_stack(2, count, seed + 1)
-        out = kron_batch(a, b)
-        for i in range(count):
-            assert np.array_equal(out[i], np.kron(a[i], b[i]))
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 8))
     def test_embed_1q_matches_embed_gate(self, seed, count):
         stack = su_stack(2, count, seed)
         wires = np.arange(count) % 2
@@ -183,7 +164,6 @@ class TestBatchedEmbedding:
 
 
 DEGENERATE_1Q = ["id", "x", "y", "z", "h", "s", "t", "sx"]
-DEGENERATE_2Q = ["cx", "cz", "swap", "iswap"]
 
 
 class TestEulerBatch:
@@ -211,99 +191,13 @@ class TestEulerBatch:
         rebuilt = np.exp(1j * gamma) * u3_matrix(theta, phi, lam)
         assert np.allclose(rebuilt, matrix, atol=1e-9)
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 6))
-    def test_zyz_matches_scalar(self, seed, count):
-        stack = su_stack(2, count, seed)
-        batched = euler_zyz_angles_batch(stack)
-        for i in range(count):
-            assert np.allclose(batched[i], euler_zyz_angles(stack[i]), atol=1e-12)
-
     def test_empty_stack(self):
         assert u3_params_batch(np.empty((0, 2, 2))).shape == (0, 4)
 
 
-class TestWeylBatch:
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 8))
-    def test_matches_scalar(self, seed, count):
-        stack = su_stack(4, count, seed)
-        batched = weyl_coordinates_batch(stack)
-        assert batched.shape == (count, 3)
-        for i in range(count):
-            assert np.allclose(batched[i], weyl_coordinates(stack[i]), atol=1e-8)
-
-    @pytest.mark.parametrize("name", DEGENERATE_2Q)
-    def test_standard_gates_match_scalar(self, name):
-        matrix = standard_gate_matrix(name)
-        batched = weyl_coordinates_batch(matrix[None])[0]
-        assert np.allclose(batched, weyl_coordinates(matrix), atol=1e-8)
-
-    def test_identity_at_origin(self):
-        coords = weyl_coordinates_batch(np.eye(4, dtype=complex)[None])[0]
-        assert np.allclose(coords, 0.0, atol=1e-8)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="non-unitary"):
-            weyl_coordinates_batch(2.0 * np.eye(4, dtype=complex)[None])
-
-
-class TestPredicatesBatch:
-    def _mixed_bag(self, dim):
-        return [
-            random_unitary(dim, 3),
-            1.001 * random_unitary(dim, 4),
-            np.exp(0.7j) * np.eye(dim, dtype=complex),
-            np.eye(dim, dtype=complex),
-            np.diag([1.0] * (dim - 1) + [-1.0]).astype(complex),
-            np.zeros((dim, dim), dtype=complex),
-        ]
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_is_unitary_matches_scalar(self, dim):
-        bag = self._mixed_bag(dim)
-        batched = is_unitary_batch(np.stack(bag))
-        assert batched.tolist() == [is_unitary(m) for m in bag]
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_identity_up_to_phase_matches_scalar(self, dim):
-        bag = self._mixed_bag(dim)
-        batched = is_identity_up_to_phase_batch(np.stack(bag))
-        assert batched.tolist() == [is_identity_up_to_phase(m) for m in bag]
-
-    def test_empty_stack(self):
-        assert is_unitary_batch(np.empty((0, 2, 2))).shape == (0,)
-        assert is_identity_up_to_phase_batch(np.empty((0, 2, 2))).shape == (0,)
-
-
 class TestTrackerKernels:
-    """Parity for the stacked analysis kernels against their scalar
-    references (the tracker transition arithmetic and the Hoare monomial
-    test)."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 10))
-    def test_u3_matrix_batch_matches_scalar(self, seed, count):
-        rng = np.random.default_rng(seed)
-        params = rng.uniform(0, 2 * np.pi, (count, 3))
-        batched = u3_matrix_batch(params)
-        for i in range(count):
-            assert np.allclose(batched[i], u3_matrix(*params[i]), atol=1e-15)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 10))
-    def test_apply_1q_batch_matches_scalar_merge(self, seed, count):
-        rng = np.random.default_rng(seed)
-        tuples = np.column_stack(
-            [rng.uniform(0, np.pi, count), rng.uniform(0, 2 * np.pi, count)]
-        )
-        stack = su_stack(2, count, seed)
-        merged = apply_1q_batch(stack, tuples)
-        for i in range(count):
-            prepared = stack[i] @ u3_matrix(tuples[i, 0], tuples[i, 1], 0.0)
-            theta, phi, _lam, _gamma = u3_params_from_unitary(prepared)
-            assert abs(merged[i, 0] - theta) <= 1e-12
-            assert abs(merged[i, 1] - phi) <= 1e-12
+    """Parity for the basis-state tracker's stacked transition kernels
+    against their scalar references in :mod:`repro.rpo.states`."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=seeds, count=st.integers(1, 10))
@@ -332,36 +226,6 @@ class TestTrackerKernels:
                     assert axes[i] == -1 and signs[i] == 0
                 else:
                     assert axes[i] == state.axis and signs[i] == state.sign
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=seeds, count=st.integers(1, 8), dim=st.sampled_from([2, 4, 8]))
-    def test_monomial_permutations_batch(self, seed, count, dim):
-        rng = np.random.default_rng(seed)
-        stack = np.empty((count, dim, dim), dtype=complex)
-        expected = np.full((count, dim), -1, dtype=np.int64)
-        expected_valid = np.zeros(count, dtype=bool)
-        for i in range(count):
-            if rng.random() < 0.5:
-                permutation = rng.permutation(dim)
-                phases = np.exp(2j * np.pi * rng.uniform(size=dim))
-                matrix = np.zeros((dim, dim), dtype=complex)
-                matrix[permutation, np.arange(dim)] = phases
-                stack[i] = matrix
-                expected[i] = permutation
-                expected_valid[i] = True
-            else:
-                stack[i] = random_unitary(dim, seed * 100 + i) @ (
-                    np.eye(dim) + 0.5
-                )
-        permutations, valid = monomial_permutations_batch(stack)
-        assert np.array_equal(valid, expected_valid)
-        assert np.array_equal(permutations[expected_valid], expected[expected_valid])
-        assert (permutations[~expected_valid] == -1).all()
-
-    def test_monomial_empty_stack(self):
-        permutations, valid = monomial_permutations_batch(np.empty((0, 2, 2)))
-        assert permutations.shape == (0, 2)
-        assert valid.shape == (0,)
 
 
 class TestBackendSelection:

@@ -1,6 +1,12 @@
 """Tests for the Hoare-logic baseline optimizer."""
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.circuit import QuantumCircuit
+from repro.linalg.random import random_unitary
 from repro.rpo import HoareOptimizer
 from repro.transpiler.passmanager import PropertySet
 
@@ -154,3 +160,24 @@ class TestSupportMachinery:
         circuit.cx(0, 1)
         out = run_hoare(circuit)
         assert out.count_ops().get("cx", 0) == 2
+
+
+class TestMonomialDetection:
+    """A generalized permutation (one nonzero per column) acts exactly on
+    supports; anything else must widen them."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 4, 8]))
+    def test_generalized_permutations_detected(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        permutation = rng.permutation(dim)
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[permutation, np.arange(dim)] = np.exp(2j * np.pi * rng.uniform(size=dim))
+        found = HoareOptimizer._monomial_permutation(matrix)
+        assert found is not None
+        assert np.array_equal(found, permutation)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_dense_matrices_rejected(self, dim):
+        dense = random_unitary(dim, dim) @ (np.eye(dim) + 0.5)
+        assert HoareOptimizer._monomial_permutation(dense) is None

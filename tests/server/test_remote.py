@@ -12,6 +12,9 @@ test) except the one process-mode round-trip; the protocol and HTTP
 layers under test are identical in every mode.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -407,6 +410,38 @@ class TestServerLifecycle:
         while not srv._shutdown and __import__("time").time() < deadline:
             __import__("time").sleep(0.05)
         assert srv._shutdown
+
+    def test_shutdown_before_serve_forever_returns_cleanly(self):
+        # the race a SIGTERM right after start-up hits: the stop lands
+        # before the serve loop registers the (by then closed) socket
+        srv = CompileServer(mode="serial", pipeline="level1")
+        srv.shutdown()
+        errors = []
+
+        def serve():
+            try:
+                srv.serve_forever()
+            except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert errors == []
+
+    @pytest.mark.parametrize("entry", ["start", "serve_forever"])
+    def test_stop_of_a_serving_server_is_prompt(self, entry):
+        srv = CompileServer(mode="serial", pipeline="level1")
+        if entry == "start":
+            srv.start()
+        else:
+            threading.Thread(target=srv.serve_forever, daemon=True).start()
+        with RemoteCompileService(srv.endpoint) as client:
+            assert client.healthz()["status"] == "ok"
+        began = time.monotonic()
+        srv.shutdown()
+        assert time.monotonic() - began < 0.2
 
     def test_owned_service_shuts_down_with_server(self):
         srv = CompileServer(mode="serial", pipeline="level1")

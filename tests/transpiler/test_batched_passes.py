@@ -1,22 +1,72 @@
-"""Serial-vs-batched parity for the rewired transpiler passes.
+"""The stacked transpiler passes against their serial oracles.
 
-``ConsolidateBlocks(batched=True)`` is held to **bit-identical** output
-against the serial reference path (the batched fold reduction reproduces
-the serial matmuls exactly, and the Weyl synthesis is deterministic given
-identical block matrices).  ``Optimize1qGates`` is held to identical
-structure with angles within ``1e-12`` (vectorized ``arctan2`` may round
-the last ulp differently from libm's -- see the pass docstring).
+``ConsolidateBlocks`` computes every block unitary in one stacked fold;
+:class:`SerialConsolidateBlocks` accumulates each block one ``embed_gate``
++ matmul at a time, and the two are held to **bit-identical** output (the
+fold reproduces the serial matmuls exactly, and the Weyl synthesis is
+deterministic given identical block matrices).  ``Optimize1qGates`` merges
+every run in one stacked fold and one stacked Euler extraction;
+:func:`serial_optimize_1q` folds one matmul per gate and extracts each run
+with the scalar routine, and the two are held to identical structure with
+angles within ``1e-12`` (NumPy's array ``arctan2`` may round the last ulp
+differently from libm's -- see the pass docstring).
 """
 
 import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.circuit.matrix_utils import embed_gate
+from repro.linalg.euler import u3_params_from_unitary
 from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passes import ConsolidateBlocks, Optimize1qGates
 from repro.transpiler.passmanager import PropertySet
 
 from tests.helpers import assert_unitarily_equal
+
+
+class SerialConsolidateBlocks(ConsolidateBlocks):
+    """``ConsolidateBlocks`` with each block's unitary accumulated serially,
+    one ``embed_gate`` + matmul per gate (local wire 0 = ``pair[0]``)."""
+
+    def _block_matrices(self, blocks, cache):
+        unitaries = {}
+        for block in blocks:
+            matrix = np.eye(4, dtype=complex)
+            for instruction in block.instructions:
+                local = block.local_wires(instruction)
+                matrix = embed_gate(cache.matrix(instruction.operation), local, 2) @ matrix
+            unitaries[id(block)] = matrix
+        return unitaries
+
+
+def serial_optimize_1q(circuit: QuantumCircuit) -> QuantumCircuit:
+    """One-matmul-per-gate fold of every 1q run, each run emitted through
+    the scalar Euler extraction."""
+    cache = AnalysisCache()
+    output = circuit.copy_empty_like()
+    pending: dict[int, np.ndarray] = {}
+
+    def flush(qubit: int) -> None:
+        matrix = pending.pop(qubit, None)
+        if matrix is not None:
+            theta, phi, lam, gamma = u3_params_from_unitary(matrix)
+            Optimize1qGates._emit_params(theta, phi, lam, gamma, qubit, output)
+
+    for instruction in circuit.data:
+        operation = instruction.operation
+        if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
+            qubit = instruction.qubits[0]
+            matrix = cache.matrix(operation)
+            current = pending.get(qubit)
+            pending[qubit] = matrix if current is None else matrix @ current
+            continue
+        for qubit in instruction.qubits:
+            flush(qubit)
+        output.append(operation, instruction.qubits, instruction.clbits)
+    for qubit in sorted(pending):
+        flush(qubit)
+    return output
 
 
 def random_circuit(
@@ -51,10 +101,14 @@ def random_circuit(
     return circuit
 
 
-def run_both(pass_factory, circuit):
-    batched = pass_factory(batched=True).run(circuit, PropertySet())
-    serial = pass_factory(batched=False).run(circuit, PropertySet())
+def consolidate_both(circuit, force: bool = False):
+    batched = ConsolidateBlocks(force=force).run(circuit, PropertySet())
+    serial = SerialConsolidateBlocks(force=force).run(circuit, PropertySet())
     return batched, serial
+
+
+def optimize_1q_both(circuit):
+    return Optimize1qGates().run(circuit, PropertySet()), serial_optimize_1q(circuit)
 
 
 def assert_bit_identical(a: QuantumCircuit, b: QuantumCircuit) -> None:
@@ -83,35 +137,27 @@ class TestConsolidateParity:
     @pytest.mark.parametrize("seed", range(25))
     def test_bit_identical_on_random_circuits(self, seed):
         circuit = random_circuit(seed)
-        batched, serial = run_both(
-            lambda batched: ConsolidateBlocks(batched=batched), circuit
-        )
+        batched, serial = consolidate_both(circuit)
         assert_bit_identical(batched, serial)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_forced_resynthesis_parity(self, seed):
         circuit = random_circuit(seed + 100, num_qubits=3, depth=30)
-        batched, serial = run_both(
-            lambda batched: ConsolidateBlocks(force=True, batched=batched), circuit
-        )
+        batched, serial = consolidate_both(circuit, force=True)
         assert_bit_identical(batched, serial)
 
     def test_batched_preserves_semantics(self):
         circuit = random_circuit(7, measures=False)
-        out = ConsolidateBlocks(batched=True).run(circuit, PropertySet())
+        out = ConsolidateBlocks().run(circuit, PropertySet())
         assert_unitarily_equal(circuit, out)
 
     def test_empty_and_trivial_circuits(self):
         for circuit in (QuantumCircuit(2), QuantumCircuit(1)):
-            batched, serial = run_both(
-                lambda batched: ConsolidateBlocks(batched=batched), circuit
-            )
+            batched, serial = consolidate_both(circuit)
             assert_bit_identical(batched, serial)
         single = QuantumCircuit(2)
         single.cx(0, 1)
-        batched, serial = run_both(
-            lambda batched: ConsolidateBlocks(batched=batched), single
-        )
+        batched, serial = consolidate_both(single)
         assert_bit_identical(batched, serial)
 
     def test_bulk_matrix_lookup_hits_cache(self):
@@ -121,7 +167,7 @@ class TestConsolidateParity:
             circuit.h(0)
         cache = AnalysisCache()
         props = PropertySet({AnalysisCache.PROPERTY_KEY: cache})
-        ConsolidateBlocks(batched=True).run(circuit, props)
+        ConsolidateBlocks().run(circuit, props)
         # 12 gate operands resolve to 2 distinct matrices: h from the
         # standard table, cx (a ControlledGate) constructed exactly once
         assert cache.matrix_requests >= 12
@@ -132,15 +178,13 @@ class TestOptimize1qParity:
     @pytest.mark.parametrize("seed", range(25))
     def test_structure_and_angles_on_random_circuits(self, seed):
         circuit = random_circuit(seed + 300)
-        batched, serial = run_both(
-            lambda batched: Optimize1qGates(batched=batched), circuit
-        )
+        batched, serial = optimize_1q_both(circuit)
         assert_structure_and_angles(batched, serial)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_batched_preserves_semantics(self, seed):
         circuit = random_circuit(seed + 400, measures=False)
-        out = Optimize1qGates(batched=True).run(circuit, PropertySet())
+        out = Optimize1qGates().run(circuit, PropertySet())
         assert_unitarily_equal(circuit, out)
 
     def test_pure_1q_runs_collapse(self):
@@ -148,21 +192,17 @@ class TestOptimize1qParity:
         for _ in range(10):
             circuit.h(0)
             circuit.t(0)
-        batched, serial = run_both(
-            lambda batched: Optimize1qGates(batched=batched), circuit
-        )
+        batched, serial = optimize_1q_both(circuit)
         assert len(batched.data) == 1
         assert_structure_and_angles(batched, serial)
 
     def test_empty_circuit(self):
-        batched, serial = run_both(
-            lambda batched: Optimize1qGates(batched=batched), QuantumCircuit(3)
-        )
+        batched, serial = optimize_1q_both(QuantumCircuit(3))
         assert_bit_identical(batched, serial)
 
     def test_identity_run_disappears(self):
         circuit = QuantumCircuit(1)
         circuit.x(0)
         circuit.x(0)
-        out = Optimize1qGates(batched=True).run(circuit, PropertySet())
+        out = Optimize1qGates().run(circuit, PropertySet())
         assert len(out.data) == 0
