@@ -20,12 +20,15 @@ invariants, then
 Synthesis runs in two steps.  :func:`plan_two_qubit_unitary` records one
 candidate as a :class:`SynthesisPlan` -- the emitted ``u3``/``cx`` gate
 tuples and the global phase, no circuit object -- so a caller such as
-``ConsolidateBlocks`` can read a candidate's size cheaply.
-:func:`synthesize_two_qubit_unitary` multiplies each plan's own gate
-matrices out and checks the product against the target (including global
-phase); on a miss it escalates the CNOT count, so the output is always
-exact even at degenerate class boundaries.  Only the plan that passes is
-built into a circuit.
+``ConsolidateBlocks`` can read a candidate's size cheaply;
+:func:`plan_two_qubit_unitaries` makes many such plans over one stacked
+Weyl kernel.  :func:`synthesize_two_qubit_unitary` multiplies each plan's
+own gate matrices out and checks the product against the target
+(including global phase); on a miss it escalates the CNOT count, so the
+output is always exact even at degenerate class boundaries.  Only the plan
+that passes is built into a circuit.  A caller that made the CNOT budget
+and the budget plan in bulk hands both in, and synthesis plans only on
+escalation.
 
 Endianness: inputs are little-endian circuit matrices on qubits ``(0, 1)``;
 the left Kronecker factor therefore acts on qubit 1.
@@ -358,23 +361,36 @@ def plan_size_floor(cnots: int) -> int:
     return _PLAN_SIZE_FLOOR[cnots]
 
 
-def synthesize_two_qubit_unitary(unitary: np.ndarray, atol: float = 1e-7):
+def synthesize_two_qubit_unitary(
+    unitary: np.ndarray, atol: float = 1e-7, *, planned: tuple | None = None
+):
     """Synthesise ``unitary`` into a circuit with the minimal CNOT count.
 
     The result reproduces the target exactly, including global phase: each
     candidate plan is multiplied out and checked against the target, and
     only the plan that passes is built into a circuit.
+
+    ``planned`` is ``(budget, plan)`` when the caller made them in bulk:
+    ``budget`` is ``num_cnots_required(unitary, atol)`` and ``plan`` the item
+    :func:`plan_two_qubit_unitaries` returned for ``(unitary, budget)`` -- a
+    plan, ``None``, or the typed error, which is raised.  Synthesis then
+    checks that plan first and plans only when it escalates.
     """
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (4, 4):
         raise ValueError(f"expected a 4x4 unitary, got shape {unitary.shape}")
 
-    budget = num_cnots_required(unitary, atol=atol)
+    if planned is None:
+        budget = num_cnots_required(unitary, atol=atol)
+        plan = plan_two_qubit_unitary(unitary, budget)
+    else:
+        budget, plan = planned
+        if isinstance(plan, Exception):
+            raise plan
     for cnots in range(budget, 4):
-        plan = plan_two_qubit_unitary(unitary, cnots)
-        if plan is None:
-            continue
-        if np.allclose(plan.matrix(), unitary, atol=max(atol, 1e-7)):
+        if cnots > budget:
+            plan = plan_two_qubit_unitary(unitary, cnots)
+        if plan is not None and np.allclose(plan.matrix(), unitary, atol=max(atol, 1e-7)):
             return plan.circuit()
     raise TwoQubitSynthesisError("exhausted all CNOT budgets")
 

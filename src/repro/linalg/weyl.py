@@ -37,8 +37,10 @@ the same bits whatever stack it sits in, and a matrix that fails (not
 unitary, or rejected by LAPACK) fails alone.  The eigenphases are sorted
 descending, which makes the returned coordinate triple a deterministic
 function of the local-equivalence class.  The CNOT cost test
-(:func:`num_cnots_required`) uses the Shende--Bullock--Markov trace
-invariants of ``M^T M``.
+(:func:`cnot_budgets`, with :func:`num_cnots_required` its stack of one)
+uses the Shende--Bullock--Markov trace invariants of ``M^T M`` and runs on
+stacks the same way, so a caller with many block unitaries pays for their
+CNOT counts once.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "weyl_decompose",
     "canonical_gate",
     "weyl_coordinates",
+    "cnot_budgets",
     "num_cnots_required",
 ]
 
@@ -348,33 +351,52 @@ def weyl_coordinates(unitary: np.ndarray) -> tuple[float, float, float]:
     return _only(canonical_forms(unitary[None])).coordinates
 
 
-def _gamma_trace_invariants(unitary: np.ndarray) -> tuple[complex, complex]:
-    """Traces ``tr(M2)`` and ``tr(M2 @ M2)`` of the magic-basis Gram matrix."""
-    unitary = np.asarray(unitary, dtype=complex)
-    det = np.linalg.det(unitary)
-    special = unitary * np.exp(-1j * np.angle(det) / 4)
+def cnot_budgets(unitaries, atol: float = 1e-8) -> list[int]:
+    """:func:`num_cnots_required` of every matrix in a stack of 4x4
+    unitaries, in one stacked pass.
+
+    Every stacked operation is the per-matrix operation repeated, so a
+    matrix gets the same count whatever stack it sits in.
+    """
+    stack = np.asarray(unitaries, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 matrices, got shape {stack.shape}")
+    if not len(stack):
+        return []
+    dets = np.linalg.det(stack)
+    special = stack * np.exp(-1j * np.angle(dets) / 4)[:, None, None]
     magic = _MAGIC_DAG @ special @ MAGIC_BASIS
-    m2 = magic.T @ magic
-    return complex(np.trace(m2)), complex(np.trace(m2 @ m2))
+    m2 = magic.transpose(0, 2, 1) @ magic
+    traces = m2.trace(axis1=1, axis2=2).tolist()
+    traces_sq = (m2 @ m2).trace(axis1=1, axis2=2).tolist()
+    budgets = []
+    for trace, trace_sq in zip(traces, traces_sq):
+        if abs(trace.imag) < atol and abs(abs(trace.real) - 4.0) < atol:
+            budgets.append(0)
+        elif abs(trace) < atol and abs(trace_sq + 4.0) < atol:
+            budgets.append(1)
+        elif abs(trace.imag) < atol:
+            budgets.append(2)
+        else:
+            budgets.append(3)
+    return budgets
 
 
 def num_cnots_required(unitary: np.ndarray, atol: float = 1e-8) -> int:
     """Minimum number of CNOT gates needed to implement ``unitary``.
 
     Implements the Shende--Bullock--Markov invariant tests on the spectrum of
-    the magic-basis Gram matrix ``M^T M``:
+    the magic-basis Gram matrix ``M2 = M^T M``:
 
     * 0 CNOTs  <=>  ``tr(M2) = +/-4`` (tensor product),
     * 1 CNOT   <=>  spectrum ``{i, i, -i, -i}``: ``tr(M2) = 0`` and
       ``tr(M2^2) = -4``,
     * 2 CNOTs  <=>  ``tr(M2)`` is real,
     * otherwise 3.
+
+    This is :func:`cnot_budgets` on a stack of one.
     """
-    trace, trace_sq = _gamma_trace_invariants(unitary)
-    if abs(trace.imag) < atol and abs(abs(trace.real) - 4.0) < atol:
-        return 0
-    if abs(trace) < atol and abs(trace_sq + 4.0) < atol:
-        return 1
-    if abs(trace.imag) < atol:
-        return 2
-    return 3
+    unitary = np.asarray(unitary, dtype=complex)
+    if unitary.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {unitary.shape}")
+    return cnot_budgets(unitary[None], atol)[0]

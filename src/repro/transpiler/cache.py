@@ -19,7 +19,9 @@ derived data every pass otherwise recomputes from scratch:
 * **two-qubit syntheses** -- keyed by a block unitary's exact bytes: its
   minimal CNOT count and, once ``ConsolidateBlocks`` has synthesized it,
   the replacement circuit (or the failure).  Repeat unitaries from the
-  fixed-point loop and from repeated blocks cost one synthesis.
+  fixed-point loop and from repeated blocks cost one synthesis.  Lookups
+  come in bulk (:meth:`AnalysisCache.syntheses`): the CNOT counts of all
+  new unitaries of a request are one stacked kernel call.
 
 Caches are invalidated implicitly: a rewritten circuit has a different
 fingerprint, so stale entries are simply never hit again.  The cache is
@@ -48,6 +50,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.circuit.instruction import ControlledGate, Instruction
+from repro.linalg.weyl import cnot_budgets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.circuit.quantumcircuit import QuantumCircuit
@@ -146,7 +149,8 @@ class SynthesisMemo:
     """One block unitary's synthesis record.
 
     ``budget`` is :func:`~repro.linalg.weyl.num_cnots_required` of the
-    unitary -- a lower bound on the CNOT count of any re-synthesis.
+    unitary (made in bulk by :meth:`AnalysisCache.syntheses`) -- a lower
+    bound on the CNOT count of any re-synthesis.
     ``plan_size`` is ``None`` until the budget plan has been made, then the
     plan's gate count (``math.inf`` when no plan matches).  Once
     ``synthesized`` is set, ``replacement`` holds the synthesized circuit,
@@ -315,21 +319,36 @@ class AnalysisCache:
 
     # -- two-qubit syntheses -----------------------------------------------
 
-    def synthesis(self, unitary: np.ndarray) -> SynthesisMemo:
-        """The memo record of a 4x4 block unitary, created on first sight.
+    def syntheses(self, unitaries) -> list[SynthesisMemo]:
+        """The memo records of 4x4 block unitaries, in order, each created
+        on first sight.
 
-        The budget uses the same tolerance ``synthesize_two_qubit_unitary``
-        applies by default, so it equals the CNOT count synthesis starts
-        from.
+        The budgets of every unitary not yet memoized come from one stacked
+        :func:`~repro.linalg.weyl.cnot_budgets` call (none when every
+        unitary is known), with the tolerance
+        ``synthesize_two_qubit_unitary`` applies by default, so each equals
+        the CNOT count synthesis starts from.  Repeats within the request
+        share one record.
         """
-        key = unitary.tobytes()
-        memo = self._syntheses.get(key)
-        if memo is None:
-            from repro.linalg.weyl import num_cnots_required
+        keys = [unitary.tobytes() for unitary in unitaries]
+        memos = [self._syntheses.get(key) for key in keys]
+        fresh: dict[bytes, int] = {}  # unseen key -> its first position
+        for index, memo in enumerate(memos):
+            if memo is None:
+                fresh.setdefault(keys[index], index)
+        if not fresh:
+            return memos
+        budgets = cnot_budgets([unitaries[index] for index in fresh.values()], atol=1e-7)
+        created = {}
+        for key, budget in zip(fresh, budgets):
+            created[key] = SynthesisMemo(budget)
+            _bounded_insert(self._syntheses, key, created[key], _MAX_SYNTHESES)
+        return [created[key] if memo is None else memo for key, memo in zip(keys, memos)]
 
-            memo = SynthesisMemo(num_cnots_required(unitary, atol=1e-7))
-            _bounded_insert(self._syntheses, key, memo, _MAX_SYNTHESES)
-        return memo
+    def synthesis(self, unitary: np.ndarray) -> SynthesisMemo:
+        """The memo record of one 4x4 block unitary: :meth:`syntheses` of
+        one item."""
+        return self.syntheses([unitary])[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

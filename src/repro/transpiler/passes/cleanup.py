@@ -1,4 +1,7 @@
-"""Cleanup passes: pre-measurement diagonal removal, directive stripping."""
+"""Cleanup passes: pre-measurement diagonal removal, directive stripping.
+
+A pass with nothing to remove returns its input circuit.
+"""
 
 from __future__ import annotations
 
@@ -25,18 +28,19 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         survivors: list = list(circuit.data)
-        # for each wire, walk backwards from each measure
-        last_index_on_wire: dict[int, list[int]] = {}
+        # each wire's record indices, and each measure's place on its wire
+        chains: dict[int, list[int]] = {}
+        measures: list[tuple[list[int], int]] = []
         for index, instruction in enumerate(survivors):
+            if instruction.operation.name == "measure":
+                chain = chains.setdefault(instruction.qubits[0], [])
+                measures.append((chain, len(chain)))
             for qubit in instruction.qubits:
-                last_index_on_wire.setdefault(qubit, []).append(index)
+                chains.setdefault(qubit, []).append(index)
 
-        for index, instruction in enumerate(survivors):
-            if instruction is None or instruction.operation.name != "measure":
-                continue
-            qubit = instruction.qubits[0]
-            chain = last_index_on_wire[qubit]
-            position = chain.index(index)
+        dropped = False
+        # walk backwards from each measure, in circuit order
+        for chain, position in measures:
             walk = position - 1
             while walk >= 0:
                 earlier = survivors[chain[walk]]
@@ -48,9 +52,12 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
                     and len(earlier.qubits) == 1
                 ):
                     survivors[chain[walk]] = None
+                    dropped = True
                     walk -= 1
                     continue
                 break
+        if not dropped:
+            return circuit
         output = circuit.copy_empty_like()
         for instruction in survivors:
             if instruction is not None:
@@ -72,6 +79,8 @@ class RemoveAnnotations(TransformationPass):
     equivalence = "none"
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
+        if all(instruction.operation.name != "annot" for instruction in circuit.data):
+            return circuit
         output = circuit.copy_empty_like()
         for instruction in circuit.data:
             if instruction.operation.name == "annot":
@@ -88,6 +97,8 @@ class RemoveBarriers(TransformationPass):
     invalidates = ()
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
+        if all(instruction.operation.name != "barrier" for instruction in circuit.data):
+            return circuit
         output = circuit.copy_empty_like()
         for instruction in circuit.data:
             if instruction.operation.name == "barrier":

@@ -20,29 +20,31 @@ The pass runs in five steps:
    chains identity-padded and chain-multiplied in time order, bit-identical
    to a per-block ``embed_gate`` + matmul accumulation, which the tests
    keep as the oracle);
-3. **decide** -- each block unitary's minimal CNOT count (the ``budget``
+3. **decide** -- one bulk lookup in the run's
+   :class:`~repro.transpiler.cache.AnalysisCache` gives every block the
+   memo of its unitary, with the minimal CNOT count (the ``budget``
    synthesis itself starts from, and a lower bound on the replacement's
-   CNOT count and size) is looked up in the run's
-   :class:`~repro.transpiler.cache.AnalysisCache`.  A block whose budget
-   already exceeds its CX cost, or ties it without holding more gates than
-   the budget, cannot be improved and is emitted unchanged (prescan).  On
-   any other CX-count tie only the budget-CNOT candidate can win, and no
-   budget plan is smaller than the structural floor
+   CNOT count and size); the budgets of all unitaries new to the cache come
+   from one stacked :func:`~repro.linalg.weyl.cnot_budgets` call.  A block
+   whose budget already exceeds its CX cost, or ties it without holding
+   more gates than the budget, cannot be improved and is emitted unchanged
+   (prescan).  On any other CX-count tie only the budget-CNOT candidate
+   can win, and no budget plan is smaller than the structural floor
    (:func:`~repro.linalg.two_qubit_synthesis.plan_size_floor`: 3 gates for
-   2 CNOTs, 6 for 3), so a tie no larger than the floor is rejected with no
-   linear algebra (floor reject);
-4. **price** -- the budget plans of all remaining fresh ties of the run are
-   made in one bulk call
-   (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
-   gate tuples, no circuit, no check) over the stacked Weyl kernel, and a
-   tie is rejected when there is no plan or it is not smaller than the
-   block;
+   2 CNOTs, 6 for 3), so a tie no larger than the floor is rejected with
+   no linear algebra (floor reject);
+4. **price and plan in bulk** -- the budget plans of every unitary the run
+   may price (a fresh tie above the floor) or synthesize are made in one
+   call (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
+   gate tuples, no circuit, no check) over the stacked Weyl kernel; a tie
+   is rejected when there is no plan or it is not smaller than the block;
 5. **emit, building and verifying only what is kept** -- in event order;
-   tie winners and blocks whose budget is below their CX cost are
-   re-synthesized by
-   :func:`~repro.linalg.two_qubit_synthesis.synthesize_two_qubit_unitary`,
-   which multiplies its plan out, checks it against the block unitary and
-   only then builds the circuit.
+   tie winners and blocks whose budget is below their CX cost go to
+   :func:`~repro.linalg.two_qubit_synthesis.synthesize_two_qubit_unitary`
+   with their budget and bulk-made plan, so a winning tie is built from
+   the plan that priced it.  Synthesis multiplies the plan out, checks it
+   against the block unitary and only then builds the circuit; on a miss
+   it escalates the CNOT count and plans again.
 
 Every decision is memoized per distinct unitary per cache -- the plan size,
 then the replacement or the failure -- for repeats from the fixed-point
@@ -76,6 +78,8 @@ __all__ = ["ConsolidateBlocks"]
 
 _BLOCK_MIN_2Q = 2  # only consolidate blocks with at least this many 2q gates
 
+_UNPLANNED = object()  # ``_Block.plan`` of a block whose unitary was not planned
+
 
 #: CX-equivalent cost of two-qubit gates when they are later unrolled to
 #: the CNOT basis (swap = 3, swapz = 2, generic unitary synthesis <= 3).
@@ -92,9 +96,10 @@ class _Block:
         self.num_2q = 0
         self.cx_cost = 0
         self.memo: SynthesisMemo | None = None
-        #: on the first block of a run that needs its unitary's budget plan:
-        #: the plan's size (``math.inf``: no plan) or the typed error
-        self.price: int | float | Exception | None = None
+        #: the budget plan of the block's unitary, made in bulk for this run
+        #: (a ``SynthesisPlan``, ``None`` when no template matches, or the
+        #: typed error); ``_UNPLANNED`` when the run needs none
+        self.plan = _UNPLANNED
 
     def add(self, instruction: CircuitInstruction) -> None:
         self.instructions.append(instruction)
@@ -235,7 +240,7 @@ class ConsolidateBlocks(TransformationPass):
             and (event[1].num_2q >= _BLOCK_MIN_2Q or self.force)
         ]
         unitaries = self._block_matrices(candidates, cache)
-        self._price_ties(candidates, unitaries, cache)
+        self._plan_blocks(candidates, unitaries, cache)
 
         output = circuit.copy_empty_like()
         for kind, payload, qubits, clbits in events:
@@ -247,48 +252,54 @@ class ConsolidateBlocks(TransformationPass):
                 )
         return output
 
-    def _fresh_tie(self, block: _Block) -> bool:
-        """Whether ``block`` is a CX-count tie above the plan-size floor
-        whose budget plan is neither memoized nor made moot by a memoized
-        synthesis -- the ties a run must price."""
+    def _needs_plan(self, block: _Block) -> bool:
+        """Whether emitting ``block`` may read its unitary's budget plan:
+        to price a fresh CX-count tie above the plan-size floor, or to
+        synthesize (a budget below the CX cost, a tie whose memoized plan
+        size wins, or ``force``).  Nothing is needed once the unitary's
+        synthesis is memoized."""
         memo = block.memo
-        return (
-            not self.force
-            and memo.budget == block.cx_cost
-            and not memo.synthesized
-            and memo.plan_size is None
-            and len(block.instructions) > plan_size_floor(memo.budget)
-        )
+        if memo.synthesized:
+            return False
+        if self.force or memo.budget < block.cx_cost:
+            return True
+        if memo.budget > block.cx_cost:
+            return False
+        size = len(block.instructions)
+        if memo.plan_size is None:
+            return size > plan_size_floor(memo.budget)
+        return memo.plan_size < size
 
-    def _price_ties(
+    def _plan_blocks(
         self, blocks: list[_Block], unitaries: dict[int, np.ndarray], cache: AnalysisCache
     ) -> None:
-        """Decide and price: look up every block's memo, then make the
-        budget plans of all fresh ties in one bulk call.
+        """Decide, then price and plan in bulk.
 
-        Only the first block of each unitary is priced; in event order it
-        is also the first to read the price, so later blocks find it in the
-        memo exactly as if the plans had been made one by one.
+        One :meth:`AnalysisCache.syntheses` lookup gives every block its
+        memo (one stacked budget call for the unitaries new to the cache);
+        then one :func:`plan_two_qubit_unitaries` call makes the budget plan
+        of every unitary some block of the run may price or synthesize.
+        Every block of that unitary gets the plan, so whichever block reads
+        it first in event order finds it, exactly as if the plans had been
+        made one by one.
         """
-        fresh: dict[int, _Block] = {}
-        for block in blocks:
-            block.memo = cache.synthesis(unitaries[id(block)])
-            if self._fresh_tie(block):
-                fresh.setdefault(id(block.memo), block)
-        if not fresh:
+        memos = cache.syntheses([unitaries[id(block)] for block in blocks])
+        groups: dict[int, list[_Block]] = {}
+        for block, memo in zip(blocks, memos):
+            block.memo = memo
+            groups.setdefault(id(memo), []).append(block)
+        planned = [
+            group for group in groups.values() if any(map(self._needs_plan, group))
+        ]
+        if not planned:
             return
-        priced = list(fresh.values())
         plans = plan_two_qubit_unitaries(
-            [unitaries[id(block)] for block in priced],
-            [block.memo.budget for block in priced],
+            [unitaries[id(group[0])] for group in planned],
+            [group[0].memo.budget for group in planned],
         )
-        for block, plan in zip(priced, plans):
-            if plan is None:
-                block.price = math.inf
-            elif isinstance(plan, Exception):
-                block.price = plan
-            else:
-                block.price = plan.size
+        for group, plan in zip(planned, plans):
+            for block in group:
+                block.plan = plan
 
     def _emit_block(
         self,
@@ -335,7 +346,7 @@ class ConsolidateBlocks(TransformationPass):
         checking a circuit when the block is no larger than the plan-size
         floor (floor reject; the memo is left alone, since a larger block
         of the same unitary must still be priced), or when its budget plan
-        -- priced in bulk by ``_price_ties`` -- is missing or not smaller
+        -- made in bulk by ``_plan_blocks`` -- is missing or not smaller
         than the block.  ``force`` bypasses all three rules.
         """
         memo = block.memo
@@ -354,17 +365,20 @@ class ConsolidateBlocks(TransformationPass):
                 if size <= plan_size_floor(memo.budget):
                     cache.stats["synth_floor_rejects"] += 1
                     return None
-                if isinstance(block.price, Exception):
+                if isinstance(block.plan, Exception):
                     cache.stats["synth_failures"] += 1
                     memo.synthesized = True
                     return None
-                memo.plan_size = block.price
+                memo.plan_size = math.inf if block.plan is None else block.plan.size
             if memo.plan_size >= size:
                 cache.stats["synth_tie_rejects" if fresh else "synth_memo_hits"] += 1
                 return None
         cache.stats["synth_attempts"] += 1
         try:
-            memo.replacement = synthesize_two_qubit_unitary(unitary)
+            # ``_needs_plan`` holds for every block that gets here
+            memo.replacement = synthesize_two_qubit_unitary(
+                unitary, planned=(memo.budget, block.plan)
+            )
         except SYNTHESIS_ERRORS:
             cache.stats["synth_failures"] += 1
         memo.synthesized = True

@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.gates import U1Gate, U2Gate, U3Gate
 from repro.linalg.batch import chain_products, u3_params_batch
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
@@ -92,7 +93,8 @@ class Optimize1qGates(TransformationPass):
             chains.append(matrices[cursor : cursor + len(ops)])
             cursor += len(ops)
         products = chain_products(chains, 2)
-        params = u3_params_batch(products) if len(runs) else np.empty((0, 4))
+        # one conversion to Python floats, bit for bit ``float(np.float64)``
+        params = u3_params_batch(products).tolist() if len(runs) else []
 
         output = circuit.copy_empty_like()
         for kind, payload, qubits, clbits in events:
@@ -102,8 +104,7 @@ class Optimize1qGates(TransformationPass):
             run_qubit, ops = runs[payload]
             if len(ops) > 1:
                 rewrites[self.name] += 1
-            theta, phi, lam, gamma = (float(value) for value in params[payload])
-            self._emit_params(theta, phi, lam, gamma, run_qubit, output)
+            self._emit_params(*params[payload], run_qubit, output)
         return output
 
     @staticmethod
@@ -117,9 +118,9 @@ class Optimize1qGates(TransformationPass):
             # diagonal: a pure phase gate (or identity)
             total = normalize_angle(phi + lam)
             if total > _EPS:
-                output.u1(total, qubit)
+                output.append(U1Gate(total), (qubit,))
             return
         if abs(theta_n - math.pi / 2) < _EPS:
-            output.u2(phi, lam, qubit)
+            output.append(U2Gate(phi, lam), (qubit,))
             return
-        output.u3(theta, phi, lam, qubit)
+        output.append(U3Gate(theta, phi, lam), (qubit,))

@@ -26,7 +26,8 @@ _MAX_DEPTH = 64
 
 
 class Unroller(TransformationPass):
-    """Expand all gates into the given basis."""
+    """Expand all gates into the given basis; a circuit already in the
+    basis is returned as it is."""
 
     requires = ()
     preserves = ()
@@ -40,6 +41,9 @@ class Unroller(TransformationPass):
         return f"Unroller({','.join(sorted(self.basis - _ALWAYS_ALLOWED))})"
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
+        basis = self.basis
+        if all(instruction.operation.name in basis for instruction in circuit.data):
+            return circuit
         output = circuit.copy_empty_like()
         for instruction in circuit.data:
             self._unroll(

@@ -1,9 +1,11 @@
-"""The scalar Weyl decomposition, kept as the oracle of the stacked kernel.
+"""The scalar Weyl kernels, kept as the oracles of the stacked ones.
 
-This is :func:`repro.linalg.weyl.weyl_decompose` as it was before it ran on
-stacks: one matrix at a time, with its own scalar Kronecker factorisation.
-The stacked kernel must reproduce it bit for bit (``tests/linalg/
-test_weyl_stack.py``).
+:func:`weyl_decompose` is :func:`repro.linalg.weyl.weyl_decompose` as it
+was before it ran on stacks: one matrix at a time, with its own scalar
+Kronecker factorisation.  The stacked kernel must reproduce it bit for bit
+(``tests/linalg/test_weyl_stack.py``).  :func:`num_cnots_required` is the
+scalar CNOT-count test; :func:`repro.linalg.weyl.cnot_budgets` must give
+the same integers (``tests/linalg/test_cnot_budgets.py``).
 """
 
 from __future__ import annotations
@@ -148,3 +150,27 @@ def weyl_decompose(unitary: np.ndarray) -> WeylDecomposition:
         K1l=k1l, K1r=k1r, a=float(a), b=float(b), c=float(c),
         K2l=k2l, K2r=k2r, phase=float(phase),
     )
+
+
+def _gamma_trace_invariants(unitary: np.ndarray) -> tuple[complex, complex]:
+    """Traces ``tr(M2)`` and ``tr(M2 @ M2)`` of the magic-basis Gram matrix."""
+    unitary = np.asarray(unitary, dtype=complex)
+    det = np.linalg.det(unitary)
+    special = unitary * np.exp(-1j * np.angle(det) / 4)
+    magic = _MAGIC_DAG @ special @ MAGIC_BASIS
+    m2 = magic.T @ magic
+    return complex(np.trace(m2)), complex(np.trace(m2 @ m2))
+
+
+def num_cnots_required(unitary: np.ndarray, atol: float = 1e-8) -> int:
+    """Minimum number of CNOT gates needed to implement ``unitary``, from the
+    Shende--Bullock--Markov trace invariants of ``M^T M``, one matrix at a
+    time: the oracle of :func:`repro.linalg.weyl.cnot_budgets`."""
+    trace, trace_sq = _gamma_trace_invariants(unitary)
+    if abs(trace.imag) < atol and abs(abs(trace.real) - 4.0) < atol:
+        return 0
+    if abs(trace) < atol and abs(trace_sq + 4.0) < atol:
+        return 1
+    if abs(trace.imag) < atol:
+        return 2
+    return 3

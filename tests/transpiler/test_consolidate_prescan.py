@@ -13,6 +13,8 @@ prescan and memo.
 import numpy as np
 import pytest
 
+import repro.linalg.two_qubit_synthesis as two_qubit_synthesis
+import repro.transpiler.cache as cache_module
 import repro.transpiler.passes.consolidate as consolidate
 import repro.transpiler.preset as preset
 from repro.algorithms import grover_circuit, quantum_phase_estimation
@@ -23,7 +25,7 @@ from repro.linalg.two_qubit_synthesis import (
     plan_two_qubit_unitaries,
     synthesize_two_qubit_unitary,
 )
-from repro.linalg.weyl import canonical_gate, num_cnots_required
+from repro.linalg.weyl import canonical_gate, cnot_budgets, num_cnots_required
 from repro.transpiler import transpile
 from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passes import ConsolidateBlocks
@@ -316,20 +318,32 @@ class TestOracleParity:
 class TestSynthesisMemo:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Unitaries the pass hands to each step: ``plan`` (CX-count ties)
-        and ``synth`` (everything it may keep)."""
-        calls = {"plan": [], "synth": []}
+        """What the pass hands to each step: ``plan`` (unitaries of the
+        bulk plan call: ties to price and blocks to synthesize), ``plans``
+        (the plans it returned), ``synth`` (unitaries synthesized, with
+        the ``planned`` pair each came with) and ``replan`` (unitaries
+        planned again inside synthesis)."""
+        calls = {"plan": [], "plans": [], "synth": [], "planned": [], "replan": []}
+        replan = two_qubit_synthesis.plan_two_qubit_unitaries
 
         def counting_plan(unitaries, cnots):
             calls["plan"].extend(unitaries)
-            return plan_two_qubit_unitaries(unitaries, cnots)
+            plans = plan_two_qubit_unitaries(unitaries, cnots)
+            calls["plans"].extend(plans)
+            return plans
 
-        def counting_synth(unitary):
+        def counting_synth(unitary, **kwargs):
             calls["synth"].append(unitary)
-            return synthesize_two_qubit_unitary(unitary)
+            calls["planned"].append(kwargs.get("planned"))
+            return synthesize_two_qubit_unitary(unitary, **kwargs)
+
+        def counting_replan(unitaries, cnots):
+            calls["replan"].extend(unitaries)
+            return replan(unitaries, cnots)
 
         monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", counting_plan)
         monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting_synth)
+        monkeypatch.setattr(two_qubit_synthesis, "plan_two_qubit_unitaries", counting_replan)
         return calls
 
     @staticmethod
@@ -383,10 +397,16 @@ class TestSynthesisMemo:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_identical_blocks_synthesize_once(self, k, calls):
+        """The unitary is planned once, in the bulk call, and synthesized
+        once from that plan and the memo's budget."""
         props = PropertySet()
         circuit = self.redundant_blocks(k)
         out = ConsolidateBlocks().run(circuit, props)
-        assert (len(calls["plan"]), len(calls["synth"])) == (0, 1)
+        assert (len(calls["plan"]), len(calls["synth"])) == (1, 1)
+        [(budget, plan)] = calls["planned"]
+        assert budget == 1
+        assert plan is calls["plans"][0]
+        assert calls["replan"] == []
         oracle = OracleConsolidateBlocks().run(circuit, PropertySet())
         stats = AnalysisCache.ensure(props).stats
         assert stats["synth_memo_hits"] == k - 1
@@ -450,6 +470,48 @@ class TestSynthesisMemo:
         assert exact_form(out) == exact_form(oracle)
         assert out.size() == circuit.size() - 1
 
+    def test_a_winning_tie_is_built_from_its_priced_plan(self, calls):
+        """The tie is priced and synthesized from one plan: synthesis gets
+        the very plan the bulk call made and plans nothing again."""
+        rng = np.random.default_rng(0)
+        circuit = QuantumCircuit(2)
+        for gate in ("cx", "cz", None):
+            for wire in (0, 1, 0, 1):
+                circuit.u3(*(float(x) for x in rng.uniform(-np.pi, np.pi, 3)), wire)
+            if gate is not None:
+                getattr(circuit, gate)(0, 1)
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_kept"] == 1
+        assert (len(calls["plan"]), len(calls["synth"])) == (1, 1)
+        [(budget, plan)] = calls["planned"]
+        assert budget == 2
+        assert plan is calls["plans"][0]
+        assert calls["replan"] == []
+        oracle = OracleConsolidateBlocks().run(circuit, PropertySet())
+        assert exact_form(out) == exact_form(oracle)
+
+    def test_a_miss_escalates_and_plans_again(self, calls, monkeypatch):
+        """A bulk plan that does not reproduce the block is not kept:
+        synthesis escalates and plans the next CNOT count itself."""
+
+        def wrong_plans(unitaries, cnots):
+            # each plan realises the identity, not its unitary
+            identity = np.eye(4, dtype=complex)
+            return plan_two_qubit_unitaries([identity] * len(cnots), [0] * len(cnots))
+
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", wrong_plans)
+        circuit = self.redundant_blocks(1)
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        assert len(calls["replan"]) == 1  # the 2-CNOT plan
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_failures"] == 0
+        assert stats["synth_kept"] == 1
+        assert_unitarily_equal(circuit, out)
+        assert out.num_nonlocal_gates() == 2
+
     def test_ties_of_a_run_are_priced_in_one_call(self, monkeypatch):
         batches = []
 
@@ -502,9 +564,10 @@ class TestSynthesisMemo:
         ids=["synthesis", "linalg", "value"],
     )
     def test_failures_are_typed_and_counted(self, step, blocks, error, monkeypatch):
-        def failing(*args):
+        def failing(*args, **kwargs):
             if step == "plan_two_qubit_unitaries":
                 return [error for _ in args[0]]  # the bulk step fails per item
+            assert kwargs["planned"] is not None  # synthesis gets the bulk plan
             raise error
 
         monkeypatch.setattr(consolidate, step, failing)
@@ -518,9 +581,40 @@ class TestSynthesisMemo:
         assert stats["synth_tie_rejects"] == 0
         assert stats["synth_kept"] == 0
 
+    @pytest.mark.parametrize(
+        "error",
+        [TwoQubitSynthesisError("no candidate"), np.linalg.LinAlgError("svd"), ValueError("shape")],
+        ids=["synthesis", "linalg", "value"],
+    )
+    def test_one_failing_synthesis_fails_alone(self, error, monkeypatch):
+        """The bulk call's plan for the first of two distinct unitaries to
+        synthesize is a typed error: synthesis raises it for that unitary
+        alone, counted once, and the other is still synthesized and kept."""
+
+        def first_broken(unitaries, cnots):
+            return [error, *plan_two_qubit_unitaries(unitaries[1:], cnots[1:])]
+
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", first_broken)
+        circuit = self.redundant_blocks(2)
+        circuit.cx(0, 1)
+        circuit.s(0)
+        circuit.cx(0, 1)
+        circuit.cx(0, 1)
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_attempts"] == 2
+        assert stats["synth_failures"] == 1
+        assert stats["synth_memo_hits"] == 1
+        assert stats["synth_kept"] == 1
+        # the failed unitary's blocks stay as they are; the other is rewritten
+        assert out.count_ops()["t"] == 2
+        assert "s" not in out.count_ops()
+        assert_unitarily_equal(circuit, out)
+
     @pytest.mark.parametrize("step, blocks", STEPS)
     def test_unexpected_errors_propagate(self, step, blocks, monkeypatch):
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise KeyError("bug")
 
         monkeypatch.setattr(consolidate, step, broken)
@@ -568,7 +662,9 @@ class TestTableIIContract:
     """One pass of the seed-1 Table II set (the ``table2-cold`` workload of
     ``e2e_bench``) makes exactly the syntheses it made before ties were
     priced in bulk, and keeps the same rewrites, so the benchmark's
-    ``linalg.synth_*`` layers stay comparable across the change."""
+    ``linalg.synth_*`` layers stay comparable across the change.  Each
+    ``ConsolidateBlocks`` run makes at most one budget call and one plan
+    call, and every synthesis starts from a plan those calls made."""
 
     def test_syntheses_and_kept_rewrites_are_unchanged(self, monkeypatch):
         import os
@@ -579,12 +675,36 @@ class TestTableIIContract:
         from workloads import TARGET, table2_jobs
 
         calls = []
+        runs = []  # (budget calls, plan calls) of each ConsolidateBlocks run
+        made_plans = []  # every plan the bulk calls made, kept alive
+        plans = set()  # and their ids
 
-        def counting(unitary):
+        def counting(unitary, **kwargs):
             calls.append(unitary)
-            return synthesize_two_qubit_unitary(unitary)
+            assert id(kwargs["planned"][1]) in plans
+            return synthesize_two_qubit_unitary(unitary, **kwargs)
+
+        def counting_budgets(unitaries, atol):
+            runs[-1][0] += 1
+            return cnot_budgets(unitaries, atol)
+
+        def counting_plans(unitaries, cnots):
+            runs[-1][1] += 1
+            made = plan_two_qubit_unitaries(unitaries, cnots)
+            made_plans.extend(made)
+            plans.update(map(id, made))
+            return made
+
+        transform = ConsolidateBlocks.transform
+
+        def recording(self, circuit, property_set):
+            runs.append([0, 0])
+            return transform(self, circuit, property_set)
 
         monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting)
+        monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", counting_plans)
+        monkeypatch.setattr(cache_module, "cnot_budgets", counting_budgets)
+        monkeypatch.setattr(ConsolidateBlocks, "transform", recording)
         stats = Counter()
         for job in table2_jobs(1):
             cache = AnalysisCache()
@@ -597,6 +717,9 @@ class TestTableIIContract:
                 analysis_cache=cache,
             )
             stats.update(cache.stats)
+        assert len(runs) == 138
+        assert max(budget_calls for budget_calls, _ in runs) == 1
+        assert max(plan_calls for _, plan_calls in runs) == 1
         assert len(calls) == 202
         assert stats["synth_attempts"] == 202
         assert stats["synth_kept"] == 451

@@ -10,11 +10,13 @@ from repro.transpiler.passes import (
     ConsolidateBlocks,
     CXCancellation,
     Optimize1qGates,
+    RemoveAnnotations,
+    RemoveBarriers,
     RemoveDiagonalGatesBeforeMeasure,
     Unroller,
 )
 
-from tests.helpers import assert_unitarily_equal
+from tests.helpers import assert_unitarily_equal, exact_form
 
 
 def run_pass(pass_, circuit):
@@ -197,9 +199,10 @@ class TestCancellation:
 
 
 class TestNoOpPassesReturnTheirInput:
-    """A cancellation pass that cancels nothing returns its input object,
-    so the pass manager's structural check short-circuits on ``is``; one
-    that cancels returns a new circuit and counts its rewrites."""
+    """A pass that rewrites nothing returns its input object, so the pass
+    manager's structural check short-circuits on ``is``; one that rewrites
+    returns a new circuit and leaves its input alone.  The cancellation
+    passes also count their rewrites."""
 
     @staticmethod
     def nothing_to_cancel() -> QuantumCircuit:
@@ -234,6 +237,56 @@ class TestNoOpPassesReturnTheirInput:
         assert out.size() == circuit.size() - 2
         assert props["rewrite_counts"][pass_type.__name__] == 1
 
+    @staticmethod
+    def in_ibm_basis(barrier: bool = True) -> QuantumCircuit:
+        """Basis gates, measures and a barrier: nothing any cleanup pass
+        but ``RemoveBarriers`` removes, and nothing the IBM-basis
+        ``Unroller`` expands (the ``u1`` is not directly before a
+        measure)."""
+        circuit = QuantumCircuit(2, 2)
+        circuit.u3(0.1, 0.2, 0.3, 0)
+        circuit.u1(0.4, 1)
+        circuit.cx(0, 1)
+        circuit.u2(0.5, 0.6, 1)
+        if barrier:
+            circuit.barrier(0)
+        circuit.measure(0, 0)
+        circuit.measure(1, 1)
+        return circuit
+
+    #: the Unroller and the cleanup passes: (pass, work for it to do,
+    #: appended to ``in_ibm_basis``)
+    CLEANUPS = {
+        "Unroller": (Unroller, lambda circuit: circuit.h(1)),
+        "RemoveAnnotations": (
+            RemoveAnnotations,
+            lambda circuit: circuit.annotate(1, 0.3, 0.2),
+        ),
+        "RemoveBarriers": (RemoveBarriers, lambda circuit: circuit.barrier()),
+        "RemoveDiagonalGatesBeforeMeasure": (
+            RemoveDiagonalGatesBeforeMeasure,
+            lambda circuit: (circuit.t(0), circuit.measure(0, 1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLEANUPS))
+    def test_cleanup_with_nothing_to_do_returns_the_input(self, name):
+        pass_type, _ = self.CLEANUPS[name]
+        circuit = self.in_ibm_basis(barrier=pass_type is not RemoveBarriers)
+        assert pass_type().run(circuit, PropertySet()) is circuit
+
+    @pytest.mark.parametrize("name", sorted(CLEANUPS))
+    def test_cleanup_with_work_returns_a_new_circuit(self, name):
+        pass_type, add_work = self.CLEANUPS[name]
+        circuit = self.in_ibm_basis()
+        add_work(circuit)
+        before = exact_form(circuit)
+        out = pass_type().run(circuit, PropertySet())
+        assert out is not circuit
+        assert exact_form(circuit) == before
+        assert out.size() <= circuit.size()
+        assert exact_form(out) != before
+
     def test_pipeline_metrics_of_a_no_op_pass(self):
         from repro.transpiler.passmanager import PassManager
 
@@ -266,6 +319,37 @@ class TestNoOpPassesReturnTheirInput:
         in_basis.cx(0, 1)
         for circuit in (empty, in_basis, self.nothing_to_cancel()):
             assert transpile(circuit, **options) is not circuit
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"pipeline": "level3", "target": "melbourne"},
+            {"pipeline": "rpo", "target": "melbourne"},
+            {"pipeline": "hoare", "target": "melbourne"},
+            {"optimization_level": 0},
+            {"optimization_level": 1},
+            {"optimization_level": 3},
+        ],
+        ids=["level3", "rpo", "hoare", "o0", "o1", "o3"],
+    )
+    def test_transpile_leaves_the_callers_circuit_unchanged(self, options):
+        """An input already in the basis passes through the first
+        ``Unroller`` as the very same object; no later pass may change it
+        in place."""
+        from repro.transpiler import transpile
+
+        circuit = self.in_ibm_basis()
+        circuit.cx(1, 0)
+        circuit.u1(0.7, 0)
+        circuit.cx(1, 0)
+        circuit.global_phase = 0.25
+        assert Unroller().run(circuit, PropertySet()) is circuit
+        before = exact_form(circuit)
+        data = list(circuit.data)
+        out = transpile(circuit, basis_gates=["u1", "u2", "u3", "id", "cx"], **options)
+        assert out is not circuit
+        assert circuit.data == data
+        assert exact_form(circuit) == before
 
 
 class TestConsolidate:
@@ -334,3 +418,61 @@ class TestRemoveDiagonal:
         circuit.measure(0, 0)
         out = run_pass(RemoveDiagonalGatesBeforeMeasure(), circuit)
         assert out.count_ops() == {"t": 1, "h": 1, "measure": 1}
+
+    @staticmethod
+    def rescanning_oracle(circuit: QuantumCircuit) -> list:
+        """The pass as it was: each measure finds its own place on its wire
+        with ``list.index``, rescanning the wire.  Returns the surviving
+        records."""
+        survivors = list(circuit.data)
+        chains: dict[int, list[int]] = {}
+        for index, instruction in enumerate(survivors):
+            for qubit in instruction.qubits:
+                chains.setdefault(qubit, []).append(index)
+        for index, instruction in enumerate(survivors):
+            if instruction is None or instruction.operation.name != "measure":
+                continue
+            chain = chains[instruction.qubits[0]]
+            walk = chain.index(index) - 1
+            while walk >= 0:
+                earlier = survivors[chain[walk]]
+                if earlier is None:
+                    walk -= 1
+                    continue
+                diagonal = {"u1", "z", "s", "sdg", "t", "tdg", "rz"}
+                if earlier.operation.name in diagonal and len(earlier.qubits) == 1:
+                    survivors[chain[walk]] = None
+                    walk -= 1
+                    continue
+                break
+        return [instruction for instruction in survivors if instruction is not None]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_mid_circuit_measures_on_one_wire(self, seed):
+        """600 measures on wire 0, each after a random mix of diagonal,
+        non-diagonal and two-qubit gates: the same survivors as the
+        rescanning oracle."""
+        rng = np.random.default_rng(seed)
+        circuit = QuantumCircuit(3, 2)
+        for _ in range(600):
+            for _ in range(int(rng.integers(0, 4))):
+                roll = int(rng.integers(6))
+                if roll == 0:
+                    circuit.t(0)
+                elif roll == 1:
+                    circuit.rz(float(rng.uniform(-1, 1)), 0)
+                elif roll == 2:
+                    circuit.u1(float(rng.uniform(-1, 1)), int(rng.integers(3)))
+                elif roll == 3:
+                    circuit.h(0)
+                elif roll == 4:
+                    circuit.cx(0, int(rng.integers(1, 3)))
+                else:
+                    circuit.s(int(rng.integers(3)))
+            circuit.measure(0, int(rng.integers(2)))
+        circuit.measure(1, 1)
+        out = run_pass(RemoveDiagonalGatesBeforeMeasure(), circuit)
+        expected = self.rescanning_oracle(circuit)
+        assert out.data == expected
+        assert len(expected) < len(circuit.data)
+        assert out.count_ops()["measure"] == 601
