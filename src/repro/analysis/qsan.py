@@ -48,6 +48,13 @@ Circuits carrying ``ANNOT`` promises are checked at the fingerprint tier
 regardless of width: the trackers honor annotations exactly the way the
 paper's passes do, while a raw simulation from ``|0...0>`` would not.
 
+Each circuit is paid for once per run: :class:`QsanValidator` memoizes
+every fact it derives from a circuit (the ANNOT flag and measure map, the
+simulations, the fingerprint, the sample counts) by object identity, so a
+pass's output is not scanned or simulated again as the next pass's input.
+The fingerprint driver skips wires that are already TOP, which is where
+most gates of a routed device-wide circuit land.
+
 The relaxed contracts ("state", "permutation", "layout", "measurement")
 exist because most pipeline passes are *not* unitary-equivalent rewrites:
 QBO/QPO/Hoare only promise behavior from the all-zeros state, routing adds
@@ -166,9 +173,19 @@ class QsanConfig:
             mode=mode,
             report_only=os.environ.get("REPRO_QSAN_REPORT", "").strip().lower()
             in ("1", "true", "yes"),
-            unitary_cap=int(os.environ.get("REPRO_QSAN_UNITARY_CAP", 8)),
-            state_cap=int(os.environ.get("REPRO_QSAN_STATE_CAP", 14)),
+            unitary_cap=_env_int("REPRO_QSAN_UNITARY_CAP", 8),
+            state_cap=_env_int("REPRO_QSAN_STATE_CAP", 14),
         )
+
+
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise TranspilerError(f"{name}={raw!r} is not an integer qubit count") from None
 
 
 # ======================================================================
@@ -211,29 +228,36 @@ def circuit_diff(before: QuantumCircuit, after: QuantumCircuit, limit: int = 10)
     return "\n".join(parts)
 
 
-def _has_operation(circuit: QuantumCircuit, names) -> bool:
-    return any(instruction.operation.name in names for instruction in circuit.data)
+def _circuit_facts(circuit: QuantumCircuit) -> tuple[bool, dict[int, int] | None]:
+    """``(annotated, measures)`` from one scan of ``circuit``.
 
-
-def _terminal_measure_map(circuit: QuantumCircuit) -> dict[int, int] | None:
-    """``qubit -> clbit`` for purely terminal measurements, else ``None``.
-
-    ``None`` means the circuit cannot be checked by stripping measures: it
+    ``annotated`` says whether the circuit carries an ``ANNOT`` promise.
+    ``measures`` is ``qubit -> clbit`` for purely terminal measurements, or
+    ``None`` when the circuit cannot be checked by stripping measures: it
     resets, or it measures mid-circuit.
     """
+    annotated = False
     measured: dict[int, int] = {}
+    measures: dict[int, int] | None = measured
     for instruction in circuit.data:
         name = instruction.operation.name
+        if name == "annot":
+            annotated = True
+        if measures is None:
+            if annotated:
+                break
+            continue
         if name == "reset":
-            return None
-        if name == "measure":
+            measures = None
+        elif name == "measure":
             qubit = instruction.qubits[0]
             if qubit in measured:
-                return None
-            measured[qubit] = instruction.clbits[0]
-        elif name != "barrier" and any(q in measured for q in instruction.qubits):
-            return None
-    return measured
+                measures = None
+            else:
+                measured[qubit] = instruction.clbits[0]
+        elif measured and name != "barrier" and any(q in measured for q in instruction.qubits):
+            measures = None
+    return annotated, measures
 
 
 def _without_measures(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -300,6 +324,12 @@ def _gather_indices(num_source_qubits: int, placement) -> np.ndarray:
 # ======================================================================
 
 _Z_AXIS_EPS = 1e-9
+#: ``np.allclose``'s default relative tolerance, spelled out for
+#: :func:`_bloch_close`
+_BLOCH_RTOL = 1e-5
+
+_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _is_z_basis(tracker, qubit: int) -> bool:
@@ -315,46 +345,63 @@ def pure_fingerprint(circuit: QuantumCircuit):
 
     The driver understands exactly what the paper's analyses understand --
     one-qubit gates, SWAP, Z-controlled CX/CZ, validated SWAPZ, ANNOT
-    promises, measure and reset -- and sends everything else to the
-    unknown TOP state, so a claimed (non-TOP) state is always provable.
+    promises, measure and reset -- and sends everything else (an opaque
+    gate with no matrix included) to the unknown TOP state, so a claimed
+    (non-TOP) state is always provable.
+
+    Work is paid only on wires that still hold a proved state.  A TOP wire
+    holds the tuple ``(0, 0)``, and any operation but ``ANNOT`` and
+    ``reset`` leaves an all-TOP set of wires as it found it, so such an
+    operation is skipped outright: no matrix is built and nothing is
+    written.  The tracker ends exactly as if every operation had been
+    applied.
     """
     from repro.rpo.pure_tracker import PureStateTracker
 
     tracker = PureStateTracker(circuit.num_qubits)
-    x_matrix = np.array([[0, 1], [1, 0]], dtype=complex)
-    z_matrix = np.array([[1, 0], [0, -1]], dtype=complex)
+    known = [True] * circuit.num_qubits  # mirrors tracker.known
     for instruction in circuit.data:
         operation = instruction.operation
         name = operation.name
         qubits = instruction.qubits
         if name == "annot":
             tracker.apply_annotation(qubits[0], *operation.params[:2])
+            known[qubits[0]] = True
             continue
         if operation.is_directive:
             continue
-        if name == "measure":
-            tracker.apply_measure(qubits[0])
-            continue
         if name == "reset":
             tracker.apply_reset(qubits[0])
+            known[qubits[0]] = True
+            continue
+        live = [qubit for qubit in qubits if known[qubit]]
+        if not live:
+            continue
+        if name == "measure":
+            tracker.apply_measure(qubits[0])
+            known[qubits[0]] = tracker.is_known(qubits[0])
             continue
         if not operation.is_gate():
-            tracker.invalidate(qubits)
-            continue
-        if operation.num_qubits == 1:
-            tracker.apply_1q_gate(qubits[0], operation.to_matrix())
-            continue
-        if name == "swap":
-            tracker.apply_swap(*qubits)
-            continue
-        if name == "swapz":
-            # SWAPZ equals SWAP exactly when both inputs are Z-basis states
-            if _is_z_basis(tracker, qubits[0]) and _is_z_basis(tracker, qubits[1]):
-                tracker.apply_swap(*qubits)
+            pass  # not unitary: its live wires go to TOP below
+        elif operation.num_qubits == 1:
+            try:
+                matrix = operation.to_matrix()
+            except NotImplementedError:  # opaque: no provable successor
+                pass
             else:
-                tracker.invalidate(qubits)
+                tracker.apply_1q_gate(qubits[0], matrix)
+                continue
+        elif name == "swap" or (
+            # SWAPZ equals SWAP exactly when both inputs are Z-basis states
+            name == "swapz"
+            and _is_z_basis(tracker, qubits[0])
+            and _is_z_basis(tracker, qubits[1])
+        ):
+            a, b = qubits
+            tracker.apply_swap(a, b)
+            known[a], known[b] = known[b], known[a]
             continue
-        if name in ("cx", "cz"):
+        elif name in ("cx", "cz"):
             control, target = qubits
             state = tracker.state(control)
             theta = (state[0] % (2 * math.pi)) if state is not None else None
@@ -362,22 +409,29 @@ def pure_fingerprint(circuit: QuantumCircuit):
                 continue  # control provably |0>: the gate acts as identity
             if theta is not None and abs(theta - math.pi) < _Z_AXIS_EPS:
                 # control provably |1>: apply the base gate to the target
-                tracker.apply_1q_gate(target, x_matrix if name == "cx" else z_matrix)
+                tracker.apply_1q_gate(target, _X_MATRIX if name == "cx" else _Z_MATRIX)
                 continue
-            tracker.invalidate(qubits)
-            continue
-        tracker.invalidate(qubits)
+        tracker.invalidate(live)
+        for qubit in live:
+            known[qubit] = False
     return tracker
 
 
-def _bloch_vector(state) -> np.ndarray:
+def _bloch_vector(state) -> tuple[float, float, float]:
     theta, phi = state
-    return np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
+    sin = math.sin(theta)
+    return sin * math.cos(phi), sin * math.sin(phi), math.cos(theta)
+
+
+def _bloch_close(left, right) -> bool:
+    """``np.allclose`` of the two states' Bloch vectors, on plain floats.
+
+    The same predicate, ``|a - b| <= atol + rtol * |b|`` per component, in
+    the same float64 arithmetic; a NaN component fails it.
+    """
+    return all(
+        abs(a - b) <= _BLOCH_ATOL + _BLOCH_RTOL * abs(b)
+        for a, b in zip(_bloch_vector(left), _bloch_vector(right))
     )
 
 
@@ -389,16 +443,11 @@ def _fingerprints_compatible(before, after, placement=None) -> int | None:
     anything, so only qubits *proved* to be in different pure states
     report.
     """
-    num_before = len(before.known)
-    for qubit in range(num_before):
+    known_after = after.known.tolist()
+    tuples_after = after.tuples.tolist()
+    for qubit, (known, left) in enumerate(zip(before.known.tolist(), before.tuples.tolist())):
         wire = placement[qubit] if placement is not None else qubit
-        left = before.state(qubit)
-        right = after.state(wire)
-        if left is None or right is None:
-            continue
-        if not np.allclose(
-            _bloch_vector(left), _bloch_vector(right), atol=_BLOCH_ATOL
-        ):
+        if known and known_after[wire] and not _bloch_close(left, tuples_after[wire]):
             return qubit
     return None
 
@@ -444,10 +493,13 @@ _RECOMPUTABLE = {
 class QsanValidator:
     """Per-run sanitizer driven by :class:`PassManager`.
 
-    One validator watches one pipeline run.  Semantic references (states,
-    unitaries, tracker fingerprints) are cached keyed on circuit object
-    identity, so chained passes simulate each intermediate circuit once --
-    pass *k*'s output is pass *k+1*'s input.
+    One validator watches one pipeline run.  Everything QSAN derives from
+    a circuit is memoized keyed on circuit object identity: its ANNOT flag
+    and terminal-measure map (one scan), its statevector, unitary, tracker
+    fingerprint and fixed-seed sample counts.  Pass *k*'s output is pass
+    *k+1*'s input, so chained passes scan, simulate and sample each
+    intermediate circuit once.  After each check only the live circuit's
+    entry is kept.
     """
 
     def __init__(self, config: QsanConfig):
@@ -566,21 +618,21 @@ class QsanValidator:
             placement = [layout.physical(q) for q in range(before.num_qubits)]
 
         width = max(before.num_qubits, after.num_qubits)
-        annotated = _has_operation(before, ("annot",)) or _has_operation(
-            after, ("annot",)
-        )
-        before_measures = _terminal_measure_map(before)
-        after_measures = _terminal_measure_map(after)
+        before_annotated, before_measures = self._semantics(before, "facts")
+        after_annotated, after_measures = self._semantics(after, "facts")
         exact_feasible = (
-            not annotated
+            not (before_annotated or after_annotated)
             and before_measures is not None
             and after_measures is not None
             and width <= self.config.state_cap
         )
         if exact_feasible:
-            return self._check_exact(
-                pass_, contract, before, after, before_measures, after_measures, placement
-            )
+            try:
+                return self._check_exact(
+                    pass_, contract, before, after, before_measures, after_measures, placement
+                )
+            except NotImplementedError:  # an opaque gate cannot be simulated
+                pass
         return self._check_fingerprint(pass_, contract, before, after, placement)
 
     def _violation(self, pass_, before, after, detail) -> ContractViolation:
@@ -693,18 +745,13 @@ class QsanValidator:
 
     def _check_sampling(self, pass_, before, after) -> list[ContractViolation]:
         """Fixed-seed sampling parity over the terminal-measurement path."""
-        from repro.simulators.statevector import StatevectorSimulator
-
-        shots = self.config.sample_shots
-        counts_before = StatevectorSimulator(seed=QSAN_SAMPLE_SEED).run(before, shots)
-        counts_after = StatevectorSimulator(seed=QSAN_SAMPLE_SEED).run(after, shots)
-        if dict(counts_before) != dict(counts_after):
+        if self._semantics(before, "counts") != self._semantics(after, "counts"):
             return [
                 self._violation(
                     pass_,
                     before,
                     after,
-                    f"fixed-seed sampling diverged over {shots} shots",
+                    f"fixed-seed sampling diverged over {self.config.sample_shots} shots",
                 )
             ]
         return []
@@ -748,6 +795,16 @@ class QsanValidator:
                 values[tier] = StatevectorSimulator(fusion=True).statevector(
                     _without_measures(circuit)
                 )
+            elif tier == "counts":
+                from repro.simulators.statevector import StatevectorSimulator
+
+                values[tier] = dict(
+                    StatevectorSimulator(seed=QSAN_SAMPLE_SEED).run(
+                        circuit, self.config.sample_shots
+                    )
+                )
+            elif tier == "facts":
+                values[tier] = _circuit_facts(circuit)
             else:
                 values[tier] = pure_fingerprint(circuit)
         return values[tier]

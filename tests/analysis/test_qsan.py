@@ -1,13 +1,17 @@
 """Tests for the QSAN translation-validation sanitizer."""
 
+import math
 import pickle
 
 import pytest
 
+from repro.analysis import qsan
 from repro.analysis.qsan import ContractViolation, QsanConfig, QsanValidator
 from repro.circuit import QuantumCircuit
+from repro.circuit.instruction import Gate
 from repro.transpiler import PassManager, TranspilerError
-from repro.transpiler.passmanager import AnalysisPass, TransformationPass
+from repro.transpiler.layout import Layout
+from repro.transpiler.passmanager import AnalysisPass, PropertySet, TransformationPass
 from repro.transpiler.passes import Size
 
 
@@ -92,10 +96,35 @@ class HonestNoop(TransformationPass):
         return circuit
 
 
+class PrependZZ(TransformationPass):
+    """Honest: prepends ``z; z`` on qubit 0, which is the identity."""
+
+    requires = ()
+    preserves = ()
+    invalidates = ()
+
+    def transform(self, circuit, props):
+        out = circuit.copy_empty_like()
+        out.z(0)
+        out.z(0)
+        for instruction in circuit.data:
+            out.append(instruction.operation, instruction.qubits, instruction.clbits)
+        return out
+
+
 def _bell():
     circuit = QuantumCircuit(2)
     circuit.h(0)
     circuit.cx(0, 1)
+    return circuit
+
+
+def _bell_measured():
+    circuit = QuantumCircuit(2, 2)
+    circuit.h(0)
+    circuit.cx(0, 1)
+    circuit.measure(0, 0)
+    circuit.measure(1, 1)
     return circuit
 
 
@@ -234,6 +263,12 @@ class TestConfigResolution:
         assert config.unitary_cap == 4
         assert config.state_cap == 6
 
+    @pytest.mark.parametrize("name", ["REPRO_QSAN_UNITARY_CAP", "REPRO_QSAN_STATE_CAP"])
+    def test_non_integer_cap_is_a_typed_error(self, monkeypatch, name):
+        monkeypatch.setenv(name, "big")
+        with pytest.raises(TranspilerError, match=f"{name}='big'"):
+            QsanConfig.resolve("full")
+
     def test_env_enables_sanitizer_end_to_end(self, monkeypatch):
         monkeypatch.setenv("REPRO_QSAN", "contracts")
         pm = PassManager([SneakyWrite()])
@@ -252,3 +287,226 @@ class TestConfigResolution:
             snapshot={}, written=set(), valid_before=set(), changed=False,
         )
         assert len(validator._memo) <= 1
+        # a semantic check fills the scan, sample and state entries of both
+        # circuits; only the output's survive it
+        measured = _bell_measured()
+        rewritten = PrependZZ().transform(measured, {})
+        validator.check_pass(
+            PrependZZ(), measured, rewritten, {},
+            snapshot={}, written=set(), valid_before=set(), changed=True,
+        )
+        assert list(validator._memo) == [id(rewritten)]
+        kept, values = validator._memo[id(rewritten)]
+        assert kept is rewritten
+        assert set(values) == {"facts", "state", "counts"}
+        assert values["facts"] == (False, {0: 0, 1: 1})
+
+
+# ----------------------------------------------------------------------
+# the tracker fingerprint tier (wider than the state cap, or annotated)
+# ----------------------------------------------------------------------
+
+_WIDE = 15  # one more than the default state cap: fingerprint tier
+
+
+class Relabel(TransformationPass):
+    """Moves every operation from wire ``q`` to ``wires[q]``.
+
+    Honest when ``wires`` is the relabelling its contract's property
+    declares, broken otherwise.
+    """
+
+    requires = ()
+    preserves = ()
+    invalidates = ()
+
+    def __init__(self, equivalence, wires, width=None):
+        super().__init__()
+        self.equivalence = equivalence
+        self.wires = list(wires)
+        self.width = width
+
+    def transform(self, circuit, props):
+        out = QuantumCircuit(self.width or circuit.num_qubits, circuit.num_clbits)
+        for instruction in circuit.data:
+            out.append(
+                instruction.operation,
+                tuple(self.wires[q] for q in instruction.qubits),
+                instruction.clbits,
+            )
+        return out
+
+
+def _wide_states():
+    """13 qubits in distinct provable states, then an entangled (TOP) pair."""
+    circuit = QuantumCircuit(_WIDE)
+    for qubit in range(_WIDE - 2):
+        circuit.ry(0.1 * (qubit + 1), qubit)
+    circuit.h(_WIDE - 2)
+    circuit.cx(_WIDE - 2, _WIDE - 1)
+    return circuit
+
+
+def _run(passes, circuit, **properties):
+    return PassManager(passes).run_with_result(
+        circuit, property_set=PropertySet(properties), validate="full"
+    )
+
+
+class TestFingerprintTier:
+    def test_broken_pass_is_caught_on_the_right_qubit(self):
+        circuit = QuantumCircuit(_WIDE)
+        for qubit in range(_WIDE):
+            circuit.h(qubit)
+            circuit.h(qubit)
+        circuit.x(9)
+        with pytest.raises(ContractViolation) as excinfo:
+            _run([BrokenOptimizer()], circuit)
+        violation = excinfo.value
+        assert violation.kind == "equivalence"
+        assert violation.pass_name == "BrokenOptimizer"
+        assert str(violation).endswith(
+            "tracker fingerprints prove different pure states on qubit 9"
+        )
+
+    def test_correct_layout_passes(self):
+        wires = [(q + 3) % _WIDE for q in range(_WIDE)]
+        layout = Layout({q: w for q, w in enumerate(wires)})
+        result = _run([Relabel("layout", wires, width=_WIDE + 2)], _wide_states(), layout=layout)
+        assert result.violations == []
+
+    def test_wrong_layout_is_caught(self):
+        wires = [(q + 3) % _WIDE for q in range(_WIDE)]
+        layout = Layout({q: w for q, w in enumerate(wires)})
+        shifted = [(q + 4) % _WIDE for q in range(_WIDE)]
+        # qubit 0's declared wire now holds entangled qubit 14 (TOP), which
+        # proves nothing; qubit 1's declared wire holds qubit 0's state
+        with pytest.raises(ContractViolation, match="on qubit 1$"):
+            _run([Relabel("layout", shifted, width=_WIDE + 2)], _wide_states(), layout=layout)
+
+    def test_correct_permutation_passes(self):
+        permutation = list(reversed(range(_WIDE)))
+        result = _run(
+            [Relabel("permutation", permutation)],
+            _wide_states(),
+            final_permutation=permutation,
+        )
+        assert result.violations == []
+
+    def test_wrong_permutation_is_caught(self):
+        permutation = list(reversed(range(_WIDE)))
+        wrong = permutation[:]
+        wrong[4], wrong[6] = wrong[6], wrong[4]
+        with pytest.raises(ContractViolation, match="on qubit 4$"):
+            _run([Relabel("permutation", wrong)], _wide_states(), final_permutation=permutation)
+
+    def test_top_never_reports(self):
+        """A correct rewrite the tracker cannot follow leaves wires TOP, and
+        TOP is compatible with every state on the other side."""
+
+        class CxAsHCzH(TransformationPass):
+            requires = ()
+            preserves = ()
+            invalidates = ()
+
+            def transform(self, circuit, props):
+                out = circuit.copy_empty_like()
+                for instruction in circuit.data:
+                    if instruction.operation.name == "cx":
+                        control, target = instruction.qubits
+                        out.h(target)
+                        out.cz(control, target)
+                        out.h(target)
+                    else:
+                        out.append(instruction.operation, instruction.qubits)
+                return out
+
+        circuit = _wide_states()
+        for qubit in range(0, _WIDE - 1, 2):
+            circuit.cx(qubit, qubit + 1)
+        result = _run([CxAsHCzH()], circuit)
+        assert result.violations == []
+
+        provable = qsan.pure_fingerprint(_wide_states())
+        unknown = qsan.pure_fingerprint(circuit)
+        assert not unknown.known[: _WIDE - 1].any()
+        assert qsan._fingerprints_compatible(provable, unknown) is None
+        assert qsan._fingerprints_compatible(unknown, provable) is None
+
+    def test_annotated_circuits_take_this_tier(self, monkeypatch):
+        """An ANNOT promise sends even a two-qubit circuit to the tracker."""
+        simulated = []
+        monkeypatch.setattr(
+            "repro.simulators.unitary.circuit_unitary",
+            lambda circuit: simulated.append(circuit),
+        )
+        circuit = QuantumCircuit(2)
+        circuit.annotate(0, math.pi / 2, 0.0)
+        circuit.x(1)
+        with pytest.raises(ContractViolation) as excinfo:
+            _run([BrokenOptimizer()], circuit)
+        assert "tracker fingerprints" in str(excinfo.value)
+        assert str(excinfo.value).endswith("on qubit 1")
+        assert simulated == []
+        assert _run([PrependZZ()], circuit).violations == []
+
+
+class TestOpaqueGates:
+    """A one-qubit gate with no matrix sends its wire to TOP."""
+
+    def test_opaque_gate_on_a_known_wire(self):
+        circuit = QuantumCircuit(_WIDE)
+        circuit.x(2)
+        circuit.append(Gate("foo", 1), (2,))
+        tracker = qsan.pure_fingerprint(circuit)
+        assert not tracker.is_known(2)
+        assert tracker.state(3) == (0.0, 0.0)
+        assert _run([PrependZZ()], circuit).violations == []
+
+    def test_opaque_gate_in_a_narrow_circuit(self):
+        """The exact tier cannot simulate it; the fingerprint tier checks."""
+        circuit = QuantumCircuit(3)
+        circuit.h(0)
+        circuit.append(Gate("foo", 1), (1,))
+        circuit.x(2)
+        assert _run([PrependZZ()], circuit).violations == []
+        with pytest.raises(ContractViolation, match="tracker fingerprints .* on qubit 2$"):
+            _run([BrokenOptimizer()], circuit)
+
+    def test_opaque_gate_on_a_top_wire(self):
+        circuit = QuantumCircuit(_WIDE)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.append(Gate("foo", 1), (0,))
+        tracker = qsan.pure_fingerprint(circuit)
+        assert not tracker.is_known(0) and not tracker.is_known(1)
+        assert _run([PrependZZ()], circuit).violations == []
+
+
+class TestMemoizedFacts:
+    """A circuit is scanned, simulated and sampled once per run."""
+
+    def test_chained_circuits_are_not_rescanned_or_resampled(self, monkeypatch):
+        from repro.simulators.statevector import StatevectorSimulator
+
+        scanned, sampled = [], []
+        scan = qsan._circuit_facts
+        run = StatevectorSimulator.run
+
+        def counting_scan(circuit):
+            scanned.append(circuit)
+            return scan(circuit)
+
+        def counting_run(self, circuit, *args, **kwargs):
+            sampled.append(circuit)
+            return run(self, circuit, *args, **kwargs)
+
+        monkeypatch.setattr(qsan, "_circuit_facts", counting_scan)
+        monkeypatch.setattr(StatevectorSimulator, "run", counting_run)
+        result = _run([PrependZZ(), PrependZZ(), PrependZZ()], _bell_measured())
+        assert result.violations == []
+        # four distinct circuits (input and three outputs), each once
+        assert len(scanned) == 4
+        assert len({id(c) for c in scanned}) == 4
+        assert len(sampled) == 4
+        assert len({id(c) for c in sampled}) == 4
