@@ -12,8 +12,9 @@ and runs collected from the Table-II workloads:
 * **runs1q** -- all single-qubit run products + Euler extractions, serial
   vs batched (:func:`chain_products` + :func:`u3_params_batch`), the
   ``Optimize1qGates`` stage.
-* **fusion** -- statevector simulation wall with and without the gate
-  fusion pre-step (informational).
+
+Simulator gate fusion has no lane here: the ``qsan-full`` workload of
+``e2e_bench`` measures it end to end.
 
 Usage::
 
@@ -36,7 +37,6 @@ from repro.algorithms import (
 from repro.circuit.matrix_utils import embed_gate
 from repro.linalg.batch import chain_products, two_qubit_chain_unitaries, u3_params_batch
 from repro.linalg.euler import u3_params_from_unitary
-from repro.simulators import StatevectorSimulator
 from repro.transpiler import AnalysisCache, write_metrics_json
 from repro.transpiler.passes import ConsolidateBlocks
 
@@ -149,37 +149,6 @@ def bench_1q_runs(chains, repeats: int) -> dict:
     }
 
 
-def strip_measurements(circuit):
-    stripped = circuit.copy_empty_like()
-    for instruction in circuit.data:
-        if instruction.operation.name in ("measure", "reset"):
-            continue
-        stripped.append(instruction.operation, instruction.qubits, instruction.clbits)
-    return stripped
-
-
-def bench_fusion(circuits, repeats: int) -> dict:
-    circuits = [strip_measurements(circuit) for circuit in circuits]
-    fused = StatevectorSimulator(fusion=True)
-    plain = StatevectorSimulator(fusion=False)
-
-    def run(simulator):
-        def body():
-            for circuit in circuits:
-                simulator.statevector(circuit)
-
-        return body
-
-    plain_time = best_of(repeats, run(plain))
-    fused_time = best_of(repeats, run(fused))
-    return {
-        "circuits": len(circuits),
-        "serial_s": plain_time,
-        "batched_s": fused_time,
-        "speedup": plain_time / fused_time if fused_time > 0 else float("inf"),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="small sizes (CI)")
@@ -195,15 +164,12 @@ def main(argv=None):
     consolidation = bench_consolidation(blocks, cache, args.repeats)
     chains = collect_1q_runs(circuits, cache)
     runs1q = bench_1q_runs(chains, args.repeats)
-    sim_circuits = [c for _, c in named if c.num_qubits <= 10]
-    fusion = bench_fusion(sim_circuits, max(1, args.repeats - 1))
 
     report = {
         "workloads": [name for name, _ in named],
         "kernels": {
             "consolidation": consolidation,
             "runs1q": runs1q,
-            "fusion": fusion,
         },
     }
 

@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
-"""Backend-resident simulation benchmark.
+"""Statevector simulation benchmark.
 
 Measures wide-circuit statevector throughput on the quick QV/Grover
-workload set: the fused backend-resident evolve loop (matrices staged
-once per program, state on the active array backend, one ``asnumpy()`` at
-the boundary) vs the naive per-gate host loop (one ``operation.to_matrix()``
-+ host matmul per instruction).  ``check_regression.py --sim`` gates the
-speedup (default floor 2x) and the largest amplitude difference between
-the two (1e-10).
+workload set: the fused evolve loop (one program of fused matrices per
+circuit, gate matrices from the simulator's cache) vs the naive per-gate
+loop (one ``operation.to_matrix()`` + matmul per instruction).
+``check_regression.py --sim`` gates the speedup (default floor 2x) and the
+largest amplitude difference between the two (1e-10).
 
 Usage::
 
     python benchmarks/bench_sim.py --quick --metrics-json REPORT.json
-
-On a CuPy machine, ``REPRO_ARRAY_BACKEND=cupy`` reruns the statevector
-lane device-resident (see README "Numeric kernels & array backends").
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import time
 import numpy as np
 
 from repro.algorithms import grover_circuit, quantum_volume_circuit
-from repro.linalg.backend import backend_name
 from repro.simulators import StatevectorSimulator
 from repro.simulators.statevector import apply_gate_to_state
 from repro.transpiler import write_metrics_json
@@ -76,7 +71,7 @@ def naive_statevector(circuit) -> np.ndarray:
 
 
 def bench_statevector(circuits, repeats: int) -> dict:
-    resident = StatevectorSimulator(fusion=True)
+    resident = StatevectorSimulator()
 
     def naive():
         for circuit in circuits:
@@ -116,15 +111,13 @@ def main(argv=None):
 
     report = {
         "workloads": [name for name, _ in named],
-        "backend": backend_name(),
         "sim": {"statevector": statevector},
     }
 
-    print(f"array backend: {report['backend']}")
     print(
         f"statevector: {statevector['gates']} gates, "
         f"naive {statevector['naive_s']:.4f}s, "
-        f"resident {statevector['resident_s']:.4f}s, "
+        f"fused {statevector['resident_s']:.4f}s, "
         f"{statevector['speedup']:.2f}x (err<={statevector['max_error']:.1e})"
     )
 

@@ -35,9 +35,9 @@ warm job must actually hit, and the template path must have learned and
 re-bound.
 
 With ``--sim REPORT.json`` (the report written by
-``bench_sim.py --metrics-json``) the gate checks the **backend-resident
-simulation lane**: the fused backend-resident statevector must beat the
-naive per-gate host loop by at least ``--sim-min-speedup`` (default 2x)
+``bench_sim.py --metrics-json``) the gate checks the **simulation
+lane**: the fused statevector simulator must beat the naive per-gate
+host loop by at least ``--sim-min-speedup`` (default 2x)
 and agree with it to 1e-10.
 
 Any report flag may be used without the positional table report (the
@@ -188,8 +188,8 @@ def check_result_cache(report: dict, min_speedup: float) -> list[str]:
 
 def check_sim(report: dict, min_speedup: float) -> list[str]:
     """Simulation-lane gates over a ``bench_sim.py`` metrics report: the
-    fused backend-resident statevector must beat the naive per-gate host
-    loop by >= ``min_speedup`` and agree with it to 1e-10."""
+    fused statevector simulator must beat the naive per-gate host loop
+    by >= ``min_speedup`` and agree with it to 1e-10."""
     failures: list[str] = []
     sim = report.get("sim", {})
     statevector = sim.get("statevector", {})
@@ -201,7 +201,7 @@ def check_sim(report: dict, min_speedup: float) -> list[str]:
         ]
     if speedup < min_speedup:
         failures.append(
-            f"backend-resident statevector speedup {speedup:.2f}x fell "
+            f"fused statevector speedup {speedup:.2f}x fell "
             f"below the required {min_speedup:.2f}x"
         )
     max_error = statevector.get("max_error")
@@ -295,14 +295,14 @@ def main(argv=None):
     parser.add_argument(
         "--sim",
         metavar="PATH",
-        help="bench_sim.py metrics report; enables the backend-resident "
+        help="bench_sim.py metrics report; enables the fused-"
         "simulation speedup and accuracy gates",
     )
     parser.add_argument(
         "--sim-min-speedup",
         type=float,
         default=2.0,
-        help="required backend-resident statevector speedup over the naive "
+        help="required fused statevector speedup over the naive "
         "per-gate host loop (default 2.0)",
     )
     args = parser.parse_args(argv)
@@ -359,7 +359,7 @@ def main(argv=None):
     if args.result_cache:
         checked += " (+ result-cache warm-hit speedup)"
     if args.sim:
-        checked += " (+ backend-resident simulation speedup)"
+        checked += " (+ fused simulation speedup)"
     print(
         f"regression gate passed: {rows} rows within tolerance of baseline"
         f"{checked}"

@@ -8,11 +8,6 @@ sanitizer layer enforces in a training/inference stack.  Run it as::
 
 Rule catalog (every rule is individually selectable and suppressible):
 
-* **RES001** -- backend residency: no raw ``np.``/``numpy.`` array
-  constructions or contractions inside function bodies of
-  backend-resident simulator modules; route them through
-  :mod:`repro.linalg.backend` so CuPy execution keeps arrays on device.
-  Module-level constants are host-side staging and exempt.
 * **PAS001** -- pass metadata: every ``TransformationPass`` subclass
   declares ``requires``/``preserves``/``invalidates`` in its class body,
   and every ``AnalysisPass`` subclass declares ``provides``.  The
@@ -28,8 +23,8 @@ Rule catalog (every rule is individually selectable and suppressible):
   ``datetime.now``) -- a key that varies across runs silently disables
   every cache keyed on it.
 * **LCK001** -- locked module state: module-level mutable containers in
-  the service/cache/result-cache/backend/server layers may only be
-  mutated inside a ``with <lock>:`` block naming a lock.
+  the service/cache/result-cache/server layers may only be mutated
+  inside a ``with <lock>:`` block naming a lock.
 * **CIR001** -- checked circuit records: outside
   ``repro/circuit/quantumcircuit.py`` no code builds a
   ``CircuitInstruction(...)`` or calls ``<x>.data.append/extend/insert``;
@@ -113,80 +108,6 @@ class Rule:
 
     def check(self, tree: ast.Module, path: str) -> list[Finding]:
         raise NotImplementedError
-
-
-# --------------------------------------------------------------------------
-# RES001 -- backend residency in simulator hot paths
-# --------------------------------------------------------------------------
-
-#: Simulator modules whose function bodies are backend-resident (arrays
-#: must live on whatever device :mod:`repro.linalg.backend` selected).
-_RES_SCOPE = (
-    "repro/simulators/statevector.py",
-    "repro/simulators/unitary.py",
-    "repro/simulators/density_matrix.py",
-    "repro/simulators/noisy.py",
-    "repro/simulators/fusion.py",
-)
-
-#: Array constructions/contractions that allocate or compute -- these are
-#: the calls that must go through the active backend's ``xp`` namespace.
-_RES_DENYLIST = frozenset(
-    {
-        "zeros",
-        "ones",
-        "empty",
-        "full",
-        "eye",
-        "identity",
-        "kron",
-        "matmul",
-        "einsum",
-        "tensordot",
-        "outer",
-        "dot",
-        "vdot",
-        "trace",
-    }
-)
-
-
-class BackendResidency(Rule):
-    id = "RES001"
-    description = (
-        "no raw numpy array ops in backend-resident simulator code; "
-        "route through repro.linalg.backend"
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return any(path.endswith(suffix) for suffix in _RES_SCOPE)
-
-    def check(self, tree: ast.Module, path: str) -> list[Finding]:
-        findings: list[Finding] = []
-        for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                dotted = _dotted(node.func)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if parts[0] not in ("np", "numpy"):
-                    continue
-                if "linalg" in parts[1:-1] or parts[-1] in _RES_DENYLIST:
-                    findings.append(
-                        Finding(
-                            path,
-                            node.lineno,
-                            self.id,
-                            f"raw numpy call {dotted}() in backend-resident "
-                            "simulator code; use repro.linalg.backend's xp "
-                            "namespace so arrays stay on device",
-                        )
-                    )
-        return findings
 
 
 # --------------------------------------------------------------------------
@@ -464,7 +385,6 @@ _LCK_SCOPE = (
     "repro/transpiler/service.py",
     "repro/transpiler/cache.py",
     "repro/transpiler/result_cache.py",
-    "repro/linalg/backend.py",
 )
 
 _LCK_MUTABLE_FACTORIES = frozenset(
@@ -502,8 +422,8 @@ def _mentions_lock(node: ast.expr) -> bool:
 class LockedModuleState(Rule):
     id = "LCK001"
     description = (
-        "module-level mutable state in service/cache/result_cache/backend/"
-        "server modules is mutated only under a named lock"
+        "module-level mutable state in service/cache/result_cache/server "
+        "modules is mutated only under a named lock"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -670,7 +590,6 @@ class CheckedCircuitRecords(Rule):
 
 
 RULES: tuple[Rule, ...] = (
-    BackendResidency(),
     PassMetadata(),
     PickleBoundary(),
     DeterministicKeys(),

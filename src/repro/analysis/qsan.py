@@ -496,10 +496,10 @@ class QsanValidator:
     One validator watches one pipeline run.  Everything QSAN derives from
     a circuit is memoized keyed on circuit object identity: its ANNOT flag
     and terminal-measure map (one scan), its statevector, unitary, tracker
-    fingerprint and fixed-seed sample counts.  Pass *k*'s output is pass
-    *k+1*'s input, so chained passes scan, simulate and sample each
-    intermediate circuit once.  After each check only the live circuit's
-    entry is kept.
+    fingerprint and fixed-seed sample counts (drawn from the memoized
+    statevector).  Pass *k*'s output is pass *k+1*'s input, so chained
+    passes scan, simulate and sample each intermediate circuit once.
+    After each check only the live circuit's entry is kept.
     """
 
     def __init__(self, config: QsanConfig):
@@ -792,15 +792,19 @@ class QsanValidator:
             elif tier == "state":
                 from repro.simulators.statevector import StatevectorSimulator
 
-                values[tier] = StatevectorSimulator(fusion=True).statevector(
+                values[tier] = StatevectorSimulator().statevector(
                     _without_measures(circuit)
                 )
             elif tier == "counts":
                 from repro.simulators.statevector import StatevectorSimulator
 
+                _, measures = self._semantics(circuit, "facts")
                 values[tier] = dict(
-                    StatevectorSimulator(seed=QSAN_SAMPLE_SEED).run(
-                        circuit, self.config.sample_shots
+                    StatevectorSimulator(seed=QSAN_SAMPLE_SEED).sample(
+                        self._semantics(circuit, "state"),
+                        self.config.sample_shots,
+                        measures.items(),
+                        circuit.num_clbits,
                     )
                 )
             elif tier == "facts":

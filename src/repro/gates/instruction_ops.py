@@ -9,6 +9,8 @@ the state-analysis passes consume it to re-enter tracked states (e.g. clean
 
 from __future__ import annotations
 
+import math
+
 from repro.circuit.instruction import Instruction
 
 __all__ = ["Measure", "Reset", "Barrier", "Annotation"]
@@ -53,11 +55,15 @@ class Annotation(Instruction):
 
     Parameters are the Bloch angles of the promised single-qubit pure state
     ``cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>``.  ``ANNOT(0, 0)``
-    promises a clean ``|0>`` ancilla.
+    promises a clean ``|0>`` ancilla.  Both angles must be finite.
     """
 
     def __init__(self, theta: float, phi: float):
-        super().__init__("annot", 1, params=[float(theta), float(phi)])
+        theta, phi = float(theta), float(phi)
+        for name, value in (("theta", theta), ("phi", phi)):
+            if not math.isfinite(value):
+                raise ValueError(f"annotation {name} must be finite, got {value!r}")
+        super().__init__("annot", 1, params=[theta, phi])
 
     @property
     def is_directive(self) -> bool:

@@ -10,9 +10,7 @@ reason about unitaries as matrices:
 * :mod:`repro.linalg.state_prep` -- pure-state preparation synthesis,
 * :mod:`repro.linalg.random` -- seeded random unitaries and states,
 * :mod:`repro.linalg.batch` -- batched kernels over stacked operands
-  (``N x 2 x 2`` / ``N x 4 x 4`` arrays),
-* :mod:`repro.linalg.backend` -- the pluggable array backend the batched
-  kernels dispatch through (NumPy default, optional CuPy).
+  (``N x 2 x 2`` / ``N x 4 x 4`` arrays).
 
 Circuit-emitting synthesis routines (which need the circuit IR) live in
 :mod:`repro.linalg.two_qubit_synthesis` and
@@ -40,7 +38,6 @@ from repro.linalg.state_prep import (
     two_qubit_state_prep_factors,
 )
 from repro.linalg.random import random_unitary, random_statevector, random_su2
-from repro.linalg.backend import backend_name, get_backend, set_backend
 from repro.linalg.batch import (
     chain_products,
     embed_1q_in_2q,
@@ -74,9 +71,6 @@ __all__ = [
     "random_unitary",
     "random_statevector",
     "random_su2",
-    "backend_name",
-    "get_backend",
-    "set_backend",
     "chain_products",
     "embed_1q_in_2q",
     "fold_matmul",

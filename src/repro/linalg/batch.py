@@ -25,11 +25,6 @@ Python dispatch; this module instead operates on **stacked operands** --
 Every kernel here has a production caller: ``ConsolidateBlocks``,
 ``Optimize1qGates``, QPO, the simulators' fusion pre-step or the
 basis-state tracker.
-
-Inputs are host (NumPy) arrays; the arithmetic dispatches through the
-pluggable array backend (:mod:`repro.linalg.backend` -- NumPy by default,
-CuPy when selected and available) and results always come back as NumPy
-arrays, so callers never see device arrays.
 """
 
 from __future__ import annotations
@@ -37,8 +32,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.linalg.backend import get_backend
 
 __all__ = [
     "reduce_matmul",
@@ -69,6 +62,11 @@ def _as_stack(stack, depth: int = 3) -> np.ndarray:
     return arr
 
 
+def _identities(batch_shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """A writable ``batch_shape + (dim, dim)`` stack of identities."""
+    return np.broadcast_to(np.eye(dim, dtype=complex), batch_shape + (dim, dim)).copy()
+
+
 # -- chained products --------------------------------------------------------
 
 
@@ -83,25 +81,22 @@ def reduce_matmul(stack) -> np.ndarray:
     input reduces every chain of the batch simultaneously.  An empty chain
     axis yields identities.
     """
-    backend = get_backend()
-    arr = backend.asarray(_as_stack(stack), dtype=complex)
+    arr = _as_stack(stack)
     dim = arr.shape[-1]
     length = arr.shape[-3]
     if length == 0:
-        eye = backend.xp.eye(dim, dtype=complex)
-        out = backend.xp.broadcast_to(eye, arr.shape[:-3] + (dim, dim))
-        return backend.to_numpy(out).copy()
+        return _identities(arr.shape[:-3], dim)
     while length > 1:
         even = arr[..., 0 : length - 1 : 2, :, :]
         odd = arr[..., 1:length:2, :, :]
-        merged = backend.xp.matmul(odd, even)
+        merged = np.matmul(odd, even)
         if length % 2:
-            merged = backend.xp.concatenate(
+            merged = np.concatenate(
                 [merged, arr[..., length - 1 : length, :, :]], axis=-3
             )
         arr = merged
         length = arr.shape[-3]
-    return backend.to_numpy(arr[..., 0, :, :])
+    return arr[..., 0, :, :]
 
 
 def fold_matmul(stack) -> np.ndarray:
@@ -115,18 +110,15 @@ def fold_matmul(stack) -> np.ndarray:
     indistinguishable from a per-gate accumulation; prefer
     :func:`reduce_matmul` when log-depth matters more than the last ulp.
     """
-    backend = get_backend()
-    arr = backend.asarray(_as_stack(stack), dtype=complex)
+    arr = _as_stack(stack)
     dim = arr.shape[-1]
     length = arr.shape[-3]
     if length == 0:
-        eye = backend.xp.eye(dim, dtype=complex)
-        out = backend.xp.broadcast_to(eye, arr.shape[:-3] + (dim, dim))
-        return backend.to_numpy(out).copy()
+        return _identities(arr.shape[:-3], dim)
     acc = arr[..., 0, :, :]
     for step in range(1, length):
-        acc = backend.xp.matmul(arr[..., step, :, :], acc)
-    return backend.to_numpy(acc)
+        acc = np.matmul(arr[..., step, :, :], acc)
+    return acc
 
 
 def stack_chains(chains: Sequence[Sequence[np.ndarray]], dim: int) -> np.ndarray:
@@ -261,31 +253,28 @@ def u3_params_batch(stack) -> np.ndarray:
     ``(theta, phi, lam, gamma)``, matching the scalar routine elementwise
     (same branch structure, same clamping).
     """
-    backend = get_backend()
-    matrices = backend.asarray(_as_stack(stack), dtype=complex)
+    matrices = _as_stack(stack)
     if matrices.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 operands, got shape {matrices.shape}")
-    xp = backend.xp
-    # hypot matches the scalar routine's abs() bitwise; complex xp.abs
+    # hypot matches the scalar routine's abs() bitwise; complex np.abs
     # rounds the last ulp differently on some platforms
     top = matrices[..., 0, 0]
     bottom = matrices[..., 1, 0]
-    cos_half = xp.minimum(xp.hypot(top.real, top.imag), 1.0)
-    sin_half = xp.minimum(xp.hypot(bottom.real, bottom.imag), 1.0)
-    theta = 2.0 * xp.arctan2(sin_half, cos_half)
+    cos_half = np.minimum(np.hypot(top.real, top.imag), 1.0)
+    sin_half = np.minimum(np.hypot(bottom.real, bottom.imag), 1.0)
+    theta = 2.0 * np.arctan2(sin_half, cos_half)
 
-    phase_00 = xp.angle(matrices[..., 0, 0])
-    phase_10 = xp.angle(matrices[..., 1, 0])
-    phase_11 = xp.angle(matrices[..., 1, 1])
-    phase_01n = xp.angle(-matrices[..., 0, 1])
+    phase_00 = np.angle(matrices[..., 0, 0])
+    phase_10 = np.angle(matrices[..., 1, 0])
+    phase_11 = np.angle(matrices[..., 1, 1])
+    phase_01n = np.angle(-matrices[..., 0, 1])
 
     anti = cos_half < 1e-12  # anti-diagonal: u3(pi, ., .)
-    diag = xp.logical_and(~anti, sin_half < 1e-12)  # diagonal: u3(0, ., .)
-    gamma = xp.where(anti, 0.0, phase_00)
-    phi = xp.where(anti, phase_10, xp.where(diag, phase_11 - phase_00, phase_10 - phase_00))
-    lam = xp.where(anti, phase_01n, xp.where(diag, 0.0, phase_01n - phase_00))
-    out = xp.stack([theta, phi, lam, gamma], axis=-1)
-    return backend.to_numpy(out)
+    diag = np.logical_and(~anti, sin_half < 1e-12)  # diagonal: u3(0, ., .)
+    gamma = np.where(anti, 0.0, phase_00)
+    phi = np.where(anti, phase_10, np.where(diag, phase_11 - phase_00, phase_10 - phase_00))
+    lam = np.where(anti, phase_01n, np.where(diag, 0.0, phase_01n - phase_00))
+    return np.stack([theta, phi, lam, gamma], axis=-1)
 
 
 # -- batched RPO tracker kernels ---------------------------------------------
@@ -309,19 +298,16 @@ def bloch_rotation_batch(stack) -> np.ndarray:
     of ``((P_i @ U) @ P_j) @ U^dag``), so entries are bit-identical to
     the per-gate loop.
     """
-    backend = get_backend()
-    xp = backend.xp
     matrices = _as_stack(stack)
     if matrices.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 operands, got shape {matrices.shape}")
-    unitary = backend.asarray(matrices)[..., None, None, :, :]
-    u_dag = xp.conj(xp.swapaxes(unitary, -1, -2))
-    paulis = backend.asarray(_PAULI_STACK)
-    left = paulis[:, None, :, :]  # sigma_i axis
-    right = paulis[None, :, :, :]  # sigma_j axis
-    chain = xp.matmul(xp.matmul(xp.matmul(left, unitary), right), u_dag)
+    unitary = matrices[..., None, None, :, :]
+    u_dag = np.conj(np.swapaxes(unitary, -1, -2))
+    left = _PAULI_STACK[:, None, :, :]  # sigma_i axis
+    right = _PAULI_STACK[None, :, :, :]  # sigma_j axis
+    chain = np.matmul(np.matmul(np.matmul(left, unitary), right), u_dag)
     trace = chain[..., 0, 0] + chain[..., 1, 1]
-    return backend.to_numpy(0.5 * xp.real(trace))
+    return 0.5 * np.real(trace)
 
 
 def basis_axes_batch(vectors, atol: float = 1e-8, rtol: float = 1e-5):
@@ -334,9 +320,6 @@ def basis_axes_batch(vectors, atol: float = 1e-8, rtol: float = 1e-5):
     both remaining components ``<= atol``.  Returns ``(axis, sign)``
     integer arrays shaped ``(...,)``; entries that are not basis states
     (the lattice TOP) get ``axis = -1, sign = 0``.
-
-    This is a cheap host-side predicate -- inputs small, comparisons
-    branch-free -- so it runs on NumPy regardless of the active backend.
     """
     v = np.asarray(vectors, dtype=float)
     if v.ndim < 1 or v.shape[-1] != 3:

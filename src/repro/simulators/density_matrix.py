@@ -5,15 +5,6 @@ noise model the Monte-Carlo sampler unravels, giving *exact* outcome
 probabilities.  Cost is ``4^n`` so this is for small (<= ~8 qubit) circuits;
 it exists to validate the trajectory sampler (the Fig. 11 substitute) and
 for noise studies where sampling error matters.
-
-The density matrix is backend-resident (:mod:`repro.linalg.backend`):
-``rho`` lives on the active array backend for the whole evolution --
-embedded gate/Pauli/Kraus operators are built on the host (cheap, cached)
-and uploaded, the sandwich products run on-device, and the diagonal
-crosses back in one ``asnumpy()`` hop before the (host-side) readout
-fold.  The embedded-Pauli cache is keyed on the backend name and flushed
-on every :func:`~repro.linalg.backend.set_backend`, so switching backends
-mid-process can never hand one backend's arrays to another's matmul.
 """
 
 from __future__ import annotations
@@ -23,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.linalg.backend import get_backend, register_backend_listener
 from repro.simulators.noise import NoiseModel
 
 __all__ = ["DensityMatrixSimulator"]
@@ -41,39 +31,22 @@ _LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 @lru_cache(maxsize=4096)
-def _embedded_pauli(
-    index: int, qargs: tuple[int, ...], num_qubits: int, backend_name: str = "numpy"
-):
-    """Full-register Pauli-string tensor, cached per ``(index, qargs, n)``
-    *and per backend*.
+def _embedded_pauli(index: int, qargs: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Full-register Pauli-string tensor, cached per ``(index, qargs, n)``.
 
     The depolarizing channel hits the same handful of Pauli strings on
     every noisy gate of a circuit (and again on every circuit of a sweep),
-    so the ``np.kron`` build + embedding + device upload happens once per
-    distinct string instead of once per application.  The cache key
-    includes the backend name -- and :func:`set_backend` flushes the whole
-    cache -- so entries can never alias across backends (a NumPy-keyed
-    array handed to a CuPy matmul, or a stale device array surviving a
-    backend switch).  NumPy-backend arrays are returned read-only.
+    so the ``np.kron`` build + embedding happens once per distinct string
+    instead of once per application.  Entries are returned read-only.
     """
     from repro.circuit.matrix_utils import embed_gate
 
     pauli = np.array([[1.0]], dtype=complex)
     for position in range(len(qargs) - 1, -1, -1):
-        # deliberate host-side staging: the 2x2 Pauli factors live on the
-        # host and the finished operator is uploaded once per cache entry
-        # (TODO: move to backend.kron if a device-side builder ever pays)
-        pauli = np.kron(pauli, _PAULIS[(index >> (2 * position)) & 3])  # repro-lint: ignore[RES001]
+        pauli = np.kron(pauli, _PAULIS[(index >> (2 * position)) & 3])
     full = embed_gate(pauli, qargs, num_qubits)
-    if backend_name == "numpy":
-        full.setflags(write=False)
-        return full
-    return get_backend().asarray(full, dtype=complex)
-
-
-@register_backend_listener
-def _flush_pauli_cache(_backend) -> None:
-    _embedded_pauli.cache_clear()
+    full.setflags(write=False)
+    return full
 
 
 class DensityMatrixSimulator:
@@ -93,9 +66,8 @@ class DensityMatrixSimulator:
                 f"{num_qubits}-qubit density matrix would need "
                 f"4^{num_qubits} entries; compact the circuit first"
             )
-        backend = get_backend()
         dim = 2**num_qubits
-        rho = backend.xp.zeros((dim, dim), dtype=complex)
+        rho = np.zeros((dim, dim), dtype=complex)
         rho[0, 0] = 1.0
 
         measures: list[tuple[int, int]] = []
@@ -110,55 +82,49 @@ class DensityMatrixSimulator:
             if measures:
                 raise ValueError("mid-circuit measurement is not supported")
             if name == "reset":
-                rho = self._reset(rho, instruction.qubits[0], num_qubits, backend)
+                rho = self._reset(rho, instruction.qubits[0], num_qubits)
                 continue
             if not operation.is_gate():
                 raise ValueError(f"cannot simulate {name!r}")
             rho = self._apply_unitary(
-                rho, operation.to_matrix(), instruction.qubits, num_qubits, backend
+                rho, operation.to_matrix(), instruction.qubits, num_qubits
             )
             error = self.noise_model.gate_error(instruction.qubits)
             if error > 0.0:
-                rho = self._depolarize(
-                    rho, instruction.qubits, num_qubits, error, backend
-                )
+                rho = self._depolarize(rho, instruction.qubits, num_qubits, error)
 
-        return self._measure_distribution(
-            rho, measures, circuit.num_clbits, num_qubits, backend
-        )
+        return self._measure_distribution(rho, measures, circuit.num_clbits)
 
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _embed(matrix: np.ndarray, qargs, num_qubits, backend):
+    def _embed(matrix: np.ndarray, qargs, num_qubits):
         from repro.circuit.matrix_utils import embed_gate
 
-        return backend.asarray(embed_gate(matrix, qargs, num_qubits), dtype=complex)
+        return embed_gate(matrix, qargs, num_qubits)
 
-    def _apply_unitary(self, rho, matrix, qargs, num_qubits, backend):
-        full = self._embed(matrix, qargs, num_qubits, backend)
+    def _apply_unitary(self, rho, matrix, qargs, num_qubits):
+        full = self._embed(matrix, qargs, num_qubits)
         return full @ rho @ full.conj().T
 
-    def _depolarize(self, rho, qargs, num_qubits, probability, backend):
+    def _depolarize(self, rho, qargs, num_qubits, probability):
         """k-qubit depolarizing channel: mix in uniform non-identity Paulis."""
         k = len(qargs)
         count = 4**k - 1
         mixed = (1 - probability) * rho
         share = probability / count
         for index in range(1, 4**k):
-            full = _embedded_pauli(index, tuple(qargs), num_qubits, backend.name)
+            full = _embedded_pauli(index, tuple(qargs), num_qubits)
             mixed = mixed + share * (full @ rho @ full.conj().T)
         return mixed
 
-    def _reset(self, rho, qubit, num_qubits, backend):
-        p0 = self._embed(_PROJ_ZERO, (qubit,), num_qubits, backend)
-        k1 = self._embed(_LOWER, (qubit,), num_qubits, backend)
+    def _reset(self, rho, qubit, num_qubits):
+        p0 = self._embed(_PROJ_ZERO, (qubit,), num_qubits)
+        k1 = self._embed(_LOWER, (qubit,), num_qubits)
         return p0 @ rho @ p0.conj().T + k1 @ rho @ k1.conj().T
 
-    def _measure_distribution(self, rho, measures, num_clbits, num_qubits, backend):
-        xp = backend.xp
-        # the one boundary hop: only the diagonal crosses to the host
-        state_probs = backend.asnumpy(xp.real(xp.diag(rho))).clip(min=0.0)
+    def _measure_distribution(self, rho, measures, num_clbits):
+        state_probs = np.real(np.diag(rho)).clip(min=0.0)
         state_probs /= state_probs.sum()
         distribution: dict[str, float] = {}
         flip = {

@@ -59,7 +59,7 @@ class FusedProgram:
     """
 
     __slots__ = ("num_qubits", "num_clbits", "global_phase", "steps",
-                 "num_gates", "num_unitaries", "_staged")
+                 "num_gates", "num_unitaries")
 
     def __init__(self, num_qubits: int, num_clbits: int, global_phase: float):
         self.num_qubits = num_qubits
@@ -71,46 +71,12 @@ class FusedProgram:
         #: unitary steps emitted -- ``num_gates - num_unitaries`` gates
         #: were folded away by fusion
         self.num_unitaries = 0
-        #: per-backend staged step list: ``(backend, steps)`` or ``None``
-        self._staged: tuple | None = None
-
-    def staged(self, backend) -> list[tuple]:
-        """The step list with unitary matrices resident on ``backend``.
-
-        On the NumPy backend this is :attr:`steps` itself (host matrices
-        already live in the right place).  On any other backend every
-        unitary's matrix is uploaded **once** -- here, not inside the
-        evolve loop -- and the staged list is cached against the backend
-        object, so repeated shots/trajectories over one program re-use
-        the device-side matrix table instead of re-uploading per gate.
-        A backend switch (a different object from ``get_backend()``)
-        invalidates the cache by identity, never by name.
-        """
-        if backend.name == "numpy":
-            return self.steps
-        cached = self._staged
-        if cached is not None and cached[0] is backend:
-            return cached[1]
-        staged = [
-            ("unitary", backend.asarray(matrix, dtype=complex), qargs)
-            if kind == "unitary"
-            else (kind, matrix, qargs)
-            for kind, matrix, qargs in self.steps
-        ]
-        self._staged = (backend, staged)
-        return staged
 
 
 def compile_program(
-    circuit: QuantumCircuit,
-    fuse: bool = True,
-    cache: AnalysisCache | None = None,
+    circuit: QuantumCircuit, cache: AnalysisCache | None = None
 ) -> FusedProgram:
-    """Lower ``circuit`` into a :class:`FusedProgram`.
-
-    With ``fuse=False`` every gate becomes its own unitary step (matrices
-    still resolve through the cache); directives are dropped either way.
-    """
+    """Lower ``circuit`` into a :class:`FusedProgram`; directives are dropped."""
     if cache is None:
         cache = AnalysisCache()
     program = FusedProgram(circuit.num_qubits, circuit.num_clbits, circuit.global_phase)
@@ -162,7 +128,7 @@ def compile_program(
         program.num_gates += 1
         op_index = len(gate_ops)
         gate_ops.append(operation)
-        if not fuse or len(qargs) > 2 or instruction.clbits:
+        if len(qargs) > 2 or instruction.clbits:
             for qubit in qargs:
                 flush_qubit(qubit)
             events.append(("gate", op_index, qargs))

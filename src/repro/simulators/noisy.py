@@ -6,13 +6,6 @@ probability, and flipping measured bits with the readout error.  This is
 the standard stochastic unravelling of the depolarizing channel and is how
 the repo substitutes for the paper's runs on real IBM machines (Fig. 11);
 see DESIGN.md for the substitution rationale.
-
-Trajectories are backend-resident: gate matrices (and the Pauli table)
-upload once per :meth:`NoisySimulator.run` call, every shot's state lives
-on the active array backend, and only the scalar branch probabilities of
-measurements/resets sync to the host (inherent to sampling).  The
-classical outcome of each shot is a host integer, so no per-shot array
-download happens at all.
 """
 
 from __future__ import annotations
@@ -20,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.linalg.backend import get_backend
 from repro.linalg.random import as_rng
 from repro.simulators.counts import Counts
 from repro.simulators.noise import NoiseModel
@@ -45,26 +37,18 @@ class NoisySimulator:
 
     def run(self, circuit: QuantumCircuit, shots: int = 1024) -> Counts:
         """Sample ``shots`` noisy trajectories of ``circuit``."""
-        backend = get_backend()
-        compiled = self._precompile(circuit, backend)
-        paulis = [backend.asarray(p, dtype=complex) for p in _PAULIS]
+        compiled = self._precompile(circuit)
         counts: dict[str, int] = {}
         num_clbits = circuit.num_clbits
         for _ in range(shots):
-            key = self._one_shot(
-                compiled, circuit.num_qubits, num_clbits, backend, paulis
-            )
+            key = self._one_shot(compiled, circuit.num_qubits, num_clbits)
             counts[key] = counts.get(key, 0) + 1
         return Counts(counts, num_clbits=num_clbits)
 
     # ------------------------------------------------------------------
 
-    def _precompile(self, circuit: QuantumCircuit, backend):
-        """Cache gate matrices and error rates for the trajectory loop.
-
-        Matrices upload to the backend here, once per :meth:`run` call,
-        so the per-shot loop never moves a matrix to the device again.
-        """
+    def _precompile(self, circuit: QuantumCircuit):
+        """Cache gate matrices and error rates for the trajectory loop."""
         steps = []
         for instruction in circuit.data:
             operation = instruction.operation
@@ -78,14 +62,13 @@ class NoisySimulator:
                 continue
             if not operation.is_gate():
                 raise ValueError(f"cannot simulate {operation.name!r}")
-            matrix = backend.asarray(operation.to_matrix(), dtype=complex)
+            matrix = np.asarray(operation.to_matrix(), dtype=complex)
             error = self.noise_model.gate_error(instruction.qubits)
             steps.append(("gate", (matrix, instruction.qubits), error))
         return steps
 
-    def _one_shot(self, steps, num_qubits: int, num_clbits: int, backend, paulis) -> str:
-        xp = backend.xp
-        state = xp.zeros(2**num_qubits, dtype=complex)
+    def _one_shot(self, steps, num_qubits: int, num_clbits: int) -> str:
+        state = np.zeros(2**num_qubits, dtype=complex)
         state[0] = 1.0
         clbits = 0
         for kind, payload, extra in steps:
@@ -93,7 +76,7 @@ class NoisySimulator:
                 matrix, qubits = payload
                 state = apply_gate_to_state(state, matrix, qubits, num_qubits)
                 if extra > 0.0 and self._rng.random() < extra:
-                    state = self._apply_random_pauli(state, qubits, num_qubits, paulis)
+                    state = self._apply_random_pauli(state, qubits, num_qubits)
             elif kind == "measure":
                 outcome, state = self._measure(state, payload, num_qubits)
                 flip_given_0, flip_given_1 = self.noise_model.readout_flip_probabilities(
@@ -106,30 +89,28 @@ class NoisySimulator:
             else:  # reset
                 outcome, state = self._measure(state, payload, num_qubits)
                 if outcome:
-                    state = apply_gate_to_state(state, paulis[1], (payload,), num_qubits)
+                    state = apply_gate_to_state(state, _PAULIS[1], (payload,), num_qubits)
         return format(clbits, f"0{num_clbits}b")
 
-    def _apply_random_pauli(self, state, qubits, num_qubits, paulis):
+    def _apply_random_pauli(self, state, qubits, num_qubits):
         """Uniformly random non-identity Pauli on the touched qubits."""
         size = 4 ** len(qubits)
         choice = int(self._rng.integers(1, size))
         for position, qubit in enumerate(qubits):
             index = (choice >> (2 * position)) & 3
             if index:
-                state = apply_gate_to_state(state, paulis[index], (qubit,), num_qubits)
+                state = apply_gate_to_state(state, _PAULIS[index], (qubit,), num_qubits)
         return state
 
     def _measure(self, state, qubit, num_qubits):
-        xp = get_backend().xp
-        indices = xp.arange(len(state))
+        indices = np.arange(len(state))
         mask = (indices >> qubit) & 1
-        # scalar branch-probability sync: inherent to trajectory sampling
-        prob_one = float(xp.sum(xp.abs(state[mask == 1]) ** 2))
+        prob_one = float(np.sum(np.abs(state[mask == 1]) ** 2))
         outcome = int(self._rng.random() < prob_one)
-        collapsed = xp.where(mask == outcome, state, 0.0)
-        norm = float(xp.linalg.norm(collapsed))
+        collapsed = np.where(mask == outcome, state, 0.0)
+        norm = float(np.linalg.norm(collapsed))
         if norm < 1e-12:  # numerically impossible branch; resample other way
             outcome ^= 1
-            collapsed = xp.where(mask == outcome, state, 0.0)
-            norm = float(xp.linalg.norm(collapsed))
+            collapsed = np.where(mask == outcome, state, 0.0)
+            norm = float(np.linalg.norm(collapsed))
         return outcome, collapsed / norm

@@ -8,28 +8,19 @@ Circuits are lowered once per call through the gate-fusion pre-step
 (:func:`repro.simulators.fusion.compile_program`): adjacent gates on the
 same qubit (or qubit pair) collapse into single fused matrices and gate
 matrices resolve through the shared analysis cache's standard-gate table
-instead of one ``to_matrix()`` per instruction.  ``fusion=False`` keeps
-the one-step-per-gate program (matrices still come from the cache).
-
-The evolve loop is **backend-resident** (:mod:`repro.linalg.backend`):
-the state tensor is created on the active array backend, gate matrices
-upload once per fused program (:meth:`FusedProgram.staged`), and every
-reshape/transpose/matmul runs as an array *method* so the same code
-drives NumPy and CuPy arrays.  Results cross back to the host through a
-single ``asnumpy()`` hop at the boundary (:meth:`statevector` returns
-the final state; the terminal-sampling path downloads the outcome
-distribution).  Mid-circuit measurements additionally sync one scalar
-probability per collapse -- inherent to sampling a branch.
+instead of one ``to_matrix()`` per instruction.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.gates.matrices import standard_gate_matrix
-from repro.linalg.backend import get_backend, register_backend_listener
 from repro.linalg.random import as_rng
+from repro.simulators.counts import Counts, sample_counts
 from repro.simulators.fusion import FusedProgram, compile_program
 from repro.transpiler.cache import AnalysisCache
 
@@ -38,36 +29,12 @@ __all__ = ["StatevectorSimulator", "simulate_statevector", "apply_gate_to_state"
 #: Shared X matrix for the reset path (read-only, from the gate table).
 _X_MATRIX = standard_gate_matrix("x")
 
-#: Per-backend device copy of the X matrix (flushed on backend switches).
-_DEVICE_CONSTANTS: dict[str, object] = {}
-
-
-@register_backend_listener
-def _flush_device_constants(_backend) -> None:
-    _DEVICE_CONSTANTS.clear()
-
-
-def _x_matrix(backend):
-    """The reset-path X matrix as a backend-resident array."""
-    if backend.name == "numpy":
-        return _X_MATRIX
-    matrix = _DEVICE_CONSTANTS.get(backend.name)
-    if matrix is None:
-        matrix = backend.asarray(_X_MATRIX, dtype=complex)
-        _DEVICE_CONSTANTS[backend.name] = matrix
-    return matrix
-
-
 def apply_gate_to_state(state, matrix, qargs: tuple[int, ...], num_qubits: int):
     """Apply a k-qubit gate matrix to ``state`` on the given qubits.
 
     Implementation: permute the target qubits into the low bits, reshape to
     ``(2^(n-k), 2^k)``, right-multiply by the transposed matrix, and undo
     the permutation.
-
-    ``state`` and ``matrix`` may be arrays of any active backend (NumPy,
-    CuPy, or the instrumented test stub) -- only array methods and the
-    ``@`` operator touch them, so the state never leaves its device.
     """
     k = len(qargs)
     if matrix.shape != (2**k, 2**k):
@@ -98,25 +65,17 @@ class StatevectorSimulator:
     circuits skip matrix construction entirely.
     """
 
-    def __init__(
-        self,
-        seed: int | np.random.Generator | None = None,
-        fusion: bool = True,
-    ):
+    def __init__(self, seed: int | np.random.Generator | None = None):
         self._rng = as_rng(seed)
-        self.fusion = fusion
         self._cache = AnalysisCache()
 
     def statevector(
         self, circuit: QuantumCircuit, initial_state: np.ndarray | None = None
     ) -> np.ndarray:
-        """Final statevector (measurement-free circuits only).
-
-        Always a host NumPy array -- the one boundary hop.
-        """
-        program = compile_program(circuit, fuse=self.fusion, cache=self._cache)
+        """Final statevector (measurement-free circuits only)."""
+        program = compile_program(circuit, cache=self._cache)
         state, _ = self._evolve(program, initial_state, allow_measure=False)
-        return get_backend().asnumpy(state)
+        return state
 
     def run(
         self,
@@ -127,29 +86,18 @@ class StatevectorSimulator:
         """Sample measurement outcomes over ``shots`` trajectories.
 
         For circuits whose measurements are all terminal the sampling is done
-        from the final distribution in one pass; otherwise each shot runs a
-        full collapsing trajectory over the once-compiled fused program.
+        from the final distribution in one pass (:meth:`sample`); otherwise
+        each shot runs a full collapsing trajectory over the once-compiled
+        fused program.
         """
-        from repro.simulators.counts import Counts, sample_counts
-
-        backend = get_backend()
-        program = compile_program(circuit, fuse=self.fusion, cache=self._cache)
+        program = compile_program(circuit, cache=self._cache)
         if self._measurements_are_terminal(circuit):
             state, measured = self._evolve(
                 program, initial_state, allow_measure=False, skip_measurements=True
             )
             if not measured:
                 raise ValueError("circuit contains no measurements to sample")
-            xp = backend.xp
-            probabilities = xp.abs(state) ** 2
-            probabilities = probabilities / probabilities.sum()
-            return sample_counts(
-                backend.asnumpy(probabilities),
-                shots,
-                self._rng,
-                measured,
-                circuit.num_clbits,
-            )
+            return self.sample(state, shots, measured, circuit.num_clbits)
 
         counts: dict[str, int] = {}
         for _ in range(shots):
@@ -157,6 +105,24 @@ class StatevectorSimulator:
             key = format(clbits, f"0{circuit.num_clbits}b")
             counts[key] = counts.get(key, 0) + 1
         return Counts(counts, num_clbits=circuit.num_clbits)
+
+    def sample(
+        self,
+        state: np.ndarray,
+        shots: int,
+        measured: Iterable[tuple[int, int]],
+        num_clbits: int,
+    ) -> Counts:
+        """Sample ``shots`` terminal measurements of a final ``state``.
+
+        ``measured`` holds ``(qubit, clbit)`` pairs.  This is :meth:`run`'s
+        terminal path: the same draw from this simulator's RNG, so a caller
+        holding the final state of a circuit gets the counts ``run`` would
+        return for it without simulating the circuit again.
+        """
+        probabilities = np.abs(state) ** 2
+        probabilities = probabilities / probabilities.sum()
+        return sample_counts(probabilities, shots, self._rng, measured, num_clbits)
 
     # ------------------------------------------------------------------
 
@@ -178,22 +144,19 @@ class StatevectorSimulator:
         allow_measure: bool,
         skip_measurements: bool = False,
     ):
-        backend = get_backend()
-        xp = backend.xp
         num_qubits = program.num_qubits
         if initial_state is None:
-            state = xp.zeros(2**num_qubits, dtype=complex)
+            state = np.zeros(2**num_qubits, dtype=complex)
             state[0] = 1.0
         else:
-            host = np.asarray(initial_state, dtype=complex)
-            if host.shape != (2**num_qubits,):
+            state = np.array(initial_state, dtype=complex)
+            if state.shape != (2**num_qubits,):
                 raise ValueError("initial state has wrong dimension")
-            state = backend.asarray(host).copy()
         state *= np.exp(1j * program.global_phase)
 
         clbits = 0
         measured: list[tuple[int, int]] = []
-        for kind, first, second in program.staged(backend):
+        for kind, first, second in program.steps:
             if kind == "unitary":
                 state = apply_gate_to_state(state, first, second, num_qubits)
                 continue
@@ -209,23 +172,18 @@ class StatevectorSimulator:
             if kind == "reset":
                 outcome, state = self._measure(state, first, num_qubits)
                 if outcome:
-                    state = apply_gate_to_state(
-                        state, _x_matrix(backend), (first,), num_qubits
-                    )
+                    state = apply_gate_to_state(state, _X_MATRIX, (first,), num_qubits)
                 continue
             raise ValueError(f"cannot simulate instruction {first.name!r}")
         return state, (measured if skip_measurements else clbits)
 
     def _measure(self, state, qubit: int, num_qubits: int):
-        xp = get_backend().xp
-        indices = xp.arange(len(state))
+        indices = np.arange(len(state))
         mask = (indices >> qubit) & 1
-        # the float() is the only mid-loop sync: sampling a branch needs
-        # the branch probability on the host
-        prob_one = float(xp.sum(xp.abs(state[mask == 1]) ** 2))
+        prob_one = float(np.sum(np.abs(state[mask == 1]) ** 2))
         outcome = int(self._rng.random() < prob_one)
-        collapsed = xp.where(mask == outcome, state, 0.0)
-        norm = float(xp.linalg.norm(collapsed))
+        collapsed = np.where(mask == outcome, state, 0.0)
+        norm = float(np.linalg.norm(collapsed))
         if norm < 1e-12:
             raise RuntimeError("measurement collapsed to zero-norm state")
         return outcome, collapsed / norm

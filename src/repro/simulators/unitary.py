@@ -12,11 +12,6 @@ so adjacent same-qubit gates apply as one fused matrix, and every gate
 applies to **all** columns in a single permute/reshape/matmul instead of
 once per column (the column axis rides along as an extra untouched axis,
 so each column sees exactly the arithmetic the per-column path would do).
-
-The accumulating matrix is backend-resident: it is created on the active
-array backend (:mod:`repro.linalg.backend`), gate matrices upload once
-via :meth:`FusedProgram.staged`, and the result pays one ``asnumpy()``
-hop at the return boundary.
 """
 
 from __future__ import annotations
@@ -24,17 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.linalg.backend import get_backend
 from repro.simulators.fusion import compile_program
 
 __all__ = ["circuit_unitary"]
 
 
 def _apply_gate_columns(matrix, gate, qargs: tuple[int, ...], num_qubits: int):
-    """Apply a k-qubit gate to every column of ``matrix`` at once.
-
-    Backend-generic: only array methods and ``@`` touch the operands.
-    """
+    """Apply a k-qubit gate to every column of ``matrix`` at once."""
     dim = matrix.shape[0]
     k = len(qargs)
     tensor = matrix.reshape([2] * num_qubits + [dim])
@@ -51,21 +42,18 @@ def _apply_gate_columns(matrix, gate, qargs: tuple[int, ...], num_qubits: int):
     return updated.transpose(inverse).reshape(dim, dim)
 
 
-def circuit_unitary(circuit: QuantumCircuit, fusion: bool = True) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """Return the ``2^n x 2^n`` unitary implemented by ``circuit``.
 
     Directives are skipped; measurements and resets raise ``ValueError``.
-    ``fusion=False`` applies one step per gate instead of fused runs.
-    Always returns a host NumPy array (the one boundary hop).
     """
-    backend = get_backend()
     num_qubits = circuit.num_qubits
     dim = 2**num_qubits
-    program = compile_program(circuit, fuse=fusion)
-    matrix = backend.xp.eye(dim, dtype=complex)
-    for kind, first, second in program.staged(backend):
+    program = compile_program(circuit)
+    matrix = np.eye(dim, dtype=complex)
+    for kind, first, second in program.steps:
         if kind != "unitary":
             name = first.name if kind == "other" else kind
             raise ValueError(f"cannot express {name!r} as a unitary")
         matrix = _apply_gate_columns(matrix, first, second, num_qubits)
-    return backend.asnumpy(matrix * np.exp(1j * program.global_phase))
+    return matrix * np.exp(1j * program.global_phase)

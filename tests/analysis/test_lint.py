@@ -6,7 +6,6 @@ from repro.analysis import lint
 from repro.analysis.lint import lint_source
 
 
-SIM_PATH = "src/repro/simulators/statevector.py"
 SERVICE_PATH = "src/repro/transpiler/service.py"
 PASSES_PATH = "src/repro/transpiler/passes/custom.py"
 
@@ -17,57 +16,6 @@ def findings(source, path, select=None):
 
 def rule_ids(source, path, select=None):
     return [f.rule for f in findings(source, path, select)]
-
-
-class TestRES001:
-    def test_raw_numpy_in_function_body_flagged(self):
-        src = """
-        import numpy as np
-        def evolve(state):
-            return np.kron(state, state)
-        """
-        found = findings(src, SIM_PATH)
-        assert [f.rule for f in found] == ["RES001"]
-        assert "np.kron" in found[0].message
-
-    def test_np_linalg_flagged(self):
-        src = """
-        import numpy as np
-        def norm(state):
-            return np.linalg.norm(state)
-        """
-        assert rule_ids(src, SIM_PATH) == ["RES001"]
-
-    def test_module_level_constant_allowed(self):
-        src = """
-        import numpy as np
-        PAULI_X = np.kron(np.eye(1), np.eye(2))
-        """
-        assert rule_ids(src, SIM_PATH) == []
-
-    def test_benign_numpy_calls_allowed(self):
-        src = """
-        import numpy as np
-        def order(axes):
-            return np.argsort(axes).tolist()
-        """
-        assert rule_ids(src, SIM_PATH) == []
-
-    def test_out_of_scope_module_ignored(self):
-        src = """
-        import numpy as np
-        def evolve(state):
-            return np.kron(state, state)
-        """
-        assert rule_ids(src, "src/repro/rpo/qbo.py") == []
-
-    def test_pragma_suppresses(self):
-        src = """
-        import numpy as np
-        def evolve(state):
-            return np.kron(state, state)  # repro-lint: ignore[RES001]
-        """
-        assert rule_ids(src, SIM_PATH) == []
 
 
 class TestPAS001:
@@ -247,6 +195,14 @@ class TestDET001:
         def run_pass(p):
             start = time.perf_counter()
             return time.perf_counter() - start
+        """
+        assert rule_ids(src, SERVICE_PATH) == []
+
+    def test_pragma_suppresses(self):
+        src = """
+        import time
+        def job_fingerprint(payload):
+            return hash((payload, time.time()))  # repro-lint: ignore[DET001]
         """
         assert rule_ids(src, SERVICE_PATH) == []
 
@@ -431,33 +387,47 @@ class TestDriver:
 
     def test_select_filters_rules(self):
         src = """
-        import numpy as np
+        import time
         _MEMO = {}
-        def cache_key_and_evolve(state):
-            _MEMO[0] = np.kron(state, state)
+        def cache_key(job):
+            _MEMO[0] = time.time()
         """
-        assert rule_ids(src, SIM_PATH, select={"RES001"}) == ["RES001"]
+        assert rule_ids(src, SERVICE_PATH) == ["DET001", "LCK001"]
+        assert rule_ids(src, SERVICE_PATH, select={"DET001"}) == ["DET001"]
+        assert rule_ids(src, SERVICE_PATH, select={"LCK001"}) == ["LCK001"]
 
     def test_multi_rule_pragma(self):
         src = """
-        import numpy as np
-        def evolve(state):
-            return np.kron(state, state)  # repro-lint: ignore[RES001, DET001]
+        import time
+        _MEMO = {}
+        def cache_key(job):
+            _MEMO[0] = time.time()  # repro-lint: ignore[DET001, LCK001]
         """
-        assert rule_ids(src, SIM_PATH) == []
+        assert rule_ids(src, SERVICE_PATH) == []
+
+    def test_pragma_names_only_the_rules_it_lists(self):
+        src = """
+        import time
+        _MEMO = {}
+        def cache_key(job):
+            _MEMO[0] = time.time()  # repro-lint: ignore[LCK001]
+        """
+        assert rule_ids(src, SERVICE_PATH) == ["DET001"]
 
     def test_findings_sorted_and_rendered(self):
         src = """
-        import numpy as np
-        def a(state):
-            return np.kron(state, state)
-        def b(state):
-            return np.outer(state, state)
+        import time
+        def b_key(job):
+            return (job, time.time())
+        def a_key(job):
+            return (job, time.monotonic())
         """
-        found = findings(src, SIM_PATH)
+        found = findings(src, SERVICE_PATH)
+        assert [f.rule for f in found] == ["DET001", "DET001"]
         assert [f.line for f in found] == sorted(f.line for f in found)
         rendered = found[0].render()
-        assert SIM_PATH in rendered and "RES001" in rendered
+        assert SERVICE_PATH in rendered and "DET001" in rendered
+        assert rendered.startswith(f"{SERVICE_PATH}:{found[0].line}: DET001 ")
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
@@ -474,8 +444,9 @@ class TestDriver:
     def test_cli_list_rules(self, capsys):
         assert lint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RES001", "PAS001", "PCK001", "DET001", "LCK001", "CIR001"):
+        for rule_id in ("PAS001", "PCK001", "DET001", "LCK001", "CIR001"):
             assert rule_id in out
+        assert "RES001" not in out
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"

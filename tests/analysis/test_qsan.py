@@ -450,6 +450,25 @@ class TestFingerprintTier:
         assert simulated == []
         assert _run([PrependZZ()], circuit).violations == []
 
+    def test_non_finite_annotation_never_reaches_the_tracker(self, monkeypatch):
+        """The constructor rejects an infinite angle, so a validated run of
+        what the circuit holds only ever takes sines of finite angles."""
+        angles = []
+        real_sin = math.sin
+
+        def recording_sin(angle):
+            angles.append(angle)
+            return real_sin(angle)
+
+        monkeypatch.setattr(math, "sin", recording_sin)
+        circuit = QuantumCircuit(2)
+        with pytest.raises(ValueError, match="annotation theta must be finite"):
+            circuit.annotate(1, float("inf"), 0.0)
+        circuit.annotate(1, math.pi / 2, 0.0)
+        circuit.x(0)
+        assert _run([PrependZZ()], circuit).violations == []
+        assert angles and all(math.isfinite(angle) for angle in angles)
+
 
 class TestOpaqueGates:
     """A one-qubit gate with no matrix sends its wire to TOP."""
@@ -489,24 +508,50 @@ class TestMemoizedFacts:
     def test_chained_circuits_are_not_rescanned_or_resampled(self, monkeypatch):
         from repro.simulators.statevector import StatevectorSimulator
 
-        scanned, sampled = [], []
+        scanned, simulated, sampled, rerun = [], [], [], []
         scan = qsan._circuit_facts
-        run = StatevectorSimulator.run
+        statevector = StatevectorSimulator.statevector
+        sample = StatevectorSimulator.sample
 
         def counting_scan(circuit):
             scanned.append(circuit)
             return scan(circuit)
 
-        def counting_run(self, circuit, *args, **kwargs):
-            sampled.append(circuit)
-            return run(self, circuit, *args, **kwargs)
+        def counting_statevector(self, circuit, *args, **kwargs):
+            state = statevector(self, circuit, *args, **kwargs)
+            simulated.append(state)
+            return state
+
+        def counting_sample(self, state, *args, **kwargs):
+            sampled.append(state)
+            return sample(self, state, *args, **kwargs)
 
         monkeypatch.setattr(qsan, "_circuit_facts", counting_scan)
-        monkeypatch.setattr(StatevectorSimulator, "run", counting_run)
+        monkeypatch.setattr(StatevectorSimulator, "statevector", counting_statevector)
+        monkeypatch.setattr(StatevectorSimulator, "sample", counting_sample)
+        monkeypatch.setattr(StatevectorSimulator, "run", lambda *a, **k: rerun.append(a))
         result = _run([PrependZZ(), PrependZZ(), PrependZZ()], _bell_measured())
         assert result.violations == []
         # four distinct circuits (input and three outputs), each once
         assert len(scanned) == 4
         assert len({id(c) for c in scanned}) == 4
+        assert len(simulated) == 4
+        # each circuit's counts come from the statevector QSAN already
+        # computed for it; nothing is simulated a second time to sample
         assert len(sampled) == 4
-        assert len({id(c) for c in sampled}) == 4
+        assert {id(s) for s in sampled} == {id(s) for s in simulated}
+        assert rerun == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_counts_from_the_memoized_state_match_run(self, seed):
+        """The sampling reference is the one ``run`` would draw."""
+        from repro.simulators.statevector import StatevectorSimulator
+
+        from tests.helpers import random_circuit
+
+        circuit = random_circuit(4, 20, seed=seed, measure=True)
+        validator = QsanValidator(QsanConfig())
+        expected = StatevectorSimulator(seed=qsan.QSAN_SAMPLE_SEED).run(
+            circuit, validator.config.sample_shots
+        )
+        assert validator._semantics(circuit, "counts") == dict(expected)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuit import QuantumCircuit
 from repro.circuit.instruction import ControlledGate
 from repro.gates import (
     Annotation,
@@ -163,6 +164,23 @@ class TestDirectives:
         assert annotation.is_directive
         assert annotation.is_zero_state()
         assert not Annotation(1.0, 0.0).is_zero_state()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["theta", "phi"])
+    def test_annotation_rejects_non_finite_angles(self, name, bad):
+        angles = {"theta": 0.5, "phi": 0.25, name: bad}
+        with pytest.raises(ValueError, match=f"annotation {name} must be finite"):
+            Annotation(**angles)
+
+    def test_annotate_rejects_infinite_theta_and_leaves_the_circuit(self):
+        circuit = QuantumCircuit(2)
+        with pytest.raises(ValueError, match="theta must be finite, got inf"):
+            circuit.annotate(1, float("inf"), 0.0)
+        assert len(circuit.data) == 0
+
+    def test_annotation_accepts_finite_angles(self):
+        annotation = Annotation(1e300, -7 * np.pi)
+        assert (annotation.theta, annotation.phi) == (1e300, -7 * np.pi)
 
 
 class TestUnitaryGate:

@@ -14,13 +14,6 @@ from hypothesis import strategies as st
 
 from repro.circuit.matrix_utils import embed_gate
 from repro.gates.matrices import standard_gate_matrix
-from repro.linalg import backend as backend_mod
-from repro.linalg.backend import (
-    available_backends,
-    backend_name,
-    get_backend,
-    set_backend,
-)
 from repro.linalg.batch import (
     basis_axes_batch,
     bloch_rotation_batch,
@@ -37,14 +30,6 @@ from repro.linalg.euler import u3_matrix, u3_params_from_unitary
 from repro.linalg.random import random_unitary
 
 seeds = st.integers(min_value=0, max_value=10_000)
-
-
-@pytest.fixture(autouse=True)
-def _numpy_backend():
-    """Pin the NumPy backend around every test (some tests switch it)."""
-    set_backend("numpy")
-    yield
-    set_backend("numpy")
 
 
 def su_stack(dim: int, count: int, seed: int) -> np.ndarray:
@@ -78,6 +63,14 @@ class TestChainedProducts:
     def test_empty_chain_yields_identity(self):
         for reducer in (reduce_matmul, fold_matmul):
             assert np.array_equal(reducer(np.empty((0, 4, 4))), np.eye(4))
+
+    @pytest.mark.parametrize("reducer", [reduce_matmul, fold_matmul])
+    def test_empty_chains_are_writable_identities(self, reducer):
+        out = reducer(np.empty((3, 0, 2, 2)))
+        assert out.shape == (3, 2, 2)
+        assert out.flags.writeable
+        out[0, 0, 0] = 5.0  # owns its memory: no aliasing between rows
+        assert np.array_equal(out[1], np.eye(2))
 
     def test_single_factor_is_exact(self):
         matrix = random_unitary(2, 7)
@@ -226,43 +219,3 @@ class TestTrackerKernels:
                     assert axes[i] == -1 and signs[i] == 0
                 else:
                     assert axes[i] == state.axis and signs[i] == state.sign
-
-
-class TestBackendSelection:
-    def test_default_is_numpy(self):
-        assert backend_name() == "numpy"
-        assert get_backend().xp is np
-        assert get_backend().fallback_reason is None
-
-    def test_known_backends(self):
-        assert available_backends() == ("numpy", "cupy")
-
-    def test_unknown_backend_falls_back_with_warning(self):
-        backend_mod._reset_fallback_warnings()  # warnings fire once per process
-        with pytest.warns(RuntimeWarning, match="unknown array backend"):
-            active = set_backend("tpu")
-        assert active.name == "numpy"
-        assert "unknown array backend" in active.fallback_reason
-        # kernels still run after the fallback
-        stack = su_stack(2, 3, 11)
-        assert np.array_equal(fold_matmul(stack), serial_product(stack))
-
-    def test_cupy_fallback_when_unavailable(self):
-        try:
-            import cupy  # noqa: F401
-
-            pytest.skip("CuPy importable here; fallback path not reachable")
-        except Exception:
-            pass
-        backend_mod._reset_fallback_warnings()  # warnings fire once per process
-        with pytest.warns(RuntimeWarning, match="falling back to NumPy"):
-            active = set_backend("cupy")
-        assert active.name == "numpy"
-        assert "CuPy backend unavailable" in active.fallback_reason
-        stack = su_stack(4, 4, 13)
-        assert np.array_equal(fold_matmul(stack), serial_product(stack))
-
-    def test_env_var_resolved_lazily(self, monkeypatch):
-        monkeypatch.setenv(backend_mod.BACKEND_ENV_VAR, "numpy")
-        monkeypatch.setattr(backend_mod, "_ACTIVE", None)
-        assert backend_name() == "numpy"

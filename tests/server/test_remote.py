@@ -378,8 +378,16 @@ class TestServerLifecycle:
                     seeds=[0],
                     pipeline="rpo",
                 )
+            # a tick may be mid-save while the job's result is stored, and
+            # the counter moves only after the file is renamed into place:
+            # two more completed ticks guarantee one that began after the
+            # store and finished its write
+            after_store = srv.service.stats()["autosaves"]
             deadline = time.time() + 10
-            while not os.path.exists(path) and time.time() < deadline:
+            while (
+                srv.service.stats()["autosaves"] < after_store + 2
+                and time.time() < deadline
+            ):
                 time.sleep(0.05)
             assert os.path.exists(path)  # written by the timer, pre-shutdown
             assert srv.service.stats()["autosaves"] >= 1

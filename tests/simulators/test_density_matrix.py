@@ -80,3 +80,14 @@ class TestNoisy:
         model = NoiseModel(default_two_qubit_error=0.2)
         exact = DensityMatrixSimulator(model).probabilities(circuit)
         assert abs(sum(exact.values()) - 1.0) < 1e-9
+
+
+class TestPauliTable:
+    def test_cached_pauli_strings_are_read_only_and_shared(self):
+        from repro.simulators.density_matrix import _embedded_pauli
+
+        first = _embedded_pauli(6, (0, 2), 3)
+        assert not first.flags.writeable
+        assert _embedded_pauli(6, (0, 2), 3) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0

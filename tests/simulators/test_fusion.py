@@ -12,6 +12,7 @@ from repro.simulators import (
 )
 
 from tests.helpers import random_circuit
+from tests.simulators.per_gate_reference import reference_statevector, reference_unitary
 
 
 class TestCompileProgram:
@@ -31,13 +32,6 @@ class TestCompileProgram:
         assert kind == "unitary"
         assert matrix.shape == (4, 4)
         assert qargs == (0, 1)
-
-    def test_fuse_false_is_one_step_per_gate(self):
-        circuit = random_circuit(3, 25, seed=5)
-        program = compile_program(circuit, fuse=False)
-        assert program.num_gates == program.num_unitaries == len(
-            [s for s in program.steps if s[0] == "unitary"]
-        )
 
     def test_one_qubit_runs_fuse(self):
         circuit = QuantumCircuit(1)
@@ -84,19 +78,39 @@ class TestCompileProgram:
 
 
 class TestFusedEvolutionParity:
+    """Fused simulation against the per-gate reference (the unfused path)."""
+
     @pytest.mark.parametrize("seed", range(10))
     def test_statevector_matches_unfused(self, seed):
         circuit = random_circuit(4, 30, seed=seed)
-        fused = StatevectorSimulator(fusion=True).statevector(circuit)
-        plain = StatevectorSimulator(fusion=False).statevector(circuit)
+        fused = StatevectorSimulator().statevector(circuit)
+        plain = reference_statevector(circuit)
         assert np.abs(fused - plain).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_circuit_unitary_matches_unfused(self, seed):
         circuit = random_circuit(3, 20, seed=seed + 50)
-        fused = circuit_unitary(circuit, fusion=True)
-        plain = circuit_unitary(circuit, fusion=False)
+        fused = circuit_unitary(circuit)
+        plain = reference_unitary(circuit)
         assert np.abs(fused - plain).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_initial_state_matches_unfused(self, seed):
+        circuit = random_circuit(3, 25, seed=seed + 90)
+        rng = np.random.default_rng(seed)
+        initial = rng.normal(size=8) + 1j * rng.normal(size=8)
+        initial /= np.linalg.norm(initial)
+        fused = StatevectorSimulator().statevector(circuit, initial)
+        plain = reference_statevector(circuit, initial)
+        assert np.abs(fused - plain).max() < 1e-12
+
+    def test_directives_match_unfused(self):
+        circuit = random_circuit(3, 12, seed=7)
+        circuit.barrier()
+        circuit.annotate(1, 0.0, 0.0)
+        circuit = circuit.compose(random_circuit(3, 12, seed=8))
+        fused = StatevectorSimulator().statevector(circuit)
+        assert np.abs(fused - reference_statevector(circuit)).max() < 1e-12
 
     def test_global_phase_preserved(self):
         circuit = QuantumCircuit(1, global_phase=0.7)
@@ -110,9 +124,11 @@ class TestFusedEvolutionParity:
         circuit.x(0)
         circuit.reset(0)
         circuit.h(1)
-        fused = StatevectorSimulator(seed=0, fusion=True).statevector(circuit)
-        plain = StatevectorSimulator(seed=0, fusion=False).statevector(circuit)
-        assert np.abs(fused - plain).max() < 1e-12
+        fused = StatevectorSimulator(seed=0).statevector(circuit)
+        # x then reset leaves qubit 0 in |0>: only the h on qubit 1 remains
+        expected = QuantumCircuit(2)
+        expected.h(1)
+        assert np.abs(fused - reference_statevector(expected)).max() < 1e-12
 
     def test_terminal_sampling(self):
         circuit = QuantumCircuit(2, 2)

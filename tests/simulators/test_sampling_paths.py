@@ -148,3 +148,48 @@ class TestPathAgreement:
         circuit.measure(0, 1)
         StatevectorSimulator(seed=1).run(circuit, shots=50)
         assert calls["n"] == 100  # two collapsing measurements per shot
+
+
+class TestSampleFromState:
+    """``sample`` is ``run``'s terminal path on a state the caller holds."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sample_matches_run(self, seed):
+        from tests.helpers import random_circuit, strip_measurements
+
+        circuit = random_circuit(4, 24, seed=seed + 200, measure=True)
+        body, measured = strip_measurements(circuit)
+        state = StatevectorSimulator().statevector(body)
+        sampled = StatevectorSimulator(seed=seed).sample(
+            state, 300, measured, circuit.num_clbits
+        )
+        assert sampled == StatevectorSimulator(seed=seed).run(circuit, shots=300)
+        assert sampled.num_clbits == circuit.num_clbits
+
+    def test_sample_continues_the_rng_stream(self):
+        """Successive draws continue the stream of the simulator's seed,
+        exactly as successive ``run`` calls do."""
+        from repro.simulators.counts import sample_counts
+
+        circuit = _ghz(3)
+        measured = [(q, q) for q in range(3)]
+        state = np.zeros(8, dtype=complex)
+        state[0] = state[7] = 2**-0.5
+        probabilities = np.abs(state) ** 2
+        probabilities = probabilities / probabilities.sum()
+        sampler = StatevectorSimulator(seed=9)
+        runner = StatevectorSimulator(seed=9)
+        stream = np.random.default_rng(9)
+        draws = []
+        for _ in range(2):
+            expected = sample_counts(probabilities, 64, stream, measured, 3)
+            assert sampler.sample(state, 64, measured, 3) == expected
+            assert runner.run(circuit, 64) == expected
+            draws.append(expected)
+        assert draws[0] != draws[1]
+
+    def test_sample_maps_qubits_to_clbits(self):
+        state = np.zeros(4, dtype=complex)
+        state[1] = 1.0  # qubit 0 is |1>, qubit 1 is |0>
+        counts = StatevectorSimulator(seed=0).sample(state, 10, [(0, 2), (1, 0)], 3)
+        assert counts == {"100": 10}
