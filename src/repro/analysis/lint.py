@@ -27,9 +27,11 @@ Rule catalog (every rule is individually selectable and suppressible):
   inside a ``with <lock>:`` block naming a lock.
 * **CIR001** -- checked circuit records: outside
   ``repro/circuit/quantumcircuit.py`` no code builds a
-  ``CircuitInstruction(...)`` or calls ``<x>.data.append/extend/insert``;
-  every record enters a circuit through ``QuantumCircuit.append``, which
-  checks its wires.
+  ``CircuitInstruction(...)`` or calls ``<x>.data.append/extend/insert``.
+  Records enter a circuit through its two checked entry points:
+  ``QuantumCircuit.append``, which checks the wires, and
+  ``QuantumCircuit.splice``, which checks every new record the same way
+  and carries the rest by index from the circuit's own ``data``.
 
 Suppress a finding on one line with ``# repro-lint: ignore[RULE]``
 (comma-separate several rule ids); skip a whole file with
@@ -531,7 +533,7 @@ class LockedModuleState(Rule):
 
 
 # --------------------------------------------------------------------------
-# CIR001 -- circuit records enter only through QuantumCircuit.append
+# CIR001 -- circuit records enter only through QuantumCircuit.append/splice
 # --------------------------------------------------------------------------
 
 _CIR_HOME = "repro/circuit/quantumcircuit.py"
@@ -543,7 +545,8 @@ class CheckedCircuitRecords(Rule):
     id = "CIR001"
     description = (
         "outside repro/circuit/quantumcircuit.py, no CircuitInstruction(...) "
-        "and no <x>.data.append/extend/insert(...); use QuantumCircuit.append"
+        "and no <x>.data.append/extend/insert(...); use QuantumCircuit.append "
+        "or QuantumCircuit.splice"
     )
 
     def applies_to(self, path: str) -> bool:
@@ -560,8 +563,9 @@ class CheckedCircuitRecords(Rule):
                         node.lineno,
                         self.id,
                         f"{culprit} adds a circuit record without "
-                        "QuantumCircuit.append's wire checks; call "
-                        "circuit.append(operation, qubits, clbits) instead",
+                        "QuantumCircuit's wire checks; call "
+                        "circuit.append(operation, qubits, clbits), or "
+                        "circuit.splice(edits) to rewrite a circuit",
                     )
                 )
         return findings

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, QuantumCircuit
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.passmanager import (
     AnalysisPass,
@@ -261,12 +261,9 @@ def _circuit_facts(circuit: QuantumCircuit) -> tuple[bool, dict[int, int] | None
 
 
 def _without_measures(circuit: QuantumCircuit) -> QuantumCircuit:
-    output = circuit.copy_empty_like()
-    for instruction in circuit.data:
-        if instruction.operation.name == "measure":
-            continue
-        output.append(instruction.operation, instruction.qubits, instruction.clbits)
-    return output
+    data = circuit.data
+    measures = [i for i, record in enumerate(data) if record.operation.name == "measure"]
+    return circuit.splice([((index,), index, (), NO_PHASE) for index in measures])
 
 
 #: Minimum state fidelity for the relaxed ``"state"`` contract.  The RPO

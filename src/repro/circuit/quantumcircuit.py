@@ -18,7 +18,7 @@ from repro.circuit.instruction import Gate, Instruction
 from repro.circuit.matrix_utils import embed_gate
 from repro.circuit.register import ClassicalRegister, QuantumRegister
 
-__all__ = ["QuantumCircuit", "CircuitInstruction"]
+__all__ = ["QuantumCircuit", "CircuitInstruction", "NO_PHASE"]
 
 
 class CircuitInstruction(NamedTuple):
@@ -32,6 +32,9 @@ class CircuitInstruction(NamedTuple):
 #: builds a ``CircuitInstruction`` from a 3-tuple, skipping the NamedTuple
 #: ``__new__`` wrapper (``append`` has already checked the fields)
 _new_instruction = tuple.__new__
+
+#: the phase of a splice edit that leaves it as it is: ``x + -0.0`` is ``x``, bit for bit
+NO_PHASE = -0.0
 
 
 class QuantumCircuit:
@@ -133,6 +136,11 @@ class QuantumCircuit:
         * no qubit may repeat (``ValueError``);
         * each clbit must lie in ``0..num_clbits-1`` (``IndexError``).
         """
+        self.data.append(self._checked(operation, qubits, clbits))
+        return self
+
+    def _checked(self, operation, qubits, clbits) -> CircuitInstruction:
+        """The record of ``operation`` on these wires, after ``append``'s checks."""
         qubits = tuple(map(int, qubits))
         if type(clbits) is not tuple or clbits:  # () needs no coercion
             clbits = tuple(map(int, clbits))
@@ -160,8 +168,62 @@ class QuantumCircuit:
             valid = all(0 <= clbit < num_clbits for clbit in clbits)
         if not valid:
             self._check_wires(qubits, clbits)
-        self.data.append(_new_instruction(CircuitInstruction, (operation, qubits, clbits)))
-        return self
+        return _new_instruction(CircuitInstruction, (operation, qubits, clbits))
+
+    def splice(self, edits) -> "QuantumCircuit":
+        """A new circuit with ``edits`` applied, or ``self`` when there are
+        none.
+
+        An edit ``(removed, at, replacement, phase)`` drops the records at
+        the indices ``removed`` and puts ``replacement`` just before record
+        ``at`` (at the end for ``len(data)``), after the replacements of
+        earlier edits at the same ``at``.  A replacement item is an index
+        into ``data`` -- that record, carried as it is -- or a new
+        ``(operation, qubits, clbits)``, checked exactly as :meth:`append`
+        checks it.  Each ``phase`` is added to the global phase with ``+=``
+        in edit order.  An index removed twice, or an ``at`` or index out of
+        range, raises ``ValueError``.
+        """
+        if not edits:
+            return self
+        data = self.data
+        size = len(data)
+        checked = self._checked
+        phase = self.global_phase
+        removed: set[int] = set()
+        inserted: dict[int, list[CircuitInstruction]] = {}
+        count = 0
+        for indices, at, replacement, term in edits:
+            if not 0 <= at <= size:
+                raise ValueError(f"splice position {at} outside 0..{size}")
+            removed.update(indices)
+            count += len(indices)
+            if replacement:
+                records = inserted.setdefault(at, [])
+                for item in replacement:
+                    if type(item) is not int:
+                        records.append(checked(*item))
+                    elif 0 <= item < size:
+                        records.append(data[item])
+                    else:
+                        raise ValueError(f"carried index {item} outside 0..{size - 1}")
+            phase += term
+        if len(removed) != count:
+            raise ValueError("splice removes an index twice")
+        if removed and not (0 <= min(removed) and max(removed) < size):
+            raise ValueError(f"splice removes an index outside 0..{size - 1}")
+        output = self.copy_empty_like()
+        output.global_phase = phase
+        out = output.data
+        start = 0
+        for point in sorted(removed.union(inserted)):
+            if start < point:
+                out += data[start:point]
+            if point in inserted:
+                out += inserted[point]
+            start = point + 1 if point in removed else point
+        out += data[start:]
+        return output
 
     # -- one-qubit gates -------------------------------------------------
 
@@ -446,13 +508,11 @@ class QuantumCircuit:
             clbits = list(range(other.num_clbits))
         if len(qubits) != other.num_qubits or len(clbits) != other.num_clbits:
             raise ValueError("wire mapping does not match the composed circuit")
-        result = self.copy()
-        result.global_phase += other.global_phase
-        for instruction in other.data:
-            mapped_q = tuple(qubits[q] for q in instruction.qubits)
-            mapped_c = tuple(clbits[c] for c in instruction.clbits)
-            result.append(instruction.operation, mapped_q, mapped_c)
-        return result
+        records = [
+            (inst.operation, [qubits[q] for q in inst.qubits], [clbits[c] for c in inst.clbits])
+            for inst in other.data
+        ]
+        return self.splice([((), len(self.data), records, other.global_phase)])
 
     def inverse(self) -> "QuantumCircuit":
         """Return the inverse circuit (reversed order, inverted gates)."""

@@ -59,7 +59,6 @@ __all__ = [
     "weyl_factors",
     "weyl_decompose",
     "canonical_gate",
-    "weyl_coordinates",
     "cnot_budgets",
     "num_cnots_required",
 ]
@@ -340,15 +339,6 @@ def weyl_decompose(unitary: np.ndarray) -> WeylDecomposition:
     if unitary.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {unitary.shape}")
     return _only(weyl_factors([_only(canonical_forms(unitary[None]))]))
-
-
-def weyl_coordinates(unitary: np.ndarray) -> tuple[float, float, float]:
-    """Return only the canonical-gate coordinates of ``unitary`` (the
-    coordinate stage alone)."""
-    unitary = np.asarray(unitary, dtype=complex)
-    if unitary.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {unitary.shape}")
-    return _only(canonical_forms(unitary[None])).coordinates
 
 
 def cnot_budgets(unitaries, atol: float = 1e-8) -> list[int]:

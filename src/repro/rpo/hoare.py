@@ -42,7 +42,7 @@ import numpy as np
 from repro.circuit.instruction import ControlledGate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.transpiler.cache import AnalysisCache
-from repro.transpiler.passmanager import PropertySet, TransformationPass
+from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["HoareOptimizer"]
 
@@ -133,27 +133,25 @@ class HoareOptimizer(TransformationPass):
         self._run_state.cluster_of = {
             q: _Cluster((q,), {0}) for q in range(circuit.num_qubits)
         }
-        output = circuit.copy_empty_like()
-        for instruction in circuit.data:
+        output = RecordEdits()
+        for index, instruction in enumerate(circuit.data):
+            output.visit(index, instruction)
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits, output
             )
-        return output
+        return circuit.splice(output.close())
 
     # ------------------------------------------------------------------
 
     def _process(self, operation, qubits, clbits, output) -> None:
         name = operation.name
-        if name in ("barrier", "annot"):
+        if name in ("barrier", "annot", "measure"):
             # the Hoare baseline has no annotation support (Sec. VI-C is an
-            # RPO feature); annotations pass through inert
+            # RPO feature); annotations pass through inert, like measures
             output.append(operation, qubits, clbits)
             return
         if name == "reset":
             self._apply_reset(qubits[0])
-            output.append(operation, qubits, clbits)
-            return
-        if name == "measure":
             output.append(operation, qubits, clbits)
             return
         if not operation.is_gate():

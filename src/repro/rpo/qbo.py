@@ -56,9 +56,9 @@ from repro.gates import (
     UnitaryGate,
 )
 from repro.rpo.basis_tracker import BasisStateTracker
-from repro.rpo.states import BasisState, eigenphase_if_fixed, preparation_matrices
+from repro.rpo.states import BasisState, eigenphase_if_fixed, preparation_matrices, track_non_gate
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
-from repro.transpiler.passmanager import PropertySet, TransformationPass
+from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["QBOPass"]
 
@@ -115,12 +115,13 @@ class QBOPass(TransformationPass):
         state.cache = AnalysisCache.ensure(property_set)
         state.rewrites = rewrite_counter(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
-        output = circuit.copy_empty_like()
+        output = RecordEdits()
         blocked = state.cache.same_pair_adjacency(circuit)
         for index, instruction in enumerate(circuit.data):
             # SWAPs that would consolidate with a same-pair neighbour are
             # better left to the unitary re-synthesis (see rpo.adjacency)
             state.swapz_profitable = index not in blocked
+            output.visit(index, instruction)
             self._process(
                 instruction.operation,
                 instruction.qubits,
@@ -129,35 +130,17 @@ class QBOPass(TransformationPass):
                 output,
             )
         state.swapz_profitable = True
-        return output
+        return circuit.splice(output.close())
 
     # ------------------------------------------------------------------
     # the rewrite engine
     # ------------------------------------------------------------------
 
     def _process(self, operation, qubits, clbits, tracker, output) -> None:
+        if track_non_gate(tracker, operation, qubits):
+            output.append(operation, qubits, clbits)
+            return
         name = operation.name
-
-        if name == "barrier":
-            output.append(operation, qubits, clbits)
-            return
-        if name == "annot":
-            tracker.apply_annotation(qubits[0], *operation.params[:2])
-            output.append(operation, qubits, clbits)
-            return
-        if name == "reset":
-            tracker.apply_reset(qubits[0])
-            output.append(operation, qubits, clbits)
-            return
-        if name == "measure":
-            tracker.apply_measure(qubits[0])
-            output.append(operation, qubits, clbits)
-            return
-        if not operation.is_gate():
-            tracker.invalidate(qubits)
-            output.append(operation, qubits, clbits)
-            return
-
         if operation.num_qubits == 1:
             self._process_1q(operation, qubits[0], tracker, output)
             return
@@ -188,7 +171,7 @@ class QBOPass(TransformationPass):
         phase = eigenphase_if_fixed(tracker.state(qubit), matrix)
         if phase is not None:
             # the qubit is unentangled and fixed by the gate: global phase
-            output.global_phase += phase
+            output.add_phase(phase)
             self._count_rewrite()
             return
         tracker.apply_1q_gate(qubit, matrix)
@@ -266,7 +249,7 @@ class QBOPass(TransformationPass):
             else:
                 # fires when the control is |0>: u1 on the opposite branch
                 # plus a matching global phase
-                output.global_phase += alpha
+                output.add_phase(alpha)
                 self._process(U1Gate(-alpha), (controls[0],), (), tracker, output)
             return
         # MCU1 treats its last wire as the "target"; that wire's condition

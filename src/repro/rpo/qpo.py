@@ -30,13 +30,13 @@ import threading
 import numpy as np
 
 from repro.circuit.instruction import ControlledGate
-from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.gates import SwapGate, SwapZGate, UnitaryGate, XGate, ZGate
 from repro.rpo.pure_tracker import PureStateTracker
-from repro.rpo.states import BasisState
+from repro.rpo.states import BasisState, track_non_gate
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
-from repro.transpiler.passmanager import PropertySet, TransformationPass
+from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["QPOPass"]
 
@@ -88,38 +88,23 @@ class QPOPass(TransformationPass):
 
     def _rewrite_gates(self, circuit: QuantumCircuit) -> QuantumCircuit:
         tracker = PureStateTracker(circuit.num_qubits)
-        output = circuit.copy_empty_like()
+        output = RecordEdits()
         blocked = self._cache.same_pair_adjacency(circuit)
         for index, instruction in enumerate(circuit.data):
             self._run_state.swapz_profitable = index not in blocked
+            output.visit(index, instruction)
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits,
                 tracker, output,
             )
         self._run_state.swapz_profitable = True
-        return output
+        return circuit.splice(output.close())
 
     def _process(self, operation, qubits, clbits, tracker, output) -> None:
+        if track_non_gate(tracker, operation, qubits):
+            output.append(operation, qubits, clbits)
+            return
         name = operation.name
-        if name == "barrier":
-            output.append(operation, qubits, clbits)
-            return
-        if name == "annot":
-            tracker.apply_annotation(qubits[0], *operation.params[:2])
-            output.append(operation, qubits, clbits)
-            return
-        if name == "reset":
-            tracker.apply_reset(qubits[0])
-            output.append(operation, qubits, clbits)
-            return
-        if name == "measure":
-            tracker.apply_measure(qubits[0])
-            output.append(operation, qubits, clbits)
-            return
-        if not operation.is_gate():
-            tracker.invalidate(qubits)
-            output.append(operation, qubits, clbits)
-            return
         if operation.num_qubits == 1:
             self._process_1q(operation, qubits[0], tracker, output)
             return
@@ -147,7 +132,7 @@ class QPOPass(TransformationPass):
             vector = tracker.statevector(qubit)
             overlap = np.vdot(vector, matrix @ vector)
             if abs(abs(overlap) - 1.0) < 1e-9:
-                output.global_phase += cmath.phase(overlap)
+                output.add_phase(cmath.phase(overlap))
                 self._count_rewrite()
                 return
         tracker.apply_1q_gate(qubit, matrix)
@@ -258,26 +243,30 @@ class QPOPass(TransformationPass):
 
     def _rewrite_blocks(self, circuit: QuantumCircuit) -> QuantumCircuit:
         tracker = PureStateTracker(circuit.num_qubits)
-        output = circuit.copy_empty_like()
+        data = circuit.data
+        edits: list[tuple] = []  # one per flushed block or held-gate run
         open_blocks: dict[int, "_PureBlock"] = {}
-        pending: dict[int, list[CircuitInstruction]] = {}
+        pending: dict[int, list[int]] = {}  # qubit -> held 1q input indices
 
-        def flush_pending(qubit: int) -> None:
-            for instruction in pending.pop(qubit, []):
-                self._track_and_emit(instruction, tracker, output)
+        def flush_pending(qubit: int, at: int) -> None:
+            held = pending.pop(qubit, None)
+            if held is not None:
+                for index in held:
+                    self._track(data[index], tracker)
+                edits.append((held, at, held, NO_PHASE))
 
-        def flush_block(block: "_PureBlock") -> None:
+        def flush_block(block: "_PureBlock", at: int) -> None:
             for qubit in block.pair:
                 open_blocks.pop(qubit, None)
-            self._emit_pure_block(block, tracker, output)
+            edits.append(self._block_edit(block, at, tracker))
 
-        def flush_qubit(qubit: int) -> None:
+        def flush_qubit(qubit: int, at: int) -> None:
             block = open_blocks.get(qubit)
             if block is not None:
-                flush_block(block)
-            flush_pending(qubit)
+                flush_block(block, at)
+            flush_pending(qubit, at)
 
-        for instruction in circuit.data:
+        for index, instruction in enumerate(data):
             operation = instruction.operation
             qubits = instruction.qubits
             simple = (
@@ -288,9 +277,9 @@ class QPOPass(TransformationPass):
             if simple and len(qubits) == 1:
                 qubit = qubits[0]
                 if qubit in open_blocks:
-                    open_blocks[qubit].add(instruction)
+                    open_blocks[qubit].add(index, instruction)
                 else:
-                    pending.setdefault(qubit, []).append(instruction)
+                    pending.setdefault(qubit, []).append(index)
                 continue
             two_qubit_names = ("cx", "cz", "swap", "swapz", "unitary")
             if simple and len(qubits) == 2 and operation.name in two_qubit_names:
@@ -298,62 +287,52 @@ class QPOPass(TransformationPass):
                 pair = (min(a, b), max(a, b))
                 block = open_blocks.get(a)
                 if block is not None and block is open_blocks.get(b) and block.pair == pair:
-                    block.add(instruction)
+                    block.add(index, instruction)
                     continue
                 for qubit in (a, b):
                     old_block = open_blocks.get(qubit)
                     if old_block is not None:
-                        flush_block(old_block)
+                        flush_block(old_block, index)
                 # the tracker has not replayed the held 1q gates, so its
                 # state is the block-input state; the held gates join the
                 # block and are accounted for in its matrix
                 block = _PureBlock(pair, (tracker.state(pair[0]), tracker.state(pair[1])))
                 for qubit in pair:
                     for held in pending.pop(qubit, []):
-                        block.add(held)
+                        block.add(held, data[held])
                     open_blocks[qubit] = block
-                block.add(instruction)
+                block.add(index, instruction)
                 continue
             for qubit in qubits:
-                flush_qubit(qubit)
-            self._track_and_emit(instruction, tracker, output)
+                flush_qubit(qubit, index)
+            self._track(instruction, tracker)
 
-        remaining = []
-        for block in open_blocks.values():
-            if block not in remaining:
-                remaining.append(block)
-        for block in remaining:
-            flush_block(block)
+        end = len(data)
+        for block in dict.fromkeys(open_blocks.values()):
+            flush_block(block, end)
         for qubit in sorted(pending):
-            flush_pending(qubit)
-        return output
+            flush_pending(qubit, end)
+        return circuit.splice(edits)
 
-    def _track_and_emit(self, instruction, tracker, output) -> None:
-        """Emit an instruction unchanged while keeping the tracker sound."""
-        operation = instruction.operation
-        name = operation.name
-        qubits = instruction.qubits
-        if name == "annot":
-            tracker.apply_annotation(qubits[0], *operation.params[:2])
-        elif name == "reset":
-            tracker.apply_reset(qubits[0])
-        elif name == "measure":
-            tracker.apply_measure(qubits[0])
-        elif name == "barrier":
-            pass
-        elif operation.is_gate() and operation.num_qubits == 1:
+    def _track(self, instruction, tracker) -> None:
+        """Keep the tracker sound across an instruction left as it is."""
+        operation, qubits, _ = instruction
+        if track_non_gate(tracker, operation, qubits):
+            return
+        if operation.num_qubits == 1:
             tracker.apply_1q_gate(qubits[0], self._cache.matrix(operation))
-        elif name == "swap":
+        elif operation.name == "swap":
             tracker.apply_swap(*qubits)
-        elif name == "swapz" and tracker.is_known(qubits[0]) and _is_zero_state(
+        elif operation.name == "swapz" and tracker.is_known(qubits[0]) and _is_zero_state(
             tracker.state(qubits[0])
         ):
             tracker.apply_swap(*qubits)
         else:
             tracker.invalidate(qubits)
-        output.append(operation, qubits, instruction.clbits)
 
-    def _emit_pure_block(self, block: "_PureBlock", tracker, output) -> None:
+    def _block_edit(self, block: "_PureBlock", at: int, tracker) -> tuple:
+        """The block's splice edit: kept, or its output state's preparation."""
+        kept = (block.indices, at, block.indices, NO_PHASE)
         input_states = block.input_states
         replaceable = (
             block.num_2q >= 2
@@ -362,8 +341,8 @@ class QPOPass(TransformationPass):
         )
         if not replaceable:
             for instruction in block.instructions:
-                self._track_and_emit(instruction, tracker, output)
-            return
+                self._track(instruction, tracker)
+            return kept
         from repro.linalg.two_qubit_synthesis import two_qubit_state_prep_circuit
         from repro.linalg.euler import u3_matrix
         from repro.linalg.state_prep import schmidt_decomposition
@@ -378,20 +357,19 @@ class QPOPass(TransformationPass):
         new_2q = prep.num_nonlocal_gates()
         if new_2q >= block.num_2q:
             for instruction in block.instructions:
-                self._track_and_emit(instruction, tracker, output)
-            return
+                self._track(instruction, tracker)
+            return kept
         self._count_rewrite()
         # replacement must act on |00>: undo the known input states first
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T
+        records = []
         if not np.allclose(undo_low, np.eye(2), atol=1e-12):
-            output.append(UnitaryGate(undo_low, label="qpo_undo"), (low,))
+            records.append((UnitaryGate(undo_low, label="qpo_undo"), (low,), ()))
         if not np.allclose(undo_high, np.eye(2), atol=1e-12):
-            output.append(UnitaryGate(undo_high, label="qpo_undo"), (high,))
-        output.global_phase += prep.global_phase
+            records.append((UnitaryGate(undo_high, label="qpo_undo"), (high,), ()))
         for inner in prep.data:
-            mapped = tuple((low, high)[q] for q in inner.qubits)
-            output.append(inner.operation, mapped)
+            records.append((inner.operation, tuple(block.pair[q] for q in inner.qubits), ()))
         # update tracked states from the produced output state
         coefficients, left_basis, right_basis = schmidt_decomposition(output_vector)
         if coefficients[1] < 1e-9:
@@ -401,6 +379,7 @@ class QPOPass(TransformationPass):
             tracker.set_state(low, prepare_one_qubit_state(right_basis[:, 0]))
         else:
             tracker.invalidate(block.pair)
+        return block.indices, at, records, prep.global_phase
 
 
 class _PureBlock:
@@ -409,10 +388,12 @@ class _PureBlock:
     def __init__(self, pair, input_states):
         self.pair = pair
         self.input_states = input_states
+        self.indices: list[int] = []  # input indices of ``instructions``
         self.instructions: list[CircuitInstruction] = []
         self.num_2q = 0
 
-    def add(self, instruction: CircuitInstruction) -> None:
+    def add(self, index: int, instruction: CircuitInstruction) -> None:
+        self.indices.append(index)
         self.instructions.append(instruction)
         if len(instruction.qubits) == 2:
             self.num_2q += 1

@@ -37,6 +37,7 @@ __all__ = [
     "bloch_tuple_of_basis_state",
     "basis_state_of_bloch_tuple",
     "preparation_matrices",
+    "track_non_gate",
 ]
 
 _ATOL = 1e-9
@@ -231,3 +232,21 @@ def preparation_matrices(state: BasisState) -> np.ndarray:
         BasisState.LEFT: s @ h,
         BasisState.RIGHT: sdg @ h,
     }[state]
+
+
+def track_non_gate(tracker, operation, qubits) -> bool:
+    """Apply a record QBO and QPO keep as it is -- a barrier, annotation,
+    reset, measure or other non-gate -- to a state tracker; ``False``, with
+    the tracker untouched, for a gate."""
+    name = operation.name
+    if name == "annot":
+        tracker.apply_annotation(qubits[0], *operation.params[:2])
+    elif name == "reset":
+        tracker.apply_reset(qubits[0])
+    elif name == "measure":
+        tracker.apply_measure(qubits[0])
+    elif name != "barrier":
+        if operation.is_gate():
+            return False
+        tracker.invalidate(qubits)
+    return True

@@ -57,7 +57,6 @@ __all__ = [
     "decode_jobs",
     "encode_results",
     "decode_results",
-    "decode_cached",
     "encode_cache_entry",
     "decode_cache_entry",
     "encode_error",
@@ -255,21 +254,6 @@ def decode_results(envelope: dict) -> list[tuple]:
             label = f"{kind}: {message}" if kind not in (None, "TranspilerError") else message
             outcomes.append(("error", TranspilerError(label)))
     return outcomes
-
-
-def decode_cached(envelope: dict) -> list:
-    """Per-job cache dispositions of a ``result`` envelope.
-
-    ``"hit"`` / ``"template"`` / ``None`` per entry, in job order.
-    Version-1 envelopes (no ``cached`` keys) decode to all-``None``.
-    """
-    entries = envelope.get("results")
-    if not isinstance(entries, list):
-        raise ProtocolError("result envelope lacks a 'results' list")
-    return [
-        entry.get("cached") if isinstance(entry, dict) else None
-        for entry in entries
-    ]
 
 
 # -- peer cache lookup (protocol 2) -----------------------------------------

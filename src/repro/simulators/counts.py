@@ -33,9 +33,6 @@ class Counts(dict):
             raise ValueError("no counts recorded")
         return max(self.items(), key=lambda item: item[1])[0]
 
-    def int_outcomes(self) -> dict[int, int]:
-        return {int(key, 2): value for key, value in self.items()}
-
 
 def sample_counts(
     probabilities: np.ndarray,
@@ -58,8 +55,8 @@ def sample_counts(
     outcomes = rng.choice(len(probabilities), size=shots, p=probabilities)
     distinct, tallies = np.unique(outcomes, return_counts=True)
     bits = np.zeros(len(distinct), dtype=np.int64)
-    for qubit, clbit in measured:
-        bits |= ((distinct >> qubit) & 1) << clbit
+    for qubit, clbit in measured:  # in circuit order: the last write wins
+        bits = (bits & ~(1 << clbit)) | (((distinct >> qubit) & 1) << clbit)
     counts: dict[str, int] = {}
     for pattern, tally in zip(bits, tallies):
         key = format(int(pattern), f"0{num_clbits}b")

@@ -143,6 +143,7 @@ class DensityMatrixSimulator:
                 swap = flip1 if value else flip0
                 updated: dict[int, float] = {}
                 for bits, weight in bits_acc.items():
+                    bits &= ~(1 << clbit)  # a later measure overwrites the clbit
                     kept = bits | (value << clbit)
                     flipped = bits | ((value ^ 1) << clbit)
                     updated[kept] = updated.get(kept, 0.0) + weight * stay

@@ -5,12 +5,14 @@
 CNOT pairs separated by gates that commute through the control (diagonal
 gates, CNOTs sharing the control) or through the target (CNOTs sharing the
 target).  These mirror the level 1/2 gate-cancellation procedures the paper
-describes in Sec. II-B.
+describes in Sec. II-B.  Each cancelled pair is one
+:meth:`~repro.circuit.QuantumCircuit.splice` edit that removes both
+records, so a circuit with nothing to cancel is returned as it is.
 """
 
 from __future__ import annotations
 
-from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
@@ -18,20 +20,6 @@ __all__ = ["CXCancellation", "CommutativeCancellation"]
 
 _SELF_INVERSE_SYMMETRIC = {"cz", "swap"}
 _DIAGONAL_1Q = {"u1", "z", "s", "sdg", "t", "tdg", "rz"}
-
-
-def _emit_surviving(
-    circuit: QuantumCircuit, survivors: list, cancelled: int
-) -> QuantumCircuit:
-    """The circuit of the surviving instructions; ``circuit`` itself when
-    nothing was cancelled, so the pass manager sees it unchanged at once."""
-    if not cancelled:
-        return circuit
-    output = circuit.copy_empty_like()
-    for item in survivors:
-        if item is not None:
-            output.append(item.operation, item.qubits, item.clbits)
-    return output
 
 
 class CXCancellation(TransformationPass):
@@ -43,34 +31,26 @@ class CXCancellation(TransformationPass):
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)
-        survivors: list[CircuitInstruction | None] = []
-        last_on_wire: dict[int, int] = {}  # qubit -> index into survivors
-        cancelled_pairs = 0
-
-        for instruction in circuit.data:
-            operation = instruction.operation
+        data = circuit.data
+        edits = []  # one per cancelled pair
+        last_on_wire: dict[int, int] = {}  # qubit -> index of its last survivor
+        for index, instruction in enumerate(data):
             qubits = instruction.qubits
-            cancelled = False
-            if operation.name == "cx" or operation.name in _SELF_INVERSE_SYMMETRIC:
+            name = instruction.operation.name
+            if name == "cx" or name in _SELF_INVERSE_SYMMETRIC:
                 indices = {last_on_wire.get(q) for q in qubits}
                 if len(indices) == 1 and None not in indices:
-                    (index,) = indices
-                    previous = survivors[index]
-                    if previous is not None and self._is_inverse_pair(
-                        previous, instruction
-                    ):
-                        survivors[index] = None
+                    (previous,) = indices
+                    if self._is_inverse_pair(data[previous], instruction):
+                        edits.append(((previous, index), index, (), NO_PHASE))
                         for qubit in qubits:
                             del last_on_wire[qubit]
-                        cancelled = True
-                        cancelled_pairs += 1
-            if not cancelled:
-                survivors.append(instruction)
-                for qubit in qubits:
-                    last_on_wire[qubit] = len(survivors) - 1
-        if cancelled_pairs:
-            rewrites[self.name] += cancelled_pairs
-        return _emit_surviving(circuit, survivors, cancelled_pairs)
+                        continue
+            for qubit in qubits:
+                last_on_wire[qubit] = index
+        if edits:
+            rewrites[self.name] += len(edits)
+        return circuit.splice(edits)
 
     @staticmethod
     def _is_inverse_pair(a: CircuitInstruction, b: CircuitInstruction) -> bool:
@@ -104,14 +84,14 @@ class CommutativeCancellation(TransformationPass):
         wire_ops = cache.wire_indices(circuit)
 
         open_cx: dict[tuple[int, int], int] = {}  # (c, t) -> index of candidate
-        cancelled_pairs = 0
+        edits = []  # one per cancelled pair
         for index, instruction in enumerate(survivors):
             if instruction is None:
                 continue
             operation = instruction.operation
             if operation.name != "cx":
                 # other ops simply invalidate candidates they conflict with
-                self._invalidate(open_cx, instruction, survivors)
+                self._invalidate(open_cx, instruction)
                 continue
             control, target = instruction.qubits
             key = (control, target)
@@ -122,17 +102,17 @@ class CommutativeCancellation(TransformationPass):
                 ):
                     survivors[earlier] = None
                     survivors[index] = None
-                    cancelled_pairs += 1
+                    edits.append(((earlier, index), index, (), NO_PHASE))
                     continue
             # a cx also threatens candidates on overlapping wires
-            self._invalidate(open_cx, instruction, survivors, skip_key=key)
+            self._invalidate(open_cx, instruction, skip_key=key)
             open_cx[key] = index
-        if cancelled_pairs:
-            rewrites[self.name] += cancelled_pairs
-        return _emit_surviving(circuit, survivors, cancelled_pairs)
+        if edits:
+            rewrites[self.name] += len(edits)
+        return circuit.splice(edits)
 
     @staticmethod
-    def _invalidate(open_cx, instruction, survivors, skip_key=None):
+    def _invalidate(open_cx, instruction, skip_key=None):
         touched = set(instruction.qubits)
         operation = instruction.operation
         for key in list(open_cx):

@@ -1,11 +1,12 @@
 """Cleanup passes: pre-measurement diagonal removal, directive stripping.
 
-A pass with nothing to remove returns its input circuit.
+Each removed record is one :meth:`~repro.circuit.QuantumCircuit.splice`
+edit, so a pass with nothing to remove returns its input circuit.
 """
 
 from __future__ import annotations
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, QuantumCircuit
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["RemoveDiagonalGatesBeforeMeasure", "RemoveAnnotations", "RemoveBarriers"]
@@ -27,44 +28,29 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
     equivalence = "measurement"
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        survivors: list = list(circuit.data)
+        data = circuit.data
         # each wire's record indices, and each measure's place on its wire
         chains: dict[int, list[int]] = {}
         measures: list[tuple[list[int], int]] = []
-        for index, instruction in enumerate(survivors):
+        for index, instruction in enumerate(data):
             if instruction.operation.name == "measure":
                 chain = chains.setdefault(instruction.qubits[0], [])
                 measures.append((chain, len(chain)))
             for qubit in instruction.qubits:
                 chains.setdefault(qubit, []).append(index)
 
-        dropped = False
+        dropped: set[int] = set()
         # walk backwards from each measure, in circuit order
         for chain, position in measures:
-            walk = position - 1
-            while walk >= 0:
-                earlier = survivors[chain[walk]]
-                if earlier is None:
-                    walk -= 1
+            for walk in range(position - 1, -1, -1):
+                index = chain[walk]
+                if index in dropped:
                     continue
-                if (
-                    earlier.operation.name in _DIAGONAL_1Q
-                    and len(earlier.qubits) == 1
-                ):
-                    survivors[chain[walk]] = None
-                    dropped = True
-                    walk -= 1
-                    continue
-                break
-        if not dropped:
-            return circuit
-        output = circuit.copy_empty_like()
-        for instruction in survivors:
-            if instruction is not None:
-                output.append(
-                    instruction.operation, instruction.qubits, instruction.clbits
-                )
-        return output
+                earlier = data[index]
+                if earlier.operation.name not in _DIAGONAL_1Q or len(earlier.qubits) != 1:
+                    break
+                dropped.add(index)
+        return circuit.splice([((index,), index, (), NO_PHASE) for index in sorted(dropped)])
 
 
 class RemoveAnnotations(TransformationPass):
@@ -79,14 +65,7 @@ class RemoveAnnotations(TransformationPass):
     equivalence = "none"
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        if all(instruction.operation.name != "annot" for instruction in circuit.data):
-            return circuit
-        output = circuit.copy_empty_like()
-        for instruction in circuit.data:
-            if instruction.operation.name == "annot":
-                continue
-            output.append(instruction.operation, instruction.qubits, instruction.clbits)
-        return output
+        return _without(circuit, "annot")
 
 
 class RemoveBarriers(TransformationPass):
@@ -97,11 +76,15 @@ class RemoveBarriers(TransformationPass):
     invalidates = ()
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        if all(instruction.operation.name != "barrier" for instruction in circuit.data):
-            return circuit
-        output = circuit.copy_empty_like()
-        for instruction in circuit.data:
-            if instruction.operation.name == "barrier":
-                continue
-            output.append(instruction.operation, instruction.qubits, instruction.clbits)
-        return output
+        return _without(circuit, "barrier")
+
+
+def _without(circuit: QuantumCircuit, name: str) -> QuantumCircuit:
+    """``circuit`` without its ``name`` records; itself when it has none."""
+    return circuit.splice(
+        [
+            ((index,), index, (), NO_PHASE)
+            for index, instruction in enumerate(circuit.data)
+            if instruction.operation.name == name
+        ]
+    )

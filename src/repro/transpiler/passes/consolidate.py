@@ -10,10 +10,12 @@ This is the pass the paper contrasts RPO against: it must preserve the
 block's *unitary*, so it can never exploit known input states the way
 QBO/QPO do.
 
-The pass runs in five steps:
+The pass runs in five steps and returns its output as one
+:meth:`~repro.circuit.QuantumCircuit.splice` of its input:
 
-1. **collect** -- a linear scan records every block of the circuit and the
-   order blocks and pass-through gates flush in;
+1. **collect** -- a linear scan records every block of the circuit, the
+   one-qubit gates no block claimed, and the record each group is flushed
+   before (or the end);
 2. **batched matrices** -- all block unitaries are computed in one batched
    reduction (:func:`repro.linalg.batch.two_qubit_chain_unitaries` --
    per-gate matrices stacked, 1q gates embedded on stacked operands,
@@ -27,7 +29,7 @@ The pass runs in five steps:
    CNOT count and size); the budgets of all unitaries new to the cache come
    from one stacked :func:`~repro.linalg.weyl.cnot_budgets` call.  A block
    whose budget already exceeds its CX cost, or ties it without holding
-   more gates than the budget, cannot be improved and is emitted unchanged
+   more gates than the budget, cannot be improved and keeps its records
    (prescan).  On any other CX-count tie only the budget-CNOT candidate
    can win, and no budget plan is smaller than the structural floor
    (:func:`~repro.linalg.two_qubit_synthesis.plan_size_floor`: 3 gates for
@@ -38,8 +40,11 @@ The pass runs in five steps:
    call (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
    gate tuples, no circuit, no check) over the stacked Weyl kernel; a tie
    is rejected when there is no plan or it is not smaller than the block;
-5. **emit, building and verifying only what is kept** -- in event order;
-   tie winners and blocks whose budget is below their CX cost go to
+5. **edit, building and verifying only what is kept** -- one edit per
+   group, in flush order, moves the group's records to its flush point:
+   kept blocks and held gates are carried by reference, and a block
+   replaced by its re-synthesis adds that circuit's phase.  Tie winners
+   and blocks whose budget is below their CX cost go to
    :func:`~repro.linalg.two_qubit_synthesis.synthesize_two_qubit_unitary`
    with their budget and bulk-made plan, so a winning tie is built from
    the plan that priced it.  Synthesis multiplies the plan out, checks it
@@ -63,7 +68,7 @@ import math
 
 import numpy as np
 
-from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.linalg.two_qubit_synthesis import (
     SYNTHESIS_ERRORS,
@@ -92,6 +97,7 @@ class _Block:
 
     def __init__(self, pair: tuple[int, int]):
         self.pair = pair  # ordered (low, high)
+        self.indices: list[int] = []  # input indices of ``instructions``
         self.instructions: list[CircuitInstruction] = []
         self.num_2q = 0
         self.cx_cost = 0
@@ -101,7 +107,8 @@ class _Block:
         #: typed error); ``_UNPLANNED`` when the run needs none
         self.plan = _UNPLANNED
 
-    def add(self, instruction: CircuitInstruction) -> None:
+    def add(self, index: int, instruction: CircuitInstruction) -> None:
+        self.indices.append(index)
         self.instructions.append(instruction)
         if len(instruction.qubits) == 2:
             self.num_2q += 1
@@ -126,37 +133,28 @@ class ConsolidateBlocks(TransformationPass):
         # (useful in tests); the preset pipelines keep the default.
         self.force = force
 
-    def collect(
-        self, circuit: QuantumCircuit
-    ) -> list[tuple[str, object, tuple, tuple]]:
-        """Scan ``circuit`` into an ordered event list.
+    def collect(self, circuit: QuantumCircuit) -> list[tuple[int, object]]:
+        """Scan ``circuit`` into ``(at, group)`` events in flush order.
 
-        Events are ``("raw", operation, qubits, clbits)`` for pass-through
-        instructions and ``("block", block, (), ())`` for completed blocks,
-        in exactly the order the serial pass would have emitted them.
+        A group is a completed :class:`_Block`, or the input indices of
+        one-qubit gates held on a qubit that no block claimed; it goes just
+        before record ``at``, the record that flushes it, or at the end.
         """
-        events: list[tuple[str, object, tuple, tuple]] = []
-        pending_1q: dict[int, list[CircuitInstruction]] = {}
+        events: list[tuple[int, object]] = []
+        pending_1q: dict[int, list[int]] = {}
         block_of: dict[int, _Block] = {}
 
-        def flush_pending(qubit: int) -> None:
-            for instruction in pending_1q.pop(qubit, []):
-                events.append(
-                    ("raw", instruction.operation, instruction.qubits, instruction.clbits)
-                )
-
-        def flush_block(block: _Block) -> None:
-            for qubit in block.pair:
-                block_of.pop(qubit, None)
-            events.append(("block", block, (), ()))
-
-        def flush_qubit(qubit: int) -> None:
+        def flush_qubit(qubit: int, at: int) -> None:
             block = block_of.get(qubit)
             if block is not None:
-                flush_block(block)
-            flush_pending(qubit)
+                for wire in block.pair:
+                    block_of.pop(wire, None)
+                events.append((at, block))
+            held = pending_1q.pop(qubit, None)
+            if held is not None:
+                events.append((at, held))
 
-        for instruction in circuit.data:
+        for index, instruction in enumerate(circuit.data):
             operation = instruction.operation
             qubits = instruction.qubits
             is_simple_gate = (
@@ -168,39 +166,32 @@ class ConsolidateBlocks(TransformationPass):
                 qubit = qubits[0]
                 block = block_of.get(qubit)
                 if block is not None:
-                    block.add(instruction)
+                    block.add(index, instruction)
                 else:
-                    pending_1q.setdefault(qubit, []).append(instruction)
+                    pending_1q.setdefault(qubit, []).append(index)
                 continue
             if is_simple_gate and len(qubits) == 2:
                 a, b = qubits
                 pair = (min(a, b), max(a, b))
                 block = block_of.get(a)
                 if block is not None and block is block_of.get(b) and block.pair == pair:
-                    block.add(instruction)
+                    block.add(index, instruction)
                     continue
-                flush_qubit(a)
-                flush_qubit(b)
-                block = _Block(pair)
-                for qubit in pair:
-                    for held in pending_1q.pop(qubit, []):
-                        block.add(held)
-                    block_of[qubit] = block
-                block.add(instruction)
+                # held one-qubit gates flush here too: a new block starts
+                # with its two-qubit gate
+                flush_qubit(a, index)
+                flush_qubit(b, index)
+                block = block_of[a] = block_of[b] = _Block(pair)
+                block.add(index, instruction)
                 continue
             # anything else fences the touched qubits
             for qubit in qubits:
-                flush_qubit(qubit)
-            events.append(("raw", operation, qubits, instruction.clbits))
+                flush_qubit(qubit, index)
 
-        remaining = []
-        for block in block_of.values():
-            if block not in remaining:
-                remaining.append(block)
-        for block in remaining:
-            flush_block(block)
-        for qubit in sorted(pending_1q):
-            flush_pending(qubit)
+        end = len(circuit.data)
+        for block in dict.fromkeys(block_of.values()):
+            events.append((end, block))
+        events.extend((end, pending_1q[qubit]) for qubit in sorted(pending_1q))
         return events
 
     def _block_matrices(
@@ -234,26 +225,24 @@ class ConsolidateBlocks(TransformationPass):
         rewrites = rewrite_counter(property_set)
         events = self.collect(circuit)
         candidates = [
-            event[1]
-            for event in events
-            if event[0] == "block"
-            and (event[1].num_2q >= _BLOCK_MIN_2Q or self.force)
+            group
+            for _, group in events
+            if type(group) is _Block and (group.num_2q >= _BLOCK_MIN_2Q or self.force)
         ]
         unitaries = self._block_matrices(candidates, cache)
         self._plan_blocks(candidates, unitaries, cache)
-
-        output = circuit.copy_empty_like()
-        for kind, payload, qubits, clbits in events:
-            if kind == "raw":
-                output.append(payload, qubits, clbits)
-            else:
-                self._emit_block(
-                    payload, output, unitaries.get(id(payload)), rewrites, cache
+        edits = []
+        for at, group in events:
+            if type(group) is _Block:
+                edits.append(
+                    self._edit(group, at, unitaries.get(id(group)), rewrites, cache)
                 )
-        return output
+            else:
+                edits.append((group, at, group, NO_PHASE))
+        return circuit.splice(edits)
 
     def _needs_plan(self, block: _Block) -> bool:
-        """Whether emitting ``block`` may read its unitary's budget plan:
+        """Whether editing ``block`` may read its unitary's budget plan:
         to price a fresh CX-count tie above the plan-size floor, or to
         synthesize (a budget below the CX cost, a tie whose memoized plan
         size wins, or ``force``).  Nothing is needed once the unitary's
@@ -301,35 +290,36 @@ class ConsolidateBlocks(TransformationPass):
             for block in group:
                 block.plan = plan
 
-    def _emit_block(
+    def _edit(
         self,
         block: _Block,
-        output: QuantumCircuit,
+        at: int,
         unitary: np.ndarray | None,
         rewrites,
         cache: AnalysisCache,
-    ) -> None:
+    ) -> tuple:
+        """The block's splice edit: its records carried as they are, or
+        its kept re-synthesis with that circuit's phase."""
+        kept = (block.indices, at, block.indices, NO_PHASE)
         if unitary is None:  # below the 2q-count threshold: not consolidated
-            self._emit_original(block, output)
-            return
+            return kept
         replacement = self._replacement(block, unitary, cache)
         if replacement is None:
-            self._emit_original(block, output)
-            return
+            return kept
         new_2q = replacement.num_nonlocal_gates()
         better = new_2q < block.cx_cost or (
             new_2q == block.cx_cost
             and replacement.size() < len(block.instructions)
         )
         if not (better or self.force):
-            self._emit_original(block, output)
-            return
+            return kept
         rewrites[self.name] += 1
         cache.stats["synth_kept"] += 1
-        output.global_phase += replacement.global_phase
-        for inner in replacement.data:
-            mapped = tuple(block.pair[q] for q in inner.qubits)
-            output.append(inner.operation, mapped)
+        records = [
+            (inner.operation, tuple(block.pair[q] for q in inner.qubits), ())
+            for inner in replacement.data
+        ]
+        return block.indices, at, records, replacement.global_phase
 
     def _replacement(
         self, block: _Block, unitary: np.ndarray, cache: AnalysisCache
@@ -339,7 +329,7 @@ class ConsolidateBlocks(TransformationPass):
 
         A replacement never has fewer CNOTs than the budget, nor fewer
         gates, so a budget above ``cx_cost`` -- or equal to it on a block
-        of at most ``budget`` gates -- is a rewrite ``_emit_block`` would
+        of at most ``budget`` gates -- is a rewrite ``_edit`` would
         reject (prescan).  On any other CX-count tie only the budget plan
         can win: synthesis either returns it or escalates to more CNOTs
         than ``cx_cost``.  So a tie is rejected without building or
@@ -383,8 +373,3 @@ class ConsolidateBlocks(TransformationPass):
             cache.stats["synth_failures"] += 1
         memo.synthesized = True
         return memo.replacement
-
-    @staticmethod
-    def _emit_original(block: _Block, output: QuantumCircuit) -> None:
-        for instruction in block.instructions:
-            output.append(instruction.operation, instruction.qubits, instruction.clbits)

@@ -11,9 +11,13 @@ relative to the point where the programmer's promise holds.
 One scan collects every run of the circuit, all run products are computed
 in a single stacked reduction (:func:`repro.linalg.batch.chain_products`)
 and the Euler angles of every merged run come from one stacked extraction
-(:func:`repro.linalg.batch.u3_params_batch`).  The run products are
+(:func:`repro.linalg.batch.u3_params_batch`).  Each run becomes one
+:meth:`~repro.circuit.QuantumCircuit.splice` edit: it removes the run's
+records and puts its fused gate -- or, for a one-gate run that comes out
+as itself bit for bit, its input record -- just before the record that
+ends the run, adding the run's phase.  The run products are
 bit-identical to a one-matmul-per-gate fold (sequential batched fold); the
-emitted angles may differ from the scalar
+fused angles may differ from the scalar
 :func:`repro.linalg.euler.u3_params_from_unitary` in the last ulp because
 NumPy's array ``arctan2`` rounds differently from libm's, so the tests
 hold the pass to the scalar fold with structure exact and angles within
@@ -49,78 +53,74 @@ class Optimize1qGates(TransformationPass):
         cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
 
-        # Phase 1: scan into an ordered event list; runs carry operations
-        # only (no matrix work happens during the scan).
-        events: list[tuple[str, object, tuple, tuple]] = []
-        runs: list[tuple[int, list]] = []  # (qubit, operations)
+        # Phase 1: scan the runs (qubit, input indices) and where each one
+        # ends: before the record that flushes it, or trailing at the end
+        # in qubit order.  No matrix work happens during the scan.
+        data = circuit.data
+        runs: list[tuple[int, list[int]]] = []
+        flushes: list[tuple[int, int]] = []  # (index into ``runs``, at)
         pending: dict[int, int] = {}  # qubit -> index into ``runs``
-
-        def flush(qubit: int) -> None:
-            run_index = pending.pop(qubit, None)
-            if run_index is not None:
-                events.append(("run", run_index, (), ()))
-
-        for instruction in circuit.data:
-            operation = instruction.operation
-            if (
-                operation.is_gate()
-                and operation.num_qubits == 1
-                and not operation.is_directive
-            ):
-                qubit = instruction.qubits[0]
-                run_index = pending.get(qubit)
+        for index, (operation, qubits, _) in enumerate(data):
+            if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
+                run_index = pending.get(qubits[0])
                 if run_index is None:
-                    pending[qubit] = len(runs)
-                    runs.append((qubit, [operation]))
+                    pending[qubits[0]] = len(runs)
+                    runs.append((qubits[0], [index]))
                 else:
-                    runs[run_index][1].append(operation)
+                    runs[run_index][1].append(index)
                 continue
-            for qubit in instruction.qubits:
-                flush(qubit)
-            events.append(
-                ("raw", operation, instruction.qubits, instruction.clbits)
-            )
-        for qubit in sorted(pending):
-            flush(qubit)
+            for qubit in qubits:
+                if qubit in pending:
+                    flushes.append((pending.pop(qubit), index))
+        flushes.extend((pending[qubit], len(data)) for qubit in sorted(pending))
 
         # Phase 2: every run product in one stacked reduction, every Euler
         # extraction in one vectorized call.
-        operations = [op for _, ops in runs for op in ops]
-        matrices = cache.matrices(operations)
+        matrices = cache.matrices(data[i].operation for _, indices in runs for i in indices)
         chains: list[list[np.ndarray]] = []
         cursor = 0
-        for _, ops in runs:
-            chains.append(matrices[cursor : cursor + len(ops)])
-            cursor += len(ops)
+        for _, indices in runs:
+            chains.append(matrices[cursor : cursor + len(indices)])
+            cursor += len(indices)
         products = chain_products(chains, 2)
         # one conversion to Python floats, bit for bit ``float(np.float64)``
         params = u3_params_batch(products).tolist() if len(runs) else []
 
-        output = circuit.copy_empty_like()
-        for kind, payload, qubits, clbits in events:
-            if kind == "raw":
-                output.append(payload, qubits, clbits)
-                continue
-            run_qubit, ops = runs[payload]
-            if len(ops) > 1:
+        # Phase 3: one edit per run, in flush order.  A one-gate run whose
+        # gate comes out as itself, bit for bit, is carried as it is.
+        edits = []
+        for run_index, at in flushes:
+            qubit, indices = runs[run_index]
+            theta, phi, lam, gamma = params[run_index]
+            if len(indices) > 1:
                 rewrites[self.name] += 1
-            self._emit_params(*params[payload], run_qubit, output)
-        return output
+            gate = self._gate(theta, phi, lam)
+            if gate is None:
+                replacement = ()
+            elif len(indices) == 1 and _same_gate(data[indices[0]].operation, *gate):
+                replacement = indices
+            else:
+                replacement = ((gate[0](*gate[1]), (qubit,), ()),)
+            edits.append((indices, at, replacement, gamma))
+        return circuit.splice(edits)
 
     @staticmethod
-    def _emit_params(
-        theta: float, phi: float, lam: float, gamma: float,
-        qubit: int, output: QuantumCircuit,
-    ) -> None:
-        output.global_phase += gamma
+    def _gate(theta: float, phi: float, lam: float):
+        """The ``(u-gate class, params)`` of a run's Euler angles, or
+        ``None`` when the run is the identity up to phase."""
         theta_n = normalize_angle(theta)
         if theta_n < _EPS or abs(theta_n - 2 * math.pi) < _EPS:
             # diagonal: a pure phase gate (or identity)
             total = normalize_angle(phi + lam)
-            if total > _EPS:
-                output.append(U1Gate(total), (qubit,))
-            return
+            return (U1Gate, [total]) if total > _EPS else None
         if abs(theta_n - math.pi / 2) < _EPS:
-            output.append(U2Gate(phi, lam), (qubit,))
-            return
-        output.append(U3Gate(theta, phi, lam), (qubit,))
+            return U2Gate, [phi, lam]
+        return U3Gate, [theta, phi, lam]
+
+
+def _same_gate(operation, cls, params: list[float]) -> bool:
+    """Whether ``operation`` is the unlabelled ``cls(*params)``, every
+    parameter equal bit for bit (``-0.0`` is not ``0.0``)."""
+    if type(operation) is not cls or operation.label is not None:
+        return False
+    return list(map(float.hex, operation.params)) == list(map(float.hex, params))

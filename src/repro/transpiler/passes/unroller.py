@@ -13,7 +13,7 @@ from typing import Iterable
 
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.passmanager import PropertySet, TransformationPass
+from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["Unroller", "IBM_BASIS"]
 
@@ -26,8 +26,9 @@ _MAX_DEPTH = 64
 
 
 class Unroller(TransformationPass):
-    """Expand all gates into the given basis; a circuit already in the
-    basis is returned as it is."""
+    """Expand all gates into the given basis: each record outside it is
+    replaced by its expansion, and a circuit already in the basis is
+    returned as it is."""
 
     requires = ()
     preserves = ()
@@ -41,15 +42,12 @@ class Unroller(TransformationPass):
         return f"Unroller({','.join(sorted(self.basis - _ALWAYS_ALLOWED))})"
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        basis = self.basis
-        if all(instruction.operation.name in basis for instruction in circuit.data):
-            return circuit
-        output = circuit.copy_empty_like()
-        for instruction in circuit.data:
-            self._unroll(
-                instruction.operation, instruction.qubits, instruction.clbits, output, 0
-            )
-        return output
+        output = RecordEdits()
+        for index, instruction in enumerate(circuit.data):
+            if instruction.operation.name not in self.basis:
+                output.visit(index, instruction)
+                self._unroll(*instruction, output, 0)
+        return circuit.splice(output.close())
 
     def _unroll(self, operation, qubits, clbits, output, depth) -> None:
         if depth > _MAX_DEPTH:
@@ -62,7 +60,7 @@ class Unroller(TransformationPass):
         definition = operation.definition
         if definition is None:
             definition = self._synthesize(operation)
-        output.global_phase += definition.global_phase
+        output.add_phase(definition.global_phase)
         for inner in definition.data:
             mapped_qubits = tuple(qubits[q] for q in inner.qubits)
             mapped_clbits = tuple(clbits[c] for c in inner.clbits)

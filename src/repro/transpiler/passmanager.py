@@ -49,7 +49,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.circuit.quantumcircuit import QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, QuantumCircuit
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
 from repro.transpiler.exceptions import TranspilerError
 
@@ -58,6 +58,7 @@ __all__ = [
     "BasePass",
     "AnalysisPass",
     "TransformationPass",
+    "RecordEdits",
     "DoWhileController",
     "PassManager",
     "PassMetrics",
@@ -269,6 +270,45 @@ class TransformationPass(BasePass):
 
     def run(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         return self.transform(circuit, property_set)
+
+
+class RecordEdits:
+    """The :meth:`QuantumCircuit.splice` edits of a pass that rewrites its
+    input one record at a time: :meth:`visit` opens a record, and
+    :meth:`append` and :meth:`add_phase` take what it becomes.  Appending
+    the open record's own operation on its own wires carries that record,
+    and a record that becomes just itself makes no edit."""
+
+    def __init__(self):
+        self.edits: list = []
+        self._index = self._record = None
+        self._items: list = []  # what the open record becomes
+        self._terms: list = []  # and its phase terms, in order
+
+    def visit(self, index: int | None, record) -> None:
+        last, items, terms = self._index, self._items, self._terms
+        if terms or len(items) != 1 or items[0] != last:
+            if last is not None:
+                self.edits.append(((last,), last, items, terms[0] if terms else NO_PHASE))
+                self.edits.extend(((), last, (), term) for term in terms[1:])
+            self._items, self._terms = [], []
+        else:
+            items.clear()  # the record stayed itself: no edit
+        self._index, self._record = index, record
+
+    def append(self, operation, qubits, clbits=()) -> None:
+        record = self._record
+        if operation is record.operation and qubits == record.qubits and clbits == record.clbits:
+            self._items.append(self._index)
+        else:
+            self._items.append((operation, qubits, clbits))
+
+    def add_phase(self, term: float) -> None:
+        self._terms.append(term)
+
+    def close(self) -> list:
+        self.visit(None, None)
+        return self.edits
 
 
 class DoWhileController:

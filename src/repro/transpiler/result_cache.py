@@ -528,11 +528,6 @@ class ResultCache:
         template = _digest(("template", template_key, target_payload, options_key))
         return exact, template, params
 
-    def key_for(self, circuit_payload, target_payload, options_key) -> str | None:
-        """The exact-entry digest for one job -- what peers look up."""
-        address = self.address(circuit_payload, target_payload, options_key)
-        return address[0] if address is not None else None
-
     # -- expiry / eviction (call with the lock held) ------------------------
 
     def _expires(self) -> float | None:

@@ -41,9 +41,8 @@ def clbit_distribution(circuit: QuantumCircuit) -> dict[str, float]:
         if probability < 1e-14:
             continue
         bits = 0
-        for qubit, clbit in measures:
-            if (outcome >> qubit) & 1:
-                bits |= 1 << clbit
+        for qubit, clbit in measures:  # the last write to a clbit wins
+            bits = (bits & ~(1 << clbit)) | (((outcome >> qubit) & 1) << clbit)
         key = format(bits, f"0{num_clbits}b")
         distribution[key] = distribution.get(key, 0.0) + float(probability)
     return distribution

@@ -193,3 +193,89 @@ class TestSampleFromState:
         state[1] = 1.0  # qubit 0 is |1>, qubit 1 is |0>
         counts = StatevectorSimulator(seed=0).sample(state, 10, [(0, 2), (1, 0)], 3)
         assert counts == {"100": 10}
+
+
+def _force_trajectories(monkeypatch):
+    monkeypatch.setattr(
+        StatevectorSimulator,
+        "_measurements_are_terminal",
+        staticmethod(lambda _circuit: False),
+    )
+
+
+class TestRepeatedClbits:
+    """Two measurements into one clbit: the later write wins on the terminal
+    sampler, on per-shot trajectories and in the density-matrix
+    distribution alike."""
+
+    def deterministic_cases():
+        overwritten = QuantumCircuit(2, 1)
+        overwritten.x(0)
+        overwritten.measure(0, 0)
+        overwritten.measure(1, 0)
+        rewritten = QuantumCircuit(2, 1)
+        rewritten.x(0)
+        rewritten.measure(1, 0)
+        rewritten.measure(0, 0)
+        mixed = QuantumCircuit(3, 2)
+        mixed.x(0)
+        mixed.x(2)
+        mixed.measure(0, 1)
+        mixed.measure(1, 1)
+        mixed.measure(2, 0)
+        mixed.measure(0, 0)
+        return [(overwritten, "0"), (rewritten, "1"), (mixed, "01")]
+
+    @pytest.mark.parametrize(
+        "circuit, key", deterministic_cases(), ids=["1-then-0", "0-then-1", "mixed"]
+    )
+    def test_all_three_paths_keep_the_last_write(self, circuit, key, monkeypatch):
+        from repro.simulators.density_matrix import DensityMatrixSimulator
+
+        assert StatevectorSimulator._measurements_are_terminal(circuit)
+        exact = DensityMatrixSimulator().probabilities(circuit)
+        assert {k: p for k, p in exact.items() if p} == {key: 1.0}
+        assert StatevectorSimulator(seed=3).run(circuit, shots=10) == {key: 10}
+        _force_trajectories(monkeypatch)
+        assert StatevectorSimulator(seed=3).run(circuit, shots=10) == {key: 10}
+
+    def test_entangled_overwrite_agrees_across_paths(self, monkeypatch):
+        from repro.simulators.density_matrix import DensityMatrixSimulator
+
+        from tests.helpers import clbit_distribution
+
+        circuit = QuantumCircuit(3, 2)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.x(1)
+        circuit.ry(0.7, 2)
+        circuit.measure(0, 0)
+        circuit.measure(2, 1)
+        circuit.measure(1, 0)
+        exact = DensityMatrixSimulator().probabilities(circuit)
+        exact = {key: p for key, p in exact.items() if p > 1e-15}
+        assert set(exact) == set(clbit_distribution(circuit))
+        for key, probability in clbit_distribution(circuit).items():
+            assert exact[key] == pytest.approx(probability, abs=1e-12)
+        shots = 4000
+        fast = StatevectorSimulator(seed=9).run(circuit, shots=shots)
+        _force_trajectories(monkeypatch)
+        slow = StatevectorSimulator(seed=9).run(circuit, shots=shots)
+        for counts in (fast, slow):
+            assert set(counts) <= set(exact)
+            for key, probability in exact.items():
+                assert counts.get(key, 0) / shots == pytest.approx(probability, abs=0.04)
+
+    def test_readout_error_on_an_overwritten_clbit(self):
+        from repro.simulators.density_matrix import DensityMatrixSimulator
+        from repro.simulators.noise import NoiseModel
+
+        circuit = QuantumCircuit(2, 1)
+        circuit.x(0)
+        circuit.measure(0, 0)
+        circuit.measure(1, 0)
+        model = NoiseModel(default_readout_error=(0.1, 0.25))
+        distribution = DensityMatrixSimulator(model).probabilities(circuit)
+        # only qubit 1's readout of |0> decides the clbit
+        assert distribution["0"] == pytest.approx(0.9, abs=1e-12)
+        assert distribution["1"] == pytest.approx(0.1, abs=1e-12)

@@ -23,6 +23,7 @@ from repro.transpiler.passes import ConsolidateBlocks, Optimize1qGates
 from repro.transpiler.passmanager import PropertySet
 
 from tests.helpers import assert_unitarily_equal
+from tests.transpiler.presplice_passes import emit_params
 
 
 class SerialConsolidateBlocks(ConsolidateBlocks):
@@ -51,7 +52,7 @@ def serial_optimize_1q(circuit: QuantumCircuit) -> QuantumCircuit:
         matrix = pending.pop(qubit, None)
         if matrix is not None:
             theta, phi, lam, gamma = u3_params_from_unitary(matrix)
-            Optimize1qGates._emit_params(theta, phi, lam, gamma, qubit, output)
+            emit_params(theta, phi, lam, gamma, qubit, output)
 
     for instruction in circuit.data:
         operation = instruction.operation

@@ -32,9 +32,10 @@ from repro.transpiler.passes import ConsolidateBlocks
 from repro.transpiler.passmanager import PassManager, PropertySet
 
 from tests.helpers import assert_unitarily_equal, exact_form
+from tests.transpiler.presplice_passes import PreSpliceConsolidateBlocks
 
 
-class OracleConsolidateBlocks(ConsolidateBlocks):
+class OracleConsolidateBlocks(PreSpliceConsolidateBlocks):
     """Synthesizes every candidate block; keeps the rewrite only when it
     wins (or ``force``).  No prescan, no memo."""
 
@@ -132,9 +133,9 @@ def candidate_unitaries(circuit: QuantumCircuit) -> list[np.ndarray]:
     """Unitaries of the blocks ``ConsolidateBlocks`` would consider."""
     pass_ = ConsolidateBlocks()
     blocks = [
-        payload
-        for kind, payload, _, _ in pass_.collect(circuit)
-        if kind == "block" and payload.num_2q >= 2
+        group
+        for _, group in pass_.collect(circuit)
+        if isinstance(group, consolidate._Block) and group.num_2q >= 2
     ]
     return list(pass_._block_matrices(blocks, AnalysisCache()).values())
 
