@@ -1,37 +1,37 @@
 #!/usr/bin/env python3
-"""Executor and service shoot-out on a batch of Table II circuits.
+"""Serial ``transpile()`` against a persistent ``CompileService`` on a batch
+of Table II circuits.
 
-Two measurements, each an acceptance check for one layer of the
-execution stack:
+``transpile()`` compiles in-process, one circuit after another; cores and
+a warm result cache come from a persistent
+:class:`~repro.transpiler.CompileService`.  Two measurements, each an
+acceptance check for that story:
 
-1. **Executor comparison** -- transpiles one batch (32+ circuits by
-   default) under each executor backend and reports wall-clock,
-   throughput and cache statistics.  The thread pool is GIL-bound on the
-   pure-Python RPO passes, so on a multi-core host the process pool
-   should win; ``--assert-speedup`` turns that into a hard CI gate.
-2. **Service vs per-call pool** -- replays the batch for several rounds
-   through (a) a fresh ``transpile(executor="process")`` pool per round
-   and (b) one persistent :class:`~repro.transpiler.CompileService`.  The
-   service pays pool start-up once, so it must win on total wall-clock;
+1. **Parity** -- the batch compiled by serial ``transpile()`` and by a
+   persistent process-mode service must be gate-identical.  The script
+   always checks this, whatever else it measures.
+2. **Service vs serial over rounds** -- replays the batch for
+   ``--rounds`` rounds through (a) serial ``transpile()`` and (b) one
+   persistent service.  The service pays pool start-up once, its
+   workers' caches stay warm and its result cache serves the repeated
+   rounds, so it must win on total wall-clock.  The two sides are timed
+   :data:`REPEATS` times in alternation and compared as medians;
    ``--assert-service-speedup`` gates CI on it.
 
-All executors must produce gate-identical circuits; the script always
-verifies that, whatever else it measures.  A heterogeneous two-target
-batch (melbourne + almaden) exercises per-target routing and lands in the
-metrics JSON under ``by_target``.
+A heterogeneous two-target batch (melbourne + almaden) exercises
+per-target routing and lands in the metrics JSON under ``by_target``.
 
 Usage::
 
-    python benchmarks/bench_executors.py [--quick] [--assert-speedup]
-                                         [--assert-service-speedup]
-                                         [--rounds N]
-                                         [--metrics-json PATH]
+    python benchmarks/bench_executors.py [--quick] [--assert-service-speedup]
+                                         [--rounds N] [--metrics-json PATH]
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 
@@ -53,6 +53,10 @@ from repro.transpiler import (
 )
 
 from common import print_table
+
+#: Alternating timings of each side in the service-vs-serial comparison;
+#: the gate compares medians, so one noisy run cannot flip it.
+REPEATS = 5
 
 
 def build_batch(quick: bool):
@@ -84,44 +88,67 @@ def assert_identical(reference, candidates, label):
         )
         if not same:
             raise SystemExit(
-                f"executor parity violated: circuit {index} differs under "
-                f"{label!r}"
+                f"parity violated: circuit {index} differs under {label!r}"
             )
 
 
-def measure_service_vs_per_call(
-    circuits, seeds, target: Target, pipeline: str, rounds: int
-):
-    """Total wall-clock of ``rounds`` batches: per-call pools vs one service.
-
-    Per-call pays ``ProcessPoolExecutor`` start-up every round, and its
-    fresh workers start with empty analysis caches; the service pays
-    start-up once, its workers' caches stay warm, and its result cache
-    serves the repeated rounds.
-    """
-
-    def per_call() -> float:
+def measure_parity(circuits, seeds, target: Target, pipeline: str):
+    """One batch through serial ``transpile()`` and through a fresh
+    persistent service; returns per-path wall times and metrics reports."""
+    walls, outputs, reports = {}, {}, {}
+    for label in ("serial", "service"):
         cache = AnalysisCache()
         start = time.perf_counter()
-        for round_index in range(rounds):
+        if label == "serial":
+            results = transpile(
+                [circuit.copy() for circuit in circuits],
+                target=target,
+                pipeline=pipeline,
+                seed=seeds,
+                analysis_cache=cache,
+                full_result=True,
+            )
+        else:
+            with CompileService(
+                pipeline=pipeline, target=target, analysis_cache=cache
+            ) as service:
+                results = service.map(
+                    [circuit.copy() for circuit in circuits], seeds=seeds
+                )
+        walls[label] = time.perf_counter() - start
+        outputs[label] = [result.circuit for result in results]
+        reports[label] = aggregate_batch(
+            results, cache=cache, executor=label, wall_time=walls[label]
+        )
+    assert_identical(outputs["serial"], outputs["service"], "service")
+    return walls, reports
+
+
+def measure_service_vs_serial(
+    circuits, seeds, target: Target, pipeline: str, rounds: int
+) -> dict:
+    """Total wall-clock of ``rounds`` batches: serial ``transpile()`` vs
+    one persistent service (pool start-up included)."""
+
+    def serial() -> float:
+        start = time.perf_counter()
+        for _ in range(rounds):
             transpile(
                 [circuit.copy() for circuit in circuits],
                 target=target,
                 pipeline=pipeline,
                 seed=seeds,
-                executor="process",
-                analysis_cache=cache,
             )
         return time.perf_counter() - start
 
     def service() -> float:
         start = time.perf_counter()
         with CompileService(pipeline=pipeline, target=target) as svc:
-            for round_index in range(rounds):
+            for _ in range(rounds):
                 svc.map([circuit.copy() for circuit in circuits], seeds=seeds)
         return time.perf_counter() - start
 
-    return {"process_per_call": per_call(), "service": service()}
+    return {"transpile_serial": serial(), "service": service()}
 
 
 def measure_heterogeneous(circuits, seeds, pipeline):
@@ -139,12 +166,11 @@ def measure_heterogeneous(circuits, seeds, pipeline):
         target=targets,
         pipeline=pipeline,
         seed=seeds,
-        executor="process",
         analysis_cache=cache,
         full_result=True,
     )
     wall = time.perf_counter() - start
-    return aggregate_batch(results, cache=cache, executor="process", wall_time=wall)
+    return aggregate_batch(results, cache=cache, executor="serial", wall_time=wall)
 
 
 def main(argv=None):
@@ -157,25 +183,18 @@ def main(argv=None):
         "--rounds",
         type=int,
         default=4,
-        help="batch replays in the service-vs-per-call comparison (default 4); "
-        "more rounds amortize the persistent pool over more per-call "
-        "spin-ups, widening the measured gap",
-    )
-    parser.add_argument(
-        "--assert-speedup",
-        action="store_true",
-        help="fail unless process beats thread wall-clock (multi-core hosts)",
+        help="batch replays in the service-vs-serial comparison (default 4)",
     )
     parser.add_argument(
         "--assert-service-speedup",
         action="store_true",
-        help="fail unless the persistent service beats per-call process "
-        "pools over --rounds batches",
+        help="fail unless the persistent service's median wall beats serial "
+        "transpile()'s over --rounds batches",
     )
     parser.add_argument(
         "--metrics-json",
         metavar="PATH",
-        help="write per-executor metrics reports to PATH as JSON",
+        help="write wall times and metrics reports to PATH as JSON",
     )
     args = parser.parse_args(argv)
 
@@ -187,78 +206,43 @@ def main(argv=None):
         f"host cores: {os.cpu_count()}"
     )
 
-    def measure(executor: str):
-        cache = AnalysisCache()
-        start = time.perf_counter()
-        results = transpile(
-            [circuit.copy() for circuit in circuits],
-            target=target,
-            pipeline=args.pipeline,
-            seed=seeds,
-            executor=executor,
-            analysis_cache=cache,
-            full_result=True,
-        )
-        wall = time.perf_counter() - start
-        return wall, results, cache
-
-    wall_times: dict[str, float] = {}
-    outputs: dict[str, list] = {}
-    reports: dict[str, dict] = {}
-    rows = []
-    for executor in ("serial", "thread", "process"):
-        wall, results, cache = measure(executor)
-        wall_times[executor] = wall
-        outputs[executor] = [result.circuit for result in results]
-        reports[executor] = aggregate_batch(
-            results, cache=cache, executor=executor, wall_time=wall
-        )
-        rows.append(
-            [
-                executor,
-                f"{wall:.2f}s",
-                f"{len(circuits) / wall:.1f}/s",
-                f"{sum(r.time for r in results):.2f}s",
-                f"{reports[executor]['cache']['matrix_hit_rate']:.1%}",
-            ]
-        )
-
+    walls, reports = measure_parity(circuits, seeds, target, args.pipeline)
     print_table(
-        "Executor comparison",
-        ["executor", "wall", "throughput", "cpu-time", "matrix hit rate"],
-        rows,
-    )
-
-    for executor in ("thread", "process"):
-        assert_identical(outputs["serial"], outputs[executor], executor)
-    print("parity: all executors produced gate-identical circuits")
-
-    # -- persistent service vs per-call pools -------------------------------
-    service_walls = measure_service_vs_per_call(
-        circuits, seeds, target, args.pipeline, args.rounds
-    )
-    if args.assert_service_speedup and (
-        service_walls["service"] >= service_walls["process_per_call"]
-    ):
-        # shared CI runners are noisy: best-of-two before failing the gate
-        print("service did not beat per-call pools on the first run; re-measuring")
-        rerun = measure_service_vs_per_call(
-            circuits, seeds, target, args.pipeline, args.rounds
-        )
-        service_walls = {
-            key: min(service_walls[key], rerun[key]) for key in service_walls
-        }
-    wall_times.update(service_walls)
-    print_table(
-        f"Service vs per-call process pools ({args.rounds} rounds)",
-        ["strategy", "total wall", "throughput"],
+        "One batch, both paths",
+        ["path", "wall", "throughput", "matrix hit rate"],
         [
             [
-                name,
+                label,
                 f"{wall:.2f}s",
-                f"{args.rounds * len(circuits) / wall:.1f}/s",
+                f"{len(circuits) / wall:.1f}/s",
+                f"{reports[label]['cache']['matrix_hit_rate']:.1%}",
             ]
-            for name, wall in service_walls.items()
+            for label, wall in walls.items()
+        ],
+    )
+    print("parity: serial transpile() and the service produced gate-identical circuits")
+
+    # -- persistent service vs serial transpile(), medians of repeats --------
+    samples: dict[str, list[float]] = {"transpile_serial": [], "service": []}
+    for _ in range(REPEATS):
+        for key, wall in measure_service_vs_serial(
+            circuits, seeds, target, args.pipeline, args.rounds
+        ).items():
+            samples[key].append(wall)
+    medians = {key: statistics.median(values) for key, values in samples.items()}
+    print_table(
+        f"Service vs serial transpile() ({args.rounds} rounds, "
+        f"median of {REPEATS})",
+        ["path", "median wall", "min", "max", "throughput"],
+        [
+            [
+                key,
+                f"{medians[key]:.2f}s",
+                f"{min(values):.2f}s",
+                f"{max(values):.2f}s",
+                f"{args.rounds * len(circuits) / medians[key]:.1f}/s",
+            ]
+            for key, values in samples.items()
         ],
     )
 
@@ -289,7 +273,10 @@ def main(argv=None):
                 "pipeline": args.pipeline,
                 "cpu_count": os.cpu_count(),
                 "rounds": args.rounds,
-                "wall_times": wall_times,
+                "repeats": REPEATS,
+                "wall_times": medians,
+                "wall_time_samples": samples,
+                "parity_wall_times": walls,
                 "heterogeneous": hetero,
                 "reports": reports,
             },
@@ -297,34 +284,14 @@ def main(argv=None):
         print(f"metrics written to {args.metrics_json}")
 
     if args.assert_service_speedup:
-        if wall_times["service"] >= wall_times["process_per_call"]:
+        if medians["service"] >= medians["transpile_serial"]:
             raise SystemExit(
-                f"persistent service ({wall_times['service']:.2f}s) did not "
-                f"beat per-call process pools "
-                f"({wall_times['process_per_call']:.2f}s) over "
-                f"{args.rounds} rounds"
+                f"persistent service (median {medians['service']:.2f}s) did "
+                f"not beat serial transpile() (median "
+                f"{medians['transpile_serial']:.2f}s) over {args.rounds} rounds"
             )
-        speedup = wall_times["process_per_call"] / wall_times["service"]
-        print(f"service beats per-call pools: {speedup:.2f}x")
-
-    if args.assert_speedup:
-        if (os.cpu_count() or 1) < 2:
-            print("single-core host: skipping the speedup assertion")
-            return
-        # timings on shared CI runners are noisy: before failing the gate,
-        # re-measure both contenders once (best-of-two per executor)
-        if wall_times["process"] >= wall_times["thread"]:
-            print("process did not beat thread on the first run; re-measuring")
-            for executor in ("thread", "process"):
-                wall, _, _ = measure(executor)
-                wall_times[executor] = min(wall_times[executor], wall)
-        if wall_times["process"] >= wall_times["thread"]:
-            raise SystemExit(
-                f"process executor ({wall_times['process']:.2f}s) did not beat "
-                f"thread executor ({wall_times['thread']:.2f}s)"
-            )
-        speedup = wall_times["thread"] / wall_times["process"]
-        print(f"process beats thread: {speedup:.2f}x")
+        speedup = medians["transpile_serial"] / medians["service"]
+        print(f"service beats serial transpile(): {speedup:.2f}x (medians)")
 
 
 if __name__ == "__main__":

@@ -55,9 +55,9 @@ def collect_blocks(circuits) -> list:
     collector = ConsolidateBlocks()
     blocks = []
     for circuit in circuits:
-        for kind, payload, _, _ in collector.collect(circuit):
-            if kind == "block":
-                blocks.append(payload)
+        for _, group in collector.collect(circuit):
+            if not isinstance(group, list):  # a list holds one-qubit gates
+                blocks.append(group)
     return blocks
 
 

@@ -81,7 +81,7 @@ def main(argv=None):
     ``benchmarks/baseline_quick.json``."""
     import argparse
 
-    from repro.transpiler import EXECUTORS, write_metrics_json
+    from repro.transpiler import write_metrics_json
     from repro.transpiler.metrics import METRICS_SCHEMA_VERSION
 
     parser = argparse.ArgumentParser(description=__doc__)
@@ -97,9 +97,10 @@ def main(argv=None):
     )
     parser.add_argument(
         "--executor",
-        choices=EXECUTORS,
-        default="auto",
-        help="executor backend for the batched (shared-cache) measurement",
+        choices=("serial", "service"),
+        default="serial",
+        help="how the batched (shared-cache) measurement compiles: "
+        "in-process, or through one persistent CompileService",
     )
     args = parser.parse_args(argv)
 
@@ -145,8 +146,7 @@ def main(argv=None):
             for num_qubits in sizes
         ]
         # under --executor service, all three configs share one persistent
-        # CompileService (and its warm pool + cache) instead of paying a
-        # per-call pool spin-up each
+        # CompileService (and its warm pool + cache)
         service = None
         if args.executor == "service":
             from repro.transpiler import CompileService
@@ -158,7 +158,6 @@ def main(argv=None):
                     config,
                     circuits,
                     backend,
-                    executor=args.executor,
                     service=service,
                 )
                 for config in CONFIG_NAMES

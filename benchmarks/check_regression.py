@@ -11,8 +11,9 @@ against ``benchmarks/baseline_quick.json`` and exits non-zero when either
 
 With ``--executors REPORT.json`` (the report written by
 ``bench_executors.py --metrics-json``) the gate additionally checks
-**service-mode throughput**: the persistent ``CompileService`` must not
-fall behind per-call process pools by more than ``--service-tolerance``.
+**service-mode throughput**: the persistent ``CompileService``'s median
+wall over repeated rounds must not fall behind serial ``transpile()``'s
+by more than ``--service-tolerance``.
 
 With ``--server REPORT.json`` (the report written by
 ``bench_server.py --metrics-json``) the gate checks the **networked
@@ -68,23 +69,24 @@ DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__), "baseline_quick.json"
 def check_service_throughput(report: dict, tolerance: float) -> list[str]:
     """Service-mode gate over a ``bench_executors.py`` metrics report.
 
-    The persistent service's total wall must be <= per-call process
-    pools' wall * (1 + tolerance) -- i.e. service throughput must be at
-    least per-call throughput, modulo timing noise.
+    The persistent service's median wall over the report's rounds must be
+    <= serial ``transpile()``'s median wall * (1 + tolerance) -- i.e.
+    service throughput must be at least serial throughput, modulo timing
+    noise.
     """
     failures: list[str] = []
     walls = report.get("wall_times", {})
     service = walls.get("service")
-    per_call = walls.get("process_per_call")
-    if service is None or per_call is None:
+    serial = walls.get("transpile_serial")
+    if service is None or serial is None:
         failures.append(
-            "executors report lacks service/process_per_call wall times; "
+            "executors report lacks service/transpile_serial wall times; "
             "run bench_executors.py with --metrics-json"
         )
-    elif service > per_call * (1.0 + tolerance):
+    elif service > serial * (1.0 + tolerance):
         failures.append(
-            f"service wall {service:.2f}s exceeds per-call process pools "
-            f"{per_call:.2f}s by more than {tolerance:.0%}"
+            f"service wall {service:.2f}s exceeds serial transpile() "
+            f"{serial:.2f}s by more than {tolerance:.0%}"
         )
     return failures
 
@@ -251,7 +253,7 @@ def main(argv=None):
         "--service-tolerance",
         type=float,
         default=0.10,
-        help="allowed service wall-clock excess over per-call process pools "
+        help="allowed service wall-clock excess over serial transpile() "
         "(default 0.10)",
     )
     parser.add_argument(

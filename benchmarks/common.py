@@ -88,9 +88,7 @@ def batch_metrics_report(
     config: str,
     circuits,
     backend,
-    executor: str = "auto",
     num_seeds: int = 1,
-    max_workers: int | None = None,
     service=None,
 ) -> dict:
     """One *batched* transpile over a shared cache, rolled up into a
@@ -98,12 +96,11 @@ def batch_metrics_report(
 
     This is the serving-shaped measurement the per-seed cold runs of
     :func:`transpile_stats` deliberately avoid: the whole batch shares one
-    :class:`~repro.transpiler.AnalysisCache` (across processes too, under
-    ``executor="process"``/``"service"``), and the report records batch
+    :class:`~repro.transpiler.AnalysisCache`, and the report records batch
     wall-clock, per-pass and per-target aggregates and cache hit rates.
-    Pass a persistent :class:`~repro.transpiler.CompileService` as
-    ``service`` to measure the amortized-pool serving path instead of a
-    per-call executor.
+    The batch compiles in-process, or -- given a persistent
+    :class:`~repro.transpiler.CompileService` as ``service`` -- through
+    that service's pool (whose workers count into the service's cache).
     """
     batch, seeds = [], []
     for circuit in circuits:
@@ -117,14 +114,12 @@ def batch_metrics_report(
         backend=backend,
         pipeline=CONFIGS[config],
         seed=seeds,
-        executor=executor,
-        max_workers=max_workers,
         analysis_cache=cache,
         full_result=True,
         service=service,
     )
     wall_time = time.perf_counter() - start
-    label = executor if service is None else "service"
+    label = "serial" if service is None else "service"
     return aggregate_batch(
         results, cache=cache, executor=label, wall_time=wall_time
     )

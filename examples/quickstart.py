@@ -19,18 +19,14 @@ Transpile API
 
     compiled = transpile(circuit, backend=backend, pipeline="rpo", seed=0)
 
-    # batches fan out across a pluggable executor; serial and thread
-    # batches share one AnalysisCache, so repeated workloads skip most
-    # matrix constructions.  executor="auto" (default) picks
-    # serial/thread/process by batch size, circuit width and host cores;
-    # "process" workers each keep their own cache and report its hit/miss
-    # counts back.
+    # a batch compiles in-process, one circuit after another, and shares
+    # one AnalysisCache, so repeated workloads skip most matrix
+    # constructions.  For a worker pool, pass service=CompileService(...).
     compiled_batch = transpile(
         [circuit_a, circuit_b, circuit_c],
         backend=backend,
         pipeline="rpo",
         seed=[0, 1, 2],
-        executor="auto",
     )
 
     # full_result=True returns TranspileResult objects carrying the
@@ -114,10 +110,9 @@ def main():
     print(f"RPO fixed-point loop: {loop.iterations} iterations, "
           f"converged={loop.converged}")
 
-    # batched transpile: the seeds run concurrently and share one
-    # AnalysisCache, so the repeats construct almost no new matrices.
-    # executor="auto" would promote large batches of wide circuits to a
-    # process pool; this little batch stays on threads.
+    # batched transpile: the seeds compile in-process, one after another,
+    # and share one AnalysisCache, so the repeats construct almost no new
+    # matrices.
     from repro.transpiler import AnalysisCache, aggregate_batch
 
     cache = AnalysisCache()
@@ -126,7 +121,6 @@ def main():
         backend=backend,
         pipeline="rpo",
         seed=[0, 1, 2],
-        executor="auto",
         analysis_cache=cache,
         full_result=True,
     )
@@ -137,7 +131,7 @@ def main():
 
     # the per-pass metrics of the whole batch roll up into one JSON-ready
     # report -- the same shape the CI regression gate diffs
-    report = aggregate_batch(batch_results, cache=cache, executor="auto")
+    report = aggregate_batch(batch_results, cache=cache, executor="serial")
     print(
         f"batch: {report['num_circuits']} circuits in "
         f"{report['time']['total'] * 1000:.1f}ms of compile time, "

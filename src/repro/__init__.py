@@ -16,13 +16,12 @@ Top-level convenience re-exports; see the subpackages for the full API:
 """
 
 from repro.circuit import QuantumCircuit
-from repro.transpiler import CompileOptions, CompileService, Target, transpile
+from repro.transpiler import CompileService, Target, transpile
 
 __version__ = "1.0.0"
 
 __all__ = [
     "QuantumCircuit",
-    "CompileOptions",
     "CompileService",
     "Target",
     "transpile",

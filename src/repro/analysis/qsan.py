@@ -15,8 +15,8 @@ Enabling it
 
 * per run: ``PassManager.run_with_result(..., validate="full")`` (or
   ``"contracts"`` for the metadata audit without semantic checks);
-* per batch: ``CompileOptions(validate="full")`` /
-  ``transpile(..., validate="full")``;
+* per batch: ``transpile(..., validate="full")`` (or a
+  ``CompileService(validate="full")`` default);
 * globally: ``REPRO_QSAN=1`` (or ``full`` / ``contracts``) in the
   environment -- this is how CI runs the tier-1 pipeline suite under the
   sanitizer without touching call sites.

@@ -19,6 +19,7 @@ import signal
 import threading
 
 from repro.server.app import CompileServer
+from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.frontend import PIPELINES
 from repro.transpiler.result_cache import ResultCache
 from repro.transpiler.service import SERVICE_MODES
@@ -39,7 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool flavour (default: process)",
     )
     parser.add_argument(
-        "--max-workers", type=int, default=None, help="pool width (default: cores-1)"
+        "--max-workers",
+        type=int,
+        default=None,
+        help="pool width, a positive int (default: cores-1)",
     )
     parser.add_argument(
         "--pipeline",
@@ -95,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     result_cache = (
         False
         if args.no_result_cache
@@ -103,19 +108,22 @@ def main(argv=None) -> int:
             max_entries=args.result_cache_size, ttl=args.result_cache_ttl
         )
     )
-    server = CompileServer(
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        mode=args.mode,
-        max_workers=args.max_workers,
-        pipeline=args.pipeline,
-        optimization_level=args.optimization_level,
-        target=args.target,
-        snapshot_path=args.snapshot_path,
-        autosave_interval=args.autosave_interval,
-        result_cache=result_cache,
-    )
+    try:
+        server = CompileServer(
+            host=args.host,
+            port=args.port,
+            verbose=args.verbose,
+            mode=args.mode,
+            max_workers=args.max_workers,
+            pipeline=args.pipeline,
+            optimization_level=args.optimization_level,
+            target=args.target,
+            snapshot_path=args.snapshot_path,
+            autosave_interval=args.autosave_interval,
+            result_cache=result_cache,
+        )
+    except TranspilerError as exc:  # a bad flag value, e.g. --max-workers 0
+        parser.error(str(exc))
 
     def stop(signum, frame):  # noqa: ARG001 - signal signature
         # shutdown() must run off this thread: the handler interrupts the

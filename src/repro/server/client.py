@@ -51,7 +51,6 @@ from repro.server.protocol import (
     split_chunks,
 )
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.options import CompileOptions
 from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PropertySet, TranspileResult
 from repro.transpiler.service import (
@@ -83,7 +82,6 @@ class RemoteCompileService:
         chunk_size: int | str = "auto",
         target: Target | str | None = None,
         basis_gates=IBM_BASIS,
-        options: CompileOptions | None = None,
     ):
         """Args:
             endpoint: the server's base URL, e.g. ``"http://host:8642"``.
@@ -97,15 +95,12 @@ class RemoteCompileService:
                 request per circuit).
             target / basis_gates: client-side defaults mirroring the
                 local service; jobs always ship a fully-resolved target.
-            options: a :class:`~repro.transpiler.options.CompileOptions`
-                providing default ``pipeline`` / ``optimization_level`` /
-                ``seed`` / ``initial_layout`` for submissions that name
-                none (per-call arguments win).
+                Settings a submission leaves unset ship as ``None`` and
+                take the server's defaults.
         """
         self.endpoint = endpoint.rstrip("/")
         self.timeout = float(timeout)
         self.chunk_size = chunk_size
-        self.options = options if options is not None else CompileOptions()
         self._basis = tuple(basis_gates)
         self._default_target = (
             Target.coerce(target, basis=self._basis) if target is not None else None
@@ -243,24 +238,12 @@ class RemoteCompileService:
             resolved = self._default_target
         else:
             resolved = Target.full(circuit.num_qubits, basis=self._basis)
-        options = self.options
-        # a sequence seed is a per-circuit schedule; it cannot default a
-        # single job's seed, so only a scalar option seed applies here
-        option_seed = options.seed if not isinstance(options.seed, tuple) else None
         settings = {
-            "pipeline": pipeline if pipeline is not None else options.pipeline,
-            "optimization_level": (
-                optimization_level
-                if optimization_level is not None
-                else options.optimization_level
-            ),
-            "seed": seed if seed is not None else option_seed,
-            "initial_layout": (
-                initial_layout
-                if initial_layout is not None
-                else options.initial_layout
-            ),
-            "validate": validate if validate is not None else options.validate,
+            "pipeline": pipeline,
+            "optimization_level": optimization_level,
+            "seed": seed,
+            "initial_layout": initial_layout,
+            "validate": validate,
         }
         job = (circuit_to_payload(circuit), resolved.to_payload(), settings)
         return job, resolved

@@ -28,10 +28,10 @@ Layers, bottom to top:
   :mod:`repro.server` puts this behind an HTTP wire for multi-machine
   sharding.
 * :mod:`repro.transpiler.frontend` -- the batched :func:`transpile` entry
-  point routing every pipeline (presets, RPO, Hoare); a thin wrapper over
-  a short-lived service (or a caller-owned persistent one via
-  ``service=``), with ``auto`` executor selection and per-circuit targets
-  in one batch.
+  point routing every pipeline (presets, RPO, Hoare); it compiles
+  in-process with per-circuit targets in one batch, or submits through a
+  caller-owned persistent service (``service=``) or compile server(s)
+  (``endpoint=``).
 * :mod:`repro.transpiler.metrics` -- batch-level aggregation of the
   per-pass metrics into JSON reports (with per-target breakdowns), plus
   the baseline comparison the CI regression gate runs.
@@ -60,7 +60,6 @@ from repro.transpiler.preset import (
     preset_pass_manager,
 )
 from repro.transpiler.target import Target, TARGET_PRESETS
-from repro.transpiler.options import CompileOptions
 from repro.transpiler.result_cache import ResultCache
 from repro.transpiler.frontend import EXECUTORS, PIPELINES, pass_manager_for, transpile
 from repro.transpiler.service import SERVICE_MODES, CompileService
@@ -92,7 +91,6 @@ __all__ = [
     "preset_pass_manager",
     "Target",
     "TARGET_PRESETS",
-    "CompileOptions",
     "ResultCache",
     "CompileService",
     "SERVICE_MODES",

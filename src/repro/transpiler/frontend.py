@@ -17,20 +17,21 @@ Architecture:
   keywords are coerced into a target for back-compat.
 * **Pipeline routing** -- ``pipeline`` selects the pass-manager factory;
   the default ``"preset"`` dispatches on ``optimization_level``.
-* **Execution** -- ``transpile`` is a thin wrapper over a short-lived
-  :class:`~repro.transpiler.service.CompileService`: ``executor`` picks the
-  service mode (``"serial"``, GIL-bound ``"thread"``, core-scaling
-  ``"process"``/``"service"``, or ``"auto"`` which decides by batch size,
-  circuit width and host cores).  Pass ``service=`` to reuse a caller-owned
-  *persistent* service instead -- no per-call pool spin-up, and the
-  service's warm worker caches, result cache and result snapshots apply
-  (see :mod:`repro.transpiler.service`).
-* **Shared analysis cache** -- the jobs of a serial or thread batch share
-  one :class:`~repro.transpiler.cache.AnalysisCache` (pass your own to
-  share across calls), so repeated workloads skip most matrix
-  constructions and circuit analyses.  Process workers each keep their
-  own in-process memo; only their hit/miss counts reach the shared
-  cache's ``stats``.
+* **Execution** -- one story with three doors.  ``transpile`` compiles
+  in-process, one circuit after another (``executor="auto"`` and
+  ``"serial"`` both mean this).  For cores or a warm result cache, pass
+  ``service=`` a caller-owned, persistent
+  :class:`~repro.transpiler.service.CompileService` -- its pool starts
+  once and its worker caches, result cache and snapshots stay warm
+  across calls (see :mod:`repro.transpiler.service`).  ``endpoint=``
+  (``executor="remote"``) ships the batch to compile server(s)
+  (:mod:`repro.server`).  The per-call pools of earlier versions
+  (``"thread"``, ``"process"``, ``"service"``) never beat serial
+  compilation and are rejected with a pointer to ``service=``.
+* **Shared analysis cache** -- the jobs of an in-process batch share one
+  :class:`~repro.transpiler.cache.AnalysisCache` (pass your own to share
+  across calls), so repeated workloads skip most matrix constructions and
+  circuit analyses.
 * **Results** -- by default the transpiled circuit(s) come back in input
   order; ``full_result=True`` returns
   :class:`~repro.transpiler.passmanager.TranspileResult` objects carrying
@@ -41,7 +42,6 @@ Architecture:
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from repro.circuit.quantumcircuit import QuantumCircuit
@@ -49,7 +49,6 @@ from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.layout import Layout
-from repro.transpiler.options import CompileOptions
 from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PassManager
 from repro.transpiler.target import Target, resolve_targets
@@ -70,18 +69,15 @@ PIPELINES = (
     "hoare",
 )
 
-#: Executor backends accepted by :func:`transpile`.  ``"service"`` is the
-#: process pool by another name (one short-lived
-#: :class:`~repro.transpiler.service.CompileService` per call); pass
-#: ``service=`` for a persistent one.  ``"remote"`` ships the batch to
-#: networked compile server(s) named by ``endpoint=`` (one URL, or a list
-#: fanned out shard-aware -- see :mod:`repro.server`).
-EXECUTORS = ("auto", "serial", "thread", "process", "service", "remote")
+#: Executors accepted by :func:`transpile`.  ``"auto"`` and ``"serial"``
+#: both compile in-process; ``"remote"`` ships the batch to networked
+#: compile server(s) named by ``endpoint=`` (one URL, or a list fanned out
+#: shard-aware -- see :mod:`repro.server`).
+EXECUTORS = ("auto", "serial", "remote")
 
-#: ``auto`` picks the process pool only when the batch is big and wide
-#: enough to amortize pool start-up and payload shipping.
-_PROCESS_MIN_BATCH = 8
-_PROCESS_MIN_WIDTH = 5
+#: Per-call pools that no longer exist; naming one is an error that points
+#: at the persistent service.
+_RETIRED_EXECUTORS = ("thread", "process", "service")
 
 
 def pass_manager_for(
@@ -126,30 +122,6 @@ def pass_manager_for(
     )
 
 
-def _choose_executor(batch: Sequence[QuantumCircuit], requested: str) -> str:
-    """Resolve ``"auto"`` by batch size, circuit width and host cores."""
-    if requested != "auto":
-        return requested
-    if len(batch) <= 1:
-        return "serial"
-    if (os.cpu_count() or 1) <= 1:
-        return "thread"  # a process pool cannot add parallelism here
-    width = max(circuit.num_qubits for circuit in batch)
-    if len(batch) >= _PROCESS_MIN_BATCH and width >= _PROCESS_MIN_WIDTH:
-        return "process"
-    return "thread"
-
-
-#: executor name -> service mode (the service treats process jobs and
-#: thread jobs uniformly; ``transpile`` only picks the mode).
-_EXECUTOR_MODES = {
-    "serial": "serial",
-    "thread": "thread",
-    "process": "process",
-    "service": "process",
-}
-
-
 def transpile(
     circuits: QuantumCircuit | Sequence[QuantumCircuit],
     backend=None,
@@ -162,14 +134,12 @@ def transpile(
     basis_gates=None,
     initial_layout: Layout | None = None,
     executor: str = "auto",
-    max_workers: int | None = None,
     analysis_cache: AnalysisCache | None = None,
     full_result: bool = False,
     service=None,
     endpoint=None,
     result_cache=None,
     validate: str | None = None,
-    options: CompileOptions | None = None,
 ):
     """Compile one circuit -- or a batch -- for one or many targets.
 
@@ -184,7 +154,7 @@ def transpile(
             (``"melbourne"``, ``"linear:5"``, ``"grid:3x4"``, ...), or a
             per-circuit sequence of either -- one batch may mix circuits
             bound for different devices, and each compiles against its own
-            target whichever executor runs it.  A prebuilt ``Target`` is a
+            target.  A prebuilt ``Target`` is a
             complete hardware spec: it wins over ``basis_gates``/
             ``backend_properties``, which only apply while a target is
             being built from looser inputs (backend, coupling map, preset
@@ -194,27 +164,24 @@ def transpile(
             ``"rpo_ext"`` or ``"hoare"``.  Left unset, a caller-provided
             ``service``'s configured pipeline applies.
         seed: routing seed; a sequence gives one seed per batched circuit.
-        executor: ``"serial"``, ``"thread"``, ``"process"``, ``"service"``,
-            ``"remote"`` or ``"auto"`` (default), which picks by batch
-            size, circuit width and host cores.  All backends produce
-            identical circuits; they differ only in wall-clock.
-            ``"remote"`` requires ``endpoint=`` and routes the batch
-            through a short-lived :class:`~repro.server.RemoteCompileService`
-            (or, for a list of endpoints, a shard-aware
-            :class:`~repro.server.ShardRouter`).
-        max_workers: pool width for the pooled backends (default:
-            CPU-bounded).
+        executor: ``"auto"`` (default) or ``"serial"`` -- both compile
+            in-process, one circuit after another -- or ``"remote"``,
+            which requires ``endpoint=`` and routes the batch through a
+            short-lived :class:`~repro.server.RemoteCompileService` (or,
+            for a list of endpoints, a shard-aware
+            :class:`~repro.server.ShardRouter`).  ``"thread"``,
+            ``"process"`` and ``"service"`` raise
+            :class:`TranspilerError`: pass ``service=`` a persistent
+            :class:`~repro.transpiler.service.CompileService` for a pool.
         analysis_cache: a shared :class:`AnalysisCache`; defaults to one
-            fresh cache shared by the whole batch.  Serial and thread
-            jobs run against it; process workers keep their own memo
-            and add only their hit/miss counts to its ``stats``.
+            fresh cache shared by the whole in-process batch.
         full_result: return :class:`TranspileResult` objects (circuit +
             properties + per-pass metrics) instead of bare circuits.
         service: a caller-owned, persistent
             :class:`~repro.transpiler.service.CompileService` to submit
-            through instead of a short-lived per-call one; ``executor``,
-            ``max_workers`` and ``analysis_cache`` are then the service's
-            business and ignored here, and the service's configured
+            through instead of compiling in-process; ``executor`` and
+            ``analysis_cache`` are then the service's business and
+            ignored here, and the service's configured
             pipeline/optimization-level defaults apply to any argument
             this call leaves unset.  A
             :class:`~repro.server.RemoteCompileService` or
@@ -228,54 +195,21 @@ def transpile(
         result_cache: a shared
             :class:`~repro.transpiler.result_cache.ResultCache` so
             repeated ``transpile()`` calls serve previously compiled
-            answers without running a pipeline.  Unset, the one-shot
-            service runs uncached (a fresh per-call result cache could
-            never hit); a caller-owned ``service`` brings its own.
+            answers without running a pipeline.  Unset, an in-process
+            batch runs uncached (a fresh per-call result cache could never
+            hit); a caller-owned ``service`` brings its own.
         validate: QSAN translation-validation mode -- ``"full"`` checks
             semantic equivalence after every transformation pass *and*
             audits contract honesty, ``"contracts"`` audits only the
             declared metadata, ``"off"`` disables checking.  ``None``
             (default) defers to the ``REPRO_QSAN`` environment variable.
             See :mod:`repro.analysis.qsan`.
-        options: a :class:`~repro.transpiler.options.CompileOptions`
-            consolidating the compile knobs above (``pipeline``,
-            ``optimization_level``, ``seed``, ``executor``, ...).  The
-            individual keyword arguments are legacy spellings coerced
-            into it; naming the same knob both ways with different
-            values earns a :class:`DeprecationWarning` and the options
-            object wins.
 
     Returns:
         The transpiled circuit (or result) for single-circuit input, else
         a list in input order.
     """
-    from repro.transpiler.service import transpile_batch
-
-    opts = CompileOptions.coerce(
-        options,
-        pipeline=pipeline,
-        optimization_level=optimization_level,
-        seed=seed,
-        initial_layout=initial_layout,
-        executor=executor,
-        max_workers=max_workers,
-        full_result=full_result,
-        analysis_cache=analysis_cache,
-        result_cache=result_cache,
-        endpoint=endpoint,
-        validate=validate,
-    )
-    pipeline = opts.pipeline
-    optimization_level = opts.optimization_level
-    seed = opts.seed
-    initial_layout = opts.initial_layout
-    executor = opts.executor
-    max_workers = opts.max_workers
-    full_result = opts.full_result
-    analysis_cache = opts.analysis_cache
-    result_cache = opts.result_cache
-    endpoint = opts.endpoint
-    validate = opts.validate
+    from repro.transpiler.service import compile_job
 
     explicit_basis = basis_gates is not None
     if basis_gates is None:
@@ -284,6 +218,11 @@ def transpile(
     batch = [circuits] if single else list(circuits)
     if any(not isinstance(circuit, QuantumCircuit) for circuit in batch):
         raise TranspilerError("transpile() expects QuantumCircuit inputs")
+    if executor in _RETIRED_EXECUTORS:
+        raise TranspilerError(
+            f"executor={executor!r} is gone: transpile() compiles in-process; "
+            "for a worker pool pass service=CompileService(...)"
+        )
     if executor not in EXECUTORS:
         raise TranspilerError(
             f"unknown executor {executor!r}; choose one of {', '.join(EXECUTORS)}"
@@ -369,26 +308,21 @@ def transpile(
             if owned_client is not None:
                 owned_client.close()
     else:
-        chosen = _choose_executor(batch, executor)
-        mode = _EXECUTOR_MODES[chosen]
-        if len(batch) == 1 and mode != "serial":
-            mode = "serial"  # a pool cannot help a single job
         cache = analysis_cache if analysis_cache is not None else AnalysisCache()
-        results = transpile_batch(
-            batch,
-            targets,
-            seeds,
-            mode=mode,
-            pipeline=pipeline if pipeline is not None else "preset",
-            optimization_level=(
+        settings = {
+            "pipeline": pipeline if pipeline is not None else "preset",
+            "optimization_level": (
                 optimization_level if optimization_level is not None else 1
             ),
-            initial_layout=initial_layout,
-            cache=cache,
-            max_workers=max_workers,
-            result_cache=result_cache,
-            validate=validate,
-        )
+            "initial_layout": initial_layout,
+            "validate": validate,
+        }
+        results = [
+            compile_job(
+                circuit, target, {**settings, "seed": seed}, cache, result_cache
+            )
+            for circuit, target, seed in zip(batch, targets, seeds)
+        ]
 
     if not full_result:
         results = [result.circuit for result in results]

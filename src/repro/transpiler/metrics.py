@@ -71,7 +71,8 @@ def aggregate_batch(
         results: the batch's :class:`TranspileResult` objects.
         cache: the batch's shared analysis cache; adds hit/miss statistics.
             Defaults to the cache found on the first result, if any.
-        executor: executor backend label to record (``"thread"`` etc.).
+        executor: label of the path that compiled the batch (``"serial"``,
+            ``"service"``, ``"remote"``, ...), recorded as given.
         wall_time: end-to-end batch wall-clock, if the caller measured one
             (the sum of per-result times over-counts under parallelism).
     """

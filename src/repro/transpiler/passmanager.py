@@ -35,17 +35,14 @@ transformation pass is checked for semantic equivalence of its input and
 output plus honesty of its ``preserves``/``invalidates`` declarations; a
 dishonest pass raises a structured
 :class:`~repro.analysis.qsan.ContractViolation`.
-``PassManager.run`` remains side-effect free with respect to the manager --
-concurrent runs of one manager do not race; ``PassManager.property_set`` is
-kept only as a deprecated, thread-local alias for the last result's
-properties.
+``PassManager.run`` is side-effect free with respect to the manager --
+concurrent runs of one manager do not race; a run's properties live only
+on the :class:`TranspileResult` it returns.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -113,25 +110,6 @@ def _meaningful_writes(snapshot: dict, properties: PropertySet) -> set[str]:
         if key not in properties and not is_bookkeeping_property(key)
     )
     return written
-
-
-#: Set once the ``PassManager.property_set`` deprecation has been announced;
-#: the alias is read on hot serving paths, so the warning fires once per
-#: process rather than once per run/access.
-_PROPERTY_SET_DEPRECATION_EMITTED = False
-
-
-def _warn_property_set_deprecated() -> None:
-    global _PROPERTY_SET_DEPRECATION_EMITTED
-    if _PROPERTY_SET_DEPRECATION_EMITTED:
-        return
-    _PROPERTY_SET_DEPRECATION_EMITTED = True
-    warnings.warn(
-        "PassManager.property_set is deprecated; use the TranspileResult "
-        "returned by PassManager.run_with_result() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -376,7 +354,6 @@ class PassManager:
 
     def __init__(self, passes: Iterable[BasePass | DoWhileController] | None = None):
         self._schedule: list[BasePass | DoWhileController] = list(passes or [])
-        self._thread_results = threading.local()
 
     def append(self, item: BasePass | DoWhileController | Sequence[BasePass]) -> None:
         if isinstance(item, (BasePass, DoWhileController)):
@@ -387,18 +364,6 @@ class PassManager:
     @property
     def passes(self) -> list[BasePass | DoWhileController]:
         return list(self._schedule)
-
-    @property
-    def property_set(self) -> PropertySet | None:
-        """Deprecated: the property set of this thread's last run.
-
-        Prefer the :class:`TranspileResult` returned by
-        :meth:`run_with_result` -- it is what makes concurrent runs of one
-        manager race-free.
-        """
-        _warn_property_set_deprecated()
-        result = getattr(self._thread_results, "last", None)
-        return result.properties if result is not None else None
 
     def run(
         self,
@@ -426,8 +391,7 @@ class PassManager:
 
         ``analysis_cache`` may be shared across runs (and across managers):
         repeated workloads then skip most matrix constructions and circuit
-        analyses.  All run state is local; only a thread-local reference to
-        the result is kept for the deprecated ``property_set`` alias.
+        analyses.  All run state is local to the call.
 
         ``validate`` turns on the QSAN sanitizer for this run: ``"full"``
         (equivalence + contract audit), ``"contracts"`` (audit only) or
@@ -453,7 +417,7 @@ class PassManager:
         start = time.perf_counter()
         for item in self._schedule:
             circuit = self._run_item(item, circuit, state)
-        result = TranspileResult(
+        return TranspileResult(
             circuit=circuit,
             properties=properties,
             metrics=state.metrics,
@@ -461,8 +425,6 @@ class PassManager:
             time=time.perf_counter() - start,
             violations=state.violations,
         )
-        self._thread_results.last = result
-        return result
 
     # ------------------------------------------------------------------
 

@@ -10,8 +10,8 @@ metrics + wall time + properties), so a :class:`CompileService` serving
 production traffic answers a repeated request without a single job
 reaching its pool.  Keys are SHA-256 digests of the canonical tuple forms
 (:func:`repro.circuit.serialization.payload_fingerprints`,
-:meth:`Target.to_payload`, :func:`~repro.transpiler.options.options_cache_key`),
-which makes them compact strings a compile server can expose for peer
+:meth:`Target.to_payload`, the job's pipeline/level/seed triple), which
+makes them compact strings a compile server can expose for peer
 lookups (``GET /cache/<fingerprint>``) and a :class:`ShardRouter` can ask
 other shards about before dispatching a compile.
 
@@ -645,7 +645,7 @@ class ResultCache:
         if address is None:
             return
         exact, template, params = address
-        # copied outside the lock: the producer (_run_local, _finish_chunk)
+        # copied outside the lock: the producer (compile_job, _finish_chunk)
         # hands the same live metrics/properties objects to its caller
         result_payload = _copy_payload(result_payload)
         with self._lock:

@@ -1,20 +1,20 @@
 """A long-lived compile service with a persistent worker pool.
 
-:class:`CompileService` is the execution engine behind
-:func:`repro.transpiler.frontend.transpile` and the entry point for
-serving-shaped workloads.  Where ``transpile(executor="process")``
-historically spun a fresh process pool per call -- paying pool start-up
-and interpreter imports every time --, a service owns its pool for its
-whole lifetime and amortizes those costs across every batch submitted to
-it:
+:class:`CompileService` is the parallel and serving-shaped way to
+compile: :func:`repro.transpiler.frontend.transpile` compiles in-process,
+one circuit after another, and a caller that wants cores or a warm
+result cache hands it a service (``transpile(..., service=...)``) or
+submits to one directly.  A service owns its pool for its whole lifetime
+and amortizes pool start-up and interpreter imports across every batch
+submitted to it:
 
-* **persistent pool** -- worker processes (or threads) are created once,
-  lazily on first submission, and reused until
-  :meth:`CompileService.shutdown`.  Each worker process keeps its own
-  long-lived :class:`~repro.transpiler.cache.AnalysisCache`, a plain
-  in-process memo that warms with every job the worker compiles; only
-  its hit/miss ``stats`` travel back (with each chunk's results), so the
-  service cache's counters cover every worker;
+* **persistent pool** -- worker processes are created once, lazily on
+  first submission, and reused until :meth:`CompileService.shutdown`.
+  Each worker process keeps its own long-lived
+  :class:`~repro.transpiler.cache.AnalysisCache`, a plain in-process memo
+  that warms with every job the worker compiles; only its hit/miss
+  ``stats`` travel back (with each chunk's results), so the service
+  cache's counters cover every worker;
 * **async submission queue** -- :meth:`CompileService.submit` returns a
   :class:`concurrent.futures.Future` immediately; :meth:`CompileService.map`
   is the batch convenience that preserves input order.  Work from many
@@ -33,10 +33,9 @@ it:
   workers memoize rebuilt targets so a coupling map's derived data is
   computed once per distinct target per worker.
 
-Three modes share one code path: ``"process"`` (the default, compilation
-scales with cores), ``"thread"`` (cheap start-up, GIL-bound) and
-``"serial"`` (inline execution, deterministic, no pool at all).  All modes
-produce identical circuits.
+Two modes produce identical circuits: ``"process"`` (the default,
+compilation scales with cores) and ``"serial"`` (inline execution in the
+submitting thread, no pool at all).
 
 Dispatch is **chunk-aware**: a submission is one task, but
 :meth:`CompileService.map` groups large batches into chunked job
@@ -73,22 +72,21 @@ import pickle
 import threading
 import time
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from typing import Sequence
 
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.circuit.serialization import circuit_from_payload, circuit_to_payload
 from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.options import CompileOptions, options_cache_key
 from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PropertySet, TranspileResult
 from repro.transpiler.result_cache import ResultCache
 from repro.transpiler.target import Target
 
-__all__ = ["CompileService", "SERVICE_MODES", "normalize_batch"]
+__all__ = ["CompileService", "SERVICE_MODES", "compile_job", "normalize_batch"]
 
-SERVICE_MODES = ("process", "thread", "serial")
+SERVICE_MODES = ("process", "serial")
 
 
 def normalize_batch(batch: list, targets, seeds) -> tuple[list, list]:
@@ -133,14 +131,11 @@ _WORKER_TARGET_MEMO_MAX = 64
 _CHUNK_MAX_JOBS = 64
 
 
-def default_workers(batch_size: int | None, max_workers: int | None) -> int:
-    """Pool width: caller's choice, else CPU-bounded (and batch-bounded)."""
-    if max_workers:
+def default_workers(max_workers: int | None) -> int:
+    """Pool width: caller's choice, else one worker per core but one."""
+    if max_workers is not None:
         return max_workers
-    cpu_bound = max(1, (os.cpu_count() or 2) - 1)
-    if batch_size is not None:
-        return min(batch_size, cpu_bound)
-    return cpu_bound
+    return max(1, (os.cpu_count() or 2) - 1)
 
 
 def _mp_context():
@@ -207,6 +202,89 @@ def _run_job(circuit: QuantumCircuit, target: Target, settings: dict, cache):
     )
 
 
+def _result_payload(result: TranspileResult) -> tuple:
+    """A result's compact, picklable form: what a pool worker ships back
+    and what the result cache stores."""
+    return (
+        circuit_to_payload(result.circuit),
+        result.metrics,
+        result.loops,
+        result.time,
+        _sanitize_properties(result.properties),
+    )
+
+
+def _rebuild_result(
+    value: tuple, target: Target, cache: AnalysisCache, kind: str | None = None
+) -> TranspileResult:
+    """A :class:`TranspileResult` from its compact form (see
+    :func:`_result_payload`), re-attached to ``cache`` and ``target``."""
+    payload, metrics, loops, elapsed, props = value
+    properties = PropertySet(props)
+    properties[AnalysisCache.PROPERTY_KEY] = cache
+    properties[TARGET_PROPERTY] = target
+    if kind is not None:
+        properties[CACHE_PROPERTY] = kind
+    return TranspileResult(
+        circuit=circuit_from_payload(payload),
+        properties=properties,
+        metrics=metrics,
+        loops=loops,
+        time=elapsed,
+    )
+
+
+def _cache_address(result_cache, circuit_payload, target_payload, settings):
+    """The result-cache address of one job, or ``None`` if uncacheable.
+
+    Only the settings that change what circuit comes out -- pipeline,
+    optimization level and seed -- take part in the address.  Jobs
+    carrying an ``initial_layout`` bypass the cache entirely (layouts are
+    mutable objects with no canonical content form).
+    """
+    if result_cache is None or settings.get("initial_layout") is not None:
+        return None
+    options = (
+        settings.get("pipeline"),
+        settings.get("optimization_level"),
+        settings.get("seed"),
+    )
+    return (circuit_payload, target_payload, options)
+
+
+def compile_job(
+    circuit: QuantumCircuit,
+    target: Target,
+    settings: dict,
+    cache: AnalysisCache,
+    result_cache: ResultCache | None = None,
+) -> TranspileResult:
+    """Compile one job in the calling thread, result-cache aware.
+
+    The in-process path of :func:`~repro.transpiler.frontend.transpile`
+    and of a serial-mode :class:`CompileService`.  With a
+    ``result_cache``, a cacheable job pays one payload conversion to
+    consult it: on a hit the pipeline never runs (the result carries
+    :data:`CACHE_PROPERTY`), on a miss the compiled answer is stored for
+    the next identical (or parameter-varied) request.
+    """
+    address = None
+    if result_cache is not None:
+        address = _cache_address(
+            result_cache, circuit_to_payload(circuit), target.to_payload(), settings
+        )
+        if address is not None:
+            found = result_cache.lookup(*address)
+            if found is not None:
+                value, kind = found
+                return _rebuild_result(value, target, cache, kind)
+    result = _run_job(circuit, target, settings, cache)
+    if address is not None:
+        result_cache.store(*address, _result_payload(result))
+    result.properties[TARGET_PROPERTY] = target
+    return result
+
+
 def _worker_target(state: dict, target_payload: tuple) -> Target:
     """Rebuild (or recall) the job's target, memoized per worker."""
     targets = state["targets"]
@@ -252,18 +330,7 @@ def _service_chunk(jobs: tuple) -> tuple:
             target = _worker_target(state, target_payload)
             circuit = circuit_from_payload(circuit_payload)
             result = _run_job(circuit, target, settings, cache)
-            outcomes.append(
-                (
-                    "ok",
-                    (
-                        circuit_to_payload(result.circuit),
-                        result.metrics,
-                        result.loops,
-                        result.time,
-                        _sanitize_properties(result.properties),
-                    ),
-                )
-            )
+            outcomes.append(("ok", _result_payload(result)))
         except Exception as exc:  # noqa: BLE001 - relayed to the caller
             outcomes.append(("error", _picklable_exception(exc)))
     increment = cache.stats - state["stats_sent"]
@@ -294,19 +361,18 @@ class CompileService:
         validate: str | None = None,
         snapshot_path=None,
         autosave_interval: float = 0.0,
-        options: CompileOptions | None = None,
     ):
         """Args:
-            mode: ``"process"`` (default), ``"thread"`` or ``"serial"``.
-            max_workers: pool width (default: CPU count - 1).
+            mode: ``"process"`` (default) or ``"serial"``.
+            max_workers: pool width, a positive int (default: CPU count - 1).
             pipeline / optimization_level / target / basis_gates /
-                initial_layout: defaults applied to submissions that do not
-                override them (``"preset"`` / level 1 when left unset);
-                ``target`` accepts a :class:`Target` or a preset name
-                (``"melbourne"``, ``"linear:5"``, ...).
-            analysis_cache: the cache serial/thread jobs run against and
-                whose ``stats`` also count process workers' hits and
-                misses; defaults to a fresh one.
+                initial_layout / validate: defaults applied to submissions
+                that do not override them (``"preset"`` / level 1 when left
+                unset); ``target`` accepts a :class:`Target` or a preset
+                name (``"melbourne"``, ``"linear:5"``, ...).
+            analysis_cache: the cache serial jobs run against and whose
+                ``stats`` also count process workers' hits and misses;
+                defaults to a fresh one.
             result_cache: the content-addressed compiled-result cache
                 consulted before any job reaches the pool
                 (:class:`~repro.transpiler.result_cache.ResultCache`).
@@ -321,60 +387,38 @@ class CompileService:
                 of the result-cache snapshot to ``snapshot_path`` (a daemon
                 timer; each save writes atomically).  0 (the default)
                 saves at shutdown only.
-            options: a :class:`~repro.transpiler.options.CompileOptions`
-                consolidating the compile knobs; individual keyword
-                arguments above are legacy spellings coerced into it
-                (:meth:`CompileOptions.coerce` -- conflicts warn, the
-                options object wins).
         """
         if mode not in SERVICE_MODES:
             raise TranspilerError(
                 f"unknown service mode {mode!r}; choose one of "
                 f"{', '.join(SERVICE_MODES)}"
             )
-        opts = CompileOptions.coerce(
-            options,
-            pipeline=pipeline,
-            optimization_level=optimization_level,
-            initial_layout=initial_layout,
-            max_workers=max_workers,
-            analysis_cache=analysis_cache,
-            result_cache=result_cache if result_cache is not False else None,
-            validate=validate,
-        )
-        if isinstance(opts.seed, tuple):
-            # a sequence seed is a per-circuit schedule (one seed per
-            # batched circuit); adopting it verbatim as the service-wide
-            # default would hand every job a tuple where the pipeline
-            # expects a scalar, and silently key the result cache on it
+        if max_workers is not None and (
+            isinstance(max_workers, bool)
+            or not isinstance(max_workers, int)
+            or max_workers < 1
+        ):
             raise TranspilerError(
-                "a sequence seed cannot be a CompileService default -- it "
-                "is a per-circuit schedule; pass seeds= to map() (or a "
-                "scalar seed in CompileOptions)"
+                f"max_workers must be None or a positive int, got {max_workers!r}"
             )
-        self.options = opts
         self.mode = mode
-        self.max_workers = opts.max_workers
+        self.max_workers = max_workers
         self.snapshot_path = snapshot_path
-        self.cache = (
-            opts.analysis_cache if opts.analysis_cache is not None else AnalysisCache()
-        )
-        if result_cache is False or opts.result_cache is False:
+        self.cache = analysis_cache if analysis_cache is not None else AnalysisCache()
+        if result_cache is False:
             self.result_cache: ResultCache | None = None
-        elif opts.result_cache is not None:
-            self.result_cache = opts.result_cache
+        elif result_cache is not None:
+            self.result_cache = result_cache
         else:
             self.result_cache = ResultCache()
         self._defaults = {
-            "pipeline": opts.pipeline if opts.pipeline is not None else "preset",
+            "pipeline": pipeline if pipeline is not None else "preset",
             "optimization_level": (
-                opts.optimization_level
-                if opts.optimization_level is not None
-                else 1
+                optimization_level if optimization_level is not None else 1
             ),
-            "initial_layout": opts.initial_layout,
-            "seed": opts.seed,
-            "validate": opts.validate,
+            "initial_layout": initial_layout,
+            "seed": None,
+            "validate": validate,
         }
         self._basis = tuple(basis_gates)
         self._default_target = (
@@ -415,17 +459,14 @@ class CompileService:
         with self._lock:
             if self._shutdown:
                 raise TranspilerError("CompileService has been shut down")
-            if self._pool is None and self.mode != "serial":
-                workers = default_workers(None, self.max_workers)
+            if self._pool is None and self.mode == "process":
+                workers = default_workers(self.max_workers)
                 self._pool_workers = workers
-                if self.mode == "process":
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=_mp_context(),
-                        initializer=_service_worker_init,
-                    )
-                else:
-                    self._pool = ThreadPoolExecutor(max_workers=workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=_mp_context(),
+                    initializer=_service_worker_init,
+                )
             return self._pool
 
     def _submit_to_pool(self, fn, *args):
@@ -475,10 +516,9 @@ class CompileService:
         :class:`~repro.transpiler.passmanager.TranspileResult`.
 
         Process mode snapshots the circuit into a payload at submission
-        time; under serial/thread modes the circuit object itself is
-        handed to the pipeline (passes never mutate their input), so
-        callers should not mutate a submitted circuit before its future
-        resolves.
+        time; serial mode compiles the circuit object itself before
+        returning an already-resolved future (passes never mutate their
+        input).
         """
         target, settings = self._resolve(
             circuit,
@@ -493,43 +533,32 @@ class CompileService:
         )
         if self.mode == "process":
             return self._submit_chunk([(circuit, target, settings)])[0]
+        self._ensure_pool()  # raises after shutdown; no pool in serial mode
+        with self._lock:
+            self._submitted += 1
         outer: Future = Future()
-        if self.mode != "serial":
-            # counted before pool submission: a fast job's done-callback
-            # may increment _completed before submit() returns, and stats()
-            # must never observe completed > submitted
-            with self._lock:
-                self._submitted += 1
-        if self.mode == "thread":
-            inner = self._submit_to_pool(self._run_local, circuit, target, settings)
-            inner.add_done_callback(
-                lambda f, outer=outer: self._finish_local(outer, f)
+        try:
+            result = compile_job(
+                circuit, target, settings, self.cache, self.result_cache
             )
-        else:
-            self._ensure_pool()  # raises after shutdown; no pool in serial mode
+        except BaseException as exc:  # noqa: BLE001 - future carries it
             with self._lock:
-                self._submitted += 1
-            try:
-                result = self._run_local(circuit, target, settings)
-            except BaseException as exc:  # noqa: BLE001 - future carries it
-                with self._lock:
-                    self._failed += 1
-                outer.set_exception(exc)
-            else:
-                with self._lock:
-                    self._completed += 1
-                outer.set_result(result)
+                self._failed += 1
+            outer.set_exception(exc)
+            return outer
+        kind = result.properties.get(CACHE_PROPERTY)
+        with self._lock:
+            self._completed += 1
+            if kind is not None:
+                self._count_hit(kind)
+        outer.set_result(result)
         return outer
 
-    def _cache_meta(self, circuit_payload, target_payload, settings):
-        """The result-cache address of one job, or ``None`` if uncacheable.
-
-        Jobs carrying an ``initial_layout`` bypass the cache entirely
-        (layouts are mutable objects with no canonical content form).
-        """
-        if self.result_cache is None or settings.get("initial_layout") is not None:
-            return None
-        return (circuit_payload, target_payload, options_cache_key(settings))
+    def _count_hit(self, kind: str) -> None:
+        """Count one result-cache serve (caller holds the lock)."""
+        self._cache_hits += 1
+        if kind == "template":
+            self._cache_template_hits += 1
 
     def _cache_serve(self, meta, target: Target) -> Future | None:
         """A pre-resolved future served from the result cache, or ``None``.
@@ -550,35 +579,15 @@ class CompileService:
             self._submitted += 1
         outer: Future = Future()
         try:
-            result = self._result_from_payload(value, target, kind=kind)
+            result = _rebuild_result(value, target, self.cache, kind)
         except Exception as exc:  # noqa: BLE001 - corrupt entry: fail the job
             self._fail_future(outer, exc)
             return outer
         with self._lock:
             self._completed += 1
-            self._cache_hits += 1
-            if kind == "template":
-                self._cache_template_hits += 1
+            self._count_hit(kind)
         outer.set_result(result)
         return outer
-
-    def _result_from_payload(
-        self, value: tuple, target: Target, kind: str | None = None
-    ) -> TranspileResult:
-        """Rebuild a :class:`TranspileResult` from its compact wire form."""
-        payload, metrics, loops, elapsed, props = value
-        properties = PropertySet(props)
-        properties[AnalysisCache.PROPERTY_KEY] = self.cache
-        properties[TARGET_PROPERTY] = target
-        if kind is not None:
-            properties[CACHE_PROPERTY] = kind
-        return TranspileResult(
-            circuit=circuit_from_payload(payload),
-            properties=properties,
-            metrics=metrics,
-            loops=loops,
-            time=elapsed,
-        )
 
     def _submit_chunk(self, resolved: list[tuple]) -> list[Future]:
         """Ship ``resolved`` jobs (already target/settings-resolved) as ONE
@@ -602,7 +611,9 @@ class CompileService:
         for i, (circuit, target, settings) in enumerate(resolved):
             circuit_payload = circuit_to_payload(circuit)
             target_payload = target.to_payload()
-            meta = self._cache_meta(circuit_payload, target_payload, settings)
+            meta = _cache_address(
+                self.result_cache, circuit_payload, target_payload, settings
+            )
             served = self._cache_serve(meta, target)
             if served is not None:
                 futures[i] = served
@@ -651,8 +662,8 @@ class CompileService:
 
         In process mode the payloads go to the pool **as-is** -- the
         server never rebuilds a circuit object just to re-flatten it --
-        split into chunks by the ``"auto"`` policy; serial/thread modes
-        rebuild the objects and run them inline.  ``settings`` entries
+        split into chunks by the ``"auto"`` policy; serial mode rebuilds
+        the objects and runs them inline.  ``settings`` entries
         that are ``None`` fall back to the service defaults, mirroring
         :meth:`submit`.
         """
@@ -681,7 +692,9 @@ class CompileService:
             pending: list[int] = []
             for i, (job, target) in enumerate(zip(prepared, targets)):
                 circuit_payload, target_payload, merged = job
-                meta = self._cache_meta(circuit_payload, target_payload, merged)
+                meta = _cache_address(
+                    self.result_cache, circuit_payload, target_payload, merged
+                )
                 served = self._cache_serve(meta, target)
                 if served is not None:
                     futures[i] = served
@@ -741,7 +754,7 @@ class CompileService:
         """
         if self.mode != "process":
             return 1  # no envelope to amortize without a process boundary
-        workers = self._pool_workers or default_workers(batch_size, self.max_workers)
+        workers = self._pool_workers or default_workers(self.max_workers)
         if batch_size <= 2 * workers:
             return 1
         return max(1, min(_CHUNK_MAX_JOBS, batch_size // (workers * 4)))
@@ -817,54 +830,6 @@ class CompileService:
 
     # -- result plumbing ---------------------------------------------------
 
-    def _run_local(self, circuit, target: Target, settings: dict) -> TranspileResult:
-        """Inline execution (serial/thread modes), result-cache aware.
-
-        Cacheable jobs pay one payload conversion to consult the cache;
-        on a hit the pipeline never runs, on a miss the compiled answer
-        is stored for the next identical (or parameter-varied) request.
-        """
-        meta = None
-        if self.result_cache is not None:
-            meta = self._cache_meta(
-                circuit_to_payload(circuit), target.to_payload(), settings
-            )
-            if meta is not None:
-                found = self.result_cache.lookup(*meta)
-                if found is not None:
-                    value, kind = found
-                    with self._lock:
-                        self._cache_hits += 1
-                        if kind == "template":
-                            self._cache_template_hits += 1
-                    return self._result_from_payload(value, target, kind=kind)
-        result = _run_job(circuit, target, settings, self.cache)
-        if meta is not None:
-            self.result_cache.store(
-                *meta,
-                (
-                    circuit_to_payload(result.circuit),
-                    result.metrics,
-                    result.loops,
-                    result.time,
-                    _sanitize_properties(result.properties),
-                ),
-            )
-        result.properties[TARGET_PROPERTY] = target
-        return result
-
-    def _finish_local(self, outer: Future, inner: Future) -> None:
-        try:
-            result = inner.result()
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            with self._lock:
-                self._failed += 1
-            outer.set_exception(exc)
-            return
-        with self._lock:
-            self._completed += 1
-        outer.set_result(result)
-
     def _finish_chunk(
         self,
         outers: list[Future],
@@ -900,7 +865,7 @@ class CompileService:
                 if status != "ok":
                     self._fail_future(outer, value)
                     continue
-                result = self._result_from_payload(value, target)
+                result = _rebuild_result(value, target, self.cache)
             except BaseException as exc:  # noqa: BLE001 - relayed per job
                 self._fail_future(outer, exc)
                 continue
@@ -912,7 +877,7 @@ class CompileService:
                 self._completed += 1
             try:
                 outer.set_result(result)
-            except Exception:
+            except InvalidStateError:
                 pass  # caller cancelled the future; result has no taker
 
     def _fail_future(self, outer: Future, exc: BaseException) -> None:
@@ -920,7 +885,7 @@ class CompileService:
             self._failed += 1
         try:
             outer.set_exception(exc)
-        except Exception:
+        except InvalidStateError:
             pass  # caller cancelled the future; nothing left to notify
 
     # -- lifecycle ---------------------------------------------------------
@@ -1027,37 +992,3 @@ class CompileService:
             f"submitted={self._submitted} completed={self._completed}>"
         )
 
-
-def transpile_batch(
-    batch: Sequence[QuantumCircuit],
-    targets: Sequence[Target],
-    seeds: Sequence,
-    *,
-    mode: str,
-    pipeline: str,
-    optimization_level: int,
-    initial_layout,
-    cache: AnalysisCache,
-    max_workers: int | None,
-    result_cache: ResultCache | None = None,
-    validate: str | None = None,
-) -> list[TranspileResult]:
-    """One batch through a short-lived service (the ``transpile()`` path).
-
-    A fresh result cache cannot help a one-shot batch, so caching is off
-    unless the caller passes a (shared, long-lived) ``result_cache``.
-    """
-    service = CompileService(
-        mode=mode,
-        max_workers=default_workers(len(batch), max_workers),
-        pipeline=pipeline,
-        optimization_level=optimization_level,
-        initial_layout=initial_layout,
-        analysis_cache=cache,
-        result_cache=result_cache if result_cache is not None else False,
-        validate=validate,
-    )
-    try:
-        return service.map(batch, targets=targets, seeds=seeds)
-    finally:
-        service.shutdown()

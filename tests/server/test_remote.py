@@ -470,6 +470,27 @@ class TestServerLifecycle:
             build_parser().parse_args(["--harvest-interval", "1"])
         assert "--harvest-interval" in capsys.readouterr().err
 
+    def test_cli_rejects_thread_mode(self, capsys):
+        from repro.server.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--mode", "thread"])
+        err = capsys.readouterr().err
+        assert "'thread'" in err and "'process', 'serial'" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_cli_rejects_non_positive_max_workers(self, capsys, workers):
+        """Regression: ``--max-workers 0`` silently meant cores-1 and -1
+        failed only at the first compile; both now stop the CLI before it
+        binds a port."""
+        from repro.server.__main__ import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["--port", "0", "--max-workers", workers])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"max_workers must be None or a positive int, got {workers}" in err
+
     def test_server_rejects_service_plus_kwargs(self):
         from repro.transpiler import CompileService
 
@@ -530,17 +551,20 @@ class TestResultCacheOverWire:
         assert payload is not None  # served straight from the peer cache
         assert remote.cache_lookup("0" * 64) is None  # miss is a clean 404
 
-    def test_client_options_object_supplies_defaults(self, server):
-        from repro.transpiler import CompileOptions
-
+    def test_unset_client_settings_take_server_defaults(self, server):
+        """The client ships settings it was not given as ``None``; the
+        server's configured pipeline (``rpo`` here) fills them in."""
         circuit = quantum_phase_estimation(3)
         reference = transpile(
             circuit.copy(), target="melbourne", pipeline="rpo", seed=5
         )
-        options = CompileOptions(pipeline="rpo", seed=5)
-        with RemoteCompileService(server.endpoint, options=options) as client:
-            results = client.map([circuit.copy()], targets="melbourne")
+        with RemoteCompileService(server.endpoint) as client:
+            results = client.map([circuit.copy()], targets="melbourne", seeds=5)
         _assert_identical(reference, results[0].circuit)
+
+    def test_client_options_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="options"):
+            RemoteCompileService("http://127.0.0.1:1", options=None)
 
     def test_endpoint_alone_implies_remote_executor(self, server):
         circuit = quantum_phase_estimation(3)

@@ -1,11 +1,13 @@
-"""Executor-backend parity and auto-selection tests.
+"""The one executor story: in-process ``transpile()``, a persistent
+``CompileService`` and the compile server.
 
-The contract of the pluggable executor layer is absolute: ``serial``,
-``thread`` and ``process`` must return *identical* optimized circuits and
-equivalent metrics for any batch -- the backends may differ only in
-wall-clock.  A hypothesis property test drives random batches through all
-three; targeted tests cover ``auto`` selection and worker cache stats
-reaching the caller's cache.
+The contract is absolute: serial ``transpile()`` and a persistent
+process-mode :class:`CompileService` must return *identical* optimized
+circuits and equivalent metrics for any batch -- they may differ only in
+wall-clock.  A hypothesis property test drives random batches through
+both.  The per-call pools ``transpile()`` once offered (``"thread"``,
+``"process"``, ``"service"``) are rejected with a pointer at
+``service=``, and a default ``transpile()`` never starts a pool.
 """
 
 import numpy as np
@@ -15,16 +17,18 @@ from hypothesis import strategies as st
 
 from repro.backends import FakeMelbourne
 from repro.circuit import QuantumCircuit
-from repro.transpiler import AnalysisCache, TranspilerError, transpile
-from repro.transpiler.frontend import (
-    _PROCESS_MIN_BATCH,
-    _PROCESS_MIN_WIDTH,
-    _choose_executor,
+from repro.transpiler import (
+    AnalysisCache,
+    CompileService,
+    ResultCache,
+    Target,
+    TranspilerError,
+    transpile,
 )
 
 from tests.helpers import respects_coupling
 
-EXECUTORS = ("serial", "thread", "process")
+RETIRED_EXECUTORS = ("thread", "process", "service")
 
 
 def _random_circuit(rng: np.random.Generator, num_qubits: int, depth: int):
@@ -79,10 +83,20 @@ def melbourne():
     return FakeMelbourne()
 
 
-class TestExecutorParity:
+@pytest.fixture(scope="module")
+def process_service():
+    """One persistent process pool for the whole module, result cache off
+    so every job really compiles in a worker."""
+    with CompileService(mode="process", max_workers=2, result_cache=False) as service:
+        yield service
+
+
+class TestServiceParity:
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
-    def test_random_batches_agree_across_executors(self, data):
+    def test_random_batches_agree_with_persistent_service(
+        self, data, process_service
+    ):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         batch_size = data.draw(st.integers(2, 5))
         pipeline = data.draw(st.sampled_from(["rpo", "level1"]))
@@ -96,20 +110,19 @@ class TestExecutorParity:
         ]
         seeds = list(range(batch_size))
         outputs = {}
-        for executor in EXECUTORS:
-            outputs[executor] = transpile(
+        for label, extra in (("serial", {}), ("service", {"service": process_service})):
+            outputs[label] = transpile(
                 [circuit.copy() for circuit in batch],
                 pipeline=pipeline,
                 seed=seeds,
-                executor=executor,
                 full_result=True,
+                **extra,
             )
-        for executor in ("thread", "process"):
-            for reference, candidate in zip(outputs["serial"], outputs[executor]):
-                _assert_identical_circuits(reference.circuit, candidate.circuit)
-                _assert_equivalent_metrics(reference, candidate)
+        for reference, candidate in zip(outputs["serial"], outputs["service"]):
+            _assert_identical_circuits(reference.circuit, candidate.circuit)
+            _assert_equivalent_metrics(reference, candidate)
 
-    def test_table2_workloads_agree_on_backend(self, melbourne):
+    def test_table2_workloads_agree_on_backend(self, melbourne, process_service):
         from repro.algorithms import quantum_phase_estimation, ry_ansatz
 
         batch = [
@@ -124,32 +137,32 @@ class TestExecutorParity:
             seed=seeds,
             executor="serial",
         )
-        for executor in ("thread", "process"):
-            candidates = transpile(
-                [c.copy() for c in batch],
-                backend=melbourne,
-                pipeline="rpo",
-                seed=seeds,
-                executor=executor,
-            )
-            for expected, got in zip(reference, candidates):
-                _assert_identical_circuits(expected, got)
+        candidates = transpile(
+            [c.copy() for c in batch],
+            backend=melbourne,
+            pipeline="rpo",
+            seed=seeds,
+            service=process_service,
+        )
+        for expected, got in zip(reference, candidates):
+            _assert_identical_circuits(expected, got)
 
-    def test_process_merges_worker_cache_deltas(self, melbourne):
+    def test_service_merges_worker_cache_stats(self, melbourne):
         from repro.algorithms import quantum_phase_estimation
 
         cache = AnalysisCache()
-        transpile(
-            [quantum_phase_estimation(3).copy() for _ in range(3)],
-            backend=melbourne,
-            pipeline="rpo",
-            seed=[0, 1, 2],
-            executor="process",
-            analysis_cache=cache,
-        )
+        with CompileService(
+            mode="process", pipeline="rpo", analysis_cache=cache, max_workers=2
+        ) as service:
+            transpile(
+                [quantum_phase_estimation(3).copy() for _ in range(3)],
+                backend=melbourne,
+                seed=[0, 1, 2],
+                service=service,
+            )
         assert cache.stats.get("matrix_misses", 0) > 0  # shipped worker stats
 
-    def test_process_full_results_carry_properties(self, melbourne):
+    def test_service_full_results_carry_properties(self, melbourne, process_service):
         from repro.algorithms import quantum_phase_estimation
 
         results = transpile(
@@ -157,32 +170,123 @@ class TestExecutorParity:
             backend=melbourne,
             pipeline="rpo",
             seed=[0, 1],
-            executor="process",
+            service=process_service,
             full_result=True,
         )
         for result in results:
             assert result.metrics, "per-pass metrics survive the pool"
             assert result.loops, "loop metrics survive the pool"
             assert "pass_times" in result.properties
-            assert result.analysis_cache is not None  # reattached shared cache
+            assert result.analysis_cache is process_service.cache
+            assert result.properties["target"] == melbourne.target()
+
+
+class TestInProcess:
+    """What the in-process path keeps: shared caches, validation and the
+    ``"target"`` result property."""
+
+    def _batch(self, n=4):
+        from repro.algorithms import ry_ansatz
+
+        return [ry_ansatz(3, depth=2, seed=s) for s in range(n)]
+
+    def test_auto_and_serial_are_one_path(self, melbourne):
+        batch = self._batch()
+        auto = transpile(
+            [c.copy() for c in batch], backend=melbourne, seed=[0, 1, 2, 3]
+        )
+        serial = transpile(
+            [c.copy() for c in batch],
+            backend=melbourne,
+            seed=[0, 1, 2, 3],
+            executor="serial",
+        )
+        for expected, got in zip(serial, auto):
+            _assert_identical_circuits(expected, got)
+
+    def test_batch_shares_the_callers_analysis_cache(self, melbourne):
+        cache = AnalysisCache()
+        results = transpile(
+            self._batch(),
+            backend=melbourne,
+            seed=0,
+            analysis_cache=cache,
+            full_result=True,
+        )
+        assert all(result.analysis_cache is cache for result in results)
+        assert cache.stats["matrix_hits"] > 0
+
+    def test_result_cache_serves_repeat_calls(self, melbourne):
+        cache = ResultCache()
+        batch = self._batch(2)
+        cold = transpile(
+            [c.copy() for c in batch],
+            backend=melbourne,
+            seed=[0, 1],
+            result_cache=cache,
+            full_result=True,
+        )
+        warm = transpile(
+            [c.copy() for c in batch],
+            backend=melbourne,
+            seed=[0, 1],
+            result_cache=cache,
+            full_result=True,
+        )
+        assert [r.properties.get("result_cache") for r in cold] == [None, None]
+        assert [r.properties.get("result_cache") for r in warm] == ["hit", "hit"]
+        for first, second in zip(cold, warm):
+            _assert_identical_circuits(first.circuit, second.circuit)
+            assert second.properties["target"] == melbourne.target()
+
+    def test_validate_runs_qsan_in_process(self, melbourne):
+        result = transpile(
+            self._batch(1)[0],
+            backend=melbourne,
+            pipeline="rpo",
+            seed=0,
+            validate="full",
+            full_result=True,
+        )
+        assert result.violations == []
+        assert result.properties["target"] == melbourne.target()
+
+    def test_default_transpile_creates_no_pool(self, monkeypatch):
+        """16 circuits of 5 qubits once crossed the ``auto`` threshold for a
+        per-call process pool; now they compile in-process."""
+        import concurrent.futures
+
+        import repro.transpiler.service as service_module
+        from repro.algorithms import ry_ansatz
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("transpile() started a pool")
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        batch = [ry_ansatz(5, depth=1, seed=s) for s in range(16)]
+        results = transpile(batch, pipeline="level1", seed=list(range(16)))
+        assert len(results) == 16
+        assert all(result.num_qubits == 5 for result in results)
 
 
 class TestHeterogeneousBatches:
-    """Satellite acceptance: mixed-target batches under every executor.
+    """Mixed-target batches, in-process and through a persistent service.
 
     A batch whose circuits are bound for *different* targets must compile
-    to exactly what per-target serial runs produce -- whichever executor
-    fans it out -- and every output circuit must respect its own target's
-    coupling map.
+    to exactly what per-target serial runs produce -- whichever path runs
+    it -- and every output circuit must respect its own target's coupling
+    map.
     """
 
     TARGET_POOL = ("melbourne", "linear:8", "ring:8", "grid:2x4")
 
     @settings(max_examples=4, deadline=None)
     @given(data=st.data())
-    def test_mixed_target_batches_match_per_target_serial_runs(self, data):
-        from repro.transpiler import Target
-
+    def test_mixed_target_batches_match_per_target_serial_runs(
+        self, data, process_service
+    ):
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         batch_size = data.draw(st.integers(2, 4))
         pipeline = data.draw(st.sampled_from(["rpo", "level1"]))
@@ -213,23 +317,21 @@ class TestHeterogeneousBatches:
             for circuit, target, seed in zip(batch, targets, seeds)
         ]
 
-        for executor in ("serial", "thread", "process", "service"):
+        for label, extra in (("serial", {}), ("service", {"service": process_service})):
             outputs = transpile(
                 [circuit.copy() for circuit in batch],
                 target=targets,
                 pipeline=pipeline,
                 seed=seeds,
-                executor=executor,
+                **extra,
             )
             for expected, got, target in zip(reference, outputs, targets):
                 _assert_identical_circuits(expected, got)
                 assert respects_coupling(got, target.coupling_map), (
-                    f"{executor} output violates {target.name} coupling"
+                    f"{label} output violates {target.name} coupling"
                 )
 
     def test_mixed_targets_through_persistent_service(self):
-        from repro.transpiler import CompileService, Target
-
         targets = [Target.preset("linear:8"), Target.preset("ring:8")] * 2
         batch = [QuantumCircuit(3) for _ in range(4)]
         for circuit in batch:
@@ -262,50 +364,49 @@ class TestExecutorSelection:
         with pytest.raises(TranspilerError, match="executor"):
             transpile(QuantumCircuit(1), executor="rocket")
 
-    def test_single_circuit_is_serial(self):
-        assert _choose_executor([QuantumCircuit(2)], "auto") == "serial"
+    @pytest.mark.parametrize("executor", RETIRED_EXECUTORS)
+    def test_retired_executor_points_at_service(self, executor):
+        with pytest.raises(TranspilerError, match=r"service=CompileService\(") as info:
+            transpile([QuantumCircuit(2)] * 2, executor=executor)
+        assert repr(executor) in str(info.value)
 
-    def test_explicit_choice_wins(self):
-        batch = [QuantumCircuit(2)] * 2
-        assert _choose_executor(batch, "thread") == "thread"
-        assert _choose_executor(batch, "process") == "process"
+    @pytest.mark.parametrize("keyword", ["max_workers", "options"])
+    def test_removed_keyword_is_a_type_error(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            transpile(QuantumCircuit(1), **{keyword: None})
 
-    def test_small_batches_use_threads(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        batch = [QuantumCircuit(_PROCESS_MIN_WIDTH)] * 2
-        assert _choose_executor(batch, "auto") == "thread"
+    def test_service_and_endpoint_are_exclusive(self):
+        with CompileService(mode="serial") as service:
+            with pytest.raises(TranspilerError, match="not both"):
+                transpile(
+                    [QuantumCircuit(2)],
+                    service=service,
+                    endpoint="http://localhost:1",
+                )
 
-    def test_large_wide_batches_use_processes(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        batch = [QuantumCircuit(_PROCESS_MIN_WIDTH)] * _PROCESS_MIN_BATCH
-        assert _choose_executor(batch, "auto") == "process"
-
-    def test_narrow_batches_stay_threaded(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        batch = [QuantumCircuit(_PROCESS_MIN_WIDTH - 1)] * _PROCESS_MIN_BATCH
-        assert _choose_executor(batch, "auto") == "thread"
-
-    def test_single_core_never_picks_processes(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 1)
-        batch = [QuantumCircuit(_PROCESS_MIN_WIDTH)] * _PROCESS_MIN_BATCH
-        assert _choose_executor(batch, "auto") == "thread"
+    def test_endpoint_contradicting_executor_is_an_error(self):
+        with pytest.raises(TranspilerError, match="remote"):
+            transpile(
+                [QuantumCircuit(2)], executor="serial", endpoint="http://localhost:1"
+            )
 
 
 class TestEmptyBatch:
     """Regression tests: transpile([]) is a valid request whose answer is
     an empty list (and a well-formed zeroed metrics report), on every
-    executor path -- nothing may reach a pool, a service or the network."""
+    path -- nothing may reach a pool, a service or the network."""
 
-    @pytest.mark.parametrize(
-        "executor", ["auto", "serial", "thread", "process", "service"]
-    )
+    @pytest.mark.parametrize("executor", ["auto", "serial"])
     def test_empty_batch_returns_empty_list(self, executor):
         assert transpile([], executor=executor) == []
         assert transpile([], executor=executor, full_result=True) == []
 
-    def test_empty_batch_through_persistent_service(self):
-        from repro.transpiler import CompileService
+    @pytest.mark.parametrize("executor", RETIRED_EXECUTORS)
+    def test_empty_batch_rejects_retired_executor(self, executor):
+        with pytest.raises(TranspilerError, match="service="):
+            transpile([], executor=executor)
 
+    def test_empty_batch_through_persistent_service(self):
         with CompileService(mode="serial") as service:
             assert transpile([], service=service) == []
             assert service.map([]) == []

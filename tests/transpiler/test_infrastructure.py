@@ -98,8 +98,8 @@ class TestPassManager:
                 return circuit
 
         pm = PassManager([Noop()])
-        pm.run(QuantumCircuit(1))
-        names = [name for name, _ in pm.property_set["pass_times"]]
+        result = pm.run_with_result(QuantumCircuit(1))
+        names = [name for name, _ in result.properties["pass_times"]]
         assert names == ["Noop"]
 
     def test_do_while_runs_until_condition(self):
@@ -113,8 +113,8 @@ class TestPassManager:
             [CountDown()], do_while=lambda ps: ps["n"] > 0
         )
         pm = PassManager([controller])
-        pm.run(QuantumCircuit(1))
-        assert pm.property_set["n"] == 0
+        result = pm.run_with_result(QuantumCircuit(1))
+        assert result.properties["n"] == 0
 
     def test_do_while_respects_max_iterations(self):
         class Forever(AnalysisPass):
@@ -127,8 +127,8 @@ class TestPassManager:
             [Forever()], do_while=lambda ps: True, max_iterations=4
         )
         pm = PassManager([controller])
-        pm.run(QuantumCircuit(1))
-        assert pm.property_set["count"] == 4
+        result = pm.run_with_result(QuantumCircuit(1))
+        assert result.properties["count"] == 4
 
 
 class TestLayoutPasses:

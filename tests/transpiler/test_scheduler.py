@@ -240,10 +240,11 @@ class TestConcurrency:
             assert result.properties["width"] == width
             assert result.circuit.num_qubits == width
 
-    def test_parallel_batch_rewrite_counts_match_sequential(self):
-        """Rewrite metrics are per-run state: no cross-thread bleed."""
+    def test_pooled_batch_rewrite_counts_match_serial(self):
+        """Rewrite metrics are per-run state: no bleed between the jobs a
+        pool worker runs back to back."""
         from repro.backends import FakeMelbourne
-        from repro.transpiler import transpile
+        from repro.transpiler import CompileService, transpile
 
         backend = FakeMelbourne()
         circuit = QuantumCircuit(3, 3)
@@ -259,38 +260,11 @@ class TestConcurrency:
         kwargs = dict(
             backend=backend, pipeline="rpo", seed=[0, 1, 2, 3], full_result=True
         )
-        sequential = transpile([circuit.copy() for _ in range(4)], max_workers=1, **kwargs)
-        parallel = transpile([circuit.copy() for _ in range(4)], max_workers=4, **kwargs)
-        assert total(sequential) == total(parallel) > 0
-
-    def test_property_set_alias_deprecated(self):
-        from repro.transpiler import passmanager as pm_module
-
-        pm = PassManager([Noop()])
-        pm.run(QuantumCircuit(1))
-        pm_module._PROPERTY_SET_DEPRECATION_EMITTED = False
-        with pytest.warns(DeprecationWarning):
-            properties = pm.property_set
-        assert "pass_times" in properties
-
-    def test_property_set_warning_fires_once_per_process(self):
-        """Regression test: the alias warns once per process, not per run.
-
-        The alias sits on hot serving paths; per-run warnings flooded logs
-        even for callers that never read it.
-        """
-        import warnings
-
-        from repro.transpiler import passmanager as pm_module
-
-        pm = PassManager([Noop()])
-        pm_module._PROPERTY_SET_DEPRECATION_EMITTED = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                pm.run(QuantumCircuit(1))
-                _ = pm.property_set
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
+        serial = transpile([circuit.copy() for _ in range(4)], **kwargs)
+        with CompileService(
+            mode="process", max_workers=2, result_cache=False
+        ) as service:
+            pooled = transpile(
+                [circuit.copy() for _ in range(4)], service=service, **kwargs
+            )
+        assert total(serial) == total(pooled) > 0

@@ -58,24 +58,37 @@ class TestLifecycle:
         service.shutdown()
         service.shutdown()
 
-    def test_sequence_seed_rejected_as_service_default(self):
-        """Regression: a sequence seed is a per-circuit schedule; adopted
-        verbatim as the service default it would hand every job a tuple
-        where the pipeline expects a scalar (and key the result cache on
-        it).  ``map(seeds=[...])`` is the supported spelling."""
-        from repro.transpiler.options import CompileOptions
-
-        with pytest.raises(TranspilerError, match="sequence seed"):
-            CompileService(
-                mode="serial", options=CompileOptions(seed=[0, 1, 2])
-            )
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(TranspilerError, match="mode"):
             CompileService(mode="rocket")
 
+    def test_thread_mode_is_gone(self):
+        with pytest.raises(TranspilerError, match="choose one of process, serial"):
+            CompileService(mode="thread")
+
+    @pytest.mark.parametrize("max_workers", [-1, 0, 1.5, "2", True])
+    def test_bad_max_workers_rejected_at_construction(self, max_workers):
+        """Regression: -1 used to construct fine and fail at the first
+        submit with a bare ValueError, and 0 silently meant cores-1."""
+        with pytest.raises(TranspilerError, match="max_workers") as info:
+            CompileService(mode="process", max_workers=max_workers)
+        assert repr(max_workers) in str(info.value)
+
+    @pytest.mark.parametrize("max_workers", [None, 1, 3])
+    def test_good_max_workers_accepted(self, max_workers):
+        service = CompileService(mode="process", max_workers=max_workers)
+        try:
+            assert service.max_workers == max_workers
+            assert service._pool is None  # validated without starting a pool
+        finally:
+            service.shutdown(save=False)
+
+    def test_options_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="options"):
+            CompileService(mode="serial", options=None)
+
     def test_pool_is_lazy_and_persistent(self):
-        service = CompileService(mode="thread", max_workers=2)
+        service = CompileService(mode="process", max_workers=2)
         assert service._pool is None
         service.submit(QuantumCircuit(2)).result()
         pool = service._pool
@@ -84,8 +97,15 @@ class TestLifecycle:
         assert service._pool is pool  # same pool across submissions
         service.shutdown()
 
+    def test_serial_mode_never_starts_a_pool(self):
+        with CompileService(mode="serial") as service:
+            service.map([QuantumCircuit(2), QuantumCircuit(3)])
+            assert service._pool is None
+
     def test_futures_resolve_out_of_submission_order(self):
-        with CompileService(mode="thread", pipeline="level1") as service:
+        with CompileService(
+            mode="process", pipeline="level1", max_workers=2
+        ) as service:
             futures = [
                 service.submit(ry_ansatz(3, depth=2, seed=s), seed=s)
                 for s in range(4)
@@ -108,7 +128,7 @@ class TestLifecycle:
 class TestParity:
     """Service output must be identical to plain serial transpile()."""
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_modes_match_transpile(self, mode, melbourne):
         batch = [quantum_phase_estimation(3), ry_ansatz(4, depth=2, seed=11)]
         seeds = [0, 1]
@@ -315,10 +335,10 @@ class TestWorkerCaches:
         assert cold > 0
         assert warm < cold
 
-    def test_thread_jobs_share_the_service_cache(self, melbourne):
+    def test_serial_jobs_share_the_service_cache(self, melbourne):
         cache = AnalysisCache()
         with CompileService(
-            mode="thread", pipeline="rpo", analysis_cache=cache, max_workers=2
+            mode="serial", pipeline="rpo", analysis_cache=cache
         ) as service:
             service.map(
                 [quantum_phase_estimation(3) for _ in range(2)],
@@ -439,6 +459,40 @@ class TestChunkedDispatch:
                     assert future.result().circuit.count_ops()
             assert service.stats()["failed"] == 1
             assert service.stats()["completed"] == 3
+
+    @pytest.mark.parametrize("cancelled", [0, 1])
+    def test_cancelled_future_leaves_chunk_mates_resolved(
+        self, melbourne, caplog, cancelled
+    ):
+        """A caller cancelling one job's future (a good one, or the one
+        whose job fails) must not abandon the rest of its chunk, and the
+        scatter callback must not raise."""
+        import logging
+
+        batch = self._batch(4)
+        with CompileService(
+            mode="process", pipeline="level1", max_workers=1
+        ) as service:
+            jobs = []
+            for seed, circuit in enumerate(batch):
+                target, settings = service._resolve(
+                    circuit, melbourne.target(), {"seed": seed}
+                )
+                jobs.append((circuit, target, settings))
+            jobs[1][2]["pipeline"] = "warpdrive"
+            with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+                futures = service._submit_chunk(jobs)
+                assert futures[cancelled].cancel()
+                for index, future in enumerate(futures):
+                    if index == cancelled:
+                        continue
+                    if index == 1:
+                        with pytest.raises(TranspilerError, match="warpdrive"):
+                            future.result(timeout=30)
+                    else:
+                        assert future.result(timeout=30).circuit.count_ops()
+        assert futures[cancelled].cancelled()
+        assert not caplog.records  # no "exception calling callback"
 
     def test_submit_payloads_round_trip(self, melbourne):
         """The compile server's entry point: wire-form jobs in, identical
