@@ -19,6 +19,7 @@ from repro.backends import FakeMelbourne
 try:
     from .common import (
         FULL,
+        alternating_times,
         batch_metrics_report,
         mean_time_by_config,
         print_table,
@@ -28,6 +29,7 @@ try:
 except ImportError:  # executed as a script: benchmarks/ is on sys.path
     from common import (
         FULL,
+        alternating_times,
         batch_metrics_report,
         mean_time_by_config,
         print_table,
@@ -37,6 +39,11 @@ except ImportError:  # executed as a script: benchmarks/ is on sys.path
 
 SIZES = [4, 6, 8, 10, 12, 14] if FULL else [4, 6, 8]
 CONFIG_NAMES = ["level3", "hoare", "rpo"]
+#: ``--quick`` times each cell as the median of this many warm repeats in
+#: alternating config order (``common.alternating_times``).  One cold
+#: compile per cell is biased by order: rpo/level3 reads ~1.0 when level3
+#: compiles a circuit first and ~1.5 when rpo does.
+QUICK_TIME_REPEATS = 15
 
 
 def make_workload(name: str, num_qubits: int):
@@ -74,9 +81,11 @@ def test_table2(benchmark, melbourne, workload, num_qubits, config):
 
 def main(argv=None):
     """Script entry point; ``--quick`` runs a CI smoke subset (one size,
-    one seed per configuration).  ``--metrics-json PATH`` additionally
-    writes a machine-readable report: the per-row stats, per-config mean
-    times, and the batched (shared-cache) metrics the CI regression gate
+    one seed per configuration, each cell's time the median of
+    :data:`QUICK_TIME_REPEATS` warm repeats in alternating config order).
+    ``--metrics-json PATH`` additionally writes a machine-readable report:
+    the per-row stats, per-config mean times, and the batched
+    (shared-cache) metrics the CI regression gate
     (``benchmarks/check_regression.py``) diffs against
     ``benchmarks/baseline_quick.json``."""
     import argparse
@@ -112,8 +121,15 @@ def main(argv=None):
     for workload in ("qpe", "vqe", "qv", "grover"):
         for num_qubits in sizes:
             circuit = make_workload(workload, num_qubits)
+            times = None
+            if args.quick:
+                times = alternating_times(
+                    circuit, backend, CONFIG_NAMES, QUICK_TIME_REPEATS
+                )
             for config in CONFIG_NAMES:
                 stats = transpile_stats(config, circuit, backend, num_seeds=num_seeds)
+                if times is not None:
+                    stats["time"] = times[config]
                 rows.append(
                     {
                         "workload": workload,

@@ -84,6 +84,34 @@ def transpile_stats(config: str, circuit, backend, num_seeds: int = None) -> dic
     }
 
 
+def alternating_times(circuit, backend, configs, repeats: int, seed: int = 0) -> dict:
+    """Median transpile time of ``circuit`` per config, without order bias.
+
+    The first compile of a circuit object pays one-time costs that later
+    compiles of its copies skip, so one untimed compile per config warms
+    the circuit first.  Then each of ``repeats`` rounds times every config
+    once, reversing the config order every other round, so no config
+    always runs first.  Times come from each run's
+    :class:`~repro.transpiler.TranspileResult`, as in
+    :func:`transpile_stats`.
+    """
+    times: dict[str, list[float]] = {config: [] for config in configs}
+    for config in configs:
+        run_once(config, circuit, backend, seed)
+    for round_index in range(repeats):
+        order = configs if round_index % 2 == 0 else configs[::-1]
+        for config in order:
+            result = transpile(
+                circuit.copy(),
+                backend=backend,
+                pipeline=CONFIGS[config],
+                seed=seed,
+                full_result=True,
+            )
+            times[config].append(result.time)
+    return {config: float(np.median(values)) for config, values in times.items()}
+
+
 def batch_metrics_report(
     config: str,
     circuits,

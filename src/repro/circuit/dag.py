@@ -1,8 +1,10 @@
 """Directed-acyclic-graph circuit representation.
 
-Transpiler passes that need dependency information (routing layers, block
-collection, commutation analysis, one-qubit run merging) operate on
-:class:`DAGCircuit`.  Wires are ``("q", i)`` or ``("c", i)`` tuples; each
+:class:`DAGCircuit` is the dependency view of a circuit for callers that
+want one (:func:`repro.circuit.converters.circuit_to_dag`).  The
+transpiler passes do not use it: they walk a circuit's records and build
+their output with :meth:`QuantumCircuit.splice
+<repro.circuit.quantumcircuit.QuantumCircuit.splice>`.  Wires are ``("q", i)`` or ``("c", i)`` tuples; each
 wire threads from an input boundary node through the operation nodes to an
 output boundary node, exactly as in production transpilers.
 

@@ -44,10 +44,11 @@ per-loop-iteration metrics -- the paper's transpile-time mechanism made
 observable per run.
 
 All passes share one :class:`~repro.transpiler.cache.AnalysisCache`
-(memoized gate matrices, the ``same_pair_adjacent_indices`` adjacency map
-that guards the SWAP rewrites, per-wire index views): QBO and QPO hit the
-same adjacency entry, and the state trackers, 1q fusion and block
-consolidation resolve repeated gates to one matrix construction.  Callers
+(memoized gate matrices and two-qubit syntheses): the state trackers, 1q
+fusion and block consolidation resolve repeated gates to one matrix
+construction.  QBO and QPO each compute the
+``same_pair_adjacent_indices`` map that guards their SWAP rewrites from
+the circuit they are given.  Callers
 wanting cross-run sharing (the serving path) go through
 :func:`repro.transpiler.frontend.transpile` or a long-lived
 :class:`~repro.transpiler.service.CompileService`, which keep one warm

@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 import threading
 
-import numpy as np
-
 from repro.circuit.instruction import ControlledGate, Gate
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.gates import (
@@ -55,6 +53,7 @@ from repro.gates import (
     U1Gate,
     UnitaryGate,
 )
+from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.basis_tracker import BasisStateTracker
 from repro.rpo.states import BasisState, eigenphase_if_fixed, preparation_matrices, track_non_gate
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
@@ -116,7 +115,7 @@ class QBOPass(TransformationPass):
         state.rewrites = rewrite_counter(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
         output = RecordEdits()
-        blocked = state.cache.same_pair_adjacency(circuit)
+        blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
             # SWAPs that would consolidate with a same-pair neighbour are
             # better left to the unitary re-synthesis (see rpo.adjacency)

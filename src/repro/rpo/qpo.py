@@ -33,6 +33,7 @@ from repro.circuit.instruction import ControlledGate
 from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.gates import SwapGate, SwapZGate, UnitaryGate, XGate, ZGate
+from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.pure_tracker import PureStateTracker
 from repro.rpo.states import BasisState, track_non_gate
 from repro.transpiler.cache import AnalysisCache, rewrite_counter
@@ -89,7 +90,7 @@ class QPOPass(TransformationPass):
     def _rewrite_gates(self, circuit: QuantumCircuit) -> QuantumCircuit:
         tracker = PureStateTracker(circuit.num_qubits)
         output = RecordEdits()
-        blocked = self._cache.same_pair_adjacency(circuit)
+        blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
             self._run_state.swapz_profitable = index not in blocked
             output.visit(index, instruction)

@@ -62,9 +62,8 @@ from repro.transpiler.service import (
     CACHE_PROPERTY,
     TARGET_PROPERTY,
     CompileService,
-    _sanitize_properties,
+    result_payload,
 )
-from repro.circuit.serialization import circuit_to_payload
 
 __all__ = ["CompileServer"]
 
@@ -331,22 +330,11 @@ class CompileServer:
             disposition = result.properties.get(CACHE_PROPERTY)
             if disposition is not None:
                 cache_hits += 1
-            properties = _sanitize_properties(result.properties)
+            value = result_payload(result)
             # the client re-attaches its own (equal) Target object; no
             # point shipping ours back
-            properties.pop(TARGET_PROPERTY, None)
-            outcomes.append(
-                (
-                    "ok",
-                    (
-                        circuit_to_payload(result.circuit),
-                        result.metrics,
-                        result.loops,
-                        result.time,
-                        properties,
-                    ),
-                )
-            )
+            value[4].pop(TARGET_PROPERTY, None)
+            outcomes.append(("ok", value))
             cached.append(disposition)
         if cache_hits:
             self._count("jobs_cached", cache_hits)

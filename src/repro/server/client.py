@@ -19,6 +19,14 @@ by swapping the object::
     transpile(circuits, target="melbourne",
               executor="remote", endpoint="http://compile-farm:8642")
 
+Jobs take the local service's job path up to the wire: the batch is
+normalized by :func:`~repro.transpiler.target.normalize_batch`, each
+target resolved by :func:`~repro.transpiler.service.resolve_target` (an
+explicit target, else the client's default, else all-to-all), and each
+reply rebuilt by :func:`~repro.transpiler.service.result_from_payload`.
+Settings a submission leaves unset travel as ``None`` and take the
+server's defaults.
+
 Transport is stdlib ``urllib`` over the frame protocol of
 :mod:`repro.server.protocol`.  ``map()`` splits the batch into **chunked
 job envelopes** -- one HTTP request per chunk, several chunks in flight at
@@ -40,7 +48,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Sequence
 
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.circuit.serialization import circuit_from_payload, circuit_to_payload
+from repro.circuit.serialization import circuit_to_payload
 from repro.server.protocol import (
     ProtocolError,
     decode_cache_entry,
@@ -52,13 +60,13 @@ from repro.server.protocol import (
 )
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.passes import IBM_BASIS
-from repro.transpiler.passmanager import PropertySet, TranspileResult
+from repro.transpiler.passmanager import TranspileResult
 from repro.transpiler.service import (
     _CHUNK_MAX_JOBS,
-    TARGET_PROPERTY,
-    normalize_batch,
+    resolve_target,
+    result_from_payload,
 )
-from repro.transpiler.target import Target
+from repro.transpiler.target import Target, normalize_batch
 
 __all__ = ["RemoteCompileService", "SHARD_PROPERTY"]
 
@@ -138,27 +146,18 @@ class RemoteCompileService:
         Each ``submit`` is its own single-job request; use :meth:`map`
         for batches so chunking can amortize the round-trips.
         """
-        job, resolved_target = self._resolve(
-            circuit, target, pipeline, optimization_level, seed, initial_layout,
-            validate,
+        job, resolved_target = self._job(
+            circuit,
+            target,
+            {
+                "pipeline": pipeline,
+                "optimization_level": optimization_level,
+                "seed": seed,
+                "initial_layout": initial_layout,
+                "validate": validate,
+            },
         )
-        pool = self._ensure_pool()
-        inner = pool.submit(self._compile_chunk, [job], [resolved_target])
-        outer: Future = Future()
-
-        def relay(done: Future, outer=outer) -> None:
-            try:
-                outcome = done.result()[0]
-            except BaseException as exc:  # noqa: BLE001 - relayed
-                outer.set_exception(exc)
-                return
-            if isinstance(outcome, BaseException):
-                outer.set_exception(outcome)
-            else:
-                outer.set_result(outcome)
-
-        inner.add_done_callback(relay)
-        return outer
+        return self._ensure_pool().submit(self._compile_one, job, resolved_target)
 
     def map(
         self,
@@ -186,9 +185,16 @@ class RemoteCompileService:
         jobs = []
         resolved_targets = []
         for circuit, target, seed in zip(batch, per_targets, per_seeds):
-            job, resolved = self._resolve(
-                circuit, target, pipeline, optimization_level, seed,
-                initial_layout, validate,
+            job, resolved = self._job(
+                circuit,
+                target,
+                {
+                    "pipeline": pipeline,
+                    "optimization_level": optimization_level,
+                    "seed": seed,
+                    "initial_layout": initial_layout,
+                    "validate": validate,
+                },
             )
             jobs.append(job)
             resolved_targets.append(resolved)
@@ -226,27 +232,11 @@ class RemoteCompileService:
                 )
             return self._pool
 
-    def _resolve(
-        self, circuit, target, pipeline, optimization_level, seed,
-        initial_layout, validate=None,
-    ) -> tuple[tuple, Target]:
-        if not isinstance(circuit, QuantumCircuit):
-            raise TranspilerError("RemoteCompileService expects QuantumCircuit inputs")
-        if target is not None:
-            resolved = Target.coerce(target, basis=self._basis)
-        elif self._default_target is not None:
-            resolved = self._default_target
-        else:
-            resolved = Target.full(circuit.num_qubits, basis=self._basis)
-        settings = {
-            "pipeline": pipeline,
-            "optimization_level": optimization_level,
-            "seed": seed,
-            "initial_layout": initial_layout,
-            "validate": validate,
-        }
-        job = (circuit_to_payload(circuit), resolved.to_payload(), settings)
-        return job, resolved
+    def _job(self, circuit, target, settings: dict) -> tuple[tuple, Target]:
+        """One wire job and its resolved target.  Settings left ``None``
+        take the server's defaults."""
+        resolved = resolve_target(circuit, target, self._default_target, self._basis)
+        return (circuit_to_payload(circuit), resolved.to_payload(), settings), resolved
 
     def _effective_chunk_size(self, batch_size: int, override) -> int:
         choice = override if override is not None else self.chunk_size
@@ -259,6 +249,13 @@ class RemoteCompileService:
             )
             return max(1, min(_CHUNK_MAX_JOBS, per_chunk))
         return max(1, int(choice))
+
+    def _compile_one(self, job: tuple, target: Target) -> TranspileResult:
+        """POST a one-job chunk; returns its result or raises its error."""
+        (outcome,) = self._compile_chunk([job], [target])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def _compile_chunk(self, jobs: list[tuple], targets: list[Target]) -> list:
         """POST one chunk; returns per-job TranspileResult-or-exception."""
@@ -279,25 +276,12 @@ class RemoteCompileService:
             raise ProtocolError(
                 f"server returned {len(outcomes)} results for {len(jobs)} jobs"
             )
-        out = []
-        for (status, value), target in zip(outcomes, targets):
-            if status != "ok":
-                out.append(value)
-                continue
-            payload, metrics, loops, elapsed, props = value
-            properties = PropertySet(props)
-            properties[TARGET_PROPERTY] = target
-            properties[SHARD_PROPERTY] = self.endpoint
-            out.append(
-                TranspileResult(
-                    circuit=circuit_from_payload(payload),
-                    properties=properties,
-                    metrics=metrics,
-                    loops=loops,
-                    time=elapsed,
-                )
-            )
-        return out
+        return [
+            result_from_payload(value, target, {SHARD_PROPERTY: self.endpoint})
+            if status == "ok"
+            else value
+            for (status, value), target in zip(outcomes, targets)
+        ]
 
     def _post(self, path: str, frame: bytes) -> tuple[dict, dict]:
         """POST one frame; returns ``(envelope, response headers)``."""

@@ -25,9 +25,12 @@ The router mirrors the service surface (``submit()`` / ``map()`` /
     transpile(circuits, target=..., executor="remote",
               endpoint=["http://farm-a:8642", "http://farm-b:8642"])
 
-Each shard's sub-batch goes out as chunked envelopes concurrently; the
-results come back scattered to input order, every result stamped with the
-endpoint that served it (the ``"shard"`` property), and
+Targets resolve once, in the router, by the same
+:func:`~repro.transpiler.service.resolve_target` every front uses, so the
+affinity key is the target the shard compiles for.  Each shard's
+sub-batch goes out as chunked envelopes concurrently; the results come
+back scattered to input order, every result stamped with the endpoint
+that served it (the ``"shard"`` property), and
 :func:`~repro.transpiler.metrics.aggregate_batch` merges per-shard
 breakdowns into the ``by_target`` report.
 
@@ -35,7 +38,10 @@ When batches name their ``pipeline`` and ``optimization_level``
 explicitly, the router also consults the *other* shards' compiled-result
 caches (``GET /cache/<fingerprint>``) before dispatching -- an identical
 compile another shard already served comes back without ever shipping
-the job (``peer_cache=False`` turns this off).
+the job, rebuilt by the shared
+:func:`~repro.transpiler.service.result_from_payload`
+(``peer_cache=False`` turns this off).  A peer that cannot answer is a
+miss counted in ``stats()["peer_cache"]["peer_errors"]``.
 """
 
 from __future__ import annotations
@@ -45,14 +51,18 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Sequence
 
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.circuit.serialization import circuit_from_payload, circuit_to_payload
+from repro.circuit.serialization import circuit_to_payload
 from repro.server.client import SHARD_PROPERTY, RemoteCompileService
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.result_cache import job_fingerprint
-from repro.transpiler.service import CACHE_PROPERTY, TARGET_PROPERTY, normalize_batch
 from repro.transpiler.passes import IBM_BASIS
-from repro.transpiler.passmanager import PropertySet, TranspileResult
-from repro.transpiler.target import Target
+from repro.transpiler.passmanager import TranspileResult
+from repro.transpiler.result_cache import job_fingerprint
+from repro.transpiler.service import (
+    CACHE_PROPERTY,
+    resolve_target,
+    result_from_payload,
+)
+from repro.transpiler.target import Target, normalize_batch
 
 __all__ = ["ShardRouter"]
 
@@ -111,6 +121,7 @@ class ShardRouter:
         self._routed = [0] * len(self.shards)
         self._peer_lookups = 0
         self._peer_hits = 0
+        self._peer_errors = 0
         self._pool: ThreadPoolExecutor | None = None
         self._closed = False
 
@@ -131,13 +142,6 @@ class ShardRouter:
             self._routed[index] += 1
             return index
 
-    def _resolve_target(self, circuit: QuantumCircuit, target) -> Target:
-        if target is not None:
-            return Target.coerce(target, basis=self._basis)
-        if self._default_target is not None:
-            return self._default_target
-        return Target.full(circuit.num_qubits, basis=self._basis)
-
     # -- service-mirror surface --------------------------------------------
 
     def submit(
@@ -152,7 +156,7 @@ class ShardRouter:
         validate: str | None = None,
     ) -> Future:
         """Queue one compilation on the job's affine shard."""
-        resolved = self._resolve_target(circuit, target)
+        resolved = resolve_target(circuit, target, self._default_target, self._basis)
         shard = self.shards[self.route(resolved)]
         return shard.submit(
             circuit,
@@ -188,7 +192,7 @@ class ShardRouter:
             return []
         per_targets, per_seeds = normalize_batch(batch, targets, seeds)
         resolved = [
-            self._resolve_target(circuit, target)
+            resolve_target(circuit, target, self._default_target, self._basis)
             for circuit, target in zip(batch, per_targets)
         ]
         routes = [self.route(target) for target in resolved]
@@ -252,8 +256,9 @@ class ShardRouter:
         ``optimization_level`` are explicit: the exact cache key includes
         them as the *server* resolves them, so defaults left to the
         server are unknowable here -- and the fingerprint must match
-        exactly or not at all.  An unreachable or cache-less peer is a
-        miss, never an error.
+        exactly or not at all.  A cache-less peer is a miss; an
+        unreachable or misbehaving one (a transport or protocol error) is
+        a miss counted as ``peer_errors`` in :meth:`stats`.
         """
         if (
             not self.peer_cache
@@ -279,25 +284,21 @@ class ShardRouter:
                     self._peer_lookups += 1
                 try:
                     value = shard.cache_lookup(fingerprint)
-                except Exception:  # noqa: BLE001 - a dead peer is a miss
+                except (TranspilerError, OSError):
+                    with self._lock:
+                        self._peer_errors += 1
                     continue
                 if value is None:
                     continue
-                payload, metrics, loops, elapsed, props = value
+                result = result_from_payload(
+                    value,
+                    resolved[index],
+                    {SHARD_PROPERTY: shard.endpoint, CACHE_PROPERTY: "peer"},
+                )
                 # content addressing ignores names; serve under the
                 # requester's label, like the cache itself does
-                payload = (payload[0], circuit.name) + tuple(payload[2:])
-                properties = PropertySet(props)
-                properties[TARGET_PROPERTY] = resolved[index]
-                properties[SHARD_PROPERTY] = shard.endpoint
-                properties[CACHE_PROPERTY] = "peer"
-                served[index] = TranspileResult(
-                    circuit=circuit_from_payload(payload),
-                    properties=properties,
-                    metrics=metrics,
-                    loops=loops,
-                    time=elapsed,
-                )
+                result.circuit.name = circuit.name
+                served[index] = result
                 with self._lock:
                     self._peer_hits += 1
                 break
@@ -330,6 +331,7 @@ class ShardRouter:
                 "enabled": self.peer_cache,
                 "lookups": self._peer_lookups,
                 "hits": self._peer_hits,
+                "peer_errors": self._peer_errors,
             }
         per_shard = {}
         for shard in self.shards:

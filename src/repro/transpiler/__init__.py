@@ -8,9 +8,9 @@ Layers, bottom to top:
   invalidate; the manager skips analyses whose results are still valid and
   returns structured per-pass metrics in a :class:`TranspileResult`.
 * :mod:`repro.transpiler.cache` -- the per-run :class:`AnalysisCache`
-  (memoized gate matrices, adjacency maps, DAG views, two-qubit
-  syntheses) every pass shares; a plain in-process memo, shared across
-  runs to amortise work over repeated workloads.
+  (memoized gate matrices and two-qubit syntheses) every pass shares; a
+  plain in-process memo, shared across runs to amortise work over
+  repeated workloads.
 * :mod:`repro.transpiler.target` -- the :class:`Target` abstraction: basis
   gates + coupling map + calibration data as one hashable, picklable value
   (named presets included), consumed by every pass-manager factory and

@@ -10,12 +10,6 @@ derived data every pass otherwise recomputes from scratch:
   construction per distinct gate.  Parameter-free standard gates resolve
   through the immutable module-level table in
   :mod:`repro.gates.matrices` and never count as constructions at all.
-* **same-pair adjacency** (:func:`repro.rpo.adjacency.same_pair_adjacent_indices`)
-  and **per-wire instruction indices** -- keyed by a structural circuit
-  fingerprint, so QBO and QPO (which both guard their SWAP rewrites on the
-  same adjacency map) share one computation when they see the same circuit.
-* **DAG views** -- keyed by the fingerprint plus operation identity; the
-  keyed circuit is kept alive so identity keys stay valid.
 * **two-qubit syntheses** -- keyed by a block unitary's exact bytes: its
   minimal CNOT count and, once ``ConsolidateBlocks`` has synthesized it,
   the replacement circuit (or the failure).  Repeat unitaries from the
@@ -23,11 +17,11 @@ derived data every pass otherwise recomputes from scratch:
   come in bulk (:meth:`AnalysisCache.syntheses`): the CNOT counts of all
   new unitaries of a request are one stacked kernel call.
 
-Caches are invalidated implicitly: a rewritten circuit has a different
-fingerprint, so stale entries are simply never hit again.  The cache is
-therefore safe to share across pipeline runs -- that sharing is exactly
-what makes a second run of the paper's Table II workloads construct far
-fewer matrices (see ``tests/transpiler/test_cache.py``).
+Every entry is keyed by the content it was computed from (a gate's
+identity, a unitary's bytes), so no entry can go stale and the cache is
+safe to share across pipeline runs -- that sharing is exactly what makes
+a second run of the paper's Table II workloads construct far fewer
+matrices (see ``tests/transpiler/test_cache.py``).
 
 ``stats`` counts hits/misses/uncached requests per family.  Per-pass
 rewrite counts deliberately do NOT live here: the cache may be shared by
@@ -61,7 +55,6 @@ __all__ = ["AnalysisCache", "rewrite_counter"]
 #: FIFO caps per cache family -- far above any single pipeline's working
 #: set, low enough that a cache shared across many runs stays bounded.
 _MAX_MATRICES = 4096
-_MAX_CIRCUIT_VIEWS = 512
 #: a synthesis entry holds a replacement circuit (~5 KB); one Table II
 #: compile has well under 100 distinct block unitaries
 _MAX_SYNTHESES = 1024
@@ -128,23 +121,6 @@ def _matrix_key(operation: Instruction):
     return (operation.name, operation.num_qubits, tuple(params))
 
 
-def _structural_fingerprint(circuit: "QuantumCircuit", with_identity: bool = False):
-    """Precise structural key: per-instruction (name, qubits, clbits).
-
-    With ``with_identity`` the operation objects themselves join the key
-    (needed when the cached artifact holds references to them, e.g. DAGs).
-    """
-    if with_identity:
-        body = tuple(
-            (id(inst.operation), inst.qubits, inst.clbits) for inst in circuit.data
-        )
-    else:
-        body = tuple(
-            (inst.operation.name, inst.qubits, inst.clbits) for inst in circuit.data
-        )
-    return (circuit.num_qubits, circuit.num_clbits, body)
-
-
 class SynthesisMemo:
     """One block unitary's synthesis record.
 
@@ -175,9 +151,6 @@ class AnalysisCache:
 
     def __init__(self):
         self._matrices: dict = {}
-        self._adjacency: dict = {}
-        self._wire_indices: dict = {}
-        self._dags: dict = {}
         self._syntheses: dict = {}
         self.stats: Counter = Counter()
 
@@ -267,55 +240,6 @@ class AnalysisCache:
             + self.stats["matrix_uncached"]
             + self.stats["matrix_table"]
         )
-
-    # -- circuit-level views ----------------------------------------------
-
-    def same_pair_adjacency(self, circuit: "QuantumCircuit") -> set[int]:
-        """Memoized :func:`repro.rpo.adjacency.same_pair_adjacent_indices`."""
-        from repro.rpo.adjacency import same_pair_adjacent_indices
-
-        key = _structural_fingerprint(circuit)
-        cached = self._adjacency.get(key)
-        if cached is not None:
-            self.stats["adjacency_hits"] += 1
-            return cached
-        self.stats["adjacency_misses"] += 1
-        result = same_pair_adjacent_indices(circuit)
-        _bounded_insert(self._adjacency, key, result, _MAX_CIRCUIT_VIEWS)
-        return result
-
-    def wire_indices(self, circuit: "QuantumCircuit") -> dict[int, list[int]]:
-        """Per-qubit ordered instruction indices (a cheap DAG projection)."""
-        key = _structural_fingerprint(circuit)
-        cached = self._wire_indices.get(key)
-        if cached is not None:
-            self.stats["wire_indices_hits"] += 1
-            return cached
-        self.stats["wire_indices_misses"] += 1
-        wires: dict[int, list[int]] = {q: [] for q in range(circuit.num_qubits)}
-        for index, instruction in enumerate(circuit.data):
-            for qubit in instruction.qubits:
-                wires[qubit].append(index)
-        _bounded_insert(self._wire_indices, key, wires, _MAX_CIRCUIT_VIEWS)
-        return wires
-
-    def dag(self, circuit: "QuantumCircuit"):
-        """Memoized DAG view of the circuit.
-
-        Keyed on operation identity; the circuit is retained alongside the
-        DAG so the identity key cannot be recycled while the entry lives.
-        """
-        from repro.circuit.converters import circuit_to_dag
-
-        key = _structural_fingerprint(circuit, with_identity=True)
-        cached = self._dags.get(key)
-        if cached is not None:
-            self.stats["dag_hits"] += 1
-            return cached[1]
-        self.stats["dag_misses"] += 1
-        dag = circuit_to_dag(circuit)
-        _bounded_insert(self._dags, key, (circuit, dag), _MAX_CIRCUIT_VIEWS)
-        return dag
 
     # -- two-qubit syntheses -----------------------------------------------
 

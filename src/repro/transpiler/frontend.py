@@ -51,7 +51,7 @@ from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PassManager
-from repro.transpiler.target import Target, resolve_targets
+from repro.transpiler.target import Target, normalize_batch, resolve_targets
 
 __all__ = ["transpile", "pass_manager_for", "PIPELINES", "EXECUTORS"]
 
@@ -209,7 +209,7 @@ def transpile(
         The transpiled circuit (or result) for single-circuit input, else
         a list in input order.
     """
-    from repro.transpiler.service import compile_job
+    from repro.transpiler.service import compile_job, resolve_target
 
     explicit_basis = basis_gates is not None
     if basis_gates is None:
@@ -265,33 +265,25 @@ def transpile(
         # applies (resolving now would clobber it with all-to-all).  An
         # explicit basis_gates overrides the basis but keeps the service
         # target's device (coupling + calibration).
-        base = service.default_target
-        if base is not None and explicit_basis:
-            targets = [
-                Target(
+        targets = None
+        if explicit_basis:
+            base = service.default_target
+            if base is not None:
+                base = Target(
                     base.coupling_map,
                     basis=basis_gates,
                     properties=base.properties,
                     name=base.name,
                 )
-            ] * len(batch)
-        elif base is None and explicit_basis:
-            targets = resolve_targets(batch, None, None, None, None, basis_gates)
-        else:
-            targets = None
+            targets = [
+                resolve_target(circuit, None, base, basis_gates) for circuit in batch
+            ]
     else:
         targets = resolve_targets(
             batch, target, backend, coupling_map, backend_properties, basis_gates
         )
 
-    if isinstance(seed, (list, tuple)):
-        if len(seed) != len(batch):
-            raise TranspilerError(
-                f"got {len(seed)} seeds for {len(batch)} circuits"
-            )
-        seeds = list(seed)
-    else:
-        seeds = [seed] * len(batch)
+    _, seeds = normalize_batch(batch, None, seed)
 
     if service is not None:
         try:

@@ -13,7 +13,7 @@ records, so a circuit with nothing to cancel is returned as it is.
 from __future__ import annotations
 
 from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
-from repro.transpiler.cache import AnalysisCache, rewrite_counter
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["CXCancellation", "CommutativeCancellation"]
@@ -77,11 +77,12 @@ class CommutativeCancellation(TransformationPass):
     invalidates = ()
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
         survivors: list[CircuitInstruction | None] = list(circuit.data)
-        # per-wire instruction indices, shared through the analysis cache
-        wire_ops = cache.wire_indices(circuit)
+        wire_ops: dict[int, list[int]] = {q: [] for q in range(circuit.num_qubits)}
+        for index, instruction in enumerate(survivors):
+            for qubit in instruction.qubits:
+                wire_ops[qubit].append(index)
 
         open_cx: dict[tuple[int, int], int] = {}  # (c, t) -> index of candidate
         edits = []  # one per cancelled pair

@@ -20,8 +20,8 @@ Tables II-IV):
   change the circuit (detected structurally), which is what short-circuits
   the tail iterations of the fixed-point loop;
 * all passes share one :class:`~repro.transpiler.cache.AnalysisCache`
-  (gate matrices, adjacency maps, DAG views), installed in the property
-  set; pass a cache into :meth:`PassManager.run` to share it across runs.
+  (gate matrices, two-qubit syntheses), installed in the property set;
+  pass a cache into :meth:`PassManager.run` to share it across runs.
 
 Each run produces a :class:`TranspileResult` carrying the output circuit,
 the property set, structured per-pass metrics (:class:`PassMetrics`: time,
@@ -75,9 +75,7 @@ class PropertySet(dict):
 #: Underscore-prefixed keys are private scratch space and equally exempt.
 _BOOKKEEPING_PROPERTIES = frozenset(
     {
-        "pass_times",
         "rewrite_counts",
-        "loop_metrics",
         "analysis_cache",  # AnalysisCache.PROPERTY_KEY
         "target",  # installed by the service, read-only to passes
         "shard",  # serving endpoint, installed by the router
@@ -399,7 +397,6 @@ class PassManager:
         variable (see :mod:`repro.analysis.qsan`).
         """
         properties = property_set if property_set is not None else PropertySet()
-        properties.setdefault("pass_times", [])
         cache = analysis_cache
         if cache is None:
             existing = properties.get(AnalysisCache.PROPERTY_KEY)
@@ -449,7 +446,6 @@ class PassManager:
                 time=time.perf_counter() - loop_start,
             )
             state.loops.append(loop)
-            state.properties.setdefault("loop_metrics", []).append(loop)
             return circuit
         return self._run_pass(item, circuit, state)
 
@@ -524,7 +520,6 @@ class PassManager:
                 changed=changed,
             )
             state.violations.extend(found)
-        properties["pass_times"].append((pass_.name, elapsed))
         state.metrics.append(
             PassMetrics(
                 name=pass_.name,

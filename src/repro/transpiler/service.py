@@ -37,13 +37,22 @@ Two modes produce identical circuits: ``"process"`` (the default,
 compilation scales with cores) and ``"serial"`` (inline execution in the
 submitting thread, no pool at all).
 
-Dispatch is **chunk-aware**: a submission is one task, but
-:meth:`CompileService.map` groups large batches into chunked job
-envelopes (several jobs per pool task, ``chunk_size="auto"`` by default)
-so huge batches of cheap circuits amortize per-task envelope overhead
-instead of paying it per circuit.  Each job inside a chunk still gets its
-own future and its own error, so one bad circuit never poisons its
-chunk-mates.
+Every submission takes **one job path**.  :meth:`CompileService.submit`,
+:meth:`CompileService.map` and :meth:`CompileService.submit_payloads`
+resolve their jobs the same way (the batch normalized by
+:func:`~repro.transpiler.target.normalize_batch`, the target resolved by
+:func:`resolve_target`, the settings merged over the service defaults)
+and hand them to one dispatch routine.  Serial mode compiles each job
+inline through :func:`compile_job`, which serves it from the result cache
+when it can; process mode serves every job it can from the result cache,
+then ships the misses to the pool as chunked job envelopes (several jobs
+per pool task, sized by :meth:`CompileService.chunk_size_for`) so huge
+batches of cheap circuits amortize per-task envelope overhead.  Each job
+inside a chunk still gets its own future and its own error, so one bad
+circuit never poisons its chunk-mates.  The remote client and the shard
+router (:mod:`repro.server`) resolve targets with the same
+:func:`resolve_target` and rebuild results with the same
+:func:`result_from_payload`.
 
 Services can also keep their result cache **crash-safe**: pass
 ``autosave_interval=N`` (seconds) together with ``snapshot_path`` and a
@@ -82,36 +91,18 @@ from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PropertySet, TranspileResult
 from repro.transpiler.result_cache import ResultCache
-from repro.transpiler.target import Target
+from repro.transpiler.target import Target, normalize_batch
 
-__all__ = ["CompileService", "SERVICE_MODES", "compile_job", "normalize_batch"]
+__all__ = [
+    "CompileService",
+    "SERVICE_MODES",
+    "compile_job",
+    "resolve_target",
+    "result_from_payload",
+    "result_payload",
+]
 
 SERVICE_MODES = ("process", "serial")
-
-
-def normalize_batch(batch: list, targets, seeds) -> tuple[list, list]:
-    """Per-circuit target/seed lists from single-or-sequence arguments.
-
-    The one normalization every batch front applies --
-    :meth:`CompileService.map`, the remote client and the shard router
-    (:mod:`repro.server`) all share it, so mismatched lengths fail with
-    the same error everywhere.
-    """
-    if targets is not None and isinstance(targets, (list, tuple)):
-        if len(targets) != len(batch):
-            raise TranspilerError(
-                f"got {len(targets)} targets for {len(batch)} circuits"
-            )
-        per_targets = list(targets)
-    else:
-        per_targets = [targets] * len(batch)
-    if isinstance(seeds, (list, tuple)):
-        if len(seeds) != len(batch):
-            raise TranspilerError(f"got {len(seeds)} seeds for {len(batch)} circuits")
-        per_seeds = list(seeds)
-    else:
-        per_seeds = [seeds] * len(batch)
-    return per_targets, per_seeds
 
 #: Key under which the job's target is recorded in result properties.
 TARGET_PROPERTY = "target"
@@ -202,9 +193,28 @@ def _run_job(circuit: QuantumCircuit, target: Target, settings: dict, cache):
     )
 
 
-def _result_payload(result: TranspileResult) -> tuple:
-    """A result's compact, picklable form: what a pool worker ships back
-    and what the result cache stores."""
+def resolve_target(circuit, target, default: Target | None, basis) -> Target:
+    """The target one job compiles for, on every compile front.
+
+    An explicit ``target`` (a :class:`Target` or a preset name) wins, then
+    the front's configured ``default``, then an all-to-all target of the
+    circuit's width.  :class:`CompileService`, the remote client and the
+    shard router (:mod:`repro.server`) all resolve through it.
+    """
+    if not isinstance(circuit, QuantumCircuit):
+        raise TranspilerError(
+            f"compile jobs take QuantumCircuit inputs, got {type(circuit).__name__}"
+        )
+    if target is not None:
+        return Target.coerce(target, basis=basis)
+    if default is not None:
+        return default
+    return Target.full(circuit.num_qubits, basis=basis)
+
+
+def result_payload(result: TranspileResult) -> tuple:
+    """A result's compact, picklable form: what a pool worker ships back,
+    what the result cache stores and what the compile server replies."""
     return (
         circuit_to_payload(result.circuit),
         result.metrics,
@@ -214,17 +224,23 @@ def _result_payload(result: TranspileResult) -> tuple:
     )
 
 
-def _rebuild_result(
-    value: tuple, target: Target, cache: AnalysisCache, kind: str | None = None
+def result_from_payload(
+    value: tuple, target: Target, extra: dict | None = None
 ) -> TranspileResult:
     """A :class:`TranspileResult` from its compact form (see
-    :func:`_result_payload`), re-attached to ``cache`` and ``target``."""
+    :func:`result_payload`).
+
+    The one rebuild every front shares: the service (pool answers and
+    result-cache serves), the remote client (wire replies) and the shard
+    router (peer-cache serves).  The job's ``target`` is re-attached, and
+    ``extra`` adds the properties the caller owns: its analysis cache, the
+    cache disposition or the serving shard.
+    """
     payload, metrics, loops, elapsed, props = value
     properties = PropertySet(props)
-    properties[AnalysisCache.PROPERTY_KEY] = cache
     properties[TARGET_PROPERTY] = target
-    if kind is not None:
-        properties[CACHE_PROPERTY] = kind
+    if extra:
+        properties.update(extra)
     return TranspileResult(
         circuit=circuit_from_payload(payload),
         properties=properties,
@@ -277,10 +293,14 @@ def compile_job(
             found = result_cache.lookup(*address)
             if found is not None:
                 value, kind = found
-                return _rebuild_result(value, target, cache, kind)
+                return result_from_payload(
+                    value,
+                    target,
+                    {AnalysisCache.PROPERTY_KEY: cache, CACHE_PROPERTY: kind},
+                )
     result = _run_job(circuit, target, settings, cache)
     if address is not None:
-        result_cache.store(*address, _result_payload(result))
+        result_cache.store(*address, result_payload(result))
     result.properties[TARGET_PROPERTY] = target
     return result
 
@@ -330,7 +350,7 @@ def _service_chunk(jobs: tuple) -> tuple:
             target = _worker_target(state, target_payload)
             circuit = circuit_from_payload(circuit_payload)
             result = _run_job(circuit, target, settings, cache)
-            outcomes.append(("ok", _result_payload(result)))
+            outcomes.append(("ok", result_payload(result)))
         except Exception as exc:  # noqa: BLE001 - relayed to the caller
             outcomes.append(("error", _picklable_exception(exc)))
     increment = cache.stats - state["stats_sent"]
@@ -485,21 +505,32 @@ class CompileService:
                 raise TranspilerError("CompileService has been shut down") from exc
 
     # -- submission --------------------------------------------------------
+    #
+    # submit, map and submit_payloads resolve their jobs into
+    # (circuit, circuit_payload, target, target_payload, settings) tuples
+    # and hand them to _dispatch, the one submission route.  A job built
+    # from a circuit object carries the object (and, in process mode, its
+    # payloads); a job built from the wire carries payloads only.
 
-    def _resolve(self, circuit: QuantumCircuit, target, overrides: dict):
-        if not isinstance(circuit, QuantumCircuit):
-            raise TranspilerError("CompileService expects QuantumCircuit inputs")
+    def _settings(self, overrides: dict) -> dict:
+        """The service defaults, overridden by every non-``None`` value."""
         settings = dict(self._defaults)
         for key, value in overrides.items():
             if value is not None:
                 settings[key] = value
-        if target is not None:
-            target = Target.coerce(target, basis=self._basis)
-        elif self._default_target is not None:
-            target = self._default_target
-        else:
-            target = Target.full(circuit.num_qubits, basis=self._basis)
-        return target, settings
+        return settings
+
+    def _job(self, circuit, target, overrides: dict) -> tuple:
+        """Resolve one circuit-object submission.
+
+        Process mode makes the payloads the pool ships; serial mode
+        compiles the object itself and makes none up front.
+        """
+        target = resolve_target(circuit, target, self._default_target, self._basis)
+        settings = self._settings(overrides)
+        if self.mode == "serial":
+            return circuit, None, target, None, settings
+        return circuit, circuit_to_payload(circuit), target, target.to_payload(), settings
 
     def submit(
         self,
@@ -520,7 +551,7 @@ class CompileService:
         returning an already-resolved future (passes never mutate their
         input).
         """
-        target, settings = self._resolve(
+        job = self._job(
             circuit,
             target,
             {
@@ -531,20 +562,125 @@ class CompileService:
                 "validate": validate,
             },
         )
-        if self.mode == "process":
-            return self._submit_chunk([(circuit, target, settings)])[0]
-        self._ensure_pool()  # raises after shutdown; no pool in serial mode
+        return self._dispatch([job])[0]
+
+    def map(
+        self,
+        circuits: Sequence[QuantumCircuit],
+        *,
+        targets=None,
+        seeds=None,
+        pipeline: str | None = None,
+        optimization_level: int | None = None,
+        initial_layout=None,
+        validate: str | None = None,
+    ) -> list[TranspileResult]:
+        """Compile a batch; blocks and returns results in input order.
+
+        ``targets`` may be one target (object or preset name) or a
+        per-circuit sequence; ``seeds`` likewise.  In process mode the
+        batch's cache misses go to the pool in chunks sized by
+        :meth:`chunk_size_for`.
+        """
+        batch = list(circuits)
+        per_targets, per_seeds = normalize_batch(batch, targets, seeds)
+        jobs = [
+            self._job(
+                circuit,
+                target,
+                {
+                    "pipeline": pipeline,
+                    "optimization_level": optimization_level,
+                    "seed": seed,
+                    "initial_layout": initial_layout,
+                    "validate": validate,
+                },
+            )
+            for circuit, target, seed in zip(batch, per_targets, per_seeds)
+        ]
+        return [future.result() for future in self._dispatch(jobs)]
+
+    def submit_payloads(self, jobs: Sequence[tuple]) -> list[Future]:
+        """Queue pre-encoded jobs: ``(circuit_payload, target_payload,
+        settings)`` tuples, exactly the wire form the compile server's
+        envelopes carry (:mod:`repro.server.protocol`).
+
+        In process mode the payloads go to the pool **as-is** -- the
+        server never rebuilds a circuit object just to re-flatten it;
+        serial mode rebuilds each circuit and runs it inline, and a
+        payload that fails to rebuild fails only its own job.
+        ``settings`` entries that are ``None`` fall back to the service
+        defaults, mirroring :meth:`submit`.
+        """
+        resolved = []
+        targets: dict = {}
+        for circuit_payload, target_payload, settings in jobs:
+            target = targets.get(target_payload)
+            if target is None:
+                target = targets[target_payload] = Target.from_payload(target_payload)
+            resolved.append(
+                (
+                    None,
+                    circuit_payload,
+                    target,
+                    target_payload,
+                    self._settings(dict(settings)),
+                )
+            )
+        return self._dispatch(resolved)
+
+    def _dispatch(self, jobs: list[tuple]) -> list[Future]:
+        """The one submission route: one future per resolved job, in order.
+
+        Serial mode compiles each job inline (:meth:`_run_inline`).
+        Process mode serves every cacheable job it can from the result
+        cache, then ships the misses to the pool as chunks sized by
+        :meth:`chunk_size_for`; a batch whose every job hits never starts
+        the pool.
+        """
+        if not jobs:
+            return []
+        with self._lock:
+            if self._shutdown:
+                raise TranspilerError("CompileService has been shut down")
+        if self.mode == "serial":
+            return [self._run_inline(job) for job in jobs]
+        futures: list[Future | None] = []
+        misses: list[tuple] = []  # (position, job, result-cache address)
+        for job in jobs:
+            _, circuit_payload, target, target_payload, settings = job
+            address = _cache_address(
+                self.result_cache, circuit_payload, target_payload, settings
+            )
+            served = self._cache_serve(address, target)
+            if served is None:
+                misses.append((len(futures), job, address))
+            futures.append(served)
+        chunk = self.chunk_size_for(len(misses))
+        for start in range(0, len(misses), chunk):
+            part = misses[start : start + chunk]
+            outers = self._submit_chunk(
+                [job for _, job, _ in part], [address for _, _, address in part]
+            )
+            for (position, _, _), outer in zip(part, outers):
+                futures[position] = outer
+        return futures
+
+    def _run_inline(self, job: tuple) -> Future:
+        """Compile one job in the calling thread (serial mode); an
+        already-resolved future carries the result or the job's error."""
+        circuit, circuit_payload, target, _, settings = job
         with self._lock:
             self._submitted += 1
         outer: Future = Future()
         try:
+            if circuit is None:
+                circuit = circuit_from_payload(circuit_payload)
             result = compile_job(
                 circuit, target, settings, self.cache, self.result_cache
             )
         except BaseException as exc:  # noqa: BLE001 - future carries it
-            with self._lock:
-                self._failed += 1
-            outer.set_exception(exc)
+            self._fail_future(outer, exc)
             return outer
         kind = result.properties.get(CACHE_PROPERTY)
         with self._lock:
@@ -560,26 +696,28 @@ class CompileService:
         if kind == "template":
             self._cache_template_hits += 1
 
-    def _cache_serve(self, meta, target: Target) -> Future | None:
+    def _cache_serve(self, address, target: Target) -> Future | None:
         """A pre-resolved future served from the result cache, or ``None``.
 
         A served job never touches the pool (which may not even exist
         yet); it still counts as submitted + completed so ``stats()``
         arithmetic holds, plus a hit counter of its own.
         """
-        if meta is None:
+        if address is None:
             return None
-        found = self.result_cache.lookup(*meta)
+        found = self.result_cache.lookup(*address)
         if found is None:
             return None
         value, kind = found
         with self._lock:
-            if self._shutdown:
-                raise TranspilerError("CompileService has been shut down")
             self._submitted += 1
         outer: Future = Future()
         try:
-            result = _rebuild_result(value, target, self.cache, kind)
+            result = result_from_payload(
+                value,
+                target,
+                {AnalysisCache.PROPERTY_KEY: self.cache, CACHE_PROPERTY: kind},
+            )
         except Exception as exc:  # noqa: BLE001 - corrupt entry: fail the job
             self._fail_future(outer, exc)
             return outer
@@ -589,164 +727,36 @@ class CompileService:
         outer.set_result(result)
         return outer
 
-    def _submit_chunk(self, resolved: list[tuple]) -> list[Future]:
-        """Ship ``resolved`` jobs (already target/settings-resolved) as ONE
-        pool task; returns one future per job.
+    def _submit_chunk(self, jobs: list[tuple], addresses: list) -> list[Future]:
+        """Ship ``jobs`` to the pool as ONE task; one future per job.
 
         This is the chunked job envelope: per-task costs -- pickling the
         envelope, pool dispatch, the stats increment -- are paid once per
-        chunk rather than once per circuit, which is
-        what lets huge batches of cheap circuits keep the pool busy
-        instead of the feeder thread.
-
-        The result cache is consulted per job *before* the envelope is
-        built: served jobs come back as already-resolved futures, and a
-        chunk whose every job hits never creates the pool at all.
+        chunk rather than once per circuit, which is what lets huge
+        batches of cheap circuits keep the pool busy instead of the
+        feeder thread.  ``addresses`` holds each job's result-cache
+        address (``None`` when uncacheable); :meth:`_finish_chunk` stores
+        the answers there.
         """
-        futures: list[Future | None] = [None] * len(resolved)
-        payload_jobs: list[tuple] = []
-        targets: list[Target] = []
-        metas: list = []
-        pending: list[int] = []
-        for i, (circuit, target, settings) in enumerate(resolved):
-            circuit_payload = circuit_to_payload(circuit)
-            target_payload = target.to_payload()
-            meta = _cache_address(
-                self.result_cache, circuit_payload, target_payload, settings
-            )
-            served = self._cache_serve(meta, target)
-            if served is not None:
-                futures[i] = served
-                continue
-            payload_jobs.append((circuit_payload, target_payload, settings))
-            targets.append(target)
-            metas.append(meta)
-            pending.append(i)
-        if payload_jobs:
-            for i, future in zip(
-                pending, self._submit_payload_chunk(payload_jobs, targets, metas)
-            ):
-                futures[i] = future
-        return futures
-
-    def _submit_payload_chunk(
-        self,
-        payload_jobs: list[tuple],
-        targets: list[Target],
-        metas: list | None = None,
-    ) -> list[Future]:
-        """Chunk submission for jobs already in compact payload form.
-
-        ``metas`` carries each job's result-cache address (or ``None``
-        for uncacheable jobs) so :meth:`_finish_chunk` can populate the
-        cache when the answers come back.
-        """
-        if metas is None:
-            metas = [None] * len(payload_jobs)
         with self._lock:
-            self._submitted += len(payload_jobs)
+            self._submitted += len(jobs)
             self._chunks += 1
-        outers = [Future() for _ in payload_jobs]
-        inner = self._submit_to_pool(_service_chunk, tuple(payload_jobs))
+        outers = [Future() for _ in jobs]
+        targets = [target for _, _, target, _, _ in jobs]
+        envelope = tuple(
+            (circuit_payload, target_payload, settings)
+            for _, circuit_payload, _, target_payload, settings in jobs
+        )
+        inner = self._submit_to_pool(_service_chunk, envelope)
         inner.add_done_callback(
-            lambda f, outers=outers, targets=targets, metas=metas: (
-                self._finish_chunk(outers, targets, metas, f)
-            )
+            lambda f: self._finish_chunk(outers, targets, addresses, f)
         )
         return outers
 
-    def submit_payloads(self, jobs: Sequence[tuple]) -> list[Future]:
-        """Queue pre-encoded jobs: ``(circuit_payload, target_payload,
-        settings)`` tuples, exactly the wire form the compile server's
-        envelopes carry (:mod:`repro.server.protocol`).
-
-        In process mode the payloads go to the pool **as-is** -- the
-        server never rebuilds a circuit object just to re-flatten it --
-        split into chunks by the ``"auto"`` policy; serial mode rebuilds
-        the objects and runs them inline.  ``settings`` entries
-        that are ``None`` fall back to the service defaults, mirroring
-        :meth:`submit`.
-        """
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        prepared: list[tuple] = []
-        targets: list[Target] = []
-        target_memo: dict = {}
-        for circuit_payload, target_payload, settings in jobs:
-            merged = dict(self._defaults)
-            for key, value in dict(settings).items():
-                if value is not None:
-                    merged[key] = value
-            target = target_memo.get(target_payload)
-            if target is None:
-                target = Target.from_payload(target_payload)
-                target_memo[target_payload] = target
-            targets.append(target)
-            prepared.append((circuit_payload, target_payload, merged))
-        if self.mode == "process":
-            futures: list[Future | None] = [None] * len(prepared)
-            miss_jobs: list[tuple] = []
-            miss_targets: list[Target] = []
-            miss_metas: list = []
-            pending: list[int] = []
-            for i, (job, target) in enumerate(zip(prepared, targets)):
-                circuit_payload, target_payload, merged = job
-                meta = _cache_address(
-                    self.result_cache, circuit_payload, target_payload, merged
-                )
-                served = self._cache_serve(meta, target)
-                if served is not None:
-                    futures[i] = served
-                    continue
-                miss_jobs.append(job)
-                miss_targets.append(target)
-                miss_metas.append(meta)
-                pending.append(i)
-            if miss_jobs:
-                self._ensure_pool()  # raises after shutdown; sizes chunk policy
-                chunk = self.chunk_size_for(len(miss_jobs))
-                for start in range(0, len(miss_jobs), chunk):
-                    stop = start + chunk
-                    for i, future in zip(
-                        pending[start:stop],
-                        self._submit_payload_chunk(
-                            miss_jobs[start:stop],
-                            miss_targets[start:stop],
-                            miss_metas[start:stop],
-                        ),
-                    ):
-                        futures[i] = future
-            return futures
-        futures = []
-        for (circuit_payload, _, merged), target in zip(prepared, targets):
-            try:
-                circuit = circuit_from_payload(circuit_payload)
-            except (IndexError, TypeError, ValueError) as exc:
-                # a malformed payload fails only its own job, as in a chunk
-                failed: Future = Future()
-                failed.set_exception(exc)
-                with self._lock:
-                    self._submitted += 1
-                    self._failed += 1
-                futures.append(failed)
-                continue
-            futures.append(
-                self.submit(
-                    circuit,
-                    target=target,
-                    pipeline=merged["pipeline"],
-                    optimization_level=merged["optimization_level"],
-                    seed=merged["seed"],
-                    initial_layout=merged["initial_layout"],
-                    validate=merged.get("validate"),
-                )
-            )
-        return futures
-
     def chunk_size_for(self, batch_size: int) -> int:
-        """The ``chunk_size="auto"`` policy: per-job dispatch for batches
-        the pool width can absorb, chunks for everything bigger.
+        """Jobs per pool task for ``batch_size`` cache misses: per-job
+        dispatch for batches the pool width can absorb, chunks for
+        everything bigger.
 
         Chunks are sized to leave every worker several tasks (so a slow
         chunk cannot serialize the tail of the batch) and capped so one
@@ -759,82 +769,13 @@ class CompileService:
             return 1
         return max(1, min(_CHUNK_MAX_JOBS, batch_size // (workers * 4)))
 
-    def map(
-        self,
-        circuits: Sequence[QuantumCircuit],
-        *,
-        targets=None,
-        seeds=None,
-        pipeline: str | None = None,
-        optimization_level: int | None = None,
-        initial_layout=None,
-        validate: str | None = None,
-        chunk_size: int | str | None = None,
-    ) -> list[TranspileResult]:
-        """Compile a batch; blocks and returns results in input order.
-
-        ``targets`` may be one target (object or preset name) or a
-        per-circuit sequence; ``seeds`` likewise.  ``chunk_size`` groups
-        consecutive jobs into chunked envelopes (process mode only):
-        ``None``/``"auto"`` sizes chunks by batch size and pool width, 1
-        forces per-job dispatch, any larger integer is used as given.
-        """
-        batch = list(circuits)
-        per_circuit_targets, per_circuit_seeds = normalize_batch(
-            batch, targets, seeds
-        )
-        if chunk_size is None or chunk_size == "auto":
-            chunk = self.chunk_size_for(len(batch))
-        else:
-            chunk = max(1, int(chunk_size))
-        if chunk > 1 and self.mode == "process":
-            resolved = [
-                self._resolve(
-                    circuit,
-                    target,
-                    {
-                        "pipeline": pipeline,
-                        "optimization_level": optimization_level,
-                        "seed": seed,
-                        "initial_layout": initial_layout,
-                        "validate": validate,
-                    },
-                )
-                for circuit, target, seed in zip(
-                    batch, per_circuit_targets, per_circuit_seeds
-                )
-            ]
-            jobs = [
-                (circuit, target, settings)
-                for circuit, (target, settings) in zip(batch, resolved)
-            ]
-            futures = []
-            for start in range(0, len(jobs), chunk):
-                futures.extend(self._submit_chunk(jobs[start : start + chunk]))
-        else:
-            futures = [
-                self.submit(
-                    circuit,
-                    target=target,
-                    pipeline=pipeline,
-                    optimization_level=optimization_level,
-                    seed=seed,
-                    initial_layout=initial_layout,
-                    validate=validate,
-                )
-                for circuit, target, seed in zip(
-                    batch, per_circuit_targets, per_circuit_seeds
-                )
-            ]
-        return [future.result() for future in futures]
-
     # -- result plumbing ---------------------------------------------------
 
     def _finish_chunk(
         self,
         outers: list[Future],
         targets: list[Target],
-        metas: list,
+        addresses: list,
         inner: Future,
     ) -> None:
         """Scatter one chunk task's outcomes onto its per-job futures."""
@@ -855,7 +796,9 @@ class CompileService:
             for outer in outers:
                 self._fail_future(outer, error)
             return
-        for outer, target, meta, outcome in zip(outers, targets, metas, outcomes):
+        for outer, target, address, outcome in zip(
+            outers, targets, addresses, outcomes
+        ):
             # per-job isolation holds on the parent side too: a payload
             # that fails to rebuild (or an outer future the caller
             # cancelled, making set_result raise) must not abandon the
@@ -865,14 +808,16 @@ class CompileService:
                 if status != "ok":
                     self._fail_future(outer, value)
                     continue
-                result = _rebuild_result(value, target, self.cache)
+                result = result_from_payload(
+                    value, target, {AnalysisCache.PROPERTY_KEY: self.cache}
+                )
             except BaseException as exc:  # noqa: BLE001 - relayed per job
                 self._fail_future(outer, exc)
                 continue
-            if meta is not None and self.result_cache is not None:
+            if address is not None:
                 # populate only after the payload proved rebuildable, so a
                 # malformed result can never be served from the cache
-                self.result_cache.store(*meta, value)
+                self.result_cache.store(*address, value)
             with self._lock:
                 self._completed += 1
             try:

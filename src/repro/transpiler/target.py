@@ -304,6 +304,28 @@ TARGET_PRESETS: dict[str, object] = {
 }
 
 
+def normalize_batch(batch: Sequence, targets, seeds) -> tuple[list, list]:
+    """Per-circuit target and seed lists from single-or-sequence arguments.
+
+    The one normalization every batch front applies -- ``transpile()``
+    (through :func:`resolve_targets`), :meth:`CompileService.map
+    <repro.transpiler.service.CompileService.map>`, the remote client and
+    the shard router (:mod:`repro.server`) -- so mismatched lengths fail
+    with the same error everywhere.
+    """
+    per_circuit = []
+    for kind, value in (("targets", targets), ("seeds", seeds)):
+        if isinstance(value, (list, tuple)):
+            if len(value) != len(batch):
+                raise TranspilerError(
+                    f"got {len(value)} {kind} for {len(batch)} circuits"
+                )
+            per_circuit.append(list(value))
+        else:
+            per_circuit.append([value] * len(batch))
+    return per_circuit[0], per_circuit[1]
+
+
 def resolve_targets(
     batch: Sequence,
     target,
@@ -320,13 +342,10 @@ def resolve_targets(
     circuit gets an all-to-all target of its own width.
     """
     if target is not None:
-        if isinstance(target, (list, tuple)):
-            if len(target) != len(batch):
-                raise TranspilerError(
-                    f"got {len(target)} targets for {len(batch)} circuits"
-                )
-            return [Target.coerce(t, basis=basis_gates) for t in target]
-        return [Target.coerce(target, basis=basis_gates)] * len(batch)
+        if not isinstance(target, (list, tuple)):
+            target = Target.coerce(target, basis=basis_gates)  # built once
+        per_circuit, _ = normalize_batch(batch, target, None)
+        return [Target.coerce(t, basis=basis_gates) for t in per_circuit]
     if backend is not None:
         return [Target.from_backend(backend, basis=basis_gates)] * len(batch)
     if coupling_map is not None:

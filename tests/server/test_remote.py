@@ -27,6 +27,7 @@ from repro.server import (
     ShardRouter,
 )
 from repro.transpiler import (
+    CompileService,
     Target,
     TranspilerError,
     aggregate_batch,
@@ -633,6 +634,31 @@ class TestPeerCacheLookup:
             assert result.properties["result_cache"] == "peer"
             assert result.properties["shard"] == warm_endpoint
 
+    def test_dead_peer_is_a_counted_miss(self):
+        """A peer that cannot be reached is a miss counted as
+        ``peer_errors``; the job is still served by its own shard."""
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        with CompileServer(mode="serial", pipeline="rpo") as live:
+            live.start()
+            with ShardRouter([live.endpoint, dead], timeout=10) as router:
+                (result,) = router.map(
+                    [quantum_phase_estimation(3)],
+                    targets="melbourne",
+                    seeds=[0],
+                    pipeline="rpo",
+                    optimization_level=1,
+                )
+                stats = router.stats()
+        assert result.properties["shard"] == live.endpoint
+        assert result.properties.get("result_cache") is None
+        assert stats["peer_cache"]["lookups"] == 1
+        assert stats["peer_cache"]["peer_errors"] == 1
+        assert "unreachable" in stats["shards"][dead]
+
     def test_peer_lookup_can_be_disabled(self):
         with CompileServer(mode="serial", pipeline="rpo") as s1, CompileServer(
             mode="serial", pipeline="rpo"
@@ -652,3 +678,59 @@ class TestPeerCacheLookup:
                 stats = router.stats()
         assert not stats["peer_cache"]["enabled"]
         assert stats["peer_cache"]["lookups"] == 0
+
+
+@pytest.fixture(scope="module")
+def two_servers():
+    with CompileServer(mode="serial", pipeline="level1") as a, CompileServer(
+        mode="serial", pipeline="level1"
+    ) as b:
+        yield a.start(), b.start()
+
+
+#: Every compile front, built with an optional default target.
+FRONTS = {
+    "service": lambda servers, default: CompileService(
+        mode="serial", pipeline="level1", target=default
+    ),
+    "remote": lambda servers, default: RemoteCompileService(
+        servers[0].endpoint, target=default
+    ),
+    "router": lambda servers, default: ShardRouter(
+        [server.endpoint for server in servers], target=default
+    ),
+}
+
+
+class TestTargetResolution:
+    """One target rule and one batch normalizer on every front."""
+
+    @pytest.mark.parametrize("front", sorted(FRONTS))
+    @pytest.mark.parametrize(
+        "default, targets, expected",
+        [
+            (None, Target.preset("grid:2x3"), Target.preset("grid:2x3")),
+            (None, "ring:5", Target.preset("ring:5")),
+            ("linear:6", None, Target.preset("linear:6")),
+            (None, None, Target.full(3)),
+        ],
+        ids=["explicit", "preset-name", "front-default", "all-to-all"],
+    )
+    def test_resolved_target(self, two_servers, front, default, targets, expected):
+        circuit = ry_ansatz(3, depth=1, seed=0)
+        with FRONTS[front](two_servers, default) as service:
+            (result,) = service.map([circuit], targets=targets, seeds=[0])
+        assert result.properties["target"] == expected
+
+    @pytest.mark.parametrize("front", sorted(FRONTS) + ["transpile"])
+    @pytest.mark.parametrize("keyword", ["targets", "seeds"])
+    def test_wrong_length_list_fails_alike(self, two_servers, front, keyword):
+        batch = [ry_ansatz(3, depth=1, seed=s) for s in range(2)]
+        wrong = ["linear:5"] if keyword == "targets" else [0]
+        with pytest.raises(TranspilerError) as info:
+            if front == "transpile":
+                transpile(batch, **{keyword[:-1]: wrong})
+            else:
+                with FRONTS[front](two_servers, None) as service:
+                    service.map(batch, **{keyword: wrong})
+        assert str(info.value) == f"got 1 {keyword} for 2 circuits"

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.gates import U1Gate, U2Gate, U3Gate, UnitaryGate
 from repro.linalg.batch import chain_products, u3_params_batch
+from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.basis_tracker import BasisStateTracker
 from repro.rpo.hoare import HoareOptimizer, _Cluster
 from repro.rpo.pure_tracker import PureStateTracker
@@ -298,10 +299,12 @@ class PreSpliceCXCancellation(CXCancellation):
 
 class PreSpliceCommutativeCancellation(CommutativeCancellation):
     def transform(self, circuit, property_set):
-        cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
         survivors = list(circuit.data)
-        wire_ops = cache.wire_indices(circuit)
+        wire_ops = {q: [] for q in range(circuit.num_qubits)}
+        for index, instruction in enumerate(survivors):
+            for qubit in instruction.qubits:
+                wire_ops[qubit].append(index)
         open_cx = {}
         cancelled_pairs = 0
         for index, instruction in enumerate(survivors):
@@ -347,7 +350,7 @@ class PreSpliceQBOPass(QBOPass):
         state.rewrites = rewrite_counter(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
         output = _AppendingOutput(circuit.copy_empty_like())
-        blocked = state.cache.same_pair_adjacency(circuit)
+        blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
             state.swapz_profitable = index not in blocked
             self._process(
@@ -371,7 +374,7 @@ class PreSpliceQPOPass(QPOPass):
     def _rewrite_gates(self, circuit):
         tracker = PureStateTracker(circuit.num_qubits)
         output = _AppendingOutput(circuit.copy_empty_like())
-        blocked = self._cache.same_pair_adjacency(circuit)
+        blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
             self._run_state.swapz_profitable = index not in blocked
             self._process(

@@ -87,60 +87,6 @@ class TestMatrixCache:
             assert np.allclose(cache.matrix(gate), gate.to_matrix())
 
 
-class TestCircuitViews:
-    def _swap_pair_circuit(self):
-        circuit = QuantumCircuit(3)
-        circuit.cx(0, 1)
-        circuit.swap(0, 1)
-        circuit.h(2)
-        return circuit
-
-    def test_adjacency_cached_by_structure(self):
-        from repro.rpo.adjacency import same_pair_adjacent_indices
-
-        cache = AnalysisCache()
-        circuit = self._swap_pair_circuit()
-        first = cache.same_pair_adjacency(circuit)
-        assert first == same_pair_adjacent_indices(circuit)
-        # an equal-structure copy hits without recomputation
-        cache.same_pair_adjacency(circuit.copy())
-        assert cache.stats["adjacency_hits"] == 1
-        assert cache.stats["adjacency_misses"] == 1
-
-    def test_adjacency_distinguishes_structures(self):
-        cache = AnalysisCache()
-        cache.same_pair_adjacency(self._swap_pair_circuit())
-        other = self._swap_pair_circuit()
-        other.x(2)
-        cache.same_pair_adjacency(other)
-        assert cache.stats["adjacency_misses"] == 2
-
-    def test_wire_indices(self):
-        cache = AnalysisCache()
-        circuit = self._swap_pair_circuit()
-        wires = cache.wire_indices(circuit)
-        assert wires == {0: [0, 1], 1: [0, 1], 2: [2]}
-        cache.wire_indices(circuit.copy())
-        assert cache.stats["wire_indices_hits"] == 1
-
-    def test_circuit_views_are_bounded(self):
-        from repro.transpiler.cache import _MAX_CIRCUIT_VIEWS
-
-        cache = AnalysisCache()
-        for width in range(_MAX_CIRCUIT_VIEWS + 10):
-            cache.wire_indices(QuantumCircuit(width % 100 + 1, width))
-        assert len(cache._wire_indices) <= _MAX_CIRCUIT_VIEWS
-
-    def test_dag_cached_by_identity(self):
-        cache = AnalysisCache()
-        circuit = self._swap_pair_circuit()
-        dag = cache.dag(circuit)
-        assert cache.dag(circuit) is dag
-        # a copy shares instruction objects -> same structural identity
-        assert cache.dag(circuit.copy()) is dag
-        assert cache.stats["dag_misses"] == 1
-
-
 class TestInProcessMemo:
     """The cache is a plain in-process memo: bounded, read-only entries,
     and nothing shared between two cache objects."""

@@ -99,8 +99,8 @@ class TestPassManager:
 
         pm = PassManager([Noop()])
         result = pm.run_with_result(QuantumCircuit(1))
-        names = [name for name, _ in result.properties["pass_times"]]
-        assert names == ["Noop"]
+        assert [metric.name for metric in result.metrics] == ["Noop"]
+        assert [name for name, _ in result.pass_times] == ["Noop"]
 
     def test_do_while_runs_until_condition(self):
         class CountDown(AnalysisPass):

@@ -73,10 +73,12 @@ class TestTranspileResult:
         assert isinstance(out, QuantumCircuit)
         assert out.size() == 1
 
-    def test_pass_times_still_in_properties(self):
+    def test_pass_times_come_from_metrics_not_properties(self):
         properties = PropertySet()
-        PassManager([Noop()]).run(QuantumCircuit(1), properties)
-        assert [name for name, _ in properties["pass_times"]] == ["Noop"]
+        result = PassManager([Noop()]).run_with_result(QuantumCircuit(1), properties)
+        assert [name for name, _ in result.pass_times] == ["Noop"]
+        assert [metric.name for metric in result.metrics] == ["Noop"]
+        assert "pass_times" not in properties
 
 
 class TestAnalysisSkipping:
@@ -208,10 +210,12 @@ class TestLoopMetrics:
         assert loop.iterations == 2
         assert not loop.converged
 
-    def test_loop_metrics_mirrored_in_properties(self):
+    def test_loop_metrics_live_on_the_result_only(self):
         pm = PassManager([self._counting_loop()])
         result = pm.run_with_result(QuantumCircuit(1))
-        assert result.properties["loop_metrics"] == result.loops
+        (loop,) = result.loops
+        assert loop.converged
+        assert "loop_metrics" not in result.properties
 
 
 class TestConcurrency:

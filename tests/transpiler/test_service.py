@@ -384,16 +384,14 @@ class TestChunkedDispatch:
                 [c.copy() for c in batch], targets=melbourne.target(), seeds=seeds
             )
         with CompileService(
-            mode="process", pipeline="level1", max_workers=2
+            mode="process", pipeline="level1", max_workers=1
         ) as service:
+            assert service.chunk_size_for(len(batch)) == 3
             chunked = service.map(
-                [c.copy() for c in batch],
-                targets=melbourne.target(),
-                seeds=seeds,
-                chunk_size=4,
+                [c.copy() for c in batch], targets=melbourne.target(), seeds=seeds
             )
             stats = service.stats()
-        assert stats["chunks"] == 3  # 12 jobs / 4 per chunk
+        assert stats["chunks"] == 4  # 12 jobs / 3 per chunk
         assert stats["submitted"] == stats["completed"] == len(batch)
         for expected, result in zip(reference, chunked):
             _assert_identical(expected.circuit, result.circuit)
@@ -425,40 +423,39 @@ class TestChunkedDispatch:
         assert serial.chunk_size_for(1000) == 1  # nothing to amortize
         serial.shutdown(save=False)
 
+    def _payload_jobs(self, target, n):
+        """``n`` wire-form jobs on one worker's pool: chunks of 2."""
+        from repro.circuit.serialization import circuit_to_payload
+
+        return [
+            (
+                circuit_to_payload(circuit),
+                target.to_payload(),
+                {"pipeline": None, "optimization_level": None, "seed": seed},
+            )
+            for seed, circuit in enumerate(self._batch(n))
+        ]
+
     def test_bad_job_fails_alone_inside_chunk(self, melbourne):
         """Regression guard for per-job error isolation: one unknown
         pipeline inside a chunk must fail only its own future."""
-        batch = self._batch(4)
+        jobs = self._payload_jobs(melbourne.target(), 8)
+        jobs[1][2]["pipeline"] = "warpdrive"
         with CompileService(
-            mode="process", pipeline="level1", max_workers=2
+            mode="process", pipeline="level1", max_workers=1
         ) as service:
-            resolved = [
-                service._resolve(
-                    c,
-                    melbourne.target(),
-                    {
-                        "pipeline": None,
-                        "optimization_level": None,
-                        "seed": i,
-                        "initial_layout": None,
-                    },
-                )
-                for i, c in enumerate(batch)
-            ]
-            jobs = [
-                (c, target, dict(settings))
-                for c, (target, settings) in zip(batch, resolved)
-            ]
-            jobs[1][2]["pipeline"] = "warpdrive"
-            futures = service._submit_chunk(jobs)
+            assert service.chunk_size_for(len(jobs)) == 2  # jobs 0 and 1 share
+            futures = service.submit_payloads(jobs)
             for index, future in enumerate(futures):
                 if index == 1:
                     with pytest.raises(TranspilerError, match="warpdrive"):
                         future.result()
                 else:
                     assert future.result().circuit.count_ops()
-            assert service.stats()["failed"] == 1
-            assert service.stats()["completed"] == 3
+        stats = service.stats()
+        assert stats["chunks"] == 4
+        assert stats["failed"] == 1
+        assert stats["completed"] == 7
 
     @pytest.mark.parametrize("cancelled", [0, 1])
     def test_cancelled_future_leaves_chunk_mates_resolved(
@@ -469,19 +466,13 @@ class TestChunkedDispatch:
         scatter callback must not raise."""
         import logging
 
-        batch = self._batch(4)
+        jobs = self._payload_jobs(melbourne.target(), 8)
+        jobs[1][2]["pipeline"] = "warpdrive"
         with CompileService(
             mode="process", pipeline="level1", max_workers=1
         ) as service:
-            jobs = []
-            for seed, circuit in enumerate(batch):
-                target, settings = service._resolve(
-                    circuit, melbourne.target(), {"seed": seed}
-                )
-                jobs.append((circuit, target, settings))
-            jobs[1][2]["pipeline"] = "warpdrive"
             with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
-                futures = service._submit_chunk(jobs)
+                futures = service.submit_payloads(jobs)
                 assert futures[cancelled].cancel()
                 for index, future in enumerate(futures):
                     if index == cancelled:
@@ -556,6 +547,100 @@ class TestChunkedDispatch:
             assert stats["chunks"] <= len(jobs) // 2
         assert stats["failed"] == 1
         assert stats["completed"] == len(jobs) - 1
+
+
+def _float_hex(circuit: QuantumCircuit):
+    """A circuit as float.hex strings: equal only when bit-identical."""
+    return (
+        float(circuit.global_phase).hex(),
+        [
+            (
+                inst.operation.name,
+                inst.qubits,
+                inst.clbits,
+                tuple(float(p).hex() for p in inst.operation.params),
+            )
+            for inst in circuit.data
+        ],
+    )
+
+
+class TestOneJobPath:
+    """``submit``, ``map`` and ``submit_payloads`` reach one dispatch
+    routine: in both modes they give bit-identical circuits, the same
+    counters, cache-served repeats and per-job failures."""
+
+    COUNTERS = ("submitted", "completed", "failed", "chunks", "result_cache_hits")
+
+    def _futures(self, service, front, circuits, target):
+        """One future per circuit through ``front`` (``map`` results come
+        back wrapped in resolved futures)."""
+        from concurrent.futures import Future
+
+        from repro.circuit.serialization import circuit_to_payload
+
+        seeds = list(range(len(circuits)))
+        if front == "submit":
+            return [
+                service.submit(circuit, target=target, seed=seed)
+                for circuit, seed in zip(circuits, seeds)
+            ]
+        if front == "submit_payloads":
+            return service.submit_payloads(
+                [
+                    (circuit_to_payload(circuit), target.to_payload(), {"seed": seed})
+                    for circuit, seed in zip(circuits, seeds)
+                ]
+            )
+        futures = []
+        for result in service.map(circuits, targets=target, seeds=seeds):
+            futures.append(Future())
+            futures[-1].set_result(result)
+        return futures
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    @pytest.mark.parametrize("front", ["submit", "map", "submit_payloads"])
+    def test_fronts_share_outputs_counters_and_cache(self, melbourne, front, mode):
+        target = melbourne.target()
+        circuits = [ry_ansatz(3, depth=1, seed=s) for s in range(12)]
+        reference = [
+            _float_hex(transpile(c.copy(), target=target, pipeline="level1", seed=s))
+            for s, c in enumerate(circuits)
+        ]
+        with CompileService(mode=mode, pipeline="level1", max_workers=1) as service:
+            cold = [f.result() for f in self._futures(service, front, circuits, target)]
+            after_cold = service.stats()
+            warm = [f.result() for f in self._futures(service, front, circuits, target)]
+            after_warm = service.stats()
+        n = len(circuits)
+        # one pool task per submit; chunk_size_for(12) == 3 on one worker
+        chunks = 0 if mode == "serial" else (n if front == "submit" else 4)
+        assert [_float_hex(r.circuit) for r in cold] == reference
+        assert [_float_hex(r.circuit) for r in warm] == reference
+        assert all(r.properties.get("result_cache") is None for r in cold)
+        assert all(r.properties["result_cache"] == "hit" for r in warm)
+        assert all(r.properties["target"] == target for r in cold + warm)
+        assert [after_cold[k] for k in self.COUNTERS] == [n, n, 0, chunks, 0]
+        assert [after_warm[k] for k in self.COUNTERS] == [2 * n, 2 * n, 0, chunks, n]
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    @pytest.mark.parametrize("front", ["submit", "map", "submit_payloads"])
+    def test_failing_job_fails_alone(self, melbourne, front, mode):
+        target = melbourne.target()
+        circuits = [ry_ansatz(3, depth=1, seed=s) for s in range(12)]
+        circuits[1] = QuantumCircuit(16)  # wider than the 15-qubit device
+        with CompileService(mode=mode, pipeline="level1", max_workers=1) as service:
+            if front == "map":
+                with pytest.raises(TranspilerError, match="needs 16 qubits"):
+                    self._futures(service, front, circuits, target)
+            else:
+                futures = self._futures(service, front, circuits, target)
+                with pytest.raises(TranspilerError, match="needs 16 qubits"):
+                    futures[1].result()
+                for future in futures[:1] + futures[2:]:
+                    assert future.result().circuit.count_ops()
+        stats = service.stats()  # read after shutdown drained the pool
+        assert [stats[k] for k in self.COUNTERS[:3]] == [12, 11, 1]
 
 
 class TestAutosave:
