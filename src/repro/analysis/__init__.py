@@ -6,12 +6,11 @@ Two tools live here:
   sanitizer: an opt-in :class:`~repro.transpiler.passmanager.PassManager`
   mode that checks, after every transformation pass, that the rewrite
   preserved the circuit's semantics under the pass's declared equivalence
-  contract and that the pass's ``preserves``/``invalidates`` metadata is
-  honest.
+  contract, and after every analysis pass that the circuit is unchanged.
 * :mod:`repro.analysis.lint` -- **repro-lint**, an AST-based linter
-  enforcing repo-specific invariants ruff cannot (backend residency,
-  pass-metadata declarations, pickle-boundary safety, deterministic
-  fingerprints, locked module state).  Run it as
+  enforcing repo-specific invariants ruff cannot (pickle-boundary
+  safety, deterministic fingerprints, locked module state, checked
+  circuit records).  Run it as
   ``python -m repro.analysis.lint src/``.
 """
 

@@ -8,11 +8,6 @@ sanitizer layer enforces in a training/inference stack.  Run it as::
 
 Rule catalog (every rule is individually selectable and suppressible):
 
-* **PAS001** -- pass metadata: every ``TransformationPass`` subclass
-  declares ``requires``/``preserves``/``invalidates`` in its class body,
-  and every ``AnalysisPass`` subclass declares ``provides``.  The
-  requirements-aware pass manager *skips work* based on these
-  declarations; an implicit inherit is how stale analyses slip through.
 * **PCK001** -- pickle boundary: classes whose instances cross the
   process-pool or wire boundary define ``__getstate__``/``__reduce__``
   or are registered picklable-as-is; holding a threading primitive
@@ -110,66 +105,6 @@ class Rule:
 
     def check(self, tree: ast.Module, path: str) -> list[Finding]:
         raise NotImplementedError
-
-
-# --------------------------------------------------------------------------
-# PAS001 -- explicit pass-metadata declarations
-# --------------------------------------------------------------------------
-
-_PAS_TRANSFORM_REQUIRED = ("requires", "preserves", "invalidates")
-_PAS_ANALYSIS_REQUIRED = ("provides",)
-
-
-class PassMetadata(Rule):
-    id = "PAS001"
-    description = (
-        "TransformationPass subclasses declare requires/preserves/"
-        "invalidates; AnalysisPass subclasses declare provides"
-    )
-
-    def check(self, tree: ast.Module, path: str) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {
-                base
-                for base in (_dotted(expr) for expr in node.bases)
-                if base is not None
-            }
-            base_names = {base.split(".")[-1] for base in bases}
-            if "TransformationPass" in base_names:
-                required = _PAS_TRANSFORM_REQUIRED
-            elif "AnalysisPass" in base_names:
-                required = _PAS_ANALYSIS_REQUIRED
-            else:
-                continue
-            declared = set()
-            for statement in node.body:
-                if isinstance(statement, ast.Assign):
-                    declared.update(
-                        target.id
-                        for target in statement.targets
-                        if isinstance(target, ast.Name)
-                    )
-                elif isinstance(statement, ast.AnnAssign) and isinstance(
-                    statement.target, ast.Name
-                ):
-                    declared.add(statement.target.id)
-            missing = [name for name in required if name not in declared]
-            if missing:
-                findings.append(
-                    Finding(
-                        path,
-                        node.lineno,
-                        self.id,
-                        f"pass {node.name} does not declare "
-                        f"{', '.join(missing)}; the requirements-aware "
-                        "scheduler skips analyses based on these -- declare "
-                        "them explicitly (empty tuples are fine)",
-                    )
-                )
-        return findings
 
 
 # --------------------------------------------------------------------------
@@ -594,7 +529,6 @@ class CheckedCircuitRecords(Rule):
 
 
 RULES: tuple[Rule, ...] = (
-    PassMetadata(),
     PickleBoundary(),
     DeterministicKeys(),
     LockedModuleState(),

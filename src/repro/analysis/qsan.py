@@ -4,20 +4,17 @@ The paper's central claim is that relaxed-peephole rewrites preserve
 semantics *under relaxed preconditions*.  QSAN machine-checks that claim on
 every pipeline run it watches: after each transformation pass it verifies
 the pass's input and output are equivalent under the pass's declared
-``equivalence`` contract, and audits that the pass's scheduling metadata
-(``preserves``/``invalidates``/``provides``/``writes``) told the truth
-about what it did to the property set.  A pass caught lying raises a
-structured :class:`ContractViolation` naming the pass, the property (when
-one is implicated) and a circuit diff.
+``equivalence`` contract, and after each analysis pass that the circuit
+came back unchanged.  A pass caught breaking its contract raises a
+structured :class:`ContractViolation` naming the pass and a circuit diff.
 
 Enabling it
 ===========
 
-* per run: ``PassManager.run_with_result(..., validate="full")`` (or
-  ``"contracts"`` for the metadata audit without semantic checks);
+* per run: ``PassManager.run_with_result(..., validate="full")``;
 * per batch: ``transpile(..., validate="full")`` (or a
   ``CompileService(validate="full")`` default);
-* globally: ``REPRO_QSAN=1`` (or ``full`` / ``contracts``) in the
+* globally: ``REPRO_QSAN=1`` (or ``full``) in the
   environment -- this is how CI runs the tier-1 pipeline suite under the
   sanitizer without touching call sites.
 
@@ -73,11 +70,7 @@ import numpy as np
 
 from repro.circuit.quantumcircuit import NO_PHASE, QuantumCircuit
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.passmanager import (
-    AnalysisPass,
-    PropertySet,
-    _unchanged,
-)
+from repro.transpiler.passmanager import AnalysisPass, PropertySet
 
 __all__ = ["ContractViolation", "QsanConfig", "QsanValidator", "QSAN_SAMPLE_SEED"]
 
@@ -90,26 +83,17 @@ _ATOL = 1e-8
 _BLOCH_ATOL = 1e-6
 
 
-def _rebuild_violation(message, kind, pass_name, property_name, diff):
-    return ContractViolation(
-        message,
-        kind=kind,
-        pass_name=pass_name,
-        property_name=property_name,
-        diff=diff,
-    )
+def _rebuild_violation(message, kind, pass_name, diff):
+    return ContractViolation(message, kind=kind, pass_name=pass_name, diff=diff)
 
 
 class ContractViolation(TranspilerError):
     """A pass broke its declared contract.
 
     Attributes:
-        kind: violation family -- ``"equivalence"``, ``"false-preserves"``,
-            ``"undeclared-write"``, ``"undeclared-clobber"`` or
+        kind: violation family -- ``"equivalence"`` or
             ``"analysis-mutation"``.
         pass_name: the offending pass.
-        property_name: the implicated property (``None`` for semantic
-            violations).
         diff: a short textual circuit diff (``None`` when the circuit was
             not implicated).
     """
@@ -120,13 +104,11 @@ class ContractViolation(TranspilerError):
         *,
         kind: str,
         pass_name: str,
-        property_name: str | None = None,
         diff: str | None = None,
     ):
         super().__init__(message)
         self.kind = kind
         self.pass_name = pass_name
-        self.property_name = property_name
         self.diff = diff
 
     def __reduce__(self):
@@ -134,7 +116,7 @@ class ContractViolation(TranspilerError):
         # the process/wire boundary inside TranspileResult.violations
         return (
             _rebuild_violation,
-            (self.args[0], self.kind, self.pass_name, self.property_name, self.diff),
+            (self.args[0], self.kind, self.pass_name, self.diff),
         )
 
 
@@ -142,7 +124,7 @@ class ContractViolation(TranspilerError):
 class QsanConfig:
     """Resolved sanitizer settings for one pipeline run."""
 
-    mode: str = "off"  # "off" | "contracts" | "full"
+    mode: str = "off"  # "off" | "full"
     report_only: bool = False
     unitary_cap: int = 8
     state_cap: int = 14
@@ -157,17 +139,17 @@ class QsanConfig:
         """Build a config from an explicit mode or the environment.
 
         An explicit ``validate`` argument wins; ``None`` falls back to
-        ``REPRO_QSAN`` (``1``/``full`` -> full, ``contracts`` ->
-        contracts, unset/``0``/``off`` -> off).
+        ``REPRO_QSAN`` (``1``/``full`` -> full, unset/``0``/``off`` ->
+        off).
         """
         mode = validate
         if mode is None:
             raw = os.environ.get("REPRO_QSAN", "").strip().lower()
             aliases = {"": "off", "0": "off", "off": "off", "1": "full"}
             mode = aliases.get(raw, raw)
-        if mode not in ("off", "contracts", "full"):
+        if mode not in ("off", "full"):
             raise TranspilerError(
-                f"unrecognized QSAN mode {mode!r}; expected 'off', 'contracts' or 'full'"
+                f"unrecognized QSAN mode {mode!r}; expected 'off' or 'full'"
             )
         return cls(
             mode=mode,
@@ -450,39 +432,6 @@ def _fingerprints_compatible(before, after, placement=None) -> int | None:
 
 
 # ======================================================================
-# false-preserves recomputation registry
-# ======================================================================
-
-_SKIP = object()
-
-
-def _recompute_is_swap_mapped(circuit: QuantumCircuit, properties: PropertySet):
-    target = properties.get("target")
-    coupling = getattr(target, "coupling_map", None)
-    if coupling is None:
-        return _SKIP
-    for instruction in circuit.data:
-        if instruction.operation.is_directive:
-            continue
-        if len(instruction.qubits) == 2 and not coupling.are_coupled(
-            *instruction.qubits
-        ):
-            return False
-        if len(instruction.qubits) > 2:
-            return False
-    return True
-
-
-#: Analyses QSAN can recompute from scratch to audit ``preserves`` claims.
-_RECOMPUTABLE = {
-    "size": lambda circuit, properties: circuit.size(),
-    "depth": lambda circuit, properties: circuit.depth(),
-    "count_ops": lambda circuit, properties: circuit.count_ops(),
-    "is_swap_mapped": _recompute_is_swap_mapped,
-}
-
-
-# ======================================================================
 # the validator
 # ======================================================================
 
@@ -514,84 +463,26 @@ class QsanValidator:
         before: QuantumCircuit,
         after: QuantumCircuit,
         properties: PropertySet,
-        *,
-        snapshot: dict,
-        written: set,
-        valid_before: set,
         changed: bool,
     ) -> list[ContractViolation]:
-        violations = self._audit_contract(
-            pass_, before, after, properties, snapshot, written, valid_before, changed
-        )
-        if self.config.mode == "full" and changed:
-            violations.extend(self._check_equivalence(pass_, before, after, properties))
+        violations = []
+        if changed:
+            if isinstance(pass_, AnalysisPass):
+                violations.append(
+                    ContractViolation(
+                        f"analysis pass {pass_.name} mutated the circuit",
+                        kind="analysis-mutation",
+                        pass_name=pass_.name,
+                        diff=circuit_diff(before, after),
+                    )
+                )
+            else:
+                violations.extend(self._check_equivalence(pass_, before, after, properties))
         self.violations.extend(violations)
         # keep only the live circuit's semantic reference: the next pass's
         # input is this pass's output, everything older is unreachable
         entry = self._memo.get(id(after))
         self._memo = {id(after): entry} if entry is not None else {}
-        return violations
-
-    # -- contract audit ------------------------------------------------
-
-    def _audit_contract(
-        self, pass_, before, after, properties, snapshot, written, valid_before, changed
-    ) -> list[ContractViolation]:
-        violations = []
-        declared = set(pass_.provides) | set(pass_.writes) | set(pass_.invalidates)
-        if isinstance(pass_, AnalysisPass) and changed:
-            violations.append(
-                ContractViolation(
-                    f"analysis pass {pass_.name} mutated the circuit",
-                    kind="analysis-mutation",
-                    pass_name=pass_.name,
-                    diff=circuit_diff(before, after),
-                )
-            )
-        for key in sorted(written):
-            if key in declared:
-                continue
-            if key in snapshot:
-                violations.append(
-                    ContractViolation(
-                        f"pass {pass_.name} clobbered property {key!r} without "
-                        "declaring it in provides/writes/invalidates",
-                        kind="undeclared-clobber",
-                        pass_name=pass_.name,
-                        property_name=key,
-                    )
-                )
-            else:
-                violations.append(
-                    ContractViolation(
-                        f"pass {pass_.name} wrote property {key!r} without "
-                        "declaring it in provides/writes",
-                        kind="undeclared-write",
-                        pass_name=pass_.name,
-                        property_name=key,
-                    )
-                )
-        if changed:
-            claimed = (
-                set(valid_before)
-                if pass_.preserves == "all"
-                else set(pass_.preserves) & valid_before
-            )
-            for key in sorted(claimed & set(snapshot) & set(_RECOMPUTABLE)):
-                expected = _RECOMPUTABLE[key](after, properties)
-                if expected is _SKIP or expected == snapshot[key]:
-                    continue
-                violations.append(
-                    ContractViolation(
-                        f"pass {pass_.name} changed the circuit but claimed to "
-                        f"preserve {key!r}: recorded value {snapshot[key]!r}, "
-                        f"recomputed {expected!r}",
-                        kind="false-preserves",
-                        pass_name=pass_.name,
-                        property_name=key,
-                        diff=circuit_diff(before, after),
-                    )
-                )
         return violations
 
     # -- semantic equivalence ------------------------------------------
@@ -809,8 +700,3 @@ class QsanValidator:
             else:
                 values[tier] = pure_fingerprint(circuit)
         return values[tier]
-
-
-# re-exported for introspection/tests; _unchanged is the structural
-# comparison the scheduler itself uses
-structurally_unchanged = _unchanged

@@ -8,9 +8,8 @@ The IR mirrors the layered design of production quantum compilers:
 * :class:`~repro.circuit.register.QuantumRegister` /
   :class:`~repro.circuit.register.ClassicalRegister` -- named wire groups;
 * :class:`~repro.circuit.quantumcircuit.QuantumCircuit` -- the builder API
-  programs are written against (qubits are plain integer wire indices);
-* :class:`~repro.circuit.dag.DAGCircuit` -- the dependency-graph form the
-  transpiler passes operate on.
+  programs are written against and the form every transpiler pass reads
+  and rewrites (qubits are plain integer wire indices).
 
 Matrix conventions are little-endian throughout: bit ``k`` of a state/matrix
 index corresponds to the ``k``-th qubit argument of a gate, and to qubit
@@ -20,8 +19,6 @@ index corresponds to the ``k``-th qubit argument of a gate, and to qubit
 from repro.circuit.instruction import Instruction, Gate, ControlledGate
 from repro.circuit.register import QuantumRegister, ClassicalRegister
 from repro.circuit.quantumcircuit import QuantumCircuit, CircuitInstruction
-from repro.circuit.dag import DAGCircuit, DAGNode
-from repro.circuit.converters import circuit_to_dag, dag_to_circuit
 from repro.circuit.compact import remove_idle_qubits
 from repro.circuit.qasm import to_qasm, from_qasm
 from repro.circuit.serialization import circuit_from_payload, circuit_to_payload
@@ -34,10 +31,6 @@ __all__ = [
     "ClassicalRegister",
     "QuantumCircuit",
     "CircuitInstruction",
-    "DAGCircuit",
-    "DAGNode",
-    "circuit_to_dag",
-    "dag_to_circuit",
     "remove_idle_qubits",
     "to_qasm",
     "from_qasm",

@@ -16,8 +16,8 @@ small tuple tree of primitives:
   itself, which the surrounding pickle handles);
 * instructions reference the table by index, so the per-instruction cost is
   three small tuples;
-* reconstruction shares one gate object per table entry, preserving the
-  operation-identity sharing the DAG cache keys on.
+* reconstruction shares one gate object per table entry, so a decoded
+  circuit holds one operation object per distinct operation.
 
 Round-trips preserve structure exactly: wire counts, global phase, operation
 names/parameters/control states, qubit and clbit arguments.

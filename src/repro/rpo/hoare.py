@@ -101,9 +101,6 @@ class _Cluster:
 class HoareOptimizer(TransformationPass):
     """Support-set Hoare-style optimizer (Z3-free stand-in)."""
 
-    requires = ()
-    preserves = ()
-    invalidates = ()
     # removes gates provably acting trivially from the all-zeros state
     equivalence = "state"
 

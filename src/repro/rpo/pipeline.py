@@ -21,8 +21,8 @@ targets the routing-inserted SWAPs; QPO runs once outside the fixed-point
 loop because the loop's optimizations preserve the state invariants
 (Sec. VII-A).
 
-Targets, scheduler and cache architecture
------------------------------------------
+Targets, pass manager and cache architecture
+--------------------------------------------
 
 Each factory takes a :class:`~repro.transpiler.target.Target` (basis gates
 + coupling map + calibration data in one hashable object) as its first
@@ -33,12 +33,9 @@ back-compat.  The unroll/layout/route stage comes from
 levels); RPO and Hoare splice their own passes around it.
 
 The factories return plain schedules; the execution semantics live in
-:class:`repro.transpiler.passmanager.PassManager`, which is
-requirements/preserves-aware: passes declare ``requires``/``provides``/
-``preserves``/``invalidates``, the manager skips analysis passes whose
-results are still valid (including after structurally-unchanged
-transformations, which short-circuits the tail of the Fig. 8 fixed-point
-loop), and every run returns a
+:class:`repro.transpiler.passmanager.PassManager`, which runs every
+scheduled pass once, in order (the Fig. 8 fixed-point loop's passes once
+per iteration), and every run returns a
 :class:`~repro.transpiler.passmanager.TranspileResult` with per-pass and
 per-loop-iteration metrics -- the paper's transpile-time mechanism made
 observable per run.

@@ -81,9 +81,6 @@ class QBOPass(TransformationPass):
             benchmarks).  Off by default to stay faithful to the paper.
     """
 
-    requires = ()
-    preserves = ()
-    invalidates = ()
     # relaxed-precondition rewrite: sound from the all-zeros initial state
     equivalence = "state"
 

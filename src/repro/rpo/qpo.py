@@ -47,9 +47,6 @@ _ZERO_ATOL = 1e-9
 class QPOPass(TransformationPass):
     """The Quantum Pure-state Optimization pass."""
 
-    requires = ()
-    preserves = ()
-    invalidates = ()
     # relaxed-precondition rewrite: sound from the all-zeros initial state
     equivalence = "state"
 

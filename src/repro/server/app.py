@@ -21,10 +21,8 @@ cache serve every client on the network.  Routes:
   as JSON.
 * ``GET /cache/<fingerprint>`` -- peer lookup into the compiled-result
   cache: a ``cache`` frame with the result payload on a hit, HTTP 404
-  on a miss.  ``POST /compile`` responses also carry an
-  ``X-Repro-Cache-Hits`` header counting the request's cache-served
-  jobs, and each result entry its ``"cached"`` disposition
-  (protocol version 2).
+  on a miss (protocol version 2).  A ``POST /compile`` result reports
+  its own cache disposition in its ``properties["result_cache"]``.
 * ``POST /shutdown`` -- graceful remote stop: drains the pool, persists
   the result-cache snapshot, exits ``serve_forever``.  For operational use
   behind a trusted network only, like every other route (the server
@@ -58,21 +56,12 @@ from repro.server.protocol import (
     encode_results,
 )
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.service import (
-    CACHE_PROPERTY,
-    TARGET_PROPERTY,
-    CompileService,
-    result_payload,
-)
+from repro.transpiler.service import TARGET_PROPERTY, CompileService, result_payload
 
 __all__ = ["CompileServer"]
 
 #: Content type of protocol frames on the wire.
 FRAME_CONTENT_TYPE = "application/x-repro-frame"
-
-#: Response header on ``POST /compile``: how many of the request's jobs
-#: were served from the compiled-result cache instead of the pool.
-CACHE_HITS_HEADER = "X-Repro-Cache-Hits"
 
 #: Request bodies above this are refused before reading (HTTP 413).
 MAX_REQUEST_BYTES = 256 * 1024 * 1024
@@ -100,14 +89,10 @@ class _Handler(BaseHTTPRequestHandler):
         if self.compile_server.verbose:
             super().log_message(format, *args)
 
-    def _send(
-        self, status: int, body: bytes, content_type: str, headers: dict | None = None
-    ) -> None:
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
         self.end_headers()
         self.wfile.write(body)
 
@@ -118,10 +103,8 @@ class _Handler(BaseHTTPRequestHandler):
             "application/json",
         )
 
-    def _send_frame(
-        self, status: int, envelope: dict, headers: dict | None = None
-    ) -> None:
-        self._send(status, encode_frame(envelope), FRAME_CONTENT_TYPE, headers)
+    def _send_frame(self, status: int, envelope: dict) -> None:
+        self._send(status, encode_frame(envelope), FRAME_CONTENT_TYPE)
 
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length", 0))
@@ -152,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/compile":
             try:
                 body = self._read_body()
-                response, cache_hits = server.handle_compile(body)
+                response = server.handle_compile(body)
             except ProtocolError as exc:
                 server._count("protocol_errors")
                 self._send_frame(400, encode_error(str(exc)))
@@ -160,7 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
                 server._count("internal_errors")
                 self._send_frame(500, encode_error(f"internal error: {exc}"))
             else:
-                self._send_frame(200, response, {CACHE_HITS_HEADER: cache_hits})
+                self._send_frame(200, response)
         elif self.path == "/shutdown":
             self._send_json(200, {"status": "shutting down"})
             # from a thread: shutdown() must not wait on this very handler
@@ -297,15 +280,14 @@ class CompileServer:
         with self._lock:
             self._counters[key] = self._counters.get(key, 0) + amount
 
-    def handle_compile(self, body: bytes) -> tuple[dict, int]:
-        """One compile envelope in; ``(result envelope, cache hits)`` out.
+    def handle_compile(self, body: bytes) -> dict:
+        """One compile envelope in; one result envelope out.
 
         Raises :class:`ProtocolError` for malformed requests (the handler
         maps it to HTTP 400); job-level failures are encoded per job so
-        the rest of the chunk still returns compiled circuits.  The hit
-        count (jobs served from the compiled-result cache rather than the
-        pool) rides back in the :data:`CACHE_HITS_HEADER` header, and
-        each result entry carries its ``"cached"`` disposition.
+        the rest of the chunk still returns compiled circuits.  A result
+        served from the compiled-result cache says so in its own
+        ``properties["result_cache"]``.
         """
         envelope = decode_frame(body)
         jobs = decode_jobs(envelope)
@@ -317,28 +299,19 @@ class CompileServer:
                 self._jobs_by_target[label] = self._jobs_by_target.get(label, 0) + 1
         futures = self.service.submit_payloads(jobs)
         outcomes = []
-        cached = []
-        cache_hits = 0
         for future in futures:
             try:
                 result = future.result()
             except Exception as exc:  # noqa: BLE001 - encoded per job
                 self._count("job_failures")
                 outcomes.append(("error", exc))
-                cached.append(None)
                 continue
-            disposition = result.properties.get(CACHE_PROPERTY)
-            if disposition is not None:
-                cache_hits += 1
             value = result_payload(result)
             # the client re-attaches its own (equal) Target object; no
             # point shipping ours back
             value[4].pop(TARGET_PROPERTY, None)
             outcomes.append(("ok", value))
-            cached.append(disposition)
-        if cache_hits:
-            self._count("jobs_cached", cache_hits)
-        return encode_results(outcomes, cached), cache_hits
+        return encode_results(outcomes)
 
     def handle_cache_lookup(self, fingerprint: str) -> dict | None:
         """The ``GET /cache/<fingerprint>`` body: a ``cache`` envelope

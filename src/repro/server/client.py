@@ -78,6 +78,16 @@ SHARD_PROPERTY = "shard"
 _MIN_CHUNKS_IN_FLIGHT = 2
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _checked_chunk_size(chunk_size):
+    if chunk_size == "auto" or _positive_int(chunk_size):
+        return chunk_size
+    raise TranspilerError(f"chunk_size must be 'auto' or a positive int, got {chunk_size!r}")
+
+
 class RemoteCompileService:
     """A compile-service client speaking the frame protocol over HTTP."""
 
@@ -106,20 +116,31 @@ class RemoteCompileService:
                 Settings a submission leaves unset ship as ``None`` and
                 take the server's defaults.
         """
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not 0 < timeout < float("inf")
+        ):
+            raise TranspilerError(
+                f"timeout must be a positive number of seconds, got {timeout!r}"
+            )
+        if not _positive_int(max_connections):
+            raise TranspilerError(
+                f"max_connections must be a positive int, got {max_connections!r}"
+            )
         self.endpoint = endpoint.rstrip("/")
         self.timeout = float(timeout)
-        self.chunk_size = chunk_size
+        self.chunk_size = _checked_chunk_size(chunk_size)
         self._basis = tuple(basis_gates)
         self._default_target = (
             Target.coerce(target, basis=self._basis) if target is not None else None
         )
-        self._max_connections = max(1, int(max_connections))
+        self._max_connections = max_connections
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
         self._closed = False
         self._requests = 0
         self._jobs_sent = 0
-        self._remote_cache_hits = 0
 
     # -- service-mirror surface --------------------------------------------
 
@@ -178,6 +199,8 @@ class RemoteCompileService:
         re-raised here exactly as a local service's ``map`` would raise
         them.
         """
+        if chunk_size is not None:
+            _checked_chunk_size(chunk_size)
         batch = list(circuits)
         if not batch:
             return []
@@ -240,7 +263,7 @@ class RemoteCompileService:
 
     def _effective_chunk_size(self, batch_size: int, override) -> int:
         choice = override if override is not None else self.chunk_size
-        if choice == "auto" or choice is None:
+        if choice == "auto":
             # enough chunks to keep every connection busy at least twice
             # over, each chunk as large as that allows (bounded)
             per_chunk = max(
@@ -248,7 +271,7 @@ class RemoteCompileService:
                 batch_size // (self._max_connections * _MIN_CHUNKS_IN_FLIGHT),
             )
             return max(1, min(_CHUNK_MAX_JOBS, per_chunk))
-        return max(1, int(choice))
+        return choice
 
     def _compile_one(self, job: tuple, target: Target) -> TranspileResult:
         """POST a one-job chunk; returns its result or raises its error."""
@@ -263,15 +286,7 @@ class RemoteCompileService:
         with self._lock:
             self._requests += 1
             self._jobs_sent += len(jobs)
-        envelope, headers = self._post("/compile", frame)
-        try:
-            remote_hits = int(headers.get("X-Repro-Cache-Hits", 0))
-        except (TypeError, ValueError):
-            remote_hits = 0
-        if remote_hits:
-            with self._lock:
-                self._remote_cache_hits += remote_hits
-        outcomes = decode_results(envelope)
+        outcomes = decode_results(self._post("/compile", frame))
         if len(outcomes) != len(jobs):
             raise ProtocolError(
                 f"server returned {len(outcomes)} results for {len(jobs)} jobs"
@@ -283,8 +298,8 @@ class RemoteCompileService:
             for (status, value), target in zip(outcomes, targets)
         ]
 
-    def _post(self, path: str, frame: bytes) -> tuple[dict, dict]:
-        """POST one frame; returns ``(envelope, response headers)``."""
+    def _post(self, path: str, frame: bytes) -> dict:
+        """POST one frame; returns the reply envelope."""
         request = urllib.request.Request(
             self.endpoint + path,
             data=frame,
@@ -293,7 +308,7 @@ class RemoteCompileService:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return decode_frame(response.read()), dict(response.headers)
+                return decode_frame(response.read())
         except urllib.error.HTTPError as exc:
             body = exc.read()
             try:
@@ -362,7 +377,6 @@ class RemoteCompileService:
                 "endpoint": self.endpoint,
                 "requests": self._requests,
                 "jobs_sent": self._jobs_sent,
-                "remote_cache_hits": self._remote_cache_hits,
             }
         return {"client": local, **remote}
 

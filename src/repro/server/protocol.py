@@ -28,11 +28,11 @@ of cheap circuits costs one request per *chunk* rather than per circuit.
 :func:`split_chunks` / :func:`merge_chunks` are the (index-preserving)
 split/reassembly helpers the client and the shard router share.
 
-Protocol version 2 added the compiled-result-cache vocabulary: ``result``
-entries may carry a ``"cached"`` disposition (``"hit"``/``"template"``),
-and the ``cache`` envelope answers the ``GET /cache/<fingerprint>``
-peer-lookup route.  Version-1 frames (which simply lack those fields)
-are still accepted; see :data:`ACCEPTED_VERSIONS`.
+Protocol version 2 added the ``cache`` envelope, which answers the
+``GET /cache/<fingerprint>`` peer-lookup route.  Version-1 frames (which
+simply never carry it) are still accepted; see :data:`ACCEPTED_VERSIONS`.
+A result's compiled-result-cache disposition travels inside its blob, in
+``properties["result_cache"]``.
 """
 
 from __future__ import annotations
@@ -64,13 +64,12 @@ __all__ = [
     "merge_chunks",
 ]
 
-#: Version byte of the frame header.  Version 2 added the result-cache
-#: vocabulary: per-result ``"cached"`` dispositions inside ``result``
-#: envelopes and the ``cache`` envelope of the peer-lookup route.
+#: Version byte of the frame header.  Version 2 added the ``cache``
+#: envelope of the peer-lookup route.
 PROTOCOL_VERSION = 2
 
 #: Versions this build decodes.  Version 1 frames differ only by the
-#: *absence* of the cache fields, so they remain fully readable; frames
+#: *absence* of the cache envelope, so they remain fully readable; frames
 #: from the future are rejected.
 ACCEPTED_VERSIONS = (1, 2)
 
@@ -191,24 +190,17 @@ def decode_jobs(envelope: dict) -> list[tuple]:
     return jobs
 
 
-def encode_results(outcomes: Sequence[tuple], cached: Sequence | None = None) -> dict:
+def encode_results(outcomes: Sequence[tuple]) -> dict:
     """A ``result`` envelope: per-job ``("ok", payloads)`` / ``("error", exc)``.
 
     Mirrors the chunked worker envelope's outcome shape -- errors stay
     per-job so one bad circuit reports *its* failure while its chunk-mates
-    come back compiled.  ``cached`` (protocol 2) optionally tags each job
-    with its result-cache disposition: ``"hit"``, ``"template"`` or
-    ``None`` (freshly compiled).
+    come back compiled.
     """
-    if cached is None:
-        cached = [None] * len(outcomes)
     results = []
-    for (status, value), disposition in zip(outcomes, cached):
+    for status, value in outcomes:
         if status == "ok":
-            entry = {"ok": True, "blob": pack_blob(value)}
-            if disposition is not None:
-                entry["cached"] = disposition
-            results.append(entry)
+            results.append({"ok": True, "blob": pack_blob(value)})
         else:
             results.append(
                 {

@@ -1,12 +1,12 @@
-"""The transpiler: scheduler framework, shared analysis cache, passes,
+"""The transpiler: pass-manager framework, shared analysis cache, passes,
 preset levels, and the public ``transpile()`` front-end.
 
 Layers, bottom to top:
 
-* :mod:`repro.transpiler.passmanager` -- the requirements/preserves-aware
-  pass scheduler.  Passes declare what they require, provide, preserve and
-  invalidate; the manager skips analyses whose results are still valid and
-  returns structured per-pass metrics in a :class:`TranspileResult`.
+* :mod:`repro.transpiler.passmanager` -- the pass manager.  It runs its
+  schedule in order, every scheduled pass once (the fixed-point loop's
+  passes once per iteration), and returns structured per-pass metrics in
+  a :class:`TranspileResult`.
 * :mod:`repro.transpiler.cache` -- the per-run :class:`AnalysisCache`
   (memoized gate matrices and two-qubit syntheses) every pass shares; a
   plain in-process memo, shared across runs to amortise work over

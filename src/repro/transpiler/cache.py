@@ -1,4 +1,4 @@
-"""Shared analysis cache for the pass scheduler.
+"""Shared analysis cache for the pass manager.
 
 One :class:`AnalysisCache` instance rides along a pipeline run (stored in
 the property set under :attr:`AnalysisCache.PROPERTY_KEY`) and memoizes the

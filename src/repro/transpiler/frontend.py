@@ -199,11 +199,12 @@ def transpile(
             batch runs uncached (a fresh per-call result cache could never
             hit); a caller-owned ``service`` brings its own.
         validate: QSAN translation-validation mode -- ``"full"`` checks
-            semantic equivalence after every transformation pass *and*
-            audits contract honesty, ``"contracts"`` audits only the
-            declared metadata, ``"off"`` disables checking.  ``None``
-            (default) defers to the ``REPRO_QSAN`` environment variable.
-            See :mod:`repro.analysis.qsan`.
+            semantic equivalence after every transformation pass and that
+            every analysis pass leaves the circuit alone, ``"off"``
+            disables checking; any other value raises
+            :class:`TranspilerError`.  ``None`` (default) defers to the
+            ``REPRO_QSAN`` environment variable.  See
+            :mod:`repro.analysis.qsan`.
 
     Returns:
         The transpiled circuit (or result) for single-circuit input, else

@@ -127,7 +127,6 @@ def aggregate_batch(
                 metric.name,
                 {
                     "runs": 0,
-                    "skips": 0,
                     "total_time": 0.0,
                     "max_time": 0.0,
                     "size_delta": 0,
@@ -135,9 +134,6 @@ def aggregate_batch(
                     "rewrites": 0,
                 },
             )
-            if metric.skipped:
-                entry["skips"] += 1
-                continue
             entry["runs"] += 1
             entry["total_time"] += metric.time
             entry["max_time"] = max(entry["max_time"], metric.time)
@@ -149,7 +145,7 @@ def aggregate_batch(
             loop_iterations += loop.iterations
             loops_converged += loop.converged
     for entry in passes.values():
-        entry["mean_time"] = entry["total_time"] / entry["runs"] if entry["runs"] else 0.0
+        entry["mean_time"] = entry["total_time"] / entry["runs"]
     target_report: dict[str, dict] = {}
     for target, entry in by_target.items():
         for field in ("time", "cx", "size", "depth"):

@@ -12,8 +12,6 @@ __all__ = ["Size", "Depth", "CountOps", "FixedPoint", "CheckMap"]
 class Size(AnalysisPass):
     """Record the operation count under ``property_set['size']``."""
 
-    provides = ("size",)
-
     def analyze(self, circuit: QuantumCircuit, property_set: PropertySet) -> None:
         property_set["size"] = circuit.size()
 
@@ -21,16 +19,12 @@ class Size(AnalysisPass):
 class Depth(AnalysisPass):
     """Record the circuit depth under ``property_set['depth']``."""
 
-    provides = ("depth",)
-
     def analyze(self, circuit: QuantumCircuit, property_set: PropertySet) -> None:
         property_set["depth"] = circuit.depth()
 
 
 class CountOps(AnalysisPass):
     """Record per-gate counts under ``property_set['count_ops']``."""
-
-    provides = ("count_ops",)
 
     def analyze(self, circuit: QuantumCircuit, property_set: PropertySet) -> None:
         property_set["count_ops"] = circuit.count_ops()
@@ -41,17 +35,10 @@ class FixedPoint(AnalysisPass):
 
     Sets ``property_set[f"{key}_fixed_point"]`` -- the loop condition of the
     level-3 optimization loop (paper Fig. 8 line 9).
-
-    Deliberately declares no ``provides``: the pass is stateful (it compares
-    consecutive observations), so the scheduler must never skip it.
     """
-
-    provides = ()
 
     def __init__(self, key: str):
         self.key = key
-        # declared so QSAN does not flag the flag write as undeclared
-        self.writes = (f"{key}_fixed_point",)
 
     @property
     def name(self) -> str:
@@ -68,8 +55,6 @@ class FixedPoint(AnalysisPass):
 
 class CheckMap(AnalysisPass):
     """Verify every two-qubit gate respects the coupling map."""
-
-    provides = ("is_swap_mapped",)
 
     def __init__(self, coupling: CouplingMap):
         self.coupling = coupling

@@ -25,10 +25,6 @@ _DIAGONAL_1Q = {"u1", "z", "s", "sdg", "t", "tdg", "rz"}
 class CXCancellation(TransformationPass):
     """Cancel immediately adjacent self-inverse two-qubit gate pairs."""
 
-    requires = ()
-    preserves = ("is_swap_mapped",)
-    invalidates = ()
-
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)
         data = circuit.data
@@ -71,10 +67,6 @@ class CommutativeCancellation(TransformationPass):
     ``t``.  When two identical CNOTs see only such gates between them on
     both wires, the pair collapses.
     """
-
-    requires = ()
-    preserves = ("is_swap_mapped",)
-    invalidates = ()
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)

@@ -21,9 +21,6 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
     cannot affect outcome statistics.
     """
 
-    requires = ()
-    preserves = ("is_swap_mapped",)
-    invalidates = ()
     # phases may change; measurement-outcome distributions may not
     equivalence = "measurement"
 
@@ -56,10 +53,6 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
 class RemoveAnnotations(TransformationPass):
     """Strip ``ANNOT`` directives (after the state analyses consumed them)."""
 
-    requires = ()
-    # directives are invisible to size/depth and touch no couplings
-    preserves = ("size", "depth", "is_swap_mapped")
-    invalidates = ()
     # stripping a programmer promise is semantically free but erases the
     # very annotations the tracker tier would compare against
     equivalence = "none"
@@ -70,10 +63,6 @@ class RemoveAnnotations(TransformationPass):
 
 class RemoveBarriers(TransformationPass):
     """Strip barrier directives."""
-
-    requires = ()
-    preserves = ("size", "depth", "is_swap_mapped")
-    invalidates = ()
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         return _without(circuit, "barrier")

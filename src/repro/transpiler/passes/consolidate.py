@@ -124,10 +124,6 @@ class ConsolidateBlocks(TransformationPass):
     """Collect and re-synthesise two-qubit blocks (Collect2qBlocks +
     ConsolidateBlocks rolled into one linear scan)."""
 
-    requires = ()
-    preserves = ("is_swap_mapped",)
-    invalidates = ()
-
     def __init__(self, force: bool = False):
         # ``force`` re-synthesises even when the CNOT count does not drop
         # (useful in tests); the preset pipelines keep the default.

@@ -21,8 +21,6 @@ __all__ = ["TrivialLayout", "DenseLayout", "ApplyLayout", "SetLayout"]
 class SetLayout(AnalysisPass):
     """Install a user-provided layout."""
 
-    provides = ("layout",)
-
     def __init__(self, layout: Layout):
         self.layout = layout
 
@@ -32,8 +30,6 @@ class SetLayout(AnalysisPass):
 
 class TrivialLayout(AnalysisPass):
     """Identity virtual-to-physical mapping."""
-
-    provides = ("layout",)
 
     def __init__(self, coupling: CouplingMap):
         self.coupling = coupling
@@ -55,8 +51,6 @@ class DenseLayout(AnalysisPass):
     the neighboring physical qubit with the most connections into the chosen
     set, breaking ties on error rates.
     """
-
-    provides = ("layout",)
 
     def __init__(self, coupling: CouplingMap, backend_properties=None):
         self.coupling = coupling
@@ -130,10 +124,6 @@ class DenseLayout(AnalysisPass):
 class ApplyLayout(TransformationPass):
     """Widen the circuit to device size and permute wires per the layout."""
 
-    requires = ("layout",)
-    provides = ("original_num_qubits",)
-    preserves = ()
-    invalidates = ()
     # output equals input embedded into the device per the layout property
     equivalence = "layout"
 

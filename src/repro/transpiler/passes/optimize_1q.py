@@ -45,10 +45,6 @@ _EPS = 1e-10
 class Optimize1qGates(TransformationPass):
     """Fuse runs of adjacent one-qubit gates into minimal u-gates."""
 
-    requires = ()
-    preserves = ("is_swap_mapped",)
-    invalidates = ()
-
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)

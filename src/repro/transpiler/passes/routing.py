@@ -41,10 +41,6 @@ _LOOKAHEAD_DECAY = 0.7
 class StochasticSwap(TransformationPass):
     """Insert SWAPs so all two-qubit gates respect the coupling map."""
 
-    requires = ()
-    provides = ("routing_swaps", "final_permutation")
-    preserves = ()
-    invalidates = ()
     # output equals input up to the wire relabeling in final_permutation
     equivalence = "permutation"
 

@@ -30,10 +30,6 @@ class Unroller(TransformationPass):
     replaced by its expansion, and a circuit already in the basis is
     returned as it is."""
 
-    requires = ()
-    preserves = ()
-    invalidates = ()
-
     def __init__(self, basis: Iterable[str] = IBM_BASIS):
         self.basis = set(basis) | _ALWAYS_ALLOWED
 

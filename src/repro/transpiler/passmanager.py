@@ -1,39 +1,26 @@
-"""Requirements-aware pass-manager framework.
+"""Pass-manager framework.
 
 Passes are small objects with a ``run`` method; transformation passes return
 a new circuit, analysis passes only write to the shared
-:class:`PropertySet`.  A :class:`PassManager` executes a schedule of passes
-and flow controllers (``DoWhileController`` implements the fixed-point loop
-of optimization level 3, paper Fig. 8 lines 9-10).
-
-The scheduler is *requirements/preserves-aware* (the mechanism behind the
-paper's observation that early rewrites make the whole pipeline faster,
-Tables II-IV):
-
-* every :class:`BasePass` declares ``requires`` (property names that must
-  exist before it runs), ``preserves`` (analysis results it keeps valid)
-  and ``invalidates`` (results it always clobbers); analysis passes also
-  declare ``provides``;
-* the manager tracks which analysis results are currently *valid* and
-  skips an analysis pass outright when everything it provides is still
-  valid -- including after transformation passes that provably did not
-  change the circuit (detected structurally), which is what short-circuits
-  the tail iterations of the fixed-point loop;
-* all passes share one :class:`~repro.transpiler.cache.AnalysisCache`
-  (gate matrices, two-qubit syntheses), installed in the property set;
-  pass a cache into :meth:`PassManager.run` to share it across runs.
+:class:`PropertySet`.  A :class:`PassManager` runs its schedule of passes
+and flow controllers in order, every scheduled pass once
+(``DoWhileController`` implements the fixed-point loop of optimization
+level 3, paper Fig. 8 lines 9-10, and runs its passes once per iteration).
+All passes share one :class:`~repro.transpiler.cache.AnalysisCache` (gate
+matrices, two-qubit syntheses), installed in the property set; pass a cache
+into :meth:`PassManager.run` to share it across runs.
 
 Each run produces a :class:`TranspileResult` carrying the output circuit,
 the property set, structured per-pass metrics (:class:`PassMetrics`: time,
-gate/depth delta, rewrites applied, skipped flag) and per-loop metrics
+gate/depth delta, rewrites applied) and per-loop metrics
 (:class:`LoopMetrics`: iteration count, per-iteration times, convergence).
 
 Runs can execute under the QSAN translation-validation sanitizer
-(:mod:`repro.analysis.qsan`): pass ``validate="full"``/``"contracts"`` to
+(:mod:`repro.analysis.qsan`): pass ``validate="full"`` to
 :meth:`PassManager.run_with_result` (or export ``REPRO_QSAN=1``) and every
-transformation pass is checked for semantic equivalence of its input and
-output plus honesty of its ``preserves``/``invalidates`` declarations; a
-dishonest pass raises a structured
+pass is checked -- a transformation pass for semantic equivalence of its
+input and output under its ``equivalence`` contract, an analysis pass for
+leaving the circuit alone; a violating pass raises a structured
 :class:`~repro.analysis.qsan.ContractViolation`.
 ``PassManager.run`` is side-effect free with respect to the manager --
 concurrent runs of one manager do not race; a run's properties live only
@@ -68,51 +55,9 @@ class PropertySet(dict):
     """Shared key-value store that passes use to communicate."""
 
 
-#: Property keys the run loop (or the shared cache machinery) writes as a
-#: side effect of executing *any* pass.  They carry no analysis result, so
-#: they neither count as "the pass wrote properties" for validity tracking
-#: nor need declaring in a pass's ``provides``/``writes`` contract.
-#: Underscore-prefixed keys are private scratch space and equally exempt.
-_BOOKKEEPING_PROPERTIES = frozenset(
-    {
-        "rewrite_counts",
-        "analysis_cache",  # AnalysisCache.PROPERTY_KEY
-        "target",  # installed by the service, read-only to passes
-        "shard",  # serving endpoint, installed by the router
-        "result_cache",  # CACHE_PROPERTY, installed by the service
-    }
-)
-
-
-def is_bookkeeping_property(key) -> bool:
-    """True for run-loop side-channel keys exempt from pass contracts."""
-    return not isinstance(key, str) or key in _BOOKKEEPING_PROPERTIES or key.startswith("_")
-
-
-def _meaningful_writes(snapshot: dict, properties: PropertySet) -> set[str]:
-    """Non-bookkeeping keys a pass added, rebound or deleted.
-
-    In-place mutation of an existing value (e.g. the rewrite counter) is
-    invisible here by design -- the contract tracks *rebindings* of
-    analysis results, which is how every analysis pass publishes.
-    """
-    written = {
-        key
-        for key, value in properties.items()
-        if not is_bookkeeping_property(key)
-        and (key not in snapshot or snapshot[key] is not value)
-    }
-    written.update(
-        key
-        for key in snapshot
-        if key not in properties and not is_bookkeeping_property(key)
-    )
-    return written
-
-
 @dataclass
 class PassMetrics:
-    """Structured record of one pass execution (or skip)."""
+    """Structured record of one pass execution."""
 
     name: str
     time: float
@@ -121,7 +66,6 @@ class PassMetrics:
     depth_before: int
     depth_after: int
     rewrites: int = 0
-    skipped: bool = False
     #: contract/equivalence violations QSAN attributed to this execution
     #: (always 0 when the sanitizer is off)
     violations: int = 0
@@ -166,8 +110,8 @@ class TranspileResult:
 
     @property
     def pass_times(self) -> list[tuple[str, float]]:
-        """``(name, seconds)`` per executed pass (skips excluded)."""
-        return [(m.name, m.time) for m in self.metrics if not m.skipped]
+        """``(name, seconds)`` per executed pass."""
+        return [(m.name, m.time) for m in self.metrics]
 
     @property
     def analysis_cache(self) -> AnalysisCache | None:
@@ -178,22 +122,6 @@ class TranspileResult:
 class BasePass:
     """Common base class for transpiler passes.
 
-    Scheduling contract (all optional, all property-name tuples):
-
-    * ``requires`` -- properties that must already exist in the property
-      set; the manager raises :class:`TranspilerError` otherwise.
-    * ``provides`` -- properties this pass computes.  An analysis pass
-      whose every provided property is still valid is skipped.
-    * ``preserves`` -- properties that remain valid after this pass ran;
-      the string ``"all"`` preserves everything (analysis passes default
-      to it, transformation passes to ``()``).
-    * ``invalidates`` -- properties clobbered unconditionally, even when
-      the circuit comes back unchanged.
-    * ``writes`` -- extra property keys the pass may legitimately rebind
-      without providing them as analysis results (stateful scratch such as
-      ``FixedPoint``'s flag).  QSAN's contract audit treats any other
-      non-bookkeeping property write as an undeclared write.
-
     ``equivalence`` names the semantic contract QSAN holds the pass to:
     ``"unitary"`` (exact unitary equivalence up to global phase, the
     default), ``"state"`` (equivalence from the all-zeros initial state
@@ -201,14 +129,9 @@ class BasePass:
     (equivalent up to the wire relabeling in ``final_permutation``),
     ``"layout"`` (equivalent up to embedding per the ``layout`` property),
     ``"measurement"`` (measurement-outcome distributions match) or
-    ``"none"`` (no semantic check; contract audit only).
+    ``"none"`` (no semantic check).
     """
 
-    requires: tuple[str, ...] = ()
-    provides: tuple[str, ...] = ()
-    preserves: tuple[str, ...] | str = ()
-    invalidates: tuple[str, ...] = ()
-    writes: tuple[str, ...] = ()
     equivalence: str = "unitary"
 
     @property
@@ -225,7 +148,6 @@ class BasePass:
 class AnalysisPass(BasePass):
     """A pass that computes properties but leaves the circuit unchanged."""
 
-    preserves = "all"
     equivalence = "identity"
 
     def analyze(self, circuit: QuantumCircuit, property_set: PropertySet) -> None:
@@ -311,22 +233,18 @@ class _RunState:
 
     __slots__ = (
         "properties",
-        "valid",
         "metrics",
         "loops",
-        "cache",
         "size",
         "depth",
         "validator",
         "violations",
     )
 
-    def __init__(self, properties: PropertySet, cache: AnalysisCache, validator=None):
+    def __init__(self, properties: PropertySet, validator=None):
         self.properties = properties
-        self.valid: set[str] = set()
         self.metrics: list[PassMetrics] = []
         self.loops: list[LoopMetrics] = []
-        self.cache = cache
         self.size: int | None = None  # memoized metrics of the live circuit
         self.depth: int | None = None
         self.validator = validator  # QsanValidator or None
@@ -334,7 +252,7 @@ class _RunState:
 
 
 def _unchanged(before: QuantumCircuit, after: QuantumCircuit) -> bool:
-    """Structurally identical output => every analysis stays valid."""
+    """True when ``after`` is structurally identical to ``before``."""
     if after is before:
         return True
     if (
@@ -392,9 +310,8 @@ class PassManager:
         analyses.  All run state is local to the call.
 
         ``validate`` turns on the QSAN sanitizer for this run: ``"full"``
-        (equivalence + contract audit), ``"contracts"`` (audit only) or
-        ``"off"``.  ``None`` defers to the ``REPRO_QSAN`` environment
-        variable (see :mod:`repro.analysis.qsan`).
+        (every pass checked) or ``"off"``.  ``None`` defers to the
+        ``REPRO_QSAN`` environment variable (see :mod:`repro.analysis.qsan`).
         """
         properties = property_set if property_set is not None else PropertySet()
         cache = analysis_cache
@@ -410,7 +327,7 @@ class PassManager:
             config = QsanConfig.resolve(validate)
             if config.enabled:
                 validator = QsanValidator(config)
-        state = _RunState(properties, cache, validator=validator)
+        state = _RunState(properties, validator=validator)
         start = time.perf_counter()
         for item in self._schedule:
             circuit = self._run_item(item, circuit, state)
@@ -451,74 +368,28 @@ class PassManager:
 
     def _run_pass(self, pass_, circuit, state: _RunState):
         properties = state.properties
-        for required in pass_.requires:
-            if required not in properties:
-                raise TranspilerError(
-                    f"pass {pass_.name} requires property {required!r}; schedule "
-                    "a pass that provides it first"
-                )
-
         if state.size is None:
             state.size = circuit.size()
             state.depth = circuit.depth()
         size_before, depth_before = state.size, state.depth
 
-        provides = tuple(pass_.provides)
-        if (
-            isinstance(pass_, AnalysisPass)
-            and provides
-            and all(name in state.valid for name in provides)
-        ):
-            # everything this analysis would compute is still valid: skip
-            state.metrics.append(
-                PassMetrics(
-                    name=pass_.name,
-                    time=0.0,
-                    size_before=size_before,
-                    size_after=size_before,
-                    depth_before=depth_before,
-                    depth_after=depth_before,
-                    skipped=True,
-                )
-            )
-            return circuit
-
-        snapshot = dict(properties)
-        valid_before = set(state.valid)
         rewrites_before = rewrite_counter(properties)[pass_.name]
         start = time.perf_counter()
         result = pass_.run(circuit, properties)
         elapsed = time.perf_counter() - start
         if result is None:
-            raise RuntimeError(f"pass {pass_.name} returned None")
+            raise TranspilerError(
+                f"pass {pass_.name} returned None instead of a circuit"
+            )
 
         changed = not _unchanged(circuit, result)
-        written = _meaningful_writes(snapshot, properties)
-        undeclared = written - set(provides) - set(pass_.writes)
-        if changed or undeclared:
-            # a rewritten circuit -- or one whose pass wrote properties it
-            # never declared, a change the structural shortcut used to
-            # miss -- invalidates everything not declared kept
-            if pass_.preserves != "all":
-                state.valid &= set(pass_.preserves)
         if changed:
             state.size = result.size()
             state.depth = result.depth()
-        state.valid -= set(pass_.invalidates)
-        state.valid |= set(provides)
 
         found = []
         if state.validator is not None:
-            found = state.validator.check_pass(
-                pass_,
-                circuit,
-                result,
-                properties,
-                snapshot=snapshot,
-                written=written,
-                valid_before=valid_before,
-                changed=changed,
-            )
+            found = state.validator.check_pass(pass_, circuit, result, properties, changed)
             state.violations.extend(found)
         state.metrics.append(
             PassMetrics(
@@ -529,7 +400,6 @@ class PassManager:
                 depth_before=depth_before,
                 depth_after=state.depth,
                 rewrites=rewrite_counter(properties)[pass_.name] - rewrites_before,
-                skipped=False,
                 violations=len(found),
             )
         )

@@ -18,73 +18,6 @@ def rule_ids(source, path, select=None):
     return [f.rule for f in findings(source, path, select)]
 
 
-class TestPAS001:
-    def test_transformation_pass_missing_metadata_flagged(self):
-        src = """
-        from repro.transpiler.passmanager import TransformationPass
-        class MyPass(TransformationPass):
-            def transform(self, circuit, props):
-                return circuit
-        """
-        found = findings(src, PASSES_PATH)
-        assert [f.rule for f in found] == ["PAS001"]
-        assert "requires" in found[0].message
-
-    def test_partial_metadata_still_flagged(self):
-        src = """
-        from repro.transpiler.passmanager import TransformationPass
-        class MyPass(TransformationPass):
-            requires = ()
-            preserves = ("size",)
-            def transform(self, circuit, props):
-                return circuit
-        """
-        found = findings(src, PASSES_PATH)
-        assert [f.rule for f in found] == ["PAS001"]
-        assert "invalidates" in found[0].message
-        assert "requires" not in found[0].message
-
-    def test_fully_declared_transformation_clean(self):
-        src = """
-        from repro.transpiler.passmanager import TransformationPass
-        class MyPass(TransformationPass):
-            requires = ()
-            preserves = ()
-            invalidates = ()
-            def transform(self, circuit, props):
-                return circuit
-        """
-        assert rule_ids(src, PASSES_PATH) == []
-
-    def test_analysis_pass_needs_provides(self):
-        src = """
-        from repro.transpiler.passmanager import AnalysisPass
-        class MyAnalysis(AnalysisPass):
-            def analyze(self, circuit, props):
-                props["thing"] = 1
-        """
-        found = findings(src, PASSES_PATH)
-        assert [f.rule for f in found] == ["PAS001"]
-        assert "provides" in found[0].message
-
-    def test_analysis_pass_with_provides_clean(self):
-        src = """
-        from repro.transpiler.passmanager import AnalysisPass
-        class MyAnalysis(AnalysisPass):
-            provides = ("thing",)
-            def analyze(self, circuit, props):
-                props["thing"] = 1
-        """
-        assert rule_ids(src, PASSES_PATH) == []
-
-    def test_unrelated_class_ignored(self):
-        src = """
-        class Helper:
-            pass
-        """
-        assert rule_ids(src, PASSES_PATH) == []
-
-
 class TestPCK001:
     def test_boundary_class_with_lock_and_no_hook_flagged(self):
         src = """
@@ -444,9 +377,10 @@ class TestDriver:
     def test_cli_list_rules(self, capsys):
         assert lint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("PAS001", "PCK001", "DET001", "LCK001", "CIR001"):
+        for rule_id in ("PCK001", "DET001", "LCK001", "CIR001"):
             assert rule_id in out
-        assert "RES001" not in out
+        for retired in ("RES001", "PAS001"):
+            assert retired not in out
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
         bad = tmp_path / "broken.py"

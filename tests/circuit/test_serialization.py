@@ -132,7 +132,7 @@ class TestPayloadRoundTrip:
         assert len(table) == 1
         rebuilt = circuit_from_payload(payload)
         ops = {id(inst.operation) for inst in rebuilt.data}
-        assert len(ops) == 1  # identity sharing preserved for the DAG cache
+        assert len(ops) == 1  # one shared gate object per table entry
 
     def test_payload_smaller_than_pickle(self):
         from repro.algorithms import quantum_phase_estimation

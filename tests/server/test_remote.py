@@ -12,6 +12,7 @@ test) except the one process-mode round-trip; the protocol and HTTP
 layers under test are identical in every mode.
 """
 
+import re
 import threading
 import time
 
@@ -193,6 +194,28 @@ class TestRemoteFailureModes:
         with RemoteCompileService("http://127.0.0.1:9", timeout=2.0) as client:
             with pytest.raises(TranspilerError, match="cannot reach"):
                 client.map([QuantumCircuit(1)])
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("chunk_size", "bogus"),
+            ("chunk_size", 0),
+            ("chunk_size", -3),
+            ("chunk_size", 2.5),
+            ("max_connections", 0),
+            ("max_connections", -2),
+            ("timeout", 0),
+            ("timeout", -1),
+        ],
+    )
+    def test_bad_argument_is_a_typed_error(self, name, value):
+        message = re.escape(f"{name} must be") + ".*" + re.escape(repr(value))
+        with pytest.raises(TranspilerError, match=message):
+            RemoteCompileService("http://127.0.0.1:9", **{name: value})
+        if name == "chunk_size":
+            with RemoteCompileService("http://127.0.0.1:9") as client:
+                with pytest.raises(TranspilerError, match=message):
+                    client.map([QuantumCircuit(1)], chunk_size=value)
 
     def test_empty_batch_is_empty_answer_without_requests(self, remote):
         before = remote._requests
@@ -501,9 +524,10 @@ class TestServerLifecycle:
 
 
 class TestResultCacheOverWire:
-    """Protocol-v2 result-cache surfaces: the ``X-Repro-Cache-Hits``
-    response header, ``GET /cache/<fingerprint>`` peer lookups, and the
-    ``result_cache`` section of ``/metrics``."""
+    """Result-cache surfaces over the wire: each result's
+    ``properties["result_cache"]``, ``GET /cache/<fingerprint>`` peer
+    lookups (protocol v2), and the ``result_cache`` section of
+    ``/metrics``."""
 
     def _fresh_batch(self, n=3):
         rng = np.random.default_rng(23)
@@ -512,10 +536,9 @@ class TestResultCacheOverWire:
             for _ in range(n)
         ]
 
-    def test_repeat_batch_reports_hits_in_header_and_metrics(self, remote):
+    def test_repeat_batch_reports_hits_per_result_and_in_metrics(self, remote):
         batch = self._fresh_batch()
         seeds = [101] * len(batch)
-        before = remote.stats()["client"]["remote_cache_hits"]
         first = remote.map(
             [c.copy() for c in batch], targets="melbourne", seeds=seeds,
             pipeline="rpo",
@@ -524,10 +547,8 @@ class TestResultCacheOverWire:
             [c.copy() for c in batch], targets="melbourne", seeds=seeds,
             pipeline="rpo",
         )
+        assert [r.properties["result_cache"] for r in second] == ["hit"] * len(batch)
         stats = remote.stats()
-        assert (
-            stats["client"]["remote_cache_hits"] - before >= len(batch)
-        )  # counted from the response header
         cache_stats = stats["result_cache"]
         assert cache_stats is not None
         assert cache_stats["hits"] >= len(batch)

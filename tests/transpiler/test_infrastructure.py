@@ -104,8 +104,6 @@ class TestPassManager:
 
     def test_do_while_runs_until_condition(self):
         class CountDown(AnalysisPass):
-            writes = ("n",)  # stateful counter: declared write, never skipped
-
             def analyze(self, circuit, props):
                 props["n"] = props.get("n", 3) - 1
 
@@ -118,8 +116,6 @@ class TestPassManager:
 
     def test_do_while_respects_max_iterations(self):
         class Forever(AnalysisPass):
-            writes = ("count",)
-
             def analyze(self, circuit, props):
                 props["count"] = props.get("count", 0) + 1
 

@@ -45,14 +45,13 @@ class TestAggregateBatch:
     def test_per_pass_aggregates(self, batch_report):
         report, results = batch_report
         passes = report["passes"]
-        executed = {m.name for r in results for m in r.metrics if not m.skipped}
-        assert executed <= set(passes)
+        executed = {m.name for r in results for m in r.metrics}
+        assert executed == set(passes)
         for entry in passes.values():
-            assert entry["runs"] + entry["skips"] > 0
-            if entry["runs"]:
-                assert entry["mean_time"] == pytest.approx(
-                    entry["total_time"] / entry["runs"]
-                )
+            assert entry["runs"] > 0
+            assert entry["mean_time"] == pytest.approx(
+                entry["total_time"] / entry["runs"]
+            )
         total_rewrites = sum(entry["rewrites"] for entry in passes.values())
         assert total_rewrites == sum(m.rewrites for r in results for m in r.metrics)
 

@@ -1,4 +1,4 @@
-"""Tests for the requirements-aware scheduler and TranspileResult metrics."""
+"""Tests for the pass manager's run loop and TranspileResult metrics."""
 
 import threading
 
@@ -21,13 +21,6 @@ class Noop(TransformationPass):
         return circuit
 
 
-class RebuildUnchanged(TransformationPass):
-    """Returns a fresh but structurally identical circuit."""
-
-    def transform(self, circuit, props):
-        return circuit.copy()
-
-
 class AddX(TransformationPass):
     equivalence = "none"  # test machinery: changes semantics on purpose
 
@@ -35,13 +28,6 @@ class AddX(TransformationPass):
         out = circuit.copy()
         out.x(0)
         return out
-
-
-class NeedsLayout(TransformationPass):
-    requires = ("layout",)
-
-    def transform(self, circuit, props):
-        return circuit
 
 
 class TestTranspileResult:
@@ -81,109 +67,46 @@ class TestTranspileResult:
         assert "pass_times" not in properties
 
 
-class TestAnalysisSkipping:
-    def test_second_identical_analysis_skipped(self):
-        pm = PassManager([Size(), Size()])
-        result = pm.run_with_result(QuantumCircuit(1))
-        assert [m.skipped for m in result.metrics] == [False, True]
+class TestRunsItsSchedule:
+    def test_every_scheduled_analysis_runs(self):
+        """An analysis scheduled twice runs twice, and ``Size`` runs in
+        both iterations of a two-iteration fixed-point loop."""
+        calls = []
 
-    def test_analysis_stays_valid_across_unchanged_transform(self):
-        pm = PassManager([Size(), RebuildUnchanged(), Size()])
-        result = pm.run_with_result(QuantumCircuit(1))
-        assert [m.skipped for m in result.metrics] == [False, False, True]
+        class CountingSize(Size):
+            def analyze(self, circuit, props):
+                calls.append(circuit.size())
+                super().analyze(circuit, props)
 
-    def test_changed_transform_invalidates(self):
-        pm = PassManager([Size(), AddX(), Size()])
-        result = pm.run_with_result(QuantumCircuit(1))
-        assert [m.skipped for m in result.metrics] == [False, False, False]
-        assert result.properties["size"] == 1
-
-    def test_skipped_analysis_keeps_property_correct(self):
         circuit = QuantumCircuit(1)
         circuit.x(0)
-        pm = PassManager([Size(), Noop(), Size()])
-        result = pm.run_with_result(circuit)
-        assert result.metrics[2].skipped
-        assert result.properties["size"] == 1
+        result = PassManager([CountingSize(), CountingSize()]).run_with_result(circuit)
+        assert calls == [1, 1]
+        assert [m.name for m in result.metrics] == ["CountingSize", "CountingSize"]
 
-    def test_fixed_point_never_skipped(self):
-        # FixedPoint is stateful: skipping it would stall the level-3 loop
-        pm = PassManager([Size(), FixedPoint("size"), Size(), FixedPoint("size")])
-        result = pm.run_with_result(QuantumCircuit(1))
-        skipped = {m.name: m.skipped for m in result.metrics if "FixedPoint" in m.name}
-        assert skipped == {"FixedPoint(size)": False}
-        assert result.properties["size_fixed_point"]
+        calls.clear()
+        loop = DoWhileController(
+            [CountingSize(), FixedPoint("size")],
+            do_while=lambda ps: not ps["size_fixed_point"],
+        )
+        result = PassManager([loop]).run_with_result(circuit)
+        (metrics,) = result.loops
+        assert metrics.iterations == 2 and metrics.converged
+        assert calls == [1, 1]
+        assert [m.name for m in result.metrics] == ["CountingSize", "FixedPoint(size)"] * 2
 
-
-class TestPropertyWritesCountAsChanges:
-    """Regression: a structurally-unchanged transformation pass used to
-    keep every analysis valid even when it wrote new properties."""
-
-    def test_undeclared_write_invalidates_analyses(self):
-        class WritesUndeclared(TransformationPass):
+    def test_pass_returning_none_is_a_typed_error(self):
+        class ReturnsNone(TransformationPass):
             def transform(self, circuit, props):
-                props["novel"] = 1
-                return circuit
+                return None
 
-        pm = PassManager([Size(), WritesUndeclared(), Size()])
-        # validate="off": this deliberately-undeclared write exercises the
-        # scheduler's skip logic, not the sanitizer (which would raise).
-        result = pm.run_with_result(QuantumCircuit(1), validate="off")
-        # the hidden write must invalidate: the second Size re-runs
-        assert [m.skipped for m in result.metrics] == [False, False, False]
-
-    def test_undeclared_delete_invalidates_analyses(self):
-        class DeletesProperty(TransformationPass):
-            def transform(self, circuit, props):
-                props.pop("size", None)
-                return circuit
-
-        pm = PassManager([Size(), DeletesProperty(), Size()])
-        result = pm.run_with_result(QuantumCircuit(1), validate="off")
-        assert [m.skipped for m in result.metrics] == [False, False, False]
-        assert result.properties["size"] == 0
-
-    def test_declared_write_on_unchanged_circuit_keeps_validity(self):
-        class WritesDeclared(TransformationPass):
-            writes = ("routing_flag",)
-
-            def transform(self, circuit, props):
-                props["routing_flag"] = True
-                return circuit
-
-        pm = PassManager([Size(), WritesDeclared(), Size()])
-        result = pm.run_with_result(QuantumCircuit(1))
-        # publishing a declared artifact is not a hidden change: skip holds
-        assert [m.skipped for m in result.metrics] == [False, False, True]
-
-    def test_bookkeeping_writes_do_not_invalidate(self):
-        class TouchesBookkeeping(TransformationPass):
-            def transform(self, circuit, props):
-                props["_scratch"] = object()
-                return circuit
-
-        pm = PassManager([Size(), TouchesBookkeeping(), Size()])
-        result = pm.run_with_result(QuantumCircuit(1))
-        assert [m.skipped for m in result.metrics] == [False, False, True]
-
-
-class TestRequires:
-    def test_missing_requirement_raises(self):
-        pm = PassManager([NeedsLayout()])
-        with pytest.raises(TranspilerError, match="requires property 'layout'"):
-            pm.run(QuantumCircuit(1))
-
-    def test_requirement_satisfied_by_property(self):
-        properties = PropertySet()
-        properties["layout"] = object()
-        PassManager([NeedsLayout()]).run(QuantumCircuit(1), properties)
+        with pytest.raises(TranspilerError, match="pass ReturnsNone returned None"):
+            PassManager([ReturnsNone()]).run(QuantumCircuit(1))
 
 
 class TestLoopMetrics:
     def _counting_loop(self, max_iterations=10, stop_after=3):
         class Count(AnalysisPass):
-            writes = ("n",)  # stateful counter: declared write, never skipped
-
             def analyze(self, circuit, props):
                 props["n"] = props.get("n", 0) + 1
 
@@ -223,8 +146,6 @@ class TestConcurrency:
         """Satellite: one manager, many threads, isolated results."""
 
         class RecordWidth(AnalysisPass):
-            provides = ("width",)
-
             def analyze(self, circuit, props):
                 props["width"] = circuit.num_qubits
 
