@@ -309,6 +309,26 @@ class TestCIR001:
 
 
 class TestDriver:
+    def test_src_tree_is_clean_under_every_rule(self):
+        from pathlib import Path
+
+        src_root = Path(__file__).resolve().parents[2] / "src"
+        assert lint.lint_paths([str(src_root)]) == []
+
+    def test_pass_without_scheduling_metadata_is_clean(self):
+        src = """
+        from repro.transpiler.passmanager import AnalysisPass, TransformationPass
+
+        class CountThings(AnalysisPass):
+            def analyze(self, circuit, props):
+                props["things"] = circuit.size()
+
+        class DoNothing(TransformationPass):
+            def transform(self, circuit, props):
+                return circuit
+        """
+        assert rule_ids(src, PASSES_PATH) == []
+
     def test_skip_file_pragma(self):
         src = """\
         # repro-lint: skip-file

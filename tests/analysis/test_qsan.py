@@ -48,6 +48,25 @@ class HonestNoop(TransformationPass):
         return circuit
 
 
+class DropsLastGate(TransformationPass):
+    """Semantically wrong: drops the circuit's last gate."""
+
+    def transform(self, circuit, props):
+        out = circuit.copy_empty_like()
+        for instruction in circuit.data[:-1]:
+            out.append(instruction.operation, instruction.qubits, instruction.clbits)
+        return out
+
+
+class WritesProperties(TransformationPass):
+    """Leaves the circuit alone; adds one property and overwrites another."""
+
+    def transform(self, circuit, props):
+        props["novel"] = 1
+        props["size"] = 9999
+        return circuit
+
+
 class PrependZZ(TransformationPass):
     """Honest: prepends ``z; z`` on qubit 0, which is the identity."""
 
@@ -82,6 +101,23 @@ class TestContractAudit:
         with pytest.raises(ContractViolation) as excinfo:
             pm.run_with_result(_bell(), validate="full")
         assert excinfo.value.kind == "analysis-mutation"
+
+    def test_dropped_gate_is_caught_by_equivalence(self):
+        pm = PassManager([Size(), DropsLastGate()])
+        with pytest.raises(ContractViolation) as excinfo:
+            pm.run_with_result(_bell(), validate="full")
+        assert excinfo.value.kind == "equivalence"
+        assert excinfo.value.pass_name == "DropsLastGate"
+        assert excinfo.value.diff is not None
+
+    def test_property_writes_are_not_audited(self):
+        """Passes declare no property writes, so writing or overwriting a
+        property on an unchanged circuit is clean under ``"full"``."""
+        pm = PassManager([Size(), WritesProperties()])
+        result = pm.run_with_result(_bell(), validate="full")
+        assert result.violations == []
+        assert result.properties["novel"] == 1
+        assert result.properties["size"] == 9999
 
     def test_honest_pipeline_is_clean(self):
         pm = PassManager([Size(), HonestNoop(), Size()])
@@ -168,6 +204,17 @@ class TestConfigResolution:
             QsanConfig.resolve("sometimes")
         with pytest.raises(TranspilerError, match="'contracts'; expected 'off' or 'full'"):
             PassManager([Size()]).run_with_result(_bell(), validate="contracts")
+
+    @pytest.mark.parametrize("front", ["transpile", "service"])
+    def test_contracts_mode_is_rejected_by_the_compile_fronts(self, front):
+        from repro.transpiler import CompileService, transpile
+
+        with pytest.raises(TranspilerError, match="'contracts'; expected 'off' or 'full'"):
+            if front == "transpile":
+                transpile(_bell(), pipeline="level1", validate="contracts")
+            else:
+                with CompileService(mode="serial", validate="contracts") as service:
+                    service.map([_bell()])
 
     def test_caps_read_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_QSAN", "full")

@@ -131,6 +131,16 @@ class TestFrameRoundTrip:
         assert isinstance(error, TranspilerError)
         assert "boom" in str(error)
 
+    def test_result_entries_carry_only_their_outcome(self):
+        okay = ("payload-stand-in", [], [], 0.25, {"result_cache": "hit"})
+        envelope = encode_results([("ok", okay), ("error", TranspilerError("boom"))])
+        assert [sorted(entry) for entry in envelope["results"]] == [
+            ["blob", "ok"],
+            ["error", "kind", "ok"],
+        ]
+        decoded = decode_results(decode_frame(encode_frame(envelope)))
+        assert decoded[0][1][4] == {"result_cache": "hit"}
+
     def test_error_envelope_raises_on_decode(self):
         envelope = decode_frame(encode_frame(encode_error("it broke")))
         with pytest.raises(ProtocolError, match="it broke"):

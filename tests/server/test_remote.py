@@ -217,6 +217,23 @@ class TestRemoteFailureModes:
                 with pytest.raises(TranspilerError, match=message):
                     client.map([QuantumCircuit(1)], chunk_size=value)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("chunk_size", "auto"),
+            ("chunk_size", 1),
+            ("max_connections", 1),
+            ("timeout", 2.5),
+        ],
+    )
+    def test_good_argument_is_accepted(self, server, name, value):
+        with RemoteCompileService(server.endpoint, **{name: value}) as client:
+            (result,) = client.map([QuantumCircuit(1)], targets="linear:2")
+        assert result.circuit.num_qubits == 2
+        if name == "chunk_size":
+            with RemoteCompileService(server.endpoint) as client:
+                assert len(client.map([QuantumCircuit(1)] * 2, chunk_size=value)) == 2
+
     def test_empty_batch_is_empty_answer_without_requests(self, remote):
         before = remote._requests
         assert remote.map([]) == []
@@ -554,6 +571,39 @@ class TestResultCacheOverWire:
         assert cache_stats["hits"] >= len(batch)
         for a, b in zip(first, second):
             _assert_identical(a.circuit, b.circuit)
+
+    def test_reply_reports_cache_disposition_only_in_the_blob(self, remote):
+        """A ``POST /compile`` reply carries no cache-hit header and no
+        per-entry ``"cached"`` tag; the blob's properties say it all."""
+        import urllib.request
+
+        from repro.server.protocol import (
+            decode_frame,
+            encode_frame,
+            encode_jobs,
+            unpack_blob,
+        )
+
+        (circuit,) = self._fresh_batch(1)
+        job, _ = remote._job(circuit, "melbourne", {"pipeline": "rpo", "seed": 202})
+        frame = encode_frame(encode_jobs([job]))
+        replies = []
+        for _ in range(2):
+            request = urllib.request.Request(
+                remote.endpoint + "/compile", data=frame, method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert not any(
+                    name.lower().startswith("x-repro") for name in response.headers
+                )
+                replies.append(decode_frame(response.read()))
+        dispositions = []
+        for reply in replies:
+            (entry,) = reply["results"]
+            assert sorted(entry) == ["blob", "ok"]
+            dispositions.append(unpack_blob(entry["blob"])[4].get("result_cache"))
+        assert dispositions == [None, "hit"]
+        assert "jobs_cached" not in remote.stats()["server"]
 
     def test_cache_lookup_round_trip_and_miss(self, remote):
         from repro.circuit.serialization import circuit_to_payload

@@ -55,6 +55,16 @@ class TestAggregateBatch:
         total_rewrites = sum(entry["rewrites"] for entry in passes.values())
         assert total_rewrites == sum(m.rewrites for r in results for m in r.metrics)
 
+    def test_runs_count_every_scheduled_pass_run(self, batch_report):
+        report, results = batch_report
+        for name, entry in report["passes"].items():
+            runs = sum(m.name == name for r in results for m in r.metrics)
+            assert entry["runs"] == runs
+            assert set(entry) == {
+                "runs", "total_time", "max_time", "mean_time",
+                "size_delta", "depth_delta", "rewrites",
+            }
+
     def test_cache_report(self, batch_report):
         report, _ = batch_report
         cache = report["cache"]

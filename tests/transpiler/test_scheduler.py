@@ -13,7 +13,9 @@ from repro.transpiler.passmanager import (
     TransformationPass,
     TranspileResult,
 )
-from repro.transpiler.passes import CXCancellation, FixedPoint, Size
+from repro.transpiler.coupling import CouplingMap
+from repro.transpiler.layout import Layout
+from repro.transpiler.passes import ApplyLayout, CXCancellation, FixedPoint, Size
 
 
 class Noop(TransformationPass):
@@ -102,6 +104,129 @@ class TestRunsItsSchedule:
 
         with pytest.raises(TranspilerError, match="pass ReturnsNone returned None"):
             PassManager([ReturnsNone()]).run(QuantumCircuit(1))
+
+    def test_analysis_after_a_changing_transform_sees_the_new_circuit(self):
+        result = PassManager([Size(), AddX(), Size()]).run_with_result(QuantumCircuit(1))
+        assert [m.name for m in result.metrics] == ["Size", "AddX", "Size"]
+        assert result.properties["size"] == 1
+
+    def test_analysis_after_an_unchanged_transform_stays_correct(self):
+        circuit = QuantumCircuit(1)
+        circuit.x(0)
+        result = PassManager([Size(), Noop(), Size()]).run_with_result(circuit)
+        assert [m.name for m in result.metrics] == ["Size", "Noop", "Size"]
+        assert result.properties["size"] == 1
+
+    def test_fixed_point_runs_at_every_position(self):
+        # FixedPoint is stateful: its second run compares against the first
+        pm = PassManager([Size(), FixedPoint("size"), Size(), FixedPoint("size")])
+        result = pm.run_with_result(QuantumCircuit(1))
+        names = [m.name for m in result.metrics]
+        assert names.count("FixedPoint(size)") == 2
+        assert result.properties["size_fixed_point"]
+
+    def test_property_deleted_by_a_transform_is_recomputed(self):
+        class DeletesSize(TransformationPass):
+            def transform(self, circuit, props):
+                props.pop("size", None)
+                return circuit
+
+        circuit = QuantumCircuit(1)
+        circuit.x(0)
+        result = PassManager([Size(), DeletesSize(), Size()]).run_with_result(circuit)
+        assert result.properties["size"] == 1
+
+    def test_properties_written_by_a_transform_reach_the_result(self):
+        class WritesFlag(TransformationPass):
+            def transform(self, circuit, props):
+                props["routing_flag"] = True
+                return circuit
+
+        result = PassManager([WritesFlag(), Size()]).run_with_result(QuantumCircuit(1))
+        assert result.properties["routing_flag"] is True
+        assert result.properties["size"] == 0
+
+    def test_passes_and_loops_run_in_schedule_order(self):
+        calls = []
+
+        class Record(AnalysisPass):
+            def __init__(self, label):
+                self.label = label
+
+            def analyze(self, circuit, props):
+                calls.append(self.label)
+                if self.label == "b":
+                    props["b_runs"] = props.get("b_runs", 0) + 1
+
+        loop = DoWhileController(
+            [Record("b"), Record("c")], do_while=lambda ps: ps["b_runs"] < 2
+        )
+        PassManager([Record("a"), loop, Record("d")]).run(QuantumCircuit(1))
+        assert calls == ["a", "b", "c", "b", "c", "d"]
+
+    @pytest.mark.parametrize("pipeline", ["level1", "level2"])
+    def test_preset_loop_runs_size_every_iteration(self, pipeline):
+        """Levels 1 and 2 were the only presets whose ``Size`` runs could
+        be skipped; now each loop iteration runs it once."""
+        from repro.algorithms import quantum_phase_estimation
+        from repro.backends import FakeMelbourne
+        from repro.transpiler import transpile
+
+        result = transpile(
+            quantum_phase_estimation(3),
+            backend=FakeMelbourne(),
+            pipeline=pipeline,
+            seed=1,
+            full_result=True,
+        )
+        (loop,) = result.loops
+        assert loop.iterations >= 2
+        sizes = [m for m in result.metrics if m.name == "Size"]
+        assert len(sizes) == loop.iterations
+        assert result.properties["size"] == result.circuit.size()
+
+
+class TestApplyLayoutNeedsLayout:
+    def test_missing_layout_raises(self):
+        pm = PassManager([ApplyLayout(CouplingMap.line(2))])
+        with pytest.raises(TranspilerError, match="ApplyLayout requires a layout"):
+            pm.run(QuantumCircuit(1))
+
+    def test_layout_property_satisfies_apply_layout(self):
+        circuit = QuantumCircuit(1)
+        circuit.x(0)
+        properties = PropertySet()
+        properties["layout"] = Layout({0: 1})
+        out = PassManager([ApplyLayout(CouplingMap.line(2))]).run(circuit, properties)
+        assert out.num_qubits == 2
+        assert [inst.qubits for inst in out.data] == [(1,)]
+
+
+class TestNoSchedulingMetadata:
+    """Passes declare no scheduling metadata and metrics record no skips:
+    nothing reads either since every scheduled pass runs."""
+
+    @staticmethod
+    def _pass_classes():
+        import repro.transpiler.passes as passes
+        from repro.rpo import HoareOptimizer, QBOPass, QPOPass
+        from repro.transpiler.passmanager import BasePass
+
+        shipped = [getattr(passes, name) for name in passes.__all__]
+        shipped = [c for c in shipped if isinstance(c, type) and issubclass(c, BasePass)]
+        return [BasePass, AnalysisPass, TransformationPass, HoareOptimizer,
+                QBOPass, QPOPass, *shipped]
+
+    @pytest.mark.parametrize(
+        "attribute", ["requires", "provides", "preserves", "invalidates", "writes"]
+    )
+    def test_no_pass_declares(self, attribute):
+        offenders = [c.__name__ for c in self._pass_classes() if hasattr(c, attribute)]
+        assert offenders == []
+
+    def test_pass_metrics_have_no_skip_flag(self):
+        result = PassManager([Size(), Size()]).run_with_result(QuantumCircuit(1))
+        assert all(not hasattr(m, "skipped") for m in result.metrics)
 
 
 class TestLoopMetrics:
