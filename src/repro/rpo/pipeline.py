@@ -14,12 +14,15 @@ additions of Fig. 8::
     9  while not <fixed point>:
    10      <optimizations>
 
-The early QBO cascades through the rest of the pipeline (any gate removed
-up front speeds up and improves every later pass -- the mechanism behind
-the paper's *reduced* transpile times despite extra passes); the second QBO
-targets the routing-inserted SWAPs; QPO runs once outside the fixed-point
-loop because the loop's optimizations preserve the state invariants
-(Sec. VII-A).
+The early QBO cascades through the rest of the pipeline: any gate it
+removes up front is one gate fewer for every later pass.  The paper credits
+this for RPO's reduced transpile times despite the extra passes; on our
+Table II quick rows it does not pay for them yet: RPO's mean transpile time
+is 1.19-1.21x level 3's (``benchmarks/bench_table2_main.py --quick``, the
+median of 15 warm repeats per cell, 3 runs on a 2-core x86_64 host).  The
+second QBO targets the routing-inserted SWAPs; QPO runs once outside the
+fixed-point loop because the loop's optimizations preserve the state
+invariants (Sec. VII-A).
 
 Targets, pass manager and cache architecture
 --------------------------------------------

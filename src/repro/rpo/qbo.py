@@ -103,30 +103,33 @@ class QBOPass(TransformationPass):
     def _swapz_profitable(self) -> bool:
         return getattr(self._run_state, "swapz_profitable", True)
 
-    def _count_rewrite(self) -> None:
-        self._run_state.rewrites[self.name] += 1
-
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         state = self._run_state
         state.cache = AnalysisCache.ensure(property_set)
-        state.rewrites = rewrite_counter(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
+        axes = tracker.axes  # -1 marks TOP
         output = RecordEdits()
         blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
+            operation = instruction.operation
+            # TOP is absorbing and no rule fires on a gate whose wires are
+            # all TOP, so it stays as it is -- except SWAPZ, whose zero-wire
+            # promise then fails and which demotes to its CNOT pair
+            if (
+                operation.is_gate()
+                and operation.name != "swapz"
+                and all(axes[q] < 0 for q in instruction.qubits)
+            ):
+                continue
             # SWAPs that would consolidate with a same-pair neighbour are
             # better left to the unitary re-synthesis (see rpo.adjacency)
             state.swapz_profitable = index not in blocked
             output.visit(index, instruction)
-            self._process(
-                instruction.operation,
-                instruction.qubits,
-                instruction.clbits,
-                tracker,
-                output,
-            )
+            self._process(operation, instruction.qubits, instruction.clbits, tracker, output)
         state.swapz_profitable = True
-        return circuit.splice(output.close())
+        edits = output.close()
+        rewrite_counter(property_set)[self.name] += output.rewrites
+        return circuit.splice(edits)
 
     # ------------------------------------------------------------------
     # the rewrite engine
@@ -168,7 +171,6 @@ class QBOPass(TransformationPass):
         if phase is not None:
             # the qubit is unentangled and fixed by the gate: global phase
             output.add_phase(phase)
-            self._count_rewrite()
             return
         tracker.apply_1q_gate(qubit, matrix)
         output.append(operation, (qubit,))
@@ -190,7 +192,6 @@ class QBOPass(TransformationPass):
                 actual = 0 if state is BasisState.ZERO else 1
                 if actual != required:
                     # the gate can never fire: remove (Table I / Eq. 8)
-                    self._count_rewrite()
                     return
                 continue  # always satisfied: drop this control
             remaining.append(control)
@@ -209,7 +210,6 @@ class QBOPass(TransformationPass):
             # on the remaining controls (Sec. V-C)
             folded = math.remainder(alpha, 2 * math.pi)
             if _is_trivial_phase(alpha):
-                self._count_rewrite()
                 return  # eigenvalue +1: remove (|psi+> rule)
             if abs(abs(folded) - math.pi) < _PHASE_ATOL:
                 # eigenvalue -1: (multi-)controlled Z (|psi-> rule)

@@ -68,9 +68,6 @@ class QPOPass(TransformationPass):
     def _swapz_profitable(self) -> bool:
         return getattr(self._run_state, "swapz_profitable", True)
 
-    def _count_rewrite(self) -> None:
-        self._run_state.rewrites[self.name] += 1
-
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         state = self._run_state
         state.cache = AnalysisCache.ensure(property_set)
@@ -86,17 +83,22 @@ class QPOPass(TransformationPass):
 
     def _rewrite_gates(self, circuit: QuantumCircuit) -> QuantumCircuit:
         tracker = PureStateTracker(circuit.num_qubits)
+        known = tracker.known
         output = RecordEdits()
         blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
+            operation = instruction.operation
+            # no rule fires on a gate whose wires are all unknown, and the
+            # unknown state is absorbing, so it stays as it is
+            if operation.is_gate() and not any(known[q] for q in instruction.qubits):
+                continue
             self._run_state.swapz_profitable = index not in blocked
             output.visit(index, instruction)
-            self._process(
-                instruction.operation, instruction.qubits, instruction.clbits,
-                tracker, output,
-            )
+            self._process(operation, instruction.qubits, instruction.clbits, tracker, output)
         self._run_state.swapz_profitable = True
-        return circuit.splice(output.close())
+        edits = output.close()
+        self._run_state.rewrites[self.name] += output.rewrites
+        return circuit.splice(edits)
 
     def _process(self, operation, qubits, clbits, tracker, output) -> None:
         if track_non_gate(tracker, operation, qubits):
@@ -107,7 +109,7 @@ class QPOPass(TransformationPass):
             self._process_1q(operation, qubits[0], tracker, output)
             return
         if name == "swap":
-            self._process_swap(qubits, tracker, output)
+            self._process_swap(qubits, tracker, output, operation)
             return
         if name == "swapz":
             self._process_swapz(operation, qubits, tracker, output)
@@ -131,14 +133,15 @@ class QPOPass(TransformationPass):
             overlap = np.vdot(vector, matrix @ vector)
             if abs(abs(overlap) - 1.0) < 1e-9:
                 output.add_phase(cmath.phase(overlap))
-                self._count_rewrite()
                 return
         tracker.apply_1q_gate(qubit, matrix)
         output.append(operation, (qubit,))
 
     # -- SWAP rules (Eqs. 4-6) ---------------------------------------------
 
-    def _process_swap(self, qubits, tracker, output) -> None:
+    def _process_swap(self, qubits, tracker, output, operation=None) -> None:
+        """``operation`` is the input SWAP, kept when no rule fires; the
+        SWAP a Fredkin leaves behind has none and is emitted fresh."""
         a, b = qubits
         known_a, known_b = tracker.is_known(a), tracker.is_known(b)
         if known_a and known_b:
@@ -168,7 +171,7 @@ class QPOPass(TransformationPass):
                 )
             return
         tracker.apply_swap(a, b)
-        output.append(SwapGate(), qubits)
+        output.append(operation if operation is not None else SwapGate(), qubits)
 
     def _process_swapz(self, operation, qubits, tracker, output) -> None:
         zero_q, other = qubits
@@ -318,7 +321,8 @@ class QPOPass(TransformationPass):
         if track_non_gate(tracker, operation, qubits):
             return
         if operation.num_qubits == 1:
-            tracker.apply_1q_gate(qubits[0], self._cache.matrix(operation))
+            if tracker.is_known(qubits[0]):  # the unknown state is absorbing
+                tracker.apply_1q_gate(qubits[0], self._cache.matrix(operation))
         elif operation.name == "swap":
             tracker.apply_swap(*qubits)
         elif operation.name == "swapz" and tracker.is_known(qubits[0]) and _is_zero_state(
@@ -357,7 +361,7 @@ class QPOPass(TransformationPass):
             for instruction in block.instructions:
                 self._track(instruction, tracker)
             return kept
-        self._count_rewrite()
+        self._run_state.rewrites[self.name] += 1
         # replacement must act on |00>: undo the known input states first
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T

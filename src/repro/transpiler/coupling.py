@@ -33,6 +33,7 @@ class CouplingMap:
                 raise TranspilerError(f"self-loop edge ({a}, {b})")
             self.graph.add_edge(int(a), int(b))
         self._distance: np.ndarray | None = None
+        self._routing_tables: tuple | None = None
 
     # ------------------------------------------------------------------
 
@@ -97,6 +98,18 @@ class CouplingMap:
                     matrix[source, target] = length
             self._distance = matrix
         return self._distance
+
+    def routing_tables(self) -> tuple:
+        """``(distance rows, neighbour tuples, coupled pairs)``, built once:
+        the distance matrix as nested lists, each qubit's sorted neighbours,
+        and every coupled ``(a, b)`` in both orders as a frozenset."""
+        if self._routing_tables is None:
+            self._routing_tables = (
+                self.distance_matrix.tolist(),
+                tuple(tuple(self.neighbors(q)) for q in range(self.num_qubits)),
+                frozenset(pair for a, b in self.edges for pair in ((a, b), (b, a))),
+            )
+        return self._routing_tables
 
     def shortest_path(self, a: int, b: int) -> list[int]:
         return nx.shortest_path(self.graph, a, b)

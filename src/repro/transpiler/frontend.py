@@ -51,6 +51,7 @@ from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.layout import Layout
 from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PassManager
+from repro.transpiler.result_cache import ResultCache
 from repro.transpiler.target import Target, normalize_batch, resolve_targets
 
 __all__ = ["transpile", "pass_manager_for", "PIPELINES", "EXECUTORS"]
@@ -242,6 +243,10 @@ def transpile(
         )
     if endpoint is not None and service is not None:
         raise TranspilerError("pass either service= or endpoint=, not both")
+    if result_cache is not None and not isinstance(result_cache, ResultCache):
+        raise TranspilerError(
+            f"result_cache must be a ResultCache or None, got {type(result_cache).__name__}"
+        )
     if not batch:
         # an empty batch is a valid request with a well-formed empty
         # answer on every executor path -- nothing reaches a pool, a

@@ -7,13 +7,18 @@ over 25 transpilations precisely because of this randomness, Sec. VII-B).
 
 Each trial is a greedy scan with lookahead: for a blocked gate, candidate
 SWAPs around either endpoint are scored by the resulting distance of the
-blocked gate plus a decayed sum over upcoming two-qubit gates; ties (and
-near-ties, within the trial's temperature) are broken randomly.
+blocked gate plus a decayed sum over upcoming two-qubit gates; ties (scores
+within 1e-9 of the best) are broken by the trial's seeded generator.
 
 A trial is a swap plan, ``{gate index: [swap edges]}``, with its swap count
-and final permutation; it never builds a circuit.  All trials of one call
-share the same flat tables (distance rows, neighbour tuples, coupled
-pairs), and only the winning plan is replayed into the output circuit.
+and final permutation; it never builds a circuit.  The trials are planned
+together as one prefix tree: a trial reads its generator only at a tie, so
+until its first tie every trial is in the same state and makes the same
+choice.  Each state is scored once for all the trials in it, and a branch
+splits only where their draws pick different swaps.  The tables a score
+reads (distance rows, neighbour tuples, coupled pairs) are built once per
+coupling map, so once per device and process for a preset target, and
+only the winning plan is replayed into the output circuit.
 
 The inserted SWAPs are exactly what the paper's second QBO pass targets
 (Fig. 8 line 5): swaps whose qubits are still in known states reduce to
@@ -59,37 +64,40 @@ class StochasticSwap(TransformationPass):
                 "routing expects a device-wide circuit; run ApplyLayout first"
             )
         two_qubit_gates = self._two_qubit_gates(circuit)
-        coupled = {pair for a, b in self.coupling.edges for pair in ((a, b), (b, a))}
+        tables = self._tables()
+        distance, _, coupled, _ = tables
         if all(qubits in coupled for _, qubits in two_qubit_gates):
             property_set["final_permutation"] = list(range(circuit.num_qubits))
             return circuit
 
-        distance = self.coupling.distance_matrix.tolist()
         for index, (a, b) in two_qubit_gates:
             if math.isinf(distance[a][b]):
                 raise TranspilerError(
                     f"cannot route {circuit.data[index].operation.name!r} on physical "
                     f"qubits {a} and {b}: they are not connected in the coupling map"
                 )
-        neighbors = tuple(tuple(self.coupling.neighbors(q)) for q in range(circuit.num_qubits))
-        # repeated products, not powers: the same doubles each score used
-        weights = [1.0]
-        while len(weights) < _LOOKAHEAD:
-            weights.append(weights[-1] * _LOOKAHEAD_DECAY)
-        tables = (distance, neighbors, coupled, weights)
-
-        best = None
-        for trial in range(self.trials):
-            rng = np.random.default_rng((self.seed, trial))
-            plan = self._plan_once(two_qubit_gates, tables, rng)
-            if best is None or plan[1] < best[1]:
-                best = plan
-        swap_plan, swaps, perm = best
+        trials = [
+            (trial, np.random.default_rng((self.seed, trial))) for trial in range(self.trials)
+        ]
+        # fewest swaps wins, then the lowest trial number
+        swaps, _, swap_plan, perm = min(
+            (sum(map(len, plan.values())), group[0], plan, perm)
+            for group, plan, perm in self._plan(two_qubit_gates, tables, trials)
+        )
         property_set["routing_swaps"] = swaps
         property_set["final_permutation"] = perm
         return self._build(circuit, swap_plan)
 
     # ------------------------------------------------------------------
+
+    def _tables(self) -> tuple:
+        """``(distance rows, neighbour tuples, coupled pairs, lookahead
+        weights)``; the first three are the coupling map's, built once."""
+        # repeated products, not powers: the same doubles each score used
+        weights = [1.0]
+        while len(weights) < _LOOKAHEAD:
+            weights.append(weights[-1] * _LOOKAHEAD_DECAY)
+        return (*self.coupling.routing_tables(), weights)
 
     @staticmethod
     def _two_qubit_gates(circuit: QuantumCircuit) -> list[tuple[int, tuple[int, int]]]:
@@ -107,34 +115,60 @@ class StochasticSwap(TransformationPass):
             two_qubit_gates.append((index, instruction.qubits))
         return two_qubit_gates
 
-    def _plan_once(self, two_qubit_gates, tables, rng: np.random.Generator):
-        """One trial: ``({gate index: [swap edges]}, swap count, final perm)``."""
+    def _plan(self, two_qubit_gates, tables, trials):
+        """Every trial's ``({gate index: [swap edges]}, final perm)``, as
+        ``[(trial numbers, plan, perm)]``: one prefix tree over the trials.
+
+        ``trials`` is ``[(trial number, generator)]``.  A trial reads its
+        generator only to break a tie between best-scoring swaps, so until
+        then all trials are in one state; a branch holds the trials still
+        in one state and splits where their draws pick different swaps.
+        """
         distance, neighbors, coupled, weights = tables
         num_qubits = len(neighbors)
         # perm[wire] = physical qubit holding that wire; wire_at is its inverse
-        perm = list(range(num_qubits))
-        wire_at = list(range(num_qubits))
         pairs = [qubits for _, qubits in two_qubit_gates]
-        plan = {}
-        swaps_inserted = 0
-        for order, (index, (a, b)) in enumerate(two_qubit_gates):
-            if (perm[a], perm[b]) in coupled:
-                continue
-            window = pairs[order : order + _LOOKAHEAD]
-            edges = plan[index] = []
-            while (perm[a], perm[b]) not in coupled:
-                if len(edges) >= 4 * num_qubits:
-                    raise TranspilerError("routing failed to make progress")
-                if len(edges) >= 2 * num_qubits:
-                    # lookahead is cycling: force a step along the shortest path
-                    path = self.coupling.shortest_path(perm[a], perm[b])
-                    edge = (min(path[0], path[1]), max(path[0], path[1]))
-                else:
-                    edge = _choose_swap(perm, wire_at, a, b, window, tables, rng)
-                edges.append(edge)
-                _apply_swap(perm, wire_at, edge)
-            swaps_inserted += len(edges)
-        return plan, swaps_inserted, perm
+        branches = [(trials, 0, list(range(num_qubits)), list(range(num_qubits)), {})]
+        leaves = []
+        while branches:
+            group, start, perm, wire_at, plan = branches.pop()
+            for order in range(start, len(pairs)):
+                a, b = pairs[order]
+                if (perm[a], perm[b]) in coupled:
+                    continue
+                index = two_qubit_gates[order][0]
+                edges = plan.setdefault(index, [])
+                while (perm[a], perm[b]) not in coupled:
+                    if len(edges) >= 4 * num_qubits:
+                        raise TranspilerError("routing failed to make progress")
+                    if len(edges) >= 2 * num_qubits:
+                        # lookahead is cycling: force a step along the shortest path
+                        path = self.coupling.shortest_path(perm[a], perm[b])
+                        edge = (min(path[0], path[1]), max(path[0], path[1]))
+                    else:
+                        window = pairs[order : order + _LOOKAHEAD]
+                        best = _best_swaps(perm, wire_at, a, b, window, tables)
+                        edge = best[0]
+                        if len(best) > 1:
+                            picks = {}
+                            for trial in group:
+                                pick = best[int(trial[1].integers(len(best)))]
+                                picks.setdefault(pick, []).append(trial)
+                            (edge, group), *forks = picks.items()
+                            for fork_edge, fork_group in forks:
+                                fork_perm, fork_wire_at = perm[:], wire_at[:]
+                                _apply_swap(fork_perm, fork_wire_at, fork_edge)
+                                # finished gates' edge lists never change
+                                # again, so the fork shares them
+                                fork_plan = dict(plan)
+                                fork_plan[index] = edges + [fork_edge]
+                                branches.append(
+                                    (fork_group, order, fork_perm, fork_wire_at, fork_plan)
+                                )
+                    edges.append(edge)
+                    _apply_swap(perm, wire_at, edge)
+            leaves.append(([trial for trial, _ in group], plan, perm))
+        return leaves
 
     @staticmethod
     def _build(circuit: QuantumCircuit, plan) -> QuantumCircuit:
@@ -151,8 +185,9 @@ class StochasticSwap(TransformationPass):
         return output
 
 
-def _choose_swap(perm, wire_at, a, b, window, tables, rng):
-    """Pick the physical edge to swap: lowest lookahead score wins."""
+def _best_swaps(perm, wire_at, a, b, window, tables):
+    """The physical edges whose swap gives the lowest lookahead score,
+    in sorted order (scores within 1e-9 of the best tie)."""
     distance, neighbors, _, weights = tables
     candidates = set()
     for endpoint in (perm[a], perm[b]):
@@ -174,7 +209,7 @@ def _choose_swap(perm, wire_at, a, b, window, tables, rng):
             best_edges = [edge]
         elif score < best_score + 1e-9:
             best_edges.append(edge)
-    return best_edges[int(rng.integers(len(best_edges)))]
+    return best_edges
 
 
 def _apply_swap(perm, wire_at, edge):

@@ -208,6 +208,11 @@ class RecordEdits:
         self.visit(None, None)
         return self.edits
 
+    @property
+    def rewrites(self) -> int:
+        """The visited records not carried as themselves: one edit each."""
+        return sum(1 for removed, *_ in self.edits if removed)
+
 
 class DoWhileController:
     """Repeats a pass sequence while ``condition(property_set)`` holds."""

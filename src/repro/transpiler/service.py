@@ -396,10 +396,11 @@ class CompileService:
             result_cache: the content-addressed compiled-result cache
                 consulted before any job reaches the pool
                 (:class:`~repro.transpiler.result_cache.ResultCache`).
-                ``None`` (the default) creates a fresh one -- the service
-                caches answers out of the box; pass ``False`` to disable
-                result caching entirely, or share one cache object across
-                services.
+                ``None`` (the default) or ``True`` creates a fresh one -- the
+                service caches answers out of the box; pass ``False`` to
+                disable result caching entirely, or share one cache object
+                across services.  Any other value raises
+                :class:`TranspilerError`.
             snapshot_path: the result cache's snapshot file -- loaded (if
                 present and version-compatible) at construction, written
                 back on :meth:`shutdown`.
@@ -425,12 +426,17 @@ class CompileService:
         self.max_workers = max_workers
         self.snapshot_path = snapshot_path
         self.cache = analysis_cache if analysis_cache is not None else AnalysisCache()
-        if result_cache is False:
-            self.result_cache: ResultCache | None = None
-        elif result_cache is not None:
+        if result_cache is None or result_cache is True:
+            self.result_cache: ResultCache | None = ResultCache()
+        elif result_cache is False:
+            self.result_cache = None
+        elif isinstance(result_cache, ResultCache):
             self.result_cache = result_cache
         else:
-            self.result_cache = ResultCache()
+            raise TranspilerError(
+                "result_cache must be a ResultCache, True, False or None, "
+                f"got {type(result_cache).__name__}"
+            )
         self._defaults = {
             "pipeline": pipeline if pipeline is not None else "preset",
             "optimization_level": (

@@ -31,6 +31,7 @@ Key properties:
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from repro.transpiler.coupling import CouplingMap
@@ -106,16 +107,21 @@ class Target:
 
     @classmethod
     def preset(cls, spec: str, basis: Iterable[str] = IBM_BASIS) -> "Target":
-        """Resolve a named preset target (see :data:`TARGET_PRESETS`)."""
+        """Resolve a named preset target (see :data:`TARGET_PRESETS`).
+
+        Built once per process for each normalized spec and basis: every
+        call with the same pair returns the same shared ``Target`` (its
+        coupling map's distance and routing tables included), so treat it,
+        its coupling map and its calibration data as immutable.
+        """
         name = spec.strip().lower()
-        factory = TARGET_PRESETS.get(name.split(":", 1)[0])
-        if factory is None:
+        if name.split(":", 1)[0] not in TARGET_PRESETS:
             raise TranspilerError(
                 f"unknown target preset {spec!r}; choose one of "
                 f"{', '.join(sorted(TARGET_PRESETS))} "
                 "(parameterized presets take ':N' / ':RxC' suffixes)"
             )
-        return factory(name, basis)
+        return _preset(name, tuple(basis))
 
     @classmethod
     def coerce(
@@ -289,6 +295,11 @@ def _manhattan(name: str, basis) -> Target:
     """An ``ibmq_manhattan``-style 65-qubit grid (5 x 13 stand-in)."""
     _reject_suffix(name)
     return Target(CouplingMap.grid(5, 13), basis=basis, name="manhattan")
+
+
+@functools.lru_cache(maxsize=64)
+def _preset(name: str, basis: tuple) -> Target:
+    return TARGET_PRESETS[name.split(":", 1)[0]](name, basis)
 
 
 #: Preset name (before any ``:`` suffix) -> ``factory(full_name, basis)``.

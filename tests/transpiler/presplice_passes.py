@@ -331,15 +331,37 @@ class PreSpliceCommutativeCancellation(CommutativeCancellation):
 
 class _AppendingOutput:
     """A circuit behind the production passes' edit-recorder spelling:
-    every record is appended (and checked), every phase term added."""
+    every record is appended (and checked), every phase term added.
+
+    Between :meth:`visit` calls it also counts the visited records that
+    did not become just themselves -- the rewrites of QBO and QPO."""
 
     def __init__(self, circuit):
         self.circuit = circuit
+        self.rewrites = 0
+        self._record = None
+        self._became = []
+
+    def visit(self, record):
+        if self._record is not None and self._became != [self._record]:
+            self.rewrites += 1
+        self._record, self._became = record, []
 
     def append(self, operation, qubits, clbits=()):
+        record = self._record
+        if (
+            record is not None
+            and operation is record.operation
+            and tuple(qubits) == record.qubits
+            and tuple(clbits) == record.clbits
+        ):
+            self._became.append(record)
+        else:
+            self._became.append(None)
         self.circuit.append(operation, qubits, clbits)
 
     def add_phase(self, term):
+        self._became.append(None)
         self.circuit.global_phase += term
 
 
@@ -347,16 +369,18 @@ class PreSpliceQBOPass(QBOPass):
     def transform(self, circuit, property_set):
         state = self._run_state
         state.cache = AnalysisCache.ensure(property_set)
-        state.rewrites = rewrite_counter(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
         output = _AppendingOutput(circuit.copy_empty_like())
         blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
             state.swapz_profitable = index not in blocked
+            output.visit(instruction)
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits, tracker, output
             )
+        output.visit(None)
         state.swapz_profitable = True
+        rewrite_counter(property_set)[self.name] += output.rewrites
         return output.circuit
 
 
@@ -377,10 +401,13 @@ class PreSpliceQPOPass(QPOPass):
         blocked = same_pair_adjacent_indices(circuit)
         for index, instruction in enumerate(circuit.data):
             self._run_state.swapz_profitable = index not in blocked
+            output.visit(instruction)
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits, tracker, output
             )
+        output.visit(None)
         self._run_state.swapz_profitable = True
+        self._run_state.rewrites[self.name] += output.rewrites
         return output.circuit
 
     def _rewrite_blocks(self, circuit):
@@ -469,7 +496,7 @@ class PreSpliceQPOPass(QPOPass):
             for instruction in block.instructions:
                 self._track_and_emit(instruction, tracker, output)
             return
-        self._count_rewrite()
+        self._run_state.rewrites[self.name] += 1
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T
         if not np.allclose(undo_low, np.eye(2), atol=1e-12):

@@ -239,6 +239,12 @@ class TestInProcess:
             _assert_identical_circuits(first.circuit, second.circuit)
             assert second.properties["target"] == melbourne.target()
 
+    @pytest.mark.parametrize("value", [True, "yes"])
+    def test_result_cache_must_be_a_cache(self, melbourne, value):
+        # True used to reach compile_job and fail there with AttributeError
+        with pytest.raises(TranspilerError, match="result_cache must be a ResultCache or None"):
+            transpile(self._batch(1)[0], backend=melbourne, result_cache=value)
+
     def test_validate_runs_qsan_in_process(self, melbourne):
         result = transpile(
             self._batch(1)[0],

@@ -58,6 +58,15 @@ class TestCouplingMap:
         with pytest.raises(TranspilerError):
             CouplingMap([(1, 1)])
 
+    def test_routing_tables_are_built_once(self):
+        cmap = CouplingMap([(0, 1), (1, 2), (3, 4)], 5)
+        distance, neighbors, coupled = tables = cmap.routing_tables()
+        assert cmap.routing_tables() is tables
+        assert distance == cmap.distance_matrix.tolist()
+        assert neighbors == ((1,), (0, 2), (1,), (4,), (3,))
+        assert coupled == {(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3)}
+        assert distance[0][4] == float("inf")
+
     def test_shortest_path(self):
         cmap = CouplingMap.line(5)
         assert cmap.shortest_path(0, 3) == [0, 1, 2, 3]
@@ -232,7 +241,7 @@ class TestRouting:
         circuit.cx(0, 2)
         circuit.cz(1, 4)
         chosen = []
-        monkeypatch.setattr(routing, "_choose_swap", lambda *args: chosen.append(args))
+        monkeypatch.setattr(routing, "_best_swaps", lambda *args: chosen.append(args))
         with pytest.raises(TranspilerError, match="'cz' on physical qubits 1 and 4"):
             StochasticSwap(cmap, trials=3).run(circuit, PropertySet())
         assert chosen == []

@@ -838,6 +838,26 @@ class TestServiceResultCache:
         assert stats["result_cache_hits"] == 0
         assert stats["result_cache"] is None
 
+    def test_result_cache_true_builds_a_fresh_cache(self, melbourne):
+        batch = self._batch(2)
+        with CompileService(
+            mode="serial", pipeline="level1", result_cache=True
+        ) as service:
+            assert isinstance(service.result_cache, ResultCache)
+            first = service.map(batch, targets=melbourne.target(), seeds=[0, 0])
+            second = service.map(batch, targets=melbourne.target(), seeds=[0, 0])
+            stats = service.stats()
+        assert stats["result_cache_hits"] == 2
+        for a, b in zip(first, second):
+            _assert_identical(a.circuit, b.circuit)
+        with CompileService(mode="serial", result_cache=True) as other:
+            assert other.result_cache is not service.result_cache
+
+    @pytest.mark.parametrize("value", ["yes", 1, object()])
+    def test_result_cache_rejects_other_values(self, value):
+        with pytest.raises(TranspilerError, match="result_cache must be a ResultCache"):
+            CompileService(mode="serial", result_cache=value)
+
     def test_initial_layout_jobs_bypass_the_cache(self, melbourne):
         from repro.transpiler import Layout
 

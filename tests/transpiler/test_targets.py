@@ -113,6 +113,38 @@ class TestTargetPresets:
             Target.preset("linear:many")
         with pytest.raises(TranspilerError):
             Target.preset("grid:3")
+
+    def test_presets_are_built_once_per_spec_and_basis(self, monkeypatch):
+        import repro.backends as backends
+        from repro.transpiler.target import _preset
+
+        built = []
+
+        def counting():
+            built.append(1)
+            return FakeMelbourne()
+
+        _preset.cache_clear()
+        monkeypatch.setattr(backends, "FakeMelbourne", counting)
+        try:
+            first = Target.preset("melbourne")
+            assert Target.preset(" Melbourne ") is first
+            assert Target.preset("melbourne", basis=list(first.basis)) is first
+            assert len(built) == 1
+            other_basis = Target.preset("melbourne", basis=("u3", "cx"))
+            assert other_basis is not first and other_basis.basis == ("u3", "cx")
+            assert len(built) == 2
+            assert Target.preset("linear:5") is Target.preset("LINEAR:5")
+            assert Target.preset("linear:5") is not Target.preset("linear:6")
+        finally:
+            _preset.cache_clear()  # drop the targets built from the stub
+
+    def test_failed_presets_are_not_remembered(self):
+        for _ in range(2):
+            with pytest.raises(TranspilerError, match="fixed size"):
+                Target.preset("melbourne:3")
+            with pytest.raises(TranspilerError, match="unknown target preset 'Starship'"):
+                Target.preset("Starship")
         with pytest.raises(TranspilerError, match="suffix"):
             Target.preset("linear")
 
