@@ -209,13 +209,13 @@ def main(argv=None):
     walls, reports = measure_parity(circuits, seeds, target, args.pipeline)
     print_table(
         "One batch, both paths",
-        ["path", "wall", "throughput", "matrix hit rate"],
+        ["path", "wall", "throughput", "synthesis memo hits"],
         [
             [
                 label,
                 f"{wall:.2f}s",
                 f"{len(circuits) / wall:.1f}/s",
-                f"{reports[label]['cache']['matrix_hit_rate']:.1%}",
+                str(reports[label]["cache"]["stats"].get("synth_memo_hits", 0)),
             ]
             for label, wall in walls.items()
         ],

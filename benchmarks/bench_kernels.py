@@ -37,7 +37,7 @@ from repro.algorithms import (
 from repro.circuit.matrix_utils import embed_gate
 from repro.linalg.batch import chain_products, two_qubit_chain_unitaries, u3_params_batch
 from repro.linalg.euler import u3_params_from_unitary
-from repro.transpiler import AnalysisCache, write_metrics_json
+from repro.transpiler import write_metrics_json
 from repro.transpiler.passes import ConsolidateBlocks
 
 
@@ -61,7 +61,7 @@ def collect_blocks(circuits) -> list:
     return blocks
 
 
-def collect_1q_runs(circuits, cache: AnalysisCache) -> list[list[np.ndarray]]:
+def collect_1q_runs(circuits) -> list[list[np.ndarray]]:
     """Matrix chains of every single-qubit run, as Optimize1qGates sees them."""
     chains: list[list[np.ndarray]] = []
     for circuit in circuits:
@@ -73,9 +73,7 @@ def collect_1q_runs(circuits, cache: AnalysisCache) -> list[list[np.ndarray]]:
                 and operation.num_qubits == 1
                 and not operation.is_directive
             ):
-                pending.setdefault(instruction.qubits[0], []).append(
-                    cache.matrix(operation)
-                )
+                pending.setdefault(instruction.qubits[0], []).append(operation.matrix)
                 continue
             for qubit in instruction.qubits:
                 if qubit in pending:
@@ -93,29 +91,26 @@ def best_of(repeats: int, func) -> float:
     return best
 
 
-def bench_consolidation(blocks, cache: AnalysisCache, repeats: int) -> dict:
+def bench_consolidation(blocks, repeats: int) -> dict:
     def serial():
         for block in blocks:
             matrix = np.eye(4, dtype=complex)
             for instruction in block.instructions:
                 local = block.local_wires(instruction)
-                matrix = embed_gate(cache.matrix(instruction.operation), local, 2) @ matrix
+                matrix = embed_gate(instruction.operation.matrix, local, 2) @ matrix
 
     def batched():
         chains = []
         for block in blocks:
-            matrices = cache.matrices(
-                instruction.operation for instruction in block.instructions
-            )
             chains.append(
                 [
-                    (matrix, block.local_wires(instruction))
-                    for matrix, instruction in zip(matrices, block.instructions)
+                    (instruction.operation.matrix, block.local_wires(instruction))
+                    for instruction in block.instructions
                 ]
             )
         two_qubit_chain_unitaries(chains)
 
-    serial()  # warm the matrix cache so both paths time pure numeric work
+    serial()  # memoize every gate matrix so both paths time pure numeric work
     serial_time = best_of(repeats, serial)
     batched_time = best_of(repeats, batched)
     return {
@@ -158,11 +153,10 @@ def main(argv=None):
 
     named = list(workloads(args.quick))
     circuits = [circuit for _, circuit in named]
-    cache = AnalysisCache()
 
     blocks = collect_blocks(circuits)
-    consolidation = bench_consolidation(blocks, cache, args.repeats)
-    chains = collect_1q_runs(circuits, cache)
+    consolidation = bench_consolidation(blocks, args.repeats)
+    chains = collect_1q_runs(circuits)
     runs1q = bench_1q_runs(chains, args.repeats)
 
     report = {

@@ -135,7 +135,8 @@ def main():
     print(
         f"batch: {report['num_circuits']} circuits in "
         f"{report['time']['total'] * 1000:.1f}ms of compile time, "
-        f"matrix cache hit rate {report['cache']['matrix_hit_rate']:.0%}"
+        f"{report['cache']['stats'].get('synth_memo_hits', 0)} two-qubit "
+        "syntheses answered by the analysis cache"
     )
 
     # the serving path: a CompileService keeps one pool (each worker with
@@ -158,11 +159,12 @@ def main():
                 f"depth {result.circuit.depth()}"
             )
         stats = service.stats()
+        worker_stats = service.cache.stats
     print(
         f"service: {stats['completed']} jobs, "
         f"{stats['result_cache_hits']} result-cache hits, "
-        f"{stats['cache_requests']} matrix requests in the workers, "
-        f"{stats['cache_constructions']} constructions"
+        f"{worker_stats['synth_attempts']} two-qubit syntheses in the workers, "
+        f"{worker_stats['synth_memo_hits']} memo hits"
     )
 
     simulator = StatevectorSimulator(seed=1)

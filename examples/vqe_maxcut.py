@@ -41,11 +41,11 @@ def main():
             ry_ansatz(num_qubits, depth=2, seed=s, measure=True) for s in range(8)
         ]
         compiled_sweep = service.map(sweep, seeds=list(range(8)))
-        stats = service.stats()
+        worker_stats = service.cache.stats
     print(
         f"\nsweep: compiled {len(compiled_sweep)} candidate ansatzes through "
-        f"the service ({stats['cache_constructions']} matrix constructions "
-        f"for {stats['cache_requests']} requests)"
+        f"the service ({worker_stats['synth_attempts']} two-qubit syntheses, "
+        f"{worker_stats['synth_memo_hits']} memo hits)"
     )
 
 

@@ -27,6 +27,10 @@ Rule catalog (every rule is individually selectable and suppressible):
   ``QuantumCircuit.append``, which checks the wires, and
   ``QuantumCircuit.splice``, which checks every new record the same way
   and carries the rest by index from the circuit's own ``data``.
+* **MAT001** -- memoized gate matrices: outside gate classes (a class
+  named ``*Gate`` or deriving from one) no code reads ``<x>.to_matrix``.
+  Gate classes build matrices; everyone else reads the gate's memoized,
+  read-only ``<gate>.matrix``, built once per gate object.
 
 Suppress a finding on one line with ``# repro-lint: ignore[RULE]``
 (comma-separate several rule ids); skip a whole file with
@@ -528,11 +532,53 @@ class CheckedCircuitRecords(Rule):
         return None
 
 
+# --------------------------------------------------------------------------
+# MAT001 -- gate matrices are read through the per-gate memo
+# --------------------------------------------------------------------------
+
+
+def _is_gate_class(node: ast.ClassDef) -> bool:
+    """A class named ``*Gate`` or with a base named ``*Gate``."""
+    names = [node.name] + [(_dotted(base) or "").rsplit(".", 1)[-1] for base in node.bases]
+    return any(name.endswith("Gate") for name in names)
+
+
+class MemoizedMatrices(Rule):
+    id = "MAT001"
+    description = (
+        "outside gate classes, no <x>.to_matrix; read the gate's memoized "
+        "<x>.matrix"
+    )
+
+    def check(self, tree: ast.Module, path: str) -> list[Finding]:
+        findings: list[Finding] = []
+        self._scan(tree, path, findings)
+        return findings
+
+    def _scan(self, node: ast.AST, path: str, findings: list[Finding]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and _is_gate_class(child):
+                continue  # gate classes build matrices, the memo among them
+            if isinstance(child, ast.Attribute) and child.attr == "to_matrix":
+                culprit = _dotted(child) or "<expr>.to_matrix"
+                findings.append(
+                    Finding(
+                        path,
+                        child.lineno,
+                        self.id,
+                        f"{culprit} builds a fresh matrix; read the gate's "
+                        "memoized, read-only .matrix instead",
+                    )
+                )
+            self._scan(child, path, findings)
+
+
 RULES: tuple[Rule, ...] = (
     PickleBoundary(),
     DeterministicKeys(),
     LockedModuleState(),
     CheckedCircuitRecords(),
+    MemoizedMatrices(),
 )
 
 

@@ -364,7 +364,7 @@ def pure_fingerprint(circuit: QuantumCircuit):
             pass  # not unitary: its live wires go to TOP below
         elif operation.num_qubits == 1:
             try:
-                matrix = operation.to_matrix()
+                matrix = operation.matrix
             except NotImplementedError:  # opaque: no provable successor
                 pass
             else:

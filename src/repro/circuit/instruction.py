@@ -113,16 +113,20 @@ class Instruction:
         return _copy.deepcopy(self)
 
     def __getstate__(self):
-        """Drop the memoized definition when the class can rebuild it.
+        """Drop the memoized matrix, and the memoized definition when the
+        class can rebuild it.
 
-        Definitions are derived data for every class that overrides
-        :meth:`_define`; stripping them keeps pickles (and the process-pool
-        payloads of :mod:`repro.circuit.serialization`) small.  Plain
+        Both are derived data (a :class:`Gate` rebuilds its matrix on the
+        next :attr:`Gate.matrix` read, and every class that overrides
+        :meth:`_define` its definition); stripping them keeps pickles (and
+        the process-pool payloads of :mod:`repro.circuit.serialization`)
+        small and equal whether or not the memo was filled.  Plain
         :class:`Gate`/:class:`Instruction` objects whose ``_definition`` was
         assigned directly (e.g. by :meth:`inverse`) keep it -- for them it
         is the only record of the operation's semantics.
         """
         state = self.__dict__.copy()
+        state.pop("_matrix_memo", None)
         if (
             state.get("_definition") is not None
             and type(self)._define is not Instruction._define
@@ -164,13 +168,35 @@ class Gate(Instruction):
     ):
         super().__init__(name, num_qubits, 0, params, label)
 
-    def to_matrix(self) -> np.ndarray:
-        """Unitary matrix, little-endian in the gate's qubit arguments.
+    @property
+    def matrix(self) -> np.ndarray:
+        """The gate's unitary, built by :meth:`to_matrix` on first read and
+        kept on the instance: read-only, and the same array on every read.
 
-        Fixed standard gates return a *shared, read-only* array (see
-        :mod:`repro.gates.matrices`); callers must not mutate the result
-        -- take a ``.copy()`` first.  Falls back to multiplying out the
-        definition circuit.
+        This is the one spelling every consumer uses; a gate's parameters
+        never change after construction, so the memo cannot go stale.
+        Fixed standard gates hand out the shared table array.  A gate with
+        no matrix raises :class:`NotImplementedError` on every read and
+        memoizes nothing.
+        """
+        try:
+            return self._matrix_memo
+        except AttributeError:
+            pass
+        matrix = self.to_matrix()
+        matrix.setflags(write=False)
+        self._matrix_memo = matrix
+        return matrix
+
+    def to_matrix(self) -> np.ndarray:
+        """Build the unitary matrix, little-endian in the gate's qubit
+        arguments.
+
+        Gate classes override this; everything else reads the memoized
+        :attr:`matrix`.  Fixed standard gates return a *shared, read-only*
+        array (see :mod:`repro.gates.matrices`); callers must not mutate
+        the result -- take a ``.copy()`` first.  Falls back to multiplying
+        out the definition circuit.
         """
         defn = self.definition
         if defn is None:
@@ -188,7 +214,7 @@ class Gate(Instruction):
         # primitive gate without definition: invert through the matrix
         from repro.gates.unitary import UnitaryGate
 
-        return UnitaryGate(self.to_matrix().conj().T, label=f"{self.name}_dg")
+        return UnitaryGate(self.matrix.conj().T, label=f"{self.name}_dg")
 
     def control(self, num_ctrl_qubits: int = 1, ctrl_state: int | None = None) -> "ControlledGate":
         """Return the controlled version of this gate."""
@@ -235,7 +261,7 @@ class ControlledGate(Gate):
             shared = _standard_matrix(self.name)
             if shared is not None and shared.shape == (2**self.num_qubits,) * 2:
                 return shared
-        base = self.base_gate.to_matrix()
+        base = self.base_gate.matrix
         n_ctrl = self.num_ctrl_qubits
         n_base = self.base_gate.num_qubits
         dim = 2 ** (n_ctrl + n_base)

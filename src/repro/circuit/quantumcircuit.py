@@ -606,7 +606,7 @@ class QuantumCircuit:
                 raise ValueError(
                     f"cannot express non-unitary {operation.name!r} as a matrix"
                 )
-            gate_matrix = operation.to_matrix()
+            gate_matrix = operation.matrix
             matrix = embed_gate(gate_matrix, instruction.qubits, self._num_qubits) @ matrix
         return matrix * np.exp(1j * self.global_phase)
 

@@ -8,9 +8,9 @@ transpilation.  This table builds each matrix once at import time, marks it
 read-only, and hands out the shared instance.
 
 The matrices here are the *source of truth* used by the gate classes in
-:mod:`repro.gates.standard` and :mod:`repro.gates.twoqubit`; the
-:class:`~repro.transpiler.cache.AnalysisCache` treats a table hit as a free
-lookup (no matrix construction).
+:mod:`repro.gates.standard` and :mod:`repro.gates.twoqubit`; a fixed gate's
+memoized :attr:`~repro.circuit.instruction.Gate.matrix` is the table array
+itself, so no fixed gate ever builds a matrix of its own.
 
 Conventions match the rest of the library: little-endian in gate-argument
 order, controls first.

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.circuit.instruction import ControlledGate
 from repro.circuit.quantumcircuit import QuantumCircuit
-from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["HoareOptimizer"]
@@ -118,15 +117,10 @@ class HoareOptimizer(TransformationPass):
     # ------------------------------------------------------------------
 
     @property
-    def _cache(self) -> AnalysisCache:
-        return self._run_state.cache
-
-    @property
     def _cluster_of(self) -> dict[int, "_Cluster"]:
         return self._run_state.cluster_of
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        self._run_state.cache = AnalysisCache.ensure(property_set)
         self._run_state.cluster_of = {
             q: _Cluster((q,), {0}) for q in range(circuit.num_qubits)
         }
@@ -218,7 +212,7 @@ class HoareOptimizer(TransformationPass):
         import cmath
 
         base = operation.base_gate
-        matrix = self._cache.matrix(base)
+        matrix = base.matrix
         if abs(matrix[0, 1]) > 1e-12 or abs(matrix[1, 0]) > 1e-12:
             return False  # not diagonal
         target = qubits[operation.num_ctrl_qubits]
@@ -375,7 +369,7 @@ class HoareOptimizer(TransformationPass):
             self._apply_vchain(operation, qubits)
             return
         if operation.num_qubits <= 3:
-            matrix = self._cache.matrix(operation)
+            matrix = operation.matrix
             monomial = self._monomial_permutation(matrix)
             if monomial is not None:
                 self._apply_permutation(qubits, monomial)

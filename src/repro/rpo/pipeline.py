@@ -43,10 +43,12 @@ per iteration), and every run returns a
 per-loop-iteration metrics -- the paper's transpile-time mechanism made
 observable per run.
 
-All passes share one :class:`~repro.transpiler.cache.AnalysisCache`
-(memoized gate matrices and two-qubit syntheses): the state trackers, 1q
-fusion and block consolidation resolve repeated gates to one matrix
-construction.  QBO and QPO each compute the
+Every gate memoizes its own matrix
+(:attr:`~repro.circuit.instruction.Gate.matrix`), and the passes carry the
+same gate objects from pass to pass, so the state trackers, 1q fusion and
+block consolidation build each gate's matrix once per compile.  Block
+consolidation's two-qubit syntheses are memoized in the run's
+:class:`~repro.transpiler.cache.AnalysisCache`.  QBO and QPO each compute the
 ``same_pair_adjacent_indices`` map that guards their SWAP rewrites from
 the circuit they are given.  Callers
 wanting cross-run sharing (the serving path) go through

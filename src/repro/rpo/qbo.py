@@ -56,7 +56,7 @@ from repro.gates import (
 from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.basis_tracker import BasisStateTracker
 from repro.rpo.states import BasisState, eigenphase_if_fixed, preparation_matrices, track_non_gate
-from repro.transpiler.cache import AnalysisCache, rewrite_counter
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["QBOPass"]
@@ -96,16 +96,11 @@ class QBOPass(TransformationPass):
         return "QBO"
 
     @property
-    def _cache(self) -> AnalysisCache:
-        return self._run_state.cache
-
-    @property
     def _swapz_profitable(self) -> bool:
         return getattr(self._run_state, "swapz_profitable", True)
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         state = self._run_state
-        state.cache = AnalysisCache.ensure(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
         axes = tracker.axes  # -1 marks TOP
         output = RecordEdits()
@@ -166,7 +161,7 @@ class QBOPass(TransformationPass):
     # -- one-qubit gates (Eq. 7) ----------------------------------------
 
     def _process_1q(self, operation, qubit, tracker, output) -> None:
-        matrix = self._cache.matrix(operation)
+        matrix = operation.matrix
         phase = eigenphase_if_fixed(tracker.state(qubit), matrix)
         if phase is not None:
             # the qubit is unentangled and fixed by the gate: global phase
@@ -203,7 +198,7 @@ class QBOPass(TransformationPass):
             self._process(base, (target,), (), tracker, output)
             return
 
-        base_matrix = self._cache.matrix(base)
+        base_matrix = base.matrix
         alpha = eigenphase_if_fixed(tracker.state(target), base_matrix)
         if alpha is not None:
             # target is an eigenstate: the gate is a pure controlled phase
@@ -269,13 +264,14 @@ class QBOPass(TransformationPass):
         from repro.gates import XGate
 
         x_gate = XGate()
+        x_matrix = x_gate.matrix
         wire = controls[-1]
-        tracker.apply_1q_gate(wire, x_gate.to_matrix())
+        tracker.apply_1q_gate(wire, x_matrix)
         output.append(x_gate, (wire,))
         self._emit_controlled_phase(
             alpha, controls, state_bits[:-1] + [1], tracker, output
         )
-        tracker.apply_1q_gate(wire, x_gate.to_matrix())
+        tracker.apply_1q_gate(wire, x_matrix)
         output.append(x_gate, (wire,))
 
     @staticmethod

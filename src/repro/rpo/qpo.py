@@ -36,7 +36,7 @@ from repro.gates import SwapGate, SwapZGate, UnitaryGate, XGate, ZGate
 from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.pure_tracker import PureStateTracker
 from repro.rpo.states import BasisState, track_non_gate
-from repro.transpiler.cache import AnalysisCache, rewrite_counter
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["QPOPass"]
@@ -61,16 +61,11 @@ class QPOPass(TransformationPass):
         return "QPO"
 
     @property
-    def _cache(self) -> AnalysisCache:
-        return self._run_state.cache
-
-    @property
     def _swapz_profitable(self) -> bool:
         return getattr(self._run_state, "swapz_profitable", True)
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         state = self._run_state
-        state.cache = AnalysisCache.ensure(property_set)
         state.rewrites = rewrite_counter(property_set)
         rewritten = self._rewrite_gates(circuit)
         if self.optimize_blocks:
@@ -127,7 +122,11 @@ class QPOPass(TransformationPass):
         output.append(operation, qubits, clbits)
 
     def _process_1q(self, operation, qubit, tracker, output) -> None:
-        matrix = self._cache.matrix(operation)
+        matrix = _matrix_or_none(operation)
+        if matrix is None:  # opaque: no provable successor state
+            tracker.invalidate((qubit,))
+            output.append(operation, (qubit,))
+            return
         if tracker.is_known(qubit):
             vector = tracker.statevector(qubit)
             overlap = np.vdot(vector, matrix @ vector)
@@ -322,7 +321,11 @@ class QPOPass(TransformationPass):
             return
         if operation.num_qubits == 1:
             if tracker.is_known(qubits[0]):  # the unknown state is absorbing
-                tracker.apply_1q_gate(qubits[0], self._cache.matrix(operation))
+                matrix = _matrix_or_none(operation)
+                if matrix is None:
+                    tracker.invalidate(qubits)
+                else:
+                    tracker.apply_1q_gate(qubits[0], matrix)
         elif operation.name == "swap":
             tracker.apply_swap(*qubits)
         elif operation.name == "swapz" and tracker.is_known(qubits[0]) and _is_zero_state(
@@ -341,7 +344,8 @@ class QPOPass(TransformationPass):
             and input_states[0] is not None
             and input_states[1] is not None
         )
-        if not replaceable:
+        unitary = block.matrix() if replaceable else None
+        if unitary is None:  # not replaceable, or an opaque gate inside
             for instruction in block.instructions:
                 self._track(instruction, tracker)
             return kept
@@ -353,7 +357,7 @@ class QPOPass(TransformationPass):
         psi_low = u3_matrix(*input_states[0], 0.0)[:, 0]
         psi_high = u3_matrix(*input_states[1], 0.0)[:, 0]
         input_vector = np.kron(psi_high, psi_low)  # little-endian: high wire = MSB
-        output_vector = block.matrix(self._cache) @ input_vector
+        output_vector = unitary @ input_vector
 
         prep = two_qubit_state_prep_circuit(output_vector)
         new_2q = prep.num_nonlocal_gates()
@@ -400,18 +404,27 @@ class _PureBlock:
         if len(instruction.qubits) == 2:
             self.num_2q += 1
 
-    def matrix(self, cache: AnalysisCache) -> np.ndarray:
+    def matrix(self) -> "np.ndarray | None":
+        """The block's 4x4 unitary, or ``None`` when a gate in it has no
+        matrix."""
         wire_of = {self.pair[0]: 0, self.pair[1]: 1}
-        matrices = cache.matrices(
-            [instruction.operation for instruction in self.instructions]
-        )
-        chain = [
-            (matrix, tuple(wire_of[q] for q in instruction.qubits))
-            for matrix, instruction in zip(matrices, self.instructions)
-        ]
+        chain = []
+        for instruction in self.instructions:
+            matrix = _matrix_or_none(instruction.operation)
+            if matrix is None:
+                return None
+            chain.append((matrix, tuple(wire_of[q] for q in instruction.qubits)))
         # stacked embedding + fold reduction: bit-identical to the serial
         # embed_gate(...) @ acc accumulation this replaces
         return two_qubit_chain_unitaries([chain])[0]
+
+
+def _matrix_or_none(operation) -> "np.ndarray | None":
+    """The gate's memoized matrix, or ``None`` for an opaque gate."""
+    try:
+        return operation.matrix
+    except NotImplementedError:
+        return None
 
 
 def _is_zero_state(state) -> bool:

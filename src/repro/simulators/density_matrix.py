@@ -87,7 +87,7 @@ class DensityMatrixSimulator:
             if not operation.is_gate():
                 raise ValueError(f"cannot simulate {name!r}")
             rho = self._apply_unitary(
-                rho, operation.to_matrix(), instruction.qubits, num_qubits
+                rho, operation.matrix, instruction.qubits, num_qubits
             )
             error = self.noise_model.gate_error(instruction.qubits)
             if error > 0.0:

@@ -14,10 +14,11 @@ Applying a fused ``4x4`` to the state costs one ``apply_gate_to_state``
 instead of one per gate, which is where the win comes from: the per-gate
 transpose/reshape bookkeeping dominates matrix arithmetic at these sizes.
 
-Gate matrices resolve through :meth:`AnalysisCache.matrices`, so
-parameter-free standard gates come from the immutable module-level table
-in :mod:`repro.gates.matrices` and repeated parameterised gates are
-constructed once per program, not once per instruction.
+Gate matrices are the gates' memoized
+:attr:`~repro.circuit.instruction.Gate.matrix`: parameter-free standard
+gates hand out the immutable module-level table in
+:mod:`repro.gates.matrices`, and any other gate builds its matrix once per
+gate object, however many programs it is compiled into.
 
 Fused products use the log-depth pairwise reduction: a fused trajectory
 equals the serial one up to floating-point associativity (exact in exact
@@ -30,7 +31,6 @@ import numpy as np
 
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.linalg.batch import chain_products, two_qubit_chain_unitaries
-from repro.transpiler.cache import AnalysisCache
 
 __all__ = ["FusedProgram", "compile_program"]
 
@@ -73,18 +73,14 @@ class FusedProgram:
         self.num_unitaries = 0
 
 
-def compile_program(
-    circuit: QuantumCircuit, cache: AnalysisCache | None = None
-) -> FusedProgram:
+def compile_program(circuit: QuantumCircuit) -> FusedProgram:
     """Lower ``circuit`` into a :class:`FusedProgram`; directives are dropped."""
-    if cache is None:
-        cache = AnalysisCache()
     program = FusedProgram(circuit.num_qubits, circuit.num_clbits, circuit.global_phase)
 
-    # Phase 1: scan into an ordered event list; runs collect gate indices
-    # only, no matrix work happens here.
+    # Phase 1: scan into an ordered event list; runs collect gate indices,
+    # and each gate's memoized matrix is read once, in gate order.
     events: list[tuple] = []
-    gate_ops: list = []
+    matrices: list[np.ndarray] = []  # one memoized gate matrix per gate
     pending_1q: dict[int, _Run] = {}
     pair_of: dict[int, _Run] = {}
 
@@ -126,8 +122,8 @@ def compile_program(
             continue
         qargs = instruction.qubits
         program.num_gates += 1
-        op_index = len(gate_ops)
-        gate_ops.append(operation)
+        op_index = len(matrices)
+        matrices.append(operation.matrix)
         if len(qargs) > 2 or instruction.clbits:
             for qubit in qargs:
                 flush_qubit(qubit)
@@ -168,9 +164,7 @@ def compile_program(
     for qubit in sorted(pending_1q):
         flush_pending(qubit)
 
-    # Phase 2: every gate matrix in one bulk cache lookup, every fused
-    # product in one batched reduction per arity.
-    matrices = cache.matrices(gate_ops)
+    # Phase 2: every fused product in one batched reduction per arity.
     runs_1q: list[_Run] = []
     runs_2q: list[_Run] = []
     for event in events:

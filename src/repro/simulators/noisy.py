@@ -62,7 +62,7 @@ class NoisySimulator:
                 continue
             if not operation.is_gate():
                 raise ValueError(f"cannot simulate {operation.name!r}")
-            matrix = np.asarray(operation.to_matrix(), dtype=complex)
+            matrix = np.asarray(operation.matrix, dtype=complex)
             error = self.noise_model.gate_error(instruction.qubits)
             steps.append(("gate", (matrix, instruction.qubits), error))
         return steps

@@ -6,9 +6,8 @@ collapse), reset, and directives (skipped).
 
 Circuits are lowered once per call through the gate-fusion pre-step
 (:func:`repro.simulators.fusion.compile_program`): adjacent gates on the
-same qubit (or qubit pair) collapse into single fused matrices and gate
-matrices resolve through the shared analysis cache's standard-gate table
-instead of one ``to_matrix()`` per instruction.
+same qubit (or qubit pair) collapse into single fused matrices, and each
+gate's matrix is built once and memoized on the gate object.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.gates.matrices import standard_gate_matrix
 from repro.linalg.random import as_rng
 from repro.simulators.counts import Counts, sample_counts
 from repro.simulators.fusion import FusedProgram, compile_program
-from repro.transpiler.cache import AnalysisCache
 
 __all__ = ["StatevectorSimulator", "simulate_statevector", "apply_gate_to_state"]
 
@@ -60,20 +58,19 @@ class StatevectorSimulator:
 
     Measurements collapse the state and write classical bits; use
     :meth:`run` for a single trajectory or :meth:`statevector` for the
-    final state of a measurement-free circuit.  The gate-matrix cache
-    persists across calls, so repeated runs of structurally similar
-    circuits skip matrix construction entirely.
+    final state of a measurement-free circuit.  Gate matrices are memoized
+    on the gate objects, so repeated runs of one circuit skip matrix
+    construction entirely.
     """
 
     def __init__(self, seed: int | np.random.Generator | None = None):
         self._rng = as_rng(seed)
-        self._cache = AnalysisCache()
 
     def statevector(
         self, circuit: QuantumCircuit, initial_state: np.ndarray | None = None
     ) -> np.ndarray:
         """Final statevector (measurement-free circuits only)."""
-        program = compile_program(circuit, cache=self._cache)
+        program = compile_program(circuit)
         state, _ = self._evolve(program, initial_state, allow_measure=False)
         return state
 
@@ -90,7 +87,7 @@ class StatevectorSimulator:
         each shot runs a full collapsing trajectory over the once-compiled
         fused program.
         """
-        program = compile_program(circuit, cache=self._cache)
+        program = compile_program(circuit)
         if self._measurements_are_terminal(circuit):
             state, measured = self._evolve(
                 program, initial_state, allow_measure=False, skip_measurements=True

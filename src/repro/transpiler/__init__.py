@@ -8,7 +8,7 @@ Layers, bottom to top:
   passes once per iteration), and returns structured per-pass metrics in
   a :class:`TranspileResult`.
 * :mod:`repro.transpiler.cache` -- the per-run :class:`AnalysisCache`
-  (memoized gate matrices and two-qubit syntheses) every pass shares; a
+  (memoized two-qubit syntheses) every pass shares; a
   plain in-process memo, shared across runs to amortise work over
   repeated workloads.
 * :mod:`repro.transpiler.target` -- the :class:`Target` abstraction: basis

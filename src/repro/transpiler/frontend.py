@@ -30,8 +30,7 @@ Architecture:
   compilation and are rejected with a pointer to ``service=``.
 * **Shared analysis cache** -- the jobs of an in-process batch share one
   :class:`~repro.transpiler.cache.AnalysisCache` (pass your own to share
-  across calls), so repeated workloads skip most matrix constructions and
-  circuit analyses.
+  across calls), so repeated two-qubit blocks cost one synthesis.
 * **Results** -- by default the transpiled circuit(s) come back in input
   order; ``full_result=True`` returns
   :class:`~repro.transpiler.passmanager.TranspileResult` objects carrying

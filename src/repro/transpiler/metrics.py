@@ -8,9 +8,9 @@ per-:class:`~repro.transpiler.target.Target` breakdowns (``by_target`` --
 heterogeneous multi-backend batches report each device separately, and
 results served by a networked shard carry its endpoint into per-target
 ``shards`` splits plus a batch-level ``by_shard`` roll-up), and the
-shared :class:`~repro.transpiler.cache.AnalysisCache` hit rates.  Benchmarks
-write these reports to disk (``bench_table2_main.py --quick --metrics-json``)
-and CI diffs them against a checked-in baseline
+shared :class:`~repro.transpiler.cache.AnalysisCache` synthesis counters.
+Benchmarks write these reports to disk (``bench_table2_main.py --quick
+--metrics-json``) and CI diffs them against a checked-in baseline
 (``benchmarks/check_regression.py``), which is how compile-time regressions
 are caught automatically.
 
@@ -69,7 +69,7 @@ def aggregate_batch(
 
     Args:
         results: the batch's :class:`TranspileResult` objects.
-        cache: the batch's shared analysis cache; adds hit/miss statistics.
+        cache: the batch's shared analysis cache; adds its ``stats``.
             Defaults to the cache found on the first result, if any.
         executor: label of the path that compiled the batch (``"serial"``,
             ``"service"``, ``"remote"``, ...), recorded as given.
@@ -164,15 +164,7 @@ def aggregate_batch(
                 break
     cache_report = None
     if cache is not None:
-        requests = cache.matrix_requests
-        cache_report = {
-            "matrix_requests": requests,
-            "matrix_constructions": cache.matrix_constructions,
-            "matrix_hit_rate": (
-                1.0 - cache.matrix_constructions / requests if requests else 0.0
-            ),
-            "stats": dict(cache.stats),
-        }
+        cache_report = {"stats": dict(cache.stats)}
 
     report = {
         "schema": METRICS_SCHEMA_VERSION,

@@ -190,29 +190,20 @@ class ConsolidateBlocks(TransformationPass):
         events.extend((end, pending_1q[qubit]) for qubit in sorted(pending_1q))
         return events
 
-    def _block_matrices(
-        self, blocks: list[_Block], cache: AnalysisCache
-    ) -> dict[int, np.ndarray]:
-        """4x4 unitaries of every block, keyed by ``id(block)``: one bulk
-        cache lookup gathers every gate matrix, then every block reduces in
-        a single stacked-operand call.
+    def _block_matrices(self, blocks: list[_Block]) -> dict[int, np.ndarray]:
+        """4x4 unitaries of every block, keyed by ``id(block)``: every block
+        reduces its gates' memoized matrices in a single stacked-operand
+        call.
         """
         if not blocks:
             return {}
-        all_instructions = [
-            instruction for block in blocks for instruction in block.instructions
+        chains = [
+            [
+                (instruction.operation.matrix, block.local_wires(instruction))
+                for instruction in block.instructions
+            ]
+            for block in blocks
         ]
-        matrices = cache.matrices(
-            instruction.operation for instruction in all_instructions
-        )
-        chains = []
-        cursor = 0
-        for block in blocks:
-            chain = []
-            for instruction in block.instructions:
-                chain.append((matrices[cursor], block.local_wires(instruction)))
-                cursor += 1
-            chains.append(chain)
         unitaries = two_qubit_chain_unitaries(chains)
         return {id(block): unitaries[index] for index, block in enumerate(blocks)}
 
@@ -225,7 +216,7 @@ class ConsolidateBlocks(TransformationPass):
             for _, group in events
             if type(group) is _Block and (group.num_2q >= _BLOCK_MIN_2Q or self.force)
         ]
-        unitaries = self._block_matrices(candidates, cache)
+        unitaries = self._block_matrices(candidates)
         self._plan_blocks(candidates, unitaries, cache)
         edits = []
         for at, group in events:

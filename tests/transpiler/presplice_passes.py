@@ -63,7 +63,6 @@ def emit_params(theta, phi, lam, gamma, qubit, output) -> None:
 
 class PreSpliceOptimize1qGates(Optimize1qGates):
     def transform(self, circuit, property_set):
-        cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
         events = []
         runs = []
@@ -91,12 +90,7 @@ class PreSpliceOptimize1qGates(Optimize1qGates):
         for qubit in sorted(pending):
             flush(qubit)
 
-        matrices = cache.matrices([op for _, ops in runs for op in ops])
-        chains = []
-        cursor = 0
-        for _, ops in runs:
-            chains.append(matrices[cursor : cursor + len(ops)])
-            cursor += len(ops)
+        chains = [[op.matrix for op in ops] for _, ops in runs]
         params = u3_params_batch(chain_products(chains, 2)).tolist() if runs else []
 
         output = circuit.copy_empty_like()
@@ -186,7 +180,7 @@ class PreSpliceConsolidateBlocks(ConsolidateBlocks):
             for kind, payload, _, _ in events
             if kind == "block" and (payload.num_2q >= _BLOCK_MIN_2Q or self.force)
         ]
-        unitaries = self._block_matrices(candidates, cache)
+        unitaries = self._block_matrices(candidates)
         self._plan_blocks(candidates, unitaries, cache)
         output = circuit.copy_empty_like()
         for kind, payload, qubits, clbits in events:
@@ -368,7 +362,6 @@ class _AppendingOutput:
 class PreSpliceQBOPass(QBOPass):
     def transform(self, circuit, property_set):
         state = self._run_state
-        state.cache = AnalysisCache.ensure(property_set)
         tracker = BasisStateTracker(circuit.num_qubits)
         output = _AppendingOutput(circuit.copy_empty_like())
         blocked = same_pair_adjacent_indices(circuit)
@@ -386,7 +379,6 @@ class PreSpliceQBOPass(QBOPass):
 
 class PreSpliceHoareOptimizer(HoareOptimizer):
     def transform(self, circuit, property_set):
-        self._run_state.cache = AnalysisCache.ensure(property_set)
         self._run_state.cluster_of = {q: _Cluster((q,), {0}) for q in range(circuit.num_qubits)}
         output = _AppendingOutput(circuit.copy_empty_like())
         for instruction in circuit.data:
@@ -483,14 +475,18 @@ class PreSpliceQPOPass(QPOPass):
         from repro.linalg.two_qubit_synthesis import two_qubit_state_prep_circuit
 
         input_states = block.input_states
-        if not (block.num_2q >= 2 and input_states[0] is not None and input_states[1] is not None):
+        replaceable = (
+            block.num_2q >= 2 and input_states[0] is not None and input_states[1] is not None
+        )
+        unitary = block.matrix() if replaceable else None
+        if unitary is None:
             for instruction in block.instructions:
                 self._track_and_emit(instruction, tracker, output)
             return
         low, high = block.pair
         psi_low = u3_matrix(*input_states[0], 0.0)[:, 0]
         psi_high = u3_matrix(*input_states[1], 0.0)[:, 0]
-        output_vector = block.matrix(self._cache) @ np.kron(psi_high, psi_low)
+        output_vector = unitary @ np.kron(psi_high, psi_low)
         prep = two_qubit_state_prep_circuit(output_vector)
         if prep.num_nonlocal_gates() >= block.num_2q:
             for instruction in block.instructions:

@@ -17,8 +17,8 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.circuit.matrix_utils import embed_gate
+from repro.gates.matrices import standard_gate_matrix
 from repro.linalg.euler import u3_params_from_unitary
-from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.passes import ConsolidateBlocks, Optimize1qGates
 from repro.transpiler.passmanager import PropertySet
 
@@ -30,13 +30,13 @@ class SerialConsolidateBlocks(ConsolidateBlocks):
     """``ConsolidateBlocks`` with each block's unitary accumulated serially,
     one ``embed_gate`` + matmul per gate (local wire 0 = ``pair[0]``)."""
 
-    def _block_matrices(self, blocks, cache):
+    def _block_matrices(self, blocks):
         unitaries = {}
         for block in blocks:
             matrix = np.eye(4, dtype=complex)
             for instruction in block.instructions:
                 local = block.local_wires(instruction)
-                matrix = embed_gate(cache.matrix(instruction.operation), local, 2) @ matrix
+                matrix = embed_gate(instruction.operation.matrix, local, 2) @ matrix
             unitaries[id(block)] = matrix
         return unitaries
 
@@ -44,7 +44,6 @@ class SerialConsolidateBlocks(ConsolidateBlocks):
 def serial_optimize_1q(circuit: QuantumCircuit) -> QuantumCircuit:
     """One-matmul-per-gate fold of every 1q run, each run emitted through
     the scalar Euler extraction."""
-    cache = AnalysisCache()
     output = circuit.copy_empty_like()
     pending: dict[int, np.ndarray] = {}
 
@@ -58,7 +57,7 @@ def serial_optimize_1q(circuit: QuantumCircuit) -> QuantumCircuit:
         operation = instruction.operation
         if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
             qubit = instruction.qubits[0]
-            matrix = cache.matrix(operation)
+            matrix = operation.matrix
             current = pending.get(qubit)
             pending[qubit] = matrix if current is None else matrix @ current
             continue
@@ -161,18 +160,17 @@ class TestConsolidateParity:
         batched, serial = consolidate_both(single)
         assert_bit_identical(batched, serial)
 
-    def test_bulk_matrix_lookup_hits_cache(self):
+    def test_table_gates_read_the_shared_table(self):
         circuit = QuantumCircuit(2)
         for _ in range(6):
             circuit.cx(0, 1)
             circuit.h(0)
-        cache = AnalysisCache()
-        props = PropertySet({AnalysisCache.PROPERTY_KEY: cache})
-        ConsolidateBlocks().run(circuit, props)
-        # 12 gate operands resolve to 2 distinct matrices: h from the
-        # standard table, cx (a ControlledGate) constructed exactly once
-        assert cache.matrix_requests >= 12
-        assert cache.matrix_constructions == 1
+        ConsolidateBlocks().run(circuit, PropertySet())
+        # all 12 gate operands resolve to the 2 standard-table matrices:
+        # no gate builds a matrix of its own
+        for instruction in circuit.data:
+            operation = instruction.operation
+            assert operation.matrix is standard_gate_matrix(operation.name)
 
 
 class TestOptimize1qParity:

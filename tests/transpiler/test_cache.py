@@ -1,11 +1,11 @@
 """Tests for the shared AnalysisCache and the standard-gate matrix table.
 
-Includes the headline acceptance check of the scheduler/cache rework: on
-the paper's Table II workloads, a pipeline run with a shared cache
-constructs far fewer matrices than the seed path did (which built one per
-``to_matrix()`` request), and a second run over the same cache constructs
-fewer still -- with bit-identical output circuits.
+On the paper's Table II workloads, a second pipeline run over a shared
+cache answers every two-qubit synthesis from the memo, with bit-identical
+output circuits.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from repro.algorithms import (
 )
 from repro.backends import FakeMelbourne
 from repro.circuit import QuantumCircuit
-from repro.gates import CXGate, HGate, U1Gate, U3Gate, XGate
+from repro.gates import CXGate, HGate, XGate
 from repro.gates.matrices import STANDARD_GATE_MATRICES, standard_gate_matrix
 from repro.rpo import rpo_pass_manager
 from repro.transpiler import AnalysisCache
@@ -49,77 +49,10 @@ class TestStandardGateTable:
         assert np.allclose(matrix, expected)
 
 
-class TestMatrixCache:
-    def test_hit_returns_same_object(self):
-        cache = AnalysisCache()
-        first = cache.matrix(U3Gate(0.1, 0.2, 0.3))
-        second = cache.matrix(U3Gate(0.1, 0.2, 0.3))
-        assert first is second
-        assert cache.stats["matrix_misses"] == 1
-        assert cache.stats["matrix_hits"] == 1
-
-    def test_distinct_params_distinct_entries(self):
-        cache = AnalysisCache()
-        a = cache.matrix(U1Gate(0.5))
-        b = cache.matrix(U1Gate(0.6))
-        assert not np.allclose(a, b)
-        assert cache.stats["matrix_misses"] == 2
-
-    def test_table_gates_are_not_constructions(self):
-        cache = AnalysisCache()
-        cache.matrix(XGate())
-        cache.matrix(XGate())
-        assert cache.stats["matrix_table"] == 2
-        assert cache.matrix_constructions == 0
-
-    def test_unitary_gate_uncached(self):
-        from repro.gates import UnitaryGate
-
-        cache = AnalysisCache()
-        gate = UnitaryGate(np.eye(2))
-        cache.matrix(gate)
-        cache.matrix(gate)
-        assert cache.stats["matrix_uncached"] == 2
-
-    def test_cached_matrix_matches_to_matrix(self):
-        cache = AnalysisCache()
-        for gate in (U3Gate(1.0, 2.0, 3.0), U1Gate(0.25), CXGate()):
-            assert np.allclose(cache.matrix(gate), gate.to_matrix())
-
-
-class TestInProcessMemo:
-    """The cache is a plain in-process memo: bounded, read-only entries,
-    and nothing shared between two cache objects."""
-
-    def test_cached_matrices_are_read_only(self):
-        cache = AnalysisCache()
-        matrix = cache.matrix(U3Gate(0.1, 0.2, 0.3))
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 0.0
-        assert np.allclose(cache.matrix(U3Gate(0.1, 0.2, 0.3)), matrix)
-
-    def test_bulk_lookup_resolves_repeats_locally(self):
-        cache = AnalysisCache()
-        gates = [U3Gate(0.1, 0.2, 0.3), U3Gate(0.1, 0.2, 0.3), U1Gate(0.5), XGate()]
-        out = cache.matrices(gates)
-        assert out[0] is out[1]
-        assert cache.stats["matrix_misses"] == 2
-        assert cache.stats["matrix_hits"] == 1
-        assert cache.stats["matrix_table"] == 1
-        for gate, matrix in zip(gates, out):
-            assert np.allclose(matrix, gate.to_matrix())
-
-    def test_matrix_table_is_bounded_fifo(self):
-        from repro.transpiler.cache import _MAX_MATRICES
-
-        cache = AnalysisCache()
-        for i in range(_MAX_MATRICES + 5):
-            cache.matrix(U1Gate(float(i)))
-        assert len(cache._matrices) == _MAX_MATRICES
-        # the oldest entries went first
-        cache.matrix(U1Gate(0.0))
-        assert cache.stats["matrix_misses"] == _MAX_MATRICES + 6
+class TestSynthesisMemo:
+    """The cache is a plain in-process memo of two-qubit syntheses:
+    keyed by unitary bytes, bounded, and nothing shared between two cache
+    objects.  Gate matrices live on the gates (tests/gates/test_matrix_memo.py)."""
 
     def test_synthesis_memo_keyed_by_unitary_bytes(self):
         from repro.gates import SwapGate
@@ -136,13 +69,26 @@ class TestInProcessMemo:
 
     def test_caches_share_no_entries(self):
         first = AnalysisCache()
-        first.matrix(U3Gate(0.1, 0.2, 0.3))
         first.synthesis(CXGate().to_matrix())
         second = AnalysisCache()
-        assert not second._matrices and not second._syntheses
-        second.matrix(U3Gate(0.1, 0.2, 0.3))
-        assert second.stats["matrix_misses"] == 1
-        assert second.stats["matrix_hits"] == 0
+        assert not second._syntheses
+        assert second.synthesis(CXGate().to_matrix()) is not first.synthesis(
+            CXGate().to_matrix()
+        )
+
+    def test_synthesis_table_is_bounded_fifo(self):
+        from repro.transpiler.cache import _MAX_SYNTHESES
+
+        cache = AnalysisCache()
+        unitaries = [
+            np.diag(np.exp(1j * np.array([0.0, 0.0, 0.0, 1e-3 * i])))
+            for i in range(_MAX_SYNTHESES + 5)
+        ]
+        cache.syntheses(unitaries)
+        assert len(cache._syntheses) == _MAX_SYNTHESES
+        # the oldest entries went first
+        assert unitaries[0].tobytes() not in cache._syntheses
+        assert unitaries[-1].tobytes() in cache._syntheses
 
 
 def _table2_workloads():
@@ -174,28 +120,29 @@ def _assert_identical(a: QuantumCircuit, b: QuantumCircuit):
 
 
 class TestSharedCacheAcceptance:
-    """The acceptance criterion of the scheduler/cache rework."""
+    """A cache shared across runs answers a repeat run's syntheses from
+    its memo, with bit-identical output circuits."""
 
     @pytest.mark.parametrize(
         "name,circuit",
         _table2_workloads(),
         ids=lambda v: v if isinstance(v, str) else "",
     )
-    def test_second_run_constructs_fewer_matrices(self, name, circuit):
+    def test_second_run_synthesizes_nothing_new(self, name, circuit):
         backend = FakeMelbourne()
         shared = AnalysisCache()
 
         first = _run_rpo(circuit, backend, cache=shared)
-        first_constructions = shared.matrix_constructions
-        first_requests = shared.matrix_requests
-        # the seed path built one matrix per request; the cache must beat it
-        assert 0 < first_constructions < first_requests
+        first_stats = Counter(shared.stats)
+        entries = len(shared._syntheses)
+        assert entries > 0
 
         second = _run_rpo(circuit, backend, cache=shared)
-        second_constructions = shared.matrix_constructions - first_constructions
-        assert second_constructions < first_constructions
+        increment = shared.stats - first_stats
+        assert increment["synth_attempts"] == 0
+        assert len(shared._syntheses) == entries
 
-        # caching must not change the compiled circuits
+        # sharing must not change the compiled circuits
         fresh = _run_rpo(circuit, backend, cache=AnalysisCache())
         _assert_identical(first.circuit, fresh.circuit)
         _assert_identical(second.circuit, fresh.circuit)

@@ -137,7 +137,7 @@ def candidate_unitaries(circuit: QuantumCircuit) -> list[np.ndarray]:
         for _, group in pass_.collect(circuit)
         if isinstance(group, consolidate._Block) and group.num_2q >= 2
     ]
-    return list(pass_._block_matrices(blocks, AnalysisCache()).values())
+    return list(pass_._block_matrices(blocks).values())
 
 
 class TestPrescanBound:

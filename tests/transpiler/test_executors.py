@@ -160,7 +160,7 @@ class TestServiceParity:
                 seed=[0, 1, 2],
                 service=service,
             )
-        assert cache.stats.get("matrix_misses", 0) > 0  # shipped worker stats
+        assert cache.stats.get("synth_attempts", 0) > 0  # shipped worker stats
 
     def test_service_full_results_carry_properties(self, melbourne, process_service):
         from repro.algorithms import quantum_phase_estimation
@@ -209,12 +209,14 @@ class TestInProcess:
         results = transpile(
             self._batch(),
             backend=melbourne,
+            pipeline="rpo",
             seed=0,
             analysis_cache=cache,
             full_result=True,
         )
         assert all(result.analysis_cache is cache for result in results)
-        assert cache.stats["matrix_hits"] > 0
+        # the batch's block unitaries repeat: few memo entries, many reads
+        assert 0 < len(cache._syntheses) < cache.stats["synth_prescan_skips"]
 
     def test_result_cache_serves_repeat_calls(self, melbourne):
         cache = ResultCache()

@@ -253,8 +253,8 @@ class TestParity:
 
 
 class TestWorkerCaches:
-    """Each process worker keeps its own analysis cache; only hit/miss
-    stats increments travel back to the service."""
+    """Each process worker keeps its own analysis cache; only its
+    synthesis stats increments travel back to the service."""
 
     _SETTINGS = {
         "pipeline": "rpo",
@@ -283,7 +283,7 @@ class TestWorkerCaches:
         outcomes, increment = service_module._service_chunk(self._chunk(melbourne))
         assert [status for status, _ in outcomes] == ["ok"]
         assert type(increment) is Counter
-        assert increment["matrix_misses"] > 0
+        assert increment["synth_attempts"] > 0
         assert all(isinstance(value, int) for value in increment.values())
 
     def test_repeat_chunk_increment_counts_only_new_requests(
@@ -295,9 +295,9 @@ class TestWorkerCaches:
         service_module._service_worker_init()
         _, first = service_module._service_chunk(self._chunk(melbourne))
         _, second = service_module._service_chunk(self._chunk(melbourne))
-        # the worker's memo answers the repeat: no new constructions
-        assert second["matrix_misses"] == 0
-        assert second["matrix_hits"] > 0
+        # the worker's memo answers the repeat: no new syntheses
+        assert second["synth_attempts"] == 0
+        assert second["synth_memo_hits"] > 0
         worker_cache = service_module._WORKER_STATE["cache"]
         assert first + second == +worker_cache.stats
 
@@ -312,13 +312,13 @@ class TestWorkerCaches:
                 seeds=[0, 1, 2],
             )
             stats = service.stats()
-        assert not cache._matrices and not cache._syntheses
-        assert cache.stats["matrix_misses"] > 0
-        assert stats["cache_requests"] == cache.matrix_requests > 0
+        assert not cache._syntheses
+        assert cache.stats["synth_attempts"] > 0
+        assert stats["completed"] == 3
 
     def test_worker_cache_warms_across_batches(self, melbourne):
         """A worker's cache outlives its jobs: a repeat batch (result
-        cache off, so it reaches the pool) constructs fewer matrices."""
+        cache off, so it reaches the pool) synthesizes nothing new."""
         cache = AnalysisCache()
         batch = [quantum_phase_estimation(3), ry_ansatz(4, depth=2, seed=11)]
         with CompileService(
@@ -329,11 +329,13 @@ class TestWorkerCaches:
             result_cache=False,
         ) as service:
             service.map(batch, targets=melbourne.target(), seeds=[0, 1])
-            cold = cache.matrix_constructions
+            cold = cache.stats["synth_attempts"]
+            hits = cache.stats["synth_memo_hits"]
             service.map(batch, targets=melbourne.target(), seeds=[0, 1])
-            warm = cache.matrix_constructions - cold
+            warm = cache.stats["synth_attempts"] - cold
         assert cold > 0
-        assert warm < cold
+        assert warm == 0
+        assert cache.stats["synth_memo_hits"] > hits
 
     def test_serial_jobs_share_the_service_cache(self, melbourne):
         cache = AnalysisCache()
@@ -345,8 +347,8 @@ class TestWorkerCaches:
                 targets=melbourne.target(),
                 seeds=[0, 1],
             )
-        assert cache._matrices
-        assert cache.stats["matrix_hits"] > 0
+        assert cache._syntheses
+        assert cache.stats["synth_memo_hits"] > 0
 
 
 class TestStatsSurface:
@@ -359,6 +361,8 @@ class TestStatsSurface:
             "snapshot_entries_loaded",
             "snapshot_skipped",
             "cache_matrices",
+            "cache_requests",
+            "cache_constructions",
         ):
             assert removed not in stats
         assert stats["autosave_failures"] == 0
