@@ -26,8 +26,31 @@ width thresholds below.
 Checking tiers
 ==============
 
-Semantic equivalence is checked at the strongest tier the circuit width
-allows:
+A ``"unitary"``-contract pass whose output one
+:meth:`~repro.circuit.QuantumCircuit.splice` built from its input, with
+every edit *in place*, is proved first by the **window tier**, at any
+width.  An in-place edit either changes only the phase, or removes one
+gate record ``r`` that has no clbits and inserts gates on a subset of
+``r``'s qubits at ``r``'s own index (the Unroller's edits are all of this
+kind).  Each such window compares ``r``'s matrix with the product of its
+replacement on ``r``'s wires, batched by width
+(:func:`~repro.linalg.batch.chain_products` for one qubit,
+:func:`~repro.linalg.batch.two_qubit_chain_unitaries` for two, one small
+unitary per wider window).  The check is proven when every window passes
+the unitary tier's own predicate and the windows' summed Frobenius
+deviation is at most ``_ATOL / 2``, which keeps the whole circuits within
+that predicate (see ``_WINDOW_BUDGET``).  QSAN learns a pass's splices
+only while it checks that pass (:meth:`QsanValidator.watch`); they are
+dropped by the check and never stored on a circuit.  Every record outside
+the windows must be the very same object in both circuits, so the proof
+holds whatever the edits claimed.
+
+Anything not proven, or not in place, goes on to the tiers below exactly
+as before.  Only where those tiers end at the fingerprint (a wide or
+annotated circuit, or one holding an opaque gate) does a window that
+fails the predicate become the violation, naming its record index and
+qubits.  Otherwise semantic equivalence is checked at the strongest tier
+the circuit width allows:
 
 * ``<= unitary_cap`` (default 8) qubits, measurement-free: exact unitary
   equivalence up to global phase via
@@ -63,12 +86,14 @@ cleanup only preserves outcome statistics.  See
 from __future__ import annotations
 
 import math
+import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuit.quantumcircuit import NO_PHASE, QuantumCircuit
+from repro.circuit.quantumcircuit import NO_PHASE, SPLICE_LOG, QuantumCircuit
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.passmanager import AnalysisPass, PropertySet
 
@@ -269,18 +294,44 @@ def _states_fidelity_equal(
     return bool(1.0 - overlap <= tol)
 
 
-def _equal_up_to_phase(reference: np.ndarray, candidate: np.ndarray, atol: float = _ATOL) -> bool:
+#: ``np.allclose``'s default relative tolerance, which the up-to-phase
+#: predicate applies on top of ``_ATOL``
+_RTOL = 1e-5
+
+
+def _phase_deviations(references: np.ndarray, candidates: np.ndarray):
+    """The up-to-phase predicate of each stacked pair, and the Frobenius
+    norm of the pair's difference at the phase it picks.
+
+    The phase is the candidate's entry over the reference's largest one;
+    the pair is equal when that phase has unit modulus and the entries
+    then agree as ``np.allclose`` compares them (``_ATOL`` plus ``_RTOL``
+    of the candidate's entry).  A zero reference is never equal.
+    """
+    count = len(references)
+    flat_references = references.reshape(count, -1)
+    flat_candidates = candidates.reshape(count, -1)
+    rows = np.arange(count)
+    anchor = np.argmax(np.abs(flat_references), axis=1)
+    pivot = flat_references[rows, anchor]
+    nonzero = np.abs(pivot) >= 1e-12
+    phase = flat_candidates[rows, anchor] / np.where(nonzero, pivot, 1.0)
+    gap = np.abs(flat_references * phase[:, None] - flat_candidates)
+    equal = (
+        nonzero
+        & (np.abs(np.abs(phase) - 1.0) <= 1e-6)
+        & np.all(gap <= _ATOL + _RTOL * np.abs(flat_candidates), axis=1)
+    )
+    return equal, np.sqrt(np.sum(gap * gap, axis=1))
+
+
+def _equal_up_to_phase(reference: np.ndarray, candidate: np.ndarray) -> bool:
+    """Whether two states or unitaries are equal up to a global phase."""
     reference = np.asarray(reference).ravel()
     candidate = np.asarray(candidate).ravel()
     if reference.shape != candidate.shape:
         return False
-    anchor = int(np.argmax(np.abs(reference)))
-    if abs(reference[anchor]) < 1e-12:
-        return bool(np.allclose(candidate, 0.0, atol=atol))
-    phase = candidate[anchor] / reference[anchor]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return bool(np.allclose(reference * phase, candidate, atol=atol))
+    return bool(_phase_deviations(reference[None], candidate[None])[0][0])
 
 
 def _gather_indices(num_source_qubits: int, placement) -> np.ndarray:
@@ -432,6 +483,144 @@ def _fingerprints_compatible(before, after, placement=None) -> int | None:
 
 
 # ======================================================================
+# the window tier
+# ======================================================================
+
+#: Budget for the summed Frobenius deviation of one splice's windows.  A
+#: window that deviates by ``d`` from its record (at some phase) deviates by
+#: at most ``d`` in spectral norm, and the deviations of unitary factors
+#: add up along a product, so the two whole circuits differ by at most the
+#: sum ``S`` in every entry, at one global phase.  The unitary tier's
+#: predicate takes its phase from a single anchor entry instead, which can
+#: double that gap; ``S <= _ATOL / 2`` keeps it within the predicate's
+#: ``atol``.
+_WINDOW_BUDGET = _ATOL / 2
+
+
+def _same_records(old, start: int, new, position: int, count: int) -> bool:
+    """Whether ``count`` records from ``old[start]`` are the very objects
+    at ``new[position]`` on."""
+    return all(
+        map(operator.is_, old[start : start + count], new[position : position + count])
+    )
+
+
+def _in_place_windows(before: QuantumCircuit, after: QuantumCircuit, splices):
+    """``after`` as ``before`` with records replaced in place, or ``None``.
+
+    ``splices`` are the ``(source, output, edits)`` a pass's splices
+    reported.  When one of them built ``after`` from ``before`` and each of
+    its edits either changes only the phase or removes one gate record
+    ``r`` without clbits and inserts gates on ``r``'s qubits at ``r``'s own
+    index, returns ``[(index, r, replacement), ...]``, the replacement read
+    from ``after``.  The edits only say where the windows are: every record
+    outside them must be the same object in both circuits, so the windows
+    describe the two circuits whatever the edits claimed.
+    """
+    edits = next((e for s, o, e in splices if o is after and s is before), None)
+    if edits is None:
+        return None
+    sizes: dict[int, int] = {}
+    for removed, at, replacement, _ in edits:
+        if not removed:
+            if replacement:
+                return None
+            continue
+        if len(removed) != 1 or at not in removed:
+            return None
+        sizes[at] = len(replacement)
+    old, new = before.data, after.data
+    if len(new) != len(old) - len(sizes) + sum(sizes.values()):
+        return None
+    windows = []
+    start = position = 0
+    for index in sorted(sizes):
+        if not _same_records(old, start, new, position, index - start):
+            return None
+        position += index - start
+        record = old[index]
+        replacement = new[position : position + sizes[index]]
+        position += sizes[index]
+        start = index + 1
+        wires = record.qubits
+        if record.clbits or not record.operation.is_gate():
+            return None
+        for operation, qubits, clbits in replacement:
+            if clbits or not operation.is_gate() or not set(qubits) <= set(wires):
+                return None
+        windows.append((index, record, replacement))
+    if not _same_records(old, start, new, position, len(old) - start):
+        return None
+    return windows
+
+
+def _window_unitaries(windows) -> list[tuple[list, np.ndarray, np.ndarray]]:
+    """``(windows, references, candidates)`` per window width: each
+    record's matrix next to the product of its replacement on the
+    record's own wires, one batched reduction per width up to two qubits
+    and one small unitary per wider window.  Raises
+    ``NotImplementedError`` when a gate has no matrix."""
+    from repro.linalg.batch import chain_products, two_qubit_chain_unitaries
+    from repro.simulators.unitary import circuit_unitary
+
+    groups: dict[int, tuple[list, list, list]] = {}
+    for window in windows:
+        _, record, replacement = window
+        wires = record.qubits
+        width = len(wires)
+        members, references, chains = groups.setdefault(width, ([], [], []))
+        members.append(window)
+        references.append(record.operation.matrix)
+        if width == 1:
+            chains.append([operation.matrix for operation, _, _ in replacement])
+        elif width == 2:
+            low = wires[0]
+            chains.append(
+                [
+                    (operation.matrix, tuple(0 if q == low else 1 for q in qubits))
+                    for operation, qubits, _ in replacement
+                ]
+            )
+        else:
+            local = {wire: position for position, wire in enumerate(wires)}
+            product = QuantumCircuit(width)
+            for operation, qubits, _ in replacement:
+                product.append(operation, [local[q] for q in qubits])
+            chains.append(circuit_unitary(product))
+    out = []
+    for width, (members, references, chains) in groups.items():
+        if width == 1:
+            candidates = chain_products(chains, 2)
+        elif width == 2:
+            candidates = two_qubit_chain_unitaries(chains)
+        else:
+            candidates = np.stack(chains)
+        out.append((members, np.stack(references), candidates))
+    return out
+
+
+def _prove_windows(windows) -> tuple[bool, tuple | None]:
+    """``(proven, failed)``: ``proven`` when every window passes
+    :func:`_equal_up_to_phase` and their summed deviation is within
+    :data:`_WINDOW_BUDGET`; ``failed`` is the first window (by record
+    index) that fails the predicate, if any.  A gate with no matrix
+    proves nothing and fails nothing."""
+    try:
+        groups = _window_unitaries(windows)
+    except NotImplementedError:
+        return False, None
+    failed = None
+    total = 0.0
+    for members, references, candidates in groups:
+        equal, deviation = _phase_deviations(references, candidates)
+        total += float(deviation.sum())
+        for position in np.flatnonzero(~equal).tolist():
+            if failed is None or members[position][0] < failed[0]:
+                failed = members[position]
+    return failed is None and total <= _WINDOW_BUDGET, failed
+
+
+# ======================================================================
 # the validator
 # ======================================================================
 
@@ -446,14 +635,37 @@ class QsanValidator:
     statevector).  Pass *k*'s output is pass *k+1*'s input, so chained
     passes scan, simulate and sample each intermediate circuit once.
     After each check only the live circuit's entry is kept.
+
+    The pass manager runs each pass inside :meth:`watch`, which hands the
+    pass's splices to the window tier of the next :meth:`check_pass`.
+    ``window_proofs`` and ``window_deferrals`` count the ``"unitary"``
+    checks that tier proved and those it left to the other tiers.
     """
 
     def __init__(self, config: QsanConfig):
         self.config = config
         self.violations: list[ContractViolation] = []
+        #: ``"unitary"``-contract checks the window tier proved, and those
+        #: it handed to the other tiers
+        self.window_proofs = 0
+        self.window_deferrals = 0
         # id(circuit) -> (circuit, {tier-key: value}); the strong circuit
         # reference pins the id so it cannot be recycled under us
         self._memo: dict[int, tuple[QuantumCircuit, dict]] = {}
+        # the splices of the pass being checked, from watch() to check_pass()
+        self._splices: list = []
+
+    @contextmanager
+    def watch(self):
+        """Log the splices of the pass run inside the block; the next
+        :meth:`check_pass` reads them and drops them."""
+        log: list = []
+        token = SPLICE_LOG.set(log)
+        try:
+            yield
+        finally:
+            SPLICE_LOG.reset(token)
+        self._splices = log
 
     # -- entry point ---------------------------------------------------
 
@@ -465,6 +677,7 @@ class QsanValidator:
         properties: PropertySet,
         changed: bool,
     ) -> list[ContractViolation]:
+        splices, self._splices = self._splices, []
         violations = []
         if changed:
             if isinstance(pass_, AnalysisPass):
@@ -477,7 +690,9 @@ class QsanValidator:
                     )
                 )
             else:
-                violations.extend(self._check_equivalence(pass_, before, after, properties))
+                violations.extend(
+                    self._check_equivalence(pass_, before, after, properties, splices)
+                )
         self.violations.extend(violations)
         # keep only the live circuit's semantic reference: the next pass's
         # input is this pass's output, everything older is unreachable
@@ -488,11 +703,20 @@ class QsanValidator:
     # -- semantic equivalence ------------------------------------------
 
     def _check_equivalence(
-        self, pass_, before, after, properties
+        self, pass_, before, after, properties, splices
     ) -> list[ContractViolation]:
         contract = getattr(pass_, "equivalence", "unitary")
         if contract in ("none", "identity"):
             return []
+        failed = None
+        if contract == "unitary":
+            windows = _in_place_windows(before, after, splices)
+            if windows is not None:
+                proven, failed = _prove_windows(windows)
+                if proven:
+                    self.window_proofs += 1
+                    return []
+            self.window_deferrals += 1
         placement = None
         if contract == "permutation":
             permutation = properties.get("final_permutation")
@@ -521,6 +745,19 @@ class QsanValidator:
                 )
             except NotImplementedError:  # an opaque gate cannot be simulated
                 pass
+        if failed is not None:
+            # the fingerprint tier cannot see every wire; the window can
+            index, record, _ = failed
+            return [
+                self._violation(
+                    pass_,
+                    before,
+                    after,
+                    f"record {index} ({record.operation.name} on qubits "
+                    f"{list(record.qubits)}) and the records replacing it differ "
+                    "as unitaries (up to global phase)",
+                )
+            ]
         return self._check_fingerprint(pass_, contract, before, after, placement)
 
     def _violation(self, pass_, before, after, detail) -> ContractViolation:

@@ -10,6 +10,7 @@ circular dependency between gate definitions and circuits).
 from __future__ import annotations
 
 from collections import Counter
+from contextvars import ContextVar
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.circuit.instruction import Gate, Instruction
 from repro.circuit.matrix_utils import embed_gate
 from repro.circuit.register import ClassicalRegister, QuantumRegister
 
-__all__ = ["QuantumCircuit", "CircuitInstruction", "NO_PHASE"]
+__all__ = ["QuantumCircuit", "CircuitInstruction", "NO_PHASE", "SPLICE_LOG"]
 
 
 class CircuitInstruction(NamedTuple):
@@ -35,6 +36,12 @@ _new_instruction = tuple.__new__
 
 #: the phase of a splice edit that leaves it as it is: ``x + -0.0`` is ``x``, bit for bit
 NO_PHASE = -0.0
+
+#: ``None``, or a list to which every :meth:`QuantumCircuit.splice` in this
+#: context appends ``(source, output, edits)``.  QSAN installs one around
+#: each pass it validates and drops it after the pass's check
+#: (:meth:`repro.analysis.qsan.QsanValidator.watch`); nothing else reads it.
+SPLICE_LOG: ContextVar[list | None] = ContextVar("splice_log", default=None)
 
 
 class QuantumCircuit:
@@ -182,7 +189,8 @@ class QuantumCircuit:
         ``(operation, qubits, clbits)``, checked exactly as :meth:`append`
         checks it.  Each ``phase`` is added to the global phase with ``+=``
         in edit order.  An index removed twice, or an ``at`` or index out of
-        range, raises ``ValueError``.
+        range, raises ``ValueError``.  While :data:`SPLICE_LOG` holds a list,
+        the splice is reported to it.
         """
         if not edits:
             return self
@@ -223,6 +231,9 @@ class QuantumCircuit:
                 out += inserted[point]
             start = point + 1 if point in removed else point
         out += data[start:]
+        log = SPLICE_LOG.get()
+        if log is not None:
+            log.append((self, output, edits))
         return output
 
     # -- one-qubit gates -------------------------------------------------

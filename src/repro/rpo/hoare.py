@@ -369,7 +369,11 @@ class HoareOptimizer(TransformationPass):
             self._apply_vchain(operation, qubits)
             return
         if operation.num_qubits <= 3:
-            matrix = operation.matrix
+            try:
+                matrix = operation.matrix
+            except NotImplementedError:  # opaque: nothing is provable after it
+                self._widen(qubits)
+                return
             monomial = self._monomial_permutation(matrix)
             if monomial is not None:
                 self._apply_permutation(qubits, monomial)

@@ -161,7 +161,12 @@ class QBOPass(TransformationPass):
     # -- one-qubit gates (Eq. 7) ----------------------------------------
 
     def _process_1q(self, operation, qubit, tracker, output) -> None:
-        matrix = operation.matrix
+        try:
+            matrix = operation.matrix
+        except NotImplementedError:  # opaque: kept, and its wire goes to TOP
+            tracker.invalidate([qubit])
+            output.append(operation, (qubit,))
+            return
         phase = eigenphase_if_fixed(tracker.state(qubit), matrix)
         if phase is not None:
             # the qubit is unentangled and fixed by the gate: global phase

@@ -158,7 +158,7 @@ class ConsolidateBlocks(TransformationPass):
                 and not operation.is_directive
                 and not instruction.clbits
             )
-            if is_simple_gate and len(qubits) == 1:
+            if is_simple_gate and len(qubits) == 1 and _has_matrix(operation):
                 qubit = qubits[0]
                 block = block_of.get(qubit)
                 if block is not None:
@@ -180,7 +180,8 @@ class ConsolidateBlocks(TransformationPass):
                 block = block_of[a] = block_of[b] = _Block(pair)
                 block.add(index, instruction)
                 continue
-            # anything else fences the touched qubits
+            # anything else -- a one-qubit gate with no matrix included --
+            # fences the touched qubits and stays where it is
             for qubit in qubits:
                 flush_qubit(qubit, index)
 
@@ -360,3 +361,12 @@ class ConsolidateBlocks(TransformationPass):
             cache.stats["synth_failures"] += 1
         memo.synthesized = True
         return memo.replacement
+
+
+def _has_matrix(operation) -> bool:
+    """Whether the gate has a matrix (an opaque gate has none)."""
+    try:
+        operation.matrix
+    except NotImplementedError:
+        return False
+    return True

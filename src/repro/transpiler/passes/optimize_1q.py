@@ -6,7 +6,8 @@ before QPO (Fig. 8 line 7) so that the pure-state tracker sees fused ``u3``
 gates, and again inside the fixed-point loop.
 
 Annotations act as fences: merging a gate across an ``ANNOT`` would move it
-relative to the point where the programmer's promise holds.
+relative to the point where the programmer's promise holds.  So does a
+one-qubit gate with no matrix, which stays where it is.
 
 One scan collects every run of the circuit, all run products are computed
 in a single stacked reduction (:func:`repro.linalg.batch.chain_products`)
@@ -46,22 +47,31 @@ class Optimize1qGates(TransformationPass):
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)
 
-        # Phase 1: scan the runs (qubit, input indices) and where each one
-        # ends: before the record that flushes it, or trailing at the end
-        # in qubit order.  No matrix work happens during the scan.
+        # Phase 1: scan the runs (qubit, input indices, gate matrices) and
+        # where each one ends: before the record that flushes it, or
+        # trailing at the end in qubit order.  A one-qubit gate with no
+        # matrix is a fence like any other record: it ends the run on its
+        # wire and stays where it is.
         data = circuit.data
-        runs: list[tuple[int, list[int]]] = []
+        runs: list[tuple[int, list[int], list]] = []
         flushes: list[tuple[int, int]] = []  # (index into ``runs``, at)
         pending: dict[int, int] = {}  # qubit -> index into ``runs``
         for index, (operation, qubits, _) in enumerate(data):
             if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
-                run_index = pending.get(qubits[0])
-                if run_index is None:
-                    pending[qubits[0]] = len(runs)
-                    runs.append((qubits[0], [index]))
+                try:
+                    matrix = operation.matrix
+                except NotImplementedError:
+                    pass
                 else:
-                    runs[run_index][1].append(index)
-                continue
+                    run_index = pending.get(qubits[0])
+                    if run_index is None:
+                        pending[qubits[0]] = len(runs)
+                        runs.append((qubits[0], [index], [matrix]))
+                    else:
+                        run = runs[run_index]
+                        run[1].append(index)
+                        run[2].append(matrix)
+                    continue
             for qubit in qubits:
                 if qubit in pending:
                     flushes.append((pending.pop(qubit), index))
@@ -69,8 +79,7 @@ class Optimize1qGates(TransformationPass):
 
         # Phase 2: every run product in one stacked reduction, every Euler
         # extraction in one vectorized call.
-        chains = [[data[i].operation.matrix for i in indices] for _, indices in runs]
-        products = chain_products(chains, 2)
+        products = chain_products([matrices for _, _, matrices in runs], 2)
         # one conversion to Python floats, bit for bit ``float(np.float64)``
         params = u3_params_batch(products).tolist() if len(runs) else []
 
@@ -78,7 +87,7 @@ class Optimize1qGates(TransformationPass):
         # gate comes out as itself, bit for bit, is carried as it is.
         edits = []
         for run_index, at in flushes:
-            qubit, indices = runs[run_index]
+            qubit, indices, _ = runs[run_index]
             theta, phi, lam, gamma = params[run_index]
             if len(indices) > 1:
                 rewrites[self.name] += 1

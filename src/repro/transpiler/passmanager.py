@@ -380,7 +380,11 @@ class PassManager:
 
         rewrites_before = rewrite_counter(properties)[pass_.name]
         start = time.perf_counter()
-        result = pass_.run(circuit, properties)
+        if state.validator is None:
+            result = pass_.run(circuit, properties)
+        else:
+            with state.validator.watch():
+                result = pass_.run(circuit, properties)
         elapsed = time.perf_counter() - start
         if result is None:
             raise TranspilerError(

@@ -6,6 +6,9 @@ TOP; :func:`fingerprints_compatible` makes one ``np.allclose`` call per
 qubit; :func:`terminal_measure_map` and :func:`has_operation` each scan the
 circuit on their own.  The production code in :mod:`repro.analysis.qsan`
 must agree with them bit for bit (``tests/analysis/test_qsan_parity.py``).
+:func:`equal_up_to_phase` is the up-to-phase predicate as one
+``np.allclose`` call, before it was batched for the window tier
+(``tests/analysis/test_qsan_windows.py``).
 """
 
 from __future__ import annotations
@@ -121,3 +124,18 @@ def fingerprints_compatible(before, after, placement=None) -> int | None:
         if not np.allclose(_bloch_vector(left), _bloch_vector(right), atol=_BLOCH_ATOL):
             return qubit
     return None
+
+
+def equal_up_to_phase(reference, candidate, atol: float = 1e-8) -> bool:
+    """Equality up to a global phase taken at the reference's largest entry."""
+    reference = np.asarray(reference).ravel()
+    candidate = np.asarray(candidate).ravel()
+    if reference.shape != candidate.shape:
+        return False
+    anchor = int(np.argmax(np.abs(reference)))
+    if abs(reference[anchor]) < 1e-12:
+        return bool(np.allclose(candidate, 0.0, atol=atol))
+    phase = candidate[anchor] / reference[anchor]
+    if abs(abs(phase) - 1.0) > 1e-6:
+        return False
+    return bool(np.allclose(reference * phase, candidate, atol=atol))

@@ -181,3 +181,42 @@ class TestMonomialDetection:
     def test_dense_matrices_rejected(self, dim):
         dense = random_unitary(dim, dim) @ (np.eye(dim) + 0.5)
         assert HoareOptimizer._monomial_permutation(dense) is None
+
+
+class TestOpaqueGates:
+    """A gate with no matrix is kept, and nothing is provable on its wires
+    after it."""
+
+    @staticmethod
+    def _opaque():
+        from repro.circuit.instruction import Gate
+
+        return Gate("opaque", 1, [])
+
+    def test_opaque_gate_on_a_superposed_wire_is_kept(self):
+        circuit = QuantumCircuit(1)
+        circuit.h(0)
+        circuit.append(self._opaque(), [0])
+        out = run_hoare(circuit)
+        assert [i.operation.name for i in out.data] == ["h", "opaque"]
+        assert out.data[1] is circuit.data[1]
+
+    @pytest.mark.parametrize("prefix", [(), ("x",)])
+    def test_opaque_gate_on_a_constant_wire_widens_it(self, prefix):
+        # from |0> (or |1> after x) the CNOT's control is constant, so the
+        # CNOT would go (or lose its control); after the opaque gate it stays
+        circuit = QuantumCircuit(2)
+        for name in prefix:
+            getattr(circuit, name)(0)
+        circuit.append(self._opaque(), [0])
+        circuit.cx(0, 1)
+        out = run_hoare(circuit)
+        assert len(out.data) == len(circuit.data)
+        for got, want in zip(out.data, circuit.data):
+            assert got is want
+
+        reference = QuantumCircuit(2)
+        for name in prefix:
+            getattr(reference, name)(0)
+        reference.cx(0, 1)
+        assert run_hoare(reference).count_ops().get("cx", 0) == 0

@@ -237,21 +237,27 @@ class TestCarried:
 
     @pytest.mark.parametrize("pass_", PASSES, ids=repr)
     def test_opaque_one_qubit_gate_on_a_top_wire_is_carried(self, pass_):
+        # QBO and QPO keep an opaque gate on any wire, so the full sweeps
+        # agree with the carry (tests/rpo/test_qpo_opaque.py for QPO)
         circuit = QuantumCircuit(2)
         _top_prefix(circuit)
         circuit.append(Gate("opaque", 1, []), [1])
-        out = pass_.run(circuit, PropertySet())
+        out, _ = run_both(pass_, circuit)
         assert out.data[-1] is circuit.data[-1]
-        if isinstance(pass_, QPOPass):
-            # QPO keeps an opaque gate on any wire (tests/rpo/test_qpo_opaque.py)
-            run_both(pass_, circuit)
-            return
-        with pytest.raises(NotImplementedError, match="defines no matrix"):
-            full_sweep_of(pass_).run(circuit, PropertySet())
 
     @pytest.mark.parametrize("pass_", PASSES[:2], ids=repr)
-    def test_opaque_one_qubit_gate_on_a_known_wire_still_raises(self, pass_):
-        circuit = QuantumCircuit(1)
+    def test_opaque_one_qubit_gate_on_a_known_wire_is_kept_and_widens(self, pass_):
+        # the |0> control would remove the CNOT; after the opaque gate its
+        # wire is TOP, so the gate and the CNOT both stay as they are
+        circuit = QuantumCircuit(2)
         circuit.append(Gate("opaque", 1, []), [0])
-        with pytest.raises(NotImplementedError, match="defines no matrix"):
-            pass_.run(circuit, PropertySet())
+        circuit.cx(0, 1)
+        out, props = run_both(pass_, circuit)
+        assert len(out.data) == len(circuit.data)
+        for got, want in zip(out.data, circuit.data):
+            assert got is want
+        assert rewrite_counter(props)["QBO"] == 0
+
+        reference = QuantumCircuit(2)
+        reference.cx(0, 1)
+        assert len(pass_.run(reference, PropertySet()).data) == 0
