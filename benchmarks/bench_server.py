@@ -21,10 +21,6 @@ The acceptance claims, gated in CI (``--assert-chunked-speedup`` here,
 * loopback-remote chunked throughput stays within 2x of the in-process
   service (the wire tax is bounded).
 
-A final (informative, ungated) section fans the batch across two
-loopback shards through a :class:`~repro.server.ShardRouter` and prints
-the affinity routing table.
-
 Usage::
 
     python benchmarks/bench_server.py [--quick] [--circuits N]
@@ -42,7 +38,7 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.algorithms import ry_ansatz
-from repro.server import CompileServer, RemoteCompileService, ShardRouter
+from repro.server import CompileServer, RemoteCompileService
 from repro.transpiler import Target
 
 from common import print_table
@@ -89,29 +85,6 @@ def measure_remote(endpoint, circuits, seeds, target, chunk_size):
         wall = time.perf_counter() - start
         requests = remote._requests
     return wall, [r.circuit for r in results], requests
-
-
-def measure_sharded(circuits, seeds, target, pipeline):
-    """Two loopback shards, one router; informative only."""
-    with CompileServer(mode="serial", pipeline=pipeline) as s1, CompileServer(
-        mode="serial", pipeline=pipeline
-    ) as s2:
-        s1.start()
-        s2.start()
-        targets = [
-            target if index % 2 == 0 else Target.preset("linear:3")
-            for index in range(len(circuits))
-        ]
-        with ShardRouter([s1.endpoint, s2.endpoint]) as router:
-            start = time.perf_counter()
-            router.map(
-                [c.copy() for c in circuits],
-                targets=targets,
-                seeds=seeds,
-            )
-            wall = time.perf_counter() - start
-            stats = router.stats()
-    return wall, stats
 
 
 def main(argv=None):
@@ -214,17 +187,6 @@ def main(argv=None):
                 chunk_requests,
             ],
         ],
-    )
-
-    shard_wall, shard_stats = measure_sharded(
-        circuits[: max(10, num_circuits // 5)],
-        seeds[: max(10, num_circuits // 5)],
-        target,
-        args.pipeline,
-    )
-    print(
-        f"sharded ({shard_stats['num_shards']} loopback shards): "
-        f"{shard_wall:.2f}s, affinity: {shard_stats['affinity']}"
     )
 
     if args.metrics_json:

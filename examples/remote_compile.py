@@ -5,9 +5,7 @@ Compiles a small batch of circuits through a networked
 :class:`~repro.server.CompileServer` -- either one you point it at
 (``--endpoint``, e.g. one started with ``python -m repro.server``) or,
 with no argument, one this script boots itself on a loopback port via
-the real ``python -m repro.server`` CLI.  Passing ``--endpoint`` twice
-demonstrates shard-aware fan-out through a
-:class:`~repro.server.ShardRouter`.
+the real ``python -m repro.server`` CLI.
 
 What it shows:
 
@@ -25,8 +23,6 @@ Usage::
 
     python examples/remote_compile.py                      # self-hosted demo
     python examples/remote_compile.py --endpoint http://host:8642
-    python examples/remote_compile.py \
-        --endpoint http://a:8642 --endpoint http://b:8642  # sharded
 """
 
 import argparse
@@ -42,7 +38,7 @@ sys.path.insert(
 )
 
 from repro.algorithms import quantum_phase_estimation, ry_ansatz
-from repro.server import RemoteCompileService, ShardRouter
+from repro.server import RemoteCompileService
 from repro.transpiler import aggregate_batch, transpile
 
 
@@ -99,9 +95,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--endpoint",
-        action="append",
         default=None,
-        help="compile-server URL; repeat to shard across several "
+        help="compile-server URL "
         "(default: boot a loopback server via python -m repro.server)",
     )
     parser.add_argument(
@@ -113,24 +108,14 @@ def main(argv=None):
 
     circuits, seeds = build_batch()
     owned_process = None
-    endpoints = args.endpoint
-    if not endpoints:
+    endpoint = args.endpoint
+    if endpoint is None:
         owned_process, endpoint = boot_local_server()
-        endpoints = [endpoint]
         print(f"booted python -m repro.server on {endpoint}")
 
     try:
-        if len(endpoints) == 1:
-            client = RemoteCompileService(endpoints[0])
-        else:
-            client = ShardRouter(endpoints)
-            print(f"sharding across {len(endpoints)} endpoints")
-        with client:
-            health = (
-                client.healthz()
-                if isinstance(client, RemoteCompileService)
-                else client.shards[0].healthz()
-            )
+        with RemoteCompileService(endpoint) as client:
+            health = client.healthz()
             print(f"healthz: {health['status']} (uptime {health['uptime']:.1f}s)")
 
             start = time.perf_counter()
@@ -149,16 +134,12 @@ def main(argv=None):
                 ops = result.circuit.count_ops()
                 print(
                     f"  {result.circuit.name}: {result.circuit.size()} gates "
-                    f"(cx={ops.get('cx', 0)}), served by "
-                    f"{result.properties['shard']}"
+                    f"(cx={ops.get('cx', 0)})"
                 )
 
             report = aggregate_batch(results, executor="remote")
             for label, entry in report["by_target"].items():
-                print(
-                    f"by_target[{label}]: {entry['num_circuits']} circuits, "
-                    f"shards={entry['shards']}"
-                )
+                print(f"by_target[{label}]: {entry['num_circuits']} circuits")
 
             # the drop-in switch: same batch through the transpile()
             # front-end, remote executor
@@ -168,21 +149,17 @@ def main(argv=None):
                 pipeline="rpo",
                 seed=seeds,
                 executor="remote",
-                endpoint=endpoints if len(endpoints) > 1 else endpoints[0],
+                endpoint=endpoint,
             )
             print(f"transpile(executor='remote'): {len(via_frontend)} circuits")
 
-            stats = client.stats()
-            if isinstance(client, RemoteCompileService):
-                server_side = stats["server"]
-                print(
-                    f"/metrics: {server_side['requests']} requests carried "
-                    f"{server_side['jobs']} jobs "
-                    f"(chunked envelopes amortized "
-                    f"{server_side['jobs'] - server_side['requests']} dispatches)"
-                )
-            else:
-                print(f"/metrics: jobs routed {stats['jobs_routed']}")
+            server_side = client.stats()["server"]
+            print(
+                f"/metrics: {server_side['requests']} requests carried "
+                f"{server_side['jobs']} jobs "
+                f"(chunked envelopes amortized "
+                f"{server_side['jobs'] - server_side['requests']} dispatches)"
+            )
 
             if args.assert_parity:
                 reference = transpile(
@@ -207,7 +184,7 @@ def main(argv=None):
     finally:
         if owned_process is not None:
             try:
-                RemoteCompileService(endpoints[0]).shutdown_server()
+                RemoteCompileService(endpoint).shutdown_server()
                 owned_process.wait(timeout=15)
                 print(f"server exited cleanly ({owned_process.returncode})")
             except Exception:

@@ -8,8 +8,8 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.linalg` -- Euler/Weyl decompositions and synthesis,
 * :mod:`repro.simulators` -- ideal and noisy simulation,
 * :mod:`repro.transpiler` -- pass framework and preset levels 0-3,
-* :mod:`repro.server` -- the networked compile farm (HTTP server,
-  remote client, shard router; ``python -m repro.server``),
+* :mod:`repro.server` -- the networked compile server (HTTP server and
+  remote client; ``python -m repro.server``),
 * :mod:`repro.rpo` -- the paper's QBO/QPO passes and pipelines,
 * :mod:`repro.backends` -- the three fake IBM devices,
 * :mod:`repro.algorithms` -- the benchmark workloads.

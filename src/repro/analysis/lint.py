@@ -18,7 +18,7 @@ Rule catalog (every rule is individually selectable and suppressible):
   ``datetime.now``) -- a key that varies across runs silently disables
   every cache keyed on it.
 * **LCK001** -- locked module state: module-level mutable containers in
-  the service/cache/result-cache/server layers may only be mutated
+  the service, cache, result-cache and server layers may only be mutated
   inside a ``with <lock>:`` block naming a lock.
 * **CIR001** -- checked circuit records: outside
   ``repro/circuit/quantumcircuit.py`` no code builds a
@@ -363,7 +363,7 @@ def _mentions_lock(node: ast.expr) -> bool:
 class LockedModuleState(Rule):
     id = "LCK001"
     description = (
-        "module-level mutable state in service/cache/result_cache/server "
+        "module-level mutable state in service, cache, result_cache and server "
         "modules is mutated only under a named lock"
     )
 

@@ -95,7 +95,7 @@ import numpy as np
 
 from repro.circuit.quantumcircuit import NO_PHASE, SPLICE_LOG, QuantumCircuit
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.passmanager import AnalysisPass, PropertySet
+from repro.transpiler.passmanager import AnalysisPass, PropertySet, qsan_mode
 
 __all__ = ["ContractViolation", "QsanConfig", "QsanValidator", "QSAN_SAMPLE_SEED"]
 
@@ -155,29 +155,15 @@ class QsanConfig:
     state_cap: int = 14
     sample_shots: int = 128
 
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
     @classmethod
     def resolve(cls, validate: str | None = None) -> "QsanConfig":
         """Build a config from an explicit mode or the environment.
 
-        An explicit ``validate`` argument wins; ``None`` falls back to
-        ``REPRO_QSAN`` (``1``/``full`` -> full, unset/``0``/``off`` ->
-        off).
+        The mode comes from :func:`~repro.transpiler.passmanager.qsan_mode`
+        (an explicit ``validate`` wins over ``REPRO_QSAN``).
         """
-        mode = validate
-        if mode is None:
-            raw = os.environ.get("REPRO_QSAN", "").strip().lower()
-            aliases = {"": "off", "0": "off", "off": "off", "1": "full"}
-            mode = aliases.get(raw, raw)
-        if mode not in ("off", "full"):
-            raise TranspilerError(
-                f"unrecognized QSAN mode {mode!r}; expected 'off' or 'full'"
-            )
         return cls(
-            mode=mode,
+            mode=qsan_mode(validate),
             report_only=os.environ.get("REPRO_QSAN_REPORT", "").strip().lower()
             in ("1", "true", "yes"),
             unitary_cap=_env_int("REPRO_QSAN_UNITARY_CAP", 8),

@@ -1,6 +1,6 @@
 """``python -m repro.server`` -- boot a compile server from the shell.
 
-Example: a warm-restarting RPO compile shard on port 8642::
+Example: a warm-restarting RPO compile server on port 8642::
 
     python -m repro.server --port 8642 --pipeline rpo \
         --snapshot-path /var/lib/repro/results.snap --autosave-interval 60

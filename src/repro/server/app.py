@@ -16,13 +16,10 @@ cache serve every client on the network.  Routes:
 * ``GET /healthz`` -- liveness JSON (status, uptime, jobs completed);
   what a load balancer or the CI smoke job polls.
 * ``GET /metrics`` -- the service's ``stats()`` plus server-side wire
-  counters (requests, jobs, per-target job counts -- the shard-affinity
-  signal) and the compiled-result cache's hit/miss/eviction counters,
-  as JSON.
-* ``GET /cache/<fingerprint>`` -- peer lookup into the compiled-result
-  cache: a ``cache`` frame with the result payload on a hit, HTTP 404
-  on a miss (protocol version 2).  A ``POST /compile`` result reports
-  its own cache disposition in its ``properties["result_cache"]``.
+  counters (requests, jobs, per-target job counts) and the
+  compiled-result cache's hit/miss/eviction counters, as JSON.  A ``POST
+  /compile`` result reports its own cache disposition in its
+  ``properties["result_cache"]``.
 * ``POST /shutdown`` -- graceful remote stop: drains the pool, persists
   the result-cache snapshot, exits ``serve_forever``.  For operational use
   behind a trusted network only, like every other route (the server
@@ -50,7 +47,6 @@ from repro.server.protocol import (
     ProtocolError,
     decode_frame,
     decode_jobs,
-    encode_cache_entry,
     encode_error,
     encode_frame,
     encode_results,
@@ -120,13 +116,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, server.health())
         elif self.path == "/metrics":
             self._send_json(200, server.metrics())
-        elif self.path.startswith("/cache/"):
-            fingerprint = self.path[len("/cache/") :]
-            envelope = server.handle_cache_lookup(fingerprint)
-            if envelope is None:
-                self._send_json(404, {"found": False, "fingerprint": fingerprint})
-            else:
-                self._send_frame(200, envelope)
         else:
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
@@ -312,24 +301,6 @@ class CompileServer:
             value[4].pop(TARGET_PROPERTY, None)
             outcomes.append(("ok", value))
         return encode_results(outcomes)
-
-    def handle_cache_lookup(self, fingerprint: str) -> dict | None:
-        """The ``GET /cache/<fingerprint>`` body: a ``cache`` envelope
-        when this shard's result cache holds the exact entry, else
-        ``None`` (the handler answers 404).
-
-        This is the peer-lookup route: a :class:`~repro.server.router
-        .ShardRouter` (or any client knowing a job's
-        :func:`~repro.transpiler.result_cache.job_fingerprint`) asks
-        shards for already-compiled results before dispatching work.
-        """
-        cache = self.service.result_cache
-        if cache is None or not fingerprint:
-            return None
-        found = cache.lookup_fingerprint(fingerprint)
-        if found is None:
-            return None
-        return encode_cache_entry(fingerprint, found)
 
     # -- introspection -----------------------------------------------------
 

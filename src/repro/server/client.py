@@ -4,20 +4,20 @@ Mirrors the :class:`~repro.transpiler.service.CompileService` surface --
 ``submit()`` returning a :class:`concurrent.futures.Future`, blocking
 order-preserving ``map()``, ``stats()``, ``default_target``, context
 manager -- so anything written against a local service (including
-``frontend.transpile(..., service=...)``) talks to a remote compile farm
+``frontend.transpile(..., service=...)``) talks to a remote compile server
 by swapping the object::
 
     from repro.server import RemoteCompileService
     from repro.transpiler import transpile
 
-    with RemoteCompileService("http://compile-farm:8642") as remote:
+    with RemoteCompileService("http://compile-host:8642") as remote:
         results = remote.map(circuits, targets="melbourne", seeds=seeds)
         # or, drop-in through the front-end:
         circuits_out = transpile(circuits, target="melbourne", service=remote)
 
     # the one-liner: transpile() builds (and closes) the client itself
     transpile(circuits, target="melbourne",
-              executor="remote", endpoint="http://compile-farm:8642")
+              executor="remote", endpoint="http://compile-host:8642")
 
 Jobs take the local service's job path up to the wire: the batch is
 normalized by :func:`~repro.transpiler.target.normalize_batch`, each
@@ -32,10 +32,9 @@ Transport is stdlib ``urllib`` over the frame protocol of
 job envelopes** -- one HTTP request per chunk, several chunks in flight at
 once on a small connection pool -- so a 200-circuit batch of cheap
 circuits costs a handful of round-trips, not 200.  Results carry their
-:class:`~repro.transpiler.target.Target` and the serving endpoint (under
-the ``"shard"`` property), which is how
+:class:`~repro.transpiler.target.Target`, which is how
 :func:`repro.transpiler.metrics.aggregate_batch` breaks batches down per
-shard.
+target.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.circuit.serialization import circuit_to_payload
 from repro.server.protocol import (
     ProtocolError,
-    decode_cache_entry,
     decode_frame,
     decode_results,
     encode_frame,
@@ -68,10 +66,7 @@ from repro.transpiler.service import (
 )
 from repro.transpiler.target import Target, normalize_batch
 
-__all__ = ["RemoteCompileService", "SHARD_PROPERTY"]
-
-#: Result-property key naming the endpoint that compiled the job.
-SHARD_PROPERTY = "shard"
+__all__ = ["RemoteCompileService"]
 
 #: ``chunk_size="auto"``: keep at least this many chunks per connection
 #: in flight, so a slow chunk cannot serialize the whole batch.
@@ -292,9 +287,7 @@ class RemoteCompileService:
                 f"server returned {len(outcomes)} results for {len(jobs)} jobs"
             )
         return [
-            result_from_payload(value, target, {SHARD_PROPERTY: self.endpoint})
-            if status == "ok"
-            else value
+            result_from_payload(value, target) if status == "ok" else value
             for (status, value), target in zip(outcomes, targets)
         ]
 
@@ -343,32 +336,6 @@ class RemoteCompileService:
         """The server's ``/healthz`` body."""
         return self._get_json("/healthz")
 
-    def cache_lookup(self, fingerprint: str):
-        """Peer lookup: the server's cached result payload under an exact
-        :func:`~repro.transpiler.result_cache.job_fingerprint`, or
-        ``None`` (a miss, or a server with result caching disabled).
-
-        Unreachable-server errors still raise; only an HTTP 404 is a
-        clean miss.
-        """
-        request = urllib.request.Request(
-            f"{self.endpoint}/cache/{fingerprint}", method="GET"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return decode_cache_entry(decode_frame(response.read()))
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                return None
-            raise ProtocolError(
-                f"compile server at {self.endpoint} answered HTTP {exc.code} "
-                "to a cache lookup"
-            ) from None
-        except urllib.error.URLError as exc:
-            raise TranspilerError(
-                f"cannot reach compile server at {self.endpoint}: {exc.reason}"
-            ) from None
-
     def stats(self) -> dict:
         """Client counters + the server's ``/metrics`` body."""
         remote = self._get_json("/metrics")
@@ -406,7 +373,7 @@ class RemoteCompileService:
 
     #: Local-service compatibility: ``transpile`` and tooling written for
     #: ``CompileService`` may call ``shutdown()``; for a *client* that
-    #: only ever means "stop talking", never "stop the farm".
+    #: only ever means "stop talking", never "stop the server".
     def shutdown(self, wait: bool = True, save: bool = True) -> None:
         self.close()
 

@@ -26,13 +26,12 @@ Job envelopes are **chunked**: one ``compile`` envelope carries any number
 of jobs (each its own circuit + target + settings blob), so a huge batch
 of cheap circuits costs one request per *chunk* rather than per circuit.
 :func:`split_chunks` / :func:`merge_chunks` are the (index-preserving)
-split/reassembly helpers the client and the shard router share.
+split/reassembly helpers.
 
-Protocol version 2 added the ``cache`` envelope, which answers the
-``GET /cache/<fingerprint>`` peer-lookup route.  Version-1 frames (which
-simply never carry it) are still accepted; see :data:`ACCEPTED_VERSIONS`.
-A result's compiled-result-cache disposition travels inside its blob, in
-``properties["result_cache"]``.
+Frames carry version 2 and version-1 frames are still accepted (see
+:data:`ACCEPTED_VERSIONS`); the ``compile``, ``result`` and ``error``
+envelopes are the same under both.  A result's compiled-result-cache
+disposition travels inside its blob, in ``properties["result_cache"]``.
 """
 
 from __future__ import annotations
@@ -57,20 +56,17 @@ __all__ = [
     "decode_jobs",
     "encode_results",
     "decode_results",
-    "encode_cache_entry",
-    "decode_cache_entry",
     "encode_error",
     "split_chunks",
     "merge_chunks",
 ]
 
-#: Version byte of the frame header.  Version 2 added the ``cache``
-#: envelope of the peer-lookup route.
+#: Version byte of the frame header.
 PROTOCOL_VERSION = 2
 
-#: Versions this build decodes.  Version 1 frames differ only by the
-#: *absence* of the cache envelope, so they remain fully readable; frames
-#: from the future are rejected.
+#: Versions this build decodes.  Every envelope this build speaks reads
+#: the same under version 1, so those frames remain fully readable;
+#: frames from the future are rejected.
 ACCEPTED_VERSIONS = (1, 2)
 
 _MAGIC = b"RPOC"
@@ -246,32 +242,6 @@ def decode_results(envelope: dict) -> list[tuple]:
             label = f"{kind}: {message}" if kind not in (None, "TranspilerError") else message
             outcomes.append(("error", TranspilerError(label)))
     return outcomes
-
-
-# -- peer cache lookup (protocol 2) -----------------------------------------
-
-
-def encode_cache_entry(fingerprint: str, result_payload) -> dict:
-    """A ``cache`` envelope: one peer-lookup answer (the found case; a
-    miss is an HTTP 404, no envelope needed)."""
-    return {
-        "type": "cache",
-        "protocol": PROTOCOL_VERSION,
-        "fingerprint": fingerprint,
-        "blob": pack_blob(result_payload),
-    }
-
-
-def decode_cache_entry(envelope: dict):
-    """The result payload of a ``cache`` envelope."""
-    if envelope.get("type") != "cache":
-        raise ProtocolError(
-            f"expected a 'cache' envelope, got {envelope.get('type')!r}"
-        )
-    blob = envelope.get("blob")
-    if blob is None:
-        raise ProtocolError("cache envelope lacks its 'blob'")
-    return unpack_blob(blob)
 
 
 def encode_error(message: str) -> dict:

@@ -25,12 +25,11 @@ Layers, bottom to top:
   an async submission queue, chunked job envelopes for large batches, a
   compiled-result cache and its disk snapshot (shutdown-time and
   periodic autosave), so cached answers survive process restarts.
-  :mod:`repro.server` puts this behind an HTTP wire for multi-machine
-  sharding.
+  :mod:`repro.server` puts this behind an HTTP wire.
 * :mod:`repro.transpiler.frontend` -- the batched :func:`transpile` entry
   point routing every pipeline (presets, RPO, Hoare); it compiles
   in-process with per-circuit targets in one batch, or submits through a
-  caller-owned persistent service (``service=``) or compile server(s)
+  caller-owned persistent service (``service=``) or a compile server
   (``endpoint=``).
 * :mod:`repro.transpiler.metrics` -- batch-level aggregation of the
   per-pass metrics into JSON reports (with per-target breakdowns), plus

@@ -24,7 +24,7 @@ Architecture:
   :class:`~repro.transpiler.service.CompileService` -- its pool starts
   once and its worker caches, result cache and snapshots stay warm
   across calls (see :mod:`repro.transpiler.service`).  ``endpoint=``
-  (``executor="remote"``) ships the batch to compile server(s)
+  (``executor="remote"``) ships the batch to one compile server
   (:mod:`repro.server`).  The per-call pools of earlier versions
   (``"thread"``, ``"process"``, ``"service"``) never beat serial
   compilation and are rejected with a pointer to ``service=``.
@@ -70,9 +70,8 @@ PIPELINES = (
 )
 
 #: Executors accepted by :func:`transpile`.  ``"auto"`` and ``"serial"``
-#: both compile in-process; ``"remote"`` ships the batch to networked
-#: compile server(s) named by ``endpoint=`` (one URL, or a list fanned out
-#: shard-aware -- see :mod:`repro.server`).
+#: both compile in-process; ``"remote"`` ships the batch to the networked
+#: compile server named by ``endpoint=`` (see :mod:`repro.server`).
 EXECUTORS = ("auto", "serial", "remote")
 
 #: Per-call pools that no longer exist; naming one is an error that points
@@ -167,10 +166,8 @@ def transpile(
         executor: ``"auto"`` (default) or ``"serial"`` -- both compile
             in-process, one circuit after another -- or ``"remote"``,
             which requires ``endpoint=`` and routes the batch through a
-            short-lived :class:`~repro.server.RemoteCompileService` (or,
-            for a list of endpoints, a shard-aware
-            :class:`~repro.server.ShardRouter`).  ``"thread"``,
-            ``"process"`` and ``"service"`` raise
+            short-lived :class:`~repro.server.RemoteCompileService`.
+            ``"thread"``, ``"process"`` and ``"service"`` raise
             :class:`TranspilerError`: pass ``service=`` a persistent
             :class:`~repro.transpiler.service.CompileService` for a pool.
         analysis_cache: a shared :class:`AnalysisCache`; defaults to one
@@ -184,14 +181,13 @@ def transpile(
             ignored here, and the service's configured
             pipeline/optimization-level defaults apply to any argument
             this call leaves unset.  A
-            :class:`~repro.server.RemoteCompileService` or
-            :class:`~repro.server.ShardRouter` works here too -- they
-            mirror the service surface.
-        endpoint: compile-server URL(s): one ``"http://host:port"``
-            string, or a sequence of them to fan the batch across shards
-            with target-affinity routing.  Setting ``endpoint=`` with the
-            default ``executor="auto"`` *implies* ``executor="remote"``;
-            naming any other executor alongside an endpoint raises.
+            :class:`~repro.server.RemoteCompileService` works here too --
+            it mirrors the service surface.
+        endpoint: the compile server's URL, one ``"http://host:port"``
+            string; a list or tuple raises :class:`TranspilerError`.
+            Setting ``endpoint=`` with the default ``executor="auto"``
+            *implies* ``executor="remote"``; naming any other executor
+            alongside an endpoint raises.
         result_cache: a shared
             :class:`~repro.transpiler.result_cache.ResultCache` so
             repeated ``transpile()`` calls serve previously compiled
@@ -228,13 +224,15 @@ def transpile(
         raise TranspilerError(
             f"unknown executor {executor!r}; choose one of {', '.join(EXECUTORS)}"
         )
-    if endpoint is not None and executor == "auto":
-        executor = "remote"  # an endpoint can only mean the compile farm
-    if executor == "remote" and endpoint is None and service is None:
+    if isinstance(endpoint, (list, tuple)):
         raise TranspilerError(
-            'executor="remote" needs endpoint= (one URL, or a list of URLs '
-            "to shard across)"
+            f"endpoint= takes one URL string, got a {type(endpoint).__name__} "
+            "of endpoints"
         )
+    if endpoint is not None and executor == "auto":
+        executor = "remote"  # an endpoint can only mean the compile server
+    if executor == "remote" and endpoint is None and service is None:
+        raise TranspilerError('executor="remote" needs endpoint= (one URL)')
     if endpoint is not None and executor != "remote":
         raise TranspilerError(
             f"endpoint= implies executor=\"remote\", which contradicts the "
@@ -254,15 +252,9 @@ def transpile(
 
     owned_client = None
     if executor == "remote" and service is None:
-        from repro.server import RemoteCompileService, ShardRouter
+        from repro.server import RemoteCompileService
 
-        endpoints = (
-            list(endpoint) if isinstance(endpoint, (list, tuple)) else [endpoint]
-        )
-        if len(endpoints) > 1:
-            owned_client = ShardRouter(endpoints, basis_gates=basis_gates)
-        else:
-            owned_client = RemoteCompileService(endpoints[0], basis_gates=basis_gates)
+        owned_client = RemoteCompileService(endpoint, basis_gates=basis_gates)
         service = owned_client
 
     if service is not None and target is None and backend is None and coupling_map is None:

@@ -5,10 +5,8 @@ structured per-pass and per-loop metrics; this module rolls a *batch* of
 results up into one JSON-serializable report: per-pass time/gate-delta/
 rewrite aggregates, batch-level wall-time and gate-count statistics,
 per-:class:`~repro.transpiler.target.Target` breakdowns (``by_target`` --
-heterogeneous multi-backend batches report each device separately, and
-results served by a networked shard carry its endpoint into per-target
-``shards`` splits plus a batch-level ``by_shard`` roll-up), and the
-shared :class:`~repro.transpiler.cache.AnalysisCache` synthesis counters.
+heterogeneous multi-backend batches report each device separately), and
+the shared :class:`~repro.transpiler.cache.AnalysisCache` synthesis counters.
 Benchmarks write these reports to disk (``bench_table2_main.py --quick
 --metrics-json``) and CI diffs them against a checked-in baseline
 (``benchmarks/check_regression.py``), which is how compile-time regressions
@@ -80,7 +78,6 @@ def aggregate_batch(
     passes: dict[str, dict] = {}
     times, sizes, depths, cx_counts, one_q_counts = [], [], [], [], []
     by_target: dict = {}  # Target (or None) -> running aggregates
-    by_shard: dict[str, dict] = {}  # serving endpoint -> running aggregates
     loop_iterations = 0
     loops_converged = 0
     loops_total = 0
@@ -104,7 +101,6 @@ def aggregate_batch(
                 "depth": [],
                 "num_qubits": getattr(target, "num_qubits", None),
                 "basis": list(getattr(target, "basis", ()) or ()),
-                "shards": {},
             },
         )
         entry["num_circuits"] += 1
@@ -112,16 +108,6 @@ def aggregate_batch(
         entry["cx"].append(float(ops.get("cx", 0)))
         entry["size"].append(float(result.circuit.size()))
         entry["depth"].append(float(result.circuit.depth()))
-        # results served by a networked shard carry the endpoint; merge
-        # the per-shard split into the target's entry (and batch-level)
-        shard = result.properties.get("shard")
-        if shard is not None:
-            entry["shards"][shard] = entry["shards"].get(shard, 0) + 1
-            shard_entry = by_shard.setdefault(
-                shard, {"num_circuits": 0, "time": []}
-            )
-            shard_entry["num_circuits"] += 1
-            shard_entry["time"].append(result.time)
         for metric in result.metrics:
             entry = passes.setdefault(
                 metric.name,
@@ -185,10 +171,6 @@ def aggregate_batch(
         },
         "passes": passes,
         "by_target": target_report,
-        "by_shard": {
-            shard: {**entry, "time": _stats(entry["time"])}
-            for shard, entry in by_shard.items()
-        },
         "cache": cache_report,
     }
     return report

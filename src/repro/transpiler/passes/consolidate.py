@@ -154,11 +154,13 @@ class ConsolidateBlocks(TransformationPass):
             operation = instruction.operation
             qubits = instruction.qubits
             is_simple_gate = (
-                operation.is_gate()
+                len(qubits) in (1, 2)
+                and operation.is_gate()
                 and not operation.is_directive
                 and not instruction.clbits
+                and _has_matrix(operation)
             )
-            if is_simple_gate and len(qubits) == 1 and _has_matrix(operation):
+            if is_simple_gate and len(qubits) == 1:
                 qubit = qubits[0]
                 block = block_of.get(qubit)
                 if block is not None:
@@ -166,7 +168,7 @@ class ConsolidateBlocks(TransformationPass):
                 else:
                     pending_1q.setdefault(qubit, []).append(index)
                 continue
-            if is_simple_gate and len(qubits) == 2:
+            if is_simple_gate:
                 a, b = qubits
                 pair = (min(a, b), max(a, b))
                 block = block_of.get(a)
@@ -180,8 +182,8 @@ class ConsolidateBlocks(TransformationPass):
                 block = block_of[a] = block_of[b] = _Block(pair)
                 block.add(index, instruction)
                 continue
-            # anything else -- a one-qubit gate with no matrix included --
-            # fences the touched qubits and stays where it is
+            # anything else -- a gate with no matrix included -- fences the
+            # touched qubits and stays where it is
             for qubit in qubits:
                 flush_qubit(qubit, index)
 

@@ -29,6 +29,7 @@ on the :class:`TranspileResult` it returns.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -49,6 +50,24 @@ __all__ = [
     "LoopMetrics",
     "TranspileResult",
 ]
+
+
+def qsan_mode(validate: str | None = None) -> str:
+    """The QSAN mode of one run: ``"off"`` or ``"full"``.
+
+    An explicit ``validate`` wins; ``None`` reads ``REPRO_QSAN``
+    (``1``/``full`` -> full, unset/``0``/``off`` -> off).  Any other
+    value raises :class:`TranspilerError`.
+    """
+    mode = validate
+    if mode is None:
+        raw = os.environ.get("REPRO_QSAN", "").strip().lower()
+        mode = {"": "off", "0": "off", "1": "full"}.get(raw, raw)
+    if mode not in ("off", "full"):
+        raise TranspilerError(
+            f"unrecognized QSAN mode {mode!r}; expected 'off' or 'full'"
+        )
+    return mode
 
 
 class PropertySet(dict):
@@ -325,13 +344,11 @@ class PassManager:
             cache = existing if isinstance(existing, AnalysisCache) else AnalysisCache()
         properties[AnalysisCache.PROPERTY_KEY] = cache
         validator = None
-        if validate != "off":
+        if qsan_mode(validate) == "full":
             # lazy import: the sanitizer is opt-in and pulls the simulators
             from repro.analysis.qsan import QsanConfig, QsanValidator
 
-            config = QsanConfig.resolve(validate)
-            if config.enabled:
-                validator = QsanValidator(config)
+            validator = QsanValidator(QsanConfig.resolve("full"))
         state = _RunState(properties, validator=validator)
         start = time.perf_counter()
         for item in self._schedule:

@@ -10,10 +10,7 @@ metrics + wall time + properties), so a :class:`CompileService` serving
 production traffic answers a repeated request without a single job
 reaching its pool.  Keys are SHA-256 digests of the canonical tuple forms
 (:func:`repro.circuit.serialization.payload_fingerprints`,
-:meth:`Target.to_payload`, the job's pipeline/level/seed triple), which
-makes them compact strings a compile server can expose for peer
-lookups (``GET /cache/<fingerprint>``) and a :class:`ShardRouter` can ask
-other shards about before dispatching a compile.
+:meth:`Target.to_payload`, the job's pipeline/level/seed triple).
 
 **Template entries** are the headline lever for near-duplicate traffic.
 Millions of VQE iterations submit the *same ansatz with different bound
@@ -76,7 +73,6 @@ from repro.utils.angles import normalize_angle
 __all__ = [
     "ResultCache",
     "RESULT_SNAPSHOT_VERSION",
-    "job_fingerprint",
     "library_fingerprint",
 ]
 
@@ -127,20 +123,6 @@ def _digest(key) -> str:
     return hashlib.sha256(
         pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
     ).hexdigest()
-
-
-def job_fingerprint(circuit_payload, target_payload, options_key) -> str | None:
-    """The exact-entry digest of one job -- the farm-wide cache address.
-
-    What ``GET /cache/<fingerprint>`` looks up on a peer shard.  Computed
-    from payloads alone so a *client* (which has no :class:`ResultCache`)
-    can address remote caches; ``None`` for uncacheable circuits.  Must
-    stay in lockstep with :meth:`ResultCache.address`.
-    """
-    keys = payload_fingerprints(circuit_payload)
-    if keys is None:
-        return None
-    return _digest((keys[0], target_payload, options_key))
 
 
 def _mod_close(a: float, b: float, tol: float = _REBIND_TOL) -> bool:
@@ -589,8 +571,7 @@ class ResultCache:
                 if rebound is not None:
                     self._stats["template_hits"] += 1
                     # promote the rebound result to a first-class exact
-                    # entry: repeat requests skip the re-binding math and
-                    # peer lookups (which only see exact keys) can find it.
+                    # entry: repeat requests skip the re-binding math.
                     # the promoted entry keeps template fidelity (see the
                     # lookup docstring), it does not become bit-identical
                     # to a fresh compile by promotion
@@ -698,20 +679,6 @@ class ResultCache:
                 tentry.unbindable = True
                 self._stats["template_unbindable"] += 1
 
-    def lookup_fingerprint(self, digest: str):
-        """Peer-lookup entry point: the payload under an exact digest.
-
-        What ``GET /cache/<fingerprint>`` serves; counted separately so a
-        farm operator can tell peer traffic from local traffic.
-        """
-        with self._lock:
-            entry = self._live(self._entries, digest)
-            if entry is None:
-                self._stats["peer_misses"] += 1
-                return None
-            self._stats["peer_hits"] += 1
-            return entry.result
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -745,8 +712,6 @@ class ResultCache:
                 "uncacheable": self._stats["uncacheable"],
                 "evictions_lru": self._stats["evictions_lru"],
                 "evictions_ttl": self._stats["evictions_ttl"],
-                "peer_hits": self._stats["peer_hits"],
-                "peer_misses": self._stats["peer_misses"],
             }
 
     # -- snapshots ----------------------------------------------------------

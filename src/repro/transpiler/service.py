@@ -49,8 +49,8 @@ then ships the misses to the pool as chunked job envelopes (several jobs
 per pool task, sized by :meth:`CompileService.chunk_size_for`) so huge
 batches of cheap circuits amortize per-task envelope overhead.  Each job
 inside a chunk still gets its own future and its own error, so one bad
-circuit never poisons its chunk-mates.  The remote client and the shard
-router (:mod:`repro.server`) resolve targets with the same
+circuit never poisons its chunk-mates.  The remote client
+(:mod:`repro.server`) resolves targets with the same
 :func:`resolve_target` and rebuild results with the same
 :func:`result_from_payload`.
 
@@ -198,8 +198,8 @@ def resolve_target(circuit, target, default: Target | None, basis) -> Target:
 
     An explicit ``target`` (a :class:`Target` or a preset name) wins, then
     the front's configured ``default``, then an all-to-all target of the
-    circuit's width.  :class:`CompileService`, the remote client and the
-    shard router (:mod:`repro.server`) all resolve through it.
+    circuit's width.  :class:`CompileService` and the remote client
+    (:mod:`repro.server`) both resolve through it.
     """
     if not isinstance(circuit, QuantumCircuit):
         raise TranspilerError(
@@ -231,10 +231,9 @@ def result_from_payload(
     :func:`result_payload`).
 
     The one rebuild every front shares: the service (pool answers and
-    result-cache serves), the remote client (wire replies) and the shard
-    router (peer-cache serves).  The job's ``target`` is re-attached, and
-    ``extra`` adds the properties the caller owns: its analysis cache, the
-    cache disposition or the serving shard.
+    result-cache serves) and the remote client (wire replies).  The job's
+    ``target`` is re-attached, and ``extra`` adds the properties the
+    caller owns: its analysis cache or the cache disposition.
     """
     payload, metrics, loops, elapsed, props = value
     properties = PropertySet(props)

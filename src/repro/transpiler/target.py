@@ -320,8 +320,8 @@ def normalize_batch(batch: Sequence, targets, seeds) -> tuple[list, list]:
 
     The one normalization every batch front applies -- ``transpile()``
     (through :func:`resolve_targets`), :meth:`CompileService.map
-    <repro.transpiler.service.CompileService.map>`, the remote client and
-    the shard router (:mod:`repro.server`) -- so mismatched lengths fail
+    <repro.transpiler.service.CompileService.map>` and the remote client
+    (:mod:`repro.server`) -- so mismatched lengths fail
     with the same error everywhere.
     """
     per_circuit = []

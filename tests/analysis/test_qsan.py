@@ -1,7 +1,10 @@
 """Tests for the QSAN translation-validation sanitizer."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -189,15 +192,36 @@ class TestConfigResolution:
         with pytest.raises(TranspilerError, match="'full'"):
             QsanConfig.resolve()
 
+    def test_bad_env_value_raises_from_the_pass_manager(self, monkeypatch):
+        monkeypatch.setenv("REPRO_QSAN", "sometimes")
+        with pytest.raises(TranspilerError, match="'sometimes'; expected 'off' or 'full'"):
+            PassManager([Size()]).run_with_result(_bell())
+
+    def test_an_unvalidated_compile_does_not_import_qsan(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_QSAN"}
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        code = (
+            "import sys\n"
+            "from repro import QuantumCircuit, transpile\n"
+            "circuit = QuantumCircuit(2)\n"
+            "circuit.h(0)\n"
+            "circuit.cx(0, 1)\n"
+            "transpile(circuit, target='melbourne', pipeline='rpo')\n"
+            "assert 'repro.analysis.qsan' not in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+
     def test_explicit_mode_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_QSAN", "full")
         assert QsanConfig.resolve("off").mode == "off"
 
     def test_unset_env_is_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_QSAN", raising=False)
-        config = QsanConfig.resolve()
-        assert config.mode == "off"
-        assert not config.enabled
+        assert QsanConfig.resolve().mode == "off"
 
     def test_bad_mode_raises(self):
         with pytest.raises(TranspilerError, match="unrecognized QSAN mode"):

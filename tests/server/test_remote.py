@@ -1,11 +1,10 @@
-"""Loopback end-to-end tests: server, remote client, shard router.
+"""Loopback end-to-end tests: server and remote client.
 
 The acceptance checks of the networked subsystem: results through
 ``RemoteCompileService`` (and through ``transpile(executor="remote")``)
 must be **bit-identical** to ``executor="serial"``; job errors must come
-back per job; ``/healthz`` and ``/metrics`` must answer; the shard
-router must keep one target on one shard; and the empty batch must be an
-empty answer on every path.
+back per job; ``/healthz`` and ``/metrics`` must answer; and the empty
+batch must be an empty answer on every path.
 
 Servers here run ``mode="serial"`` (deterministic, no pool start-up per
 test) except the one process-mode round-trip; the protocol and HTTP
@@ -21,12 +20,7 @@ import pytest
 
 from repro.algorithms import quantum_phase_estimation, ry_ansatz
 from repro.circuit import QuantumCircuit
-from repro.server import (
-    CompileServer,
-    ProtocolError,
-    RemoteCompileService,
-    ShardRouter,
-)
+from repro.server import CompileServer, ProtocolError, RemoteCompileService
 from repro.transpiler import (
     CompileService,
     Target,
@@ -83,7 +77,6 @@ class TestRemoteParity:
             _assert_identical(expected, result.circuit)
             assert result.metrics and result.loops
             assert result.properties["target"] == Target.preset("melbourne")
-            assert result.properties["shard"] == remote.endpoint
 
     def test_transpile_remote_executor_is_drop_in(self, server):
         batch = _batch()
@@ -294,108 +287,6 @@ class TestIntrospection:
         assert stats["service"]["autosave_failures"] == 0
 
 
-class TestShardRouter:
-    def test_targets_stick_to_their_shard(self):
-        batch = [quantum_phase_estimation(3) for _ in range(6)]
-        targets = ["melbourne" if i % 2 == 0 else "linear:8" for i in range(6)]
-        seeds = list(range(6))
-        reference = transpile(
-            [c.copy() for c in batch],
-            target=targets,
-            pipeline="rpo",
-            seed=seeds,
-            executor="serial",
-        )
-        with CompileServer(mode="serial", pipeline="rpo") as s1, CompileServer(
-            mode="serial", pipeline="rpo"
-        ) as s2:
-            s1.start()
-            s2.start()
-            with ShardRouter([s1.endpoint, s2.endpoint]) as router:
-                results = router.map(
-                    [c.copy() for c in batch],
-                    targets=targets,
-                    seeds=seeds,
-                    pipeline="rpo",
-                )
-                stats = router.stats()
-        for expected, result in zip(reference, results):
-            _assert_identical(expected, result.circuit)
-        # target affinity: each target's jobs all landed on one shard
-        melbourne_shards = {
-            r.properties["shard"]
-            for r, t in zip(results, targets)
-            if t == "melbourne"
-        }
-        linear_shards = {
-            r.properties["shard"] for r, t in zip(results, targets) if t == "linear:8"
-        }
-        assert len(melbourne_shards) == 1
-        assert len(linear_shards) == 1
-        # two targets, two shards: the load balancer spread them out
-        assert melbourne_shards != linear_shards
-        assert len(stats["affinity"]) == 2
-        assert sum(stats["jobs_routed"].values()) == 6
-
-    def test_transpile_remote_executor_with_endpoint_list(self):
-        batch = [quantum_phase_estimation(3) for _ in range(4)]
-        reference = transpile(
-            [c.copy() for c in batch],
-            target="melbourne",
-            pipeline="rpo",
-            seed=[0, 1, 2, 3],
-            executor="serial",
-        )
-        with CompileServer(mode="serial", pipeline="rpo") as s1, CompileServer(
-            mode="serial", pipeline="rpo"
-        ) as s2:
-            s1.start()
-            s2.start()
-            results = transpile(
-                [c.copy() for c in batch],
-                target="melbourne",
-                pipeline="rpo",
-                seed=[0, 1, 2, 3],
-                executor="remote",
-                endpoint=[s1.endpoint, s2.endpoint],
-                full_result=True,
-            )
-            report = aggregate_batch(results, executor="remote")
-        for expected, result in zip(reference, results):
-            _assert_identical(expected, result.circuit)
-        # one target: affinity pins the whole batch to a single shard,
-        # and the metrics report says which
-        (label,) = report["by_target"]
-        shards = report["by_target"][label]["shards"]
-        assert len(shards) == 1 and sum(shards.values()) == 4
-        assert sum(e["num_circuits"] for e in report["by_shard"].values()) == 4
-        for entry in report["by_shard"].values():
-            assert entry["time"]["total"] >= 0.0
-
-    def test_submit_routes_by_affinity(self):
-        with CompileServer(mode="serial", pipeline="rpo") as s1, CompileServer(
-            mode="serial", pipeline="rpo"
-        ) as s2:
-            s1.start()
-            s2.start()
-            with ShardRouter([s1.endpoint, s2.endpoint]) as router:
-                futures = [
-                    router.submit(
-                        quantum_phase_estimation(3),
-                        target="melbourne",
-                        pipeline="rpo",
-                        seed=s,
-                    )
-                    for s in range(3)
-                ]
-                shards = {f.result().properties["shard"] for f in futures}
-        assert len(shards) == 1  # same target -> same shard, every time
-
-    def test_router_needs_shards(self):
-        with pytest.raises(TranspilerError, match="at least one"):
-            ShardRouter([])
-
-
 class TestServerLifecycle:
     def test_server_snapshot_autosave_warm_restart(self, tmp_path):
         """The crash-safe loop: a server autosaves its result cache, dies
@@ -542,8 +433,7 @@ class TestServerLifecycle:
 
 class TestResultCacheOverWire:
     """Result-cache surfaces over the wire: each result's
-    ``properties["result_cache"]``, ``GET /cache/<fingerprint>`` peer
-    lookups (protocol v2), and the ``result_cache`` section of
+    ``properties["result_cache"]`` and the ``result_cache`` section of
     ``/metrics``."""
 
     def _fresh_batch(self, n=3):
@@ -605,24 +495,6 @@ class TestResultCacheOverWire:
         assert dispositions == [None, "hit"]
         assert "jobs_cached" not in remote.stats()["server"]
 
-    def test_cache_lookup_round_trip_and_miss(self, remote):
-        from repro.circuit.serialization import circuit_to_payload
-        from repro.transpiler.result_cache import job_fingerprint
-
-        circuit = self._fresh_batch(1)[0]
-        # peer fingerprints only line up when the cache-key settings are
-        # explicit (a server would otherwise fill its own defaults in)
-        remote.map([circuit.copy()], targets="melbourne", seeds=[202],
-                   pipeline="rpo", optimization_level=1)
-        fingerprint = job_fingerprint(
-            circuit_to_payload(circuit),
-            Target.preset("melbourne").to_payload(),
-            ("rpo", 1, 202),
-        )
-        payload = remote.cache_lookup(fingerprint)
-        assert payload is not None  # served straight from the peer cache
-        assert remote.cache_lookup("0" * 64) is None  # miss is a clean 404
-
     def test_unset_client_settings_take_server_defaults(self, server):
         """The client ships settings it was not given as ``None``; the
         server's configured pipeline (``rpo`` here) fills them in."""
@@ -653,122 +525,19 @@ class TestResultCacheOverWire:
         _assert_identical(reference, via_endpoint)
 
 
-class TestPeerCacheLookup:
-    def test_router_serves_from_a_peer_shards_cache(self):
-        """A job already compiled on shard A must not recompile when the
-        router's affinity sends it to shard B: B's miss is answered by
-        the peer lookup against A before any dispatch."""
-        rng = np.random.default_rng(31)
-        batch = [
-            ry_ansatz(3, depth=2, parameters=rng.uniform(0, 2 * np.pi, (3, 3)))
-            for _ in range(4)
-        ]
-        seeds = list(range(4))
-        target = Target.preset("melbourne")
-        reference = transpile(
-            [c.copy() for c in batch],
-            target="melbourne",
-            pipeline="rpo",
-            seed=seeds,
-            optimization_level=1,
-            executor="serial",
-        )
-        with CompileServer(mode="serial", pipeline="rpo") as s1, CompileServer(
-            mode="serial", pipeline="rpo"
-        ) as s2:
-            s1.start()
-            s2.start()
-            endpoints = [s1.endpoint, s2.endpoint]
-            with ShardRouter(endpoints) as router:
-                routed = router.route(target)
-                warm_endpoint = endpoints[1 - routed]
-                with RemoteCompileService(warm_endpoint) as warmer:
-                    warmer.map(
-                        [c.copy() for c in batch],
-                        targets="melbourne",
-                        seeds=seeds,
-                        pipeline="rpo",
-                        optimization_level=1,
-                    )
-                results = router.map(
-                    [c.copy() for c in batch],
-                    targets="melbourne",
-                    seeds=seeds,
-                    pipeline="rpo",
-                    optimization_level=1,
-                )
-                stats = router.stats()
-        assert stats["peer_cache"]["enabled"]
-        assert stats["peer_cache"]["hits"] == len(batch)
-        for expected, result in zip(reference, results):
-            _assert_identical(expected, result.circuit)
-            assert result.properties["result_cache"] == "peer"
-            assert result.properties["shard"] == warm_endpoint
-
-    def test_dead_peer_is_a_counted_miss(self):
-        """A peer that cannot be reached is a miss counted as
-        ``peer_errors``; the job is still served by its own shard."""
-        import socket
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            dead = f"http://127.0.0.1:{probe.getsockname()[1]}"
-        with CompileServer(mode="serial", pipeline="rpo") as live:
-            live.start()
-            with ShardRouter([live.endpoint, dead], timeout=10) as router:
-                (result,) = router.map(
-                    [quantum_phase_estimation(3)],
-                    targets="melbourne",
-                    seeds=[0],
-                    pipeline="rpo",
-                    optimization_level=1,
-                )
-                stats = router.stats()
-        assert result.properties["shard"] == live.endpoint
-        assert result.properties.get("result_cache") is None
-        assert stats["peer_cache"]["lookups"] == 1
-        assert stats["peer_cache"]["peer_errors"] == 1
-        assert "unreachable" in stats["shards"][dead]
-
-    def test_peer_lookup_can_be_disabled(self):
-        with CompileServer(mode="serial", pipeline="rpo") as s1, CompileServer(
-            mode="serial", pipeline="rpo"
-        ) as s2:
-            s1.start()
-            s2.start()
-            with ShardRouter(
-                [s1.endpoint, s2.endpoint], peer_cache=False
-            ) as router:
-                router.map(
-                    [quantum_phase_estimation(3)],
-                    targets="melbourne",
-                    seeds=[0],
-                    pipeline="rpo",
-                    optimization_level=1,
-                )
-                stats = router.stats()
-        assert not stats["peer_cache"]["enabled"]
-        assert stats["peer_cache"]["lookups"] == 0
-
-
 @pytest.fixture(scope="module")
-def two_servers():
-    with CompileServer(mode="serial", pipeline="level1") as a, CompileServer(
-        mode="serial", pipeline="level1"
-    ) as b:
-        yield a.start(), b.start()
+def level1_server():
+    with CompileServer(mode="serial", pipeline="level1") as srv:
+        yield srv.start()
 
 
 #: Every compile front, built with an optional default target.
 FRONTS = {
-    "service": lambda servers, default: CompileService(
+    "service": lambda server, default: CompileService(
         mode="serial", pipeline="level1", target=default
     ),
-    "remote": lambda servers, default: RemoteCompileService(
-        servers[0].endpoint, target=default
-    ),
-    "router": lambda servers, default: ShardRouter(
-        [server.endpoint for server in servers], target=default
+    "remote": lambda server, default: RemoteCompileService(
+        server.endpoint, target=default
     ),
 }
 
@@ -787,21 +556,21 @@ class TestTargetResolution:
         ],
         ids=["explicit", "preset-name", "front-default", "all-to-all"],
     )
-    def test_resolved_target(self, two_servers, front, default, targets, expected):
+    def test_resolved_target(self, level1_server, front, default, targets, expected):
         circuit = ry_ansatz(3, depth=1, seed=0)
-        with FRONTS[front](two_servers, default) as service:
+        with FRONTS[front](level1_server, default) as service:
             (result,) = service.map([circuit], targets=targets, seeds=[0])
         assert result.properties["target"] == expected
 
     @pytest.mark.parametrize("front", sorted(FRONTS) + ["transpile"])
     @pytest.mark.parametrize("keyword", ["targets", "seeds"])
-    def test_wrong_length_list_fails_alike(self, two_servers, front, keyword):
+    def test_wrong_length_list_fails_alike(self, level1_server, front, keyword):
         batch = [ry_ansatz(3, depth=1, seed=s) for s in range(2)]
         wrong = ["linear:5"] if keyword == "targets" else [0]
         with pytest.raises(TranspilerError) as info:
             if front == "transpile":
                 transpile(batch, **{keyword[:-1]: wrong})
             else:
-                with FRONTS[front](two_servers, None) as service:
+                with FRONTS[front](level1_server, None) as service:
                     service.map(batch, **{keyword: wrong})
         assert str(info.value) == f"got 1 {keyword} for 2 circuits"

@@ -398,6 +398,13 @@ class TestExecutorSelection:
                 [QuantumCircuit(2)], executor="serial", endpoint="http://localhost:1"
             )
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_a_sequence_of_endpoints_is_an_error(self, kind):
+        endpoints = kind(["http://localhost:1", "http://localhost:2"])
+        with pytest.raises(TranspilerError, match="one URL string") as info:
+            transpile([QuantumCircuit(2)], endpoint=endpoints)
+        assert kind.__name__ in str(info.value)
+
 
 class TestEmptyBatch:
     """Regression tests: transpile([]) is a valid request whose answer is
@@ -434,7 +441,6 @@ class TestEmptyBatch:
         }
         assert report["gates"]["cx"]["total"] == 0.0
         assert report["by_target"] == {}
-        assert report["by_shard"] == {}
         assert report["loops"] == {"count": 0, "iterations": 0, "converged": 0}
         import json
 

@@ -3,6 +3,7 @@
 A one-qubit gate with no definition and no matrix cannot be fused into a
 run or multiplied into a block.  Both passes treat it as a fence: it ends
 the run, or closes the block, on its wire and stays where it is.
+``ConsolidateBlocks`` fences a two-qubit gate with no matrix the same way.
 """
 
 from repro.circuit import QuantumCircuit
@@ -52,3 +53,14 @@ def test_consolidate_blocks_closes_the_block_at_an_opaque_gate():
     out = ConsolidateBlocks().run(circuit, PropertySet())
     assert _names(out) == [("opaque", (1,))]
     assert out.data[0] is circuit.data[2]
+
+
+def test_consolidate_blocks_fences_an_opaque_two_qubit_gate():
+    circuit = QuantumCircuit(2)
+    circuit.cx(0, 1)
+    circuit.append(Gate("o2", 2, []), [0, 1])
+    circuit.cx(0, 1)
+    out = ConsolidateBlocks().run(circuit, PropertySet())
+    assert len(out.data) == len(circuit.data)
+    for got, want in zip(out.data, circuit.data):
+        assert got is want

@@ -25,7 +25,6 @@ from repro.algorithms import ry_ansatz
 from repro.circuit import QuantumCircuit
 from repro.circuit.serialization import circuit_to_payload
 from repro.transpiler import CompileService, ResultCache, Target
-from repro.transpiler.result_cache import job_fingerprint
 
 TWO_PI = 2.0 * math.pi
 
@@ -504,21 +503,6 @@ class TestSnapshots:
         fresh = ResultCache()
         assert fresh.import_snapshot(snapshot) == 0
         assert fresh.lookup(*job) is None
-
-
-class TestPeerLookup:
-    def test_fingerprint_round_trip(self, target):
-        cache = ResultCache()
-        circuit = _ansatz(_random_params(5))
-        job = _job(circuit, target)
-        cache.store(*job, ("r", {}, {}, 0.0, {}))
-        fingerprint = job_fingerprint(*job)
-        assert fingerprint is not None
-        assert cache.lookup_fingerprint(fingerprint) is not None
-        assert cache.lookup_fingerprint("0" * 64) is None
-        stats = cache.stats()
-        assert stats["peer_hits"] == 1
-        assert stats["peer_misses"] == 1
 
 
 class TestConcurrency:
