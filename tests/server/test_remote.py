@@ -114,6 +114,26 @@ class TestRemoteParity:
             )
         _assert_identical(reference, via_service)
 
+    def test_remote_batch_aggregates_by_target(self, server):
+        batch = _batch()
+        results = transpile(
+            [c.copy() for c in batch],
+            target="melbourne",
+            pipeline="rpo",
+            seed=list(range(len(batch))),
+            executor="remote",
+            endpoint=server.endpoint,
+            full_result=True,
+        )
+        report = aggregate_batch(results, executor="remote")
+        assert report["executor"] == "remote"
+        assert report["num_circuits"] == len(batch)
+        (entry,) = report["by_target"].values()
+        assert entry["num_circuits"] == len(batch)
+        assert entry["time"]["total"] >= 0.0
+        for result in results:
+            assert result.properties["target"] == Target.preset("melbourne")
+
     def test_submit_single_job(self, remote):
         result = remote.submit(
             quantum_phase_estimation(3), target="melbourne", pipeline="rpo", seed=0
@@ -285,6 +305,20 @@ class TestIntrospection:
         assert stats["cache"]["stats"]["synth_attempts"] > 0
         assert "snapshot_skipped" not in stats["service"]
         assert stats["service"]["autosave_failures"] == 0
+
+    @pytest.mark.parametrize(
+        "path", ["/cache/" + "0" * 64, "/nowhere"], ids=["cache", "unknown"]
+    )
+    def test_unknown_get_path_is_a_404(self, server, path):
+        import json
+        import urllib.error
+        import urllib.request
+
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(server.endpoint + path, timeout=30)
+        assert info.value.code == 404
+        assert json.loads(info.value.read()) == {"error": f"unknown path {path!r}"}
+        info.value.close()
 
 
 class TestServerLifecycle:
@@ -574,3 +608,24 @@ class TestTargetResolution:
                 with FRONTS[front](level1_server, None) as service:
                     service.map(batch, **{keyword: wrong})
         assert str(info.value) == f"got 1 {keyword} for 2 circuits"
+
+    @pytest.mark.parametrize(
+        "targets, expected",
+        [
+            (Target.preset("grid:2x3"), Target.preset("grid:2x3")),
+            ("ring:5", Target.preset("ring:5")),
+            (None, Target.full(3)),
+        ],
+        ids=["explicit", "preset-name", "all-to-all"],
+    )
+    def test_transpile_endpoint_resolves_alike(self, level1_server, targets, expected):
+        circuit = ry_ansatz(3, depth=1, seed=0)
+        (result,) = transpile(
+            [circuit],
+            target=targets,
+            seed=[0],
+            executor="remote",
+            endpoint=level1_server.endpoint,
+            full_result=True,
+        )
+        assert result.properties["target"] == expected

@@ -10,6 +10,7 @@ from repro.transpiler.passmanager import (
     DoWhileController,
     PropertySet,
     TransformationPass,
+    qsan_mode,
 )
 from repro.transpiler.passes import (
     ApplyLayout,
@@ -134,6 +135,38 @@ class TestPassManager:
         pm = PassManager([controller])
         result = pm.run_with_result(QuantumCircuit(1))
         assert result.properties["count"] == 4
+
+
+class TestQsanMode:
+    """``qsan_mode`` is the one reader of ``REPRO_QSAN``."""
+
+    @pytest.mark.parametrize(
+        "raw, mode",
+        [("", "off"), ("0", "off"), ("off", "off"),
+         ("1", "full"), ("full", "full"), (" Full ", "full")],
+        ids=["empty", "zero", "off", "one", "full", "padded-mixed-case"],
+    )
+    def test_env_spellings(self, monkeypatch, raw, mode):
+        monkeypatch.setenv("REPRO_QSAN", raw)
+        assert qsan_mode() == mode
+
+    def test_unset_env_is_off(self, monkeypatch):
+        monkeypatch.delenv("REPRO_QSAN", raising=False)
+        assert qsan_mode() == "off"
+
+    def test_bad_env_value_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_QSAN", "2")
+        with pytest.raises(TranspilerError, match="unrecognized QSAN mode '2'"):
+            qsan_mode()
+
+    def test_explicit_mode_never_reads_the_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_QSAN", "sometimes")
+        assert qsan_mode("off") == "off"
+        assert qsan_mode("full") == "full"
+        circuit = QuantumCircuit(2)
+        circuit.cx(0, 1)
+        result = PassManager([]).run_with_result(circuit, validate="off")
+        assert result.circuit.count_ops() == {"cx": 1}
 
 
 class TestLayoutPasses:

@@ -64,3 +64,16 @@ def test_consolidate_blocks_fences_an_opaque_two_qubit_gate():
     assert len(out.data) == len(circuit.data)
     for got, want in zip(out.data, circuit.data):
         assert got is want
+
+
+def test_consolidate_blocks_closes_both_wires_at_an_opaque_two_qubit_gate():
+    # an identity block on each side of the fence goes; the fence stays
+    circuit = QuantumCircuit(2)
+    circuit.cx(0, 1)
+    circuit.cx(0, 1)
+    circuit.append(Gate("o2", 2, []), [1, 0])
+    circuit.cx(1, 0)
+    circuit.cx(1, 0)
+    out = ConsolidateBlocks().run(circuit, PropertySet())
+    assert _names(out) == [("o2", (1, 0))]
+    assert out.data[0] is circuit.data[2]
