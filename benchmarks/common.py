@@ -62,7 +62,7 @@ def transpile_stats(config: str, circuit, backend, num_seeds: int = None) -> dic
     results = [
         transpile(
             circuit.copy(),
-            backend=backend,
+            target=backend,
             pipeline=CONFIGS[config],
             seed=seed,
             full_result=True,
@@ -103,7 +103,7 @@ def alternating_times(circuit, backend, configs, repeats: int, seed: int = 0) ->
         for config in order:
             result = transpile(
                 circuit.copy(),
-                backend=backend,
+                target=backend,
                 pipeline=CONFIGS[config],
                 seed=seed,
                 full_result=True,
@@ -139,7 +139,7 @@ def batch_metrics_report(
     start = time.perf_counter()
     results = transpile(
         batch,
-        backend=backend,
+        target=backend,
         pipeline=CONFIGS[config],
         seed=seeds,
         analysis_cache=cache,
@@ -172,7 +172,7 @@ def run_once(config: str, circuit, backend, seed: int = 0):
     """Single transpilation (the unit timed by pytest-benchmark)."""
     return transpile(
         circuit.copy(),
-        backend=backend,
+        target=backend,
         pipeline=CONFIGS[config],
         seed=seed,
     )

@@ -24,14 +24,14 @@ def main():
 
     print(f"secret = {secret:0{num_qubits}b}\n")
     for label, circuit in [("boolean oracle", boolean), ("phase oracle", phase)]:
-        level3 = transpile(circuit.copy(), backend=backend, pipeline="level3", seed=0)
-        rpo = transpile(circuit.copy(), backend=backend, pipeline="rpo", seed=0)
+        level3 = transpile(circuit.copy(), target=backend, pipeline="level3", seed=0)
+        rpo = transpile(circuit.copy(), target=backend, pipeline="rpo", seed=0)
         print(f"{label}:")
         print(f"  level 3: {level3.count_ops().get('cx', 0):3d} CNOTs")
         print(f"  RPO    : {rpo.count_ops().get('cx', 0):3d} CNOTs")
 
     # verify the optimized boolean design still finds the secret
-    rpo = transpile(boolean.copy(), backend=backend, pipeline="rpo", seed=0)
+    rpo = transpile(boolean.copy(), target=backend, pipeline="rpo", seed=0)
     counts = StatevectorSimulator(seed=2).run(rpo, shots=500)
     print(f"\nmost frequent outcome: {counts.most_frequent()} "
           f"(expected {secret:0{num_qubits}b})")

@@ -20,9 +20,7 @@ def main():
     num_qubits = 6
 
     def transpile(circuit, factory):
-        pm = factory(
-            backend.coupling_map, backend_properties=backend.properties, seed=0
-        )
+        pm = factory(backend, seed=0)
         return pm.run(circuit.copy(), PropertySet()).count_ops().get("cx", 0)
 
     print(f"{num_qubits}-qubit Grover, V-chain oracle design\n")

@@ -29,9 +29,7 @@ def main():
             ("level3", level_3_pass_manager),
             ("rpo", rpo_pass_manager),
         ):
-            pm = pipeline(
-                backend.coupling_map, backend_properties=backend.properties, seed=0
-            )
+            pm = pipeline(backend, seed=0)
             from repro.circuit import remove_idle_qubits
 
             compiled, _ = remove_idle_qubits(pm.run(circuit.copy(), PropertySet()))

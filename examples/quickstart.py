@@ -17,14 +17,14 @@ Transpile API
 
     from repro import transpile
 
-    compiled = transpile(circuit, backend=backend, pipeline="rpo", seed=0)
+    compiled = transpile(circuit, target=backend, pipeline="rpo", seed=0)
 
     # a batch compiles in-process, one circuit after another, and shares
     # one AnalysisCache, so repeated workloads skip most matrix
     # constructions.  For a worker pool, pass service=CompileService(...).
     compiled_batch = transpile(
         [circuit_a, circuit_b, circuit_c],
-        backend=backend,
+        target=backend,
         pipeline="rpo",
         seed=[0, 1, 2],
     )
@@ -32,7 +32,7 @@ Transpile API
     # full_result=True returns TranspileResult objects carrying the
     # property set and structured per-pass metrics (time, gate/depth
     # delta, rewrites applied, fixed-point loop iterations)
-    result = transpile(circuit, backend=backend, pipeline="rpo",
+    result = transpile(circuit, target=backend, pipeline="rpo",
                        full_result=True)
     print(result.metrics[0], result.loops)
 
@@ -43,7 +43,7 @@ Transpile API
     cache = AnalysisCache()
     results = transpile(
         [circuit_a, circuit_b, circuit_c],
-        backend=backend,
+        target=backend,
         pipeline="rpo",
         analysis_cache=cache,
         full_result=True,
@@ -97,9 +97,9 @@ def main():
     backend = FakeMelbourne()
 
     # one front-end for every pipeline
-    level3 = transpile(circuit.copy(), backend=backend, optimization_level=3, seed=0)
+    level3 = transpile(circuit.copy(), target=backend, optimization_level=3, seed=0)
     rpo_result = transpile(
-        circuit.copy(), backend=backend, pipeline="rpo", seed=0, full_result=True
+        circuit.copy(), target=backend, pipeline="rpo", seed=0, full_result=True
     )
     rpo = rpo_result.circuit
 
@@ -118,7 +118,7 @@ def main():
     cache = AnalysisCache()
     batch_results = transpile(
         [circuit.copy() for _ in range(3)],
-        backend=backend,
+        target=backend,
         pipeline="rpo",
         seed=[0, 1, 2],
         analysis_cache=cache,

@@ -24,7 +24,7 @@ def main():
     ansatz = ry_ansatz(num_qubits, depth=2, parameters=parameters, measure=True)
     backend = FakeMelbourne()
     for pipeline in ("level3", "rpo"):
-        compiled = transpile(ansatz.copy(), backend=backend, pipeline=pipeline, seed=0)
+        compiled = transpile(ansatz.copy(), target=backend, pipeline=pipeline, seed=0)
         print(
             f"{pipeline:7s}: {compiled.count_ops().get('cx', 0):3d} CNOTs, "
             f"depth {compiled.depth()}"

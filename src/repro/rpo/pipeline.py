@@ -27,11 +27,11 @@ invariants (Sec. VII-A).
 Targets, pass manager and cache architecture
 --------------------------------------------
 
-Each factory takes a :class:`~repro.transpiler.target.Target` (basis gates
-+ coupling map + calibration data in one hashable object) as its first
-argument; bare :class:`~repro.transpiler.coupling.CouplingMap` values plus
-the historical ``basis``/``backend_properties`` keywords are coerced for
-back-compat.  The unroll/layout/route stage comes from
+Each factory takes the device as its one ``target`` argument: a
+:class:`~repro.transpiler.target.Target` (basis gates + coupling map +
+calibration data in one hashable object) or anything
+:meth:`~repro.transpiler.target.Target.coerce` turns into one.  The
+unroll/layout/route stage comes from
 :func:`repro.transpiler.preset.layout_stage` (shared with the preset
 levels); RPO and Hoare splice their own passes around it.
 
@@ -56,7 +56,7 @@ wanting cross-run sharing (the serving path) go through
 :class:`~repro.transpiler.service.CompileService`, which keep one warm
 cache under every batch.
 
-Prefer ``transpile(circuit, backend=..., pipeline="rpo")`` over wiring
+Prefer ``transpile(circuit, target=..., pipeline="rpo")`` over wiring
 these factories by hand.
 """
 
@@ -66,7 +66,6 @@ from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.layout import Layout
 from repro.transpiler.passmanager import PassManager
 from repro.transpiler.passes import (
-    IBM_BASIS,
     Optimize1qGates,
     RemoveAnnotations,
     RemoveDiagonalGatesBeforeMeasure,
@@ -83,9 +82,7 @@ __all__ = ["rpo_pass_manager", "rpo_extended_pass_manager", "hoare_pass_manager"
 
 def rpo_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
     enable_qpo_blocks: bool = False,
     general_eigenphase: bool = False,
@@ -98,7 +95,7 @@ def rpo_pass_manager(
     controlled-gate rule (``general_eigenphase``); see
     :func:`rpo_extended_pass_manager` and the ablation benchmarks.
     """
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     basis = target.basis
     pm = PassManager()
     pm.append(QBOPass(general_eigenphase=general_eigenphase))   # line 1
@@ -128,9 +125,7 @@ def rpo_pass_manager(
 
 def rpo_extended_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """RPO with every proposed generalisation switched on.
@@ -143,9 +138,7 @@ def rpo_extended_pass_manager(
     """
     return rpo_pass_manager(
         target,
-        backend_properties=backend_properties,
         seed=seed,
-        basis=basis,
         initial_layout=initial_layout,
         enable_qpo_blocks=True,
         general_eigenphase=True,
@@ -154,9 +147,7 @@ def rpo_extended_pass_manager(
 
 def hoare_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """Level 3 with the Hoare-logic pass appended (paper Sec. VII-B).
@@ -165,7 +156,7 @@ def hoare_pass_manager(
     pipeline (before unrolling and after routing), which is generous to the
     baseline; it still finds a strict subset of the RPO rewrites.
     """
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     basis = target.basis
     pm = PassManager()
     pm.append(HoareOptimizer())

@@ -15,9 +15,10 @@ cache serve every client on the network.  Routes:
   an ``error`` envelope.
 * ``GET /healthz`` -- liveness JSON (status, uptime, jobs completed);
   what a load balancer or the CI smoke job polls.
-* ``GET /metrics`` -- the service's ``stats()`` plus server-side wire
-  counters (requests, jobs, per-target job counts) and the
-  compiled-result cache's hit/miss/eviction counters, as JSON.  A ``POST
+* ``GET /metrics`` -- server-side wire counters (requests, jobs,
+  per-target job counts) plus the service's ``stats()``, which carries the
+  compiled-result cache's hit/miss/eviction counters under
+  ``"result_cache"``, as JSON.  A ``POST
   /compile`` result reports its own cache disposition in its
   ``properties["result_cache"]``.
 * ``POST /shutdown`` -- graceful remote stop: drains the pool, persists
@@ -335,11 +336,6 @@ class CompileServer:
                     if isinstance(v, (int, float))
                 },
             },
-            "result_cache": (
-                self.service.result_cache.stats()
-                if self.service.result_cache is not None
-                else None
-            ),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

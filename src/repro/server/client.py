@@ -57,7 +57,6 @@ from repro.server.protocol import (
     split_chunks,
 )
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import TranspileResult
 from repro.transpiler.service import (
     _CHUNK_MAX_JOBS,
@@ -94,7 +93,6 @@ class RemoteCompileService:
         max_connections: int = 4,
         chunk_size: int | str = "auto",
         target: Target | str | None = None,
-        basis_gates=IBM_BASIS,
     ):
         """Args:
             endpoint: the server's base URL, e.g. ``"http://host:8642"``.
@@ -106,8 +104,8 @@ class RemoteCompileService:
             chunk_size: jobs per request -- ``"auto"`` (size by batch and
                 connections), or a fixed positive integer (1 = one
                 request per circuit).
-            target / basis_gates: client-side defaults mirroring the
-                local service; jobs always ship a fully-resolved target.
+            target: the client-side default target, mirroring the local
+                service; jobs always ship a fully-resolved target.
                 Settings a submission leaves unset ship as ``None`` and
                 take the server's defaults.
         """
@@ -126,10 +124,7 @@ class RemoteCompileService:
         self.endpoint = endpoint.rstrip("/")
         self.timeout = float(timeout)
         self.chunk_size = _checked_chunk_size(chunk_size)
-        self._basis = tuple(basis_gates)
-        self._default_target = (
-            Target.coerce(target, basis=self._basis) if target is not None else None
-        )
+        self._default_target = Target.coerce(target) if target is not None else None
         self._max_connections = max_connections
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
@@ -253,7 +248,7 @@ class RemoteCompileService:
     def _job(self, circuit, target, settings: dict) -> tuple[tuple, Target]:
         """One wire job and its resolved target.  Settings left ``None``
         take the server's defaults."""
-        resolved = resolve_target(circuit, target, self._default_target, self._basis)
+        resolved = resolve_target(circuit, target, self._default_target)
         return (circuit_to_payload(circuit), resolved.to_payload(), settings), resolved
 
     def _effective_chunk_size(self, batch_size: int, override) -> int:

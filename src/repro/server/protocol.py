@@ -25,8 +25,7 @@ failure mode to handle and the server can map it to HTTP 400.
 Job envelopes are **chunked**: one ``compile`` envelope carries any number
 of jobs (each its own circuit + target + settings blob), so a huge batch
 of cheap circuits costs one request per *chunk* rather than per circuit.
-:func:`split_chunks` / :func:`merge_chunks` are the (index-preserving)
-split/reassembly helpers.
+:func:`split_chunks` is the (index-preserving) split helper.
 
 Frames carry version 2 and version-1 frames are still accepted (see
 :data:`ACCEPTED_VERSIONS`); the ``compile``, ``result`` and ``error``
@@ -58,7 +57,6 @@ __all__ = [
     "decode_results",
     "encode_error",
     "split_chunks",
-    "merge_chunks",
 ]
 
 #: Version byte of the frame header.
@@ -258,11 +256,3 @@ def split_chunks(items: Sequence, chunk_size: int) -> list[list]:
         raise ProtocolError(f"chunk_size must be >= 1, got {chunk_size}")
     items = list(items)
     return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
-
-
-def merge_chunks(chunks: Sequence[Sequence]) -> list:
-    """Reassemble :func:`split_chunks` output back into one flat list."""
-    merged: list = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    return merged

@@ -10,11 +10,15 @@ Architecture:
 
 * **Targets** -- every job compiles for a
   :class:`~repro.transpiler.target.Target` (basis gates + coupling map +
-  calibration data in one hashable object).  Callers pass ``target=`` (a
-  ``Target``, a preset name like ``"melbourne"`` or ``"linear:5"``, or a
-  per-circuit sequence for heterogeneous multi-backend batches); the
-  historical ``backend`` / ``coupling_map`` / ``backend_properties``
-  keywords are coerced into a target for back-compat.
+  calibration data in one hashable object).  ``target=`` is the one way
+  to name the device: a ``Target``, a preset name like ``"melbourne"`` or
+  ``"linear:5"``, a backend, a :class:`~repro.transpiler.coupling.CouplingMap`,
+  or a per-circuit sequence of these for heterogeneous multi-backend
+  batches.  Each circuit's target is resolved by
+  :func:`~repro.transpiler.service.resolve_target`, the rule every
+  compile front shares; with none named, a circuit gets the shared
+  all-to-all target of its width.  A non-IBM basis is part of the
+  target (``Target.full(n, basis=...)``, ``Target(coupling, basis=...)``).
 * **Pipeline routing** -- ``pipeline`` selects the pass-manager factory;
   the default ``"preset"`` dispatches on ``optimization_level``.
 * **Execution** -- one story with three doors.  ``transpile`` compiles
@@ -45,13 +49,11 @@ from typing import Sequence
 
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.transpiler.cache import AnalysisCache
-from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.layout import Layout
-from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PassManager
 from repro.transpiler.result_cache import ResultCache
-from repro.transpiler.target import Target, normalize_batch, resolve_targets
+from repro.transpiler.target import Target, normalize_batch
 
 __all__ = ["transpile", "pass_manager_for", "PIPELINES", "EXECUTORS"]
 
@@ -81,20 +83,17 @@ _RETIRED_EXECUTORS = ("thread", "process", "service")
 
 def pass_manager_for(
     pipeline: str,
-    target: Target | CouplingMap | str,
-    backend_properties=None,
+    target,
     optimization_level: int = 1,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """Build the pass manager for a named pipeline.
 
     The single routing point for preset levels, the RPO pipelines and the
     Hoare baseline -- new pipeline flavours plug in here.  ``target``
-    accepts a :class:`Target`, a preset name, a backend, or a bare
-    :class:`CouplingMap` (combined with the loose ``basis``/
-    ``backend_properties`` keywords for back-compat).
+    accepts anything :meth:`Target.coerce` does: a :class:`Target`, a
+    preset name, a backend or a bare coupling map.
     """
     # lazy imports: repro.rpo imports this package's submodules
     from repro.rpo.pipeline import (
@@ -104,7 +103,7 @@ def pass_manager_for(
     )
     from repro.transpiler.preset import preset_pass_manager
 
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     kwargs = dict(seed=seed, initial_layout=initial_layout)
     if pipeline == "preset":
         return preset_pass_manager(optimization_level, target, **kwargs)
@@ -123,14 +122,10 @@ def pass_manager_for(
 
 def transpile(
     circuits: QuantumCircuit | Sequence[QuantumCircuit],
-    backend=None,
-    coupling_map: CouplingMap | None = None,
-    backend_properties=None,
     target: Target | str | Sequence | None = None,
     pipeline: str | None = None,
     optimization_level: int | None = None,
     seed: int | Sequence[int] | None = None,
-    basis_gates=None,
     initial_layout: Layout | None = None,
     executor: str = "auto",
     analysis_cache: AnalysisCache | None = None,
@@ -144,20 +139,15 @@ def transpile(
 
     Args:
         circuits: a single :class:`QuantumCircuit` or a sequence of them.
-        backend: a device from :mod:`repro.backends`; shorthand for
-            ``target=Target.from_backend(backend)``.
-        coupling_map: explicit device connectivity (back-compat shorthand
-            for a custom target).  With neither target, backend nor map,
-            an all-to-all target of each circuit's width is assumed.
         target: a :class:`~repro.transpiler.target.Target`, a preset name
-            (``"melbourne"``, ``"linear:5"``, ``"grid:3x4"``, ...), or a
-            per-circuit sequence of either -- one batch may mix circuits
+            (``"melbourne"``, ``"linear:5"``, ``"grid:3x4"``, ...), a
+            device from :mod:`repro.backends`, a
+            :class:`~repro.transpiler.coupling.CouplingMap`, or a
+            per-circuit sequence of these -- one batch may mix circuits
             bound for different devices, and each compiles against its own
-            target.  A prebuilt ``Target`` is a
-            complete hardware spec: it wins over ``basis_gates``/
-            ``backend_properties``, which only apply while a target is
-            being built from looser inputs (backend, coupling map, preset
-            name, or the all-to-all fallback).
+            target.  Unset, a caller-provided ``service``'s default target
+            applies, else each circuit gets the shared all-to-all target
+            of its width.
         pipeline: ``"preset"`` (default, dispatches on
             ``optimization_level``), ``"level0"``-``"level3"``, ``"rpo"``,
             ``"rpo_ext"`` or ``"hoare"``.  Left unset, a caller-provided
@@ -208,9 +198,6 @@ def transpile(
     """
     from repro.transpiler.service import compile_job, resolve_target
 
-    explicit_basis = basis_gates is not None
-    if basis_gates is None:
-        basis_gates = IBM_BASIS
     single = isinstance(circuits, QuantumCircuit)
     batch = [circuits] if single else list(circuits)
     if any(not isinstance(circuit, QuantumCircuit) for circuit in batch):
@@ -250,37 +237,12 @@ def transpile(
         # service or the network
         return []
 
+    targets, seeds = normalize_batch(batch, target, seed)
     owned_client = None
-    if executor == "remote" and service is None:
+    if service is None and executor == "remote":
         from repro.server import RemoteCompileService
 
-        owned_client = RemoteCompileService(endpoint, basis_gates=basis_gates)
-        service = owned_client
-
-    if service is not None and target is None and backend is None and coupling_map is None:
-        # no hardware named here: the service's configured default target
-        # applies (resolving now would clobber it with all-to-all).  An
-        # explicit basis_gates overrides the basis but keeps the service
-        # target's device (coupling + calibration).
-        targets = None
-        if explicit_basis:
-            base = service.default_target
-            if base is not None:
-                base = Target(
-                    base.coupling_map,
-                    basis=basis_gates,
-                    properties=base.properties,
-                    name=base.name,
-                )
-            targets = [
-                resolve_target(circuit, None, base, basis_gates) for circuit in batch
-            ]
-    else:
-        targets = resolve_targets(
-            batch, target, backend, coupling_map, backend_properties, basis_gates
-        )
-
-    _, seeds = normalize_batch(batch, None, seed)
+        service = owned_client = RemoteCompileService(endpoint)
 
     if service is not None:
         try:
@@ -308,7 +270,11 @@ def transpile(
         }
         results = [
             compile_job(
-                circuit, target, {**settings, "seed": seed}, cache, result_cache
+                circuit,
+                resolve_target(circuit, target, None),
+                {**settings, "seed": seed},
+                cache,
+                result_cache,
             )
             for circuit, target, seed in zip(batch, targets, seeds)
         ]

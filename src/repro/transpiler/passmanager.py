@@ -128,11 +128,6 @@ class TranspileResult:
     violations: list = field(default_factory=list)
 
     @property
-    def pass_times(self) -> list[tuple[str, float]]:
-        """``(name, seconds)`` per executed pass."""
-        return [(m.name, m.time) for m in self.metrics]
-
-    @property
     def analysis_cache(self) -> AnalysisCache | None:
         cache = self.properties.get(AnalysisCache.PROPERTY_KEY)
         return cache if isinstance(cache, AnalysisCache) else None

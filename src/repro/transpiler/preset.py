@@ -1,4 +1,4 @@
-"""Preset pass managers (optimization levels 0-3) and ``transpile()``.
+"""Preset pass managers (optimization levels 0-3).
 
 The four levels mirror Qiskit 0.18 (paper Sec. II-B):
 
@@ -9,17 +9,17 @@ The four levels mirror Qiskit 0.18 (paper Sec. II-B):
   (paper Fig. 8 without the underlined RPO additions -- those live in
   :func:`repro.rpo.rpo_pass_manager`).
 
-Every factory takes a :class:`~repro.transpiler.target.Target` (basis +
-coupling + calibration data) as its first argument; bare
-:class:`~repro.transpiler.coupling.CouplingMap` values plus the historical
-``basis``/``backend_properties`` keywords are still accepted and coerced.
+Every factory takes the device as its one ``target`` argument: a
+:class:`~repro.transpiler.target.Target` (basis + coupling + calibration
+data) or anything :meth:`~repro.transpiler.target.Target.coerce` turns into
+one (a preset name, a backend, a
+:class:`~repro.transpiler.coupling.CouplingMap`).
 The unroll/layout/route stage every level shares is built once by
 :func:`layout_stage`, which the RPO and Hoare pipelines reuse too.
 """
 
 from __future__ import annotations
 
-from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.transpiler.coupling import CouplingMap
 from repro.transpiler.exceptions import TranspilerError
 from repro.transpiler.layout import Layout
@@ -31,7 +31,6 @@ from repro.transpiler.passes import (
     CXCancellation,
     DenseLayout,
     FixedPoint,
-    IBM_BASIS,
     Optimize1qGates,
     RemoveAnnotations,
     RemoveDiagonalGatesBeforeMeasure,
@@ -51,7 +50,6 @@ __all__ = [
     "level_2_pass_manager",
     "level_3_pass_manager",
     "preset_pass_manager",
-    "transpile",
 ]
 
 
@@ -115,13 +113,11 @@ def optimization_loop(basis, *, commutative: bool, consolidate: bool) -> DoWhile
 
 def level_0_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """Map to the device with no explicit optimization."""
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     pm = PassManager()
     pm.append(
         layout_stage(
@@ -134,13 +130,11 @@ def level_0_pass_manager(
 
 def level_1_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """Light optimization: collapse adjacent gates."""
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     pm = PassManager()
     pm.append(
         layout_stage(
@@ -155,13 +149,11 @@ def level_1_pass_manager(
 
 def level_2_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """Noise-adaptive layout plus commutation-based cancellation."""
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     pm = PassManager()
     pm.append(
         layout_stage(
@@ -176,16 +168,14 @@ def level_2_pass_manager(
 
 def level_3_pass_manager(
     target: Target | CouplingMap,
-    backend_properties=None,
     seed: int | None = None,
-    basis=IBM_BASIS,
     initial_layout: Layout | None = None,
 ) -> PassManager:
     """Heaviest standard optimization: adds two-qubit block re-synthesis.
 
     This is the baseline the paper compares RPO against (Table II).
     """
-    target = Target.coerce(target, basis=basis, properties=backend_properties)
+    target = Target.coerce(target)
     pm = PassManager()
     pm.append(
         layout_stage(
@@ -215,33 +205,3 @@ def preset_pass_manager(optimization_level: int, *args, **kwargs) -> PassManager
             f"unknown optimization level {optimization_level}; choose 0-3"
         ) from None
     return factory(*args, **kwargs)
-
-
-def transpile(
-    circuit: QuantumCircuit,
-    backend=None,
-    coupling_map: CouplingMap | None = None,
-    backend_properties=None,
-    optimization_level: int = 1,
-    seed: int | None = None,
-    basis_gates=IBM_BASIS,
-    initial_layout: Layout | None = None,
-) -> QuantumCircuit:
-    """Compile ``circuit`` for a target device.
-
-    Thin wrapper kept for backward compatibility -- the batched,
-    pipeline-routing entry point lives in
-    :func:`repro.transpiler.frontend.transpile`.
-    """
-    from repro.transpiler.frontend import transpile as frontend_transpile
-
-    return frontend_transpile(
-        circuit,
-        backend=backend,
-        coupling_map=coupling_map,
-        backend_properties=backend_properties,
-        optimization_level=optimization_level,
-        seed=seed,
-        basis_gates=basis_gates,
-        initial_layout=initial_layout,
-    )

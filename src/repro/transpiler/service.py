@@ -49,10 +49,10 @@ then ships the misses to the pool as chunked job envelopes (several jobs
 per pool task, sized by :meth:`CompileService.chunk_size_for`) so huge
 batches of cheap circuits amortize per-task envelope overhead.  Each job
 inside a chunk still gets its own future and its own error, so one bad
-circuit never poisons its chunk-mates.  The remote client
-(:mod:`repro.server`) resolves targets with the same
-:func:`resolve_target` and rebuild results with the same
-:func:`result_from_payload`.
+circuit never poisons its chunk-mates.  :func:`resolve_target` is the one
+target rule: ``transpile()`` applies it to in-process batches, and the
+remote client (:mod:`repro.server`) resolves with it too and rebuilds
+results with the same :func:`result_from_payload`.
 
 Services can also keep their result cache **crash-safe**: pass
 ``autosave_interval=N`` (seconds) together with ``snapshot_path`` and a
@@ -88,7 +88,6 @@ from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.circuit.serialization import circuit_from_payload, circuit_to_payload
 from repro.transpiler.cache import AnalysisCache
 from repro.transpiler.exceptions import TranspilerError
-from repro.transpiler.passes import IBM_BASIS
 from repro.transpiler.passmanager import PropertySet, TranspileResult
 from repro.transpiler.result_cache import ResultCache
 from repro.transpiler.target import Target, normalize_batch
@@ -193,23 +192,23 @@ def _run_job(circuit: QuantumCircuit, target: Target, settings: dict, cache):
     )
 
 
-def resolve_target(circuit, target, default: Target | None, basis) -> Target:
+def resolve_target(circuit, target, default: Target | None) -> Target:
     """The target one job compiles for, on every compile front.
 
-    An explicit ``target`` (a :class:`Target` or a preset name) wins, then
-    the front's configured ``default``, then an all-to-all target of the
-    circuit's width.  :class:`CompileService` and the remote client
-    (:mod:`repro.server`) both resolve through it.
+    An explicit ``target`` (anything :meth:`Target.coerce` accepts) wins,
+    then the front's configured ``default``, then the shared all-to-all
+    preset of the circuit's width.  ``transpile()``, :class:`CompileService`
+    and the remote client (:mod:`repro.server`) all resolve through it.
     """
     if not isinstance(circuit, QuantumCircuit):
         raise TranspilerError(
             f"compile jobs take QuantumCircuit inputs, got {type(circuit).__name__}"
         )
     if target is not None:
-        return Target.coerce(target, basis=basis)
+        return Target.coerce(target)
     if default is not None:
         return default
-    return Target.full(circuit.num_qubits, basis=basis)
+    return Target.preset(f"full:{circuit.num_qubits}")
 
 
 def result_payload(result: TranspileResult) -> tuple:
@@ -373,7 +372,6 @@ class CompileService:
         pipeline: str | None = None,
         optimization_level: int | None = None,
         target: Target | str | None = None,
-        basis_gates=IBM_BASIS,
         initial_layout=None,
         analysis_cache: AnalysisCache | None = None,
         result_cache: ResultCache | None | bool = None,
@@ -384,11 +382,12 @@ class CompileService:
         """Args:
             mode: ``"process"`` (default) or ``"serial"``.
             max_workers: pool width, a positive int (default: CPU count - 1).
-            pipeline / optimization_level / target / basis_gates /
-                initial_layout / validate: defaults applied to submissions
-                that do not override them (``"preset"`` / level 1 when left
-                unset); ``target`` accepts a :class:`Target` or a preset
-                name (``"melbourne"``, ``"linear:5"``, ...).
+            pipeline / optimization_level / target / initial_layout /
+                validate: defaults applied to submissions that do not
+                override them (``"preset"`` / level 1 when left unset);
+                ``target`` accepts anything :meth:`Target.coerce` does (a
+                :class:`Target`, a preset name like ``"melbourne"``, a
+                backend or a :class:`CouplingMap`).
             analysis_cache: the cache serial jobs run against and whose
                 ``stats`` also count process workers' hits and misses;
                 defaults to a fresh one.
@@ -445,10 +444,7 @@ class CompileService:
             "seed": None,
             "validate": validate,
         }
-        self._basis = tuple(basis_gates)
-        self._default_target = (
-            Target.coerce(target, basis=self._basis) if target is not None else None
-        )
+        self._default_target = Target.coerce(target) if target is not None else None
         self._pool = None
         self._pool_workers = 0
         self._lock = threading.RLock()
@@ -531,7 +527,7 @@ class CompileService:
         Process mode makes the payloads the pool ships; serial mode
         compiles the object itself and makes none up front.
         """
-        target = resolve_target(circuit, target, self._default_target, self._basis)
+        target = resolve_target(circuit, target, self._default_target)
         settings = self._settings(overrides)
         if self.mode == "serial":
             return circuit, None, target, None, settings

@@ -4,14 +4,17 @@ A :class:`Target` bundles everything the pipelines need to know about the
 hardware a circuit is compiled for -- the native basis gates, the
 :class:`~repro.transpiler.coupling.CouplingMap`, and (optionally) the
 device's :class:`~repro.backends.backend.BackendProperties` calibration
-data -- into one hashable, picklable value object.  Before this module the
-same information was smeared across loose ``coupling`` / ``basis`` /
-``backend_properties`` keyword arguments on every pass-manager factory;
-now :func:`repro.transpiler.frontend.pass_manager_for`, the preset levels
-and the RPO/Hoare pipelines all consume a ``Target``, and the executor
-layer routes on it, which is what lets a single ``transpile()`` batch mix
+data -- into one hashable, picklable value object.  It is the one
+spelling of a device: every front door (``transpile()``,
+:func:`repro.transpiler.frontend.pass_manager_for`, the preset levels, the
+RPO/Hoare pipelines and both compile services) takes a ``target=`` that
+:meth:`Target.coerce` turns into a ``Target``, and the executor layer
+routes on it, which is what lets a single ``transpile()`` batch mix
 circuits bound for different devices (heterogeneous multi-backend
-compilation) and lets metrics break a batch down per target.
+compilation) and lets metrics break a batch down per target.  A non-IBM
+basis is asked for by building the target with ``basis=``
+(``Target(coupling, basis=...)``, :meth:`Target.full`,
+:meth:`Target.preset`, :meth:`Target.from_backend`).
 
 Key properties:
 
@@ -124,29 +127,22 @@ class Target:
         return _preset(name, tuple(basis))
 
     @classmethod
-    def coerce(
-        cls,
-        value,
-        basis: Iterable[str] = IBM_BASIS,
-        properties=None,
-        name: str | None = None,
-    ) -> "Target":
+    def coerce(cls, value) -> "Target":
         """Normalize any target-like value into a :class:`Target`.
 
         Accepts a ``Target`` (returned unchanged), a preset name string, a
-        bare :class:`CouplingMap` (wrapped with the given basis/properties)
-        or a backend object exposing ``coupling_map`` and ``properties``.
-        This is the back-compat shim that lets the pass-manager factories
-        keep accepting the historical loose keyword arguments.
+        bare :class:`CouplingMap` (IBM basis, no calibration data) or a
+        backend object exposing ``coupling_map`` and ``properties``.  Every
+        ``target=`` argument goes through here.
         """
         if isinstance(value, Target):
             return value
         if isinstance(value, str):
-            return cls.preset(value, basis=basis)
+            return cls.preset(value)
         if isinstance(value, CouplingMap):
-            return cls(value, basis=basis, properties=properties, name=name or "custom")
+            return cls(value)
         if hasattr(value, "coupling_map") and hasattr(value, "properties"):
-            return cls.from_backend(value, basis=basis)
+            return cls.from_backend(value)
         raise TranspilerError(
             f"cannot build a Target from {type(value).__name__}"
         )
@@ -318,8 +314,8 @@ TARGET_PRESETS: dict[str, object] = {
 def normalize_batch(batch: Sequence, targets, seeds) -> tuple[list, list]:
     """Per-circuit target and seed lists from single-or-sequence arguments.
 
-    The one normalization every batch front applies -- ``transpile()``
-    (through :func:`resolve_targets`), :meth:`CompileService.map
+    The one normalization every batch front applies -- ``transpile()``,
+    :meth:`CompileService.map
     <repro.transpiler.service.CompileService.map>` and the remote client
     (:mod:`repro.server`) -- so mismatched lengths fail
     with the same error everywhere.
@@ -335,46 +331,3 @@ def normalize_batch(batch: Sequence, targets, seeds) -> tuple[list, list]:
         else:
             per_circuit.append([value] * len(batch))
     return per_circuit[0], per_circuit[1]
-
-
-def resolve_targets(
-    batch: Sequence,
-    target,
-    backend,
-    coupling_map,
-    backend_properties,
-    basis_gates,
-) -> list[Target]:
-    """Per-circuit targets for a batch, from whichever form the caller used.
-
-    Precedence: an explicit ``target`` (one value or a per-circuit
-    sequence) wins over ``backend``, which wins over a loose
-    ``coupling_map``/``backend_properties`` pair; with none of those, each
-    circuit gets an all-to-all target of its own width.
-    """
-    if target is not None:
-        if not isinstance(target, (list, tuple)):
-            target = Target.coerce(target, basis=basis_gates)  # built once
-        per_circuit, _ = normalize_batch(batch, target, None)
-        return [Target.coerce(t, basis=basis_gates) for t in per_circuit]
-    if backend is not None:
-        return [Target.from_backend(backend, basis=basis_gates)] * len(batch)
-    if coupling_map is not None:
-        return [
-            Target(coupling_map, basis=basis_gates, properties=backend_properties)
-        ] * len(batch)
-    # all-to-all fallback; calibration data, if any, still rides along so
-    # noise-aware layout keeps seeing it (as the pre-Target frontend did)
-    by_width: dict[int, Target] = {}
-    return [
-        by_width.setdefault(
-            circuit.num_qubits,
-            Target(
-                CouplingMap.full(circuit.num_qubits),
-                basis=basis_gates,
-                properties=backend_properties,
-                name=f"full:{circuit.num_qubits}",
-            ),
-        )
-        for circuit in batch
-    ]

@@ -102,9 +102,7 @@ class TestRoundTrip:
         circuit.cx(0, 1)
         circuit.cx(1, 2)
         circuit.measure_all()
-        pm = rpo_pass_manager(
-            backend.coupling_map, backend_properties=backend.properties, seed=0
-        )
+        pm = rpo_pass_manager(backend, seed=0)
         compiled, _ = remove_idle_qubits(pm.run(circuit, PropertySet()))
         rebuilt = roundtrip(compiled)
         assert_same_distribution(compiled, rebuilt)

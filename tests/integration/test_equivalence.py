@@ -71,7 +71,7 @@ class TestPipelineProperties:
     def test_full_transpile_preserves_distribution(self, seed):
         circuit = random_circuit(4, 18, seed=seed, measure=True)
         cmap = CouplingMap.line(4)
-        out = transpile(circuit, coupling_map=cmap, optimization_level=3, seed=0)
+        out = transpile(circuit, target=cmap, optimization_level=3, seed=0)
         assert_same_distribution(circuit, out)
 
     @given(seed=SEEDS)
@@ -79,8 +79,6 @@ class TestPipelineProperties:
     def test_rpo_pipeline_preserves_distribution(self, seed):
         backend = FakeMelbourne()
         circuit = random_circuit(4, 18, seed=seed, measure=True)
-        pm = rpo_pass_manager(
-            backend.coupling_map, backend_properties=backend.properties, seed=0
-        )
+        pm = rpo_pass_manager(backend, seed=0)
         out = pm.run(circuit, PropertySet())
         assert_same_distribution(circuit, out)

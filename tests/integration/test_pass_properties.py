@@ -88,9 +88,7 @@ class TestDeterminism:
         circuit = random_circuit(4, 25, seed=3, measure=True)
         results = []
         for _ in range(2):
-            pm = rpo_pass_manager(
-                backend.coupling_map, backend_properties=backend.properties, seed=5
-            )
+            pm = rpo_pass_manager(backend, seed=5)
             results.append(pm.run(circuit.copy(), PropertySet()))
         assert results[0].count_ops() == results[1].count_ops()
         assert [i.qubits for i in results[0].data] == [

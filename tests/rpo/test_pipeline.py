@@ -23,9 +23,7 @@ def melbourne():
 
 
 def run(factory, circuit, backend, seed=0):
-    pm = factory(
-        backend.coupling_map, backend_properties=backend.properties, seed=seed
-    )
+    pm = factory(backend, seed=seed)
     return pm.run(circuit.copy(), PropertySet())
 
 

@@ -26,7 +26,6 @@ from repro.server.protocol import (
     encode_frame,
     encode_jobs,
     encode_results,
-    merge_chunks,
     pack_blob,
     split_chunks,
     unpack_blob,
@@ -232,7 +231,7 @@ class TestChunking:
     )
     def test_split_then_merge_is_identity(self, items, chunk_size):
         chunks = split_chunks(items, chunk_size)
-        assert merge_chunks(chunks) == items
+        assert [item for chunk in chunks for item in chunk] == items
         assert all(len(chunk) <= chunk_size for chunk in chunks)
         if items:
             # all chunks full except possibly the last

@@ -467,8 +467,8 @@ class TestServerLifecycle:
 
 class TestResultCacheOverWire:
     """Result-cache surfaces over the wire: each result's
-    ``properties["result_cache"]`` and the ``result_cache`` section of
-    ``/metrics``."""
+    ``properties["result_cache"]`` and the service's ``result_cache``
+    section of ``/metrics``."""
 
     def _fresh_batch(self, n=3):
         rng = np.random.default_rng(23)
@@ -490,7 +490,8 @@ class TestResultCacheOverWire:
         )
         assert [r.properties["result_cache"] for r in second] == ["hit"] * len(batch)
         stats = remote.stats()
-        cache_stats = stats["result_cache"]
+        assert "result_cache" not in stats  # reported once, under "service"
+        cache_stats = stats["service"]["result_cache"]
         assert cache_stats is not None
         assert cache_stats["hits"] >= len(batch)
         for a, b in zip(first, second):

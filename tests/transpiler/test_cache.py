@@ -101,9 +101,7 @@ def _table2_workloads():
 
 
 def _run_rpo(circuit, backend, cache=None, seed=0):
-    pm = rpo_pass_manager(
-        backend.coupling_map, backend_properties=backend.properties, seed=seed
-    )
+    pm = rpo_pass_manager(backend, seed=seed)
     return pm.run_with_result(
         circuit.copy(), PropertySet(), analysis_cache=cache
     )

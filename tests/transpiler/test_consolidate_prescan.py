@@ -28,7 +28,7 @@ from repro.linalg.two_qubit_synthesis import (
 from repro.linalg.weyl import canonical_gate, cnot_budgets, num_cnots_required
 from repro.transpiler import transpile
 from repro.transpiler.cache import AnalysisCache
-from repro.transpiler.passes import ConsolidateBlocks
+from repro.transpiler.passes import IBM_BASIS, ConsolidateBlocks
 from repro.transpiler.passmanager import PassManager, PropertySet
 
 from tests.helpers import assert_unitarily_equal, exact_form
@@ -427,7 +427,7 @@ class TestSynthesisMemo:
         monkeypatch.setattr(ConsolidateBlocks, "transform", recording)
         manager = PassManager()
         manager.append(
-            preset.optimization_loop(preset.IBM_BASIS, commutative=True, consolidate=True)
+            preset.optimization_loop(IBM_BASIS, commutative=True, consolidate=True)
         )
         manager.run(self.zz_blocks(3))
         assert per_invocation == [1, 0]

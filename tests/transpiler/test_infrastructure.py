@@ -110,7 +110,7 @@ class TestPassManager:
         pm = PassManager([Noop()])
         result = pm.run_with_result(QuantumCircuit(1))
         assert [metric.name for metric in result.metrics] == ["Noop"]
-        assert [name for name, _ in result.pass_times] == ["Noop"]
+        assert all(metric.time >= 0 for metric in result.metrics)
 
     def test_do_while_runs_until_condition(self):
         class CountDown(AnalysisPass):

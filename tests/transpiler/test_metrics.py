@@ -21,7 +21,7 @@ def batch_report():
     cache = AnalysisCache()
     results = transpile(
         [quantum_phase_estimation(3).copy() for _ in range(4)],
-        backend=backend,
+        target=backend,
         pipeline="rpo",
         seed=[0, 1, 2, 3],
         executor="serial",

@@ -15,6 +15,7 @@ from repro.transpiler.passes import (
     RemoveDiagonalGatesBeforeMeasure,
     Unroller,
 )
+from repro.transpiler.target import Target
 
 from tests.helpers import assert_unitarily_equal, exact_form
 
@@ -306,7 +307,7 @@ class TestNoOpPassesReturnTheirInput:
             {"pipeline": "hoare", "target": "melbourne"},
             {"optimization_level": 0},
             {"optimization_level": 1},
-            {"optimization_level": 3, "basis_gates": ["u3", "cx"]},
+            {"optimization_level": 3, "target": Target.full(3, basis=("u3", "cx"))},
         ],
         ids=["level3", "rpo", "hoare", "o0", "o1", "o3-basis"],
     )
@@ -346,7 +347,7 @@ class TestNoOpPassesReturnTheirInput:
         assert Unroller().run(circuit, PropertySet()) is circuit
         before = exact_form(circuit)
         data = list(circuit.data)
-        out = transpile(circuit, basis_gates=["u1", "u2", "u3", "id", "cx"], **options)
+        out = transpile(circuit, **options)
         assert out is not circuit
         assert circuit.data == data
         assert exact_form(circuit) == before

@@ -64,8 +64,8 @@ class TestTranspileResult:
     def test_pass_times_come_from_metrics_not_properties(self):
         properties = PropertySet()
         result = PassManager([Noop()]).run_with_result(QuantumCircuit(1), properties)
-        assert [name for name, _ in result.pass_times] == ["Noop"]
         assert [metric.name for metric in result.metrics] == ["Noop"]
+        assert all(metric.time >= 0 for metric in result.metrics)
         assert "pass_times" not in properties
 
 
@@ -174,7 +174,7 @@ class TestRunsItsSchedule:
 
         result = transpile(
             quantum_phase_estimation(3),
-            backend=FakeMelbourne(),
+            target=FakeMelbourne(),
             pipeline=pipeline,
             seed=1,
             full_result=True,
@@ -308,7 +308,7 @@ class TestConcurrency:
             return sum(m.rewrites for r in results for m in r.metrics)
 
         kwargs = dict(
-            backend=backend, pipeline="rpo", seed=[0, 1, 2, 3], full_result=True
+            target=backend, pipeline="rpo", seed=[0, 1, 2, 3], full_result=True
         )
         serial = transpile([circuit.copy() for _ in range(4)], **kwargs)
         with CompileService(

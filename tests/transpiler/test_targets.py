@@ -2,24 +2,29 @@
 
 A ``Target`` must behave as a value object (hashable, comparable,
 picklable, payload-round-trippable), resolve named presets, coerce from
-every historical loose-kwarg form, and thread through ``pass_manager_for``
-and ``transpile()`` -- including per-circuit targets in one batch.
+every value ``target=`` accepts, and thread through ``pass_manager_for``
+and ``transpile()`` -- including per-circuit targets in one batch -- with
+the same resolution on the in-process, service and remote fronts.
 """
 
 import pickle
 
 import pytest
 
+from repro.algorithms import quantum_phase_estimation
 from repro.backends import FakeAlmaden, FakeMelbourne
 from repro.circuit import QuantumCircuit
+from repro.server import CompileServer
 from repro.transpiler import (
+    CompileService,
     CouplingMap,
     Target,
     TranspilerError,
     pass_manager_for,
     transpile,
 )
-from repro.transpiler.target import resolve_targets
+from repro.transpiler.passes import IBM_BASIS
+from repro.transpiler.service import resolve_target
 
 from tests.helpers import respects_coupling
 
@@ -166,9 +171,16 @@ class TestTargetCoercion:
 
     def test_coupling_map_wrapped(self):
         coupling = CouplingMap.ring(4)
-        target = Target.coerce(coupling, basis=("u3", "cx"))
+        target = Target.coerce(coupling)
         assert target.coupling_map is coupling
-        assert target.basis == ("u3", "cx")
+        assert target.basis == IBM_BASIS
+        assert target.properties is None
+
+    def test_custom_basis_is_part_of_the_target(self):
+        coupling = CouplingMap.ring(4)
+        target = Target(coupling, basis=("u3", "cx"))
+        assert Target.coerce(target) is target
+        assert Target.full(3, basis=("u3", "cx")).basis == ("u3", "cx")
 
     def test_backend_wrapped(self):
         backend = FakeMelbourne()
@@ -186,41 +198,24 @@ class TestTargetCoercion:
             Target.coerce(42)
 
 
-class TestResolveTargets:
-    def _batch(self, *widths):
-        return [QuantumCircuit(w) for w in widths]
+class TestResolveTarget:
+    def test_explicit_target_wins_over_default(self):
+        circuit = QuantumCircuit(3)
+        default = Target.preset("ring:5")
+        assert resolve_target(circuit, "linear:5", default) is Target.preset("linear:5")
+        assert resolve_target(circuit, None, default) is default
 
-    def test_explicit_sequence_wins(self):
-        batch = self._batch(3, 3)
-        targets = resolve_targets(
-            batch, ["linear:5", "ring:5"], FakeMelbourne(), None, None, ("u3", "cx")
+    def test_default_is_the_shared_full_preset_of_the_width(self):
+        two, three = QuantumCircuit(2), QuantumCircuit(3)
+        assert resolve_target(two, None, None) is Target.preset("full:2")
+        assert resolve_target(three, None, None) == Target.full(3)
+        assert resolve_target(QuantumCircuit(2), None, None) is resolve_target(
+            two, None, None
         )
-        assert [t.name for t in targets] == ["linear:5", "ring:5"]
 
-    def test_sequence_length_must_match(self):
-        with pytest.raises(TranspilerError, match="targets"):
-            resolve_targets(self._batch(2, 2), ["linear:5"], None, None, None, ())
-
-    def test_backend_applies_to_all(self):
-        targets = resolve_targets(
-            self._batch(2, 3), None, FakeMelbourne(), None, None, ("u3", "cx")
-        )
-        assert targets[0] is targets[1]
-        assert targets[0].name == "fake_melbourne"
-
-    def test_default_is_full_connectivity_per_width(self):
-        targets = resolve_targets(self._batch(2, 3, 2), None, None, None, None, ("cx",))
-        assert targets[0].num_qubits == 2
-        assert targets[1].num_qubits == 3
-        assert targets[0] is targets[2]  # memoized per width
-
-    def test_bare_backend_properties_survive_fallback(self):
-        """Regression test: backend_properties without a coupling map must
-        still reach the target (noise-aware layout depends on it)."""
-        properties = FakeMelbourne().properties
-        targets = resolve_targets(self._batch(3), None, None, None, properties, ("cx",))
-        assert targets[0].properties is properties
-        assert targets[0].name == "full:3"
+    def test_rejects_non_circuits(self):
+        with pytest.raises(TranspilerError, match="QuantumCircuit"):
+            resolve_target("not a circuit", None, None)
 
 
 class TestTargetsThroughPipelines:
@@ -243,20 +238,6 @@ class TestTargetsThroughPipelines:
     def test_pass_manager_for_accepts_preset_name(self):
         pm = pass_manager_for("level1", "linear:5", seed=0)
         assert pm.run(self._circuit()) is not None
-
-    def test_legacy_coupling_kwargs_still_work(self):
-        backend = FakeMelbourne()
-        pm = pass_manager_for(
-            "rpo",
-            backend.coupling_map,
-            backend_properties=backend.properties,
-            seed=0,
-        )
-        legacy = pm.run(self._circuit())
-        via_target = pass_manager_for(
-            "rpo", Target.from_backend(backend), seed=0
-        ).run(self._circuit())
-        assert legacy.count_ops() == via_target.count_ops()
 
     def test_transpile_accepts_target_kwarg(self):
         target = Target.preset("ring:6")
@@ -325,3 +306,81 @@ class TestTargetsThroughPipelines:
         assert set(report["by_target"]) == {"custom[6q]", "custom[6q]#2"}
         for entry in report["by_target"].values():
             assert entry["num_circuits"] == 1
+
+
+@pytest.fixture(scope="module")
+def level1_server():
+    with CompileServer(mode="serial", pipeline="level1") as srv:
+        yield srv.start()
+
+
+def _transpile_on(front, server, circuits, **kwargs):
+    """``transpile()`` through one compile front, with full results."""
+    kwargs.setdefault("pipeline", "level1")
+    if front == "in-process":
+        return transpile(circuits, full_result=True, **kwargs)
+    if front == "service":
+        with CompileService(mode="serial") as service:
+            return transpile(circuits, full_result=True, service=service, **kwargs)
+    return transpile(circuits, full_result=True, endpoint=server.endpoint, **kwargs)
+
+
+FRONTS = ["in-process", "service", "remote"]
+
+
+class TestOneTargetSpelling:
+    """``target=`` is the one way to name a device, resolved alike on every
+    front."""
+
+    @pytest.mark.parametrize("front", FRONTS)
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (Target.preset("grid:2x3"), [Target.preset("grid:2x3")] * 2),
+            ("melbourne", [Target.preset("melbourne")] * 2),
+            (FakeMelbourne(), [Target.from_backend(FakeMelbourne())] * 2),
+            (CouplingMap.line(5), [Target(CouplingMap.line(5))] * 2),
+            (
+                ["ring:5", FakeAlmaden()],
+                [Target.preset("ring:5"), Target.from_backend(FakeAlmaden())],
+            ),
+        ],
+        ids=["target", "preset-name", "backend", "coupling-map", "per-circuit"],
+    )
+    def test_target_resolves_alike(self, level1_server, front, value, expected):
+        circuits = [QuantumCircuit(3), QuantumCircuit(3)]
+        for circuit in circuits:
+            circuit.h(0)
+            circuit.cx(0, 2)
+        results = _transpile_on(front, level1_server, circuits, target=value, seed=0)
+        assert [result.properties["target"] for result in results] == expected
+
+    @pytest.mark.parametrize("front", FRONTS)
+    def test_unset_target_shares_one_target_per_width(self, level1_server, front):
+        circuits = [QuantumCircuit(3), QuantumCircuit(4), QuantumCircuit(3)]
+        results = _transpile_on(front, level1_server, circuits, seed=0)
+        first, wide, second = (result.properties["target"] for result in results)
+        assert first == Target.full(3) and wide == Target.full(4)
+        assert first is second
+
+    def test_backend_and_preset_name_compile_identically(self):
+        circuit = quantum_phase_estimation(4)
+        via_backend = transpile(
+            circuit.copy(), target=FakeMelbourne(), pipeline="rpo", seed=0
+        )
+        via_name = transpile(circuit.copy(), target="melbourne", pipeline="rpo", seed=0)
+        assert via_backend.global_phase.hex() == via_name.global_phase.hex()
+        assert len(via_backend.data) == len(via_name.data)
+        for a, b in zip(via_backend.data, via_name.data):
+            assert a.operation.name == b.operation.name
+            assert (a.qubits, a.clbits) == (b.qubits, b.clbits)
+            assert [float(p).hex() for p in a.operation.params] == [
+                float(p).hex() for p in b.operation.params
+            ]
+
+    @pytest.mark.parametrize(
+        "keyword", ["backend", "coupling_map", "backend_properties", "basis_gates"]
+    )
+    def test_loose_device_keywords_are_gone(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            transpile(QuantumCircuit(2), **{keyword: None})
