@@ -42,6 +42,7 @@ from repro.linalg.euler import u3_matrix, u3_params_from_unitary
 from repro.linalg.kron import decompose_kron
 from repro.linalg.state_prep import two_qubit_state_prep_factors
 from repro.linalg.weyl import (
+    MAGIC_BASIS,
     CanonicalForm,
     WeylDecomposition,
     canonical_forms,
@@ -53,6 +54,7 @@ from repro.linalg.weyl import (
 __all__ = [
     "SYNTHESIS_ERRORS",
     "SynthesisPlan",
+    "plan_size_bounds",
     "plan_size_floor",
     "plan_two_qubit_unitary",
     "plan_two_qubit_unitaries",
@@ -65,6 +67,7 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _SDG = _S.conj().T
 _ID = np.eye(2, dtype=complex)
+_MAGIC_DAG = MAGIC_BASIS.conj().T
 
 
 class TwoQubitSynthesisError(RuntimeError):
@@ -347,11 +350,14 @@ def _emit_canonical(target: WeylDecomposition) -> SynthesisPlan:
 
 
 #: fewest gates a plan with this many CNOTs can hold.  A 3-CNOT plan always
-#: emits its three CNOTs plus ``Rx(2b) S``, ``H Rz(-2c) S`` and ``H`` from
-#: the canonical identity, none of which is ever a global phase.  A 2-CNOT
-#: plan has at least one non-trivial gate between its CNOTs: with none,
-#: its unitary would be local (0-CNOT class).
-_PLAN_SIZE_FLOOR = {2: 3, 3: 6}
+#: emits its three CNOTs plus ``Rx(2b) S``, ``H Rz(-2c) S``, ``H`` and
+#: ``Rx(-2a)`` from the canonical identity: the first three are never a
+#: global phase, and ``Rx(-2a)`` is one only when ``a = 0 mod pi``, which
+#: no 3-CNOT class has (a coordinate ``= 0 mod pi/2`` makes the class
+#: ``(b, c, 0)``, two CNOTs).  A 2-CNOT plan emits ``Rz(2a)`` between its
+#: CNOTs, with ``a`` the largest folded coordinate, which is not 0 (or the
+#: class would be local).
+_PLAN_SIZE_FLOOR = {2: 3, 3: 7}
 
 
 def plan_size_floor(cnots: int) -> int:
@@ -359,6 +365,75 @@ def plan_size_floor(cnots: int) -> int:
     for every ``u`` whose minimal CNOT count is ``cnots`` (2 or 3: the only
     counts a CX-count tie of a block with two or more CNOTs can have)."""
     return _PLAN_SIZE_FLOOR[cnots]
+
+
+#: ``(B^dag W, W' B)`` per CNOT count: the frame in which every template of
+#: that count's plans is diagonal.  A 3-CNOT plan whose four outer
+#: one-qubit factors are phases realises ``CAN(a, b, c) (I (x) S)``, so
+#: ``U (I (x) Sdg)`` is canonical; a 2-CNOT one realises
+#: ``CX (Ry(-2b) (x) Rz(2a)) CX``, which ``I (x) S`` conjugates to a
+#: canonical gate.  Canonical gates are diagonal in the magic basis ``B``.
+_TEMPLATE_FRAMES = {
+    2: (_MAGIC_DAG @ np.kron(_ID, _S), np.kron(_ID, _SDG) @ MAGIC_BASIS),
+    3: (_MAGIC_DAG, np.kron(_ID, _SDG) @ MAGIC_BASIS),
+}
+
+#: a unitary whose template-frame product has an off-diagonal entry above
+#: this is not its template up to phases.  Outer factors the plan drops are
+#: within ~1e-5 of a phase, and a plan that is kept matches its unitary to
+#: ``allclose`` (atol 1e-7, rtol 1e-5), so such a plan's product stays
+#: below ~1e-4: no plan that could be kept is refuted.
+_TEMPLATE_MARGIN = 1e-3
+
+_OFF_ROWS, _OFF_COLUMNS = np.nonzero(~np.eye(4, dtype=bool))
+
+
+#: ``Ry(-2b)`` between a 2-CNOT plan's CNOTs is a gate once ``|b|`` is
+#: above ~1e-11 (its off-diagonal then clears ``_near_identity``'s 1e-12);
+#: the bound counts it only above this, far clear of that edge.
+_ROTATION_MARGIN = 1e-6
+
+
+def plan_size_bounds(unitaries, cnots, sizes=None) -> list[int]:
+    """A lower bound on ``plan_two_qubit_unitary(unitaries[i], cnots[i]).size``
+    for every item whose minimal CNOT count is ``cnots[i]`` (2 or 3).
+
+    The bound is :func:`plan_size_floor` plus one when the unitary is not
+    its plan's template up to phases (see :data:`_TEMPLATE_FRAMES`): then
+    one of the plan's four outer one-qubit factors is a gate.  That test is
+    one stacked product, with no eigendecomposition.
+
+    ``sizes`` (optional) are the block sizes the caller means to refute.  A
+    2-CNOT item whose size is one above that bound also gets its canonical
+    coordinates: when every template the planner could match has
+    ``|b| > 0``, the ``Ry(-2b)`` between the CNOTs is a gate too, and the
+    bound rises by one.
+    """
+    if not len(unitaries):
+        return []
+    stack = np.asarray(unitaries, dtype=complex)
+    left, right = (
+        np.stack([_TEMPLATE_FRAMES[count][side] for count in cnots]) for side in (0, 1)
+    )
+    framed = left @ stack @ right
+    outer = np.abs(framed[:, _OFF_ROWS, _OFF_COLUMNS]).max(axis=1) > _TEMPLATE_MARGIN
+    bounds = [
+        _PLAN_SIZE_FLOOR[count] + int(gate) for count, gate in zip(cnots, outer.tolist())
+    ]
+    if sizes is None:
+        return bounds
+    deciding = [
+        index
+        for index, (count, bound, size) in enumerate(zip(cnots, bounds, sizes))
+        if count == 2 and size == bound + 1
+    ]
+    if deciding:
+        for index, form in zip(deciding, canonical_forms(stack[deciding])):
+            if isinstance(form, CanonicalForm) and all(
+                abs(b) > _ROTATION_MARGIN for _, b in _two_cnot_parameters(form.coordinates)
+            ):
+                bounds[index] += 1
+    return bounds
 
 
 def synthesize_two_qubit_unitary(

@@ -18,10 +18,10 @@ The early QBO cascades through the rest of the pipeline: any gate it
 removes up front is one gate fewer for every later pass.  The paper credits
 this for RPO's reduced transpile times despite the extra passes; on our
 Table II quick rows it does not pay for them yet: RPO's mean transpile time
-is 1.19-1.21x level 3's (``benchmarks/bench_table2_main.py --quick``, the
-median of 15 warm repeats per cell, 3 runs on a 2-core x86_64 host).  The
-second QBO targets the routing-inserted SWAPs; QPO runs once outside the
-fixed-point loop because the loop's optimizations preserve the state
+is 1.24-1.27x level 3's (``benchmarks/bench_table2_main.py --quick``, the
+median of 15 warm repeats per cell, 3 runs on a shared 2-core x86_64 host).
+The second QBO targets the routing-inserted SWAPs; QPO runs once outside
+the fixed-point loop because the loop's optimizations preserve the state
 invariants (Sec. VII-A).
 
 Targets, pass manager and cache architecture
@@ -111,10 +111,10 @@ def rpo_pass_manager(
     )
     pm.append(QBOPass(general_eigenphase=general_eigenphase))  # line 5
     pm.append(Unroller(basis + ("swap", "swapz")))         # line 6
-    pm.append(Optimize1qGates())                           # line 7
+    pm.append(Optimize1qGates(basis))                      # line 7
     pm.append(QPOPass(optimize_blocks=enable_qpo_blocks))  # line 8
     pm.append(Unroller(basis))  # lower remaining swap/swapz before the loop
-    pm.append(Optimize1qGates())
+    pm.append(Optimize1qGates(basis))
     pm.append(                                             # lines 9-10
         optimization_loop(basis, commutative=True, consolidate=True)
     )
@@ -172,7 +172,7 @@ def hoare_pass_manager(
     )
     pm.append(HoareOptimizer())
     pm.append(Unroller(basis))
-    pm.append(Optimize1qGates())
+    pm.append(Optimize1qGates(basis))
     pm.append(optimization_loop(basis, commutative=True, consolidate=True))
     pm.append(RemoveDiagonalGatesBeforeMeasure())
     pm.append(RemoveAnnotations())

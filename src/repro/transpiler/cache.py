@@ -77,17 +77,22 @@ class SynthesisMemo:
     unitary (made in bulk by :meth:`AnalysisCache.syntheses`) -- a lower
     bound on the CNOT count of any re-synthesis.
     ``plan_size`` is ``None`` until the budget plan has been made, then the
-    plan's gate count (``math.inf`` when no plan matches).  Once
+    plan's gate count (``math.inf`` when no plan matches).  ``size_floor``
+    is 0 until a CX-count tie of the unitary was refuted by
+    :func:`~repro.linalg.two_qubit_synthesis.plan_size_bounds`, then that
+    proven lower bound on the plan's gate count: a repeat no larger than it
+    is rejected from the memo, and a larger block is still priced.  Once
     ``synthesized`` is set, ``replacement`` holds the synthesized circuit,
     or ``None`` if planning or synthesis failed.  Replacements are shared
     read-only.
     """
 
-    __slots__ = ("budget", "plan_size", "synthesized", "replacement")
+    __slots__ = ("budget", "plan_size", "size_floor", "synthesized", "replacement")
 
     def __init__(self, budget: int):
         self.budget = budget
         self.plan_size: "int | float | None" = None
+        self.size_floor = 0
         self.synthesized = False
         self.replacement: "QuantumCircuit | None" = None
 

@@ -22,7 +22,7 @@ The pass runs in five steps and returns its output as one
    chains identity-padded and chain-multiplied in time order, bit-identical
    to a per-block ``embed_gate`` + matmul accumulation, which the tests
    keep as the oracle);
-3. **decide** -- one bulk lookup in the run's
+3. **decide and bound** -- one bulk lookup in the run's
    :class:`~repro.transpiler.cache.AnalysisCache` gives every block the
    memo of its unitary, with the minimal CNOT count (the ``budget``
    synthesis itself starts from, and a lower bound on the replacement's
@@ -33,11 +33,19 @@ The pass runs in five steps and returns its output as one
    (prescan).  On any other CX-count tie only the budget-CNOT candidate
    can win, and no budget plan is smaller than the structural floor
    (:func:`~repro.linalg.two_qubit_synthesis.plan_size_floor`: 3 gates for
-   2 CNOTs, 6 for 3), so a tie no larger than the floor is rejected with
-   no linear algebra (floor reject);
+   2 CNOTs, 7 for 3), so a tie no larger than the floor is rejected with
+   no linear algebra (floor reject).  Every other fresh tie gets its
+   unitary's proven plan-size bound from one stacked
+   :func:`~repro.linalg.two_qubit_synthesis.plan_size_bounds` call -- one
+   gate more than the floor unless the unitary is its plan's template up
+   to phases (one 4x4 product, no eigendecomposition), and for a 2-CNOT
+   tie one bound short of refutal, one more when every template it could
+   match has a non-zero ``Ry`` angle -- and a tie no larger than its bound
+   is rejected with no plan (bound reject);
 4. **price and plan in bulk** -- the budget plans of every unitary the run
-   may price (a fresh tie above the floor) or synthesize are made in one
-   call (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
+   may still price (a fresh tie above its bound) or synthesize are made in
+   one call
+   (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
    gate tuples, no circuit, no check) over the stacked Weyl kernel; a tie
    is rejected when there is no plan or it is not smaller than the block;
 5. **edit, building and verifying only what is kept** -- one edit per
@@ -51,14 +59,18 @@ The pass runs in five steps and returns its output as one
    against the block unitary and only then builds the circuit; on a miss
    it escalates the CNOT count and plans again.
 
-Every decision is memoized per distinct unitary per cache -- the plan size,
-then the replacement or the failure -- for repeats from the fixed-point
-loop or within a circuit; a floor reject writes nothing, so a larger block
-of the same unitary is still priced.  Steps 3 to 5 skip only rewrites the
-pass would have rejected, so the output is bit-identical to synthesizing
-every block; the oracle parity tests hold it to that.
+Every decision is memoized per distinct unitary per cache -- the proven
+plan-size floor of a bound reject, the plan size, then the replacement or
+the failure -- for repeats from the fixed-point loop or within a circuit; a
+floor reject writes nothing, and a bound reject only the floor, so a larger
+block of the same unitary is still priced.  The bound sits far below any
+plan synthesis would keep, so steps 3 to 5 skip only rewrites the pass
+would have rejected, and the output is bit-identical to synthesizing every
+block; the oracle parity tests hold it to that, and every block's decision
+to pricing each tie from its exact plan.
 ``AnalysisCache.stats`` counts ``synth_prescan_skips``,
-``synth_floor_rejects``, ``synth_tie_rejects``, ``synth_memo_hits``,
+``synth_floor_rejects``, ``synth_tie_rejects`` (a bound reject counts here
+too, and in ``synth_bound_rejects``), ``synth_memo_hits``,
 ``synth_attempts``, ``synth_failures`` and ``synth_kept``.
 """
 
@@ -72,6 +84,7 @@ from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCi
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.linalg.two_qubit_synthesis import (
     SYNTHESIS_ERRORS,
+    plan_size_bounds,
     plan_size_floor,
     plan_two_qubit_unitaries,
     synthesize_two_qubit_unitary,
@@ -106,6 +119,9 @@ class _Block:
         #: (a ``SynthesisPlan``, ``None`` when no template matches, or the
         #: typed error); ``_UNPLANNED`` when the run needs none
         self.plan = _UNPLANNED
+        #: a proven lower bound on the budget plan's size: the memo's
+        #: ``size_floor``, or this run's bound when a fresh tie exceeds that
+        self.bound = 0
 
     def add(self, index: int, instruction: CircuitInstruction) -> None:
         self.indices.append(index)
@@ -233,10 +249,10 @@ class ConsolidateBlocks(TransformationPass):
 
     def _needs_plan(self, block: _Block) -> bool:
         """Whether editing ``block`` may read its unitary's budget plan:
-        to price a fresh CX-count tie above the plan-size floor, or to
-        synthesize (a budget below the CX cost, a tie whose memoized plan
-        size wins, or ``force``).  Nothing is needed once the unitary's
-        synthesis is memoized."""
+        to price a fresh CX-count tie larger than its proven plan-size
+        bound, or to synthesize (a budget below the CX cost, a tie whose
+        memoized plan size wins, or ``force``).  Nothing is needed once the
+        unitary's synthesis is memoized."""
         memo = block.memo
         if memo.synthesized:
             return False
@@ -246,27 +262,58 @@ class ConsolidateBlocks(TransformationPass):
             return False
         size = len(block.instructions)
         if memo.plan_size is None:
-            return size > plan_size_floor(memo.budget)
+            return size > max(plan_size_floor(memo.budget), block.bound)
         return memo.plan_size < size
+
+    def _fresh_tie(self, block: _Block) -> bool:
+        """Whether ``block`` is a CX-count tie above the plan-size floor
+        whose unitary has no plan size yet."""
+        memo = block.memo
+        return (
+            not (self.force or memo.synthesized)
+            and memo.plan_size is None
+            and memo.budget == block.cx_cost
+            and len(block.instructions) > plan_size_floor(memo.budget)
+        )
 
     def _plan_blocks(
         self, blocks: list[_Block], unitaries: dict[int, np.ndarray], cache: AnalysisCache
     ) -> None:
-        """Decide, then price and plan in bulk.
+        """Decide, bound, then price and plan in bulk.
 
         One :meth:`AnalysisCache.syntheses` lookup gives every block its
-        memo (one stacked budget call for the unitaries new to the cache);
-        then one :func:`plan_two_qubit_unitaries` call makes the budget plan
-        of every unitary some block of the run may price or synthesize.
-        Every block of that unitary gets the plan, so whichever block reads
-        it first in event order finds it, exactly as if the plans had been
-        made one by one.
+        memo (one stacked budget call for the unitaries new to the cache).
+        Every block starts from its memo's proven plan-size floor; a fresh
+        CX-count tie above it gets its unitary's bound from one stacked
+        :func:`plan_size_bounds` call, so a tie no larger than its bound
+        needs no plan.  Then one :func:`plan_two_qubit_unitaries` call
+        makes the budget plan of every unitary some block of the run may
+        still price or synthesize.  Every block of that unitary gets the
+        plan, so whichever block reads it first in event order finds it,
+        exactly as if the plans had been made one by one.
         """
         memos = cache.syntheses([unitaries[id(block)] for block in blocks])
         groups: dict[int, list[_Block]] = {}
         for block, memo in zip(blocks, memos):
             block.memo = memo
+            block.bound = memo.size_floor
             groups.setdefault(id(memo), []).append(block)
+        unbounded = []  # (group, its largest fresh tie above the memo's floor)
+        for group in groups.values():
+            size = max(
+                (len(block.instructions) for block in group if self._fresh_tie(block)),
+                default=0,
+            )
+            if size > group[0].bound:
+                unbounded.append((group, size))
+        bounds = plan_size_bounds(
+            [unitaries[id(group[0])] for group, _ in unbounded],
+            [group[0].memo.budget for group, _ in unbounded],
+            [size for _, size in unbounded],
+        )
+        for (group, _), bound in zip(unbounded, bounds):
+            for block in group:
+                block.bound = bound
         planned = [
             group for group in groups.values() if any(map(self._needs_plan, group))
         ]
@@ -324,10 +371,12 @@ class ConsolidateBlocks(TransformationPass):
         can win: synthesis either returns it or escalates to more CNOTs
         than ``cx_cost``.  So a tie is rejected without building or
         checking a circuit when the block is no larger than the plan-size
-        floor (floor reject; the memo is left alone, since a larger block
-        of the same unitary must still be priced), or when its budget plan
-        -- made in bulk by ``_plan_blocks`` -- is missing or not smaller
-        than the block.  ``force`` bypasses all three rules.
+        floor (floor reject; the memo is left alone), no larger than its
+        unitary's proven bound (bound reject; the memo keeps the bound as
+        its ``size_floor``, so a larger block of the same unitary is still
+        priced), or when its budget plan -- made in bulk by
+        ``_plan_blocks`` -- is missing or not smaller than the block.
+        ``force`` bypasses all four rules.
         """
         memo = block.memo
         size = len(block.instructions)
@@ -344,6 +393,14 @@ class ConsolidateBlocks(TransformationPass):
             if fresh:
                 if size <= plan_size_floor(memo.budget):
                     cache.stats["synth_floor_rejects"] += 1
+                    return None
+                if size <= memo.size_floor:
+                    cache.stats["synth_memo_hits"] += 1
+                    return None
+                if size <= block.bound:
+                    memo.size_floor = block.bound
+                    cache.stats["synth_tie_rejects"] += 1
+                    cache.stats["synth_bound_rejects"] += 1
                     return None
                 if isinstance(block.plan, Exception):
                     cache.stats["synth_failures"] += 1

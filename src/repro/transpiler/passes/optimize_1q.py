@@ -1,9 +1,10 @@
 """Single-qubit gate fusion (``Optimize1qGates``).
 
 Merges maximal runs of one-qubit gates into at most one ``u1``/``u2``/``u3``
-gate, tracking global phase exactly.  The paper's pipeline runs this right
-before QPO (Fig. 8 line 7) so that the pure-state tracker sees fused ``u3``
-gates, and again inside the fixed-point loop.
+gate, tracking global phase exactly; a target basis with ``u3`` but no
+``u1`` (or ``u2``) gets ``u3`` in its place.  The paper's pipeline runs
+this right before QPO (Fig. 8 line 7) so that the pure-state tracker sees
+fused ``u3`` gates, and again inside the fixed-point loop.
 
 Annotations act as fences: merging a gate across an ``ANNOT`` would move it
 relative to the point where the programmer's promise holds.  So does a
@@ -42,7 +43,18 @@ _EPS = 1e-10
 
 
 class Optimize1qGates(TransformationPass):
-    """Fuse runs of adjacent one-qubit gates into minimal u-gates."""
+    """Fuse runs of adjacent one-qubit gates into minimal u-gates.
+
+    ``basis`` is the target's gate basis (``None``: the IBM ``u1``/``u2``/
+    ``u3`` set).  A basis with ``u3`` gets a ``u3`` in place of each
+    ``u1`` or ``u2`` it lacks; a basis without ``u3`` gets all three.
+    """
+
+    def __init__(self, basis=None):
+        if basis is None or "u3" not in basis:
+            basis = ("u1", "u2")
+        self.u1 = "u1" in basis
+        self.u2 = "u2" in basis
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)
@@ -101,16 +113,17 @@ class Optimize1qGates(TransformationPass):
             edits.append((indices, at, replacement, gamma))
         return circuit.splice(edits)
 
-    @staticmethod
-    def _gate(theta: float, phi: float, lam: float):
+    def _gate(self, theta: float, phi: float, lam: float):
         """The ``(u-gate class, params)`` of a run's Euler angles, or
         ``None`` when the run is the identity up to phase."""
         theta_n = normalize_angle(theta)
         if theta_n < _EPS or abs(theta_n - 2 * math.pi) < _EPS:
             # diagonal: a pure phase gate (or identity)
             total = normalize_angle(phi + lam)
-            return (U1Gate, [total]) if total > _EPS else None
-        if abs(theta_n - math.pi / 2) < _EPS:
+            if total <= _EPS:
+                return None
+            return (U1Gate, [total]) if self.u1 else (U3Gate, [0.0, 0.0, total])
+        if self.u2 and abs(theta_n - math.pi / 2) < _EPS:
             return U2Gate, [phi, lam]
         return U3Gate, [theta, phi, lam]
 

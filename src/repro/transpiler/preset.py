@@ -100,7 +100,7 @@ def optimization_loop(basis, *, commutative: bool, consolidate: bool) -> DoWhile
     passes: list[BasePass] = []
     if consolidate:
         passes += [ConsolidateBlocks(), Unroller(basis)]
-    passes.append(Optimize1qGates())
+    passes.append(Optimize1qGates(basis))
     if commutative:
         passes.append(CommutativeCancellation())
     passes += [CXCancellation(), Size(), FixedPoint("size")]
@@ -182,7 +182,7 @@ def level_3_pass_manager(
             target, dense=True, swap_trials=8, seed=seed, initial_layout=initial_layout
         )
     )
-    pm.append(Optimize1qGates())
+    pm.append(Optimize1qGates(target.basis))
     pm.append(optimization_loop(target.basis, commutative=True, consolidate=True))
     pm.append(RemoveDiagonalGatesBeforeMeasure())
     pm.append(RemoveAnnotations())

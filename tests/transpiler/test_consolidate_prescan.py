@@ -1,13 +1,16 @@
 """``ConsolidateBlocks``' CNOT-bound prescan, tie plans and synthesis memo.
 
 The shipped pass skips synthesis for blocks whose minimal CNOT count shows
-the rewrite cannot be kept, settles CX-count ties from the budget plan
-alone, and plans and synthesizes each distinct block unitary at most once
-per :class:`AnalysisCache`.  All of it must be invisible in the
+the rewrite cannot be kept, refutes CX-count ties no larger than their
+proven plan-size bound, settles the other ties from the budget plan alone,
+and plans and synthesizes each distinct block unitary at most once per
+:class:`AnalysisCache`.  All of it must be invisible in the
 output: every circuit is compared bit for bit (exact ``float.hex`` of every
 parameter and of the global phase) against :class:`OracleConsolidateBlocks`,
 which synthesizes every candidate block -- the pass as it was before the
-prescan and memo.
+prescan and memo -- and every block's kept/rejected decision is held to
+:class:`ExactTiePricingConsolidateBlocks`, the pass as it priced every
+tie from its exact plan before the bound.
 """
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.circuit import QuantumCircuit
 from repro.linalg.random import random_su2, random_unitary
 from repro.linalg.two_qubit_synthesis import (
     TwoQubitSynthesisError,
+    plan_size_bounds,
     plan_two_qubit_unitaries,
     synthesize_two_qubit_unitary,
 )
@@ -32,6 +36,7 @@ from repro.transpiler.passes import IBM_BASIS, ConsolidateBlocks
 from repro.transpiler.passmanager import PassManager, PropertySet
 
 from tests.helpers import assert_unitarily_equal, exact_form
+from tests.transpiler.exact_tie_pricing import ExactTiePricingConsolidateBlocks
 from tests.transpiler.presplice_passes import PreSpliceConsolidateBlocks
 
 
@@ -214,8 +219,8 @@ class TestOracleParity:
         circuit.cx(0, 1)
         circuit.cx(1, 0)
         circuit.barrier()
-        # budget == cx_cost < len, above the plan-size floor: planned,
-        # rejected (the plan is no smaller)
+        # budget == cx_cost < len, above the plan-size floor but not above
+        # its proven bound: rejected with no plan
         circuit.cx(0, 1)
         circuit.u1(0.3, 1)
         circuit.cx(0, 1)
@@ -239,6 +244,7 @@ class TestOracleParity:
         shipped, stats = assert_matches_oracle(circuit)
         assert stats["synth_prescan_skips"] == 1
         assert stats["synth_tie_rejects"] == 1
+        assert stats["synth_bound_rejects"] == 1
         assert stats["synth_attempts"] == 1
         assert stats["synth_kept"] == 1
         assert_unitarily_equal(circuit, shipped)
@@ -322,10 +328,15 @@ class TestSynthesisMemo:
         """What the pass hands to each step: ``plan`` (unitaries of the
         bulk plan call: ties to price and blocks to synthesize), ``plans``
         (the plans it returned), ``synth`` (unitaries synthesized, with
-        the ``planned`` pair each came with) and ``replan`` (unitaries
-        planned again inside synthesis)."""
-        calls = {"plan": [], "plans": [], "synth": [], "planned": [], "replan": []}
+        the ``planned`` pair each came with), ``replan`` (unitaries
+        planned again inside synthesis) and ``bound`` (unitaries of the
+        bulk plan-size bound call: fresh ties above the floor)."""
+        calls = {"plan": [], "plans": [], "synth": [], "planned": [], "replan": [], "bound": []}
         replan = two_qubit_synthesis.plan_two_qubit_unitaries
+
+        def counting_bounds(unitaries, cnots, sizes=None):
+            calls["bound"].extend(unitaries)
+            return plan_size_bounds(unitaries, cnots, sizes)
 
         def counting_plan(unitaries, cnots):
             calls["plan"].extend(unitaries)
@@ -344,13 +355,15 @@ class TestSynthesisMemo:
 
         monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", counting_plan)
         monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting_synth)
+        monkeypatch.setattr(consolidate, "plan_size_bounds", counting_bounds)
         monkeypatch.setattr(two_qubit_synthesis, "plan_two_qubit_unitaries", counting_replan)
         return calls
 
     @staticmethod
     def zz_blocks(k: int) -> QuantumCircuit:
         """``k`` identical cx-u1-cx-u1 blocks: CX-count ties above the
-        plan-size floor (4 gates, plan size 7), planned, never kept."""
+        plan-size floor (4 gates) that the bound refutes (not the template
+        up to phases: bound 4; plan size 7), with no plan."""
         circuit = QuantumCircuit(2)
         for _ in range(k):
             circuit.cx(0, 1)
@@ -358,6 +371,36 @@ class TestSynthesisMemo:
             circuit.cx(0, 1)
             circuit.u1(0.7, 1)
             circuit.barrier()
+        return circuit
+
+    @staticmethod
+    def priced_blocks(k: int, angles=(0.7,)) -> QuantumCircuit:
+        """``k`` identical cx-u1-u1-cx-u1 blocks per angle (the first
+        ``u1`` on the control): CX-count ties the bound cannot refute (5
+        gates, bound 4: the class is ``(a, 0, 0)``, so no ``Ry`` gate is
+        proven), planned (plan size 7), never kept."""
+        circuit = QuantumCircuit(2)
+        for angle in angles:
+            for _ in range(k):
+                circuit.cx(0, 1)
+                circuit.u1(0.4, 0)
+                circuit.u1(angle, 1)
+                circuit.cx(0, 1)
+                circuit.u1(angle, 1)
+                circuit.barrier()
+        return circuit
+
+    @staticmethod
+    def template_block(a: float, b: float, extra: bool) -> QuantumCircuit:
+        """The 2-CNOT plan template ``CX (Ry(-2b) (x) Rz(2a)) CX`` itself
+        (control qubit 1), plus an idle ``id`` when ``extra``."""
+        circuit = QuantumCircuit(2)
+        circuit.cx(1, 0)
+        circuit.ry(-2 * b, 1)
+        circuit.rz(2 * a, 0)
+        if extra:
+            circuit.id(0)
+        circuit.cx(1, 0)
         return circuit
 
     @staticmethod
@@ -388,13 +431,83 @@ class TestSynthesisMemo:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_identical_tie_blocks_plan_once(self, k, calls):
         props = PropertySet()
-        out = ConsolidateBlocks().run(self.zz_blocks(k), props)
-        assert (len(calls["plan"]), len(calls["synth"])) == (1, 0)
+        out = ConsolidateBlocks().run(self.priced_blocks(k), props)
+        assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (1, 1, 0)
         stats = AnalysisCache.ensure(props).stats
         assert stats["synth_tie_rejects"] == 1
+        assert stats["synth_bound_rejects"] == 0
         assert stats["synth_memo_hits"] == k - 1
         assert stats["synth_kept"] == 0
-        assert exact_form(out) == exact_form(self.zz_blocks(k))
+        assert exact_form(out) == exact_form(self.priced_blocks(k))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_bound_refutes_ties_without_a_plan(self, k, calls):
+        """A tie no larger than its unitary's proven plan-size bound is
+        rejected with one bound call and no plan; its repeats are memo
+        hits, as repeats of a priced tie are."""
+        props = PropertySet()
+        circuit = self.zz_blocks(k)
+        out = ConsolidateBlocks().run(circuit, props)
+        assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (1, 0, 0)
+        cache = AnalysisCache.ensure(props)
+        assert cache.stats["synth_bound_rejects"] == 1
+        assert cache.stats["synth_tie_rejects"] == 1
+        assert cache.stats["synth_memo_hits"] == k - 1
+        assert cache.stats["synth_kept"] == 0
+        [unitary, *_] = candidate_unitaries(circuit)
+        memo = cache.synthesis(unitary)
+        assert (memo.size_floor, memo.plan_size) == (4, None)
+        assert exact_form(out) == exact_form(circuit)
+        oracle = ExactTiePricingConsolidateBlocks().run(circuit, PropertySet())
+        assert exact_form(out) == exact_form(oracle)
+        # a later run sharing the cache refutes from the memo: no bound call
+        again = ConsolidateBlocks().run(circuit, props)
+        assert len(calls["bound"]) == 1
+        assert cache.stats["synth_memo_hits"] == 2 * k - 1
+        assert exact_form(again) == exact_form(circuit)
+
+    def test_the_bound_leaves_larger_blocks_to_the_plan(self, calls):
+        """A bound reject keeps the bound as the memo's floor, not as a plan
+        size: a later, larger block of the same unitary is still priced,
+        and rejected from its plan."""
+        circuit = self.zz_blocks(1)
+        circuit.cx(0, 1)
+        circuit.u1(0.7, 1)
+        circuit.cx(0, 1)
+        circuit.id(0)
+        circuit.u1(0.7, 1)
+        small, large = candidate_unitaries(circuit)
+        assert small.tobytes() == large.tobytes()
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        cache = AnalysisCache.ensure(props)
+        assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (1, 1, 0)
+        assert cache.stats["synth_bound_rejects"] == 1
+        assert cache.stats["synth_tie_rejects"] == 2
+        memo = cache.synthesis(small)
+        assert (memo.size_floor, memo.plan_size) == (4, 7)
+        assert exact_form(out) == exact_form(circuit)
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.2), (0.7, 0.4), (1.1, -0.5)])
+    def test_a_template_up_to_phases_is_priced(self, a, b, calls):
+        """The plan template itself is not refuted by the outer-factor test
+        (its bound is the 3-gate floor), so a 5-gate copy is planned; a
+        4-gate one is refuted by the ``Ry(-2b)`` stage alone."""
+        props = PropertySet()
+        ConsolidateBlocks().run(self.template_block(a, b, extra=True), props)
+        stats = AnalysisCache.ensure(props).stats
+        assert (len(calls["bound"]), len(calls["plan"])) == (1, 1)
+        assert stats["synth_bound_rejects"] == 0
+        assert stats["synth_tie_rejects"] + stats["synth_kept"] == 1
+        circuit = self.template_block(a, b, extra=False)
+        [unitary] = candidate_unitaries(circuit)
+        assert plan_size_bounds([unitary], [2]) == [3]
+        assert plan_size_bounds([unitary], [2], [4]) == [4]
+        props = PropertySet()
+        out = ConsolidateBlocks().run(circuit, props)
+        assert len(calls["plan"]) == 1
+        assert AnalysisCache.ensure(props).stats["synth_bound_rejects"] == 1
+        assert exact_form(out) == exact_form(circuit)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_identical_blocks_synthesize_once(self, k, calls):
@@ -429,7 +542,7 @@ class TestSynthesisMemo:
         manager.append(
             preset.optimization_loop(IBM_BASIS, commutative=True, consolidate=True)
         )
-        manager.run(self.zz_blocks(3))
+        manager.run(self.priced_blocks(3))
         assert per_invocation == [1, 0]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -520,18 +633,22 @@ class TestSynthesisMemo:
             batches.append(len(unitaries))
             return plan_two_qubit_unitaries(unitaries, cnots)
 
+        def recording_bounds(unitaries, cnots, sizes=None):
+            batches.append(("bound", len(unitaries)))
+            return plan_size_bounds(unitaries, cnots, sizes)
+
         monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", recording)
-        circuit = QuantumCircuit(2)
-        for angle in (0.3, 0.7, 1.1):
-            circuit.cx(0, 1)
-            circuit.u1(angle, 1)
-            circuit.cx(0, 1)
-            circuit.u1(angle, 1)
-            circuit.barrier()
+        monkeypatch.setattr(consolidate, "plan_size_bounds", recording_bounds)
+        circuit = self.priced_blocks(1, angles=(0.3, 0.7, 1.1))
+        circuit = circuit.compose(self.zz_blocks(1))
         props = PropertySet()
         out = ConsolidateBlocks().run(circuit, props)
-        assert batches == [3]
-        assert AnalysisCache.ensure(props).stats["synth_tie_rejects"] == 3
+        # the four ties are bounded in one call, and the three it cannot
+        # refute are priced in one
+        assert batches == [("bound", 4), 3]
+        stats = AnalysisCache.ensure(props).stats
+        assert stats["synth_tie_rejects"] == 4
+        assert stats["synth_bound_rejects"] == 1
         assert exact_form(out) == exact_form(circuit)
 
     def test_one_failing_tie_fails_alone(self, monkeypatch):
@@ -542,11 +659,7 @@ class TestSynthesisMemo:
             return plan_two_qubit_unitaries([1.1 * unitaries[0], *unitaries[1:]], cnots)
 
         monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", first_broken)
-        circuit = self.zz_blocks(1)
-        circuit.cx(0, 1)
-        circuit.u1(0.3, 1)
-        circuit.cx(0, 1)
-        circuit.u1(0.3, 1)
+        circuit = self.priced_blocks(1, angles=(0.7, 0.3))
         props = PropertySet()
         out = ConsolidateBlocks().run(circuit, props)
         stats = AnalysisCache.ensure(props).stats
@@ -556,7 +669,10 @@ class TestSynthesisMemo:
         assert exact_form(out) == exact_form(circuit)
 
     #: (step the pass calls, blocks that reach it)
-    STEPS = [("plan_two_qubit_unitaries", "zz_blocks"), ("synthesize_two_qubit_unitary", "redundant_blocks")]
+    STEPS = [
+        ("plan_two_qubit_unitaries", "priced_blocks"),
+        ("synthesize_two_qubit_unitary", "redundant_blocks"),
+    ]
 
     @pytest.mark.parametrize("step, blocks", STEPS)
     @pytest.mark.parametrize(
@@ -613,7 +729,7 @@ class TestSynthesisMemo:
         assert "s" not in out.count_ops()
         assert_unitarily_equal(circuit, out)
 
-    @pytest.mark.parametrize("step, blocks", STEPS)
+    @pytest.mark.parametrize("step, blocks", [*STEPS, ("plan_size_bounds", "zz_blocks")])
     def test_unexpected_errors_propagate(self, step, blocks, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("bug")
@@ -677,6 +793,7 @@ class TestTableIIContract:
 
         calls = []
         runs = []  # (budget calls, plan calls) of each ConsolidateBlocks run
+        planned = []  # unitaries handed to each bulk plan call
         made_plans = []  # every plan the bulk calls made, kept alive
         plans = set()  # and their ids
 
@@ -691,6 +808,7 @@ class TestTableIIContract:
 
         def counting_plans(unitaries, cnots):
             runs[-1][1] += 1
+            planned.append(len(unitaries))
             made = plan_two_qubit_unitaries(unitaries, cnots)
             made_plans.extend(made)
             plans.update(map(id, made))
@@ -728,3 +846,106 @@ class TestTableIIContract:
         # every one of the 908 tie plans the pass used to make was rejected;
         # the floor now rejects the 198 smallest of them (and their repeats)
         assert stats["synth_floor_rejects"] >= 198
+        # exact pricing planned 912 unitaries per pass, 710 of them for
+        # fresh ties; the bound refutes 656 of those ties with no plan, and
+        # every fresh tie is still rejected
+        assert sum(planned) == 256
+        assert stats["synth_tie_rejects"] == 710
+        assert stats["synth_bound_rejects"] == 656
+
+
+def recording(pass_class, log: list):
+    """``pass_class`` logging ``(block input indices, rewritten)`` for
+    every block it edits, in edit order."""
+
+    class Recording(pass_class):
+        def _edit(self, block, at, unitary, rewrites, cache):
+            edit = super()._edit(block, at, unitary, rewrites, cache)
+            log.append((tuple(block.indices), edit[2] is not block.indices))
+            return edit
+
+    return Recording
+
+
+def unrolled_circuit(seed: int, num_qubits: int, depth: int = 80) -> QuantumCircuit:
+    """Random ``cx`` and ``u1``/``u2``/``u3`` gates, as the loop sees
+    them after unrolling: mostly CX-count ties."""
+    rng = np.random.default_rng([seed, num_qubits])
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(depth):
+        roll = rng.random()
+        qubit = int(rng.integers(num_qubits))
+        angles = [float(x) for x in rng.uniform(-np.pi, np.pi, 3)]
+        if roll < 0.45:
+            a, b = (int(q) for q in rng.choice(num_qubits, size=2, replace=False))
+            circuit.cx(a, b)
+        elif roll < 0.7:
+            circuit.u1(angles[0], qubit)
+        elif roll < 0.85:
+            circuit.u2(angles[0], angles[1], qubit)
+        else:
+            circuit.u3(*angles, qubit)
+    return circuit
+
+
+class TestExactTiePricingParity:
+    """The bound only refutes ties exact pricing rejects: every block's
+    kept/rejected decision and every output bit match
+    :class:`ExactTiePricingConsolidateBlocks`, which prices every tie from
+    its plan."""
+
+    @staticmethod
+    def both(circuit: QuantumCircuit, force: bool = False):
+        shipped_log, oracle_log = [], []
+        props = PropertySet()
+        shipped = recording(ConsolidateBlocks, shipped_log)(force=force).run(circuit, props)
+        oracle = recording(ExactTiePricingConsolidateBlocks, oracle_log)(force=force).run(
+            circuit, PropertySet()
+        )
+        assert shipped_log == oracle_log
+        assert exact_form(shipped) == exact_form(oracle)
+        return AnalysisCache.ensure(props).stats
+
+    def test_random_circuits(self):
+        refuted = 0
+        for num_qubits in (2, 3, 4):
+            for seed in range(12):
+                refuted += self.both(random_block_circuit(seed, num_qubits))["synth_bound_rejects"]
+                stats = self.both(unrolled_circuit(seed, num_qubits))
+                refuted += stats["synth_bound_rejects"]
+        assert refuted > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forced_resynthesis(self, seed):
+        stats = self.both(unrolled_circuit(seed, 3), force=True)
+        assert stats["synth_bound_rejects"] == 0
+
+    def test_seed_1_table_ii_compiles(self, monkeypatch):
+        import os
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        monkeypatch.syspath_prepend(os.path.join(root, "e2e_bench"))
+        from workloads import TARGET, table2_jobs
+
+        def compile_all(pass_class):
+            log = []
+            monkeypatch.setattr(preset, "ConsolidateBlocks", recording(pass_class, log))
+            outputs = [
+                exact_form(
+                    transpile(
+                        job.circuit.copy(),
+                        target=TARGET,
+                        pipeline=job.pipeline,
+                        seed=job.seed,
+                        analysis_cache=AnalysisCache(),
+                    )
+                )
+                for job in table2_jobs(1)
+            ]
+            return outputs, log
+
+        shipped, shipped_log = compile_all(ConsolidateBlocks)
+        oracle, oracle_log = compile_all(ExactTiePricingConsolidateBlocks)
+        assert shipped_log == oracle_log
+        assert sum(rewritten for _, rewritten in shipped_log) == 451
+        assert shipped == oracle

@@ -645,8 +645,14 @@ class TestAutosave:
         service.map(
             [quantum_phase_estimation(3)], targets=melbourne.target(), seeds=[0]
         )
+        # a tick that fires before the compile lands writes an empty
+        # snapshot, and the counter moves only after the file does: wait
+        # for a tick after the compile and for its count
+        def warm() -> bool:
+            return os.path.exists(path) and ResultCache().load_snapshot(path) > 0
+
         deadline = time.time() + 10
-        while not os.path.exists(path) and time.time() < deadline:
+        while not (warm() and service.stats()["autosaves"] >= 1) and time.time() < deadline:
             time.sleep(0.05)
         assert os.path.exists(path)
         assert service.stats()["autosaves"] >= 1

@@ -384,3 +384,82 @@ class TestOneTargetSpelling:
     def test_loose_device_keywords_are_gone(self, keyword):
         with pytest.raises(TypeError, match=keyword):
             transpile(QuantumCircuit(2), **{keyword: None})
+
+
+class TestU3OnlyBasis:
+    """A target whose basis has ``u3`` but neither ``u1`` nor ``u2`` gets
+    only ``u3`` one-qubit gates from every pipeline, and the IBM basis keeps
+    its ``u1``/``u2``/``u3`` outputs bit for bit."""
+
+    BASIS = ("u3", "cx")
+
+    @pytest.mark.parametrize(
+        "pipeline", ["level0", "level1", "level2", "level3", "rpo", "hoare"]
+    )
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_every_pipeline_stays_in_the_basis(self, pipeline, seed):
+        from tests.helpers import random_circuit
+
+        target = Target(CouplingMap.line(3), basis=self.BASIS)
+        circuit = random_circuit(3, 15, seed=seed, measure=True)
+        compiled = transpile(
+            circuit, target=target, pipeline=pipeline, seed=1, validate="full"
+        )
+        names = {instruction.operation.name for instruction in compiled.data}
+        assert names <= set(self.BASIS) | {"measure", "barrier"}
+        assert "u3" in names
+
+    def test_fused_runs_are_single_u3_gates(self):
+        import numpy as np
+
+        from repro.transpiler.passes import Optimize1qGates
+        from repro.transpiler.passmanager import PropertySet
+
+        from tests.helpers import assert_unitarily_equal
+
+        circuit = QuantumCircuit(3)
+        circuit.h(0).s(0)  # a u2
+        circuit.t(1).s(1)  # a u1
+        circuit.rx(0.3, 2).rz(0.2, 2)  # a u3
+        circuit.cx(0, 1)
+        circuit.z(2).z(2)  # the identity: no gate
+        out = Optimize1qGates(self.BASIS).run(circuit, PropertySet())
+        assert dict(out.count_ops()) == {"u3": 3, "cx": 1}
+        assert_unitarily_equal(circuit, out)
+        [diagonal] = [
+            instruction.operation.params
+            for instruction in out.data
+            if instruction.qubits == (1,)
+        ]
+        assert diagonal[:2] == [0.0, 0.0] and np.isclose(diagonal[2], 3 * np.pi / 4)
+
+    @pytest.mark.parametrize(
+        "basis, expected",
+        [(("u1", "u3", "cx"), {"u1", "u3"}), (("u2", "u3", "cx"), {"u2", "u3"})],
+    )
+    def test_partial_bases_get_u3_for_what_they_lack(self, basis, expected):
+        from repro.transpiler.passes import Optimize1qGates
+        from repro.transpiler.passmanager import PropertySet
+
+        from tests.helpers import assert_unitarily_equal
+
+        circuit = QuantumCircuit(3)
+        circuit.h(0).s(0)  # a u2
+        circuit.t(1).s(1)  # a u1
+        circuit.rx(0.3, 2).rz(0.2, 2)  # a u3
+        out = Optimize1qGates(basis).run(circuit, PropertySet())
+        assert set(out.count_ops()) == expected
+        assert out.size() == 3
+        assert_unitarily_equal(circuit, out)
+
+    def test_ibm_basis_output_is_unchanged(self):
+        from repro.transpiler.passes import Optimize1qGates
+        from repro.transpiler.passmanager import PropertySet
+
+        from tests.helpers import exact_form, random_circuit
+
+        circuit = random_circuit(4, 60, seed=3)
+        default = Optimize1qGates().run(circuit, PropertySet())
+        ibm = Optimize1qGates(IBM_BASIS).run(circuit, PropertySet())
+        assert exact_form(default) == exact_form(ibm)
+        assert {"u1", "u2"} & set(default.count_ops())
