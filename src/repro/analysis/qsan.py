@@ -31,9 +31,10 @@ A ``"unitary"``-contract pass whose output one
 every edit *in place*, is proved first by the **window tier**, at any
 width.  An in-place edit either changes only the phase, or removes one
 gate record ``r`` that has no clbits and inserts gates on a subset of
-``r``'s qubits at ``r``'s own index (the Unroller's edits are all of this
-kind).  Each such window compares ``r``'s matrix with the product of its
-replacement on ``r``'s wires, batched by width
+``r``'s qubits at ``r``'s own index.  The Unroller's edits are all of this
+kind, and so are those of an ``Optimize1qGates`` run that only rebuilds
+one-gate runs.  Each such window compares ``r``'s matrix with the product
+of its replacement on ``r``'s wires, batched by width
 (:func:`~repro.linalg.batch.chain_products` for one qubit,
 :func:`~repro.linalg.batch.two_qubit_chain_unitaries` for two, one small
 unitary per wider window).  The check is proven when every window passes
@@ -44,6 +45,11 @@ only while it checks that pass (:meth:`QsanValidator.watch`); they are
 dropped by the check and never stored on a circuit.  Every record outside
 the windows must be the very same object in both circuits, so the proof
 holds whatever the edits claimed.
+
+No pass moves a record it keeps: every edit puts its replacement at the
+last record it removes.  So an edit that removes several records (a fused
+run, a consolidated block, a cancelled pair) also leaves every record
+around it in place, but this tier does not prove such edits yet.
 
 Anything not proven, or not in place, goes on to the tiers below exactly
 as before.  Only where those tiers end at the fingerprint (a wide or

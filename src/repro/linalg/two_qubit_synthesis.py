@@ -159,25 +159,24 @@ _CX_LITTLE_ENDIAN = {
 #: block per value of the other wire.
 _WIRE_BLOCKS = {0: (slice(0, 2), slice(2, 4)), 1: (slice(0, 3, 2), slice(1, 4, 2))}
 
-#: ``np.allclose(m, I, atol=1e-12)`` spelled out: ``atol + rtol * |I_ij|``
-#: with numpy's default ``rtol = 1e-5``.
-_DIAGONAL_TOL = 1e-12 + 1e-5
-_OFF_DIAGONAL_TOL = 1e-12
+#: how far from the identity, entry by entry, a one-qubit layer may be
+#: and still be dropped
+_IDENTITY_TOL = 1e-12
 
 
 def _near_identity(matrix: np.ndarray) -> bool:
-    """``np.allclose(matrix, I, atol=1e-12)`` for a 2x2 matrix, on the four
-    entries of ``|matrix - I|`` (NaN fails).
+    """``np.allclose(matrix, I, rtol=0, atol=1e-12)`` for a 2x2 matrix, on
+    the four entries of ``|matrix - I|`` (NaN fails).
 
     The distances come from numpy's own complex ``abs``, as in
     ``np.allclose``: ``math.hypot`` differs from it in the last bit.
     """
     (d00, d01), (d10, d11) = np.abs(matrix - _ID).tolist()
     return (
-        d00 <= _DIAGONAL_TOL
-        and d11 <= _DIAGONAL_TOL
-        and d01 <= _OFF_DIAGONAL_TOL
-        and d10 <= _OFF_DIAGONAL_TOL
+        d00 <= _IDENTITY_TOL
+        and d01 <= _IDENTITY_TOL
+        and d10 <= _IDENTITY_TOL
+        and d11 <= _IDENTITY_TOL
     )
 
 
@@ -380,9 +379,9 @@ _TEMPLATE_FRAMES = {
 
 #: a unitary whose template-frame product has an off-diagonal entry above
 #: this is not its template up to phases.  Outer factors the plan drops are
-#: within ~1e-5 of a phase, and a plan that is kept matches its unitary to
-#: ``allclose`` (atol 1e-7, rtol 1e-5), so such a plan's product stays
-#: below ~1e-4: no plan that could be kept is refuted.
+#: within ~1e-12 of a phase, and a plan that is kept matches its unitary to
+#: 1e-7 per entry (``allclose`` with ``rtol=0``), so such a plan's product
+#: stays below ~1e-6: no plan that could be kept is refuted.
 _TEMPLATE_MARGIN = 1e-3
 
 _OFF_ROWS, _OFF_COLUMNS = np.nonzero(~np.eye(4, dtype=bool))
@@ -441,9 +440,10 @@ def synthesize_two_qubit_unitary(
 ):
     """Synthesise ``unitary`` into a circuit with the minimal CNOT count.
 
-    The result reproduces the target exactly, including global phase: each
-    candidate plan is multiplied out and checked against the target, and
-    only the plan that passes is built into a circuit.
+    The result reproduces the target, global phase included, to
+    ``max(atol, 1e-7)`` in every entry: each candidate plan is multiplied
+    out and checked against the target, and only the plan that passes is
+    built into a circuit.
 
     ``planned`` is ``(budget, plan)`` when the caller made them in bulk:
     ``budget`` is ``num_cnots_required(unitary, atol)`` and ``plan`` the item
@@ -465,7 +465,7 @@ def synthesize_two_qubit_unitary(
     for cnots in range(budget, 4):
         if cnots > budget:
             plan = plan_two_qubit_unitary(unitary, cnots)
-        if plan is not None and np.allclose(plan.matrix(), unitary, atol=max(atol, 1e-7)):
+        if plan is not None and np.allclose(plan.matrix(), unitary, rtol=0, atol=max(atol, 1e-7)):
             return plan.circuit()
     raise TwoQubitSynthesisError("exhausted all CNOT budgets")
 

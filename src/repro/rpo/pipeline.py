@@ -14,11 +14,16 @@ additions of Fig. 8::
     9  while not <fixed point>:
    10      <optimizations>
 
+and nothing else: the loop's optimizations are level 3's
+(``ConsolidateBlocks``, ``Unroller(basis_gates)``, ``Optimize1qGates``,
+the cancellations), and its ``Unroller`` lowers the ``swap``/``swapz``
+gates QPO leaves.
+
 The early QBO cascades through the rest of the pipeline: any gate it
 removes up front is one gate fewer for every later pass.  The paper credits
 this for RPO's reduced transpile times despite the extra passes; on our
 Table II quick rows it does not pay for them yet: RPO's mean transpile time
-is 1.24-1.27x level 3's (``benchmarks/bench_table2_main.py --quick``, the
+is 1.18-1.23x level 3's (``benchmarks/bench_table2_main.py --quick``, the
 median of 15 warm repeats per cell, 3 runs on a shared 2-core x86_64 host).
 The second QBO targets the routing-inserted SWAPs; QPO runs once outside
 the fixed-point loop because the loop's optimizations preserve the state
@@ -113,8 +118,6 @@ def rpo_pass_manager(
     pm.append(Unroller(basis + ("swap", "swapz")))         # line 6
     pm.append(Optimize1qGates(basis))                      # line 7
     pm.append(QPOPass(optimize_blocks=enable_qpo_blocks))  # line 8
-    pm.append(Unroller(basis))  # lower remaining swap/swapz before the loop
-    pm.append(Optimize1qGates(basis))
     pm.append(                                             # lines 9-10
         optimization_loop(basis, commutative=True, consolidate=True)
     )

@@ -19,6 +19,11 @@ fusion, per the pipeline of Fig. 8.  Two phases:
 two-qubit block whose *input* states are both known acts on a known product
 state; the block (up to 3 CNOTs after consolidation) is replaced by the
 universal one-CNOT preparation of its *output* state.
+
+Each phase returns one :meth:`~repro.circuit.QuantumCircuit.splice` of its
+input that edits only what it rewrites: a replaced gate or block goes at
+its own last record, and every other record stays where it is, so a phase
+that rewrites nothing returns its input.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import threading
 import numpy as np
 
 from repro.circuit.instruction import ControlledGate
-from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.gates import SwapGate, SwapZGate, UnitaryGate, XGate, ZGate
 from repro.rpo.adjacency import same_pair_adjacent_indices
@@ -244,27 +249,26 @@ class QPOPass(TransformationPass):
     def _rewrite_blocks(self, circuit: QuantumCircuit) -> QuantumCircuit:
         tracker = PureStateTracker(circuit.num_qubits)
         data = circuit.data
-        edits: list[tuple] = []  # one per flushed block or held-gate run
+        edits: list[tuple] = []  # one per replaced block
         open_blocks: dict[int, "_PureBlock"] = {}
         pending: dict[int, list[int]] = {}  # qubit -> held 1q input indices
 
-        def flush_pending(qubit: int, at: int) -> None:
-            held = pending.pop(qubit, None)
-            if held is not None:
-                for index in held:
-                    self._track(data[index], tracker)
-                edits.append((held, at, held, NO_PHASE))
+        def flush_pending(qubit: int) -> None:
+            for index in pending.pop(qubit, ()):
+                self._track(data[index], tracker)
 
-        def flush_block(block: "_PureBlock", at: int) -> None:
+        def flush_block(block: "_PureBlock") -> None:
             for qubit in block.pair:
                 open_blocks.pop(qubit, None)
-            edits.append(self._block_edit(block, at, tracker))
+            edit = self._block_edit(block, tracker)
+            if edit is not None:
+                edits.append(edit)
 
-        def flush_qubit(qubit: int, at: int) -> None:
+        def flush_qubit(qubit: int) -> None:
             block = open_blocks.get(qubit)
             if block is not None:
-                flush_block(block, at)
-            flush_pending(qubit, at)
+                flush_block(block)
+            flush_pending(qubit)
 
         for index, instruction in enumerate(data):
             operation = instruction.operation
@@ -292,7 +296,7 @@ class QPOPass(TransformationPass):
                 for qubit in (a, b):
                     old_block = open_blocks.get(qubit)
                     if old_block is not None:
-                        flush_block(old_block, index)
+                        flush_block(old_block)
                 # the tracker has not replayed the held 1q gates, so its
                 # state is the block-input state; the held gates join the
                 # block and are accounted for in its matrix
@@ -304,14 +308,13 @@ class QPOPass(TransformationPass):
                 block.add(index, instruction)
                 continue
             for qubit in qubits:
-                flush_qubit(qubit, index)
+                flush_qubit(qubit)
             self._track(instruction, tracker)
 
-        end = len(data)
         for block in dict.fromkeys(open_blocks.values()):
-            flush_block(block, end)
+            flush_block(block)
         for qubit in sorted(pending):
-            flush_pending(qubit, end)
+            flush_pending(qubit)
         return circuit.splice(edits)
 
     def _track(self, instruction, tracker) -> None:
@@ -335,9 +338,9 @@ class QPOPass(TransformationPass):
         else:
             tracker.invalidate(qubits)
 
-    def _block_edit(self, block: "_PureBlock", at: int, tracker) -> tuple:
-        """The block's splice edit: kept, or its output state's preparation."""
-        kept = (block.indices, at, block.indices, NO_PHASE)
+    def _block_edit(self, block: "_PureBlock", tracker) -> tuple | None:
+        """The splice edit that puts the preparation of the block's output
+        state at its last record, or ``None`` when the block stays."""
         input_states = block.input_states
         replaceable = (
             block.num_2q >= 2
@@ -348,7 +351,7 @@ class QPOPass(TransformationPass):
         if unitary is None:  # not replaceable, or an opaque gate inside
             for instruction in block.instructions:
                 self._track(instruction, tracker)
-            return kept
+            return None
         from repro.linalg.two_qubit_synthesis import two_qubit_state_prep_circuit
         from repro.linalg.euler import u3_matrix
         from repro.linalg.state_prep import schmidt_decomposition
@@ -364,7 +367,7 @@ class QPOPass(TransformationPass):
         if new_2q >= block.num_2q:
             for instruction in block.instructions:
                 self._track(instruction, tracker)
-            return kept
+            return None
         self._run_state.rewrites[self.name] += 1
         # replacement must act on |00>: undo the known input states first
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
@@ -385,7 +388,7 @@ class QPOPass(TransformationPass):
             tracker.set_state(low, prepare_one_qubit_state(right_basis[:, 0]))
         else:
             tracker.invalidate(block.pair)
-        return block.indices, at, records, prep.global_phase
+        return block.indices, block.indices[-1], records, prep.global_phase
 
 
 class _PureBlock:

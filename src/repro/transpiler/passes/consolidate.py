@@ -13,9 +13,8 @@ QBO/QPO do.
 The pass runs in five steps and returns its output as one
 :meth:`~repro.circuit.QuantumCircuit.splice` of its input:
 
-1. **collect** -- a linear scan records every block of the circuit, the
-   one-qubit gates no block claimed, and the record each group is flushed
-   before (or the end);
+1. **collect** -- a linear scan records every block of the circuit, in
+   the order the blocks close;
 2. **batched matrices** -- all block unitaries are computed in one batched
    reduction (:func:`repro.linalg.batch.two_qubit_chain_unitaries` --
    per-gate matrices stacked, 1q gates embedded on stacked operands,
@@ -49,10 +48,11 @@ The pass runs in five steps and returns its output as one
    gate tuples, no circuit, no check) over the stacked Weyl kernel; a tie
    is rejected when there is no plan or it is not smaller than the block;
 5. **edit, building and verifying only what is kept** -- one edit per
-   group, in flush order, moves the group's records to its flush point:
-   kept blocks and held gates are carried by reference, and a block
-   replaced by its re-synthesis adds that circuit's phase.  Tie winners
-   and blocks whose budget is below their CX cost go to
+   kept rewrite, in close order, removes the block's records and puts its
+   re-synthesis at the block's last record, adding that circuit's phase.
+   Every other record stays where it is, so a run that keeps no rewrite
+   returns its input.  Tie winners and blocks whose budget is below their
+   CX cost go to
    :func:`~repro.linalg.two_qubit_synthesis.synthesize_two_qubit_unitary`
    with their budget and bulk-made plan, so a winning tie is built from
    the plan that priced it.  Synthesis multiplies the plan out, checks it
@@ -80,7 +80,7 @@ import math
 
 import numpy as np
 
-from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
+from repro.circuit.quantumcircuit import CircuitInstruction, QuantumCircuit
 from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.linalg.two_qubit_synthesis import (
     SYNTHESIS_ERRORS,
@@ -93,8 +93,6 @@ from repro.transpiler.cache import AnalysisCache, SynthesisMemo, rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["ConsolidateBlocks"]
-
-_BLOCK_MIN_2Q = 2  # only consolidate blocks with at least this many 2q gates
 
 _UNPLANNED = object()  # ``_Block.plan`` of a block whose unitary was not planned
 
@@ -140,31 +138,27 @@ class ConsolidateBlocks(TransformationPass):
     """Collect and re-synthesise two-qubit blocks (Collect2qBlocks +
     ConsolidateBlocks rolled into one linear scan)."""
 
-    def __init__(self, force: bool = False):
-        # ``force`` re-synthesises even when the CNOT count does not drop
-        # (useful in tests); the preset pipelines keep the default.
-        self.force = force
+    #: blocks with fewer two-qubit gates are left as they are
+    _MIN_2Q = 2
 
-    def collect(self, circuit: QuantumCircuit) -> list[tuple[int, object]]:
-        """Scan ``circuit`` into ``(at, group)`` events in flush order.
+    def collect(self, circuit: QuantumCircuit) -> list[_Block]:
+        """Scan ``circuit`` into its two-qubit blocks, in the order they
+        close.
 
-        A group is a completed :class:`_Block`, or the input indices of
-        one-qubit gates held on a qubit that no block claimed; it goes just
-        before record ``at``, the record that flushes it, or at the end.
+        A block opens at a two-qubit gate and takes every later gate on its
+        pair until a record from outside touches one of its wires, or the
+        circuit ends.  One-qubit gates on a wire no block holds belong to
+        none.
         """
-        events: list[tuple[int, object]] = []
-        pending_1q: dict[int, list[int]] = {}
+        blocks: list[_Block] = []
         block_of: dict[int, _Block] = {}
 
-        def flush_qubit(qubit: int, at: int) -> None:
+        def close(qubit: int) -> None:
             block = block_of.get(qubit)
             if block is not None:
                 for wire in block.pair:
-                    block_of.pop(wire, None)
-                events.append((at, block))
-            held = pending_1q.pop(qubit, None)
-            if held is not None:
-                events.append((at, held))
+                    del block_of[wire]
+                blocks.append(block)
 
         for index, instruction in enumerate(circuit.data):
             operation = instruction.operation
@@ -177,12 +171,9 @@ class ConsolidateBlocks(TransformationPass):
                 and _has_matrix(operation)
             )
             if is_simple_gate and len(qubits) == 1:
-                qubit = qubits[0]
-                block = block_of.get(qubit)
+                block = block_of.get(qubits[0])
                 if block is not None:
                     block.add(index, instruction)
-                else:
-                    pending_1q.setdefault(qubit, []).append(index)
                 continue
             if is_simple_gate:
                 a, b = qubits
@@ -191,23 +182,18 @@ class ConsolidateBlocks(TransformationPass):
                 if block is not None and block is block_of.get(b) and block.pair == pair:
                     block.add(index, instruction)
                     continue
-                # held one-qubit gates flush here too: a new block starts
-                # with its two-qubit gate
-                flush_qubit(a, index)
-                flush_qubit(b, index)
+                close(a)
+                close(b)
                 block = block_of[a] = block_of[b] = _Block(pair)
                 block.add(index, instruction)
                 continue
-            # anything else -- a gate with no matrix included -- fences the
-            # touched qubits and stays where it is
+            # anything else -- a gate with no matrix included -- closes the
+            # blocks on the touched qubits
             for qubit in qubits:
-                flush_qubit(qubit, index)
+                close(qubit)
 
-        end = len(circuit.data)
-        for block in dict.fromkeys(block_of.values()):
-            events.append((end, block))
-        events.extend((end, pending_1q[qubit]) for qubit in sorted(pending_1q))
-        return events
+        blocks.extend(dict.fromkeys(block_of.values()))
+        return blocks
 
     def _block_matrices(self, blocks: list[_Block]) -> dict[int, np.ndarray]:
         """4x4 unitaries of every block, keyed by ``id(block)``: every block
@@ -229,34 +215,42 @@ class ConsolidateBlocks(TransformationPass):
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
-        events = self.collect(circuit)
-        candidates = [
-            group
-            for _, group in events
-            if type(group) is _Block and (group.num_2q >= _BLOCK_MIN_2Q or self.force)
-        ]
-        unitaries = self._block_matrices(candidates)
-        self._plan_blocks(candidates, unitaries, cache)
+        blocks = [block for block in self.collect(circuit) if block.num_2q >= self._MIN_2Q]
+        unitaries = self._block_matrices(blocks)
+        self._plan_blocks(blocks, unitaries, cache)
         edits = []
-        for at, group in events:
-            if type(group) is _Block:
-                edits.append(
-                    self._edit(group, at, unitaries.get(id(group)), rewrites, cache)
-                )
-            else:
-                edits.append((group, at, group, NO_PHASE))
+        for block in blocks:
+            replacement = self._replacement(block, unitaries[id(block)], cache)
+            if replacement is None or not self._improves(block, replacement):
+                continue
+            rewrites[self.name] += 1
+            cache.stats["synth_kept"] += 1
+            records = [
+                (inner.operation, tuple(block.pair[q] for q in inner.qubits), ())
+                for inner in replacement.data
+            ]
+            edits.append((block.indices, block.indices[-1], records, replacement.global_phase))
         return circuit.splice(edits)
+
+    @staticmethod
+    def _improves(block: _Block, replacement: QuantumCircuit) -> bool:
+        """Whether ``replacement`` has fewer CNOTs than the block's CX cost,
+        or as many and fewer gates."""
+        new_2q = replacement.num_nonlocal_gates()
+        return new_2q < block.cx_cost or (
+            new_2q == block.cx_cost and replacement.size() < len(block.instructions)
+        )
 
     def _needs_plan(self, block: _Block) -> bool:
         """Whether editing ``block`` may read its unitary's budget plan:
         to price a fresh CX-count tie larger than its proven plan-size
-        bound, or to synthesize (a budget below the CX cost, a tie whose
-        memoized plan size wins, or ``force``).  Nothing is needed once the
-        unitary's synthesis is memoized."""
+        bound, or to synthesize (a budget below the CX cost, or a tie whose
+        memoized plan size wins).  Nothing is needed once the unitary's
+        synthesis is memoized."""
         memo = block.memo
         if memo.synthesized:
             return False
-        if self.force or memo.budget < block.cx_cost:
+        if memo.budget < block.cx_cost:
             return True
         if memo.budget > block.cx_cost:
             return False
@@ -270,7 +264,7 @@ class ConsolidateBlocks(TransformationPass):
         whose unitary has no plan size yet."""
         memo = block.memo
         return (
-            not (self.force or memo.synthesized)
+            not memo.synthesized
             and memo.plan_size is None
             and memo.budget == block.cx_cost
             and len(block.instructions) > plan_size_floor(memo.budget)
@@ -289,7 +283,7 @@ class ConsolidateBlocks(TransformationPass):
         needs no plan.  Then one :func:`plan_two_qubit_unitaries` call
         makes the budget plan of every unitary some block of the run may
         still price or synthesize.  Every block of that unitary gets the
-        plan, so whichever block reads it first in event order finds it,
+        plan, so whichever block reads it first in close order finds it,
         exactly as if the plans had been made one by one.
         """
         memos = cache.syntheses([unitaries[id(block)] for block in blocks])
@@ -327,37 +321,6 @@ class ConsolidateBlocks(TransformationPass):
             for block in group:
                 block.plan = plan
 
-    def _edit(
-        self,
-        block: _Block,
-        at: int,
-        unitary: np.ndarray | None,
-        rewrites,
-        cache: AnalysisCache,
-    ) -> tuple:
-        """The block's splice edit: its records carried as they are, or
-        its kept re-synthesis with that circuit's phase."""
-        kept = (block.indices, at, block.indices, NO_PHASE)
-        if unitary is None:  # below the 2q-count threshold: not consolidated
-            return kept
-        replacement = self._replacement(block, unitary, cache)
-        if replacement is None:
-            return kept
-        new_2q = replacement.num_nonlocal_gates()
-        better = new_2q < block.cx_cost or (
-            new_2q == block.cx_cost
-            and replacement.size() < len(block.instructions)
-        )
-        if not (better or self.force):
-            return kept
-        rewrites[self.name] += 1
-        cache.stats["synth_kept"] += 1
-        records = [
-            (inner.operation, tuple(block.pair[q] for q in inner.qubits), ())
-            for inner in replacement.data
-        ]
-        return block.indices, at, records, replacement.global_phase
-
     def _replacement(
         self, block: _Block, unitary: np.ndarray, cache: AnalysisCache
     ) -> QuantumCircuit | None:
@@ -366,7 +329,7 @@ class ConsolidateBlocks(TransformationPass):
 
         A replacement never has fewer CNOTs than the budget, nor fewer
         gates, so a budget above ``cx_cost`` -- or equal to it on a block
-        of at most ``budget`` gates -- is a rewrite ``_edit`` would
+        of at most ``budget`` gates -- is a rewrite ``_improves`` would
         reject (prescan).  On any other CX-count tie only the budget plan
         can win: synthesis either returns it or escalates to more CNOTs
         than ``cx_cost``.  So a tie is rejected without building or
@@ -376,19 +339,18 @@ class ConsolidateBlocks(TransformationPass):
         its ``size_floor``, so a larger block of the same unitary is still
         priced), or when its budget plan -- made in bulk by
         ``_plan_blocks`` -- is missing or not smaller than the block.
-        ``force`` bypasses all four rules.
         """
         memo = block.memo
         size = len(block.instructions)
         tie = memo.budget == block.cx_cost
         cannot_win = memo.budget > block.cx_cost or (tie and size <= memo.budget)
-        if cannot_win and not self.force:
+        if cannot_win:
             cache.stats["synth_prescan_skips"] += 1
             return None
         if memo.synthesized:
             cache.stats["synth_memo_hits"] += 1
             return memo.replacement
-        if tie and not self.force:
+        if tie:
             fresh = memo.plan_size is None
             if fresh:
                 if size <= plan_size_floor(memo.budget):

@@ -14,12 +14,12 @@ One scan collects every run of the circuit, all run products are computed
 in a single stacked reduction (:func:`repro.linalg.batch.chain_products`)
 and the Euler angles of every merged run come from one stacked extraction
 (:func:`repro.linalg.batch.u3_params_batch`).  Each run becomes one
-:meth:`~repro.circuit.QuantumCircuit.splice` edit: it removes the run's
-records and puts its fused gate -- or, for a one-gate run that comes out
-as itself bit for bit, its input record -- just before the record that
-ends the run, adding the run's phase.  The run products are
-bit-identical to a one-matmul-per-gate fold (sequential batched fold); the
-fused angles may differ from the scalar
+:meth:`~repro.circuit.QuantumCircuit.splice` edit that removes its records
+and puts its fused gate at the run's last record, adding the run's phase;
+only a one-gate run that comes out as itself bit for bit makes no edit and
+adds no phase, so a circuit with nothing to fuse is returned as it is.
+The run products are bit-identical to a one-matmul-per-gate fold
+(sequential batched fold); the fused angles may differ from the scalar
 :func:`repro.linalg.euler.u3_params_from_unitary` in the last ulp because
 NumPy's array ``arctan2`` rounds differently from libm's, so the tests
 hold the pass to the scalar fold with structure exact and angles within
@@ -59,15 +59,12 @@ class Optimize1qGates(TransformationPass):
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)
 
-        # Phase 1: scan the runs (qubit, input indices, gate matrices) and
-        # where each one ends: before the record that flushes it, or
-        # trailing at the end in qubit order.  A one-qubit gate with no
-        # matrix is a fence like any other record: it ends the run on its
-        # wire and stays where it is.
+        # Phase 1: scan the runs (qubit, input indices, gate matrices).  A
+        # one-qubit gate with no matrix is a fence like any other record:
+        # it ends the run on its wire and stays where it is.
         data = circuit.data
         runs: list[tuple[int, list[int], list]] = []
-        flushes: list[tuple[int, int]] = []  # (index into ``runs``, at)
-        pending: dict[int, int] = {}  # qubit -> index into ``runs``
+        open_runs: dict[int, int] = {}  # qubit -> index into ``runs``
         for index, (operation, qubits, _) in enumerate(data):
             if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
                 try:
@@ -75,9 +72,9 @@ class Optimize1qGates(TransformationPass):
                 except NotImplementedError:
                     pass
                 else:
-                    run_index = pending.get(qubits[0])
+                    run_index = open_runs.get(qubits[0])
                     if run_index is None:
-                        pending[qubits[0]] = len(runs)
+                        open_runs[qubits[0]] = len(runs)
                         runs.append((qubits[0], [index], [matrix]))
                     else:
                         run = runs[run_index]
@@ -85,9 +82,7 @@ class Optimize1qGates(TransformationPass):
                         run[2].append(matrix)
                     continue
             for qubit in qubits:
-                if qubit in pending:
-                    flushes.append((pending.pop(qubit), index))
-        flushes.extend((pending[qubit], len(data)) for qubit in sorted(pending))
+                open_runs.pop(qubit, None)
 
         # Phase 2: every run product in one stacked reduction, every Euler
         # extraction in one vectorized call.
@@ -95,22 +90,18 @@ class Optimize1qGates(TransformationPass):
         # one conversion to Python floats, bit for bit ``float(np.float64)``
         params = u3_params_batch(products).tolist() if len(runs) else []
 
-        # Phase 3: one edit per run, in flush order.  A one-gate run whose
-        # gate comes out as itself, bit for bit, is carried as it is.
+        # Phase 3: one edit per run, in run order, at the run's last
+        # record.  A one-gate run whose gate comes out as itself, bit for
+        # bit, makes no edit.
         edits = []
-        for run_index, at in flushes:
-            qubit, indices, _ = runs[run_index]
-            theta, phi, lam, gamma = params[run_index]
+        for (qubit, indices, _), (theta, phi, lam, gamma) in zip(runs, params):
+            gate = self._gate(theta, phi, lam)
             if len(indices) > 1:
                 rewrites[self.name] += 1
-            gate = self._gate(theta, phi, lam)
-            if gate is None:
-                replacement = ()
-            elif len(indices) == 1 and _same_gate(data[indices[0]].operation, *gate):
-                replacement = indices
-            else:
-                replacement = ((gate[0](*gate[1]), (qubit,), ()),)
-            edits.append((indices, at, replacement, gamma))
+            elif gate is not None and _same_gate(data[indices[0]].operation, *gate):
+                continue
+            replacement = () if gate is None else ((gate[0](*gate[1]), (qubit,), ()),)
+            edits.append((indices, indices[-1], replacement, gamma))
         return circuit.splice(edits)
 
     def _gate(self, theta: float, phi: float, lam: float):

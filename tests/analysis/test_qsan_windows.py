@@ -11,6 +11,7 @@ tier finds the circuits different.
 
 import math
 import os
+from collections import Counter
 import pickle
 import sys
 
@@ -294,13 +295,17 @@ def validators(monkeypatch):
 def test_compile_sets_validate_clean(jobs, validators, monkeypatch):
     monkeypatch.setenv("REPRO_QSAN_REPORT", "1")
     jobs = jobs()
-    unroller_checks = []
+    checks = Counter()  # changing checks per pass class
+    proofs = Counter()  # and those its windows proved
     check = QsanValidator.check_pass
 
     def counting_check(self, pass_, before, after, properties, changed):
-        if changed and isinstance(pass_, Unroller):
-            unroller_checks.append(pass_.name)
-        return check(self, pass_, before, after, properties, changed)
+        proven = self.window_proofs
+        violations = check(self, pass_, before, after, properties, changed)
+        if changed:
+            checks[type(pass_).__name__] += 1
+            proofs[type(pass_).__name__] += self.window_proofs - proven
+        return violations
 
     monkeypatch.setattr(QsanValidator, "check_pass", counting_check)
     for job in jobs:
@@ -315,8 +320,12 @@ def test_compile_sets_validate_clean(jobs, validators, monkeypatch):
         )
         assert result.violations == [], job.label
     assert len(validators) == len(jobs)
+    assert sum(v.window_proofs for v in validators) == sum(proofs.values())
     # every Unroller check is proved by its windows
-    assert sum(v.window_proofs for v in validators) == len(unroller_checks) > 0
+    assert proofs["Unroller"] == checks["Unroller"] > 0
+    # and so is every Optimize1qGates run whose edits each rebuild one
+    # gate where it was
+    assert 0 < proofs["Optimize1qGates"] < checks["Optimize1qGates"]
 
 
 # ----------------------------------------------------------------------

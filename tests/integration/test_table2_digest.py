@@ -1,5 +1,5 @@
 """Smoke test of ``benchmarks/table2_digest.py``, the bit-identity check of
-the Table II outputs."""
+the Table II outputs, and the seed-1 set's CX and depth totals."""
 
 import hashlib
 import os
@@ -10,8 +10,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
 import table2_digest  # noqa: E402
+from workloads import TARGET, table2_jobs  # noqa: E402
 
 from repro.circuit import QuantumCircuit  # noqa: E402
+from repro.transpiler import AnalysisCache, transpile  # noqa: E402
 
 from tests.helpers import exact_form  # noqa: E402
 
@@ -52,3 +54,26 @@ def test_the_command_prints_one_line_per_job_and_a_total():
     values = [line.split()[-1] for line in lines[:2]]
     assert lines[2] == "seed 1 ALL " + hashlib.sha256("".join(values).encode()).hexdigest()
     assert values == [value for _, value in table2_digest.seed_digests(1, limit=2)]
+
+
+def test_seed_1_cx_and_depth_totals():
+    """The seed-1 Table II set compiles to exactly these totals: a change
+    that moves outputs must leave the counts alone, or say why."""
+    sys.path.insert(0, os.path.join(ROOT, "e2e_bench"))
+    from workloads import TARGET, table2_jobs
+
+    from repro.transpiler import AnalysisCache, transpile
+
+    cx = depth = 0
+    for job in table2_jobs(1):
+        circuit = transpile(
+            job.circuit.copy(),
+            target=TARGET,
+            pipeline=job.pipeline,
+            seed=job.seed,
+            executor="serial",
+            analysis_cache=AnalysisCache(),
+        )
+        cx += circuit.count_ops().get("cx", 0)
+        depth += circuit.depth()
+    assert (cx, depth) == (5370, 5721)

@@ -1,5 +1,5 @@
 """Smoke test of ``benchmarks/table34_digest.py``, the bit-identity check
-of the Table III and Table IV outputs."""
+of the Table III and Table IV outputs, and their CX and depth totals."""
 
 import hashlib
 import os
@@ -69,3 +69,13 @@ def test_the_command_prints_jobs_totals_and_an_all_line():
     assert lines[2] == f"table 4 CX {cx} DEPTH {depth}"
     total = hashlib.sha256("".join(job[1] for job in jobs).encode()).hexdigest()
     assert lines[3] == f"table 4 ALL {total}"
+
+
+def test_cx_and_depth_totals():
+    """Tables III and IV compile to exactly these totals: a change that
+    moves outputs must leave the counts alone, or say why."""
+    totals = {}
+    for table in (3, 4):
+        jobs = table34_digest.table_digests(table)
+        totals[table] = (sum(job[2] for job in jobs), sum(job[3] for job in jobs))
+    assert totals == {3: (12834, 16890), 4: (1659, 1884)}

@@ -33,7 +33,7 @@ class ExactTiePricingConsolidateBlocks(ConsolidateBlocks):
         memo = block.memo
         if memo.synthesized:
             return False
-        if self.force or memo.budget < block.cx_cost:
+        if memo.budget < block.cx_cost:
             return True
         if memo.budget > block.cx_cost:
             return False
@@ -64,13 +64,13 @@ class ExactTiePricingConsolidateBlocks(ConsolidateBlocks):
         size = len(block.instructions)
         tie = memo.budget == block.cx_cost
         cannot_win = memo.budget > block.cx_cost or (tie and size <= memo.budget)
-        if cannot_win and not self.force:
+        if cannot_win:
             cache.stats["synth_prescan_skips"] += 1
             return None
         if memo.synthesized:
             cache.stats["synth_memo_hits"] += 1
             return memo.replacement
-        if tie and not self.force:
+        if tie:
             fresh = memo.plan_size is None
             if fresh:
                 if size <= EXACT_FLOORS[memo.budget]:

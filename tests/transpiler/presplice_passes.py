@@ -1,13 +1,14 @@
 """The passes as they built their outputs before ``QuantumCircuit.splice``.
 
 Each oracle subclasses its production pass and overrides only how the
-output is built: a fresh circuit that every surviving, moved or new record
-is appended to one by one (so every record is checked again), with each
-phase term added to ``global_phase`` as it comes.  Everything that decides
-*what* to emit -- trackers, block planning, synthesis, the rewrite rules --
-is the production code's, so the parity tests in
-``test_splice_parity.py`` hold the splice edits, and nothing else, to the
-old record order and phase summation, bit for bit.
+output is built: a fresh circuit that every surviving or new record is
+appended to one by one (so every record is checked again), with each
+phase term added to ``global_phase`` as it comes.  A rewrite takes the
+place of the last record it removes, and every other record keeps its
+place.  Everything that decides *what* to emit -- trackers, block
+planning, synthesis, the rewrite rules -- is the production code's, so the
+parity tests in ``test_splice_parity.py`` hold the splice edits, and
+nothing else, to that record order and phase summation, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.transpiler.passes import (
     Unroller,
 )
 from repro.transpiler.passes.cleanup import _DIAGONAL_1Q
-from repro.transpiler.passes.consolidate import _BLOCK_MIN_2Q, _Block
+from repro.transpiler.passes.consolidate import _Block
 from repro.transpiler.passes.unroller import _MAX_DEPTH
 from repro.utils.angles import normalize_angle
 
@@ -45,90 +46,94 @@ _EPS = 1e-10
 _PURE_BLOCK_GATES = ("cx", "cz", "swap", "swapz", "unitary")
 
 
-def emit_params(theta, phi, lam, gamma, qubit, output) -> None:
-    """Append a fused run's u-gate (none for the identity) and add its
-    phase -- the pre-splice ``Optimize1qGates._emit_params``."""
-    output.global_phase += gamma
+def fused_gate(theta, phi, lam):
+    """A fused run's u-gate, or ``None`` for the identity -- the pre-splice
+    ``Optimize1qGates._emit_params`` choice."""
     theta_n = normalize_angle(theta)
     if theta_n < _EPS or abs(theta_n - 2 * math.pi) < _EPS:
         total = normalize_angle(phi + lam)
-        if total > _EPS:
-            output.append(U1Gate(total), (qubit,))
-        return
+        return U1Gate(total) if total > _EPS else None
     if abs(theta_n - math.pi / 2) < _EPS:
-        output.append(U2Gate(phi, lam), (qubit,))
-        return
-    output.append(U3Gate(theta, phi, lam), (qubit,))
+        return U2Gate(phi, lam)
+    return U3Gate(theta, phi, lam)
+
+
+def is_itself(operation, gate) -> bool:
+    """Whether ``gate`` is ``operation`` again: unlabelled, same class and
+    the same parameter bits."""
+    return (
+        gate is not None
+        and operation.label is None
+        and type(operation) is type(gate)
+        and [p.hex() for p in operation.params] == [p.hex() for p in gate.params]
+    )
+
+
+def place(circuit, output, rewritten):
+    """Append ``circuit``'s records to ``output`` in order, except that each
+    ``rewritten`` group of removed indices gives way to its records, put
+    where its last index was."""
+    removed = set()
+    at_last = {}
+    for indices, records in rewritten:
+        removed.update(indices)
+        at_last[max(indices)] = records
+    for index, instruction in enumerate(circuit.data):
+        if index in at_last:
+            for operation, qubits in at_last[index]:
+                output.append(operation, qubits)
+        elif index not in removed:
+            output.append(instruction.operation, instruction.qubits, instruction.clbits)
+    return output
 
 
 class PreSpliceOptimize1qGates(Optimize1qGates):
     def transform(self, circuit, property_set):
         rewrites = rewrite_counter(property_set)
-        events = []
-        runs = []
-        pending = {}
-
-        def flush(qubit):
-            run_index = pending.pop(qubit, None)
-            if run_index is not None:
-                events.append(("run", run_index, (), ()))
-
-        for instruction in circuit.data:
+        runs = []  # (qubit, member indices, operations)
+        open_runs = {}
+        for index, instruction in enumerate(circuit.data):
             operation = instruction.operation
             if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
                 qubit = instruction.qubits[0]
-                run_index = pending.get(qubit)
-                if run_index is None:
-                    pending[qubit] = len(runs)
-                    runs.append((qubit, [operation]))
-                else:
-                    runs[run_index][1].append(operation)
+                run = open_runs.get(qubit)
+                if run is None:
+                    run = open_runs[qubit] = (qubit, [], [])
+                    runs.append(run)
+                run[1].append(index)
+                run[2].append(operation)
                 continue
             for qubit in instruction.qubits:
-                flush(qubit)
-            events.append(("raw", operation, instruction.qubits, instruction.clbits))
-        for qubit in sorted(pending):
-            flush(qubit)
+                open_runs.pop(qubit, None)
 
-        chains = [[op.matrix for op in ops] for _, ops in runs]
+        chains = [[op.matrix for op in ops] for _, _, ops in runs]
         params = u3_params_batch(chain_products(chains, 2)).tolist() if runs else []
 
         output = circuit.copy_empty_like()
-        for kind, payload, qubits, clbits in events:
-            if kind == "raw":
-                output.append(payload, qubits, clbits)
-                continue
-            run_qubit, ops = runs[payload]
+        rewritten = []
+        for (qubit, indices, ops), (theta, phi, lam, gamma) in zip(runs, params):
+            gate = fused_gate(theta, phi, lam)
             if len(ops) > 1:
                 rewrites[self.name] += 1
-            emit_params(*params[payload], run_qubit, output)
-        return output
+            elif is_itself(ops[0], gate):
+                continue
+            output.global_phase += gamma
+            rewritten.append((indices, [] if gate is None else [(gate, (qubit,))]))
+        return place(circuit, output, rewritten)
 
 
 class PreSpliceConsolidateBlocks(ConsolidateBlocks):
     def collect(self, circuit):
-        """``("raw", operation, qubits, clbits)`` and ``("block", block,
-        (), ())`` events in emission order."""
-        events = []
-        pending_1q = {}
+        """Every block, in the order it closes."""
+        blocks = []
         block_of = {}
 
-        def flush_pending(qubit):
-            for instruction in pending_1q.pop(qubit, []):
-                events.append(
-                    ("raw", instruction.operation, instruction.qubits, instruction.clbits)
-                )
-
-        def flush_block(block):
-            for qubit in block.pair:
-                block_of.pop(qubit, None)
-            events.append(("block", block, (), ()))
-
-        def flush_qubit(qubit):
+        def close(qubit):
             block = block_of.get(qubit)
             if block is not None:
-                flush_block(block)
-            flush_pending(qubit)
+                for wire in block.pair:
+                    block_of.pop(wire, None)
+                blocks.append(block)
 
         for index, instruction in enumerate(circuit.data):
             operation = instruction.operation
@@ -140,8 +145,6 @@ class PreSpliceConsolidateBlocks(ConsolidateBlocks):
                 block = block_of.get(qubits[0])
                 if block is not None:
                     block.add(index, instruction)
-                else:
-                    pending_1q.setdefault(qubits[0], []).append(instruction)
                 continue
             if is_simple_gate and len(qubits) == 2:
                 a, b = qubits
@@ -150,71 +153,48 @@ class PreSpliceConsolidateBlocks(ConsolidateBlocks):
                 if block is not None and block is block_of.get(b) and block.pair == pair:
                     block.add(index, instruction)
                     continue
-                flush_qubit(a)
-                flush_qubit(b)
+                close(a)
+                close(b)
                 block = _Block(pair)
                 for qubit in pair:
                     block_of[qubit] = block
                 block.add(index, instruction)
                 continue
             for qubit in qubits:
-                flush_qubit(qubit)
-            events.append(("raw", operation, qubits, instruction.clbits))
+                close(qubit)
 
-        remaining = []
         for block in block_of.values():
-            if block not in remaining:
-                remaining.append(block)
-        for block in remaining:
-            flush_block(block)
-        for qubit in sorted(pending_1q):
-            flush_pending(qubit)
-        return events
+            if block not in blocks:
+                blocks.append(block)
+        return blocks
 
     def transform(self, circuit, property_set):
         cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
-        events = self.collect(circuit)
-        candidates = [
-            payload
-            for kind, payload, _, _ in events
-            if kind == "block" and (payload.num_2q >= _BLOCK_MIN_2Q or self.force)
-        ]
-        unitaries = self._block_matrices(candidates)
-        self._plan_blocks(candidates, unitaries, cache)
+        blocks = [block for block in self.collect(circuit) if block.num_2q >= self._MIN_2Q]
+        unitaries = self._block_matrices(blocks)
+        self._plan_blocks(blocks, unitaries, cache)
         output = circuit.copy_empty_like()
-        for kind, payload, qubits, clbits in events:
-            if kind == "raw":
-                output.append(payload, qubits, clbits)
-            else:
-                self._emit_block(payload, output, unitaries.get(id(payload)), rewrites, cache)
-        return output
+        rewritten = []
+        for block in blocks:
+            records = self._block_records(block, output, unitaries[id(block)], rewrites, cache)
+            if records is not None:
+                rewritten.append((block.indices, records))
+        return place(circuit, output, rewritten)
 
-    def _emit_block(self, block, output, unitary, rewrites, cache):
-        if unitary is None:
-            self._emit_original(block, output)
-            return
+    def _block_records(self, block, output, unitary, rewrites, cache):
+        """The block's kept re-synthesis as ``(operation, qubits)`` records,
+        its phase added to ``output``; ``None`` when the block stays."""
         replacement = self._replacement(block, unitary, cache)
-        if replacement is None:
-            self._emit_original(block, output)
-            return
-        new_2q = replacement.num_nonlocal_gates()
-        better = new_2q < block.cx_cost or (
-            new_2q == block.cx_cost and replacement.size() < len(block.instructions)
-        )
-        if not (better or self.force):
-            self._emit_original(block, output)
-            return
+        if replacement is None or not self._improves(block, replacement):
+            return None
         rewrites[self.name] += 1
         cache.stats["synth_kept"] += 1
         output.global_phase += replacement.global_phase
-        for inner in replacement.data:
-            output.append(inner.operation, tuple(block.pair[q] for q in inner.qubits))
-
-    @staticmethod
-    def _emit_original(block, output):
-        for instruction in block.instructions:
-            output.append(instruction.operation, instruction.qubits, instruction.clbits)
+        return [
+            (inner.operation, tuple(block.pair[q] for q in inner.qubits))
+            for inner in replacement.data
+        ]
 
 
 class PreSpliceUnroller(Unroller):
@@ -405,17 +385,20 @@ class PreSpliceQPOPass(QPOPass):
     def _rewrite_blocks(self, circuit):
         tracker = PureStateTracker(circuit.num_qubits)
         output = circuit.copy_empty_like()
+        rewritten = []
         open_blocks = {}
         pending = {}
 
         def flush_pending(qubit):
-            for instruction in pending.pop(qubit, []):
-                self._track_and_emit(instruction, tracker, output)
+            for _, instruction in pending.pop(qubit, []):
+                self._track(instruction, tracker)
 
         def flush_block(block):
             for qubit in block.pair:
                 open_blocks.pop(qubit, None)
-            self._emit_pure_block(block, tracker, output)
+            records = self._pure_block_records(block, tracker, output)
+            if records is not None:
+                rewritten.append((block.indices, records))
 
         def flush_qubit(qubit):
             block = open_blocks.get(qubit)
@@ -423,22 +406,22 @@ class PreSpliceQPOPass(QPOPass):
                 flush_block(block)
             flush_pending(qubit)
 
-        for instruction in circuit.data:
+        for index, instruction in enumerate(circuit.data):
             operation = instruction.operation
             qubits = instruction.qubits
             simple = operation.is_gate() and not operation.is_directive and not instruction.clbits
             if simple and len(qubits) == 1:
                 if qubits[0] in open_blocks:
-                    open_blocks[qubits[0]].add(None, instruction)
+                    open_blocks[qubits[0]].add(index, instruction)
                 else:
-                    pending.setdefault(qubits[0], []).append(instruction)
+                    pending.setdefault(qubits[0], []).append((index, instruction))
                 continue
             if simple and len(qubits) == 2 and operation.name in _PURE_BLOCK_GATES:
                 a, b = qubits
                 pair = (min(a, b), max(a, b))
                 block = open_blocks.get(a)
                 if block is not None and block is open_blocks.get(b) and block.pair == pair:
-                    block.add(None, instruction)
+                    block.add(index, instruction)
                     continue
                 for qubit in (a, b):
                     old_block = open_blocks.get(qubit)
@@ -447,13 +430,13 @@ class PreSpliceQPOPass(QPOPass):
                 block = _PureBlock(pair, (tracker.state(pair[0]), tracker.state(pair[1])))
                 for qubit in pair:
                     for held in pending.pop(qubit, []):
-                        block.add(None, held)
+                        block.add(*held)
                     open_blocks[qubit] = block
-                block.add(None, instruction)
+                block.add(index, instruction)
                 continue
             for qubit in qubits:
                 flush_qubit(qubit)
-            self._track_and_emit(instruction, tracker, output)
+            self._track(instruction, tracker)
 
         remaining = []
         for block in open_blocks.values():
@@ -463,13 +446,12 @@ class PreSpliceQPOPass(QPOPass):
             flush_block(block)
         for qubit in sorted(pending):
             flush_pending(qubit)
-        return output
+        return place(circuit, output, rewritten)
 
-    def _track_and_emit(self, instruction, tracker, output):
-        self._track(instruction, tracker)
-        output.append(instruction.operation, instruction.qubits, instruction.clbits)
-
-    def _emit_pure_block(self, block, tracker, output):
+    def _pure_block_records(self, block, tracker, output):
+        """The preparation of the block's output state as ``(operation,
+        qubits)`` records, its phase added to ``output``; ``None`` when the
+        block stays (its gates replayed on ``tracker``)."""
         from repro.linalg.euler import u3_matrix
         from repro.linalg.state_prep import prepare_one_qubit_state, schmidt_decomposition
         from repro.linalg.two_qubit_synthesis import two_qubit_state_prep_circuit
@@ -481,8 +463,8 @@ class PreSpliceQPOPass(QPOPass):
         unitary = block.matrix() if replaceable else None
         if unitary is None:
             for instruction in block.instructions:
-                self._track_and_emit(instruction, tracker, output)
-            return
+                self._track(instruction, tracker)
+            return None
         low, high = block.pair
         psi_low = u3_matrix(*input_states[0], 0.0)[:, 0]
         psi_high = u3_matrix(*input_states[1], 0.0)[:, 0]
@@ -490,24 +472,26 @@ class PreSpliceQPOPass(QPOPass):
         prep = two_qubit_state_prep_circuit(output_vector)
         if prep.num_nonlocal_gates() >= block.num_2q:
             for instruction in block.instructions:
-                self._track_and_emit(instruction, tracker, output)
-            return
+                self._track(instruction, tracker)
+            return None
         self._run_state.rewrites[self.name] += 1
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T
+        records = []
         if not np.allclose(undo_low, np.eye(2), atol=1e-12):
-            output.append(UnitaryGate(undo_low, label="qpo_undo"), (low,))
+            records.append((UnitaryGate(undo_low, label="qpo_undo"), (low,)))
         if not np.allclose(undo_high, np.eye(2), atol=1e-12):
-            output.append(UnitaryGate(undo_high, label="qpo_undo"), (high,))
+            records.append((UnitaryGate(undo_high, label="qpo_undo"), (high,)))
         output.global_phase += prep.global_phase
         for inner in prep.data:
-            output.append(inner.operation, tuple((low, high)[q] for q in inner.qubits))
+            records.append((inner.operation, tuple((low, high)[q] for q in inner.qubits)))
         coefficients, left_basis, right_basis = schmidt_decomposition(output_vector)
         if coefficients[1] < 1e-9:
             tracker.set_state(high, prepare_one_qubit_state(left_basis[:, 0]))
             tracker.set_state(low, prepare_one_qubit_state(right_basis[:, 0]))
         else:
             tracker.invalidate(block.pair)
+        return records
 
 
 class PreSpliceRemoveDiagonalGatesBeforeMeasure(RemoveDiagonalGatesBeforeMeasure):

@@ -23,7 +23,8 @@ from repro.transpiler.passes import ConsolidateBlocks, Optimize1qGates
 from repro.transpiler.passmanager import PropertySet
 
 from tests.helpers import assert_unitarily_equal
-from tests.transpiler.presplice_passes import emit_params
+from tests.transpiler.forced_consolidate import Forced, ForcedConsolidateBlocks
+from tests.transpiler.presplice_passes import fused_gate
 
 
 class SerialConsolidateBlocks(ConsolidateBlocks):
@@ -42,30 +43,44 @@ class SerialConsolidateBlocks(ConsolidateBlocks):
 
 
 def serial_optimize_1q(circuit: QuantumCircuit) -> QuantumCircuit:
-    """One-matmul-per-gate fold of every 1q run, each run emitted through
-    the scalar Euler extraction."""
-    output = circuit.copy_empty_like()
-    pending: dict[int, np.ndarray] = {}
+    """One-matmul-per-gate fold of every 1q run, each run's scalar Euler
+    extraction emitted where the run's last gate was."""
+    data = circuit.data
+    runs: dict[int, tuple[int, np.ndarray]] = {}  # qubit -> (last index, product)
+    fused: dict[int, tuple[int, np.ndarray]] = {}  # last index -> (qubit, product)
 
-    def flush(qubit: int) -> None:
-        matrix = pending.pop(qubit, None)
-        if matrix is not None:
-            theta, phi, lam, gamma = u3_params_from_unitary(matrix)
-            emit_params(theta, phi, lam, gamma, qubit, output)
+    def close(qubit: int) -> None:
+        run = runs.pop(qubit, None)
+        if run is not None:
+            fused[run[0]] = (qubit, run[1])
 
-    for instruction in circuit.data:
+    for index, instruction in enumerate(data):
         operation = instruction.operation
         if operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive:
             qubit = instruction.qubits[0]
             matrix = operation.matrix
-            current = pending.get(qubit)
-            pending[qubit] = matrix if current is None else matrix @ current
+            current = runs.get(qubit)
+            runs[qubit] = (index, matrix if current is None else matrix @ current[1])
             continue
         for qubit in instruction.qubits:
-            flush(qubit)
-        output.append(operation, instruction.qubits, instruction.clbits)
-    for qubit in sorted(pending):
-        flush(qubit)
+            close(qubit)
+    for qubit in sorted(runs):
+        close(qubit)
+
+    output = circuit.copy_empty_like()
+    for index, instruction in enumerate(data):
+        operation = instruction.operation
+        if index in fused:
+            qubit, matrix = fused[index]
+            theta, phi, lam, gamma = u3_params_from_unitary(matrix)
+            output.global_phase += gamma
+            gate = fused_gate(theta, phi, lam)
+            if gate is not None:
+                output.append(gate, (qubit,))
+        elif not (
+            operation.is_gate() and operation.num_qubits == 1 and not operation.is_directive
+        ):
+            output.append(operation, instruction.qubits, instruction.clbits)
     return output
 
 
@@ -101,10 +116,14 @@ def random_circuit(
     return circuit
 
 
+class ForcedSerialConsolidateBlocks(Forced, SerialConsolidateBlocks):
+    pass
+
+
 def consolidate_both(circuit, force: bool = False):
-    batched = ConsolidateBlocks(force=force).run(circuit, PropertySet())
-    serial = SerialConsolidateBlocks(force=force).run(circuit, PropertySet())
-    return batched, serial
+    batched = (ForcedConsolidateBlocks if force else ConsolidateBlocks)()
+    serial = (ForcedSerialConsolidateBlocks if force else SerialConsolidateBlocks)()
+    return batched.run(circuit, PropertySet()), serial.run(circuit, PropertySet())
 
 
 def optimize_1q_both(circuit):

@@ -37,41 +37,45 @@ from repro.transpiler.passmanager import PassManager, PropertySet
 
 from tests.helpers import assert_unitarily_equal, exact_form
 from tests.transpiler.exact_tie_pricing import ExactTiePricingConsolidateBlocks
+from tests.transpiler.forced_consolidate import Forced, ForcedConsolidateBlocks
 from tests.transpiler.presplice_passes import PreSpliceConsolidateBlocks
 
 
 class OracleConsolidateBlocks(PreSpliceConsolidateBlocks):
     """Synthesizes every candidate block; keeps the rewrite only when it
-    wins (or ``force``).  No prescan, no memo."""
+    wins.  No prescan, no memo."""
 
-    def _emit_block(self, block, output, unitary, rewrites, cache):
-        if unitary is None:
-            self._emit_original(block, output)
-            return
+    def _block_records(self, block, output, unitary, rewrites, cache):
         try:
             replacement = synthesize_two_qubit_unitary(unitary)
         except Exception:
-            self._emit_original(block, output)
-            return
-        new_2q = replacement.num_nonlocal_gates()
-        better = new_2q < block.cx_cost or (
-            new_2q == block.cx_cost
-            and replacement.size() < len(block.instructions)
-        )
-        if not (better or self.force):
-            self._emit_original(block, output)
-            return
+            return None
+        if not self._improves(block, replacement):
+            return None
         rewrites[self.name] += 1
         output.global_phase += replacement.global_phase
-        for inner in replacement.data:
-            output.append(inner.operation, tuple(block.pair[q] for q in inner.qubits))
+        return [
+            (inner.operation, tuple(block.pair[q] for q in inner.qubits))
+            for inner in replacement.data
+        ]
+
+
+class ForcedOracleConsolidateBlocks(Forced, OracleConsolidateBlocks):
+    pass
+
+
+class ForcedExactTiePricingConsolidateBlocks(Forced, ExactTiePricingConsolidateBlocks):
+    pass
 
 
 def consolidate_both(circuit: QuantumCircuit, force: bool = False):
-    """(shipped output, oracle output, shipped pass' cache stats)."""
+    """(shipped output, oracle output, shipped pass' cache stats); ``force``
+    re-synthesizes every block on both sides and keeps every result."""
     props = PropertySet()
-    shipped = ConsolidateBlocks(force=force).run(circuit, props)
-    oracle = OracleConsolidateBlocks(force=force).run(circuit, PropertySet())
+    shipped = (ForcedConsolidateBlocks if force else ConsolidateBlocks)().run(circuit, props)
+    oracle = (ForcedOracleConsolidateBlocks if force else OracleConsolidateBlocks)().run(
+        circuit, PropertySet()
+    )
     return shipped, oracle, AnalysisCache.ensure(props).stats
 
 
@@ -137,11 +141,7 @@ def append_block(circuit: QuantumCircuit, matrix: np.ndarray) -> None:
 def candidate_unitaries(circuit: QuantumCircuit) -> list[np.ndarray]:
     """Unitaries of the blocks ``ConsolidateBlocks`` would consider."""
     pass_ = ConsolidateBlocks()
-    blocks = [
-        group
-        for _, group in pass_.collect(circuit)
-        if isinstance(group, consolidate._Block) and group.num_2q >= 2
-    ]
+    blocks = [block for block in pass_.collect(circuit) if block.num_2q >= 2]
     return list(pass_._block_matrices(blocks).values())
 
 
@@ -843,26 +843,27 @@ class TestTableIIContract:
         assert stats["synth_attempts"] == 202
         assert stats["synth_kept"] == 451
         assert stats["synth_failures"] == 0
-        # every one of the 908 tie plans the pass used to make was rejected;
-        # the floor now rejects the 198 smallest of them (and their repeats)
-        assert stats["synth_floor_rejects"] >= 198
-        # exact pricing planned 912 unitaries per pass, 710 of them for
-        # fresh ties; the bound refutes 656 of those ties with no plan, and
-        # every fresh tie is still rejected
-        assert sum(planned) == 256
-        assert stats["synth_tie_rejects"] == 710
-        assert stats["synth_bound_rejects"] == 656
+        # a block the pass keeps stays where it was, so the loop's later
+        # iterations meet other blocks than when every block moved to its
+        # flush point: the floor rejects 149 ties, the bound refutes 481
+        # of the 755 fresh ties with no plan, every fresh tie is still
+        # rejected, and one pass plans 476 unitaries
+        assert stats["synth_floor_rejects"] == 149
+        assert sum(planned) == 476
+        assert stats["synth_tie_rejects"] == 755
+        assert stats["synth_bound_rejects"] == 481
 
 
 def recording(pass_class, log: list):
     """``pass_class`` logging ``(block input indices, rewritten)`` for
-    every block it edits, in edit order."""
+    every candidate block, in the order the blocks close."""
 
     class Recording(pass_class):
-        def _edit(self, block, at, unitary, rewrites, cache):
-            edit = super()._edit(block, at, unitary, rewrites, cache)
-            log.append((tuple(block.indices), edit[2] is not block.indices))
-            return edit
+        def _replacement(self, block, unitary, cache):
+            replacement = super()._replacement(block, unitary, cache)
+            kept = replacement is not None and self._improves(block, replacement)
+            log.append((tuple(block.indices), kept))
+            return replacement
 
     return Recording
 
@@ -898,10 +899,13 @@ class TestExactTiePricingParity:
     def both(circuit: QuantumCircuit, force: bool = False):
         shipped_log, oracle_log = [], []
         props = PropertySet()
-        shipped = recording(ConsolidateBlocks, shipped_log)(force=force).run(circuit, props)
-        oracle = recording(ExactTiePricingConsolidateBlocks, oracle_log)(force=force).run(
-            circuit, PropertySet()
+        shipped_class, oracle_class = (
+            (ForcedConsolidateBlocks, ForcedExactTiePricingConsolidateBlocks)
+            if force
+            else (ConsolidateBlocks, ExactTiePricingConsolidateBlocks)
         )
+        shipped = recording(shipped_class, shipped_log)().run(circuit, props)
+        oracle = recording(oracle_class, oracle_log)().run(circuit, PropertySet())
         assert shipped_log == oracle_log
         assert exact_form(shipped) == exact_form(oracle)
         return AnalysisCache.ensure(props).stats

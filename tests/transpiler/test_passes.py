@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit
+from repro.rpo.qpo import QPOPass
+from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet
 from repro.transpiler.passes import (
     CommutativeCancellation,
@@ -287,6 +289,82 @@ class TestNoOpPassesReturnTheirInput:
         assert exact_form(circuit) == before
         assert out.size() <= circuit.size()
         assert exact_form(out) != before
+
+    @staticmethod
+    def unimprovable_blocks() -> QuantumCircuit:
+        """A one-qubit gate no block holds, a 2-CNOT tie no larger than
+        its proven bound and a one-CNOT block: ``ConsolidateBlocks``
+        keeps no rewrite."""
+        circuit = QuantumCircuit(3, 1)
+        circuit.h(2)
+        circuit.cx(0, 1)
+        circuit.u1(0.3, 1)
+        circuit.cx(0, 1)
+        circuit.u1(0.3, 1)
+        circuit.cx(1, 2)
+        circuit.measure(2, 0)
+        return circuit
+
+    @staticmethod
+    def fused() -> QuantumCircuit:
+        """``in_ibm_basis`` after one ``Optimize1qGates`` run: every run is
+        one gate that fuses to itself bit for bit."""
+        return Optimize1qGates().run(
+            TestNoOpPassesReturnTheirInput.in_ibm_basis(), PropertySet()
+        )
+
+    @staticmethod
+    def entangled() -> QuantumCircuit:
+        """No QPO rule fires: the first CNOT leaves both its wires unknown
+        before any other gate reads them, and no block of two or more
+        CNOTs starts from known states."""
+        circuit = QuantumCircuit(4)
+        circuit.h(2)
+        circuit.cx(2, 0)
+        circuit.cx(0, 1)
+        circuit.h(1)
+        circuit.cx(1, 0)
+        circuit.t(0)
+        circuit.cx(0, 1)
+        return circuit
+
+    #: the passes that keep most records: (pass, input with nothing to
+    #: rewrite, work for it to do, appended to that input)
+    REWRITERS = {
+        "ConsolidateBlocks": (
+            ConsolidateBlocks,
+            unimprovable_blocks,
+            lambda circuit: [circuit.cx(0, 1) for _ in range(3)],
+        ),
+        "Optimize1qGates": (
+            Optimize1qGates,
+            fused,
+            lambda circuit: (circuit.h(0), circuit.h(0)),
+        ),
+        # qubit 3 is still |0>: the CNOT it controls is dropped
+        "QPO": (QPOPass, entangled, lambda circuit: circuit.cx(3, 1)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REWRITERS))
+    def test_rewriter_with_nothing_to_do_returns_the_input(self, name):
+        pass_type, build, _ = self.REWRITERS[name]
+        circuit = build()
+        props = PropertySet()
+        assert pass_type().run(circuit, props) is circuit
+        assert sum(rewrite_counter(props).values()) == 0
+
+    @pytest.mark.parametrize("name", sorted(REWRITERS))
+    def test_rewriter_with_work_returns_a_new_circuit(self, name):
+        pass_type, build, add_work = self.REWRITERS[name]
+        circuit = build()
+        add_work(circuit)
+        before = exact_form(circuit)
+        props = PropertySet()
+        out = pass_type().run(circuit, props)
+        assert out is not circuit
+        assert exact_form(circuit) == before
+        assert exact_form(out) != before
+        assert sum(rewrite_counter(props).values()) == 1
 
     def test_pipeline_metrics_of_a_no_op_pass(self):
         from repro.transpiler.passmanager import PassManager

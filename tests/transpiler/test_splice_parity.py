@@ -36,7 +36,8 @@ from repro.transpiler.passes import (
 from repro.transpiler.passmanager import PropertySet
 
 from tests.helpers import exact_form
-from tests.transpiler.presplice_passes import ORACLES
+from tests.transpiler.forced_consolidate import Forced, ForcedConsolidateBlocks
+from tests.transpiler.presplice_passes import ORACLES, PreSpliceConsolidateBlocks
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "e2e_bench"))
 from workloads import TARGET, table2_jobs  # noqa: E402
@@ -44,7 +45,7 @@ from workloads import TARGET, table2_jobs  # noqa: E402
 PASSES = [
     Optimize1qGates(),
     ConsolidateBlocks(),
-    ConsolidateBlocks(force=True),
+    ForcedConsolidateBlocks(),
     Unroller(),
     Unroller(("u1", "u2", "u3", "id", "cx", "swap", "swapz")),
     CXCancellation(),
@@ -60,9 +61,17 @@ PASSES = [
 ]
 
 
+class ForcedPreSpliceConsolidateBlocks(Forced, PreSpliceConsolidateBlocks):
+    pass
+
+
+#: every pass class in ``PASSES`` -> its oracle
+PASS_ORACLES = {**ORACLES, ForcedConsolidateBlocks: ForcedPreSpliceConsolidateBlocks}
+
+
 def oracle_of(pass_):
     oracle = copy.copy(pass_)
-    oracle.__class__ = ORACLES[type(pass_)]
+    oracle.__class__ = PASS_ORACLES[type(pass_)]
     return oracle
 
 
