@@ -11,9 +11,9 @@ connectivity (Table IV, Sec. VIII-D).  Every job compiles with a fresh
 * Table IV -- QPE on 4, 6 and 8 qubits on Almaden and Rochester.
 
 It prints one sha256 per output (of :func:`tests.helpers.exact_form`, as
-``table2_digest.py`` does), then per table the CX and depth totals and an
-``ALL`` hash of the table's job lines, so a parent/change comparison is one
-``diff`` of the two outputs::
+``table2_digest.py`` does), then per table the CX, depth, size and
+``u1``/``u2``/``u3`` totals and an ``ALL`` hash of the table's job lines,
+so a parent/change comparison is one ``diff`` of the two outputs::
 
     PYTHONPATH=src python benchmarks/table34_digest.py
 """
@@ -32,7 +32,7 @@ for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks"), ROOT):
 
 from repro.algorithms import grover_circuit, quantum_phase_estimation  # noqa: E402
 from repro.transpiler import AnalysisCache, transpile  # noqa: E402
-from table2_digest import digest  # noqa: E402
+from table2_digest import counts, digest, totals  # noqa: E402
 
 PIPELINES = ("level3", "rpo")
 SEEDS = (0, 1)
@@ -59,9 +59,10 @@ def table_inputs(table: int) -> list[tuple[str, str, object]]:
     raise ValueError(f"no digest for table {table}")
 
 
-def table_digests(table: int, limit: int | None = None) -> list[tuple[str, str, int, int]]:
-    """``(job label, digest, cx, depth)`` of the table's outputs in job
-    order; ``limit`` keeps only the first jobs."""
+def table_digests(table: int, limit: int | None = None) -> list[tuple[str, str, tuple]]:
+    """``(job label, digest, counts)`` of the table's outputs in job order
+    (``counts`` as :func:`table2_digest.counts` gives them); ``limit``
+    keeps only the first jobs."""
     jobs = [
         (f"{label}-{pipeline}-s{seed}", target, circuit, pipeline, seed)
         for label, target, circuit in table_inputs(table)
@@ -78,7 +79,7 @@ def table_digests(table: int, limit: int | None = None) -> list[tuple[str, str, 
             executor="serial",
             analysis_cache=AnalysisCache(),
         )
-        lines.append((label, digest(output), output.count_ops().get("cx", 0), output.depth()))
+        lines.append((label, digest(output), counts(output)))
     return lines
 
 
@@ -89,12 +90,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for table in args.tables:
         lines = table_digests(table, args.limit)
-        for label, value, _, _ in lines:
+        for label, value, _ in lines:
             print(f"table {table} {label} {value}")
-        cx = sum(line[2] for line in lines)
-        depth = sum(line[3] for line in lines)
         total = hashlib.sha256("".join(line[1] for line in lines).encode()).hexdigest()
-        print(f"table {table} CX {cx} DEPTH {depth}")
+        print(f"table {table} {totals([line[2] for line in lines])}")
         print(f"table {table} ALL {total}", flush=True)
     return 0
 

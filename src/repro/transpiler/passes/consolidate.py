@@ -14,7 +14,8 @@ The pass runs in five steps and returns its output as one
 :meth:`~repro.circuit.QuantumCircuit.splice` of its input:
 
 1. **collect** -- a linear scan records every block of the circuit, in
-   the order the blocks close;
+   the order the blocks close, and sets aside the pass's own output (see
+   below);
 2. **batched matrices** -- all block unitaries are computed in one batched
    reduction (:func:`repro.linalg.batch.two_qubit_chain_unitaries` --
    per-gate matrices stacked, 1q gates embedded on stacked operands,
@@ -49,7 +50,10 @@ The pass runs in five steps and returns its output as one
    is rejected when there is no plan or it is not smaller than the block;
 5. **edit, building and verifying only what is kept** -- one edit per
    kept rewrite, in close order, removes the block's records and puts its
-   re-synthesis at the block's last record, adding that circuit's phase.
+   re-synthesis at the block's last record, adding that circuit's phase;
+   each ``u3`` of it is placed as the u-gate
+   :func:`~repro.transpiler.passes.optimize_1q.u_gate` picks in the
+   target basis, the form ``Optimize1qGates`` would rebuild it in.
    Every other record stays where it is, so a run that keeps no rewrite
    returns its input.  Tie winners and blocks whose budget is below their
    CX cost go to
@@ -65,18 +69,35 @@ the failure -- for repeats from the fixed-point loop or within a circuit; a
 floor reject writes nothing, and a bound reject only the floor, so a larger
 block of the same unitary is still priced.  The bound sits far below any
 plan synthesis would keep, so steps 3 to 5 skip only rewrites the pass
-would have rejected, and the output is bit-identical to synthesizing every
-block; the oracle parity tests hold it to that, and every block's decision
-to pricing each tie from its exact plan.
-``AnalysisCache.stats`` counts ``synth_prescan_skips``,
-``synth_floor_rejects``, ``synth_tie_rejects`` (a bound reject counts here
-too, and in ``synth_bound_rejects``), ``synth_memo_hits``,
-``synth_attempts``, ``synth_failures`` and ``synth_kept``.
+would have rejected: on a run's own, the output is bit-identical to
+synthesizing every block.  The oracle parity tests hold it to that, and
+every block's decision to pricing each tie from its exact plan.
+
+**Own output.**  Within one pipeline run the pass also leaves alone each
+block whose two-qubit records are exactly those of one re-synthesis it
+placed in an earlier run -- the same records, in order, and no other --
+and builds no matrix, budget or plan for it: that block is a minimal-CNOT
+replacement the pass already chose.  The records are held by reference
+in the run's :func:`~repro.transpiler.passmanager.run_scratch` (never on
+the pass, whose manager may run concurrently, nor on the analysis cache,
+which runs may share), and a block left alone is held again for the next
+run.  A block that a foreign two-qubit record joins, or that spans two
+re-syntheses, is priced again.  The parity tests hold every pass run of
+the seed-1 Table II set, and runs on random circuits, to a run that
+prices every block.
+
+``AnalysisCache.stats`` counts ``synth_own_skips``,
+``synth_prescan_skips``, ``synth_floor_rejects``, ``synth_tie_rejects`` (a
+bound reject counts here too, and in ``synth_bound_rejects``),
+``synth_memo_hits``, ``synth_attempts``, ``synth_failures`` and
+``synth_kept``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 
 import numpy as np
 
@@ -90,11 +111,17 @@ from repro.linalg.two_qubit_synthesis import (
     synthesize_two_qubit_unitary,
 )
 from repro.transpiler.cache import AnalysisCache, SynthesisMemo, rewrite_counter
-from repro.transpiler.passmanager import PropertySet, TransformationPass
+from repro.transpiler.passes.optimize_1q import u_basis, u_gate
+from repro.transpiler.passmanager import PropertySet, TransformationPass, run_scratch
 
 __all__ = ["ConsolidateBlocks"]
 
 _UNPLANNED = object()  # ``_Block.plan`` of a block whose unitary was not planned
+
+#: :func:`~repro.transpiler.passmanager.run_scratch` key of the pass's own
+#: output: by qubit pair, the two-qubit records of each re-synthesis an
+#: earlier run placed and the runs since left alone
+_PLACED = "ConsolidateBlocks.placed"
 
 
 #: CX-equivalent cost of two-qubit gates when they are later unrolled to
@@ -136,10 +163,18 @@ class _Block:
 
 class ConsolidateBlocks(TransformationPass):
     """Collect and re-synthesise two-qubit blocks (Collect2qBlocks +
-    ConsolidateBlocks rolled into one linear scan)."""
+    ConsolidateBlocks rolled into one linear scan).
+
+    ``basis`` is the target's gate basis (``None``: the IBM set); each
+    ``u3`` of a kept re-synthesis is placed as the u-gate
+    :func:`~repro.transpiler.passes.optimize_1q.u_gate` picks for it.
+    """
 
     #: blocks with fewer two-qubit gates are left as they are
     _MIN_2Q = 2
+
+    def __init__(self, basis=None):
+        self.u1, self.u2 = u_basis(basis)
 
     def collect(self, circuit: QuantumCircuit) -> list[_Block]:
         """Scan ``circuit`` into its two-qubit blocks, in the order they
@@ -215,7 +250,17 @@ class ConsolidateBlocks(TransformationPass):
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         cache = AnalysisCache.ensure(property_set)
         rewrites = rewrite_counter(property_set)
-        blocks = [block for block in self.collect(circuit) if block.num_2q >= self._MIN_2Q]
+        scratch = run_scratch(property_set)
+        own = scratch.get(_PLACED, {})
+        blocks, own_blocks = [], []
+        for block in self.collect(circuit):
+            if block.num_2q < self._MIN_2Q:
+                continue
+            if _is_own(block, own):
+                cache.stats["synth_own_skips"] += 1
+                own_blocks.append(block)
+            else:
+                blocks.append(block)
         unitaries = self._block_matrices(blocks)
         self._plan_blocks(blocks, unitaries, cache)
         edits = []
@@ -226,11 +271,25 @@ class ConsolidateBlocks(TransformationPass):
             rewrites[self.name] += 1
             cache.stats["synth_kept"] += 1
             records = [
-                (inner.operation, tuple(block.pair[q] for q in inner.qubits), ())
+                (self._basis_gate(inner.operation), tuple(block.pair[q] for q in inner.qubits), ())
                 for inner in replacement.data
             ]
             edits.append((block.indices, block.indices[-1], records, replacement.global_phase))
-        return circuit.splice(edits)
+        output = circuit.splice(edits)
+        placed = _placed_groups(output, edits)
+        for block in own_blocks:
+            placed.setdefault(block.pair, []).append(_two_qubit_records(block.instructions))
+        scratch[_PLACED] = placed
+        return output
+
+    def _basis_gate(self, operation):
+        """A re-synthesis gate as the basis takes it: each ``u3`` as the
+        u-gate :func:`u_gate` picks (synthesis emits no identity ``u3``,
+        but one would stay as it is)."""
+        if operation.name != "u3":
+            return operation
+        gate = u_gate(*operation.params, self.u1, self.u2)
+        return operation if gate is None else gate[0](*gate[1])
 
     @staticmethod
     def _improves(block: _Block, replacement: QuantumCircuit) -> bool:
@@ -382,6 +441,41 @@ class ConsolidateBlocks(TransformationPass):
             cache.stats["synth_failures"] += 1
         memo.synthesized = True
         return memo.replacement
+
+
+def _two_qubit_records(records) -> list[CircuitInstruction]:
+    return [record for record in records if len(record.qubits) == 2]
+
+
+def _is_own(block: _Block, placed: dict) -> bool:
+    """Whether the two-qubit records of ``block`` are those of one group in
+    ``placed`` (held by reference, by qubit pair): the same records, in
+    the same order, and no other."""
+    mine = _two_qubit_records(block.instructions)
+    return any(
+        len(group) == len(mine) and all(map(operator.is_, group, mine))
+        for group in placed.get(block.pair, ())
+    )
+
+
+def _placed_groups(output: QuantumCircuit, edits: list) -> dict:
+    """The two-qubit records each of ``edits`` placed in ``output``, one
+    group per edit, by qubit pair.
+
+    Each edit removes the record at its ``at`` and no two share one, so its
+    replacement starts where ``at`` lands: ``at``, less the records removed
+    before it, plus the records placed before it.
+    """
+    removed = sorted(index for indices, *_ in edits for index in indices)
+    placed: dict[tuple[int, int], list[list[CircuitInstruction]]] = {}
+    before = 0
+    for _, at, records, _ in sorted(edits, key=lambda edit: edit[1]):
+        start = at - bisect_left(removed, at) + before
+        group = _two_qubit_records(output.data[start : start + len(records)])
+        if group:
+            placed.setdefault(tuple(sorted(group[0].qubits)), []).append(group)
+        before += len(records)
+    return placed
 
 
 def _has_matrix(operation) -> bool:

@@ -15,9 +15,16 @@ in a single stacked reduction (:func:`repro.linalg.batch.chain_products`)
 and the Euler angles of every merged run come from one stacked extraction
 (:func:`repro.linalg.batch.u3_params_batch`).  Each run becomes one
 :meth:`~repro.circuit.QuantumCircuit.splice` edit that removes its records
-and puts its fused gate at the run's last record, adding the run's phase;
-only a one-gate run that comes out as itself bit for bit makes no edit and
-adds no phase, so a circuit with nothing to fuse is returned as it is.
+and puts its fused gate at the run's last record, adding the run's phase.
+A one-gate run whose gate round-trips -- it fuses to an unlabelled gate of
+its own class with every parameter within ``1e-12`` of its own -- makes no
+edit and adds no phase, so a circuit with nothing to fuse is returned as
+it is.  Every other one-gate run is rebuilt: another class, a label, or an
+angle outside the range :func:`u_gate` emits (``phi``/``lam`` in
+``[-pi, pi]``, a ``u1`` angle in ``[0, 2*pi)``) is put in canonical form.
+:func:`u_gate` is the one rule that picks a u-gate for Euler angles;
+``ConsolidateBlocks`` places its re-synthesized ``u3`` gates through it
+too, so neither pass rebuilds what the other emitted.
 The run products are bit-identical to a one-matmul-per-gate fold
 (sequential batched fold); the fused angles may differ from the scalar
 :func:`repro.linalg.euler.u3_params_from_unitary` in the last ulp because
@@ -37,24 +44,23 @@ from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 from repro.utils.angles import normalize_angle
 
-__all__ = ["Optimize1qGates"]
+__all__ = ["Optimize1qGates", "u_basis", "u_gate"]
 
 _EPS = 1e-10
+#: how far a one-gate run's re-extracted parameters may sit from its own
+#: for the pass to keep the gate
+_ROUND_TRIP = 1e-12
 
 
 class Optimize1qGates(TransformationPass):
     """Fuse runs of adjacent one-qubit gates into minimal u-gates.
 
     ``basis`` is the target's gate basis (``None``: the IBM ``u1``/``u2``/
-    ``u3`` set).  A basis with ``u3`` gets a ``u3`` in place of each
-    ``u1`` or ``u2`` it lacks; a basis without ``u3`` gets all three.
+    ``u3`` set); :func:`u_basis` reads which u-gates it allows.
     """
 
     def __init__(self, basis=None):
-        if basis is None or "u3" not in basis:
-            basis = ("u1", "u2")
-        self.u1 = "u1" in basis
-        self.u2 = "u2" in basis
+        self.u1, self.u2 = u_basis(basis)
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         rewrites = rewrite_counter(property_set)
@@ -91,37 +97,63 @@ class Optimize1qGates(TransformationPass):
         params = u3_params_batch(products).tolist() if len(runs) else []
 
         # Phase 3: one edit per run, in run order, at the run's last
-        # record.  A one-gate run whose gate comes out as itself, bit for
-        # bit, makes no edit.
+        # record.  A one-gate run whose gate round-trips makes no edit.
         edits = []
         for (qubit, indices, _), (theta, phi, lam, gamma) in zip(runs, params):
-            gate = self._gate(theta, phi, lam)
+            gate = u_gate(theta, phi, lam, self.u1, self.u2)
             if len(indices) > 1:
                 rewrites[self.name] += 1
-            elif gate is not None and _same_gate(data[indices[0]].operation, *gate):
+            elif gate is not None and _round_trips(data[indices[0]].operation, *gate):
                 continue
             replacement = () if gate is None else ((gate[0](*gate[1]), (qubit,), ()),)
             edits.append((indices, indices[-1], replacement, gamma))
         return circuit.splice(edits)
 
-    def _gate(self, theta: float, phi: float, lam: float):
-        """The ``(u-gate class, params)`` of a run's Euler angles, or
-        ``None`` when the run is the identity up to phase."""
-        theta_n = normalize_angle(theta)
-        if theta_n < _EPS or abs(theta_n - 2 * math.pi) < _EPS:
-            # diagonal: a pure phase gate (or identity)
-            total = normalize_angle(phi + lam)
-            if total <= _EPS:
-                return None
-            return (U1Gate, [total]) if self.u1 else (U3Gate, [0.0, 0.0, total])
-        if self.u2 and abs(theta_n - math.pi / 2) < _EPS:
-            return U2Gate, [phi, lam]
-        return U3Gate, [theta, phi, lam]
+
+def u_basis(basis) -> tuple[bool, bool]:
+    """Whether a target ``basis`` takes ``u1`` and ``u2`` gates.
+
+    A basis with ``u3`` gets a ``u3`` in place of each ``u1`` or ``u2`` it
+    lacks; ``None`` (the IBM ``u1``/``u2``/``u3`` set) and a basis without
+    ``u3`` get all three.
+    """
+    if basis is None or "u3" not in basis:
+        return True, True
+    return "u1" in basis, "u2" in basis
 
 
-def _same_gate(operation, cls, params: list[float]) -> bool:
-    """Whether ``operation`` is the unlabelled ``cls(*params)``, every
-    parameter equal bit for bit (``-0.0`` is not ``0.0``)."""
+def u_gate(theta: float, phi: float, lam: float, u1: bool, u2: bool):
+    """The ``(u-gate class, params)`` of ``u3(theta, phi, lam)`` in a basis
+    that takes ``u1`` and/or ``u2`` as the flags say, or ``None`` when the
+    gate is the identity up to phase.  ``theta`` is in ``[0, pi]``, as the
+    Euler extraction gives it.
+
+    A ``u2`` or ``u3`` gets ``phi`` and ``lam`` wrapped into ``[-pi, pi]``
+    and a ``u1`` its angle into ``[0, 2*pi)``: the ranges the Euler
+    extraction reads them back in, so the gate comes out of
+    :class:`Optimize1qGates` as itself.  Wrapping by ``2*pi`` leaves the
+    matrix as it is.
+    """
+    theta_n = normalize_angle(theta)
+    if theta_n < _EPS or abs(theta_n - 2 * math.pi) < _EPS:
+        # diagonal: a pure phase gate (or identity)
+        total = normalize_angle(phi + lam)
+        if total <= _EPS:
+            return None
+        return (U1Gate, [total]) if u1 else (U3Gate, [0.0, 0.0, total])
+    if u2 and abs(theta_n - math.pi / 2) < _EPS:
+        return U2Gate, [_wrap(phi), _wrap(lam)]
+    return U3Gate, [theta, _wrap(phi), _wrap(lam)]
+
+
+def _wrap(angle: float) -> float:
+    """``angle`` less the nearest multiple of ``2*pi``: in ``[-pi, pi]``."""
+    return math.remainder(angle, 2 * math.pi)
+
+
+def _round_trips(operation, cls, params: list[float]) -> bool:
+    """Whether ``operation`` is an unlabelled ``cls`` whose every parameter
+    is within ``_ROUND_TRIP`` of ``params``: the pass keeps it as it is."""
     if type(operation) is not cls or operation.label is not None:
         return False
-    return list(map(float.hex, operation.params)) == list(map(float.hex, params))
+    return all(abs(a - b) <= _ROUND_TRIP for a, b in zip(operation.params, params))

@@ -40,6 +40,7 @@ from repro.transpiler.exceptions import TranspilerError
 
 __all__ = [
     "PropertySet",
+    "run_scratch",
     "BasePass",
     "AnalysisPass",
     "TransformationPass",
@@ -72,6 +73,21 @@ def qsan_mode(validate: str | None = None) -> str:
 
 class PropertySet(dict):
     """Shared key-value store that passes use to communicate."""
+
+
+#: property-set key of :func:`run_scratch`
+SCRATCH_KEY = "run_scratch"
+
+
+def run_scratch(property_set: PropertySet) -> dict:
+    """What passes keep between their own runs within one pipeline run.
+
+    It lives on the run's property set: never on a pass, whose manager may
+    run concurrently, nor on the analysis cache, which runs may share and
+    which must not change outputs.  :meth:`PassManager.run_with_result`
+    drops it when the run ends, so it never reaches a result.
+    """
+    return property_set.setdefault(SCRATCH_KEY, {})
 
 
 @dataclass
@@ -346,8 +362,11 @@ class PassManager:
             validator = QsanValidator(QsanConfig.resolve("full"))
         state = _RunState(properties, validator=validator)
         start = time.perf_counter()
-        for item in self._schedule:
-            circuit = self._run_item(item, circuit, state)
+        try:
+            for item in self._schedule:
+                circuit = self._run_item(item, circuit, state)
+        finally:
+            properties.pop(SCRATCH_KEY, None)
         return TranspileResult(
             circuit=circuit,
             properties=properties,

@@ -99,7 +99,7 @@ def optimization_loop(basis, *, commutative: bool, consolidate: bool) -> DoWhile
     """
     passes: list[BasePass] = []
     if consolidate:
-        passes += [ConsolidateBlocks(), Unroller(basis)]
+        passes += [ConsolidateBlocks(basis), Unroller(basis)]
     passes.append(Optimize1qGates(basis))
     if commutative:
         passes.append(CommutativeCancellation())

@@ -45,6 +45,9 @@ __all__ = ["Target", "TARGET_PRESETS"]
 
 TARGET_PAYLOAD_VERSION = 1
 
+#: gates every basis holds: the unroller lowers each definition to them
+_REQUIRED_GATES = ("u3", "cx")
+
 
 def _properties_key(properties):
     """Canonical hashable form of a BackendProperties, or ``None``."""
@@ -78,6 +81,12 @@ class Target:
             )
         self.name = str(name)
         self.basis = tuple(basis)
+        missing = [gate for gate in _REQUIRED_GATES if gate not in self.basis]
+        if missing:
+            raise TranspilerError(
+                f"Target basis {self.basis} lacks {' and '.join(missing)}: "
+                "every gate definition unrolls to u3 and cx"
+            )
         self.coupling_map = coupling_map
         self.properties = properties
         self._key = (

@@ -47,25 +47,37 @@ _PURE_BLOCK_GATES = ("cx", "cz", "swap", "swapz", "unitary")
 
 
 def fused_gate(theta, phi, lam):
-    """A fused run's u-gate, or ``None`` for the identity -- the pre-splice
-    ``Optimize1qGates._emit_params`` choice."""
+    """A fused run's u-gate in the IBM basis, or ``None`` for the identity
+    -- the ``u_gate`` choice: ``phi`` and ``lam`` of a ``u2``/``u3``
+    wrapped into ``[-pi, pi]``, the range the Euler extraction reads them
+    back in."""
     theta_n = normalize_angle(theta)
     if theta_n < _EPS or abs(theta_n - 2 * math.pi) < _EPS:
         total = normalize_angle(phi + lam)
         return U1Gate(total) if total > _EPS else None
+    phi, lam = math.remainder(phi, 2 * math.pi), math.remainder(lam, 2 * math.pi)
     if abs(theta_n - math.pi / 2) < _EPS:
         return U2Gate(phi, lam)
     return U3Gate(theta, phi, lam)
 
 
+def basis_form(operation):
+    """A re-synthesis gate as ``ConsolidateBlocks`` places it in the IBM
+    basis: a ``u3`` as its fused gate."""
+    if operation.name != "u3":
+        return operation
+    gate = fused_gate(*operation.params)
+    return operation if gate is None else gate
+
+
 def is_itself(operation, gate) -> bool:
     """Whether ``gate`` is ``operation`` again: unlabelled, same class and
-    the same parameter bits."""
+    every parameter within 1e-12 of its own."""
     return (
         gate is not None
         and operation.label is None
         and type(operation) is type(gate)
-        and [p.hex() for p in operation.params] == [p.hex() for p in gate.params]
+        and all(abs(a - b) <= 1e-12 for a, b in zip(operation.params, gate.params))
     )
 
 
@@ -192,7 +204,7 @@ class PreSpliceConsolidateBlocks(ConsolidateBlocks):
         cache.stats["synth_kept"] += 1
         output.global_phase += replacement.global_phase
         return [
-            (inner.operation, tuple(block.pair[q] for q in inner.qubits))
+            (basis_form(inner.operation), tuple(block.pair[q] for q in inner.qubits))
             for inner in replacement.data
         ]
 

@@ -308,7 +308,7 @@ class TestNoOpPassesReturnTheirInput:
     @staticmethod
     def fused() -> QuantumCircuit:
         """``in_ibm_basis`` after one ``Optimize1qGates`` run: every run is
-        one gate that fuses to itself bit for bit."""
+        one gate that round-trips."""
         return Optimize1qGates().run(
             TestNoOpPassesReturnTheirInput.in_ibm_basis(), PropertySet()
         )

@@ -217,7 +217,8 @@ class TestNestedPhases:
 
 class TestSignedZeroRuns:
     """A one-gate run is carried only when its re-extracted gate is the
-    same class with the same parameter bits, zeros' signs included."""
+    same class with every parameter within 1e-12 of its own; a carried
+    gate keeps its own bits, zeros' signs included."""
 
     @pytest.mark.parametrize(
         "build",

@@ -198,6 +198,34 @@ class TestTargetCoercion:
             Target.coerce(42)
 
 
+class TestBasisWithoutU3OrCx:
+    """Every gate definition unrolls to ``u3`` and ``cx``, so a basis that
+    lacks either is refused when the target is built, naming what it lacks
+    -- not when a compile recurses through the missing gate's definition."""
+
+    @pytest.mark.parametrize(
+        "basis, missing",
+        [
+            (("rz", "sx", "x", "cx"), "lacks u3:"),
+            (("u1", "u2", "cx"), "lacks u3:"),
+            (("u3", "cz"), "lacks cx:"),
+            (("h", "cz"), "lacks u3 and cx:"),
+        ],
+    )
+    def test_every_constructor_refuses_it(self, basis, missing):
+        for build in (
+            lambda: Target(CouplingMap.line(3), basis=basis),
+            lambda: Target.full(3, basis=basis),
+            lambda: Target.preset("melbourne", basis=basis),
+            lambda: FakeMelbourne().target(basis=basis),
+        ):
+            with pytest.raises(TranspilerError, match=missing):
+                build()
+
+    def test_a_basis_with_both_is_taken(self):
+        assert Target(CouplingMap.line(3), basis=("cx", "u3")).basis == ("cx", "u3")
+
+
 class TestResolveTarget:
     def test_explicit_target_wins_over_default(self):
         circuit = QuantumCircuit(3)
