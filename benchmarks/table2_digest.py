@@ -11,8 +11,11 @@ for line::
     PYTHONPATH=src python benchmarks/table2_digest.py --seeds 1 2 9001
 
 Each seed ends with a ``TOTALS`` line -- the set's CX, depth, size and
-``u1``/``u2``/``u3`` totals -- and an ``ALL`` line, the hash of its job
-lines, so a parent/change comparison is one ``diff`` of the two outputs.
+``u1``/``u2``/``u3`` totals --, a ``WORK`` line -- the items
+``ConsolidateBlocks`` handed to the budget, plan-size bound, plan and
+synthesis kernels -- and an ``ALL`` line, the hash of its job lines, so a
+parent/change comparison is one ``diff`` of the two outputs, and shows
+added synthesis work as well as moved outputs.
 """
 
 from __future__ import annotations
@@ -21,12 +24,16 @@ import argparse
 import hashlib
 import os
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for path in (os.path.join(ROOT, "src"), os.path.join(ROOT, "e2e_bench"), ROOT):
     if path not in sys.path:
         sys.path.insert(0, path)
 
+import repro.transpiler.cache as cache_module  # noqa: E402
+import repro.transpiler.passes.consolidate as consolidate  # noqa: E402
 from repro.transpiler import AnalysisCache, transpile  # noqa: E402
 from workloads import TARGET, table2_jobs  # noqa: E402
 
@@ -35,6 +42,14 @@ from tests.helpers import exact_form  # noqa: E402
 
 #: what a totals line sums, in print order
 COUNTED = ("CX", "DEPTH", "SIZE", "U1", "U2", "U3")
+
+#: what a work line counts, in print order: (label, module, kernel)
+KERNELS = (
+    ("BUDGET", cache_module, "cnot_budgets"),
+    ("BOUND", consolidate, "plan_size_bounds"),
+    ("PLAN", consolidate, "plan_two_qubit_unitaries"),
+    ("SYNTH", consolidate, "synthesize_two_qubit_unitary"),
+)
 
 
 def digest(circuit) -> str:
@@ -58,6 +73,36 @@ def totals(rows) -> str:
     :func:`counts` rows."""
     sums = [sum(row[index] for row in rows) for index in range(len(COUNTED))]
     return " ".join(f"{name} {value}" for name, value in zip(COUNTED, sums))
+
+
+@contextmanager
+def counting_work():
+    """While open, counts the unitaries ``ConsolidateBlocks`` hands to each
+    of :data:`KERNELS` into the yielded ``Counter``, by label."""
+    work = Counter()
+    originals = [(module, name, getattr(module, name)) for _, module, name in KERNELS]
+
+    def counting(label, kernel):
+        def call(items, *args, **kwargs):
+            # a bulk kernel takes a list of unitaries, synthesis one
+            work[label] += len(items) if isinstance(items, list) else 1
+            return kernel(items, *args, **kwargs)
+
+        return call
+
+    try:
+        for (label, _, _), (module, name, kernel) in zip(KERNELS, originals):
+            setattr(module, name, counting(label, kernel))
+        yield work
+    finally:
+        for module, name, kernel in originals:
+            setattr(module, name, kernel)
+
+
+def work_line(work: Counter) -> str:
+    """``BUDGET .. BOUND .. PLAN .. SYNTH ..``: the items of
+    :func:`counting_work`."""
+    return " ".join(f"{label} {work[label]}" for label, _, _ in KERNELS)
 
 
 def seed_digests(seed: int, limit: int | None = None) -> list[tuple[str, str, tuple]]:
@@ -84,10 +129,12 @@ def main(argv=None) -> int:
     parser.add_argument("--limit", type=int, default=None, help="first N jobs by label")
     args = parser.parse_args(argv)
     for seed in args.seeds:
-        lines = seed_digests(seed, args.limit)
+        with counting_work() as work:
+            lines = seed_digests(seed, args.limit)
         for label, value, _ in lines:
             print(f"seed {seed} {label} {value}")
         print(f"seed {seed} TOTALS {totals([line[2] for line in lines])}")
+        print(f"seed {seed} WORK {work_line(work)}")
         total = hashlib.sha256("".join(line[1] for line in lines).encode()).hexdigest()
         print(f"seed {seed} ALL {total}", flush=True)
     return 0

@@ -20,8 +20,7 @@ Enabling it
 
 ``REPRO_QSAN_REPORT=1`` records violations on
 ``TranspileResult.violations`` (and in per-pass metrics) instead of
-raising.  ``REPRO_QSAN_UNITARY_CAP`` / ``REPRO_QSAN_STATE_CAP`` move the
-width thresholds below.
+raising.
 
 Checking tiers
 ==============
@@ -58,10 +57,10 @@ fails the predicate become the violation, naming its record index and
 qubits.  Otherwise semantic equivalence is checked at the strongest tier
 the circuit width allows:
 
-* ``<= unitary_cap`` (default 8) qubits, measurement-free: exact unitary
+* ``<= UNITARY_CAP`` (8) qubits, measurement-free: exact unitary
   equivalence up to global phase via
   :func:`~repro.simulators.unitary.circuit_unitary`;
-* ``<= state_cap`` (default 14) qubits: statevector equivalence from the
+* ``<= STATE_CAP`` (14) qubits: statevector equivalence from the
   all-zeros initial state up to global phase (terminal measurements are
   stripped and their qubit->clbit maps compared; circuits that measure
   also get a fixed-seed sampling-parity check);
@@ -108,6 +107,11 @@ __all__ = ["ContractViolation", "QsanConfig", "QsanValidator", "QSAN_SAMPLE_SEED
 #: Fixed seed for the sampling-parity check -- the CGO 2021 camera-ready
 #: date, chosen once and never derived from wall clock or process state.
 QSAN_SAMPLE_SEED = 20210227
+
+#: widest measurement-free circuit the unitary tier checks
+UNITARY_CAP = 8
+#: widest circuit the statevector tier checks
+STATE_CAP = 14
 
 _ATOL = 1e-8
 #: Bloch-vector tolerance for tracker fingerprint comparison.
@@ -157,8 +161,6 @@ class QsanConfig:
 
     mode: str = "off"  # "off" | "full"
     report_only: bool = False
-    unitary_cap: int = 8
-    state_cap: int = 14
     sample_shots: int = 128
 
     @classmethod
@@ -172,19 +174,7 @@ class QsanConfig:
             mode=qsan_mode(validate),
             report_only=os.environ.get("REPRO_QSAN_REPORT", "").strip().lower()
             in ("1", "true", "yes"),
-            unitary_cap=_env_int("REPRO_QSAN_UNITARY_CAP", 8),
-            state_cap=_env_int("REPRO_QSAN_STATE_CAP", 14),
         )
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise TranspilerError(f"{name}={raw!r} is not an integer qubit count") from None
 
 
 # ======================================================================
@@ -728,7 +718,7 @@ class QsanValidator:
             not (before_annotated or after_annotated)
             and before_measures is not None
             and after_measures is not None
-            and width <= self.config.state_cap
+            and width <= STATE_CAP
         )
         if exact_feasible:
             try:
@@ -788,7 +778,7 @@ class QsanValidator:
             contract == "unitary"
             and not before_measures
             and not after_measures
-            and max(before.num_qubits, after.num_qubits) <= self.config.unitary_cap
+            and max(before.num_qubits, after.num_qubits) <= UNITARY_CAP
         ):
             unitary_before = self._semantics(before, "unitary")
             unitary_after = self._semantics(after, "unitary")

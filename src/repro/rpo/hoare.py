@@ -130,7 +130,7 @@ class HoareOptimizer(TransformationPass):
             self._process(
                 instruction.operation, instruction.qubits, instruction.clbits, output
             )
-        return circuit.splice(output.close())
+        return self.splice(circuit, output.close(), property_set)
 
     # ------------------------------------------------------------------
 

@@ -56,7 +56,6 @@ from repro.gates import (
 from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.basis_tracker import BasisStateTracker
 from repro.rpo.states import BasisState, eigenphase_if_fixed, preparation_matrices, track_non_gate
-from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["QBOPass"]
@@ -122,9 +121,7 @@ class QBOPass(TransformationPass):
             output.visit(index, instruction)
             self._process(operation, instruction.qubits, instruction.clbits, tracker, output)
         state.swapz_profitable = True
-        edits = output.close()
-        rewrite_counter(property_set)[self.name] += output.rewrites
-        return circuit.splice(edits)
+        return self.splice(circuit, output.close(), property_set)
 
     # ------------------------------------------------------------------
     # the rewrite engine

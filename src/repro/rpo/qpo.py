@@ -41,7 +41,6 @@ from repro.gates import SwapGate, SwapZGate, UnitaryGate, XGate, ZGate
 from repro.rpo.adjacency import same_pair_adjacent_indices
 from repro.rpo.pure_tracker import PureStateTracker
 from repro.rpo.states import BasisState, track_non_gate
-from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, RecordEdits, TransformationPass
 
 __all__ = ["QPOPass"]
@@ -71,7 +70,7 @@ class QPOPass(TransformationPass):
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         state = self._run_state
-        state.rewrites = rewrite_counter(property_set)
+        state.properties = property_set
         rewritten = self._rewrite_gates(circuit)
         if self.optimize_blocks:
             rewritten = self._rewrite_blocks(rewritten)
@@ -96,9 +95,7 @@ class QPOPass(TransformationPass):
             output.visit(index, instruction)
             self._process(operation, instruction.qubits, instruction.clbits, tracker, output)
         self._run_state.swapz_profitable = True
-        edits = output.close()
-        self._run_state.rewrites[self.name] += output.rewrites
-        return circuit.splice(edits)
+        return self.splice(circuit, output.close(), self._run_state.properties)
 
     def _process(self, operation, qubits, clbits, tracker, output) -> None:
         if track_non_gate(tracker, operation, qubits):
@@ -315,7 +312,7 @@ class QPOPass(TransformationPass):
             flush_block(block)
         for qubit in sorted(pending):
             flush_pending(qubit)
-        return circuit.splice(edits)
+        return self.splice(circuit, edits, self._run_state.properties)
 
     def _track(self, instruction, tracker) -> None:
         """Keep the tracker sound across an instruction left as it is."""
@@ -368,7 +365,6 @@ class QPOPass(TransformationPass):
             for instruction in block.instructions:
                 self._track(instruction, tracker)
             return None
-        self._run_state.rewrites[self.name] += 1
         # replacement must act on |00>: undo the known input states first
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T

@@ -4,8 +4,9 @@ One :class:`AnalysisCache` instance rides along a pipeline run (stored in
 the property set under :attr:`AnalysisCache.PROPERTY_KEY`) and memoizes
 the two-qubit syntheses ``ConsolidateBlocks`` would otherwise redo:
 keyed by a block unitary's exact bytes, each record holds the unitary's
-minimal CNOT count and, once the pass has synthesized it, the replacement
-circuit (or the failure).  Repeat unitaries from the fixed-point loop and
+minimal CNOT count, a proven lower bound on its budget plan's size and,
+once the pass has synthesized it, the replacement circuit (or the
+failure).  Repeat unitaries from the fixed-point loop and
 from repeated blocks cost one synthesis.  Lookups come in bulk
 (:meth:`AnalysisCache.syntheses`): the CNOT counts of all new unitaries of
 a request are one stacked kernel call.
@@ -39,6 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.linalg.two_qubit_synthesis import plan_size_floor
 from repro.linalg.weyl import cnot_budgets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,24 +77,25 @@ class SynthesisMemo:
 
     ``budget`` is :func:`~repro.linalg.weyl.num_cnots_required` of the
     unitary (made in bulk by :meth:`AnalysisCache.syntheses`) -- a lower
-    bound on the CNOT count of any re-synthesis.
-    ``plan_size`` is ``None`` until the budget plan has been made, then the
-    plan's gate count (``math.inf`` when no plan matches).  ``size_floor``
-    is 0 until a CX-count tie of the unitary was refuted by
-    :func:`~repro.linalg.two_qubit_synthesis.plan_size_bounds`, then that
-    proven lower bound on the plan's gate count: a repeat no larger than it
-    is rejected from the memo, and a larger block is still priced.  Once
+    bound on the CNOT count of any re-synthesis.  ``floor`` is a proven
+    lower bound on the gate count of the unitary's budget plan: it starts
+    at :func:`~repro.linalg.two_qubit_synthesis.plan_size_floor` (a budget
+    below 2, which no CX-count tie has, starts at the budget), a
+    :func:`~repro.linalg.two_qubit_synthesis.plan_size_bounds` bound
+    raises it, and once the plan is made it is ``plan_size``, the plan's
+    gate count (``math.inf`` when no plan matches; ``None`` before).  A
+    CX-count tie no larger than the floor is rejected.  Once
     ``synthesized`` is set, ``replacement`` holds the synthesized circuit,
     or ``None`` if planning or synthesis failed.  Replacements are shared
     read-only.
     """
 
-    __slots__ = ("budget", "plan_size", "size_floor", "synthesized", "replacement")
+    __slots__ = ("budget", "floor", "plan_size", "synthesized", "replacement")
 
     def __init__(self, budget: int):
         self.budget = budget
+        self.floor = plan_size_floor(budget) if budget >= 2 else budget
         self.plan_size: "int | float | None" = None
-        self.size_floor = 0
         self.synthesized = False
         self.replacement: "QuantumCircuit | None" = None
 

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.transpiler.passmanager.TranspileResult` already carries
 structured per-pass and per-loop metrics; this module rolls a *batch* of
-results up into one JSON-serializable report: per-pass time/gate-delta/
+results up into one JSON-serializable report: per-pass run, time and
 rewrite aggregates, batch-level wall-time and gate-count statistics,
 per-:class:`~repro.transpiler.target.Target` breakdowns (``by_target`` --
 heterogeneous multi-backend batches report each device separately), and
@@ -115,16 +115,12 @@ def aggregate_batch(
                     "runs": 0,
                     "total_time": 0.0,
                     "max_time": 0.0,
-                    "size_delta": 0,
-                    "depth_delta": 0,
                     "rewrites": 0,
                 },
             )
             entry["runs"] += 1
             entry["total_time"] += metric.time
             entry["max_time"] = max(entry["max_time"], metric.time)
-            entry["size_delta"] += metric.size_delta
-            entry["depth_delta"] += metric.depth_delta
             entry["rewrites"] += metric.rewrites
         for loop in result.loops:
             loops_total += 1

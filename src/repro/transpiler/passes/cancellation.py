@@ -13,7 +13,6 @@ records, so a circuit with nothing to cancel is returned as it is.
 from __future__ import annotations
 
 from repro.circuit.quantumcircuit import NO_PHASE, CircuitInstruction, QuantumCircuit
-from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 
 __all__ = ["CXCancellation", "CommutativeCancellation"]
@@ -26,7 +25,6 @@ class CXCancellation(TransformationPass):
     """Cancel immediately adjacent self-inverse two-qubit gate pairs."""
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        rewrites = rewrite_counter(property_set)
         data = circuit.data
         edits = []  # one per cancelled pair
         last_on_wire: dict[int, int] = {}  # qubit -> index of its last survivor
@@ -44,9 +42,7 @@ class CXCancellation(TransformationPass):
                         continue
             for qubit in qubits:
                 last_on_wire[qubit] = index
-        if edits:
-            rewrites[self.name] += len(edits)
-        return circuit.splice(edits)
+        return self.splice(circuit, edits, property_set)
 
     @staticmethod
     def _is_inverse_pair(a: CircuitInstruction, b: CircuitInstruction) -> bool:
@@ -69,7 +65,6 @@ class CommutativeCancellation(TransformationPass):
     """
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        rewrites = rewrite_counter(property_set)
         survivors: list[CircuitInstruction | None] = list(circuit.data)
         wire_ops: dict[int, list[int]] = {q: [] for q in range(circuit.num_qubits)}
         for index, instruction in enumerate(survivors):
@@ -100,9 +95,7 @@ class CommutativeCancellation(TransformationPass):
             # a cx also threatens candidates on overlapping wires
             self._invalidate(open_cx, instruction, skip_key=key)
             open_cx[key] = index
-        if edits:
-            rewrites[self.name] += len(edits)
-        return circuit.splice(edits)
+        return self.splice(circuit, edits, property_set)
 
     @staticmethod
     def _invalidate(open_cx, instruction, skip_key=None):

@@ -47,7 +47,8 @@ class RemoveDiagonalGatesBeforeMeasure(TransformationPass):
                 if earlier.operation.name not in _DIAGONAL_1Q or len(earlier.qubits) != 1:
                     break
                 dropped.add(index)
-        return circuit.splice([((index,), index, (), NO_PHASE) for index in sorted(dropped)])
+        edits = [((index,), index, (), NO_PHASE) for index in sorted(dropped)]
+        return self.splice(circuit, edits, property_set)
 
 
 class RemoveAnnotations(TransformationPass):
@@ -58,22 +59,20 @@ class RemoveAnnotations(TransformationPass):
     equivalence = "none"
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        return _without(circuit, "annot")
+        return self.splice(circuit, _removals(circuit, "annot"), property_set)
 
 
 class RemoveBarriers(TransformationPass):
     """Strip barrier directives."""
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        return _without(circuit, "barrier")
+        return self.splice(circuit, _removals(circuit, "barrier"), property_set)
 
 
-def _without(circuit: QuantumCircuit, name: str) -> QuantumCircuit:
-    """``circuit`` without its ``name`` records; itself when it has none."""
-    return circuit.splice(
-        [
-            ((index,), index, (), NO_PHASE)
-            for index, instruction in enumerate(circuit.data)
-            if instruction.operation.name == name
-        ]
-    )
+def _removals(circuit: QuantumCircuit, name: str) -> list:
+    """The splice edits that drop each of the circuit's ``name`` records."""
+    return [
+        ((index,), index, (), NO_PHASE)
+        for index, instruction in enumerate(circuit.data)
+        if instruction.operation.name == name
+    ]

@@ -26,28 +26,27 @@ The pass runs in five steps and returns its output as one
    :class:`~repro.transpiler.cache.AnalysisCache` gives every block the
    memo of its unitary, with the minimal CNOT count (the ``budget``
    synthesis itself starts from, and a lower bound on the replacement's
-   CNOT count and size); the budgets of all unitaries new to the cache come
-   from one stacked :func:`~repro.linalg.weyl.cnot_budgets` call.  A block
-   whose budget already exceeds its CX cost, or ties it without holding
-   more gates than the budget, cannot be improved and keeps its records
-   (prescan).  On any other CX-count tie only the budget-CNOT candidate
-   can win, and no budget plan is smaller than the structural floor
-   (:func:`~repro.linalg.two_qubit_synthesis.plan_size_floor`: 3 gates for
-   2 CNOTs, 7 for 3), so a tie no larger than the floor is rejected with
-   no linear algebra (floor reject).  Every other fresh tie gets its
-   unitary's proven plan-size bound from one stacked
+   CNOT count) and the unitary's ``floor``, a proven lower bound on the
+   size of its budget plan; the budgets of all unitaries new to the cache
+   come from one stacked :func:`~repro.linalg.weyl.cnot_budgets` call.  A
+   block whose budget exceeds its CX cost cannot be improved (prescan).
+   On a CX-count tie only the budget plan can win, so a tie no larger
+   than the floor is rejected.  The floor starts at the structural
+   :func:`~repro.linalg.two_qubit_synthesis.plan_size_floor` (3 gates for
+   2 CNOTs, 7 for 3); every unplanned unitary with a tie above it gets its
+   proven plan-size bound from one stacked
    :func:`~repro.linalg.two_qubit_synthesis.plan_size_bounds` call -- one
-   gate more than the floor unless the unitary is its plan's template up
-   to phases (one 4x4 product, no eigendecomposition), and for a 2-CNOT
-   tie one bound short of refutal, one more when every template it could
-   match has a non-zero ``Ry`` angle -- and a tie no larger than its bound
-   is rejected with no plan (bound reject);
-4. **price and plan in bulk** -- the budget plans of every unitary the run
-   may still price (a fresh tie above its bound) or synthesize are made in
-   one call
+   gate more than the structural floor unless the unitary is its plan's
+   template up to phases (one 4x4 product, no eigendecomposition), and for
+   a 2-CNOT tie one bound short of refutal, one more when every template
+   it could match has a non-zero ``Ry`` angle -- which raises the floor;
+4. **plan in bulk** -- the budget plans of every unitary some block may
+   still win with (a budget below its CX cost, or a tie above the floor)
+   are made in one call
    (:func:`~repro.linalg.two_qubit_synthesis.plan_two_qubit_unitaries`:
-   gate tuples, no circuit, no check) over the stacked Weyl kernel; a tie
-   is rejected when there is no plan or it is not smaller than the block;
+   gate tuples, no circuit, no check) over the stacked Weyl kernel, and
+   each plan's size becomes its unitary's plan size and floor, so a tie no
+   larger than its plan is rejected by the same rule;
 5. **edit, building and verifying only what is kept** -- one edit per
    kept rewrite, in close order, removes the block's records and puts its
    re-synthesis at the block's last record, adding that circuit's phase;
@@ -63,14 +62,14 @@ The pass runs in five steps and returns its output as one
    against the block unitary and only then builds the circuit; on a miss
    it escalates the CNOT count and plans again.
 
-Every decision is memoized per distinct unitary per cache -- the proven
-plan-size floor of a bound reject, the plan size, then the replacement or
-the failure -- for repeats from the fixed-point loop or within a circuit; a
-floor reject writes nothing, and a bound reject only the floor, so a larger
-block of the same unitary is still priced.  The bound sits far below any
-plan synthesis would keep, so steps 3 to 5 skip only rewrites the pass
-would have rejected: on a run's own, the output is bit-identical to
-synthesizing every block.  The oracle parity tests hold it to that, and
+Every decision is memoized per distinct unitary per cache -- the floor,
+the plan size, then the replacement or the failure -- for repeats from the
+fixed-point loop or within a circuit.  A bound holds for the unitary
+whatever block asks, so it is kept whether or not it rejects a tie, and a
+larger block of the same unitary is still priced.  The bound sits far
+below any plan synthesis would keep, so steps 3 to 5 skip only rewrites
+the pass would have rejected: on a run's own, the output is bit-identical
+to synthesizing every block.  The oracle parity tests hold it to that, and
 every block's decision to pricing each tie from its exact plan.
 
 **Own output.**  Within one pipeline run the pass also leaves alone each
@@ -86,11 +85,10 @@ re-syntheses, is priced again.  The parity tests hold every pass run of
 the seed-1 Table II set, and runs on random circuits, to a run that
 prices every block.
 
-``AnalysisCache.stats`` counts ``synth_own_skips``,
-``synth_prescan_skips``, ``synth_floor_rejects``, ``synth_tie_rejects`` (a
-bound reject counts here too, and in ``synth_bound_rejects``),
-``synth_memo_hits``, ``synth_attempts``, ``synth_failures`` and
-``synth_kept``.
+``AnalysisCache.stats`` counts ``synth_own_skips``, ``synth_failures`` and
+``synth_kept``, and puts every other block in exactly one of
+``synth_prescan_skips``, ``synth_tie_rejects``, ``synth_memo_hits`` (a
+memoized replacement, or failure, handed back) and ``synth_attempts``.
 """
 
 from __future__ import annotations
@@ -106,11 +104,10 @@ from repro.linalg.batch import two_qubit_chain_unitaries
 from repro.linalg.two_qubit_synthesis import (
     SYNTHESIS_ERRORS,
     plan_size_bounds,
-    plan_size_floor,
     plan_two_qubit_unitaries,
     synthesize_two_qubit_unitary,
 )
-from repro.transpiler.cache import AnalysisCache, SynthesisMemo, rewrite_counter
+from repro.transpiler.cache import AnalysisCache, SynthesisMemo
 from repro.transpiler.passes.optimize_1q import u_basis, u_gate
 from repro.transpiler.passmanager import PropertySet, TransformationPass, run_scratch
 
@@ -144,9 +141,6 @@ class _Block:
         #: (a ``SynthesisPlan``, ``None`` when no template matches, or the
         #: typed error); ``_UNPLANNED`` when the run needs none
         self.plan = _UNPLANNED
-        #: a proven lower bound on the budget plan's size: the memo's
-        #: ``size_floor``, or this run's bound when a fresh tie exceeds that
-        self.bound = 0
 
     def add(self, index: int, instruction: CircuitInstruction) -> None:
         self.indices.append(index)
@@ -249,7 +243,6 @@ class ConsolidateBlocks(TransformationPass):
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         cache = AnalysisCache.ensure(property_set)
-        rewrites = rewrite_counter(property_set)
         scratch = run_scratch(property_set)
         own = scratch.get(_PLACED, {})
         blocks, own_blocks = [], []
@@ -268,14 +261,13 @@ class ConsolidateBlocks(TransformationPass):
             replacement = self._replacement(block, unitaries[id(block)], cache)
             if replacement is None or not self._improves(block, replacement):
                 continue
-            rewrites[self.name] += 1
             cache.stats["synth_kept"] += 1
             records = [
                 (self._basis_gate(inner.operation), tuple(block.pair[q] for q in inner.qubits), ())
                 for inner in replacement.data
             ]
             edits.append((block.indices, block.indices[-1], records, replacement.global_phase))
-        output = circuit.splice(edits)
+        output = self.splice(circuit, edits, property_set)
         placed = _placed_groups(output, edits)
         for block in own_blocks:
             placed.setdefault(block.pair, []).append(_two_qubit_records(block.instructions))
@@ -300,75 +292,40 @@ class ConsolidateBlocks(TransformationPass):
             new_2q == block.cx_cost and replacement.size() < len(block.instructions)
         )
 
-    def _needs_plan(self, block: _Block) -> bool:
-        """Whether editing ``block`` may read its unitary's budget plan:
-        to price a fresh CX-count tie larger than its proven plan-size
-        bound, or to synthesize (a budget below the CX cost, or a tie whose
-        memoized plan size wins).  Nothing is needed once the unitary's
-        synthesis is memoized."""
+    def _may_win(self, block: _Block) -> bool:
+        """Whether a re-synthesis of ``block`` may be kept: its unitary's
+        budget is below the block's CX cost, or ties it on more gates than
+        the unitary's floor."""
         memo = block.memo
-        if memo.synthesized:
-            return False
-        if memo.budget < block.cx_cost:
-            return True
-        if memo.budget > block.cx_cost:
-            return False
-        size = len(block.instructions)
-        if memo.plan_size is None:
-            return size > max(plan_size_floor(memo.budget), block.bound)
-        return memo.plan_size < size
-
-    def _fresh_tie(self, block: _Block) -> bool:
-        """Whether ``block`` is a CX-count tie above the plan-size floor
-        whose unitary has no plan size yet."""
-        memo = block.memo
-        return (
-            not memo.synthesized
-            and memo.plan_size is None
-            and memo.budget == block.cx_cost
-            and len(block.instructions) > plan_size_floor(memo.budget)
+        return memo.budget < block.cx_cost or (
+            memo.budget == block.cx_cost and len(block.instructions) > memo.floor
         )
 
     def _plan_blocks(
         self, blocks: list[_Block], unitaries: dict[int, np.ndarray], cache: AnalysisCache
     ) -> None:
-        """Decide, bound, then price and plan in bulk.
+        """Decide, bound, then plan in bulk.
 
         One :meth:`AnalysisCache.syntheses` lookup gives every block its
-        memo (one stacked budget call for the unitaries new to the cache).
-        Every block starts from its memo's proven plan-size floor; a fresh
-        CX-count tie above it gets its unitary's bound from one stacked
-        :func:`plan_size_bounds` call, so a tie no larger than its bound
-        needs no plan.  Then one :func:`plan_two_qubit_unitaries` call
-        makes the budget plan of every unitary some block of the run may
-        still price or synthesize.  Every block of that unitary gets the
-        plan, so whichever block reads it first in close order finds it,
-        exactly as if the plans had been made one by one.
+        memo (one stacked budget call for the unitaries new to the cache),
+        and :meth:`_raise_floors` bounds the unplanned unitaries.  Then one
+        :func:`plan_two_qubit_unitaries` call makes the budget plan of every
+        unsynthesized unitary some block of the run may still win with, and
+        the plan's size becomes the memo's plan size and floor.  Every block
+        of that unitary gets the plan, so whichever block reads it first in
+        close order finds it, exactly as if the plans had been made one by
+        one.
         """
         memos = cache.syntheses([unitaries[id(block)] for block in blocks])
         groups: dict[int, list[_Block]] = {}
         for block, memo in zip(blocks, memos):
             block.memo = memo
-            block.bound = memo.size_floor
             groups.setdefault(id(memo), []).append(block)
-        unbounded = []  # (group, its largest fresh tie above the memo's floor)
-        for group in groups.values():
-            size = max(
-                (len(block.instructions) for block in group if self._fresh_tie(block)),
-                default=0,
-            )
-            if size > group[0].bound:
-                unbounded.append((group, size))
-        bounds = plan_size_bounds(
-            [unitaries[id(group[0])] for group, _ in unbounded],
-            [group[0].memo.budget for group, _ in unbounded],
-            [size for _, size in unbounded],
-        )
-        for (group, _), bound in zip(unbounded, bounds):
-            for block in group:
-                block.bound = bound
+        self._raise_floors(list(groups.values()), unitaries)
         planned = [
-            group for group in groups.values() if any(map(self._needs_plan, group))
+            group
+            for group in groups.values()
+            if not group[0].memo.synthesized and any(map(self._may_win, group))
         ]
         if not planned:
             return
@@ -377,8 +334,36 @@ class ConsolidateBlocks(TransformationPass):
             [group[0].memo.budget for group in planned],
         )
         for group, plan in zip(planned, plans):
+            if not isinstance(plan, Exception):
+                memo = group[0].memo
+                memo.plan_size = memo.floor = math.inf if plan is None else plan.size
             for block in group:
                 block.plan = plan
+
+    def _raise_floors(self, groups: list[list[_Block]], unitaries: dict[int, np.ndarray]) -> None:
+        """Raise the floor of every unplanned unitary with a CX-count tie
+        above it to the unitary's proven plan-size bound: one stacked
+        :func:`plan_size_bounds` call over the largest such tie of each.
+        The bound holds for the unitary whatever block asks, so it is kept
+        whether or not it rejects this run's ties."""
+        ties = []  # (memo, its unitary, its largest tie)
+        for group in groups:
+            memo = group[0].memo
+            if memo.synthesized or memo.plan_size is not None:
+                continue
+            size = max(
+                (len(block.instructions) for block in group if block.cx_cost == memo.budget),
+                default=0,
+            )
+            if size > memo.floor:
+                ties.append((memo, unitaries[id(group[0])], size))
+        bounds = plan_size_bounds(
+            [unitary for _, unitary, _ in ties],
+            [memo.budget for memo, _, _ in ties],
+            [size for _, _, size in ties],
+        )
+        for (memo, _, _), bound in zip(ties, bounds):
+            memo.floor = max(memo.floor, bound)
 
     def _replacement(
         self, block: _Block, unitary: np.ndarray, cache: AnalysisCache
@@ -386,54 +371,26 @@ class ConsolidateBlocks(TransformationPass):
         """The block's re-synthesis, or ``None`` when it provably cannot be
         kept or synthesis failed.
 
-        A replacement never has fewer CNOTs than the budget, nor fewer
-        gates, so a budget above ``cx_cost`` -- or equal to it on a block
-        of at most ``budget`` gates -- is a rewrite ``_improves`` would
-        reject (prescan).  On any other CX-count tie only the budget plan
-        can win: synthesis either returns it or escalates to more CNOTs
-        than ``cx_cost``.  So a tie is rejected without building or
-        checking a circuit when the block is no larger than the plan-size
-        floor (floor reject; the memo is left alone), no larger than its
-        unitary's proven bound (bound reject; the memo keeps the bound as
-        its ``size_floor``, so a larger block of the same unitary is still
-        priced), or when its budget plan -- made in bulk by
-        ``_plan_blocks`` -- is missing or not smaller than the block.
+        A replacement never has fewer CNOTs than the budget, so a budget
+        above ``cx_cost`` is a rewrite ``_improves`` would reject
+        (prescan).  On a CX-count tie only the budget plan can win:
+        synthesis either returns it or escalates to more CNOTs than
+        ``cx_cost``.  So a tie no larger than its unitary's floor -- a
+        proven lower bound on that plan's size, or its exact size once
+        ``_plan_blocks`` made it -- is rejected without building or
+        checking a circuit.
         """
         memo = block.memo
-        size = len(block.instructions)
-        tie = memo.budget == block.cx_cost
-        cannot_win = memo.budget > block.cx_cost or (tie and size <= memo.budget)
-        if cannot_win:
-            cache.stats["synth_prescan_skips"] += 1
+        if not self._may_win(block):
+            tie = memo.budget == block.cx_cost
+            cache.stats["synth_tie_rejects" if tie else "synth_prescan_skips"] += 1
             return None
         if memo.synthesized:
             cache.stats["synth_memo_hits"] += 1
             return memo.replacement
-        if tie:
-            fresh = memo.plan_size is None
-            if fresh:
-                if size <= plan_size_floor(memo.budget):
-                    cache.stats["synth_floor_rejects"] += 1
-                    return None
-                if size <= memo.size_floor:
-                    cache.stats["synth_memo_hits"] += 1
-                    return None
-                if size <= block.bound:
-                    memo.size_floor = block.bound
-                    cache.stats["synth_tie_rejects"] += 1
-                    cache.stats["synth_bound_rejects"] += 1
-                    return None
-                if isinstance(block.plan, Exception):
-                    cache.stats["synth_failures"] += 1
-                    memo.synthesized = True
-                    return None
-                memo.plan_size = math.inf if block.plan is None else block.plan.size
-            if memo.plan_size >= size:
-                cache.stats["synth_tie_rejects" if fresh else "synth_memo_hits"] += 1
-                return None
         cache.stats["synth_attempts"] += 1
         try:
-            # ``_needs_plan`` holds for every block that gets here
+            # ``_plan_blocks`` planned every unitary a block may win with
             memo.replacement = synthesize_two_qubit_unitary(
                 unitary, planned=(memo.budget, block.plan)
             )

@@ -40,7 +40,6 @@ import math
 from repro.circuit.quantumcircuit import QuantumCircuit
 from repro.gates import U1Gate, U2Gate, U3Gate
 from repro.linalg.batch import chain_products, u3_params_batch
-from repro.transpiler.cache import rewrite_counter
 from repro.transpiler.passmanager import PropertySet, TransformationPass
 from repro.utils.angles import normalize_angle
 
@@ -63,8 +62,6 @@ class Optimize1qGates(TransformationPass):
         self.u1, self.u2 = u_basis(basis)
 
     def transform(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
-        rewrites = rewrite_counter(property_set)
-
         # Phase 1: scan the runs (qubit, input indices, gate matrices).  A
         # one-qubit gate with no matrix is a fence like any other record:
         # it ends the run on its wire and stays where it is.
@@ -101,13 +98,15 @@ class Optimize1qGates(TransformationPass):
         edits = []
         for (qubit, indices, _), (theta, phi, lam, gamma) in zip(runs, params):
             gate = u_gate(theta, phi, lam, self.u1, self.u2)
-            if len(indices) > 1:
-                rewrites[self.name] += 1
-            elif gate is not None and _round_trips(data[indices[0]].operation, *gate):
+            if (
+                len(indices) == 1
+                and gate is not None
+                and _round_trips(data[indices[0]].operation, *gate)
+            ):
                 continue
             replacement = () if gate is None else ((gate[0](*gate[1]), (qubit,), ()),)
             edits.append((indices, indices[-1], replacement, gamma))
-        return circuit.splice(edits)
+        return self.splice(circuit, edits, property_set)
 
 
 def u_basis(basis) -> tuple[bool, bool]:

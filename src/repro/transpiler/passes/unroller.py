@@ -43,7 +43,7 @@ class Unroller(TransformationPass):
             if instruction.operation.name not in self.basis:
                 output.visit(index, instruction)
                 self._unroll(*instruction, output, 0)
-        return circuit.splice(output.close())
+        return self.splice(circuit, output.close(), property_set)
 
     def _unroll(self, operation, qubits, clbits, output, depth) -> None:
         if depth > _MAX_DEPTH:

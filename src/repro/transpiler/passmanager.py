@@ -12,7 +12,7 @@ All passes share one :class:`~repro.transpiler.cache.AnalysisCache`
 
 Each run produces a :class:`TranspileResult` carrying the output circuit,
 the property set, structured per-pass metrics (:class:`PassMetrics`: time,
-gate/depth delta, rewrites applied) and per-loop metrics
+rewrites applied) and per-loop metrics
 (:class:`LoopMetrics`: iteration count, per-iteration times, convergence).
 
 Runs can execute under the QSAN translation-validation sanitizer
@@ -96,22 +96,11 @@ class PassMetrics:
 
     name: str
     time: float
-    size_before: int
-    size_after: int
-    depth_before: int
-    depth_after: int
+    #: the pass's edits that removed records (see :func:`rewrite_counter`)
     rewrites: int = 0
     #: contract/equivalence violations QSAN attributed to this execution
     #: (always 0 when the sanitizer is off)
     violations: int = 0
-
-    @property
-    def size_delta(self) -> int:
-        return self.size_after - self.size_before
-
-    @property
-    def depth_delta(self) -> int:
-        return self.depth_after - self.depth_before
 
 
 @dataclass
@@ -199,6 +188,15 @@ class TransformationPass(BasePass):
     def run(self, circuit: QuantumCircuit, property_set: PropertySet) -> QuantumCircuit:
         return self.transform(circuit, property_set)
 
+    def splice(self, circuit: QuantumCircuit, edits, property_set: PropertySet) -> QuantumCircuit:
+        """``circuit.splice(edits)``, counting each edit that removes records
+        as one rewrite of this pass in the run's :func:`rewrite_counter`."""
+        counter = rewrite_counter(property_set)
+        removing = sum(1 for removed, *_ in edits if removed)
+        if removing:
+            counter[self.name] += removing
+        return circuit.splice(edits)
+
 
 class RecordEdits:
     """The :meth:`QuantumCircuit.splice` edits of a pass that rewrites its
@@ -238,11 +236,6 @@ class RecordEdits:
         self.visit(None, None)
         return self.edits
 
-    @property
-    def rewrites(self) -> int:
-        """The visited records not carried as themselves: one edit each."""
-        return sum(1 for removed, *_ in self.edits if removed)
-
 
 class DoWhileController:
     """Repeats a pass sequence while ``condition(property_set)`` holds."""
@@ -266,38 +259,14 @@ class DoWhileController:
 class _RunState:
     """Book-keeping for one pipeline run (never stored on the manager)."""
 
-    __slots__ = (
-        "properties",
-        "metrics",
-        "loops",
-        "size",
-        "depth",
-        "validator",
-        "violations",
-    )
+    __slots__ = ("properties", "metrics", "loops", "validator", "violations")
 
     def __init__(self, properties: PropertySet, validator=None):
         self.properties = properties
         self.metrics: list[PassMetrics] = []
         self.loops: list[LoopMetrics] = []
-        self.size: int | None = None  # memoized metrics of the live circuit
-        self.depth: int | None = None
         self.validator = validator  # QsanValidator or None
         self.violations: list = []
-
-
-def _unchanged(before: QuantumCircuit, after: QuantumCircuit) -> bool:
-    """True when ``after`` is structurally identical to ``before``."""
-    if after is before:
-        return True
-    if (
-        after.num_qubits != before.num_qubits
-        or after.num_clbits != before.num_clbits
-        or len(after.data) != len(before.data)
-        or abs(after.global_phase - before.global_phase) > 1e-12
-    ):
-        return False
-    return after.data == before.data
 
 
 class PassManager:
@@ -404,11 +373,6 @@ class PassManager:
 
     def _run_pass(self, pass_, circuit, state: _RunState):
         properties = state.properties
-        if state.size is None:
-            state.size = circuit.size()
-            state.depth = circuit.depth()
-        size_before, depth_before = state.size, state.depth
-
         rewrites_before = rewrite_counter(properties)[pass_.name]
         start = time.perf_counter()
         if state.validator is None:
@@ -422,11 +386,8 @@ class PassManager:
                 f"pass {pass_.name} returned None instead of a circuit"
             )
 
-        changed = not _unchanged(circuit, result)
-        if changed:
-            state.size = result.size()
-            state.depth = result.depth()
-
+        # a pass that rewrites nothing returns its input
+        changed = result is not circuit
         found = []
         if state.validator is not None:
             found = state.validator.check_pass(pass_, circuit, result, properties, changed)
@@ -435,10 +396,6 @@ class PassManager:
             PassMetrics(
                 name=pass_.name,
                 time=elapsed,
-                size_before=size_before,
-                size_after=state.size,
-                depth_before=depth_before,
-                depth_after=state.depth,
                 rewrites=rewrite_counter(properties)[pass_.name] - rewrites_before,
                 violations=len(found),
             )

@@ -240,20 +240,6 @@ class TestConfigResolution:
                 with CompileService(mode="serial", validate="contracts") as service:
                     service.map([_bell()])
 
-    def test_caps_read_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QSAN", "full")
-        monkeypatch.setenv("REPRO_QSAN_UNITARY_CAP", "4")
-        monkeypatch.setenv("REPRO_QSAN_STATE_CAP", "6")
-        config = QsanConfig.resolve()
-        assert config.unitary_cap == 4
-        assert config.state_cap == 6
-
-    @pytest.mark.parametrize("name", ["REPRO_QSAN_UNITARY_CAP", "REPRO_QSAN_STATE_CAP"])
-    def test_non_integer_cap_is_a_typed_error(self, monkeypatch, name):
-        monkeypatch.setenv(name, "big")
-        with pytest.raises(TranspilerError, match=f"{name}='big'"):
-            QsanConfig.resolve("full")
-
     def test_env_enables_sanitizer_end_to_end(self, monkeypatch):
         monkeypatch.setenv("REPRO_QSAN", "1")
         pm = PassManager([MutatingAnalysis()])

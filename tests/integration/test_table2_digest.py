@@ -1,6 +1,6 @@
 """Smoke test of ``benchmarks/table2_digest.py``, the bit-identity check of
-the Table II outputs, and the seed-1 set's CX, depth, size and u-gate
-totals."""
+the Table II outputs and of the synthesis work behind them, and the seed-1
+set's CX, depth, size and u-gate totals."""
 
 import hashlib
 import os
@@ -46,6 +46,18 @@ def test_counts_are_cx_depth_size_and_u_gates():
     assert table2_digest.totals(rows) == "CX 11 DEPTH 22 SIZE 33 U1 44 U2 55 U3 66"
 
 
+def test_work_counts_the_kernel_items_and_restores_the_kernels():
+    kernels = [getattr(module, name) for _, module, name in table2_digest.KERNELS]
+    with table2_digest.counting_work() as work:
+        table2_digest.seed_digests(1, limit=3)
+    assert [getattr(module, name) for _, module, name in table2_digest.KERNELS] == kernels
+    assert set(work) <= {label for label, _, _ in table2_digest.KERNELS}
+    assert work["BUDGET"] > 0
+    assert table2_digest.work_line(work) == (
+        f"BUDGET {work['BUDGET']} BOUND {work['BOUND']} PLAN {work['PLAN']} SYNTH {work['SYNTH']}"
+    )
+
+
 def test_the_command_prints_one_line_per_job_and_totals():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     done = subprocess.run(
@@ -58,15 +70,17 @@ def test_the_command_prints_one_line_per_job_and_totals():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     # every line, the totals included, starts with the seed, so a diff of
     # one seed's lines covers them all
     assert all(line.startswith("seed 1 ") for line in lines)
-    jobs = table2_digest.seed_digests(1, limit=2)
+    with table2_digest.counting_work() as work:
+        jobs = table2_digest.seed_digests(1, limit=2)
     values = [line.split()[-1] for line in lines[:2]]
     assert values == [value for _, value, _ in jobs]
     assert lines[2] == "seed 1 TOTALS " + table2_digest.totals([job[2] for job in jobs])
-    assert lines[3] == "seed 1 ALL " + hashlib.sha256("".join(values).encode()).hexdigest()
+    assert lines[3] == "seed 1 WORK " + table2_digest.work_line(work)
+    assert lines[4] == "seed 1 ALL " + hashlib.sha256("".join(values).encode()).hexdigest()
 
 
 def test_seed_1_totals():

@@ -49,9 +49,7 @@ class FullSweepQBOPass(QBOPass):
                 instruction.operation, instruction.qubits, instruction.clbits, tracker, output
             )
         state.swapz_profitable = True
-        edits = output.close()
-        rewrite_counter(property_set)[self.name] += output.rewrites
-        return circuit.splice(edits)
+        return self.splice(circuit, output.close(), property_set)
 
 
 class FullSweepQPOPass(QPOPass):
@@ -66,9 +64,7 @@ class FullSweepQPOPass(QPOPass):
                 instruction.operation, instruction.qubits, instruction.clbits, tracker, output
             )
         self._run_state.swapz_profitable = True
-        edits = output.close()
-        self._run_state.rewrites[self.name] += output.rewrites
-        return circuit.splice(edits)
+        return self.splice(circuit, output.close(), self._run_state.properties)
 
 
 FULL_SWEEP = {QBOPass: FullSweepQBOPass, QPOPass: FullSweepQPOPass}

@@ -9,6 +9,9 @@ place.  Everything that decides *what* to emit -- trackers, block
 planning, synthesis, the rewrite rules -- is the production code's, so the
 parity tests in ``test_splice_parity.py`` hold the splice edits, and
 nothing else, to that record order and phase summation, bit for bit.
+Each oracle counts one rewrite per input record group it replaces (a
+fused run, a block, a cancelled pair, a record that did not become just
+itself), as the production passes count their edits that remove records.
 """
 
 from __future__ import annotations
@@ -125,10 +128,9 @@ class PreSpliceOptimize1qGates(Optimize1qGates):
         rewritten = []
         for (qubit, indices, ops), (theta, phi, lam, gamma) in zip(runs, params):
             gate = fused_gate(theta, phi, lam)
-            if len(ops) > 1:
-                rewrites[self.name] += 1
-            elif is_itself(ops[0], gate):
+            if len(ops) == 1 and is_itself(ops[0], gate):
                 continue
+            rewrites[self.name] += 1
             output.global_phase += gamma
             rewritten.append((indices, [] if gate is None else [(gate, (qubit,))]))
         return place(circuit, output, rewritten)
@@ -215,6 +217,8 @@ class PreSpliceUnroller(Unroller):
             return circuit
         output = circuit.copy_empty_like()
         for instruction in circuit.data:
+            if instruction.operation.name not in self.basis:
+                rewrite_counter(property_set)[self.name] += 1
             self._unroll_into(
                 instruction.operation, instruction.qubits, instruction.clbits, output, 0
             )
@@ -320,7 +324,8 @@ class _AppendingOutput:
     every record is appended (and checked), every phase term added.
 
     Between :meth:`visit` calls it also counts the visited records that
-    did not become just themselves -- the rewrites of QBO and QPO."""
+    did not become just themselves -- the rewrites of QBO, QPO and
+    ``HoareOptimizer``."""
 
     def __init__(self, circuit):
         self.circuit = circuit
@@ -374,7 +379,10 @@ class PreSpliceHoareOptimizer(HoareOptimizer):
         self._run_state.cluster_of = {q: _Cluster((q,), {0}) for q in range(circuit.num_qubits)}
         output = _AppendingOutput(circuit.copy_empty_like())
         for instruction in circuit.data:
+            output.visit(instruction)
             self._process(instruction.operation, instruction.qubits, instruction.clbits, output)
+        output.visit(None)
+        rewrite_counter(property_set)[self.name] += output.rewrites
         return output.circuit
 
 
@@ -391,7 +399,7 @@ class PreSpliceQPOPass(QPOPass):
             )
         output.visit(None)
         self._run_state.swapz_profitable = True
-        self._run_state.rewrites[self.name] += output.rewrites
+        rewrite_counter(self._run_state.properties)[self.name] += output.rewrites
         return output.circuit
 
     def _rewrite_blocks(self, circuit):
@@ -486,7 +494,7 @@ class PreSpliceQPOPass(QPOPass):
             for instruction in block.instructions:
                 self._track(instruction, tracker)
             return None
-        self._run_state.rewrites[self.name] += 1
+        rewrite_counter(self._run_state.properties)[self.name] += 1
         undo_low = u3_matrix(*input_states[0], 0.0).conj().T
         undo_high = u3_matrix(*input_states[1], 0.0).conj().T
         records = []
@@ -517,7 +525,7 @@ class PreSpliceRemoveDiagonalGatesBeforeMeasure(RemoveDiagonalGatesBeforeMeasure
                 measures.append((chain, len(chain)))
             for qubit in instruction.qubits:
                 chains.setdefault(qubit, []).append(index)
-        dropped = False
+        dropped = 0
         for chain, position in measures:
             walk = position - 1
             while walk >= 0:
@@ -527,16 +535,19 @@ class PreSpliceRemoveDiagonalGatesBeforeMeasure(RemoveDiagonalGatesBeforeMeasure
                     continue
                 if earlier.operation.name in _DIAGONAL_1Q and len(earlier.qubits) == 1:
                     survivors[chain[walk]] = None
-                    dropped = True
+                    dropped += 1
                     walk -= 1
                     continue
                 break
+        rewrite_counter(property_set)[self.name] += dropped
         return _emit_surviving(circuit, survivors, dropped)
 
 
-def _strip(circuit, name):
-    if all(instruction.operation.name != name for instruction in circuit.data):
+def _strip(circuit, name, property_set, pass_name):
+    stripped = sum(instruction.operation.name == name for instruction in circuit.data)
+    if not stripped:
         return circuit
+    rewrite_counter(property_set)[pass_name] += stripped
     output = circuit.copy_empty_like()
     for instruction in circuit.data:
         if instruction.operation.name != name:
@@ -546,12 +557,12 @@ def _strip(circuit, name):
 
 class PreSpliceRemoveAnnotations(RemoveAnnotations):
     def transform(self, circuit, property_set):
-        return _strip(circuit, "annot")
+        return _strip(circuit, "annot", property_set, self.name)
 
 
 class PreSpliceRemoveBarriers(RemoveBarriers):
     def transform(self, circuit, property_set):
-        return _strip(circuit, "barrier")
+        return _strip(circuit, "barrier", property_set, self.name)
 
 
 #: production pass class -> its pre-splice oracle

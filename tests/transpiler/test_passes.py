@@ -373,8 +373,6 @@ class TestNoOpPassesReturnTheirInput:
         result = PassManager([CXCancellation()]).run_with_result(circuit)
         assert result.circuit is circuit
         [metrics] = result.metrics
-        assert (metrics.size_before, metrics.size_after) == (circuit.size(),) * 2
-        assert (metrics.depth_before, metrics.depth_after) == (circuit.depth(),) * 2
         assert metrics.rewrites == 0
 
     @pytest.mark.parametrize(

@@ -328,8 +328,14 @@ class TestWorkerCaches:
                 targets=melbourne.target(),
                 seeds=[0, 1],
             )
-        assert cache._syntheses
-        assert cache.stats["synth_memo_hits"] > 0
+        # the memo entries answer more decisions than there are entries
+        decisions = (
+            "synth_prescan_skips",
+            "synth_tie_rejects",
+            "synth_memo_hits",
+            "synth_attempts",
+        )
+        assert 0 < len(cache._syntheses) < sum(cache.stats[key] for key in decisions)
 
 
 class TestStatsSurface:
