@@ -86,9 +86,10 @@ the seed-1 Table II set, and runs on random circuits, to a run that
 prices every block.
 
 ``AnalysisCache.stats`` counts ``synth_own_skips``, ``synth_failures`` and
-``synth_kept``, and puts every other block in exactly one of
-``synth_prescan_skips``, ``synth_tie_rejects``, ``synth_memo_hits`` (a
-memoized replacement, or failure, handed back) and ``synth_attempts``.
+``synth_kept``, and puts every other block of two or more two-qubit gates
+in exactly one of ``synth_prescan_skips``, ``synth_tie_rejects``,
+``synth_memo_hits`` (a memoized replacement, or failure, handed back) and
+``synth_attempts``.
 """
 
 from __future__ import annotations
