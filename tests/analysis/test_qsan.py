@@ -267,6 +267,26 @@ class TestConfigResolution:
         assert values["facts"] == (False, {0: 0, 1: 1})
 
 
+class TestTierWidths:
+    """The exact tiers end at the module's width caps (8 qubits for the
+    unitary, 14 for the statevector); no environment variable moves them."""
+
+    @pytest.mark.parametrize(
+        "width, tier", [(8, "unitary"), (9, "state"), (14, "state"), (15, "fingerprint")]
+    )
+    def test_width_picks_the_tier(self, monkeypatch, width, tier):
+        monkeypatch.setenv("REPRO_QSAN_UNITARY_CAP", "1")
+        monkeypatch.setenv("REPRO_QSAN_STATE_CAP", "1")
+        validator = QsanValidator(QsanConfig.resolve("full"))
+        circuit = QuantumCircuit(width)
+        for qubit in range(width):
+            circuit.h(qubit)
+        rewritten = circuit.copy()
+        assert validator.check_pass(HonestNoop(), circuit, rewritten, {}, changed=True) == []
+        _, values = validator._memo[id(rewritten)]
+        assert set(values) == {"facts", tier}
+
+
 # ----------------------------------------------------------------------
 # the tracker fingerprint tier (wider than the state cap, or annotated)
 # ----------------------------------------------------------------------
